@@ -118,10 +118,10 @@ def _cell(value) -> str:
 
 
 def _footer_value(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, tuple):
         return ",".join(repr(float(v)) for v in value)
     return str(value)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationError
 from .flow import SystemState, _x_new_closed, _x_new_metric, _z_new_closed, _z_new_metric
-from .metric import MetricSchedule, TauSchedule, x_update_metric
+from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
 from .problems import ProblemSpec, SaddleResidual, kkt_residual
 from .proxlib import conjugate_prox
 
@@ -89,7 +89,8 @@ def admm_step(p: ProblemSpec, d: DiscreteParams, k: int,
     if d.m2 is None or d.m2.is_zero():
         z_new = _z_new_closed(p, c, ax_bar, y)
     else:
-        z_new = _z_new_metric(p, d.m2.at(float(k)), c, ax_bar, y, z, d.inner_tol)
+        qz = z_update_metric(d.m2, c, float(k))
+        z_new = _z_new_metric(p, qz, d.m2.at(float(k)), c, ax_bar, y, z, d.inner_tol)
     y_new = y + c * (p.A._raw_apply(x_new) - z_new)
     return SystemState(x_new, z_new, y_new, float(k + 1))
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationError, IntegrationError
-from .linops import SelfAdjointPSD, LinearMap, operator_norm
-from .metric import MetricSchedule, TauSchedule, x_update_metric
+from .linops import SelfAdjointPSD, operator_norm
+from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
 from .problems import ProblemSpec
 from .proxlib import metric_prox
 
@@ -188,9 +188,9 @@ def _z_new_closed(p: ProblemSpec, c, ax_bar, y):
     return p.g.prox(1.0 / c, ax_bar + y / c)
 
 
-def _z_new_metric(p: ProblemSpec, m2_t: SelfAdjointPSD, c, ax_bar, y, z, tol):
-    qz = SelfAdjointPSD(m2_t.base + LinearMap.identity(p.m, c),
-                        m2_t.alpha_floor + c)
+def _z_new_metric(p: ProblemSpec, qz: SelfAdjointPSD, m2_t: SelfAdjointPSD,
+                  c, ax_bar, y, z, tol):
+    """General z-argmin: minimize g + 1/2 <., (M2 + c I) .> - <., M2 z + c A x_bar + y>."""
     lin = -(m2_t.base._raw_apply(z) + c * ax_bar + y)
     return metric_prox(p.g, qz, lin, z, tol=tol)
 
@@ -229,7 +229,8 @@ def _make_rhs(p: ProblemSpec, params: FlowParams):
         if m2_zero:
             z_new = _z_new_closed(p, c, ax_bar, y)
         else:
-            z_new = _z_new_metric(p, m2.at(t), c, ax_bar, y, z, tol)
+            z_new = _z_new_metric(p, z_update_metric(m2, c, t), m2.at(t),
+                                  c, ax_bar, y, z, tol)
         v = z_new - z
         w = c * (a_apply(u + x) - (v + z))
         return u, v, w
@@ -380,8 +381,10 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
             rk4_step(t, h, k1=k1)
             x_full, z_full, y_full = x, z, y
             # rewind, take two half steps (these become the accepted state)
+            # copies: the half steps add into acc in place, and a rejection
+            # below must still find the snapshot untouched
             x, z, y = xs, zs, ys
-            acc.int_x, acc.int_z = int_xs, int_zs
+            acc.int_x, acc.int_z = int_xs.copy(), int_zs.copy()
             rk4_step(t, 0.5 * h, k1=k1)
             rk4_step(t + 0.5 * h, 0.5 * h)
             scale_x = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(x), np.abs(x_full))

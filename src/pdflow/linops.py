@@ -224,11 +224,9 @@ class SelfAdjointPSD:
     def __add__(self, other) -> "SelfAdjointPSD":
         if not isinstance(other, SelfAdjointPSD):
             return NotImplemented
-        hint = None
-        if self._norm_hint is not None and other._norm_hint is not None:
-            hint = None  # sum norm is not additive; recompute lazily
+        # the norm of a sum is not the sum of norms; recompute lazily
         return SelfAdjointPSD(self.base + other.base,
-                              self.alpha_floor + other.alpha_floor, hint)
+                              self.alpha_floor + other.alpha_floor)
 
     def __mul__(self, alpha) -> "SelfAdjointPSD":
         a = float(alpha)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import LinearMap, SelfAdjointPSD, block_diag, operator_norm, psd_floor
+from .linops import (_DENSE_EIG_LIMIT, LinearMap, SelfAdjointPSD, block_diag,
+                     operator_norm, psd_floor)
 
 __all__ = [
     "TauSchedule",
@@ -32,6 +33,7 @@ __all__ = [
     "certify",
     "weight_W",
     "x_update_metric",
+    "z_update_metric",
     "default_sample_times",
 ]
 
@@ -90,7 +92,7 @@ class MetricSchedule:
         self.A = A
         self._a_norm = None
         self._gram = None if A is None else A.gram()
-        self._xq_cache = {}
+        self._q_cache = {}
 
     @classmethod
     def zero(cls, dim) -> "MetricSchedule":
@@ -128,26 +130,60 @@ class MetricSchedule:
         return self.kind == "zero"
 
 
+def _small_dense(base: LinearMap) -> LinearMap:
+    """`base` as one dense matrix when it is small enough to store, so each
+    application is a single product instead of a chain of lazy closures."""
+    if base.in_dim > _DENSE_EIG_LIMIT:
+        return base
+    mat = base.to_dense()
+    return LinearMap.from_dense(0.5 * (mat + mat.T))
+
+
 def x_update_metric(m1: MetricSchedule, c, A: LinearMap, t) -> SelfAdjointPSD:
     """The x-subproblem metric Q = c A* A + M1(t).
 
     For the tau family the sum collapses to I / tau(t), so the spectral
     floor and norm are analytic; other schedules are time-independent and
-    the certified floor/norm pair is computed once and cached.
+    Q, with its certified floor/norm pair, is built once and cached.
     """
     c = float(c)
     if m1.kind == "tau-family":
         s = 1.0 / m1.tau.value(t)
         base = c * A.gram() + m1.at(t).base
         return SelfAdjointPSD(base, s, norm_hint=s)
-    key = (c, id(A))
-    q = m1._xq_cache.get(key)
+    key = ("x", c, id(A))
+    q = m1._q_cache.get(key)
     if q is None:
-        base = c * A.gram() + m1.at(0.0).base
+        base = _small_dense(c * A.gram() + m1.at(0.0).base)
         floor = psd_floor(SelfAdjointPSD(base, 0.0), strict=False)
         q = SelfAdjointPSD(base, max(floor, 0.0),
                            norm_hint=operator_norm(base))
-        m1._xq_cache[key] = q
+        m1._q_cache[key] = q
+    return q
+
+
+def z_update_metric(m2: MetricSchedule, c, t) -> SelfAdjointPSD:
+    """The z-subproblem metric Q = M2(t) + c I, with floor alpha(M2) + c.
+
+    Time-independent schedules build Q once and cache it; a scaled identity
+    s I gives the scaled identity (s + c) I with analytic floor and norm.
+    """
+    c = float(c)
+    if m2.kind == "tau-family":
+        m2_t = m2.at(t)
+        return SelfAdjointPSD(m2_t.base + LinearMap.identity(m2.dim, c),
+                              m2_t.alpha_floor + c)
+    key = ("z", c)
+    q = m2._q_cache.get(key)
+    if q is None:
+        m2_0 = m2.at(0.0)
+        if m2_0.base.scale is not None:
+            q = SelfAdjointPSD.identity(m2.dim, m2_0.base.scale + c)
+        else:
+            base = _small_dense(m2_0.base + LinearMap.identity(m2.dim, c))
+            q = SelfAdjointPSD(base, m2_0.alpha_floor + c,
+                               norm_hint=operator_norm(base))
+        m2._q_cache[key] = q
     return q
 
 

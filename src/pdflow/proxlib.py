@@ -6,11 +6,16 @@ evaluations.  `metric_prox` solves the metric-weighted prox subproblem
 
     argmin_v  f(v) + <v, linear> + 1/2 <v, Q v>
 
-by proximal gradient with the fixed step 1/||Q||; when Q is a scaled
-identity this terminates at the exact closed form after one sweep.
+by accelerated proximal gradient (FISTA, Beck-Teboulle 2009) with the
+fixed step 1/||Q|| and gradient-based adaptive restart (O'Donoghue-Candes
+2015).  It stops on the gradient-mapping residual at the extrapolated
+point; when Q is a scaled identity the first step lands on the exact
+closed form and the second confirms it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -203,11 +208,17 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
                 tol=1e-10, max_iters=100_000, h_grad_at=None) -> np.ndarray:
     """Minimize f(v) + <v, linear> + 1/2 <v, Q v> for positive definite Q.
 
-    Proximal gradient with the fixed step 1/||Q||.  Stops when the relative
-    first-order residual ||v_{k+1} - v_k|| / step falls at or below
-    tol * max(1, ||v_{k+1}||).  An optional gradient vector `h_grad_at`
-    (a smooth term linearized at the outer iterate) is folded into the
-    linear coefficient.
+    FISTA with the fixed step 1/||Q||, started at w_0 = v_0 = x0:
+
+        v_{k+1} = prox_{step f}(w_k - step (Q w_k + linear))
+        w_{k+1} = v_{k+1} + (theta_k - 1) / theta_{k+1} (v_{k+1} - v_k)
+
+    Momentum restarts (theta back to 1, so w_{k+1} = v_{k+1}) whenever the
+    gradient mapping at w_k points uphill along the last move, i.e.
+    <w_k - v_{k+1}, v_{k+1} - v_k> > 0.  Stops when the relative residual
+    ||v_{k+1} - w_k|| / step falls at or below tol * max(1, ||v_{k+1}||).
+    An optional gradient vector `h_grad_at` (a smooth term linearized at
+    the outer iterate) is folded into the linear coefficient.
 
     Raises
     ------
@@ -223,15 +234,27 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     lin = np.asarray(linear, dtype=float)
     if h_grad_at is not None:
         lin = lin + np.asarray(h_grad_at, dtype=float)
+    v = np.array(x0, dtype=float)
+    if f.dim != Q.dim or lin.shape != (Q.dim,) or v.shape != (Q.dim,):
+        raise ValueError(
+            f"metric_prox: f, Q, linear and x0 must share dimension {Q.dim}")
     step = 1.0 / Q.norm()
     qapply = Q.base._raw_apply
-    v = np.asarray(x0, dtype=float).copy()
+    w = v
+    theta = 1.0
     for _ in range(max_iters):
-        v_next = f.prox(step, v - step * (qapply(v) + lin))
-        res = float(np.linalg.norm(v_next - v)) / step
+        v_next = f.prox(step, w - step * (qapply(w) + lin))
+        d = v_next - w
+        res = math.sqrt(d @ d) / step
+        if res <= tol * max(1.0, math.sqrt(v_next @ v_next)):
+            return v_next
+        move = v_next - v
+        if d @ move < 0.0:
+            theta = 1.0
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        w = v_next + ((theta - 1.0) / theta_next) * move
+        theta = theta_next
         v = v_next
-        if res <= tol * max(1.0, float(np.linalg.norm(v_next))):
-            return v
     raise ToleranceNotMet(
         f"metric_prox: residual {res:.3e} after {max_iters} iterations "
         f"(tolerance {tol:g})", best=v, residual=res)

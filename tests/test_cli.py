@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from pdflow.cli import main, write_plot_script, write_trace_csv
+from pdflow.cli import _footer_value, main, write_plot_script, write_trace_csv
 from pdflow.diagnostics import CSV_FIELDS, TraceRecord
 from pdflow.flow import SystemState
 
@@ -218,6 +218,14 @@ class TestWriters:
         assert lines[2] == "1.0,0.5,0.25,0.1,6.0,0.2,0.01"
         assert lines[3] == "# k = 1.5"
         assert lines[4] == "# ok = true"
+
+    def test_footer_values_from_numpy_scalars(self):
+        """numpy scalars print like the Python values they stand for."""
+        assert _footer_value(np.float64(0.5)) == "0.5"
+        assert _footer_value(np.float64(1.0) / 3.0) == repr(1.0 / 3.0)
+        assert _footer_value(np.bool_(True)) == "true"
+        assert _footer_value(np.bool_(False)) == "false"
+        assert _footer_value(np.int64(7)) == "7"
 
     def test_csv_state_columns(self, tmp_path):
         path = tmp_path / "t.csv"

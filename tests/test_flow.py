@@ -9,11 +9,13 @@ trajectory.
 import numpy as np
 import pytest
 
+from pdflow import flow, linops, metric
 from pdflow.errors import CertificationError
 from pdflow.flow import (Adaptive, ErgodicAccumulator, Euler, FlowParams,
                          RK4, SystemState, ergodic, integrate, rhs)
 from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import MetricSchedule, TauSchedule
+from pdflow.problems import CATALOG_NAMES, catalog
 
 
 def _closed_params(tau=0.25, gamma=0.5, c=1.0, horizon=100.0,
@@ -208,6 +210,62 @@ class TestIntegrate:
         assert ada.final.t == pytest.approx(20.0, abs=1e-9)
         assert float(np.linalg.norm(ada.final.x - ref.x)) <= 1e-6
         assert float(np.linalg.norm(ada.final.y - ref.y)) <= 1e-5
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("mode", ["closed-form", "general-metric"])
+    def test_adaptive_rejections_keep_ergodic_identity(self, name, mode):
+        """A too-large first step forces rejected trials; each rejection
+        must rewind the running integrals exactly, so the identity
+        A x~ - z~ = (y - y0) / (c t) still holds at every record."""
+        p = catalog(name)
+        c = 1.0
+        if mode == "closed-form":
+            params = FlowParams(c=c, gamma=0.5, tau=TauSchedule.constant(
+                0.9 / linops.operator_norm(p.A) ** 2), horizon=5.0,
+                integrator=Adaptive(rel_tol=1e-8, h0=1.0))
+        else:
+            params = FlowParams(
+                c=c, gamma=0.5, horizon=5.0,
+                m1=MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5)),
+                m2=MetricSchedule.constant(SelfAdjointPSD.identity(p.m, 0.5)),
+                integrator=Adaptive(rel_tol=1e-8, h0=1.0))
+        x0, z0, y0 = p.default_start()
+        traj = integrate(p, params, SystemState(x0, z0, y0, 0.0))
+        # a trial costs 11 rhs evals (shared k1, 3 probe, 7 half-step)
+        assert traj.rhs_evals > 11 * (len(traj.states) - 1), "no rejection"
+        for s, xt, zt in zip(traj.states[1:], traj.ergodic_x[1:],
+                             traj.ergodic_z[1:]):
+            defect = p.A.apply(xt) - zt - (s.y - y0) / (c * s.t)
+            assert float(np.abs(defect).max()) <= 1e-8
+
+    def test_general_metric_operator_norms_do_not_grow_with_evals(
+            self, monkeypatch):
+        """Subproblem metrics and their norms are built once per run, so the
+        number of power iterations does not scale with rhs evaluations."""
+        p = catalog("lasso-small")
+        calls = []
+        real = linops.operator_norm
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for mod in (linops, metric, flow):
+            monkeypatch.setattr(mod, "operator_norm", counting)
+        m2_mat = np.diag(np.linspace(0.2, 1.0, p.m))
+        counts = []
+        for horizon in (0.5, 2.0):
+            params = FlowParams(
+                c=1.0, gamma=0.5, horizon=horizon,
+                m1=MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5)),
+                m2=MetricSchedule.constant(
+                    SelfAdjointPSD.from_dense(m2_mat, alpha_floor=0.2)),
+                integrator=RK4(h=0.1))
+            calls.clear()
+            traj = integrate(p, params)
+            counts.append((len(calls), traj.rhs_evals))
+        assert counts[1][1] == 4 * counts[0][1]
+        assert counts[0][0] == counts[1][0]
 
     def test_rhs_eval_count_rk4(self, example1):
         traj = integrate(example1, _closed_params(

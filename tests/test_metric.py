@@ -7,7 +7,8 @@ import pytest
 
 from pdflow.linops import LinearMap, SelfAdjointPSD, psd_floor
 from pdflow.metric import (MetricSchedule, TauSchedule, certify,
-                           default_sample_times, weight_W, x_update_metric)
+                           default_sample_times, weight_W, x_update_metric,
+                           z_update_metric)
 
 _A2 = LinearMap.from_dense(np.array([[1.0, -1.0], [1.0, 1.0]]))
 # A* A = 2 I for this map, so every operator condition collapses to a scalar.
@@ -107,6 +108,36 @@ class TestXUpdateMetric:
         assert q1.alpha_floor == pytest.approx(expected_floor, rel=1e-9)
         x = np.array([0.7, -0.4])
         np.testing.assert_allclose(q1.apply(x), dense @ x, atol=1e-12)
+
+
+class TestZUpdateMetric:
+    def test_scaled_identity_is_analytic_and_cached(self):
+        m2 = MetricSchedule.constant(SelfAdjointPSD.identity(3, 0.5))
+        q1 = z_update_metric(m2, 2.0, 0.0)
+        q2 = z_update_metric(m2, 2.0, 7.0)
+        assert q1 is q2, "time-invariant metric should be built once"
+        assert q1.alpha_floor == 2.5
+        assert q1.norm() == 2.5
+        x = np.array([1.0, -2.0, 0.5])
+        np.testing.assert_allclose(q1.apply(x), 2.5 * x, atol=1e-15)
+
+    def test_zero_schedule_gives_c_identity(self):
+        q = z_update_metric(MetricSchedule.zero(2), 1.5, 0.0)
+        assert q.alpha_floor == 1.5
+        assert q.norm() == 1.5
+
+    def test_dense_metric_adds_c_identity(self):
+        mat = np.array([[1.0, 0.4], [0.4, 0.6]])
+        floor = float(np.linalg.eigvalsh(mat)[0])
+        m2 = MetricSchedule.constant(SelfAdjointPSD.from_dense(mat, floor))
+        q = z_update_metric(m2, 2.0, 0.0)
+        assert z_update_metric(m2, 2.0, 3.0) is q
+        dense = mat + 2.0 * np.eye(2)
+        x = np.array([0.7, -0.4])
+        np.testing.assert_allclose(q.apply(x), dense @ x, atol=1e-12)
+        assert q.alpha_floor == pytest.approx(floor + 2.0)
+        assert q.norm() == pytest.approx(
+            float(np.linalg.eigvalsh(dense)[-1]), rel=1e-8)
 
 
 class TestCertify:

@@ -11,9 +11,11 @@ import pytest
 
 from pdflow.errors import CertificationError, ToleranceNotMet
 from pdflow.linops import SelfAdjointPSD
+from pdflow.metric import MetricSchedule, x_update_metric
+from pdflow.problems import catalog
 from pdflow.proxlib import (box, conjugate_prox, l1_norm, metric_prox, prox,
-                            quadratic_smooth, sq_distance, sq_norm, zero,
-                            zero_smooth)
+                            quadratic_smooth, separable, sq_distance, sq_norm,
+                            zero, zero_smooth)
 
 
 def _golden_min(fn, lo, hi, iters=200):
@@ -204,6 +206,63 @@ class TestMetricProx:
         got = metric_prox(zero(2), q, np.array([-4.0, 0.0]), np.zeros(2),
                           tol=1e-12)
         np.testing.assert_allclose(got, np.array([2.0, 0.0]), atol=1e-10)
+
+    def test_scaled_identity_takes_two_iterations(self):
+        """The first step lands on the closed form; the second confirms it."""
+        calls = []
+        inner = l1_norm(3, weight=0.5)
+
+        def counted(t, u):
+            calls.append(t)
+            return inner.prox(t, u)
+
+        f = separable(3, inner, counted)
+        q = SelfAdjointPSD.identity(3, scale=4.0)
+        got = metric_prox(f, q, np.array([3.0, -0.2, -5.0]), np.ones(3),
+                          tol=1e-12)
+        assert len(calls) == 2
+        np.testing.assert_allclose(got, prox(inner, 0.25, -0.25 * np.array(
+            [3.0, -0.2, -5.0])), atol=1e-15)
+
+    def test_zero_f_dense_metric_solves_linear_system(self):
+        """With f = 0 the minimizer solves Q v = -lin; a dense, non-diagonal
+        Q makes the accelerated iteration actually iterate."""
+        rng = np.random.default_rng(431)
+        base = rng.standard_normal((5, 5))
+        mat = base.T @ base + 0.5 * np.eye(5)
+        floor = float(np.linalg.eigvalsh(mat)[0])
+        q = SelfAdjointPSD.from_dense(mat, alpha_floor=floor)
+        for _ in range(10):
+            lin = rng.standard_normal(5)
+            got = metric_prox(zero(5), q, lin, rng.standard_normal(5),
+                              tol=1e-13)
+            np.testing.assert_allclose(got, np.linalg.solve(mat, -lin),
+                                       atol=1e-10)
+
+    def test_l1_lasso_metric_matches_plain_proximal_gradient(self):
+        """On the lasso-small x-subproblem (Q = c A*A + I/2, f = l1) the
+        accelerated solver agrees with a long run of plain proximal
+        gradient at the same step."""
+        p = catalog("lasso-small")
+        m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
+        q = x_update_metric(m1, 1.0, p.A, 0.0)
+        mat = q.base.to_dense()
+        step = 1.0 / float(np.linalg.eigvalsh(mat)[-1])
+        rng = np.random.default_rng(433)
+        for _ in range(5):
+            lin = 3.0 * rng.standard_normal(p.n)
+            want = np.zeros(p.n)
+            for _ in range(2_000):
+                want = p.f.prox(step, want - step * (mat @ want + lin))
+            got = metric_prox(p.f, q, lin, np.zeros(p.n), tol=1e-12)
+            np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_rejects_mismatched_dimensions(self):
+        q = SelfAdjointPSD.identity(2, scale=1.0)
+        with pytest.raises(ValueError):
+            metric_prox(zero(2), q, np.zeros(3), np.zeros(2))
+        with pytest.raises(ValueError):
+            metric_prox(zero(3), q, np.zeros(2), np.zeros(2))
 
     def test_l1_with_diagonal_metric_closed_form(self):
         """For separable f = w||.||_1 and diagonal Q the solution is exact:
