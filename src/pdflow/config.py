@@ -47,7 +47,7 @@ import numpy as np
 from . import proxlib
 from .errors import ConfigError
 from .flow import Adaptive, Euler, FlowParams, RK4, SystemState
-from .linops import LinearMap, load_dense, operator_norm
+from .linops import LinearMap, load_dense
 from .metric import TauSchedule
 from .problems import CATALOG_NAMES, ProblemSpec, catalog
 
@@ -430,7 +430,7 @@ def resolve_tau(cfg_tau, p: ProblemSpec, c, gamma) -> TauSchedule:
     if isinstance(cfg_tau, tuple) and cfg_tau and cfg_tau[0] == "saturating":
         return TauSchedule.saturating(cfg_tau[1], cfg_tau[2])
     if cfg_tau == "auto":
-        n_sq = operator_norm(p.A) ** 2
+        n_sq = p.A.norm() ** 2
         lip = p.h.lipschitz_grad
         bounds = [4.0 / (lip + c * (3.0 + gamma) * n_sq),
                   2.0 / (lip + 2.0 * c * n_sq)]

@@ -15,9 +15,14 @@ Two evaluation modes:
 * general-metric   -- arbitrary PSD schedules M1, M2; subproblems solved by
                       `metric_prox`; requires a uniformly positive x-metric
 
-Fixed-step Euler/RK4 and a step-doubling adaptive RK4 are provided.  The
-running integrals behind the ergodic averages use the integrator's own
-stage weights (left endpoint for Euler, the 1-2-2-1 stage rule for RK4), so
+Fixed-step Euler/RK4 and an adaptive Dormand-Prince 5(4) pair are
+provided.  The adaptive pair keeps its 5th-order solution (local
+extrapolation), estimates the error from the embedded 4th-order one, and
+reuses the last stage of an accepted step as the first of the next (FSAL),
+so a trial costs 6 rhs evaluations.  The running integrals behind the
+ergodic averages use the integrator's own stage weights (left endpoint for
+Euler, the 1-2-2-1 stage rule for RK4, the 5th-order weights b over the
+stage points for Dormand-Prince, added only when a step is accepted), so
 the identity  A x_tilde - z_tilde = (y(t) - y0) / (c t)  holds to roundoff
 instead of quadrature error.
 """
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationError, IntegrationError
-from .linops import SelfAdjointPSD, operator_norm
+from .linops import SelfAdjointPSD
 from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
 from .problems import ProblemSpec
 from .proxlib import metric_prox
@@ -103,7 +108,13 @@ class RK4:
 
 @dataclass
 class Adaptive:
-    """Step-doubling RK4; accepts the two-half-step result unextrapolated."""
+    """Dormand-Prince 5(4) with FSAL; accepts the 5th-order solution.
+
+    A trial is accepted when the RMS of the embedded error estimate over
+    abs_tol + rel_tol max(|U_n|, |U_n+1|) is at most 1; the next step is
+    h * clip(0.9 err^(-1/5), 0.2, 5), capped at h_max, and a rejection whose
+    shrunken step falls below h_min stops the run.
+    """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
@@ -245,7 +256,7 @@ def rhs(p: ProblemSpec, params: FlowParams, t, s: SystemState):
     mode fails inside the subproblem solve if the metric is not positive.
     """
     if params.mode == "closed-form":
-        a_norm = operator_norm(p.A)
+        a_norm = p.A.norm()
         if params.c * params.tau.value(t) * a_norm ** 2 > 1.0 + 1e-12:
             raise CertificationError(
                 "closed-form mode needs c tau(t) ||A||^2 <= 1")
@@ -254,7 +265,7 @@ def rhs(p: ProblemSpec, params: FlowParams, t, s: SystemState):
 
 def _check_certificates(p: ProblemSpec, params: FlowParams):
     if params.mode == "closed-form":
-        a_norm = operator_norm(p.A)
+        a_norm = p.A.norm()
         grid = np.linspace(0.0, params.horizon, 65)
         worst = max(params.c * params.tau.value(t) * a_norm ** 2 for t in grid)
         if worst > 1.0 + 1e-12:
@@ -271,6 +282,23 @@ def _check_certificates(p: ProblemSpec, params: FlowParams):
             raise CertificationError(
                 f"general-metric mode needs a uniformly positive x-update "
                 f"metric (sampled floor {rep.cstrong.alpha:.6g})")
+
+
+# Dormand-Prince 5(4) tableau (Hairer-Norsett-Wanner, Solving ODEs I, II.4):
+# stage nodes c, coefficients a, 5th-order weights b (b7 = 0, so row 7 of a
+# is b and the last stage point is the accepted state) and error weights
+# e = b - b*, with b* the embedded 4th-order weights.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_A = np.zeros((7, 7))
+_DP_A[1, :1] = [1 / 5]
+_DP_A[2, :2] = [3 / 40, 9 / 40]
+_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_DP_A[6, :6] = _DP_B
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
 
 
 def _require_finite(x, z, y, t):
@@ -325,12 +353,9 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
         z = z + h * v
         y = y + h * w
 
-    def rk4_step(t, h, k1=None):
+    def rk4_step(t, h):
         nonlocal x, z, y, evals
-        if k1 is None:
-            k1 = rhs_fn(t, x, z, y)
-            evals += 1
-        u1, v1, w1 = k1
+        u1, v1, w1 = rhs_fn(t, x, z, y)
         hh = 0.5 * h
         x2, z2, y2 = x + hh * u1, z + hh * v1, y + hh * w1
         u2, v2, w2 = rhs_fn(t + hh, x2, z2, y2)
@@ -338,7 +363,7 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
         u3, v3, w3 = rhs_fn(t + hh, x3, z3, y3)
         x4, z4, y4 = x + h * u3, z + h * v3, y + h * w3
         u4, v4, w4 = rhs_fn(t + h, x4, z4, y4)
-        evals += 3
+        evals += 4
         w6 = h / 6.0
         acc.int_x += w6 * (x + 2.0 * x2 + 2.0 * x3 + x4)
         acc.int_z += w6 * (z + 2.0 * z2 + 2.0 * z3 + z4)
@@ -368,35 +393,42 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
         acc.t = horizon
         record(horizon)
     elif isinstance(integ, Adaptive):
+        # Row 0 of the stage points is the flat state U = (x, z, y), with x,
+        # z, y views into it, and int_x, int_z are views into one array, so
+        # each stage combination is a single matrix-vector product.
+        iz, iy = p.n, p.n + p.m
+        pts = np.empty((7, iy + p.m))  # stage points
+        ks = np.empty_like(pts)        # stage slopes
+        pts[0] = np.concatenate((x, z, y))
+        x, z, y = pts[0, :iz], pts[0, iz:iy], pts[0, iy:]
+        ints = np.zeros(iy)
+        acc.int_x, acc.int_z = ints[:iz], ints[iz:]
+
+        def slope(i, t_i):
+            s_i = pts[i]
+            np.concatenate(rhs_fn(t_i, s_i[:iz], s_i[iz:iy], s_i[iy:]), out=ks[i])
+
         t = 0.0
         h = min(float(integ.h0), horizon)
         accepted = 0
+        slope(0, t)
+        evals += 1
         while t < horizon - 1e-12:
             h = min(h, horizon - t)
-            k1 = rhs_fn(t, x, z, y)
-            evals += 1
-            # full step (probe only)
-            xs, zs, ys = x.copy(), z.copy(), y.copy()
-            int_xs, int_zs = acc.int_x.copy(), acc.int_z.copy()
-            rk4_step(t, h, k1=k1)
-            x_full, z_full, y_full = x, z, y
-            # rewind, take two half steps (these become the accepted state)
-            # copies: the half steps add into acc in place, and a rejection
-            # below must still find the snapshot untouched
-            x, z, y = xs, zs, ys
-            acc.int_x, acc.int_z = int_xs.copy(), int_zs.copy()
-            rk4_step(t, 0.5 * h, k1=k1)
-            rk4_step(t + 0.5 * h, 0.5 * h)
-            scale_x = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(x), np.abs(x_full))
-            scale_z = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(z), np.abs(z_full))
-            scale_y = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(y), np.abs(y_full))
-            err = np.sqrt(np.mean(np.concatenate([
-                ((x - x_full) / scale_x) ** 2,
-                ((z - z_full) / scale_z) ** 2,
-                ((y - y_full) / scale_y) ** 2,
-            ])))
+            ha = h * _DP_A
+            for i in range(1, 7):
+                pts[i] = pts[0] + ha[i, :i] @ ks[:i]
+                slope(i, t + _DP_C[i] * h)
+            evals += 6
+            # the last stage point is the 5th-order solution
+            scale = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(pts[0]),
+                                                               np.abs(pts[6]))
+            err = float(np.sqrt(np.mean(((h * _DP_E) @ ks / scale) ** 2)))
             if err <= 1.0:
+                ints += (h * _DP_B) @ pts[:6, :iy]
                 t += h
+                pts[0] = pts[6]
+                ks[0] = ks[6]  # FSAL: the last slope starts the next step
                 _require_finite(x, z, y, t)
                 acc.t = t
                 accepted += 1
@@ -405,9 +437,7 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
                 h = min(h * min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0)),
                         integ.h_max)
             else:
-                # reject: rewind state and integrals, shrink the step
-                x, z, y = xs, zs, ys
-                acc.int_x, acc.int_z = int_xs, int_zs
+                # reject: nothing was committed; retry from the same k1
                 h_new = h * min(5.0, max(0.2, 0.9 * err ** -0.2))
                 if h_new < integ.h_min:
                     stop_reason = "step-underflow"

@@ -51,7 +51,7 @@ class LinearMap:
     """
 
     __slots__ = ("in_dim", "out_dim", "representation",
-                 "_raw_apply", "_raw_adjoint", "mat", "scale")
+                 "_raw_apply", "_raw_adjoint", "mat", "scale", "_norm")
 
     def __init__(self, in_dim, out_dim, apply, adjoint, representation="custom"):
         self.in_dim = int(in_dim)
@@ -61,6 +61,7 @@ class LinearMap:
         self._raw_adjoint = adjoint
         self.mat = None
         self.scale = None
+        self._norm = None
 
     # -- constructors ------------------------------------------------------
 
@@ -106,6 +107,12 @@ class LinearMap:
 
     def __call__(self, x) -> np.ndarray:
         return self.apply(x)
+
+    def norm(self) -> float:
+        """||A|| by `operator_norm` at its defaults, computed once per map."""
+        if self._norm is None:
+            self._norm = operator_norm(self)
+        return self._norm
 
     # -- algebra -----------------------------------------------------------
 

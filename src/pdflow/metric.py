@@ -90,7 +90,6 @@ class MetricSchedule:
         self.tau = tau
         self.c = c
         self.A = A
-        self._a_norm = None
         self._gram = None if A is None else A.gram()
         self._q_cache = {}
 
@@ -107,17 +106,12 @@ class MetricSchedule:
         """M1(t) = I / tau(t) - c A* A; PSD exactly when c tau(t) ||A||^2 <= 1."""
         return cls("tau-family", A.in_dim, tau=tau, c=float(c), A=A)
 
-    def a_norm(self) -> float:
-        if self._a_norm is None:
-            self._a_norm = operator_norm(self.A)
-        return self._a_norm
-
     def at(self, t) -> SelfAdjointPSD:
         if self.kind in ("zero", "constant"):
             return self._const
         tau_t = self.tau.value(t)
         base = LinearMap.identity(self.dim, 1.0 / tau_t) - self.c * self._gram
-        floor = 1.0 / tau_t - self.c * self.a_norm() ** 2
+        floor = 1.0 / tau_t - self.c * self.A.norm() ** 2
         return SelfAdjointPSD(base, max(floor, 0.0))
 
     def derivative_sup(self) -> float:
@@ -242,7 +236,7 @@ def certify(m1: MetricSchedule, m2: MetricSchedule, c, gamma, A: LinearMap,
     sample_times = tuple(float(t) for t in sample_times)
 
     gram = A.gram()
-    a_norm = operator_norm(A)
+    a_norm = A.norm()
     n = A.in_dim
 
     floors_x = []
@@ -296,7 +290,7 @@ def weight_W(m1: MetricSchedule, m2: MetricSchedule, c, gamma,
     if m1.kind == "tau-family":
         # I/tau - c gamma A*A, floor analytic
         tau_t = m1.tau.value(t)
-        xf = max(1.0 / tau_t - c * gamma * m1.a_norm() ** 2, 0.0)
+        xf = max(1.0 / tau_t - c * gamma * m1.A.norm() ** 2, 0.0)
         x_block = SelfAdjointPSD(m1_t.base + (c * (1.0 - gamma)) * gram, xf)
     else:
         x_block = SelfAdjointPSD(m1_t.base + (c * (1.0 - gamma)) * gram,

@@ -1,14 +1,17 @@
 """Tests for the invariant check suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pdflow import proxlib
+from pdflow import checks, proxlib
 from pdflow.checks import CheckResult, render_report, run_checks
+from pdflow.config import INTEGRATORS, RunConfig, build_flow_params
 from pdflow.flow import FlowParams, RK4, SystemState
-from pdflow.linops import LinearMap
+from pdflow.linops import LinearMap, SelfAdjointPSD
 from pdflow.metric import MetricSchedule, TauSchedule
-from pdflow.problems import ProblemSpec, catalog
+from pdflow.problems import CATALOG_NAMES, ProblemSpec, catalog
 
 
 def _params(tau=0.25, gamma=0.5):
@@ -90,6 +93,58 @@ class TestRunChecks:
         r0 = run_checks(example1, _params(), _start(example1), seed=0)
         r1 = run_checks(example1, _params(), _start(example1), seed=12345)
         assert [r.status for r in r0] == [r.status for r in r1]
+
+    def test_closed_form_operator_norms_do_not_grow_with_rhs_calls(
+            self, monkeypatch, operator_norm_calls):
+        """||A|| is computed once per map, so a closed-form check makes as
+        many power iterations when each of its rhs() calls is repeated."""
+        real = checks.rhs
+        counts = []
+        for repeats in (1, 3):
+            rhs_calls = []
+
+            def repeated(*args, repeats=repeats):
+                for _ in range(repeats):
+                    rhs_calls.append(1)
+                    out = real(*args)
+                return out
+
+            monkeypatch.setattr(checks, "rhs", repeated)
+            operator_norm_calls.clear()
+            p = catalog("example1")
+            results = run_checks(p, _params(), _start(p))
+            assert all(r.ok for r in results), render_report(results)
+            counts.append((len(operator_norm_calls), len(rhs_calls)))
+        assert counts[1][1] == 3 * counts[0][1]
+        assert counts[0][0] == counts[1][0]
+
+
+def _suite_params(p, integrator, mode):
+    """h = 0.05, T = 5, gamma 0.5 and the config's `auto` tau; in
+    general-metric mode M1 = M2 = s I instead of the tau family."""
+    cfg = RunConfig(problem=p.name, gamma=0.5, tau="auto",
+                    integrator=integrator, step=0.05, horizon=5.0)
+    params = build_flow_params(cfg, p)
+    if mode == "closed-form":
+        return params
+    # with s = 0.5 box-qp fails Theorem 4's PSD test; s = 5 certifies
+    s = 5.0 if p.name == "box-qp" else 0.5
+    return replace(params, tau=None,
+                   m1=MetricSchedule.constant(SelfAdjointPSD.identity(p.n, s)),
+                   m2=MetricSchedule.constant(SelfAdjointPSD.identity(p.m, s)))
+
+
+class TestInvariantSuite:
+    """The whole check suite holds for every integrator, mode and catalog
+    problem, not only the defaults."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("mode", ["closed-form", "general-metric"])
+    @pytest.mark.parametrize("integrator", INTEGRATORS)
+    def test_every_row_ok(self, integrator, mode, name):
+        p = catalog(name)
+        results = run_checks(p, _suite_params(p, integrator, mode), _start(p))
+        assert all(r.status == "ok" for r in results), render_report(results)
 
 
 class TestRenderReport:

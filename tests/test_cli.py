@@ -15,6 +15,7 @@ import pytest
 from pdflow.cli import _footer_value, main, write_plot_script, write_trace_csv
 from pdflow.diagnostics import CSV_FIELDS, TraceRecord
 from pdflow.flow import SystemState
+from pdflow.problems import CATALOG_NAMES
 
 _HEADER = ",".join(CSV_FIELDS)
 
@@ -91,6 +92,21 @@ class TestFlowCommand:
         assert 'set datafile missing ""' in gp
         assert "set logscale y" in gp
         assert 'using 1:2' in gp and 'using 1:5' in gp
+
+
+class TestAdaptiveFlowCommand:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_certified_and_deterministic(self, name, tmp_path):
+        args = ["flow", "--problem", name, "--integrator", "adaptive",
+                "--tau", "auto"]
+        csv = f"{name}-flow.csv"
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        text = (tmp_path / "a" / csv).read_text()
+        assert "# gap_bound_ok = true" in text
+        assert "# lyapunov_monotone = true" in text
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / csv).read_bytes() == \
+            (tmp_path / "a" / csv).read_bytes()
 
 
 class TestDiscreteCommand:
