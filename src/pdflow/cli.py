@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -59,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="run config file")
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="concurrent runs for sweeps (default 1)")
+                        help="accepted for compatibility; sweeps run "
+                             "sequentially")
     common.add_argument("--seed", type=int, default=0, metavar="S",
                         help="seed for randomized checks (default 0)")
     common.add_argument("--problem", help="catalog name or problem file")
@@ -289,16 +289,8 @@ def _run_sweep(args, cfg) -> int:
     out = _out_dir(args, cfg)
     pairs = [(gamma, tauc) for tauc in cfg.sweep_taucs
              for gamma in cfg.sweep_gammas]
-
-    def one(pair):
-        gamma, tauc = pair
-        return _flow_single(p, cfg, s0, gamma=gamma, tau=tauc / cfg.c)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outputs = list(pool.map(one, pairs))
-    else:
-        outputs = [one(pair) for pair in pairs]
+    outputs = [_flow_single(p, cfg, s0, gamma=gamma, tau=tauc / cfg.c)
+               for gamma, tauc in pairs]
 
     traces, certs = {}, {}
     all_ok = True
@@ -326,10 +318,6 @@ def _run_sweep(args, cfg) -> int:
         fh.write(text + "\n")
     print(text)
     return 0 if all_ok else 2
-
-
-def cmd_sweep(args, cfg) -> int:
-    return _run_sweep(args, cfg)
 
 
 def cmd_reproduce_example1(args, cfg) -> int:
@@ -367,7 +355,7 @@ def cmd_check(args, cfg) -> int:
 _DISPATCH = {
     "flow": cmd_flow,
     "discrete": cmd_discrete,
-    "sweep": cmd_sweep,
+    "sweep": _run_sweep,
     "check": cmd_check,
     "reproduce-example1": cmd_reproduce_example1,
 }

@@ -45,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import proxlib
+from .diagnostics import DEFAULT_GRID
 from .errors import ConfigError
 from .flow import Adaptive, Euler, FlowParams, RK4, SystemState
 from .linops import LinearMap, load_dense
@@ -66,8 +67,6 @@ __all__ = [
 MODES = ("flow", "discrete", "sweep", "check")
 INTEGRATORS = ("euler", "rk4", "adaptive")
 
-_DEFAULT_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0)
-
 
 @dataclass
 class RunConfig:
@@ -88,7 +87,7 @@ class RunConfig:
     x0: object = "auto"
     z0: object = "auto"
     y0: object = "auto"
-    grid: tuple = _DEFAULT_GRID
+    grid: tuple = DEFAULT_GRID
     hit_threshold: float = 1e-2
     record_every: int = 1
     dump_state: bool = False

@@ -105,12 +105,6 @@ def _flow_schedules(p: ProblemSpec, params: FlowParams):
     return m1, m2
 
 
-def _time_invariant(m1: MetricSchedule, m2: MetricSchedule) -> bool:
-    fixed1 = m1.kind != "tau-family" or m1.tau.kind == "constant"
-    fixed2 = m2.kind != "tau-family" or m2.tau.kind == "constant"
-    return fixed1 and fixed2
-
-
 def _build_trace(p, m1, m2, c, gamma, states, erg_x, erg_z, tau_of=None) -> list:
     x_star = p.known_primal
     y_star = p.known_dual
@@ -120,7 +114,9 @@ def _build_trace(p, m1, m2, c, gamma, states, erg_x, erg_z, tau_of=None) -> list
     opt = p.objective(x_star) if have_opt else None
     a_apply = p.A._raw_apply
 
-    w_fixed = weight_W(m1, m2, c, gamma, p.A, 0.0) if _time_invariant(m1, m2) else None
+    w_fixed = None
+    if m1.is_time_invariant() and m2.is_time_invariant():
+        w_fixed = weight_W(m1, m2, c, gamma, p.A, 0.0)
 
     records = []
     for s, xt, zt in zip(states, erg_x, erg_z):

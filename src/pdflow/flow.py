@@ -15,16 +15,19 @@ Two evaluation modes:
 * general-metric   -- arbitrary PSD schedules M1, M2; subproblems solved by
                       `metric_prox`; requires a uniformly positive x-metric
 
-Fixed-step Euler/RK4 and an adaptive Dormand-Prince 5(4) pair are
-provided.  The adaptive pair keeps its 5th-order solution (local
-extrapolation), estimates the error from the embedded 4th-order one, and
-reuses the last stage of an accepted step as the first of the next (FSAL),
-so a trial costs 6 rhs evaluations.  The running integrals behind the
-ergodic averages use the integrator's own stage weights (left endpoint for
-Euler, the 1-2-2-1 stage rule for RK4, the 5th-order weights b over the
-stage points for Dormand-Prince, added only when a step is accepted), so
-the identity  A x_tilde - z_tilde = (y(t) - y0) / (c t)  holds to roundoff
-instead of quadrature error.
+Every integrator is an explicit Runge-Kutta method given by its Butcher
+tableau (Hairer-Norsett-Wanner, Solving ODEs I, II.1-II.4): fixed-step
+Euler (at unit step, proximal ADMM), fixed-step classical RK4, and the
+adaptive Dormand-Prince 5(4) pair, whose tableau adds error weights.  One
+loop steps them all on the flat state U = (x, z, y).  A fixed-step method
+commits U_n + h sum_i b_i k_i.  The adaptive pair commits its 5th-order
+solution once the embedded error estimate passes, and the last slope of an
+accepted step is the first of the next (FSAL), so a trial costs 6 rhs
+evaluations.  The running integrals behind the ergodic averages add
+h sum_i b_i (X_i, Z_i) over the stage points of each accepted step, the
+tableau's own quadrature, so the identity
+A x_tilde - z_tilde = (y(t) - y0) / (c t)  holds to roundoff instead of
+quadrature error.
 """
 
 from __future__ import annotations
@@ -108,12 +111,13 @@ class RK4:
 
 @dataclass
 class Adaptive:
-    """Dormand-Prince 5(4) with FSAL; accepts the 5th-order solution.
+    """Step-size control for the Dormand-Prince 5(4) tableau.
 
-    A trial is accepted when the RMS of the embedded error estimate over
-    abs_tol + rel_tol max(|U_n|, |U_n+1|) is at most 1; the next step is
-    h * clip(0.9 err^(-1/5), 0.2, 5), capped at h_max, and a rejection whose
-    shrunken step falls below h_min stops the run.
+    The first trial step is h0.  A trial is accepted when the RMS of the
+    tableau's error estimate over abs_tol + rel_tol max(|U_n|, |U_n+1|) is
+    at most 1; the next step is h * clip(0.9 err^(-1/5), 0.2, 5), capped at
+    h_max, and a rejection whose shrunken step falls below h_min stops the
+    run.  A rejected trial is retried from the same first slope.
     """
 
     rel_tol: float = 1e-6
@@ -284,26 +288,40 @@ def _check_certificates(p: ProblemSpec, params: FlowParams):
                 f"metric (sampled floor {rep.cstrong.alpha:.6g})")
 
 
-# Dormand-Prince 5(4) tableau (Hairer-Norsett-Wanner, Solving ODEs I, II.4):
-# stage nodes c, coefficients a, 5th-order weights b (b7 = 0, so row 7 of a
-# is b and the last stage point is the accepted state) and error weights
+def _tableau(c, a_rows, b, e=None):
+    """Butcher tableau (c, a, b, e) of an explicit Runge-Kutta method, built
+    from the rows of its strictly lower-triangular a; e, the error weights
+    of an embedded pair, is None for a fixed-step method."""
+    a = np.zeros((len(c), len(c)))
+    for i, row in enumerate(a_rows, start=1):
+        a[i, :i] = row
+    return np.array(c), a, np.array(b), None if e is None else np.array(e)
+
+
+_EULER = _tableau([0.0], [], [1.0])
+
+_RK4 = _tableau([0.0, 1 / 2, 1 / 2, 1.0],
+                [[1 / 2], [0.0, 1 / 2], [0.0, 0.0, 1.0]],
+                [1 / 6, 1 / 3, 1 / 3, 1 / 6])
+
+# Dormand-Prince 5(4) (Hairer-Norsett-Wanner, Solving ODEs I, II.4): the
+# 5th-order weights b have b7 = 0 and form row 7 of a, so the last stage
+# point is the accepted state and its slope starts the next step (FSAL);
 # e = b - b*, with b* the embedded 4th-order weights.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_A = np.zeros((7, 7))
-_DP_A[1, :1] = [1 / 5]
-_DP_A[2, :2] = [3 / 40, 9 / 40]
-_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-_DP_A[6, :6] = _DP_B
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40])
+_DP_B = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+_DP54 = _tableau(
+    [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0],
+    [[1 / 5],
+     [3 / 40, 9 / 40],
+     [44 / 45, -56 / 15, 32 / 9],
+     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+     _DP_B[:6]],
+    _DP_B,
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+     -1 / 40])
 
-
-def _require_finite(x, z, y, t):
-    if not (np.isfinite(x).all() and np.isfinite(z).all() and np.isfinite(y).all()):
-        raise IntegrationError(f"non-finite state at t = {t:.6g}")
+_TABLEAUS = {Euler: _EULER, RK4: _RK4, Adaptive: _DP54}
 
 
 def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
@@ -327,15 +345,37 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
 
     _check_certificates(p, params)
     rhs_fn = _make_rhs(p, params)
-    acc = ErgodicAccumulator(x.copy(), z.copy(), np.zeros_like(x),
-                             np.zeros_like(z), 0.0)
+    integ = params.integrator
+    if type(integ) not in _TABLEAUS:
+        raise ValueError(f"unknown integrator {integ!r}")
+    c_nodes, a_mat, b_w, e_w = _TABLEAUS[type(integ)]
+    adaptive = e_w is not None
+    horizon = params.horizon
+    if adaptive:
+        h = min(float(integ.h0), horizon)
+    else:
+        h_fix = float(integ.h)
+        if not h_fix > 0:
+            raise ValueError("step size must be positive")
+        # step k starts at k h_fix; a remainder above 1e-12 gets one clipped
+        # step, and the last step ends exactly at the horizon
+        n_full = int(np.floor(horizon / h_fix + 1e-9))
+        h_last = horizon - n_full * h_fix
+        n_steps = n_full + (h_last > 1e-12)
 
+    # Row 0 of the stage points is the flat state U = (x, z, y), with x,
+    # z, y views into it, and int_x, int_z are views into one array, so
+    # each stage combination is a single matrix-vector product.
+    iz, iy = p.n, p.n + p.m
+    pts = np.empty((len(c_nodes), iy + p.m))  # stage points
+    ks = np.empty_like(pts)                   # stage slopes
+    pts[0] = np.concatenate((x, z, y))
+    x, z, y = pts[0, :iz], pts[0, iz:iy], pts[0, iy:]
+    ints = np.zeros(iy)
+    acc = ErgodicAccumulator(x.copy(), z.copy(), ints[:iz], ints[iz:], 0.0)
     states = [SystemState(x.copy(), z.copy(), y.copy(), 0.0)]
     erg_x = [None]
     erg_z = [None]
-    evals = 0
-    horizon = params.horizon
-    integ = params.integrator
 
     def record(t):
         states.append(SystemState(x.copy(), z.copy(), y.copy(), t))
@@ -343,114 +383,65 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
         erg_x.append(xt)
         erg_z.append(zt)
 
-    def euler_step(t, h):
-        nonlocal x, z, y, evals
-        u, v, w = rhs_fn(t, x, z, y)
-        evals += 1
-        acc.int_x += h * x
-        acc.int_z += h * z
-        x = x + h * u
-        z = z + h * v
-        y = y + h * w
+    def slope(i, t_i):
+        s_i = pts[i]
+        np.concatenate(rhs_fn(t_i, s_i[:iz], s_i[iz:iy], s_i[iy:]), out=ks[i])
 
-    def rk4_step(t, h):
-        nonlocal x, z, y, evals
-        u1, v1, w1 = rhs_fn(t, x, z, y)
-        hh = 0.5 * h
-        x2, z2, y2 = x + hh * u1, z + hh * v1, y + hh * w1
-        u2, v2, w2 = rhs_fn(t + hh, x2, z2, y2)
-        x3, z3, y3 = x + hh * u2, z + hh * v2, y + hh * w2
-        u3, v3, w3 = rhs_fn(t + hh, x3, z3, y3)
-        x4, z4, y4 = x + h * u3, z + h * v3, y + h * w3
-        u4, v4, w4 = rhs_fn(t + h, x4, z4, y4)
-        evals += 4
-        w6 = h / 6.0
-        acc.int_x += w6 * (x + 2.0 * x2 + 2.0 * x3 + x4)
-        acc.int_z += w6 * (z + 2.0 * z2 + 2.0 * z3 + z4)
-        x = x + w6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
-        z = z + w6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        y = y + w6 * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-
+    t = 0.0
+    evals = accepted = 0
     stop_reason = "horizon"
-
-    if isinstance(integ, (Euler, RK4)):
-        h = float(integ.h)
-        if not h > 0:
-            raise ValueError("step size must be positive")
-        step = euler_step if isinstance(integ, Euler) else rk4_step
-        n_full = int(np.floor(horizon / h + 1e-9))
-        h_last = horizon - n_full * h
-        for k in range(n_full):
-            step(k * h, h)
-            t_now = (k + 1) * h if k + 1 < n_full or h_last > 1e-12 else horizon
-            _require_finite(x, z, y, t_now)
-            acc.t = t_now
-            if (k + 1) % record_every == 0 and not (h_last <= 1e-12 and k + 1 == n_full):
-                record(t_now)
-        if h_last > 1e-12:
-            step(n_full * h, h_last)
-            _require_finite(x, z, y, horizon)
-        acc.t = horizon
-        record(horizon)
-    elif isinstance(integ, Adaptive):
-        # Row 0 of the stage points is the flat state U = (x, z, y), with x,
-        # z, y views into it, and int_x, int_z are views into one array, so
-        # each stage combination is a single matrix-vector product.
-        iz, iy = p.n, p.n + p.m
-        pts = np.empty((7, iy + p.m))  # stage points
-        ks = np.empty_like(pts)        # stage slopes
-        pts[0] = np.concatenate((x, z, y))
-        x, z, y = pts[0, :iz], pts[0, iz:iy], pts[0, iy:]
-        ints = np.zeros(iy)
-        acc.int_x, acc.int_z = ints[:iz], ints[iz:]
-
-        def slope(i, t_i):
-            s_i = pts[i]
-            np.concatenate(rhs_fn(t_i, s_i[:iz], s_i[iz:iy], s_i[iy:]), out=ks[i])
-
-        t = 0.0
-        h = min(float(integ.h0), horizon)
-        accepted = 0
-        slope(0, t)
-        evals += 1
-        while t < horizon - 1e-12:
+    while t < horizon - 1e-12 if adaptive else accepted < n_steps:
+        if adaptive:
             h = min(h, horizon - t)
-            ha = h * _DP_A
-            for i in range(1, 7):
-                pts[i] = pts[0] + ha[i, :i] @ ks[:i]
-                slope(i, t + _DP_C[i] * h)
-            evals += 6
+            t_next = t + h
+        else:
+            h = h_fix if accepted < n_full else h_last
+            t_next = (accepted + 1) * h_fix if accepted + 1 < n_steps else horizon
+        # the adaptive pair keeps k1 across a rejection and takes it from
+        # the last stage of an accepted step (FSAL)
+        if evals == 0 or not adaptive:
+            slope(0, t)
+            evals += 1
+        ha = h * a_mat
+        for i in range(1, len(c_nodes)):
+            pts[i] = pts[0] + ha[i, :i] @ ks[:i]
+            slope(i, t + c_nodes[i] * h)
+        evals += len(c_nodes) - 1
+        if adaptive:
             # the last stage point is the 5th-order solution
             scale = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(pts[0]),
-                                                               np.abs(pts[6]))
-            err = float(np.sqrt(np.mean(((h * _DP_E) @ ks / scale) ** 2)))
-            if err <= 1.0:
-                ints += (h * _DP_B) @ pts[:6, :iy]
-                t += h
-                pts[0] = pts[6]
-                ks[0] = ks[6]  # FSAL: the last slope starts the next step
-                _require_finite(x, z, y, t)
-                acc.t = t
-                accepted += 1
-                if accepted % record_every == 0 or t >= horizon - 1e-12:
-                    record(t)
-                h = min(h * min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0)),
-                        integ.h_max)
-            else:
+                                                               np.abs(pts[-1]))
+            err = float(np.sqrt(np.mean(((h * e_w) @ ks / scale) ** 2)))
+            factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+            if err > 1.0:
                 # reject: nothing was committed; retry from the same k1
-                h_new = h * min(5.0, max(0.2, 0.9 * err ** -0.2))
-                if h_new < integ.h_min:
+                if h * factor < integ.h_min:
                     stop_reason = "step-underflow"
                     warnings.warn(
                         f"adaptive integrator underflowed its minimum step at "
                         f"t = {t:.6g}; returning the partial trajectory",
                         RuntimeWarning)
                     break
-                h = h_new
-        if acc.t > 0 and states[-1].t < acc.t - 1e-12:
-            record(acc.t)
-    else:
-        raise ValueError(f"unknown integrator {integ!r}")
+                h *= factor
+                continue
+        hb = h * b_w
+        ints += hb @ pts[:, :iy]
+        if adaptive:
+            pts[0] = pts[-1]
+            ks[0] = ks[-1]
+        else:
+            pts[0] += hb @ ks
+        t = t_next
+        if not np.isfinite(pts[0]).all():
+            raise IntegrationError(f"non-finite state at t = {t:.6g}")
+        acc.t = t
+        accepted += 1
+        if accepted % record_every == 0 or t >= horizon - 1e-12:
+            record(t)
+        if adaptive:
+            h = min(h * factor, integ.h_max)
+    if acc.t > 0 and states[-1].t < acc.t - 1e-12:
+        record(acc.t)
 
     return FlowTrajectory(states=states, ergodic_x=erg_x, ergodic_z=erg_z,
                           accumulator=acc, stop_reason=stop_reason,

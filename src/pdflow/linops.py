@@ -46,17 +46,14 @@ class LinearMap:
     apply, adjoint : callable
         Raw ndarray -> ndarray closures. `adjoint` must satisfy
         <A x, y> = <x, A* y> for all x, y; tests probe this on random pairs.
-    representation : str
-        One of "dense", "identity-scaled", "composition", "sum", "custom".
     """
 
-    __slots__ = ("in_dim", "out_dim", "representation",
-                 "_raw_apply", "_raw_adjoint", "mat", "scale", "_norm")
+    __slots__ = ("in_dim", "out_dim", "_raw_apply", "_raw_adjoint", "mat",
+                 "scale", "_norm")
 
-    def __init__(self, in_dim, out_dim, apply, adjoint, representation="custom"):
+    def __init__(self, in_dim, out_dim, apply, adjoint):
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
-        self.representation = representation
         self._raw_apply = apply
         self._raw_adjoint = adjoint
         self.mat = None
@@ -71,7 +68,7 @@ class LinearMap:
         if mat.ndim != 2:
             raise ValueError("dense map needs a 2-d array")
         matT = mat.T.copy()
-        op = cls(mat.shape[1], mat.shape[0], mat.dot, matT.dot, "dense")
+        op = cls(mat.shape[1], mat.shape[0], mat.dot, matT.dot)
         op.mat = mat
         return op
 
@@ -82,7 +79,7 @@ class LinearMap:
             fwd = lambda x: x.copy()
         else:
             fwd = lambda x: s * x
-        op = cls(dim, dim, fwd, fwd, "identity-scaled")
+        op = cls(dim, dim, fwd, fwd)
         op.scale = s
         return op
 
@@ -91,8 +88,7 @@ class LinearMap:
         out_dim = in_dim if out_dim is None else out_dim
         op = cls(in_dim, out_dim,
                  lambda x: np.zeros(out_dim),
-                 lambda y: np.zeros(in_dim),
-                 "identity-scaled" if in_dim == out_dim else "custom")
+                 lambda y: np.zeros(in_dim))
         if in_dim == out_dim:
             op.scale = 0.0
         return op
@@ -126,8 +122,7 @@ class LinearMap:
         fa, ga = self._raw_adjoint, other._raw_adjoint
         return LinearMap(other.in_dim, self.out_dim,
                          lambda x: f(g(x)),
-                         lambda y: ga(fa(y)),
-                         "composition")
+                         lambda y: ga(fa(y)))
 
     def __add__(self, other) -> "LinearMap":
         if not isinstance(other, LinearMap):
@@ -138,8 +133,7 @@ class LinearMap:
         fa, ga = self._raw_adjoint, other._raw_adjoint
         return LinearMap(self.in_dim, self.out_dim,
                          lambda x: f(x) + g(x),
-                         lambda y: fa(y) + ga(y),
-                         "sum")
+                         lambda y: fa(y) + ga(y))
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -149,16 +143,14 @@ class LinearMap:
         f, fa = self._raw_apply, self._raw_adjoint
         return LinearMap(self.in_dim, self.out_dim,
                          lambda x: a * f(x),
-                         lambda y: a * fa(y),
-                         self.representation if self.representation == "identity-scaled" else "sum")
+                         lambda y: a * fa(y))
 
     __rmul__ = __mul__
 
     @property
     def T(self) -> "LinearMap":
         return LinearMap(self.out_dim, self.in_dim,
-                         self._raw_adjoint, self._raw_apply,
-                         self.representation)
+                         self._raw_adjoint, self._raw_apply)
 
     def gram(self) -> "LinearMap":
         """A* A as a lazy composition (always square, self-adjoint, PSD)."""
@@ -258,7 +250,7 @@ def block_diag(blocks) -> SelfAdjointPSD:
             out[lo:hi] = b.base._raw_apply(x[lo:hi])
         return out
 
-    base = LinearMap(total, total, apply, apply, "sum")
+    base = LinearMap(total, total, apply, apply)
     floor = min(b.alpha_floor for b in blocks)
     hints = [b._norm_hint for b in blocks]
     hint = max(hints) if all(h is not None for h in hints) else None

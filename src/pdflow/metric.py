@@ -123,6 +123,10 @@ class MetricSchedule:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
+    def is_time_invariant(self) -> bool:
+        """M(t) is one operator for every t (no tau schedule that moves)."""
+        return self.kind != "tau-family" or self.tau.kind == "constant"
+
 
 def _small_dense(base: LinearMap) -> LinearMap:
     """`base` as one dense matrix when it is small enough to store, so each
@@ -239,29 +243,31 @@ def certify(m1: MetricSchedule, m2: MetricSchedule, c, gamma, A: LinearMap,
     a_norm = A.norm()
     n = A.in_dim
 
-    floors_x = []
-    floors_t4 = []
-    floors_t7 = []
-    scalar_ok = True
-    step_ok = True
-    for t in sample_times:
+    def floors_at(t):
         m1_t = m1.at(t)
         q = SelfAdjointPSD(c * gram + m1_t.base, 0.0)
-        floors_x.append(psd_floor(q, strict=False))
         t4 = SelfAdjointPSD(
             m1_t.base + (c * (1.0 - gamma) / 4.0) * gram
             - LinearMap.identity(n, L / 4.0), 0.0)
-        floors_t4.append(psd_floor(t4, strict=False))
         t7 = SelfAdjointPSD(
             m1_t.base + (c * (1.0 - gamma) / 4.0) * gram
             - LinearMap.identity(n, L / 2.0), 0.0)
-        floors_t7.append(psd_floor(t7, strict=False))
+        return tuple(psd_floor(u, strict=False) for u in (q, t4, t7))
+
+    # a time-invariant M1 gives the same three operators at every sample
+    invariant = m1.is_time_invariant()
+    floors = []
+    scalar_ok = True
+    step_ok = True
+    for t in sample_times:
+        floors.append(floors[0] if invariant and floors else floors_at(t))
         if m1.kind == "tau-family":
             tau_t = m1.tau.value(t)
             scalar_ok &= tau_t * (L / 4.0 + c * (3.0 + gamma) / 4.0 * a_norm ** 2) \
                 <= 1.0 + 1e-12
             step_ok &= c * tau_t * a_norm ** 2 <= 1.0 + 1e-12
 
+    floors_x, floors_t4, floors_t7 = zip(*floors)
     alpha = min(floors_x)
     cstrong = CStrong(holds=alpha > _PSD_SLACK, alpha=alpha)
     cweak = all(fl > _PSD_SLACK for fl in floors_x)

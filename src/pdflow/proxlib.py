@@ -38,9 +38,6 @@ __all__ = [
     "metric_prox",
 ]
 
-KINDS = ("zero", "scaled-sq-norm", "l1-norm", "box-indicator", "separable-custom")
-
-
 class ProxFunction:
     """A proper closed convex function with a computable proximal map.
 
@@ -48,15 +45,10 @@ class ProxFunction:
     ----------
     dim : int
         Ambient dimension.
-    kind : str
-        One of `KINDS`; selects the closed-form evaluation rules.
     """
 
-    def __init__(self, dim, kind, eval_fn, prox_fn, params=None):
-        if kind not in KINDS:
-            raise ValueError(f"unknown prox function kind {kind!r}")
+    def __init__(self, dim, eval_fn, prox_fn, params=None):
         self.dim = int(dim)
-        self.kind = kind
         self._eval = eval_fn
         self._prox = prox_fn
         self.params = dict(params or {})
@@ -78,7 +70,7 @@ class ProxFunction:
 
 
 def zero(dim) -> ProxFunction:
-    return ProxFunction(dim, "zero", lambda x: 0.0, lambda t, u: u.copy())
+    return ProxFunction(dim, lambda x: 0.0, lambda t, u: u.copy())
 
 
 def sq_norm(dim, coef=1.0) -> ProxFunction:
@@ -86,10 +78,8 @@ def sq_norm(dim, coef=1.0) -> ProxFunction:
     c = float(coef)
     if c < 0:
         raise ValueError("sq_norm coefficient must be nonnegative")
-    return ProxFunction(dim, "scaled-sq-norm",
-                        lambda x: 0.5 * c * float(x @ x),
-                        lambda t, u: u / (1.0 + t * c),
-                        {"coef": c})
+    return ProxFunction(dim, lambda x: 0.5 * c * float(x @ x),
+                        lambda t, u: u / (1.0 + t * c), {"coef": c})
 
 
 def l1_norm(dim, weight=1.0) -> ProxFunction:
@@ -102,9 +92,8 @@ def l1_norm(dim, weight=1.0) -> ProxFunction:
         thr = t * w
         return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0)
 
-    return ProxFunction(dim, "l1-norm",
-                        lambda x: w * float(np.abs(x).sum()),
-                        prox_fn, {"weight": w})
+    return ProxFunction(dim, lambda x: w * float(np.abs(x).sum()), prox_fn,
+                        {"weight": w})
 
 
 def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
@@ -119,26 +108,24 @@ def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
             return 0.0
         return np.inf
 
-    return ProxFunction(dim, "box-indicator", eval_fn,
-                        lambda t, u: np.clip(u, lo, hi),
+    return ProxFunction(dim, eval_fn, lambda t, u: np.clip(u, lo, hi),
                         {"lo": lo, "hi": hi})
 
 
 def sq_distance(dim, center, coef=1.0) -> ProxFunction:
-    """f(x) = coef/2 ||x - center||^2 as a separable-custom function."""
+    """f(x) = coef/2 ||x - center||^2; prox averages u with the center."""
     b = np.broadcast_to(np.asarray(center, dtype=float), (dim,)).copy()
     c = float(coef)
     if c < 0:
         raise ValueError("sq_distance coefficient must be nonnegative")
-    return ProxFunction(dim, "separable-custom",
-                        lambda x: 0.5 * c * float((x - b) @ (x - b)),
+    return ProxFunction(dim, lambda x: 0.5 * c * float((x - b) @ (x - b)),
                         lambda t, u: (u + t * c * b) / (1.0 + t * c),
                         {"center": b, "coef": c})
 
 
 def separable(dim, eval_fn, prox_fn, params=None) -> ProxFunction:
-    """Wrap custom vectorized eval/prox closures as a separable-custom function."""
-    return ProxFunction(dim, "separable-custom", eval_fn, prox_fn, params)
+    """Wrap custom vectorized eval/prox closures as a prox function."""
+    return ProxFunction(dim, eval_fn, prox_fn, params)
 
 
 class SmoothFunction:
@@ -195,7 +182,7 @@ def conjugate_prox(g: ProxFunction, c, y) -> np.ndarray:
     """prox of the convex conjugate, prox_{c g*}(y), via the Moreau identity.
 
     prox_{c g*}(y) = y - c prox_{g, 1/c}(y / c), exact up to roundoff for
-    every prox kind, so no conjugate needs to be materialized.
+    every g, so no conjugate needs to be materialized.
     """
     c = float(c)
     if not c > 0:

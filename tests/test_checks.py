@@ -78,8 +78,7 @@ class TestRunChecks:
         mat = np.array([[1.0, -1.0], [1.0, 1.0]])
         bad_a = LinearMap(2, 2,
                           apply=lambda x: mat @ x,
-                          adjoint=lambda y: mat @ y,  # not the transpose
-                          representation="custom")
+                          adjoint=lambda y: mat @ y)  # not the transpose
         p = ProblemSpec(name="broken", f=proxlib.sq_norm(2),
                         h=proxlib.zero_smooth(2), g=proxlib.l1_norm(2),
                         A=bad_a)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pdflow import linops
-from pdflow.errors import CertificationError
+from pdflow.errors import CertificationError, IntegrationError
 from pdflow.flow import (Adaptive, ErgodicAccumulator, Euler, FlowParams,
                          RK4, SystemState, ergodic, integrate, rhs)
 from pdflow.linops import SelfAdjointPSD
@@ -259,10 +259,48 @@ class TestIntegrate:
         assert counts[1][1] == 4 * counts[0][1]
         assert counts[0][0] == counts[1][0]
 
-    def test_rhs_eval_count_rk4(self, example1):
+    @pytest.mark.parametrize("integrator,evals", [(Euler(h=0.01), 100),
+                                                   (RK4(h=0.01), 400)],
+                             ids=["euler", "rk4"])
+    def test_rhs_eval_count(self, example1, integrator, evals):
         traj = integrate(example1, _closed_params(
-            horizon=1.0, integrator=RK4(h=0.01)), _start())
-        assert traj.rhs_evals == 400
+            horizon=1.0, integrator=integrator), _start())
+        assert traj.rhs_evals == evals
+
+    @pytest.mark.parametrize("integrator,stages", [(Euler(h=0.3), 1),
+                                                    (RK4(h=0.3), 4)],
+                             ids=["euler", "rk4"])
+    def test_step_not_dividing_horizon(self, example1, integrator, stages):
+        """h = 0.3 leaves a remainder of 0.1 on T = 1: three full steps at
+        k h, then one clipped step that ends on the horizon."""
+        traj = integrate(example1, _closed_params(
+            horizon=1.0, integrator=integrator), _start())
+        assert [s.t for s in traj.states] == [k * 0.3 for k in range(4)] + [1.0]
+        assert traj.rhs_evals == stages * 4
+        y0 = _start().y
+        for s, xt, zt in zip(traj.states[1:], traj.ergodic_x[1:],
+                             traj.ergodic_z[1:]):
+            defect = example1.A.apply(xt) - zt - (s.y - y0) / s.t
+            assert float(np.abs(defect).max()) <= 1e-8
+        # the clipped step equals that step taken alone from the t = 0.9
+        # state (tau is constant, so the system is autonomous)
+        last = 1.0 - 3 * 0.3
+        alone = integrate(example1, _closed_params(
+            horizon=last, integrator=type(integrator)(h=last)), traj.states[3])
+        for got, want in ((alone.final.x, traj.final.x),
+                          (alone.final.z, traj.final.z),
+                          (alone.final.y, traj.final.y)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("integrator", [Euler(h=5.0), RK4(h=5.0)],
+                             ids=["euler", "rk4"])
+    def test_unstable_step_raises(self, example1, integrator):
+        """A step far past the stability region overflows the state, and
+        the run stops with IntegrationError instead of recording inf/nan."""
+        params = _closed_params(horizon=5000.0, integrator=integrator)
+        with np.errstate(all="ignore"), \
+                pytest.raises(IntegrationError, match="non-finite state"):
+            integrate(example1, params, _start())
 
     def test_adaptive_fsal_cost(self, example1):
         """With every trial accepted, a step costs 6 rhs evals: its first

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pdflow import metric
 from pdflow.linops import LinearMap, SelfAdjointPSD, psd_floor
 from pdflow.metric import (MetricSchedule, TauSchedule, certify,
                            default_sample_times, weight_W, x_update_metric,
@@ -205,6 +206,33 @@ class TestCertify:
         rep = certify(m1, MetricSchedule.zero(2), 1.0, 1.0, _A2,
                       sample_times=[0.0, 1.0, 10.0])
         assert rep.sample_times == (0.0, 1.0, 10.0)
+
+    @pytest.mark.parametrize("m1,floor_calls", [
+        (MetricSchedule.tau_family(TauSchedule.constant(0.4), 1.0, _A2), 3),
+        (MetricSchedule.constant(
+            SelfAdjointPSD.from_dense([[3.0, 1.0], [1.0, 2.0]])), 3),
+        (MetricSchedule.tau_family(TauSchedule.saturating(0.2, 0.4), 1.0, _A2),
+         3 * 51),
+    ], ids=["constant-tau", "constant-dense", "saturating-tau"])
+    def test_time_invariant_schedule_solves_floors_once(self, m1, floor_calls,
+                                                        monkeypatch):
+        """A time-invariant M1 is the same operator at all 51 default sample
+        times, so its three eigenproblems are solved once, and the report is
+        field-for-field the one computed sample by sample."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return psd_floor(*args, **kwargs)
+
+        monkeypatch.setattr(metric, "psd_floor", counting)
+        args = (m1, MetricSchedule.zero(2), 1.0, 0.5, _A2)
+        rep = certify(*args, lipschitz_h=0.5)
+        assert len(calls) == floor_calls
+        monkeypatch.setattr(MetricSchedule, "is_time_invariant",
+                            lambda self: False)
+        assert certify(*args, lipschitz_h=0.5) == rep
+        assert len(calls) == floor_calls + 3 * 51
 
 
 class TestWeightW:
