@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import _flow_schedules, trace_flow
+from .diagnostics import _flow_schedules, lyapunov_excess, trace_flow
 from .discrete import DiscreteParams, run as discrete_run
 from .errors import MissingSolutionError
 from .flow import Euler, FlowParams, SystemState, integrate, rhs
@@ -182,15 +182,7 @@ def _check_ergodic_identity(p: ProblemSpec, params: FlowParams,
 def _check_lyapunov(p: ProblemSpec, params: FlowParams, traj) -> CheckResult:
     if p.known_primal is None or p.known_dual is None:
         return CheckResult("lyapunov-descent", "skip", "no known saddle")
-    trace = trace_flow(p, params, traj)
-    prev = None
-    worst = -np.inf
-    for rec in trace:
-        if rec.lyapunov is None:
-            continue
-        if prev is not None:
-            worst = max(worst, rec.lyapunov - prev - 1e-6 * (1.0 + prev))
-        prev = rec.lyapunov
+    worst = lyapunov_excess(trace_flow(p, params, traj)).max(initial=-np.inf)
     return _result("lyapunov-descent", worst <= 0.0,
                    f"max slack-adjusted increase {worst:.2e}")
 

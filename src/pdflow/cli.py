@@ -113,10 +113,6 @@ def _load_config(args) -> RunConfig:
 # -- output writers -----------------------------------------------------------
 
 
-def _cell(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def _footer_value(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -127,27 +123,29 @@ def _footer_value(value) -> str:
     return str(value)
 
 
+def _cells(col) -> list:
+    return ["" if c == "nan" else c for c in map(repr, col.tolist())]
+
+
 def write_trace_csv(path, trace, states=None, footer=()):
     """CSV with the fixed column header, then `# key = value` footer lines.
 
-    `states` (parallel to `trace`) appends x_/z_/y_ columns (--dump-state).
+    Cells are `repr` of each float, so they parse back to the same value;
+    NaN cells are written blank.  `states` (one per trace row) appends
+    x_/z_/y_ columns (--dump-state).
     """
     header = list(CSV_FIELDS)
+    columns = [_cells(getattr(trace, name)) for name in CSV_FIELDS]
     if states is not None:
         n = len(states[0].x)
         m = len(states[0].z)
         header += [f"x_{i}" for i in range(n)]
         header += [f"z_{i}" for i in range(m)]
         header += [f"y_{i}" for i in range(m)]
+        stacked = np.array([np.concatenate((s.x, s.z, s.y)) for s in states])
+        columns += [list(map(repr, col)) for col in stacked.T.tolist()]
     lines = [",".join(header)]
-    for i, rec in enumerate(trace):
-        row = [_cell(getattr(rec, name)) for name in CSV_FIELDS]
-        if states is not None:
-            s = states[i]
-            row += [repr(float(v)) for v in s.x]
-            row += [repr(float(v)) for v in s.z]
-            row += [repr(float(v)) for v in s.y]
-        lines.append(",".join(row))
+    lines += map(",".join, zip(*columns))
     for key, value in footer:
         lines.append(f"# {key} = {_footer_value(value)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -221,10 +219,10 @@ def _out_dir(args, cfg) -> str:
     return out
 
 
-def _emit_run(out, stem, title, trace, states, footer, dump_state):
+def _emit_run(out, stem, title, trace, states, footer):
     csv_name = f"{stem}.csv"
-    write_trace_csv(os.path.join(out, csv_name), trace,
-                    states=states if dump_state else None, footer=footer)
+    write_trace_csv(os.path.join(out, csv_name), trace, states=states,
+                    footer=footer)
     write_plot_script(os.path.join(out, f"{stem}.gp"), csv_name, title)
     report = _report_text(title, footer)
     with open(os.path.join(out, f"{stem}-report.txt"), "w",
@@ -247,7 +245,7 @@ def cmd_flow(args, cfg) -> int:
               ("hit_threshold", cfg.hit_threshold)]
     footer += _certificate_footer(cert, w0)
     report = _emit_run(out, f"{p.name}-flow", f"{p.name} flow", trace,
-                       traj.states, footer, cfg.dump_state)
+                       traj.states if cfg.dump_state else None, footer)
     print(report)
     return 0 if cert.all_ok() else 2
 
@@ -274,8 +272,8 @@ def cmd_discrete(args, cfg) -> int:
               ("hit_threshold", cfg.hit_threshold)]
     footer += _certificate_footer(cert, w0)
     report = _emit_run(out, f"{p.name}-{args.algorithm}",
-                       f"{p.name} {args.algorithm}", trace, result.states,
-                       footer, cfg.dump_state)
+                       f"{p.name} {args.algorithm}", trace,
+                       result.states if cfg.dump_state else None, footer)
     print(report)
     if result.stop_reason == "divergence":
         print("pdflow: iteration diverged", file=sys.stderr)
@@ -287,29 +285,29 @@ def _run_sweep(args, cfg) -> int:
     p = load_problem(cfg.problem)
     s0 = initial_state(cfg, p)
     out = _out_dir(args, cfg)
-    pairs = [(gamma, tauc) for tauc in cfg.sweep_taucs
-             for gamma in cfg.sweep_gammas]
-    outputs = [_flow_single(p, cfg, s0, gamma=gamma, tau=tauc / cfg.c)
-               for gamma, tauc in pairs]
+    # every run finishes before any file is written; a run keeps only what
+    # gets written, so one trajectory is alive at a time
+    traces, certs, outputs = {}, {}, {}
+    for tauc in cfg.sweep_taucs:
+        for gamma in cfg.sweep_gammas:
+            _, traj, trace, w0, cert = _flow_single(p, cfg, s0, gamma=gamma,
+                                                    tau=tauc / cfg.c)
+            footer = [("problem", p.name), ("mode", "sweep"),
+                      ("integrator", cfg.integrator), ("step", cfg.step),
+                      ("c", cfg.c), ("gamma", gamma), ("tau", tauc / cfg.c),
+                      ("horizon", cfg.horizon), ("seed", args.seed),
+                      ("stop_reason", traj.stop_reason),
+                      ("hit_threshold", cfg.hit_threshold)]
+            traces[gamma, tauc] = trace
+            certs[gamma, tauc] = cert
+            outputs[gamma, tauc] = (traj.states if cfg.dump_state else None,
+                                    footer + _certificate_footer(cert, w0))
+            del traj
 
-    traces, certs = {}, {}
-    all_ok = True
-    for pair, (params, traj, trace, w0, cert) in zip(pairs, outputs):
-        gamma, tauc = pair
-        traces[pair] = trace
-        certs[pair] = cert
-        all_ok = all_ok and cert.all_ok()
-        stem = f"{p.name}-flow-g{gamma:g}-tc{tauc:g}"
-        footer = [("problem", p.name), ("mode", "sweep"),
-                  ("integrator", cfg.integrator), ("step", cfg.step),
-                  ("c", cfg.c), ("gamma", gamma), ("tau", tauc / cfg.c),
-                  ("horizon", cfg.horizon), ("seed", args.seed),
-                  ("stop_reason", traj.stop_reason),
-                  ("hit_threshold", cfg.hit_threshold)]
-        footer += _certificate_footer(cert, w0)
-        _emit_run(out, stem, f"{p.name} gamma={gamma:g} tau*c={tauc:g}",
-                  trace, traj.states, footer, cfg.dump_state)
-
+    for (gamma, tauc), (states, footer) in outputs.items():
+        _emit_run(out, f"{p.name}-flow-g{gamma:g}-tc{tauc:g}",
+                  f"{p.name} gamma={gamma:g} tau*c={tauc:g}",
+                  traces[gamma, tauc], states, footer)
     summary = sweep_summary(traces, hit_threshold=cfg.hit_threshold,
                             certificates=certs)
     text = summary.render()
@@ -317,7 +315,7 @@ def _run_sweep(args, cfg) -> int:
               encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
     print(text)
-    return 0 if all_ok else 2
+    return 0 if all(c.all_ok() for c in certs.values()) else 2
 
 
 def cmd_reproduce_example1(args, cfg) -> int:

@@ -1,17 +1,18 @@
-"""Trace records, Lyapunov values, and convergence-rate certificates.
+"""Trace tables, Lyapunov values, and convergence-rate certificates.
 
-A trace is a list of per-sample records (continuous time t for flow runs,
-iteration index k for discrete runs) with distances to the known saddle,
+A trace is the CSV table of one run: one float64 array per `CSV_FIELDS`
+column, one row per sample (continuous time t for flow runs, iteration
+index k for discrete runs), holding distances to the known saddle,
 feasibility gaps, the weighted Lyapunov value, and the ergodic-average
-diagnostics.  Fields that need a known solution are None when the problem
-does not carry one.
+diagnostics.  NaN marks a blank cell: a field that needs a known solution
+the problem lacks, or an ergodic field at t = 0 or on a discrete run.
 
 `certify_rates` turns a trace into the pass/fail flags the CLI reports:
 Lyapunov descent along consecutive samples, the O(1/t) bound on the
 averaged optimality gap, boundedness of t times the averaged feasibility
 gap, and the first time the primal distance crosses a threshold.  The rate
 fields are sampled on a sparse grid (default 1, 2, 5, ..., 200, clipped to
-the trace); the descent check and the hit time scan every record.
+the trace); the descent check and the hit time read every record.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .metric import MetricSchedule, TauSchedule, weight_W
 from .problems import ProblemSpec
 
 __all__ = [
-    "TraceRecord",
+    "Trace",
     "RateCertificate",
     "DEFAULT_GRID",
     "lyapunov",
+    "lyapunov_excess",
     "initial_weighted_distance",
     "trace_flow",
     "trace_discrete",
@@ -48,23 +50,33 @@ CSV_FIELDS = ("t", "dist_primal", "dist_dual", "feas", "lyapunov",
 
 
 @dataclass
-class TraceRecord:
-    """One diagnostics row; `t` is the iteration index k for discrete runs.
-
-    gamma, c, tau echo the run parameters (tau is None in general-metric
-    mode with a non-step-derived schedule).
+class Trace:
+    """The diagnostics table: each `CSV_FIELDS` column is a float64 array of
+    one length R, with NaN for a blank cell; `t` is the iteration index k
+    for discrete runs.  Columns left out of the constructor are blank.
     """
 
-    t: float
-    dist_primal: float | None
-    dist_dual: float | None
-    feas: float
-    lyapunov: float | None
-    ergodic_feas: float | None
-    ergodic_gap: float | None
-    gamma: float | None = None
-    c: float | None = None
-    tau: float | None = None
+    t: np.ndarray
+    dist_primal: np.ndarray | None = None
+    dist_dual: np.ndarray | None = None
+    feas: np.ndarray | None = None
+    lyapunov: np.ndarray | None = None
+    ergodic_feas: np.ndarray | None = None
+    ergodic_gap: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.t = np.asarray(self.t, dtype=float)
+        for name in CSV_FIELDS[1:]:
+            col = getattr(self, name)
+            col = np.full(self.t.shape, np.nan) if col is None \
+                else np.asarray(col, dtype=float)
+            if col.shape != self.t.shape:
+                raise ValueError(f"trace column {name!r} has shape "
+                                 f"{col.shape}, expected {self.t.shape}")
+            setattr(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def _stack(s: SystemState, x_ref, z_ref, y_ref) -> np.ndarray:
@@ -105,92 +117,110 @@ def _flow_schedules(p: ProblemSpec, params: FlowParams):
     return m1, m2
 
 
-def _build_trace(p, m1, m2, c, gamma, states, erg_x, erg_z, tau_of=None) -> list:
-    x_star = p.known_primal
-    y_star = p.known_dual
-    have_saddle = x_star is not None and y_star is not None
-    have_opt = x_star is not None
-    z_star = p.A.apply(x_star) if have_opt else None
-    opt = p.objective(x_star) if have_opt else None
-    a_apply = p.A._raw_apply
+def _row_dots(a, b) -> np.ndarray:
+    """<a_i, b_i> per row, each one BLAS dot like a 1-D `a_i @ b_i`, so
+    `sqrt(_row_dots(d, d))` is bit-equal to np.linalg.norm of each row
+    (norm(axis=1) and einsum sum in another order)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    w_fixed = None
-    if m1.is_time_invariant() and m2.is_time_invariant():
-        w_fixed = weight_W(m1, m2, c, gamma, p.A, 0.0)
 
-    records = []
-    for s, xt, zt in zip(states, erg_x, erg_z):
-        feas = float(np.linalg.norm(a_apply(s.x) - s.z))
-        dist_p = float(np.linalg.norm(s.x - x_star)) if have_opt else None
-        dist_d = float(np.linalg.norm(s.y - y_star)) if y_star is not None else None
-        lyap = None
-        if have_saddle:
-            w = w_fixed if w_fixed is not None else weight_W(m1, m2, c, gamma, p.A, s.t)
-            lyap = w.seminorm_sq(_stack(s, x_star, z_star, y_star))
-        e_feas = e_gap = None
-        if xt is not None:
-            e_feas = float(np.linalg.norm(a_apply(xt) - zt))
-            if have_opt:
-                e_gap = float(p.f(xt) + p.h(xt) + p.g(zt) - opt)
-        records.append(TraceRecord(
-            t=s.t, dist_primal=dist_p, dist_dual=dist_d, feas=feas,
-            lyapunov=lyap, ergodic_feas=e_feas, ergodic_gap=e_gap,
-            gamma=gamma, c=c, tau=None if tau_of is None else tau_of(s.t)))
-    return records
+def _apply_rows(mat, rows) -> np.ndarray:
+    """mat @ r per row r, each one matrix-vector product like `mat.dot(r)`."""
+    return (mat @ rows[:, :, None])[:, :, 0]
+
+
+def _row_norms(a) -> np.ndarray:
+    return np.sqrt(_row_dots(a, a))
+
+
+def _moving_tau(sched: MetricSchedule, t):
+    """tau(t_i) per row for a tau-family schedule that moves, else None."""
+    return None if sched.is_time_invariant() else [sched.tau.value(ti)
+                                                   for ti in t]
+
+
+def _build_trace(p, m1, m2, c, gamma, states, erg_x=None, erg_z=None,
+                 tau=None) -> Trace:
+    """The trace of recorded states, computed one column at a time.
+
+    W(t) moves with t only through the I / tau(t) term of a tau family, so
+    the Lyapunov column is one quadratic form against W(t_0) plus
+    (1/tau(t_i) - 1/tau(t_0)) times the squared distance of that block.
+    `tau` gives tau(t_i) per row for an M1 built at tau(t_0) from a step
+    sequence.  `erg_x`/`erg_z` are None where the average is undefined.
+    """
+    t = np.array([s.t for s in states])
+    X = np.array([s.x for s in states])
+    Z = np.array([s.z for s in states])
+    Y = np.array([s.y for s in states])
+    A = p.A.to_dense()
+    x_star, y_star = p.known_primal, p.known_dual
+    cols = {"t": t, "feas": _row_norms(_apply_rows(A, X) - Z)}
+    if x_star is not None:
+        cols["dist_primal"] = _row_norms(X - x_star)
+    if y_star is not None:
+        cols["dist_dual"] = _row_norms(Y - y_star)
+    if x_star is not None and y_star is not None:
+        D = np.hstack((X - x_star, Z - p.A.apply(x_star), Y - y_star))
+        W = weight_W(m1, m2, c, gamma, p.A, t[0]).base.to_dense()
+        v = _row_dots(D, _apply_rows(W, D))
+        moving = ((_moving_tau(m1, t) if tau is None else tau, D[:, :p.n]),
+                  (_moving_tau(m2, t), D[:, p.n:p.n + p.m]))
+        for tau_i, block in moving:
+            if tau_i is not None:
+                inv = 1.0 / np.asarray(tau_i, dtype=float)
+                v += (inv - inv[0]) * _row_dots(block, block)
+        # tiny negatives from roundoff are clamped, as in seminorm_sq
+        v[(v < 0.0) & (v >= -1e-12 * _row_dots(D, D))] = 0.0
+        cols["lyapunov"] = v
+    trace = Trace(**cols)
+    if erg_x is not None:
+        rows = [i for i, xt in enumerate(erg_x) if xt is not None]
+        XT = np.reshape([erg_x[i] for i in rows], (len(rows), p.n))
+        ZT = np.reshape([erg_z[i] for i in rows], (len(rows), p.m))
+        trace.ergodic_feas[rows] = _row_norms(_apply_rows(A, XT) - ZT)
+        if x_star is not None:
+            opt = p.objective(x_star)
+            trace.ergodic_gap[rows] = [
+                p.f(erg_x[i]) + p.h(erg_x[i]) + p.g(erg_z[i]) - opt
+                for i in rows]
+    return trace
 
 
 def trace_flow(p: ProblemSpec, params: FlowParams,
-               traj: FlowTrajectory) -> list:
+               traj: FlowTrajectory) -> Trace:
     m1, m2 = _flow_schedules(p, params)
-    tau_of = None
-    if params.mode == "closed-form":
-        tau_of = params.tau.value
-    elif params.m1 is not None and params.m1.kind == "tau-family":
-        tau_of = params.m1.tau.value
     return _build_trace(p, m1, m2, params.c, params.gamma,
-                        traj.states, traj.ergodic_x, traj.ergodic_z, tau_of)
+                        traj.states, traj.ergodic_x, traj.ergodic_z)
 
 
-def trace_discrete(p: ProblemSpec, d, run_result) -> list:
+def trace_discrete(p: ProblemSpec, d, run_result) -> Trace:
     """Per-iteration trace; the time column is the iteration index k.
 
     Ergodic fields stay blank (averaging is a property of the continuous
     flow).  The Lyapunov weight uses the per-iteration metric at t = k.
     """
-    if d.m1 is not None:
-        m1 = d.m1
-    elif isinstance(d.tau, TauSchedule):
-        m1 = MetricSchedule.tau_family(d.tau, d.c, p.A)
-    else:
-        m1 = None  # scalar or per-k sequence, rebuilt below
-    m2 = d.m2 if d.m2 is not None else MetricSchedule.zero(p.m)
-
     states = run_result.states
-    none_col = [None] * len(states)
-    if m1 is not None:
-        return _build_trace(p, m1, m2, d.c, d.gamma, states, none_col,
-                            none_col, tau_of=lambda t: d.tau_at(int(t)))
-
-    records = []
-    cache = {}
-    for s in states:
-        tau_k = d.tau_at(int(s.t))
-        sched = cache.get(tau_k)
-        if sched is None:
-            sched = MetricSchedule.tau_family(TauSchedule.constant(tau_k),
-                                              d.c, p.A)
-            cache[tau_k] = sched
-        records.extend(_build_trace(p, sched, m2, d.c, d.gamma, [s], [None],
-                                    [None], tau_of=lambda t, v=tau_k: v))
-    return records
+    m2 = d.m2 if d.m2 is not None else MetricSchedule.zero(p.m)
+    if d.m1 is not None:
+        return _build_trace(p, d.m1, m2, d.c, d.gamma, states)
+    m1 = MetricSchedule.tau_family(TauSchedule.constant(d.tau_at(0)), d.c,
+                                   p.A)
+    return _build_trace(p, m1, m2, d.c, d.gamma, states,
+                        tau=[d.tau_at(int(s.t)) for s in states])
 
 
 def first_hit_time(trace, threshold) -> float:
     """First record time with dist_primal at or below the threshold."""
-    for rec in trace:
-        if rec.dist_primal is not None and rec.dist_primal <= threshold:
-            return rec.t
-    return math.inf
+    hits = np.flatnonzero(trace.dist_primal <= threshold)
+    return float(trace.t[hits[0]]) if hits.size else math.inf
+
+
+def lyapunov_excess(trace) -> np.ndarray:
+    """V_{i+1} - (V_i + 1e-6 (1 + V_i)) over consecutive records that carry
+    a Lyapunov value; a positive entry breaks descent."""
+    v = trace.lyapunov[~np.isnan(trace.lyapunov)]
+    return v[1:] - (v[:-1] + 1e-6 * (1.0 + v[:-1]))
 
 
 @dataclass
@@ -219,59 +249,38 @@ class RateCertificate:
         return all(self.flags().values())
 
 
-def _nearest_record(trace, t):
-    best = None
-    best_d = math.inf
-    for rec in trace:
-        d = abs(rec.t - t)
-        if d < best_d:
-            best, best_d = rec, d
-    return best
-
-
 def certify_rates(trace, p: ProblemSpec, w0_norm_sq, grid=DEFAULT_GRID,
                   hit_threshold=1e-2) -> RateCertificate:
     """Evaluate the rate certificates on a finished trace.
 
-    Grid points beyond the trace range are dropped; samples whose averaged
+    Each grid point takes its nearest record, the earliest on a tie; grid
+    points beyond the trace range are dropped.  Samples whose averaged
     point falls outside dom f x dom g (infinite gap) are skipped, not
     failed.  Lyapunov descent uses the relative slack 1e-6 (1 + V) on every
     consecutive pair of records that carry a value.
     """
-    if not trace:
+    if not len(trace):
         raise ValueError("certify_rates needs a nonempty trace")
-    t_max = trace[-1].t
-    samples = [_nearest_record(trace, g) for g in grid if g <= t_max + 1e-9]
-
-    feas_constant = 0.0
+    grid = np.array([g for g in grid if g <= trace.t[-1] + 1e-9], dtype=float)
+    rows = np.abs(trace.t - grid[:, None]).argmin(axis=1)
+    t, feas, gap = (trace.t[rows], trace.ergodic_feas[rows],
+                    trace.ergodic_gap[rows])
+    keep = (t > 0) & ~np.isnan(feas)
+    feas_constant = float(np.max(t[keep] * feas[keep], initial=0.0))
     gap_ok = True
     margin = math.inf
-    for rec in samples:
-        if rec.t <= 0 or rec.ergodic_feas is None:
-            continue
-        feas_constant = max(feas_constant, rec.t * rec.ergodic_feas)
-        if rec.ergodic_gap is None or not math.isfinite(rec.ergodic_gap) \
-                or w0_norm_sq is None:
-            continue
-        bound = w0_norm_sq / (2.0 * rec.t)
-        m = bound - rec.ergodic_gap
-        margin = min(margin, m)
-        if m < -1e-8 * (1.0 + bound):
-            gap_ok = False
+    if w0_norm_sq is not None:
+        keep &= np.isfinite(gap)
+        bound = w0_norm_sq / (2.0 * t[keep])
+        m = bound - gap[keep]
+        margin = float(np.min(m, initial=math.inf))
+        gap_ok = not np.any(m < -1e-8 * (1.0 + bound))
 
-    lyap_ok = True
-    prev = None
-    for rec in trace:
-        if rec.lyapunov is None:
-            continue
-        if prev is not None and rec.lyapunov > prev + 1e-6 * (1.0 + prev):
-            lyap_ok = False
-            break
-        prev = rec.lyapunov
-
-    return RateCertificate(feas_constant=feas_constant, gap_bound_ok=gap_ok,
-                           gap_bound_margin=margin, lyapunov_monotone=lyap_ok,
-                           first_hit_time=first_hit_time(trace, hit_threshold))
+    return RateCertificate(
+        feas_constant=feas_constant, gap_bound_ok=gap_ok,
+        gap_bound_margin=margin,
+        lyapunov_monotone=not np.any(lyapunov_excess(trace) > 0.0),
+        first_hit_time=first_hit_time(trace, hit_threshold))
 
 
 @dataclass

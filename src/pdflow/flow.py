@@ -66,9 +66,6 @@ class SystemState:
     y: np.ndarray
     t: float = 0.0
 
-    def copy(self) -> "SystemState":
-        return SystemState(self.x.copy(), self.z.copy(), self.y.copy(), self.t)
-
 
 @dataclass
 class ErgodicAccumulator:

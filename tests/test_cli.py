@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pdflow.cli import _footer_value, main, write_plot_script, write_trace_csv
-from pdflow.diagnostics import CSV_FIELDS, TraceRecord
+from pdflow.diagnostics import CSV_FIELDS, Trace
 from pdflow.flow import SystemState
 from pdflow.problems import CATALOG_NAMES
 
@@ -218,14 +218,13 @@ class TestSweepCommands:
 
 class TestWriters:
     def _trace(self):
-        return [TraceRecord(t=0.0, dist_primal=1.5, dist_dual=None, feas=0.0,
-                            lyapunov=12.0, ergodic_feas=None,
-                            ergodic_gap=None),
-                TraceRecord(t=1.0, dist_primal=0.5, dist_dual=0.25, feas=0.1,
-                            lyapunov=6.0, ergodic_feas=0.2,
-                            ergodic_gap=0.01)]
+        return Trace(t=[0.0, 1.0], dist_primal=[1.5, 0.5],
+                     dist_dual=[math.nan, 0.25], feas=[0.0, 0.1],
+                     lyapunov=[12.0, 6.0], ergodic_feas=[math.nan, 0.2],
+                     ergodic_gap=[math.nan, 0.01])
 
     def test_csv_cells(self, tmp_path):
+        """NaN cells are written blank."""
         path = tmp_path / "t.csv"
         write_trace_csv(path, self._trace(), footer=[("k", 1.5), ("ok", True)])
         lines = path.read_text().splitlines()
@@ -257,11 +256,9 @@ class TestWriters:
     def test_float_cells_round_trip(self, tmp_path):
         """repr-formatted cells parse back to the identical float."""
         value = 1.0 / 3.0
-        rec = TraceRecord(t=value, dist_primal=value, dist_dual=value,
-                          feas=value, lyapunov=value, ergodic_feas=value,
-                          ergodic_gap=value)
+        trace = Trace(**{name: [value] for name in CSV_FIELDS})
         path = tmp_path / "t.csv"
-        write_trace_csv(path, [rec])
+        write_trace_csv(path, trace)
         cells = path.read_text().splitlines()[1].split(",")
         assert all(float(cell) == value for cell in cells)
 

@@ -7,13 +7,13 @@ import pytest
 
 from pdflow import proxlib
 from pdflow.diagnostics import (CSV_FIELDS, DEFAULT_GRID, RateCertificate,
-                                TraceRecord, certify_rates, first_hit_time,
+                                Trace, certify_rates, first_hit_time,
                                 initial_weighted_distance, lyapunov,
                                 sweep_summary, trace_discrete, trace_flow)
 from pdflow.discrete import DiscreteParams, run
 from pdflow.errors import MissingSolutionError
 from pdflow.flow import FlowParams, RK4, SystemState, integrate
-from pdflow.linops import LinearMap
+from pdflow.linops import LinearMap, SelfAdjointPSD
 from pdflow.metric import MetricSchedule, TauSchedule
 from pdflow.problems import ProblemSpec
 
@@ -28,6 +28,19 @@ def _params(tau=0.25, gamma=0.5, horizon=2.0, h=0.01):
 def _start():
     return SystemState(np.array([-10.0, 10.0]), np.array([-20.0, 0.0]),
                        np.array([-10.0, 10.0]), 0.0)
+
+
+def _assert_lyapunov_matches(p, trace, states, m1_at, gamma, m2=_ZERO2):
+    """The Lyapunov column equals lyapunov() under the metric of each
+    record's own time (or iteration), to 1e-12 relative."""
+    ref = [lyapunov(p, m1_at(s.t), m2, 1.0, gamma, s.t, s) for s in states]
+    np.testing.assert_allclose(trace.lyapunov, ref, rtol=1e-12, atol=0.0)
+
+
+def _step_metric(p, d):
+    """k -> the per-iteration metric I / tau_k - c A*A of a discrete run."""
+    return lambda k: MetricSchedule.tau_family(
+        TauSchedule.constant(d.tau_at(int(k))), d.c, p.A)
 
 
 class TestLyapunov:
@@ -83,27 +96,44 @@ class TestTraceFlow:
         traj = integrate(example1, _params(), _start())
         trace = trace_flow(example1, _params(), traj)
         assert len(trace) == len(traj.states) == 201
-        first = trace[0]
-        assert first.t == 0.0
-        assert first.dist_primal == pytest.approx(math.sqrt(200.0))
-        assert first.feas == pytest.approx(0.0)
+        assert trace.t[0] == 0.0
+        assert trace.dist_primal[0] == pytest.approx(math.sqrt(200.0))
+        assert trace.feas[0] == pytest.approx(0.0)
         # x block is (1/tau - 2 + c(1-gamma) 2) I = 3 I at tau=0.25, gamma=0.5
-        assert first.lyapunov == pytest.approx(3.0 * 200.0 + 600.0)
-        assert first.ergodic_feas is None
-        assert first.ergodic_gap is None
-        assert (first.gamma, first.c, first.tau) == (0.5, 1.0, 0.25)
+        assert trace.lyapunov[0] == pytest.approx(3.0 * 200.0 + 600.0)
+        assert math.isnan(trace.ergodic_feas[0])
+        assert math.isnan(trace.ergodic_gap[0])
 
     def test_times_match_states(self, example1):
         traj = integrate(example1, _params(horizon=1.0), _start())
         trace = trace_flow(example1, _params(horizon=1.0), traj)
-        for rec, s in zip(trace, traj.states):
-            assert rec.t == s.t
+        assert trace.t.tolist() == [s.t for s in traj.states]
 
     def test_lyapunov_descends(self, example1):
         traj = integrate(example1, _params(horizon=5.0), _start())
         trace = trace_flow(example1, _params(horizon=5.0), traj)
-        values = [r.lyapunov for r in trace]
+        values = trace.lyapunov.tolist()
         assert all(b <= a + 1e-6 * (1 + a) for a, b in zip(values, values[1:]))
+
+    def test_lyapunov_column_saturating_tau(self, example1):
+        tau = TauSchedule.saturating(0.1, 0.45)
+        params = FlowParams(c=1.0, gamma=0.5, tau=tau, horizon=2.0,
+                            integrator=RK4(h=0.01))
+        traj = integrate(example1, params, _start())
+        m1 = MetricSchedule.tau_family(tau, 1.0, example1.A)
+        _assert_lyapunov_matches(example1, trace_flow(example1, params, traj),
+                                 traj.states, lambda t: m1, 0.5)
+
+    def test_lyapunov_column_moving_m2(self, example1):
+        """A tau-family M2 moves the z block of W instead."""
+        m1 = MetricSchedule.constant(SelfAdjointPSD.identity(2, 0.5))
+        m2 = MetricSchedule.tau_family(TauSchedule.saturating(0.1, 0.45),
+                                       1.0, example1.A)
+        params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=2.0,
+                            integrator=RK4(h=0.01))
+        traj = integrate(example1, params, _start())
+        _assert_lyapunov_matches(example1, trace_flow(example1, params, traj),
+                                 traj.states, lambda t: m1, 0.5, m2)
 
     def test_ergodic_feasibility_identity(self, example1):
         """||A x_avg - z_avg|| must equal ||y(t) - y0|| / (c t): the dual
@@ -111,9 +141,9 @@ class TestTraceFlow:
         traj = integrate(example1, _params(horizon=5.0), _start())
         trace = trace_flow(example1, _params(horizon=5.0), traj)
         y0 = traj.states[0].y
-        for rec, s in zip(trace[1:], traj.states[1:]):
+        for e_feas, s in zip(trace.ergodic_feas[1:], traj.states[1:]):
             rhs_val = float(np.linalg.norm(s.y - y0)) / (1.0 * s.t)
-            assert abs(rec.ergodic_feas - rhs_val) <= 1e-8
+            assert abs(e_feas - rhs_val) <= 1e-8
 
     def test_csv_field_list_is_stable(self):
         assert CSV_FIELDS == ("t", "dist_primal", "dist_dual", "feas",
@@ -125,30 +155,36 @@ class TestTraceDiscrete:
         d = DiscreteParams(tau=0.25, max_iters=20, stop_tol=0.0)
         out = run(example1, d, _start())
         trace = trace_discrete(example1, d, out)
-        assert [r.t for r in trace] == list(range(21))
-        assert all(r.ergodic_feas is None and r.ergodic_gap is None
-                   for r in trace)
-        assert trace[0].tau == 0.25
+        assert trace.t.tolist() == list(range(21))
+        assert np.isnan(trace.ergodic_feas).all()
+        assert np.isnan(trace.ergodic_gap).all()
 
     def test_per_iteration_tau_sequence(self, example1):
-        d = DiscreteParams(tau=[0.25, 0.2, 0.1], max_iters=5, stop_tol=0.0)
+        d = DiscreteParams(tau=[0.25, 0.2, 0.1], gamma=0.5, max_iters=5,
+                           stop_tol=0.0)
         out = run(example1, d, _start())
-        trace = trace_discrete(example1, d, out)
-        assert [r.tau for r in trace[:4]] == [0.25, 0.2, 0.1, 0.1]
+        _assert_lyapunov_matches(example1, trace_discrete(example1, d, out),
+                                 out.states, _step_metric(example1, d), 0.5)
+
+    def test_per_iteration_tau_schedule(self, example1):
+        d = DiscreteParams(tau=TauSchedule.saturating(0.1, 0.3), gamma=0.5,
+                           max_iters=5, stop_tol=0.0)
+        out = run(example1, d, _start())
+        _assert_lyapunov_matches(example1, trace_discrete(example1, d, out),
+                                 out.states, _step_metric(example1, d), 0.5)
 
     def test_lyapunov_descends_for_admm(self, example1):
         d = DiscreteParams(tau=0.25, gamma=1.0, max_iters=60, stop_tol=0.0)
         out = run(example1, d, _start())
         trace = trace_discrete(example1, d, out)
-        values = [r.lyapunov for r in trace]
+        values = trace.lyapunov.tolist()
         assert all(b <= a + 1e-6 * (1 + a) for a, b in zip(values, values[1:]))
 
 
 class TestFirstHit:
     def _trace(self, pairs):
-        return [TraceRecord(t=t, dist_primal=dp, dist_dual=None, feas=0.0,
-                            lyapunov=None, ergodic_feas=None,
-                            ergodic_gap=None) for t, dp in pairs]
+        t, dist = zip(*pairs)
+        return Trace(t=t, dist_primal=dist, feas=[0.0] * len(t))
 
     def test_first_crossing(self):
         trace = self._trace([(0.0, 5.0), (1.0, 0.3), (2.0, 0.009),
@@ -203,36 +239,42 @@ class TestCertifyRates:
         cert = certify_rates(trace, example1, 1200.0, grid=DEFAULT_GRID)
         assert math.isfinite(cert.feas_constant)
 
-    def _record(self, t, lyap=None, gap=None, feas=0.0):
-        return TraceRecord(t=t, dist_primal=1.0, dist_dual=None, feas=0.0,
-                           lyapunov=lyap, ergodic_feas=feas, ergodic_gap=gap)
+    def _trace(self, *rows):
+        """Rows of (t, lyapunov, ergodic_gap); ergodic_feas is 0.0."""
+        t, lyap, gap = zip(*rows)
+        return Trace(t=t, dist_primal=[1.0] * len(t), feas=[0.0] * len(t),
+                     lyapunov=lyap, ergodic_feas=[0.0] * len(t),
+                     ergodic_gap=gap)
 
     def test_detects_lyapunov_increase(self, example1):
-        trace = [self._record(0.0, lyap=10.0),
-                 self._record(1.0, lyap=10.5)]
+        trace = self._trace((0.0, 10.0, math.nan), (1.0, 10.5, math.nan))
         cert = certify_rates(trace, example1, 100.0, grid=(1.0,))
         assert not cert.lyapunov_monotone
         assert not cert.all_ok()
 
     def test_detects_gap_violation(self, example1):
-        trace = [self._record(0.0, lyap=10.0),
-                 self._record(1.0, lyap=9.0, gap=60.0)]
+        trace = self._trace((0.0, 10.0, math.nan), (1.0, 9.0, 60.0))
         cert = certify_rates(trace, example1, 100.0, grid=(1.0,))
         assert not cert.gap_bound_ok
         assert cert.gap_bound_margin < 0.0
 
     def test_infeasible_average_is_skipped(self, example1):
-        trace = [self._record(0.0, lyap=10.0),
-                 self._record(1.0, lyap=9.0, gap=math.inf)]
+        trace = self._trace((0.0, 10.0, math.nan), (1.0, 9.0, math.inf))
         cert = certify_rates(trace, example1, 100.0, grid=(1.0,))
         assert cert.gap_bound_ok
         assert cert.gap_bound_margin == math.inf
 
     def test_unknown_distance_skips_gap_check(self, example1):
-        trace = [self._record(0.0, lyap=10.0),
-                 self._record(1.0, lyap=9.0, gap=2.0)]
+        trace = self._trace((0.0, 10.0, math.nan), (1.0, 9.0, 2.0))
         cert = certify_rates(trace, example1, None, grid=(1.0,))
         assert cert.gap_bound_ok
+
+    def test_grid_tie_takes_earlier_record(self, example1):
+        """A grid point midway between two records samples the earlier."""
+        trace = Trace(t=[0.0, 1.0, 2.0], feas=[0.0] * 3,
+                      ergodic_feas=[math.nan, 1.0, 1.0])
+        cert = certify_rates(trace, example1, None, grid=(1.5,))
+        assert cert.feas_constant == 1.0
 
     def test_flags_exclude_report_only_fields(self):
         cert = RateCertificate(feas_constant=3.0, gap_bound_ok=True,
@@ -244,14 +286,9 @@ class TestCertifyRates:
 
 class TestSweepSummary:
     def _trace_hitting_at(self, hit):
-        recs = [TraceRecord(t=0.0, dist_primal=10.0, dist_dual=None,
-                            feas=0.0, lyapunov=None, ergodic_feas=None,
-                            ergodic_gap=None)]
-        if math.isfinite(hit):
-            recs.append(TraceRecord(t=hit, dist_primal=0.005, dist_dual=None,
-                                    feas=0.0, lyapunov=None,
-                                    ergodic_feas=None, ergodic_gap=None))
-        return recs
+        if not math.isfinite(hit):
+            return Trace(t=[0.0], dist_primal=[10.0], feas=[0.0])
+        return Trace(t=[0.0, hit], dist_primal=[10.0, 0.005], feas=[0.0, 0.0])
 
     def test_hit_table_and_flags(self):
         hits = {(0.01, 0.49): 12.0, (0.5, 0.49): 9.0, (0.99, 0.49): 8.0,
