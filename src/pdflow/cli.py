@@ -127,23 +127,22 @@ def _cells(col) -> list:
     return ["" if c == "nan" else c for c in map(repr, col.tolist())]
 
 
-def write_trace_csv(path, trace, states=None, footer=()):
+def write_trace_csv(path, trace, U=None, n=None, footer=()):
     """CSV with the fixed column header, then `# key = value` footer lines.
 
     Cells are `repr` of each float, so they parse back to the same value;
-    NaN cells are written blank.  `states` (one per trace row) appends
-    x_/z_/y_ columns (--dump-state).
+    NaN cells are written blank.  `U`, the states as an (R, n + 2m) array
+    with one row x | z | y per trace row, appends x_/z_/y_ columns
+    (--dump-state); `n` is the length of x.
     """
     header = list(CSV_FIELDS)
     columns = [_cells(getattr(trace, name)) for name in CSV_FIELDS]
-    if states is not None:
-        n = len(states[0].x)
-        m = len(states[0].z)
+    if U is not None:
+        m = (U.shape[1] - n) // 2
         header += [f"x_{i}" for i in range(n)]
         header += [f"z_{i}" for i in range(m)]
         header += [f"y_{i}" for i in range(m)]
-        stacked = np.array([np.concatenate((s.x, s.z, s.y)) for s in states])
-        columns += [list(map(repr, col)) for col in stacked.T.tolist()]
+        columns += [list(map(repr, col)) for col in U.T.tolist()]
     lines = [",".join(header)]
     lines += map(",".join, zip(*columns))
     for key, value in footer:
@@ -207,7 +206,7 @@ def _flow_single(p, cfg, s0, gamma=None, tau=None):
     traj = integrate(p, params, s0, record_every=cfg.record_every)
     trace = trace_flow(p, params, traj)
     m1, m2 = _flow_schedules(p, params)
-    w0 = _w0_or_none(p, m1, m2, params.c, params.gamma, traj.states[0])
+    w0 = _w0_or_none(p, m1, m2, params.c, params.gamma, s0)
     cert = certify_rates(trace, p, w0, grid=cfg.grid,
                          hit_threshold=cfg.hit_threshold)
     return params, traj, trace, w0, cert
@@ -219,9 +218,9 @@ def _out_dir(args, cfg) -> str:
     return out
 
 
-def _emit_run(out, stem, title, trace, states, footer):
+def _emit_run(out, stem, title, trace, U, n, footer):
     csv_name = f"{stem}.csv"
-    write_trace_csv(os.path.join(out, csv_name), trace, states=states,
+    write_trace_csv(os.path.join(out, csv_name), trace, U=U, n=n,
                     footer=footer)
     write_plot_script(os.path.join(out, f"{stem}.gp"), csv_name, title)
     report = _report_text(title, footer)
@@ -245,7 +244,7 @@ def cmd_flow(args, cfg) -> int:
               ("hit_threshold", cfg.hit_threshold)]
     footer += _certificate_footer(cert, w0)
     report = _emit_run(out, f"{p.name}-flow", f"{p.name} flow", trace,
-                       traj.states if cfg.dump_state else None, footer)
+                       traj.U if cfg.dump_state else None, p.n, footer)
     print(report)
     return 0 if cert.all_ok() else 2
 
@@ -258,7 +257,7 @@ def cmd_discrete(args, cfg) -> int:
     trace = trace_discrete(p, d, result)
     m1 = MetricSchedule.tau_family(d.tau, d.c, p.A)
     m2 = MetricSchedule.zero(p.m)
-    w0 = _w0_or_none(p, m1, m2, d.c, d.gamma, result.states[0])
+    w0 = _w0_or_none(p, m1, m2, d.c, d.gamma, s0)
     cert = certify_rates(trace, p, w0, grid=cfg.grid,
                          hit_threshold=cfg.hit_threshold)
     out = _out_dir(args, cfg)
@@ -267,13 +266,13 @@ def cmd_discrete(args, cfg) -> int:
               ("tau", _fmt(cfg.tau)), ("tau0", d.tau.value(0.0)),
               ("max_iters", d.max_iters), ("stop_tol", d.stop_tol),
               ("seed", args.seed), ("stop_reason", result.stop_reason),
-              ("iterations", result.iterations),
+              ("iterations", len(result.U) - 1),
               ("final_kkt", result.residuals[-1].max()),
               ("hit_threshold", cfg.hit_threshold)]
     footer += _certificate_footer(cert, w0)
     report = _emit_run(out, f"{p.name}-{args.algorithm}",
                        f"{p.name} {args.algorithm}", trace,
-                       result.states if cfg.dump_state else None, footer)
+                       result.U if cfg.dump_state else None, p.n, footer)
     print(report)
     if result.stop_reason == "divergence":
         print("pdflow: iteration diverged", file=sys.stderr)
@@ -300,14 +299,14 @@ def _run_sweep(args, cfg) -> int:
                       ("hit_threshold", cfg.hit_threshold)]
             traces[gamma, tauc] = trace
             certs[gamma, tauc] = cert
-            outputs[gamma, tauc] = (traj.states if cfg.dump_state else None,
+            outputs[gamma, tauc] = (traj.U if cfg.dump_state else None,
                                     footer + _certificate_footer(cert, w0))
             del traj
 
-    for (gamma, tauc), (states, footer) in outputs.items():
+    for (gamma, tauc), (U, footer) in outputs.items():
         _emit_run(out, f"{p.name}-flow-g{gamma:g}-tc{tauc:g}",
                   f"{p.name} gamma={gamma:g} tau*c={tauc:g}",
-                  traces[gamma, tauc], states, footer)
+                  traces[gamma, tauc], U, p.n, footer)
     summary = sweep_summary(traces, hit_threshold=cfg.hit_threshold,
                             certificates=certs)
     text = summary.render()

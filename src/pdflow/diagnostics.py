@@ -139,20 +139,18 @@ def _moving_tau(sched: MetricSchedule, t):
                                                    for ti in t]
 
 
-def _build_trace(p, m1, m2, c, gamma, states, erg_x=None, erg_z=None,
-                 tau=None) -> Trace:
-    """The trace of recorded states, computed one column at a time.
+def _build_trace(p, m1, m2, c, gamma, t, U, erg=None, tau=None) -> Trace:
+    """The trace of states U (rows x | z | y) at times t, computed one
+    column at a time.
 
     W(t) moves with t only through the I / tau(t) term of a tau family, so
     the Lyapunov column is one quadratic form against W(t_0) plus
     (1/tau(t_i) - 1/tau(t_0)) times the squared distance of that block.
     `tau` gives tau(t_i) per row for an M1 built at tau(t_0) from a step
-    sequence.  `erg_x`/`erg_z` are None where the average is undefined.
+    sequence.  `erg` holds the rows x_tilde | z_tilde, NaN where t = 0.
     """
-    t = np.array([s.t for s in states])
-    X = np.array([s.x for s in states])
-    Z = np.array([s.z for s in states])
-    Y = np.array([s.y for s in states])
+    n, m = p.n, p.m
+    X, Z, Y = U[:, :n], U[:, n:n + m], U[:, n + m:]
     A = p.A.to_dense()
     x_star, y_star = p.known_primal, p.known_dual
     cols = {"t": t, "feas": _row_norms(_apply_rows(A, X) - Z)}
@@ -161,11 +159,11 @@ def _build_trace(p, m1, m2, c, gamma, states, erg_x=None, erg_z=None,
     if y_star is not None:
         cols["dist_dual"] = _row_norms(Y - y_star)
     if x_star is not None and y_star is not None:
-        D = np.hstack((X - x_star, Z - p.A.apply(x_star), Y - y_star))
+        D = U - np.concatenate((x_star, p.A.apply(x_star), y_star))
         W = weight_W(m1, m2, c, gamma, p.A, t[0]).base.to_dense()
         v = _row_dots(D, _apply_rows(W, D))
-        moving = ((_moving_tau(m1, t) if tau is None else tau, D[:, :p.n]),
-                  (_moving_tau(m2, t), D[:, p.n:p.n + p.m]))
+        moving = ((_moving_tau(m1, t) if tau is None else tau, D[:, :n]),
+                  (_moving_tau(m2, t), D[:, n:n + m]))
         for tau_i, block in moving:
             if tau_i is not None:
                 inv = 1.0 / np.asarray(tau_i, dtype=float)
@@ -173,25 +171,22 @@ def _build_trace(p, m1, m2, c, gamma, states, erg_x=None, erg_z=None,
         # tiny negatives from roundoff are clamped, as in seminorm_sq
         v[(v < 0.0) & (v >= -1e-12 * _row_dots(D, D))] = 0.0
         cols["lyapunov"] = v
-    trace = Trace(**cols)
-    if erg_x is not None:
-        rows = [i for i, xt in enumerate(erg_x) if xt is not None]
-        XT = np.reshape([erg_x[i] for i in rows], (len(rows), p.n))
-        ZT = np.reshape([erg_z[i] for i in rows], (len(rows), p.m))
-        trace.ergodic_feas[rows] = _row_norms(_apply_rows(A, XT) - ZT)
+    if erg is not None:
+        XT, ZT = erg[:, :n], erg[:, n:]
+        cols["ergodic_feas"] = _row_norms(_apply_rows(A, XT) - ZT)
         if x_star is not None:
             opt = p.objective(x_star)
-            trace.ergodic_gap[rows] = [
-                p.f(erg_x[i]) + p.h(erg_x[i]) + p.g(erg_z[i]) - opt
-                for i in rows]
-    return trace
+            cols["ergodic_gap"] = [
+                p.f(xt) + p.h(xt) + p.g(zt) - opt if ti > 0 else np.nan
+                for ti, xt, zt in zip(t, XT, ZT)]
+    return Trace(**cols)
 
 
 def trace_flow(p: ProblemSpec, params: FlowParams,
                traj: FlowTrajectory) -> Trace:
     m1, m2 = _flow_schedules(p, params)
     return _build_trace(p, m1, m2, params.c, params.gamma,
-                        traj.states, traj.ergodic_x, traj.ergodic_z)
+                        traj.t, traj.U, traj.erg)
 
 
 def trace_discrete(p: ProblemSpec, d, run_result) -> Trace:
@@ -200,14 +195,15 @@ def trace_discrete(p: ProblemSpec, d, run_result) -> Trace:
     Ergodic fields stay blank (averaging is a property of the continuous
     flow).  The Lyapunov weight uses the per-iteration metric at t = k.
     """
-    states = run_result.states
+    U = run_result.U
+    t = np.arange(len(U), dtype=float)
     m2 = d.m2 if d.m2 is not None else MetricSchedule.zero(p.m)
     if d.m1 is not None:
-        return _build_trace(p, d.m1, m2, d.c, d.gamma, states)
+        return _build_trace(p, d.m1, m2, d.c, d.gamma, t, U)
     m1 = MetricSchedule.tau_family(TauSchedule.constant(d.tau_at(0)), d.c,
                                    p.A)
-    return _build_trace(p, m1, m2, d.c, d.gamma, states,
-                        tau=[d.tau_at(int(s.t)) for s in states])
+    return _build_trace(p, m1, m2, d.c, d.gamma, t, U,
+                        tau=[d.tau_at(int(k)) for k in t])
 
 
 def first_hit_time(trace, threshold) -> float:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .flow import SystemState, _x_new_closed, _x_new_metric, _z_new_closed, _z_new_metric
+from .flow import (SystemState, _start_row, _state_rows, _x_new_closed,
+                   _x_new_metric, _z_new_closed, _z_new_metric)
 from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
 from .problems import ProblemSpec, SaddleResidual, kkt_residual
 from .proxlib import conjugate_prox
@@ -139,19 +140,27 @@ def cp_step_explicit(p: ProblemSpec, d: DiscreteParams, k: int,
 
 @dataclass
 class DiscreteRun:
-    """Iterate history (index k = state position) and the stop reason."""
+    """Iterate history and the stop reason: U holds one row x^k | z^k | y^k
+    per iterate k, shape (R, n + 2m), and residuals the matching KKT
+    residuals.  `states`, `final` and `iterations` are built on access.
+    """
 
-    states: list
+    U: np.ndarray
     residuals: list
     stop_reason: str  # "tolerance" | "budget" | "divergence"
+    n: int
+
+    @property
+    def states(self) -> list:
+        return _state_rows(np.arange(len(self.U), dtype=float), self.U, self.n)
 
     @property
     def final(self) -> SystemState:
-        return self.states[-1]
+        return _state_rows([len(self.U) - 1], self.U[-1:], self.n)[0]
 
     @property
     def iterations(self) -> int:
-        return len(self.states) - 1
+        return len(self.U) - 1
 
 
 def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
@@ -161,41 +170,37 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
 
     algorithm "admm" uses `admm_step`; "cp" uses `cp_step` and tracks the
     splitting variable via z^{k+1} = A x^{k+1} - (y^{k+1} - y^k)/c so the
-    same residuals are reported.
+    same residuals are reported.  Raises ValueError if s0 has the wrong
+    dimensions.
     """
-    if s0 is None:
-        x0, z0, y0 = p.default_start()
-        s0 = SystemState(x0, z0, y0, 0.0)
-    s = SystemState(np.asarray(s0.x, dtype=float).copy(),
-                    np.asarray(s0.z, dtype=float).copy(),
-                    np.asarray(s0.y, dtype=float).copy(), 0.0)
+    u0 = _start_row(p, s0)
     if algorithm not in ("admm", "cp"):
         raise ConfigError(f"unknown discrete algorithm {algorithm!r}")
     if algorithm == "cp":
         _require_cp(p, d)
 
-    states = [s]
+    rows = [u0]
+    s = SystemState(u0[:p.n], u0[p.n:p.n + p.m], u0[p.n + p.m:], 0.0)
     residuals = [kkt_residual(p, s.x, s.z, s.y)]
     if residuals[0].max() <= d.stop_tol:
-        return DiscreteRun(states, residuals, "tolerance")
+        return DiscreteRun(np.array(rows), residuals, "tolerance", p.n)
 
     y_prev = s.y
     for k in range(d.max_iters):
         if algorithm == "admm":
-            s_next = admm_step(p, d, k, states[-1])
+            s = admm_step(p, d, k, s)
         else:
-            cur = states[-1]
-            x_new, y_new = cp_step(p, d, k, cur.x, cur.y, y_prev)
-            z_new = p.A._raw_apply(x_new) - (y_new - cur.y) / d.c
-            y_prev = cur.y
-            s_next = SystemState(x_new, z_new, y_new, float(k + 1))
-        states.append(s_next)
-        norm = max(np.linalg.norm(s_next.x), np.linalg.norm(s_next.z),
-                   np.linalg.norm(s_next.y))
+            x_new, y_new = cp_step(p, d, k, s.x, s.y, y_prev)
+            z_new = p.A._raw_apply(x_new) - (y_new - s.y) / d.c
+            y_prev = s.y
+            s = SystemState(x_new, z_new, y_new, float(k + 1))
+        rows.append(np.concatenate((s.x, s.z, s.y)))
+        norm = max(np.linalg.norm(s.x), np.linalg.norm(s.z),
+                   np.linalg.norm(s.y))
         if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
             residuals.append(SaddleResidual(np.inf, np.inf, np.inf))
-            return DiscreteRun(states, residuals, "divergence")
-        residuals.append(kkt_residual(p, s_next.x, s_next.z, s_next.y))
+            return DiscreteRun(np.array(rows), residuals, "divergence", p.n)
+        residuals.append(kkt_residual(p, s.x, s.z, s.y))
         if residuals[-1].max() <= d.stop_tol:
-            return DiscreteRun(states, residuals, "tolerance")
-    return DiscreteRun(states, residuals, "budget")
+            return DiscreteRun(np.array(rows), residuals, "tolerance", p.n)
+    return DiscreteRun(np.array(rows), residuals, "budget", p.n)

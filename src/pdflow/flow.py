@@ -45,7 +45,6 @@ from .proxlib import metric_prox
 
 __all__ = [
     "SystemState",
-    "ErgodicAccumulator",
     "FlowParams",
     "Euler",
     "RK4",
@@ -67,33 +66,17 @@ class SystemState:
     t: float = 0.0
 
 
-@dataclass
-class ErgodicAccumulator:
-    """Running integrals needed for the averaged trajectory.
+def ergodic(t, V, v0, integral):
+    """Averaged trajectory (V - v0 + integral) / t; needs t > 0.
 
     The average of (xdot + x) over [0, t] integrates exactly to
-    (x(t) - x0 + int_x) / t, so only int_x and int_z evolve.
+    (x(t) - x0 + int_0^t x) / t, so only the running integral evolves.  V
+    and integral are one state or one row per entry of t.
     """
-
-    x0: np.ndarray
-    z0: np.ndarray
-    int_x: np.ndarray
-    int_z: np.ndarray
-    t: float = 0.0
-
-    @classmethod
-    def start(cls, s: SystemState) -> "ErgodicAccumulator":
-        return cls(s.x.copy(), s.z.copy(),
-                   np.zeros_like(s.x), np.zeros_like(s.z), s.t)
-
-
-def ergodic(acc: ErgodicAccumulator, s: SystemState):
-    """Averaged pair (x_tilde, z_tilde) at the state's time; needs t > 0."""
-    if s.t <= 0.0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
         raise ValueError("ergodic average is defined for t > 0")
-    x_tilde = (s.x - acc.x0 + acc.int_x) / s.t
-    z_tilde = (s.z - acc.z0 + acc.int_z) / s.t
-    return x_tilde, z_tilde
+    return (V - v0 + integral) / t[..., None]
 
 
 @dataclass
@@ -153,24 +136,54 @@ class FlowParams:
         return "closed-form" if self.tau is not None else "general-metric"
 
 
+def _state_rows(t, U, n) -> list:
+    """SystemState views of the rows x | z | y of U at the times t."""
+    m = (U.shape[1] - n) // 2
+    return [SystemState(u[:n], u[n:n + m], u[n + m:], float(ti))
+            for ti, u in zip(t, U)]
+
+
 @dataclass
 class FlowTrajectory:
-    """Recorded states plus the matching ergodic averages.
-
-    ergodic_x/ergodic_z are None at the initial record (t = 0).
-    stop_reason is "horizon" or "step-underflow".
+    """The recorded trajectory as arrays, one row per record: times t (R,)
+    from 0, states U (R, n + 2m) with rows x | z | y, and ergodic averages
+    erg (R, n + m) with rows x_tilde | z_tilde, NaN where t = 0.
+    stop_reason is "horizon" or "step-underflow".  `states`, `ergodic_x`,
+    `ergodic_z` (None at t = 0) and `final` are views built on access.
     """
 
-    states: list
-    ergodic_x: list
-    ergodic_z: list
-    accumulator: ErgodicAccumulator
+    t: np.ndarray
+    U: np.ndarray
+    erg: np.ndarray
     stop_reason: str
     rhs_evals: int
+    n: int
+
+    @property
+    def states(self) -> list:
+        return _state_rows(self.t, self.U, self.n)
 
     @property
     def final(self) -> SystemState:
-        return self.states[-1]
+        return _state_rows(self.t[-1:], self.U[-1:], self.n)[0]
+
+    @property
+    def ergodic_x(self) -> list:
+        return [e[:self.n] if ti > 0 else None for ti, e in zip(self.t, self.erg)]
+
+    @property
+    def ergodic_z(self) -> list:
+        return [e[self.n:] if ti > 0 else None for ti, e in zip(self.t, self.erg)]
+
+
+def _start_row(p: ProblemSpec, s0: SystemState | None) -> np.ndarray:
+    """The flat start U0 = x0 | z0 | y0 (default: the problem's canonical
+    start); ValueError if a block has the wrong dimensions."""
+    x0, z0, y0 = p.default_start() if s0 is None else (s0.x, s0.z, s0.y)
+    blocks = [np.asarray(v, dtype=float) for v in (x0, z0, y0)]
+    if [b.shape for b in blocks] != [(p.n,), (p.m,), (p.m,)]:
+        raise ValueError("initial state has wrong dimensions for the problem")
+    return np.concatenate(blocks)
 
 
 # -- subproblem solves shared with the discrete schemes ----------------------
@@ -326,19 +339,15 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     """Integrate the system from s0 (default: the problem's canonical start).
 
     Records every `record_every`-th accepted step plus the initial and final
-    states.  Raises CertificationError before stepping if the mode's
+    states.  Raises ValueError if s0 has the wrong dimensions or
+    record_every < 1, CertificationError before stepping if the mode's
     conditions fail, IntegrationError if the state leaves the finite range.
     Adaptive step underflow returns the partial trajectory with
     stop_reason = "step-underflow".
     """
-    if s0 is None:
-        x0, z0, y0 = p.default_start()
-        s0 = SystemState(x0, z0, y0, 0.0)
-    x = np.asarray(s0.x, dtype=float).copy()
-    z = np.asarray(s0.z, dtype=float).copy()
-    y = np.asarray(s0.y, dtype=float).copy()
-    if x.shape != (p.n,) or z.shape != (p.m,) or y.shape != (p.m,):
-        raise ValueError("initial state has wrong dimensions for the problem")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
+    u0 = _start_row(p, s0)
 
     _check_certificates(p, params)
     rhs_fn = _make_rhs(p, params)
@@ -360,25 +369,15 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
         h_last = horizon - n_full * h_fix
         n_steps = n_full + (h_last > 1e-12)
 
-    # Row 0 of the stage points is the flat state U = (x, z, y), with x,
-    # z, y views into it, and int_x, int_z are views into one array, so
-    # each stage combination is a single matrix-vector product.
+    # Row 0 of the stage points is the flat state U = (x, z, y), and the
+    # running integrals of x and z are one array, so each stage
+    # combination is a single matrix-vector product.
     iz, iy = p.n, p.n + p.m
     pts = np.empty((len(c_nodes), iy + p.m))  # stage points
     ks = np.empty_like(pts)                   # stage slopes
-    pts[0] = np.concatenate((x, z, y))
-    x, z, y = pts[0, :iz], pts[0, iz:iy], pts[0, iy:]
+    pts[0] = u0
     ints = np.zeros(iy)
-    acc = ErgodicAccumulator(x.copy(), z.copy(), ints[:iz], ints[iz:], 0.0)
-    states = [SystemState(x.copy(), z.copy(), y.copy(), 0.0)]
-    erg_x = [None]
-    erg_z = [None]
-
-    def record(t):
-        states.append(SystemState(x.copy(), z.copy(), y.copy(), t))
-        xt, zt = ergodic(acc, states[-1])
-        erg_x.append(xt)
-        erg_z.append(zt)
+    recs = [(0.0, u0, ints.copy())]  # (t, U, integrals) per record
 
     def slope(i, t_i):
         s_i = pts[i]
@@ -431,15 +430,16 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
         t = t_next
         if not np.isfinite(pts[0]).all():
             raise IntegrationError(f"non-finite state at t = {t:.6g}")
-        acc.t = t
         accepted += 1
         if accepted % record_every == 0 or t >= horizon - 1e-12:
-            record(t)
+            recs.append((t, pts[0].copy(), ints.copy()))
         if adaptive:
             h = min(h * factor, integ.h_max)
-    if acc.t > 0 and states[-1].t < acc.t - 1e-12:
-        record(acc.t)
+    if t > 0 and recs[-1][0] < t - 1e-12:
+        recs.append((t, pts[0].copy(), ints.copy()))
 
-    return FlowTrajectory(states=states, ergodic_x=erg_x, ergodic_z=erg_z,
-                          accumulator=acc, stop_reason=stop_reason,
-                          rhs_evals=evals)
+    ts, U, integrals = (np.array(col) for col in zip(*recs))
+    erg = np.full(integrals.shape, np.nan)
+    erg[1:] = ergodic(ts[1:], U[1:, :iy], u0[:iy], integrals[1:])
+    return FlowTrajectory(t=ts, U=U, erg=erg, stop_reason=stop_reason,
+                          rhs_evals=evals, n=p.n)

@@ -8,7 +8,7 @@ import pytest
 from pdflow import checks, proxlib
 from pdflow.checks import CheckResult, render_report, run_checks
 from pdflow.config import INTEGRATORS, RunConfig, build_flow_params
-from pdflow.flow import FlowParams, RK4, SystemState
+from pdflow.flow import FlowParams, RK4, SystemState, integrate
 from pdflow.linops import LinearMap, SelfAdjointPSD
 from pdflow.metric import MetricSchedule, TauSchedule
 from pdflow.problems import CATALOG_NAMES, ProblemSpec, catalog
@@ -87,6 +87,42 @@ class TestRunChecks:
         results = run_checks(p, _params(), s0)
         by_name = {r.name: r for r in results}
         assert by_name["adjoint-consistency"].status == "FAIL"
+
+    def test_ergodic_identity_compares_vectors(self, example1):
+        """Negating x_tilde and z_tilde keeps ||A x_tilde - z_tilde|| but
+        breaks the vector identity A x_tilde - z_tilde = (y - y0) / (c t)."""
+        params = replace(_params(), horizon=5.0)
+        s0 = _start(example1)
+        traj = integrate(example1, params, s0)
+        good = checks._check_ergodic_identity(example1, params, s0, traj)
+        assert good.status == "ok", good.detail
+        flipped = replace(traj, erg=-traj.erg)
+        bad = checks._check_ergodic_identity(example1, params, s0, flipped)
+        assert bad.status == "FAIL", bad.detail
+
+    def test_unit_step_equivalence_fails_on_short_run(self, example1,
+                                                      monkeypatch):
+        """A discrete run that stops early is a failure, not a comparison
+        over its prefix."""
+        real = checks.discrete_run
+
+        def short(*args, **kwargs):
+            out = real(*args, **kwargs)
+            return replace(out, U=out.U[:-5], residuals=out.residuals[:-5],
+                           stop_reason="divergence")
+
+        monkeypatch.setattr(checks, "discrete_run", short)
+        result = checks._check_euler_equivalence(example1, _params(),
+                                                 _start(example1))
+        assert result.status == "FAIL"
+        assert "21 discrete iterates vs 26 Euler records" in result.detail
+
+    def test_saddle_start_passes(self, example1):
+        """From the exact saddle the KKT residual is 0 at k = 0; the
+        unit-step comparison still runs every step."""
+        s0 = SystemState(np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
+        results = run_checks(example1, _params(), s0)
+        assert all(r.ok for r in results), render_report(results)
 
     def test_seed_changes_draws_not_verdicts(self, example1):
         r0 = run_checks(example1, _params(), _start(example1), seed=0)

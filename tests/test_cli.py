@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from pdflow.cli import _footer_value, main, write_plot_script, write_trace_csv
-from pdflow.diagnostics import CSV_FIELDS, Trace
-from pdflow.flow import SystemState
+from pdflow.diagnostics import CSV_FIELDS, Trace, trace_flow
+from pdflow.flow import FlowParams, RK4, integrate
+from pdflow.metric import TauSchedule
 from pdflow.problems import CATALOG_NAMES
 
 _HEADER = ",".join(CSV_FIELDS)
@@ -244,14 +245,31 @@ class TestWriters:
 
     def test_csv_state_columns(self, tmp_path):
         path = tmp_path / "t.csv"
-        states = [SystemState(np.array([1.0, 2.0]), np.array([3.0]),
-                              np.array([4.0]), 0.0),
-                  SystemState(np.array([5.0, 6.0]), np.array([7.0]),
-                              np.array([8.0]), 1.0)]
-        write_trace_csv(path, self._trace(), states=states)
+        U = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+        write_trace_csv(path, self._trace(), U=U, n=2)
         lines = path.read_text().splitlines()
         assert lines[0].endswith("x_0,x_1,z_0,y_0")
         assert lines[1].endswith("1.0,2.0,3.0,4.0")
+        assert lines[2].endswith("5.0,6.0,7.0,8.0")
+
+    def test_state_columns_match_state_list(self, tmp_path, example1):
+        """The state columns written from U are the bytes the per-state
+        writer produced: each row is repr of x, then z, then y."""
+        params = FlowParams(c=1.0, gamma=0.5, tau=TauSchedule.constant(0.25),
+                            horizon=1.0, integrator=RK4(h=0.1))
+        traj = integrate(example1, params)
+        trace = trace_flow(example1, params, traj)
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, trace, U=traj.U, n=example1.n,
+                        footer=[("k", 1.5)])
+        plain = tmp_path / "plain.csv"
+        write_trace_csv(plain, trace, footer=[("k", 1.5)])
+        want = plain.read_text().splitlines()
+        want[0] += ",x_0,x_1,z_0,z_1,y_0,y_1"
+        for i, s in enumerate(traj.states, start=1):
+            want[i] += "," + ",".join(
+                repr(float(v)) for v in (*s.x, *s.z, *s.y))
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
     def test_float_cells_round_trip(self, tmp_path):
         """repr-formatted cells parse back to the identical float."""

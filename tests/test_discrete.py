@@ -167,6 +167,28 @@ class TestRun:
         assert out.stop_reason == "tolerance"
         np.testing.assert_allclose(out.final.x, p.known_primal, atol=1e-8)
 
+    def test_wrong_start_dimensions_rejected(self, example1):
+        """A z0 of shape (1,) would broadcast against the 2-d problem."""
+        s0 = SystemState(np.zeros(2), np.zeros(1), np.zeros(2), 0.0)
+        with pytest.raises(ValueError, match="wrong dimensions"):
+            run(example1, DiscreteParams(), s0)
+
+    @pytest.mark.parametrize("algorithm", ["admm", "cp"])
+    def test_rows_match_state_views(self, algorithm):
+        p = catalog("lasso-small")
+        d = DiscreteParams(c=1.0, gamma=1.0, tau=0.2, max_iters=12,
+                           stop_tol=0.0)
+        out = run(p, d, algorithm=algorithm)
+        assert out.U.shape == (13, p.n + 2 * p.m)
+        assert out.iterations == 12
+        states = out.states
+        assert len(states) == len(out.residuals) == 13
+        for k, s in enumerate(states):
+            assert s.t == float(k)
+            np.testing.assert_array_equal(np.concatenate((s.x, s.z, s.y)),
+                                          out.U[k])
+        np.testing.assert_array_equal(out.final.y, out.U[-1, p.n + p.m:])
+
     def test_residual_history_aligned(self, example1):
         d = DiscreteParams(tau=0.25, max_iters=50, stop_tol=0.0)
         out = run(example1, d, _start())

@@ -11,8 +11,8 @@ import pytest
 
 from pdflow import linops
 from pdflow.errors import CertificationError, IntegrationError
-from pdflow.flow import (Adaptive, ErgodicAccumulator, Euler, FlowParams,
-                         RK4, SystemState, ergodic, integrate, rhs)
+from pdflow.flow import (Adaptive, Euler, FlowParams, RK4, SystemState,
+                         ergodic, integrate, rhs)
 from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import MetricSchedule, TauSchedule
 from pdflow.problems import CATALOG_NAMES, catalog
@@ -125,30 +125,24 @@ class TestErgodicAverage:
     def test_constant_trajectory(self):
         s0 = SystemState(np.array([2.0, -1.0]), np.array([1.0, 1.0]),
                          np.zeros(2), 0.0)
-        acc = ErgodicAccumulator.start(s0)
-        acc.int_x = s0.x * 5.0
-        acc.int_z = s0.z * 5.0
-        s = SystemState(s0.x, s0.z, s0.y, 5.0)
-        x_tilde, z_tilde = ergodic(acc, s)
-        np.testing.assert_allclose(x_tilde, s0.x, atol=1e-14)
-        np.testing.assert_allclose(z_tilde, s0.z, atol=1e-14)
+        v0 = np.concatenate((s0.x, s0.z))
+        avg = ergodic(5.0, v0, v0, v0 * 5.0)
+        np.testing.assert_allclose(avg[:2], s0.x, atol=1e-14)
+        np.testing.assert_allclose(avg[2:], s0.z, atol=1e-14)
 
     def test_linear_trajectory_closed_form(self):
         """For x(s) = s d the average of (xdot + x) over [0, t] is
         d + t d / 2; feed the exact integrals and check the formula."""
         d = np.array([3.0, -2.0])
         t = 4.0
-        acc = ErgodicAccumulator(np.zeros(2), np.zeros(2),
-                                 0.5 * t ** 2 * d, np.zeros(2), 0.0)
-        s = SystemState(t * d, np.zeros(2), np.zeros(2), t)
-        x_tilde, _ = ergodic(acc, s)
+        x_tilde = ergodic(t, t * d, np.zeros(2), 0.5 * t ** 2 * d)
         np.testing.assert_allclose(x_tilde, d + 0.5 * t * d, atol=1e-14)
 
     def test_requires_positive_time(self):
         s0 = _start()
-        acc = ErgodicAccumulator.start(s0)
+        v0 = np.concatenate((s0.x, s0.z))
         with pytest.raises(ValueError):
-            ergodic(acc, s0)
+            ergodic(s0.t, v0, v0, np.zeros(4))
 
 
 class TestIntegrate:
@@ -334,6 +328,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(example1, _closed_params(horizon=1.0), s0)
 
+    @pytest.mark.parametrize("record_every", [0, -1])
+    def test_record_every_must_be_positive(self, example1, record_every):
+        with pytest.raises(ValueError, match="record_every"):
+            integrate(example1, _closed_params(horizon=1.0), _start(),
+                      record_every=record_every)
+
     def test_certificate_gate_runs_before_stepping(self, example1):
         params = _closed_params(tau=0.8, horizon=1.0)
         with pytest.raises(CertificationError):
@@ -377,3 +377,52 @@ class TestIntegrate:
                             integrator=RK4(h=0.02), inner_tol=1e-11)
         traj = integrate(example1, params, _start())
         assert float(np.linalg.norm(traj.final.x)) <= 1e-2
+
+
+class TestColumnarTrajectory:
+    """A trajectory is t (R,), U (R, n + 2m) with rows x | z | y, and erg
+    (R, n + m) with rows x_tilde | z_tilde; the per-record views agree with
+    the rows."""
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("mode", ["closed-form", "general-metric"])
+    @pytest.mark.parametrize("integrator", [Euler(h=0.1), RK4(h=0.1),
+                                            Adaptive(h0=0.1)],
+                             ids=["euler", "rk4", "adaptive"])
+    def test_rows_and_views(self, integrator, mode, record_every):
+        p = catalog("lasso-small")
+        n, m = p.n, p.m
+        if mode == "closed-form":
+            params = FlowParams(c=1.0, gamma=0.5, tau=TauSchedule.constant(
+                0.9 / linops.operator_norm(p.A) ** 2), horizon=2.0,
+                integrator=integrator)
+        else:
+            params = FlowParams(
+                c=1.0, gamma=0.5, horizon=2.0,
+                m1=MetricSchedule.constant(SelfAdjointPSD.identity(n, 0.5)),
+                integrator=integrator)
+        traj = integrate(p, params, record_every=record_every)
+        R = len(traj.t)
+        if not isinstance(integrator, Adaptive):
+            # 20 steps: all of them, or steps 3, 6, ..., 18 and the last
+            assert R == (21 if record_every == 1 else 8)
+        assert traj.U.shape == (R, n + 2 * m)
+        assert traj.erg.shape == (R, n + m)
+        assert traj.t[0] == 0.0 and traj.t[-1] == pytest.approx(2.0)
+        assert np.isnan(traj.erg[0]).all()
+        assert np.isfinite(traj.erg[1:]).all()
+        states = traj.states
+        assert len(states) == len(traj.ergodic_x) == len(traj.ergodic_z) == R
+        for i, s in enumerate(states):
+            assert s.t == traj.t[i]
+            np.testing.assert_array_equal(np.concatenate((s.x, s.z, s.y)),
+                                          traj.U[i])
+            xt, zt = traj.ergodic_x[i], traj.ergodic_z[i]
+            if i == 0:
+                assert xt is None and zt is None
+            else:
+                np.testing.assert_array_equal(np.concatenate((xt, zt)),
+                                              traj.erg[i])
+        np.testing.assert_array_equal(traj.final.x, traj.U[-1, :n])
+        assert traj.final.t == traj.t[-1]
+
