@@ -16,11 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import (_apply_rows, _flow_schedules, _row_norms,
-                          lyapunov_excess, trace_flow)
+from .diagnostics import _apply_rows, _row_norms, lyapunov_excess, trace_flow
 from .discrete import DiscreteParams, run as discrete_run
 from .errors import MissingSolutionError
-from .flow import Euler, FlowParams, SystemState, integrate, rhs
+from .flow import Euler, FlowParams, SystemState, integrate, rhs, schedules
 from .linops import psd_floor
 from .metric import certify, x_update_metric
 from .problems import ProblemSpec, kkt_residual
@@ -85,7 +84,7 @@ def _check_resolvent_identity(p: ProblemSpec, rng) -> CheckResult:
 
 
 def _check_conditions(p: ProblemSpec, params: FlowParams) -> CheckResult:
-    m1, m2 = _flow_schedules(p, params)
+    m1, m2 = schedules(p, params.c, params.tau, params.m1, params.m2)
     report = certify(m1, m2, params.c, params.gamma, p.A,
                      lipschitz_h=p.h.lipschitz_grad, horizon=params.horizon)
     passed = report.cweak and report.rate_condition
@@ -121,7 +120,7 @@ def _check_third_line(p: ProblemSpec, params: FlowParams, rng) -> CheckResult:
 
 
 def _check_lipschitz(p: ProblemSpec, params: FlowParams, rng) -> CheckResult:
-    m1, _ = _flow_schedules(p, params)
+    m1, _ = schedules(p, params.c, params.tau, params.m1, params.m2)
     metric = x_update_metric(m1, params.c, p.A, 0.0)
     alpha = psd_floor(metric, strict=False)
     if alpha <= 0:

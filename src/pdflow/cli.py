@@ -35,13 +35,11 @@ from .config import (RunConfig, _as_tau, _fmt, build_discrete_params,
                      build_flow_params, initial_state, load_problem,
                      parse_file)
 from .diagnostics import (CSV_FIELDS, certify_rates, initial_weighted_distance,
-                          sweep_summary, trace_discrete, trace_flow,
-                          _flow_schedules)
+                          sweep_summary, trace_discrete, trace_flow)
 from .discrete import run as discrete_run
 from .errors import (CertificationError, ConfigError, IntegrationError,
                      MissingSolutionError, ToleranceNotMet)
-from .flow import integrate
-from .metric import MetricSchedule
+from .flow import integrate, schedules
 
 __all__ = ["main", "build_parser"]
 
@@ -205,7 +203,7 @@ def _flow_single(p, cfg, s0, gamma=None, tau=None):
     params = build_flow_params(cfg, p, gamma=gamma, tau=tau)
     traj = integrate(p, params, s0, record_every=cfg.record_every)
     trace = trace_flow(p, params, traj)
-    m1, m2 = _flow_schedules(p, params)
+    m1, m2 = schedules(p, params.c, params.tau, params.m1, params.m2)
     w0 = _w0_or_none(p, m1, m2, params.c, params.gamma, s0)
     cert = certify_rates(trace, p, w0, grid=cfg.grid,
                          hit_threshold=cfg.hit_threshold)
@@ -255,8 +253,7 @@ def cmd_discrete(args, cfg) -> int:
     d = build_discrete_params(cfg, p)
     result = discrete_run(p, d, s0, algorithm=args.algorithm)
     trace = trace_discrete(p, d, result)
-    m1 = MetricSchedule.tau_family(d.tau, d.c, p.A)
-    m2 = MetricSchedule.zero(p.m)
+    m1, m2 = schedules(p, d.c, d.tau, d.m1, d.m2)
     w0 = _w0_or_none(p, m1, m2, d.c, d.gamma, s0)
     cert = certify_rates(trace, p, w0, grid=cfg.grid,
                          hit_threshold=cfg.hit_threshold)

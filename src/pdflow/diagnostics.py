@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingSolutionError
-from .flow import FlowParams, FlowTrajectory, SystemState
+from .flow import FlowParams, FlowTrajectory, SystemState, schedules
 from .metric import MetricSchedule, TauSchedule, weight_W
 from .problems import ProblemSpec
 
@@ -107,16 +107,6 @@ def initial_weighted_distance(p: ProblemSpec, m1: MetricSchedule,
     return w.seminorm_sq(_stack(s0, x_star, p.A.apply(x_star), np.zeros(p.m)))
 
 
-def _flow_schedules(p: ProblemSpec, params: FlowParams):
-    if params.mode == "closed-form":
-        m1 = MetricSchedule.tau_family(params.tau, params.c, p.A)
-        m2 = MetricSchedule.zero(p.m)
-    else:
-        m1 = params.m1
-        m2 = params.m2 if params.m2 is not None else MetricSchedule.zero(p.m)
-    return m1, m2
-
-
 def _row_dots(a, b) -> np.ndarray:
     """<a_i, b_i> per row, each one BLAS dot like a 1-D `a_i @ b_i`, so
     `sqrt(_row_dots(d, d))` is bit-equal to np.linalg.norm of each row
@@ -184,7 +174,7 @@ def _build_trace(p, m1, m2, c, gamma, t, U, erg=None, tau=None) -> Trace:
 
 def trace_flow(p: ProblemSpec, params: FlowParams,
                traj: FlowTrajectory) -> Trace:
-    m1, m2 = _flow_schedules(p, params)
+    m1, m2 = schedules(p, params.c, params.tau, params.m1, params.m2)
     return _build_trace(p, m1, m2, params.c, params.gamma,
                         traj.t, traj.U, traj.erg)
 
@@ -193,17 +183,14 @@ def trace_discrete(p: ProblemSpec, d, run_result) -> Trace:
     """Per-iteration trace; the time column is the iteration index k.
 
     Ergodic fields stay blank (averaging is a property of the continuous
-    flow).  The Lyapunov weight uses the per-iteration metric at t = k.
+    flow).  The Lyapunov weight uses the per-iteration metric at t = k: a
+    step-derived M1 is built at tau_0 and shifted to tau_k in row k.
     """
     U = run_result.U
     t = np.arange(len(U), dtype=float)
-    m2 = d.m2 if d.m2 is not None else MetricSchedule.zero(p.m)
-    if d.m1 is not None:
-        return _build_trace(p, d.m1, m2, d.c, d.gamma, t, U)
-    m1 = MetricSchedule.tau_family(TauSchedule.constant(d.tau_at(0)), d.c,
-                                   p.A)
-    return _build_trace(p, m1, m2, d.c, d.gamma, t, U,
-                        tau=[d.tau_at(int(k)) for k in t])
+    m1, m2 = schedules(p, d.c, TauSchedule.constant(d.tau_at(0)), d.m1, d.m2)
+    tau = None if d.m1 is not None else [d.tau_at(k) for k in range(len(U))]
+    return _build_trace(p, m1, m2, d.c, d.gamma, t, U, tau=tau)
 
 
 def first_hit_time(trace, threshold) -> float:

@@ -1,9 +1,11 @@
 """Discrete counterparts of the flow: a proximal ADMM family and two
 primal-dual step forms.
 
-One explicit Euler step of the flow with step 1 reproduces `admm_step`
-exactly (the subproblem solves are shared code paths), which is the
-equivalence the tests pin down to 1e-12.
+`admm_step` is the flow's own proximal ADMM update, built by
+`flow._make_update`, followed by the dual ascent step.  So one explicit
+Euler step of the flow with step 1 is one `admm_step`, which the tests pin
+down to 1e-12; the closed-form or `metric_prox` solve of each block is
+chosen there, once per run.
 
 `cp_step` is the dual-extrapolated primal-dual update (uses 2 y^k - y^{k-1}
 in the x-step); `cp_step_explicit` is the same iteration written with the
@@ -18,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .flow import (SystemState, _start_row, _state_rows, _x_new_closed,
-                   _x_new_metric, _z_new_closed, _z_new_metric)
-from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
+from .flow import SystemState, _make_update, _start_row, _state_rows
+from .metric import MetricSchedule, TauSchedule
 from .problems import ProblemSpec, SaddleResidual, kkt_residual
 from .proxlib import conjugate_prox
 
@@ -40,9 +41,10 @@ DIVERGENCE_LIMIT = 1e12
 class DiscreteParams:
     """Iteration parameters.
 
-    tau may be a float, a sequence indexed by k, or a TauSchedule evaluated
-    at t = k.  Omitting m1 selects the step-derived metric
-    M1^k = I / tau_k - c A* A (single-prox x-update); m2 defaults to zero.
+    tau may be a positive float, a nonempty sequence indexed by k (its last
+    entry repeats), or a TauSchedule evaluated at t = k.  Omitting m1
+    selects the step-derived metric M1^k = I / tau_k - c A* A (single-prox
+    x-update); m2 defaults to zero.
     """
 
     c: float = 1.0
@@ -61,6 +63,11 @@ class DiscreteParams:
             raise ValueError("gamma must lie in [0,1]")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        if not isinstance(self.tau, TauSchedule):
+            taus = np.ravel(np.asarray(self.tau, dtype=float))
+            if not (taus.size and np.all(taus > 0)):
+                raise ValueError("tau must be positive, or a nonempty "
+                                 "sequence of positive steps")
 
     def tau_at(self, k) -> float:
         if isinstance(self.tau, TauSchedule):
@@ -68,6 +75,19 @@ class DiscreteParams:
         if isinstance(self.tau, (int, float)):
             return float(self.tau)
         return float(self.tau[min(k, len(self.tau) - 1)])
+
+
+def _admm(p: ProblemSpec, d: DiscreteParams):
+    """Build the iteration (k, x, z, y) -> (x, z, y) at k + 1 for one run."""
+    c = d.c
+    a_apply = p.A._raw_apply
+    update = _make_update(p, c, d.gamma, d.tau_at, d.m1, d.m2, d.inner_tol)
+
+    def step(k, x, z, y):
+        x_new, z_new = update(k, x, z, y)
+        return x_new, z_new, y + c * (a_apply(x_new) - z_new)
+
+    return step
 
 
 def admm_step(p: ProblemSpec, d: DiscreteParams, k: int,
@@ -78,22 +98,7 @@ def admm_step(p: ProblemSpec, d: DiscreteParams, k: int,
     term in the metric M1^k; z^{k+1} sees the relaxed point
     gamma x^{k+1} + (1-gamma) x^k; y^{k+1} = y^k + c (A x^{k+1} - z^{k+1}).
     """
-    c, gamma = d.c, d.gamma
-    x, z, y = s.x, s.z, s.y
-    if d.m1 is None:
-        x_new = _x_new_closed(p, d.tau_at(k), c, x, z, y)
-    else:
-        m1_k = d.m1.at(float(k))
-        q = x_update_metric(d.m1, c, p.A, float(k))
-        x_new = _x_new_metric(p, q, m1_k, c, x, z, y, d.inner_tol)
-    ax_bar = p.A._raw_apply(x + gamma * (x_new - x))
-    if d.m2 is None or d.m2.is_zero():
-        z_new = _z_new_closed(p, c, ax_bar, y)
-    else:
-        qz = z_update_metric(d.m2, c, float(k))
-        z_new = _z_new_metric(p, qz, d.m2.at(float(k)), c, ax_bar, y, z, d.inner_tol)
-    y_new = y + c * (p.A._raw_apply(x_new) - z_new)
-    return SystemState(x_new, z_new, y_new, float(k + 1))
+    return SystemState(*_admm(p, d)(k, s.x, s.z, s.y), float(k + 1))
 
 
 def _require_cp(p: ProblemSpec, d: DiscreteParams):
@@ -168,10 +173,10 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
     """Iterate until the KKT residual max-component drops to stop_tol,
     the budget runs out, or an iterate norm exceeds the divergence limit.
 
-    algorithm "admm" uses `admm_step`; "cp" uses `cp_step` and tracks the
-    splitting variable via z^{k+1} = A x^{k+1} - (y^{k+1} - y^k)/c so the
-    same residuals are reported.  Raises ValueError if s0 has the wrong
-    dimensions.
+    algorithm "admm" iterates `admm_step`, built once per run; "cp" uses
+    `cp_step` and tracks the splitting variable via
+    z^{k+1} = A x^{k+1} - (y^{k+1} - y^k)/c so the same residuals are
+    reported.  Raises ValueError if s0 has the wrong dimensions.
     """
     u0 = _start_row(p, s0)
     if algorithm not in ("admm", "cp"):
@@ -180,27 +185,26 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
         _require_cp(p, d)
 
     rows = [u0]
-    s = SystemState(u0[:p.n], u0[p.n:p.n + p.m], u0[p.n + p.m:], 0.0)
-    residuals = [kkt_residual(p, s.x, s.z, s.y)]
+    x, z, y = np.split(u0, [p.n, p.n + p.m])
+    residuals = [kkt_residual(p, x, z, y)]
     if residuals[0].max() <= d.stop_tol:
         return DiscreteRun(np.array(rows), residuals, "tolerance", p.n)
 
-    y_prev = s.y
+    admm = _admm(p, d) if algorithm == "admm" else None
+    y_prev = y
     for k in range(d.max_iters):
         if algorithm == "admm":
-            s = admm_step(p, d, k, s)
+            x, z, y = admm(k, x, z, y)
         else:
-            x_new, y_new = cp_step(p, d, k, s.x, s.y, y_prev)
-            z_new = p.A._raw_apply(x_new) - (y_new - s.y) / d.c
-            y_prev = s.y
-            s = SystemState(x_new, z_new, y_new, float(k + 1))
-        rows.append(np.concatenate((s.x, s.z, s.y)))
-        norm = max(np.linalg.norm(s.x), np.linalg.norm(s.z),
-                   np.linalg.norm(s.y))
+            x, y_new = cp_step(p, d, k, x, y, y_prev)
+            z = p.A._raw_apply(x) - (y_new - y) / d.c
+            y_prev, y = y, y_new
+        rows.append(np.concatenate((x, z, y)))
+        norm = max(np.linalg.norm(x), np.linalg.norm(z), np.linalg.norm(y))
         if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
             residuals.append(SaddleResidual(np.inf, np.inf, np.inf))
             return DiscreteRun(np.array(rows), residuals, "divergence", p.n)
-        residuals.append(kkt_residual(p, s.x, s.z, s.y))
+        residuals.append(kkt_residual(p, x, z, y))
         if residuals[-1].max() <= d.stop_tol:
             return DiscreteRun(np.array(rows), residuals, "tolerance", p.n)
     return DiscreteRun(np.array(rows), residuals, "budget", p.n)

@@ -1,19 +1,22 @@
 """The primal-dual dynamical system and its time integrators.
 
-State U = (x, z, y).  The right-hand side evaluates sequentially: the
-x-velocity u solves a strongly convex prox subproblem, the z-velocity v
-solves a second one that already consumes u (relaxation weight gamma), and
-the dual velocity is the explicit
+State U = (x, z, y).  The right-hand side is one proximal ADMM update,
+(x, z, y) -> (x_new, z_new), read as a velocity: u = x_new - x solves a
+strongly convex prox subproblem, v = z_new - z solves a second one at the
+relaxed point x + gamma u, and the dual velocity is the explicit
 
     w = c (A (u + x) - (v + z)).
 
-Two evaluation modes:
+`_make_update` builds that update, and with it the evaluation mode, once
+per run; `discrete.admm_step` uses the same update, so a unit-step Euler
+step is one ADMM iteration by construction.  The modes:
 
 * closed-form      -- x-update metric I / tau(t) (the tau family), both
                       subproblems collapse to single prox calls; requires
                       c tau(t) ||A||^2 <= 1 over the horizon
 * general-metric   -- arbitrary PSD schedules M1, M2; subproblems solved by
-                      `metric_prox`; requires a uniformly positive x-metric
+                      `metric_prox` (a zero M2 keeps the single z-prox);
+                      requires a uniformly positive x-metric
 
 Every integrator is an explicit Runge-Kutta method given by its Butcher
 tableau (Hairer-Norsett-Wanner, Solving ODEs I, II.1-II.4): fixed-step
@@ -38,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationError, IntegrationError
-from .linops import SelfAdjointPSD
 from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
 from .problems import ProblemSpec
 from .proxlib import metric_prox
@@ -50,6 +52,7 @@ __all__ = [
     "RK4",
     "Adaptive",
     "FlowTrajectory",
+    "schedules",
     "rhs",
     "integrate",
     "ergodic",
@@ -97,7 +100,8 @@ class Adaptive:
     tableau's error estimate over abs_tol + rel_tol max(|U_n|, |U_n+1|) is
     at most 1; the next step is h * clip(0.9 err^(-1/5), 0.2, 5), capped at
     h_max, and a rejection whose shrunken step falls below h_min stops the
-    run.  A rejected trial is retried from the same first slope.
+    run.  A rejected trial is retried from the same first slope.  h0 = 0
+    never advances and abs_tol = 0 can make the error NaN, which passes.
     """
 
     rel_tol: float = 1e-6
@@ -105,6 +109,16 @@ class Adaptive:
     h0: float = 0.01
     h_min: float = 1e-8
     h_max: float = 1.0
+
+    def __post_init__(self):
+        if not self.h0 > 0:
+            raise ValueError("adaptive first step h0 must be positive")
+        if not 0 < self.h_min <= self.h_max:
+            raise ValueError("adaptive steps need 0 < h_min <= h_max")
+        if not self.abs_tol > 0:
+            raise ValueError("adaptive abs_tol must be positive")
+        if not self.rel_tol >= 0:
+            raise ValueError("adaptive rel_tol must be nonnegative")
 
 
 @dataclass
@@ -186,79 +200,70 @@ def _start_row(p: ProblemSpec, s0: SystemState | None) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-# -- subproblem solves shared with the discrete schemes ----------------------
+def schedules(p: ProblemSpec, c, tau=None, m1=None, m2=None):
+    """The metric schedules (M1, M2) of a run: without m1, the tau family
+    M1(t) = I / tau(t) - c A* A of the TauSchedule tau; without m2, zero."""
+    if m1 is None:
+        m1 = MetricSchedule.tau_family(tau, c, p.A)
+    return m1, MetricSchedule.zero(p.m) if m2 is None else m2
 
 
-def _x_new_closed(p: ProblemSpec, tau_t, c, x, z, y):
-    """Closed-form x-argmin for the metric I/tau - c A*A (a single prox)."""
-    r = y + c * (p.A._raw_apply(x) - z)
-    arg = x - tau_t * p.A._raw_adjoint(r)
-    if not p.h.is_zero:
-        arg = arg - tau_t * p.h.grad(x)
-    return p.f.prox(tau_t, arg)
+def _make_update(p: ProblemSpec, c, gamma, tau_at, m1: MetricSchedule | None,
+                 m2: MetricSchedule | None, tol):
+    """Build the proximal ADMM update (t, x, z, y) -> (x_new, z_new), with
+    z_new taken at the relaxed point x + gamma (x_new - x); t is the flow
+    time or the iteration index k.  Each block is chosen here, once: without
+    m1 (metric I / tau_at(t) - c A* A) the x-update is one prox of f, and
+    without a nonzero m2 the z-update is one prox of g; otherwise
+    `metric_prox` solves the block in c A* A + M1(t) or M2(t) + c I to tol.
+    """
+    a_apply, a_adjoint = p.A._raw_apply, p.A._raw_adjoint
+    h_grad = None if p.h.is_zero else p.h.grad
 
+    if m1 is None:
+        def x_update(t, x, z, y):
+            tau_t = tau_at(t)
+            arg = x - tau_t * a_adjoint(y + c * (a_apply(x) - z))
+            if h_grad is not None:
+                arg = arg - tau_t * h_grad(x)
+            return p.f.prox(tau_t, arg)
+    else:
+        def x_update(t, x, z, y):
+            m1_t = m1.at(t)
+            q = x_update_metric(m1, c, p.A, t)
+            lin = -(m1_t.base._raw_apply(x) + a_adjoint(c * z - y))
+            if h_grad is not None:
+                lin = lin + h_grad(x)
+            return metric_prox(p.f, q, lin, x, tol=tol)
 
-def _x_new_metric(p: ProblemSpec, q: SelfAdjointPSD, m1_t: SelfAdjointPSD,
-                  c, x, z, y, tol):
-    """General x-argmin: minimize f + 1/2 <., Q .> - <., M1 x + c A* z - A* y - grad h>."""
-    lin = -(m1_t.base._raw_apply(x)
-            + p.A._raw_adjoint(c * z - y))
-    if not p.h.is_zero:
-        lin = lin + p.h.grad(x)
-    return metric_prox(p.f, q, lin, x, tol=tol)
+    if m2 is None or m2.is_zero():
+        def z_update(t, ax_bar, z, y):
+            return p.g.prox(1.0 / c, ax_bar + y / c)
+    else:
+        def z_update(t, ax_bar, z, y):
+            lin = -(m2.at(t).base._raw_apply(z) + c * ax_bar + y)
+            return metric_prox(p.g, z_update_metric(m2, c, t), lin, z, tol=tol)
 
+    def update(t, x, z, y):
+        x_new = x_update(t, x, z, y)
+        return x_new, z_update(t, a_apply(x + gamma * (x_new - x)), z, y)
 
-def _z_new_closed(p: ProblemSpec, c, ax_bar, y):
-    """z-argmin with M2 = 0: a single prox of g at A x_bar + y/c."""
-    return p.g.prox(1.0 / c, ax_bar + y / c)
-
-
-def _z_new_metric(p: ProblemSpec, qz: SelfAdjointPSD, m2_t: SelfAdjointPSD,
-                  c, ax_bar, y, z, tol):
-    """General z-argmin: minimize g + 1/2 <., (M2 + c I) .> - <., M2 z + c A x_bar + y>."""
-    lin = -(m2_t.base._raw_apply(z) + c * ax_bar + y)
-    return metric_prox(p.g, qz, lin, z, tol=tol)
+    return update
 
 
 def _make_rhs(p: ProblemSpec, params: FlowParams):
     """Build the fast (t, x, z, y) -> (u, v, w) closure for one run."""
     c = params.c
-    gamma = params.gamma
     a_apply = p.A._raw_apply
-
-    if params.mode == "closed-form":
-        tau = params.tau
-
-        def rhs_fn(t, x, z, y):
-            x_new = _x_new_closed(p, tau.value(t), c, x, z, y)
-            u = x_new - x
-            z_new = _z_new_closed(p, c, a_apply(x + gamma * u), y)
-            v = z_new - z
-            w = c * (a_apply(u + x) - (v + z))
-            return u, v, w
-
-        return rhs_fn
-
-    m1, m2 = params.m1, params.m2
-    if m2 is None:
-        m2 = MetricSchedule.zero(p.m)
-    tol = params.inner_tol
-    m2_zero = m2.is_zero()
+    update = _make_update(p, c, params.gamma,
+                          None if params.tau is None else params.tau.value,
+                          params.m1, params.m2, params.inner_tol)
 
     def rhs_fn(t, x, z, y):
-        m1_t = m1.at(t)
-        q = x_update_metric(m1, c, p.A, t)
-        x_new = _x_new_metric(p, q, m1_t, c, x, z, y, tol)
+        x_new, z_new = update(t, x, z, y)
         u = x_new - x
-        ax_bar = a_apply(x + gamma * u)
-        if m2_zero:
-            z_new = _z_new_closed(p, c, ax_bar, y)
-        else:
-            z_new = _z_new_metric(p, z_update_metric(m2, c, t), m2.at(t),
-                                  c, ax_bar, y, z, tol)
         v = z_new - z
-        w = c * (a_apply(u + x) - (v + z))
-        return u, v, w
+        return u, v, c * (a_apply(u + x) - (v + z))
 
     return rhs_fn
 
@@ -289,8 +294,8 @@ def _check_certificates(p: ProblemSpec, params: FlowParams):
     else:
         from .metric import certify
 
-        m2 = params.m2 if params.m2 is not None else MetricSchedule.zero(p.m)
-        rep = certify(params.m1, m2, params.c, params.gamma, p.A,
+        m1, m2 = schedules(p, params.c, params.tau, params.m1, params.m2)
+        rep = certify(m1, m2, params.c, params.gamma, p.A,
                       lipschitz_h=p.h.lipschitz_grad, horizon=params.horizon)
         if not rep.cstrong.holds:
             raise CertificationError(

@@ -142,14 +142,16 @@ def x_update_metric(m1: MetricSchedule, c, A: LinearMap, t) -> SelfAdjointPSD:
 
     For the tau family the sum collapses to I / tau(t), so the spectral
     floor and norm are analytic; other schedules are time-independent and
-    Q, with its certified floor/norm pair, is built once and cached.
+    Q, with its certified floor/norm pair, is built once and cached per
+    (c, A).  The key holds A itself, not its id: an id can be reused by a
+    new map once the old one is freed.
     """
     c = float(c)
     if m1.kind == "tau-family":
         s = 1.0 / m1.tau.value(t)
         base = c * A.gram() + m1.at(t).base
         return SelfAdjointPSD(base, s, norm_hint=s)
-    key = ("x", c, id(A))
+    key = ("x", c, A)
     q = m1._q_cache.get(key)
     if q is None:
         base = _small_dense(c * A.gram() + m1.at(0.0).base)

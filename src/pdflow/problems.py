@@ -182,16 +182,15 @@ _BOXQP_DUAL = (0.26640843040358564, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 def _lasso_small() -> ProblemSpec:
     a, b, lam = _lasso_data()
-    spec = ProblemSpec(
+    return ProblemSpec(
         name="lasso-small",
         f=proxlib.l1_norm(8, weight=lam),
         h=proxlib.zero_smooth(8),
         g=proxlib.sq_distance(12, center=b),
         A=LinearMap.from_dense(a),
-        known_primal=None if _LASSO_PRIMAL is None else np.array(_LASSO_PRIMAL),
-        known_dual=None if _LASSO_DUAL is None else np.array(_LASSO_DUAL),
+        known_primal=np.array(_LASSO_PRIMAL),
+        known_dual=np.array(_LASSO_DUAL),
     )
-    return spec
 
 
 def _boxqp_data() -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -204,16 +203,15 @@ def _boxqp_data() -> tuple[np.ndarray, np.ndarray, float, float]:
 
 def _box_qp() -> ProblemSpec:
     p_mat, q_vec, lo, hi = _boxqp_data()
-    spec = ProblemSpec(
+    return ProblemSpec(
         name="box-qp",
         f=proxlib.zero(6),
         h=proxlib.quadratic_smooth(p_mat, q_vec),
         g=proxlib.box(6, lo, hi),
         A=LinearMap.identity(6),
-        known_primal=None if _BOXQP_PRIMAL is None else np.array(_BOXQP_PRIMAL),
-        known_dual=None if _BOXQP_DUAL is None else np.array(_BOXQP_DUAL),
+        known_primal=np.array(_BOXQP_PRIMAL),
+        known_dual=np.array(_BOXQP_DUAL),
     )
-    return spec
 
 
 def catalog(name: str) -> ProblemSpec:

@@ -192,7 +192,7 @@ def conjugate_prox(g: ProxFunction, c, y) -> np.ndarray:
 
 
 def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
-                tol=1e-10, max_iters=100_000, h_grad_at=None) -> np.ndarray:
+                tol=1e-10, max_iters=100_000) -> np.ndarray:
     """Minimize f(v) + <v, linear> + 1/2 <v, Q v> for positive definite Q.
 
     FISTA with the fixed step 1/||Q||, started at w_0 = v_0 = x0:
@@ -204,8 +204,6 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     gradient mapping at w_k points uphill along the last move, i.e.
     <w_k - v_{k+1}, v_{k+1} - v_k> > 0.  Stops when the relative residual
     ||v_{k+1} - w_k|| / step falls at or below tol * max(1, ||v_{k+1}||).
-    An optional gradient vector `h_grad_at` (a smooth term linearized at
-    the outer iterate) is folded into the linear coefficient.
 
     Raises
     ------
@@ -219,8 +217,6 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
         raise CertificationError(
             "metric_prox needs a positive definite Q (alpha_floor > 0)")
     lin = np.asarray(linear, dtype=float)
-    if h_grad_at is not None:
-        lin = lin + np.asarray(h_grad_at, dtype=float)
     v = np.array(x0, dtype=float)
     if f.dim != Q.dim or lin.shape != (Q.dim,) or v.shape != (Q.dim,):
         raise ValueError(

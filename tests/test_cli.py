@@ -163,6 +163,15 @@ class TestErrorPaths:
         assert code == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_zero_adaptive_tolerances_are_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("integrator = adaptive\nabs_tol = 0\nrel_tol = 0\n")
+        code = main(["flow", "--config", str(cfg), "--problem", "example1",
+                     "--tau", "0.25", "--horizon", "1",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "abs_tol" in capsys.readouterr().err
+
     def test_oversized_step_is_config_error(self, tmp_path, capsys):
         code = main(["flow", "--problem", "example1", "--tau", "0.9",
                      "--horizon", "1", "--out", str(tmp_path)])

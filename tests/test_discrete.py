@@ -205,6 +205,12 @@ class TestDiscreteParams:
         with pytest.raises(ValueError):
             DiscreteParams(max_iters=-1)
 
+    @pytest.mark.parametrize("tau", [[], (), 0.0, -0.25, [0.2, 0.0],
+                                     np.array([0.2, -0.1])])
+    def test_tau_rejected_at_construction(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            DiscreteParams(tau=tau)
+
     def test_tau_sequence_forms(self):
         assert DiscreteParams(tau=0.3).tau_at(7) == 0.3
         seq = DiscreteParams(tau=[0.3, 0.2, 0.1])

@@ -121,6 +121,22 @@ class TestFlowParams:
         assert m.mode == "general-metric"
 
 
+class TestAdaptiveParams:
+    # Integrating these would hang (h0 = 0) or pass NaN-error trials (zero
+    # tolerances), so the tests only construct them.
+    @pytest.mark.parametrize("kwargs", [
+        dict(h0=0.0), dict(h0=-0.01), dict(h_min=0.0), dict(h_min=2.0),
+        dict(h_max=1e-9), dict(abs_tol=0.0), dict(abs_tol=0.0, rel_tol=0.0),
+        dict(rel_tol=-1e-6), dict(rel_tol=float("nan"))],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            Adaptive(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        Adaptive(rel_tol=0.0, h_min=0.5, h_max=0.5, h0=2.0)
+
+
 class TestErgodicAverage:
     def test_constant_trajectory(self):
         s0 = SystemState(np.array([2.0, -1.0]), np.array([1.0, 1.0]),

@@ -110,6 +110,17 @@ class TestXUpdateMetric:
         x = np.array([0.7, -0.4])
         np.testing.assert_allclose(q1.apply(x), dense @ x, atol=1e-12)
 
+    def test_cache_is_per_map_when_maps_are_freed(self):
+        # Each map is dropped after its call, so a later one may reuse its
+        # id; the cached Q of the dropped map must not be handed back.
+        m1 = MetricSchedule.constant(SelfAdjointPSD.identity(2, 1.5))
+        for scale in range(1, 21):
+            A = LinearMap.from_dense(scale * np.eye(2))
+            q = x_update_metric(m1, 1.0, A, 0.0)
+            del A
+            np.testing.assert_allclose(q.apply(np.array([1.0, 0.0])),
+                                       [scale ** 2 + 1.5, 0.0], atol=1e-9)
+
 
 class TestZUpdateMetric:
     def test_scaled_identity_is_analytic_and_cached(self):

@@ -278,16 +278,6 @@ class TestMetricProx:
             got = metric_prox(f, q, lin, np.zeros(3), tol=1e-12)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
-    def test_h_grad_at_folds_into_linear(self):
-        q = SelfAdjointPSD.from_dense(np.array([[2.0, 0.5], [0.5, 1.5]]),
-                                      alpha_floor=1.0)
-        f = l1_norm(2, weight=0.3)
-        lin = np.array([1.0, -2.0])
-        g = np.array([0.5, 0.25])
-        a = metric_prox(f, q, lin, np.zeros(2), tol=1e-12, h_grad_at=g)
-        b = metric_prox(f, q, lin + g, np.zeros(2), tol=1e-12)
-        np.testing.assert_array_equal(a, b)
-
     def test_requires_positive_floor(self):
         with pytest.raises(CertificationError):
             metric_prox(zero(2), SelfAdjointPSD.zero(2), np.zeros(2),

@@ -1,0 +1,78 @@
+"""Print a digest of the CLI's outputs over a fixed list of runs.
+
+Usage, from the root of the tree under test:
+
+    PYTHONPATH=src python tools/output_digest.py > digest.txt
+
+Each run goes through `pdflow.cli.main` in its own temporary directory.
+The script prints the run's arguments and exit code, then the sha256 of its
+stdout, its stderr and every file it wrote, in name order.  Two trees whose
+digests diff clean wrote byte-identical outputs for every run.
+
+The runs: `flow --tau auto --horizon 20 --dump-state` and `check --tau
+auto` with each integrator, `discrete --tau auto --dump-state` with each
+algorithm, and a saturating-tau `flow` and `discrete` run, each on every
+catalog problem; then the divergent `discrete` run on box-qp.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+import warnings
+
+from pdflow import cli
+from pdflow.problems import CATALOG_NAMES
+
+SATURATING = "saturating:0.05,0.2"
+
+
+def commands():
+    for problem in CATALOG_NAMES:
+        base = ["--problem", problem]
+        for integrator in ("euler", "rk4", "adaptive"):
+            yield ["flow", *base, "--tau", "auto", "--horizon", "20",
+                   "--integrator", integrator, "--dump-state"]
+            yield ["check", *base, "--tau", "auto", "--integrator", integrator]
+        for algorithm in ("admm", "cp"):
+            yield ["discrete", *base, "--algorithm", algorithm, "--tau", "auto",
+                   "--dump-state"]
+        yield ["flow", *base, "--tau", SATURATING, "--horizon", "20",
+               "--dump-state"]
+        yield ["discrete", *base, "--tau", SATURATING, "--dump-state"]
+    yield ["discrete", "--problem", "box-qp", "--tau", "0.2", "--dump-state"]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv) -> list:
+    """The digest lines of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code = cli.main(argv + ["--out", tmp])
+        lines = [f"{' '.join(argv)}: exit {code}",
+                 f"  {_sha(out.getvalue().encode())}  <stdout>",
+                 f"  {_sha(err.getvalue().encode())}  <stderr>"]
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                lines.append(f"  {_sha(fh.read())}  {name}")
+    return lines
+
+
+def main() -> int:
+    for argv in commands():
+        print("\n".join(run(argv)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
