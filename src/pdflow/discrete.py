@@ -15,6 +15,7 @@ coincide once started from matching states (z^0 = A x^0, y^{-1} = y^0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,7 +201,7 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
             z = p.A._raw_apply(x) - (y_new - y) / d.c
             y_prev, y = y, y_new
         rows.append(np.concatenate((x, z, y)))
-        norm = max(np.linalg.norm(x), np.linalg.norm(z), np.linalg.norm(y))
+        norm = max(math.sqrt(x @ x), math.sqrt(z @ z), math.sqrt(y @ y))
         if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
             residuals.append(SaddleResidual(np.inf, np.inf, np.inf))
             return DiscreteRun(np.array(rows), residuals, "divergence", p.n)

@@ -2,14 +2,23 @@
 
 The solver touches nonsmooth terms only through proximal maps and smooth
 terms only through gradients, so each function object carries exactly those
-evaluations.  `metric_prox` solves the metric-weighted prox subproblem
+evaluations; a catalog function also carries the diagonal of a
+generalized Jacobian of its prox.  `metric_prox` solves the metric-weighted
+prox subproblem
 
     argmin_v  f(v) + <v, linear> + 1/2 <v, Q v>
 
-by accelerated proximal gradient (FISTA, Beck-Teboulle 2009) with the
-fixed step 1/||Q|| and gradient-based adaptive restart (O'Donoghue-Candes
-2015).  It stops on the gradient-mapping residual at the extrapolated
-point; when Q is a scaled identity the first step lands on the exact
+on the fixed-point map F(v) = v - prox_{s f}(v - s (Q v + linear)) with
+s = 1/||Q||.  When Q is stored as a dense matrix (the small cached metrics
+of `metric.x_update_metric` and `z_update_metric`, or
+`SelfAdjointPSD.from_dense`) and f has a prox Jacobian, it first takes up
+to `NEWTON_STEPS` semismooth Newton steps on F (Qi-Sun 1993; Li-Sun-Toh
+2018, SSNAL), one n x n solve each, halving a step that does not decrease
+||F|| enough.  Otherwise, or when Newton has not converged, it runs
+accelerated proximal gradient (FISTA, Beck-Teboulle 2009) with
+gradient-based adaptive restart (O'Donoghue-Candes 2015) from the last
+Newton iterate.  Both phases stop on the same gradient-mapping
+residual; when Q is a scaled identity the first step lands on the exact
 closed form and the second confirms it.
 """
 
@@ -38,6 +47,14 @@ __all__ = [
     "metric_prox",
 ]
 
+# Prox evaluations `metric_prox` spends on Newton steps, halved ones
+# included, before handing over to FISTA.
+NEWTON_STEPS = 8
+# Armijo's rule for a Newton move w + alpha dv: ||F|| must fall below
+# (1 - ARMIJO * alpha) times its value at w, or alpha is halved.
+ARMIJO = 1e-4
+
+
 class ProxFunction:
     """A proper closed convex function with a computable proximal map.
 
@@ -45,12 +62,17 @@ class ProxFunction:
     ----------
     dim : int
         Ambient dimension.
+
+    `jac_fn(t, u)`, when given, returns the diagonal of an element of the
+    generalized Jacobian of u -> prox_{t f}(u), as a (dim,) array or a
+    scalar; `metric_prox` uses it for its Newton steps.
     """
 
-    def __init__(self, dim, eval_fn, prox_fn, params=None):
+    def __init__(self, dim, eval_fn, prox_fn, params=None, jac_fn=None):
         self.dim = int(dim)
         self._eval = eval_fn
         self._prox = prox_fn
+        self._jac = jac_fn
         self.params = dict(params or {})
 
     def __call__(self, x) -> float:
@@ -70,7 +92,8 @@ class ProxFunction:
 
 
 def zero(dim) -> ProxFunction:
-    return ProxFunction(dim, lambda x: 0.0, lambda t, u: u.copy())
+    return ProxFunction(dim, lambda x: 0.0, lambda t, u: u.copy(),
+                        jac_fn=lambda t, u: 1.0)
 
 
 def sq_norm(dim, coef=1.0) -> ProxFunction:
@@ -79,7 +102,8 @@ def sq_norm(dim, coef=1.0) -> ProxFunction:
     if c < 0:
         raise ValueError("sq_norm coefficient must be nonnegative")
     return ProxFunction(dim, lambda x: 0.5 * c * float(x @ x),
-                        lambda t, u: u / (1.0 + t * c), {"coef": c})
+                        lambda t, u: u / (1.0 + t * c), {"coef": c},
+                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c))
 
 
 def l1_norm(dim, weight=1.0) -> ProxFunction:
@@ -93,7 +117,8 @@ def l1_norm(dim, weight=1.0) -> ProxFunction:
         return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0)
 
     return ProxFunction(dim, lambda x: w * float(np.abs(x).sum()), prox_fn,
-                        {"weight": w})
+                        {"weight": w},
+                        jac_fn=lambda t, u: np.abs(u) > t * w)
 
 
 def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
@@ -109,7 +134,8 @@ def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
         return np.inf
 
     return ProxFunction(dim, eval_fn, lambda t, u: np.clip(u, lo, hi),
-                        {"lo": lo, "hi": hi})
+                        {"lo": lo, "hi": hi},
+                        jac_fn=lambda t, u: (lo < u) & (u < hi))
 
 
 def sq_distance(dim, center, coef=1.0) -> ProxFunction:
@@ -120,12 +146,16 @@ def sq_distance(dim, center, coef=1.0) -> ProxFunction:
         raise ValueError("sq_distance coefficient must be nonnegative")
     return ProxFunction(dim, lambda x: 0.5 * c * float((x - b) @ (x - b)),
                         lambda t, u: (u + t * c * b) / (1.0 + t * c),
-                        {"center": b, "coef": c})
+                        {"center": b, "coef": c},
+                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c))
 
 
-def separable(dim, eval_fn, prox_fn, params=None) -> ProxFunction:
-    """Wrap custom vectorized eval/prox closures as a prox function."""
-    return ProxFunction(dim, eval_fn, prox_fn, params)
+def separable(dim, eval_fn, prox_fn, params=None, jac_fn=None) -> ProxFunction:
+    """Wrap custom vectorized eval/prox closures as a prox function.
+
+    Without `jac_fn`, `metric_prox` solves with FISTA alone.
+    """
+    return ProxFunction(dim, eval_fn, prox_fn, params, jac_fn)
 
 
 class SmoothFunction:
@@ -191,19 +221,51 @@ def conjugate_prox(g: ProxFunction, c, y) -> np.ndarray:
     return y - c * g.prox(1.0 / c, y / c)
 
 
+def _newton_step(f: ProxFunction, mat, step, u, d):
+    """The semismooth Newton move at w for F(w) = w - prox_{step f}(u) = -d,
+    with u = w - step (Q w + linear): solve (I - D + step D Q) dv = d, where
+    D is f's prox Jacobian diagonal at u.  None if the solve fails."""
+    jac = np.asarray(f._jac(step, u), dtype=float)
+    lhs = mat * np.reshape(step * jac, (-1, 1))
+    lhs.flat[::len(d) + 1] += 1.0 - jac
+    try:
+        dv = np.linalg.solve(lhs, d)
+    except np.linalg.LinAlgError:
+        return None
+    return dv if np.isfinite(dv).all() else None
+
+
 def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
                 tol=1e-10, max_iters=100_000) -> np.ndarray:
     """Minimize f(v) + <v, linear> + 1/2 <v, Q v> for positive definite Q.
 
-    FISTA with the fixed step 1/||Q||, started at w_0 = v_0 = x0:
+    Each iteration evaluates, at its point w_k (w_0 = x0), the prox-gradient
+    step with the fixed step 1/||Q||
 
         v_{k+1} = prox_{step f}(w_k - step (Q w_k + linear))
+
+    and stops when the relative residual ||v_{k+1} - w_k|| / step falls at
+    or below tol * max(1, ||v_{k+1}||), returning v_{k+1}.
+
+    Newton phase: when Q is stored as a dense matrix (`Q.base.mat`) and f
+    has a prox Jacobian, the first `NEWTON_STEPS` iterations move w by a
+    semismooth Newton step on F(w) = w - v_{k+1}, one linear solve with
+    I - D + step D Q (nonsingular for positive definite Q).  The move
+    w + alpha dv, alpha = 1, 1/2, 1/4, ..., is taken at the first alpha
+    that cuts ||F|| below (1 - ARMIJO alpha) times its value at w, each
+    trial one iteration: full steps can cycle between two active sets of
+    l1 or box.  A failed solve or a non-finite step ends the phase early.
+
+    FISTA phase: from the last Newton point, or from x0 otherwise,
+
         w_{k+1} = v_{k+1} + (theta_k - 1) / theta_{k+1} (v_{k+1} - v_k)
 
     Momentum restarts (theta back to 1, so w_{k+1} = v_{k+1}) whenever the
     gradient mapping at w_k points uphill along the last move, i.e.
-    <w_k - v_{k+1}, v_{k+1} - v_k> > 0.  Stops when the relative residual
-    ||v_{k+1} - w_k|| / step falls at or below tol * max(1, ||v_{k+1}||).
+    <w_k - v_{k+1}, v_{k+1} - v_k> > 0.  Scaled-identity and lazy Q run
+    this phase alone.
+
+    Every prox evaluation, in either phase, counts against max_iters.
 
     Raises
     ------
@@ -223,14 +285,32 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
             f"metric_prox: f, Q, linear and x0 must share dimension {Q.dim}")
     step = 1.0 / Q.norm()
     qapply = Q.base._raw_apply
+    mat = Q.base.mat
+    newton_left = NEWTON_STEPS if mat is not None and f._jac is not None else 0
     w = v
     theta = 1.0
+    # the last point a Newton step left from, its residual and the step
+    w_base, res_base, dv, alpha = None, 0.0, None, 1.0
     for _ in range(max_iters):
-        v_next = f.prox(step, w - step * (qapply(w) + lin))
+        u = w - step * (qapply(w) + lin)
+        v_next = f.prox(step, u)
         d = v_next - w
         res = math.sqrt(d @ d) / step
         if res <= tol * max(1.0, math.sqrt(v_next @ v_next)):
             return v_next
+        if newton_left:
+            newton_left -= 1
+            if w_base is not None and res > (1.0 - ARMIJO * alpha) * res_base:
+                alpha *= 0.5
+                w = w_base + alpha * dv
+                continue
+            dv = _newton_step(f, mat, step, u, d)
+            if dv is not None:
+                w_base, res_base, alpha = w, res, 1.0
+                w, v = w + dv, v_next
+                continue
+            newton_left = 0
+        # theta is 1 on the first FISTA iteration, so w_{k+1} = v_{k+1}
         move = v_next - v
         if d @ move < 0.0:
             theta = 1.0

@@ -13,9 +13,9 @@ from pdflow.errors import CertificationError, ToleranceNotMet
 from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import MetricSchedule, x_update_metric
 from pdflow.problems import catalog
-from pdflow.proxlib import (box, conjugate_prox, l1_norm, metric_prox, prox,
-                            quadratic_smooth, separable, sq_distance, sq_norm,
-                            zero, zero_smooth)
+from pdflow.proxlib import (NEWTON_STEPS, box, conjugate_prox, l1_norm,
+                            metric_prox, prox, quadratic_smooth, separable,
+                            sq_distance, sq_norm, zero, zero_smooth)
 
 
 def _golden_min(fn, lo, hi, iters=200):
@@ -284,14 +284,158 @@ class TestMetricProx:
                         np.zeros(2))
 
     def test_budget_exhaustion_carries_best_iterate(self):
+        """FISTA path: f = 0 wrapped without a prox Jacobian, since the
+        Newton path would solve this dense Q exactly in one step."""
         q = SelfAdjointPSD.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]),
                                       alpha_floor=1.0)
+        f = zero(2)
         with pytest.raises(ToleranceNotMet) as info:
-            metric_prox(zero(2), q, np.array([5.0, 0.0]), np.zeros(2),
-                        tol=1e-14, max_iters=2)
+            metric_prox(separable(2, f, f.prox), q, np.array([5.0, 0.0]),
+                        np.zeros(2), tol=1e-14, max_iters=2)
         err = info.value
         assert err.best.shape == (2,)
         assert err.residual > 0.0
+
+    def test_budget_counts_newton_evaluations(self):
+        """Newton path: the first evaluation fails the test and the Newton
+        step then lands on Q^{-1}(-lin), which the second evaluation
+        accepts.  A budget of one raises with a finite best iterate."""
+        mat = np.array([[2.0, 1.0], [1.0, 2.0]])
+        q = SelfAdjointPSD.from_dense(mat, alpha_floor=1.0)
+        lin = np.array([5.0, 0.0])
+        with pytest.raises(ToleranceNotMet) as info:
+            metric_prox(zero(2), q, lin, np.zeros(2), tol=1e-14, max_iters=1)
+        err = info.value
+        assert err.best.shape == (2,)
+        assert np.isfinite(err.best).all()
+        assert err.residual > 0.0
+        got = metric_prox(zero(2), q, lin, np.zeros(2), tol=1e-14, max_iters=2)
+        np.testing.assert_allclose(got, np.linalg.solve(mat, -lin), atol=1e-14)
+
+
+def _counted(f, with_jac=True):
+    """f rewrapped with a prox-call counter; without its prox Jacobian
+    unless `with_jac`, so that `metric_prox` runs FISTA alone."""
+    calls = []
+
+    def prox_fn(t, u):
+        calls.append(t)
+        return f.prox(t, u)
+
+    return separable(f.dim, f, prox_fn,
+                     jac_fn=f._jac if with_jac else None), calls
+
+
+def _random_pd(rng, dim):
+    base = rng.standard_normal((dim, dim))
+    mat = base.T @ base + 0.5 * np.eye(dim)
+    return SelfAdjointPSD.from_dense(mat, float(np.linalg.eigvalsh(mat)[0]))
+
+
+class TestMetricProxNewton:
+    """The semismooth Newton phase for dense Q, checked against FISTA alone
+    (the same f wrapped without its prox Jacobian)."""
+
+    def test_lasso_subproblems_agree_with_fista(self):
+        """500 lasso-small x-subproblems at the default tolerance, with the
+        metric-lasso metric c A*A + I/2 and the flow's linear term at
+        random states."""
+        p = catalog("lasso-small")
+        m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
+        q = x_update_metric(m1, 1.0, p.A, 0.0)
+        assert q.base.mat is not None
+        newton, newton_calls = _counted(p.f)
+        fista, fista_calls = _counted(p.f, with_jac=False)
+        rng = np.random.default_rng(607)
+        worst = 0.0
+        for _ in range(500):
+            x = rng.standard_normal(p.n)
+            z, y = rng.standard_normal(p.m), rng.standard_normal(p.m)
+            lin = -(0.5 * x + p.A.adjoint_apply(z - y))
+            got = metric_prox(newton, q, lin, x)
+            want = metric_prox(fista, q, lin, x)
+            worst = max(worst, float(np.abs(got - want).max()))
+        assert worst <= 1e-9
+        assert len(newton_calls) < len(fista_calls) / 5
+
+    @pytest.mark.parametrize("name,make", [k for k in _KINDS if k[0] != "l1"],
+                             ids=[k for k, _ in _KINDS if k != "l1"])
+    def test_other_kinds_agree_with_fista(self, name, make):
+        """At a tight tolerance, so that FISTA's own error stays far
+        below the 1e-9 compared."""
+        rng = np.random.default_rng(613)
+        f = make()
+        q = _random_pd(rng, f.dim)
+        newton, newton_calls = _counted(f)
+        fista, fista_calls = _counted(f, with_jac=False)
+        for _ in range(50):
+            lin = 3.0 * rng.standard_normal(f.dim)
+            x0 = rng.standard_normal(f.dim)
+            got = metric_prox(newton, q, lin, x0, tol=1e-12)
+            want = metric_prox(fista, q, lin, x0, tol=1e-12)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        assert len(newton_calls) < len(fista_calls) / 2
+
+    def test_kink_at_the_solution_reaches_tolerance(self):
+        """A degenerate lasso subproblem: at the minimizer v* = (0, 1, -2)
+        the prox argument's first entry sits exactly on the threshold,
+        |u_0| = step w, so the Jacobian choice there is ambiguous.  The
+        data are small dyadic numbers, so that equality is exact.  Newton
+        reaches the tolerance from every start without falling back."""
+        mat = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        q = SelfAdjointPSD.from_dense(mat, float(np.linalg.eigvalsh(mat)[0]))
+        w = 0.5
+        v_star = np.array([0.0, 1.0, -2.0])
+        lin = -mat @ v_star - w * np.array([1.0, 1.0, -1.0])
+        step = 1.0 / q.norm()
+        u = v_star - step * (q.base._raw_apply(v_star) + lin)
+        assert abs(u[0]) == step * w
+        f, calls = _counted(l1_norm(3, weight=w))
+        rng = np.random.default_rng(617)
+        starts = [v_star, np.zeros(3)] + [3.0 * rng.standard_normal(3)
+                                          for _ in range(20)]
+        for x0 in starts:
+            calls.clear()
+            got = metric_prox(f, q, lin, x0, tol=1e-13)
+            np.testing.assert_allclose(got, v_star, rtol=0, atol=1e-12)
+            assert len(calls) <= NEWTON_STEPS + 1
+
+    @pytest.mark.parametrize("mat,lin,x0,weight,v_star", [
+        ([[2.0, -1.5], [-1.5, 2.0]], [1.0, -1.0], [0.25, 1.75], 0.5,
+         [-1.0 / 7.0, 1.0 / 7.0]),
+        ([[0.5, -0.75], [-0.75, 1.75]], [-1.0, 1.5], [-1.0, -0.5], 0.75,
+         [0.0, -3.0 / 7.0]),
+        ([[1.5, 1.0], [1.0, 1.25]], [-1.5, -2.0], [2.0, 1.25], 0.25,
+         [0.0, 1.4]),
+    ])
+    def test_halved_steps_break_active_set_cycles(self, mat, lin, x0, weight,
+                                                  v_star):
+        """Two-dimensional l1 subproblems on which full Newton steps from
+        x0 cycle between two active sets and never reach the tolerance.
+        Halving a step that does not decrease ||F|| enough breaks the
+        cycle inside the Newton phase, with no FISTA fallback."""
+        mat = np.array(mat)
+        q = SelfAdjointPSD.from_dense(mat, float(np.linalg.eigvalsh(mat)[0]))
+        f, calls = _counted(l1_norm(2, weight=weight))
+        got = metric_prox(f, q, np.array(lin), np.array(x0))
+        np.testing.assert_allclose(got, v_star, rtol=0, atol=1e-12)
+        assert len(calls) <= NEWTON_STEPS + 1
+
+    def test_jacless_separable_keeps_fista_count(self):
+        """A custom `separable` without a prox Jacobian takes FISTA's path
+        unchanged: this lasso-small subproblem costs the same 42 prox calls
+        as before the Newton phase existed, against a few with it."""
+        p = catalog("lasso-small")
+        m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
+        q = x_update_metric(m1, 1.0, p.A, 0.0)
+        lin = np.linspace(-1.0, 1.0, p.n)
+        fista, fista_calls = _counted(p.f, with_jac=False)
+        newton, newton_calls = _counted(p.f)
+        want = metric_prox(fista, q, lin, np.zeros(p.n))
+        got = metric_prox(newton, q, lin, np.zeros(p.n))
+        assert len(fista_calls) == 42
+        assert len(newton_calls) <= NEWTON_STEPS + 1
+        np.testing.assert_allclose(got, want, atol=1e-9)
 
 
 class TestSmoothFunctions:

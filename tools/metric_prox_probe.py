@@ -1,0 +1,113 @@
+"""Replay lasso-small x-subproblems through `metric_prox` and print its cost.
+
+Usage, from the root of the tree under test:
+
+    PYTHONPATH=src python tools/metric_prox_probe.py
+
+The subproblems are every x-update of four general-metric RK4 flows on
+lasso-small (c = 1, gamma = 0.5, M1 = M2 = 0.5 I, step 0.05, horizon 5),
+from seeded starts at radius sqrt(dim): the flow runs of the `metric-lasso`
+benchmark workload.  Each is solved as recorded (Newton, then FISTA if
+needed) and with f wrapped without its prox Jacobian (FISTA alone).  The
+script prints, per path, microseconds per call (min of 5 passes) and prox
+evaluations per call; then the number of calls that went on to FISTA
+after a full Newton phase, and the largest difference between the two
+paths' solutions.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from unittest import mock
+
+import numpy as np
+
+from pdflow import flow
+from pdflow.linops import SelfAdjointPSD
+from pdflow.metric import MetricSchedule
+from pdflow.problems import catalog
+from pdflow.proxlib import NEWTON_STEPS, metric_prox, separable
+
+SEED = 11
+STARTS = 4
+REPEATS = 5
+
+
+def _start(rng, dim):
+    u = rng.standard_normal(dim)
+    return np.sqrt(dim) * u / np.linalg.norm(u)
+
+
+def subproblems():
+    """The (f, Q, linear, x0, tol) of every x-update of the flow runs."""
+    p = catalog("lasso-small")
+    params = flow.FlowParams(
+        c=1.0, gamma=0.5, horizon=5.0, integrator=flow.RK4(h=0.05),
+        m1=MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5)),
+        m2=MetricSchedule.constant(SelfAdjointPSD.identity(p.m, 0.5)))
+    calls = []
+
+    def record(f, Q, linear, x0, tol):
+        if f is p.f:
+            calls.append((f, Q, np.copy(linear), np.copy(x0), tol))
+        return metric_prox(f, Q, linear, x0, tol=tol)
+
+    rng = np.random.default_rng(SEED)
+    with mock.patch.object(flow, "metric_prox", record):
+        for _ in range(STARTS):
+            x0, y0 = _start(rng, p.n), _start(rng, p.m)
+            flow.integrate(p, params, flow.SystemState(x0, p.A.apply(x0), y0))
+    return calls
+
+
+def _counted(f, with_jac):
+    """f with a counter on its prox evaluations."""
+    count = {"prox": 0}
+
+    def prox_fn(t, u):
+        count["prox"] += 1
+        return f._prox(t, u)
+
+    return separable(f.dim, f, prox_fn, jac_fn=f._jac if with_jac else None), count
+
+
+def measure(calls, with_jac):
+    """Solutions, us per call, prox evaluations per call, and fallbacks."""
+    if not with_jac:
+        calls = [(separable(f.dim, f, f._prox), *rest) for f, *rest in calls]
+    best = np.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for f, q, lin, x0, tol in calls:
+            metric_prox(f, q, lin, x0, tol=tol)
+        best = min(best, time.perf_counter() - t0)
+    sols, evals, fallbacks = [], [], 0
+    for f, q, lin, x0, tol in calls:
+        g, count = _counted(f, with_jac)
+        sols.append(metric_prox(g, q, lin, x0, tol=tol))
+        evals.append(count["prox"])
+        # the Newton phase makes at most NEWTON_STEPS evaluations, and one
+        # more accepts its last point
+        fallbacks += with_jac and count["prox"] > NEWTON_STEPS + 1
+    return np.array(sols), 1e6 * best / len(calls), np.array(evals), fallbacks
+
+
+def main() -> int:
+    calls = subproblems()
+    print(f"{len(calls)} lasso-small x-subproblems from {STARTS} flow starts "
+          f"(seed {SEED})")
+    newton = measure(calls, with_jac=True)
+    fista = measure(calls, with_jac=False)
+    for name, (_, us, evals, _) in (("newton+fista", newton),
+                                    ("fista only", fista)):
+        print(f"{name:>12}: {us:7.1f} us/call (min of {REPEATS}), prox evals "
+              f"per call median {np.median(evals):g}, mean {evals.mean():.1f}, "
+              f"max {evals.max()}")
+    print(f"fista after a full newton phase: {newton[3]} of {len(calls)}")
+    print(f"max |newton - fista only|: {np.abs(newton[0] - fista[0]).max():.2e}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
