@@ -304,8 +304,7 @@ def _run_sweep(args, cfg) -> int:
         _emit_run(out, f"{p.name}-flow-g{gamma:g}-tc{tauc:g}",
                   f"{p.name} gamma={gamma:g} tau*c={tauc:g}",
                   traces[gamma, tauc], U, p.n, footer)
-    summary = sweep_summary(traces, hit_threshold=cfg.hit_threshold,
-                            certificates=certs)
+    summary = sweep_summary(certs, hit_threshold=cfg.hit_threshold)
     text = summary.render()
     with open(os.path.join(out, f"{p.name}-sweep-report.txt"), "w",
               encoding="utf-8", newline="\n") as fh:

@@ -39,6 +39,7 @@ section with kind keys `f`, `h`, `g`, `A` plus dotted parameter keys, e.g.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -109,6 +110,8 @@ class RunConfig:
             raise ConfigError("step must be positive")
         if not self.horizon > 0:
             raise ConfigError("horizon must be positive")
+        if not math.isfinite(self.horizon):
+            raise ConfigError("horizon must be finite")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if self.record_every < 1:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import MissingSolutionError
 from .flow import FlowParams, FlowTrajectory, SystemState, schedules
-from .metric import MetricSchedule, TauSchedule, weight_W
+from .metric import MetricSchedule, weight_W
 from .problems import ProblemSpec
 
 __all__ = [
@@ -129,15 +129,14 @@ def _moving_tau(sched: MetricSchedule, t):
                                                    for ti in t]
 
 
-def _build_trace(p, m1, m2, c, gamma, t, U, erg=None, tau=None) -> Trace:
+def _build_trace(p, m1, m2, c, gamma, t, U, erg=None) -> Trace:
     """The trace of states U (rows x | z | y) at times t, computed one
     column at a time.
 
     W(t) moves with t only through the I / tau(t) term of a tau family, so
     the Lyapunov column is one quadratic form against W(t_0) plus
     (1/tau(t_i) - 1/tau(t_0)) times the squared distance of that block.
-    `tau` gives tau(t_i) per row for an M1 built at tau(t_0) from a step
-    sequence.  `erg` holds the rows x_tilde | z_tilde, NaN where t = 0.
+    `erg` holds the rows x_tilde | z_tilde, NaN where t = 0.
     """
     n, m = p.n, p.m
     X, Z, Y = U[:, :n], U[:, n:n + m], U[:, n + m:]
@@ -152,7 +151,7 @@ def _build_trace(p, m1, m2, c, gamma, t, U, erg=None, tau=None) -> Trace:
         D = U - np.concatenate((x_star, p.A.apply(x_star), y_star))
         W = weight_W(m1, m2, c, gamma, p.A, t[0]).base.to_dense()
         v = _row_dots(D, _apply_rows(W, D))
-        moving = ((_moving_tau(m1, t) if tau is None else tau, D[:, :n]),
+        moving = ((_moving_tau(m1, t), D[:, :n]),
                   (_moving_tau(m2, t), D[:, n:n + m]))
         for tau_i, block in moving:
             if tau_i is not None:
@@ -183,14 +182,11 @@ def trace_discrete(p: ProblemSpec, d, run_result) -> Trace:
     """Per-iteration trace; the time column is the iteration index k.
 
     Ergodic fields stay blank (averaging is a property of the continuous
-    flow).  The Lyapunov weight uses the per-iteration metric at t = k: a
-    step-derived M1 is built at tau_0 and shifted to tau_k in row k.
+    flow).  The Lyapunov weight uses the per-iteration metric at t = k.
     """
     U = run_result.U
-    t = np.arange(len(U), dtype=float)
-    m1, m2 = schedules(p, d.c, TauSchedule.constant(d.tau_at(0)), d.m1, d.m2)
-    tau = None if d.m1 is not None else [d.tau_at(k) for k in range(len(U))]
-    return _build_trace(p, m1, m2, d.c, d.gamma, t, U, tau=tau)
+    return _build_trace(p, *schedules(p, d.c, d.tau, d.m1, d.m2), d.c,
+                        d.gamma, np.arange(len(U), dtype=float), U)
 
 
 def first_hit_time(trace, threshold) -> float:
@@ -270,13 +266,10 @@ def certify_rates(trace, p: ProblemSpec, w0_norm_sq, grid=DEFAULT_GRID,
 class SweepRow:
     gamma: float
     tauc: float
-    first_hit_time: float | None
-    feas_constant: float | None = None
-    gap_bound_ok: bool | None = None
-    lyapunov_monotone: bool | None = None
-
-    def missing(self) -> bool:
-        return self.first_hit_time is None
+    first_hit_time: float
+    feas_constant: float
+    gap_bound_ok: bool
+    lyapunov_monotone: bool
 
 
 @dataclass
@@ -289,14 +282,10 @@ class SweepSummary:
     hit_threshold: float
 
     def all_ok(self) -> bool:
-        return all(r.gap_bound_ok and r.lyapunov_monotone
-                   for r in self.rows
-                   if r.gap_bound_ok is not None and r.lyapunov_monotone is not None)
+        return all(r.gap_bound_ok and r.lyapunov_monotone for r in self.rows)
 
     def render(self) -> str:
         def fmt(v, width):
-            if v is None:
-                return f"{'-':>{width}}"
             if isinstance(v, bool):
                 return f"{str(v):>{width}}"
             return f"{v:>{width}.6g}"
@@ -317,33 +306,25 @@ class SweepSummary:
         return "\n".join(lines)
 
 
-def sweep_summary(traces, hit_threshold=1e-2, certificates=None) -> SweepSummary:
-    """Aggregate a (gamma, tau*c) -> trace map into an ordered report.
+def sweep_summary(certificates, hit_threshold=1e-2) -> SweepSummary:
+    """Aggregate a (gamma, tau*c) -> RateCertificate map into an ordered
+    report.
 
-    Hit times come from the traces; per-run certificate flags are attached
-    when a matching (gamma, tau*c) -> RateCertificate map is supplied.
-    Missing traces (None values) produce gap rows.  Reports whether the
-    first-hit time is nonincreasing in gamma at each tau*c and whether the
-    hit-time spread across gamma shrinks as tau*c does.
+    Hit times are the certificates' `first_hit_time`, taken by
+    `certify_rates` at `hit_threshold`.  Reports whether the first-hit time
+    is nonincreasing in gamma at each tau*c and whether the hit-time spread
+    across gamma shrinks as tau*c does.
     """
-    certificates = certificates or {}
-    rows = []
-    for (gamma, tauc), trace in traces.items():
-        cert = certificates.get((gamma, tauc))
-        if trace is None:
-            rows.append(SweepRow(gamma=gamma, tauc=tauc, first_hit_time=None))
-            continue
-        hit = first_hit_time(trace, hit_threshold)
-        rows.append(SweepRow(
-            gamma=gamma, tauc=tauc, first_hit_time=hit,
-            feas_constant=None if cert is None else cert.feas_constant,
-            gap_bound_ok=None if cert is None else cert.gap_bound_ok,
-            lyapunov_monotone=None if cert is None else cert.lyapunov_monotone))
+    rows = [SweepRow(gamma=gamma, tauc=tauc,
+                     first_hit_time=cert.first_hit_time,
+                     feas_constant=cert.feas_constant,
+                     gap_bound_ok=cert.gap_bound_ok,
+                     lyapunov_monotone=cert.lyapunov_monotone)
+            for (gamma, tauc), cert in certificates.items()]
 
     by_tauc = {}
     for r in rows:
-        if not r.missing():
-            by_tauc.setdefault(r.tauc, []).append(r)
+        by_tauc.setdefault(r.tauc, []).append(r)
 
     hit_monotone = {}
     spreads = {}

@@ -16,7 +16,8 @@ coincide once started from matching states (z^0 = A x^0, y^{-1} = y^0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,15 +43,15 @@ DIVERGENCE_LIMIT = 1e12
 class DiscreteParams:
     """Iteration parameters.
 
-    tau may be a positive float, a nonempty sequence indexed by k (its last
-    entry repeats), or a TauSchedule evaluated at t = k.  Omitting m1
-    selects the step-derived metric M1^k = I / tau_k - c A* A (single-prox
-    x-update); m2 defaults to zero.
+    tau is a TauSchedule evaluated at t = k; a positive number is the
+    constant schedule.  Omitting m1 selects the step-derived metric
+    M1^k = I / tau(k) - c A* A (single-prox x-update); omitting m2 keeps the
+    single-prox z-update of a zero M2.
     """
 
     c: float = 1.0
     gamma: float = 1.0
-    tau: object = 0.25
+    tau: TauSchedule | float = 0.25
     m1: MetricSchedule | None = None
     m2: MetricSchedule | None = None
     inner_tol: float = 1e-10
@@ -64,25 +65,17 @@ class DiscreteParams:
             raise ValueError("gamma must lie in [0,1]")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if not isinstance(self.tau, TauSchedule):
-            taus = np.ravel(np.asarray(self.tau, dtype=float))
-            if not (taus.size and np.all(taus > 0)):
-                raise ValueError("tau must be positive, or a nonempty "
-                                 "sequence of positive steps")
-
-    def tau_at(self, k) -> float:
-        if isinstance(self.tau, TauSchedule):
-            return self.tau.value(float(k))
-        if isinstance(self.tau, (int, float)):
-            return float(self.tau)
-        return float(self.tau[min(k, len(self.tau) - 1)])
+        if isinstance(self.tau, numbers.Real):
+            self.tau = TauSchedule.constant(self.tau)
+        elif not isinstance(self.tau, TauSchedule):
+            raise ValueError("tau must be a positive number or a TauSchedule")
 
 
 def _admm(p: ProblemSpec, d: DiscreteParams):
     """Build the iteration (k, x, z, y) -> (x, z, y) at k + 1 for one run."""
     c = d.c
     a_apply = p.A._raw_apply
-    update = _make_update(p, c, d.gamma, d.tau_at, d.m1, d.m2, d.inner_tol)
+    update = _make_update(p, c, d.gamma, d.tau, d.m1, d.m2, d.inner_tol)
 
     def step(k, x, z, y):
         x_new, z_new = update(k, x, z, y)
@@ -116,7 +109,7 @@ def cp_step(p: ProblemSpec, d: DiscreteParams, k: int, x, y, y_prev):
     y^{k+1} = prox_{c g*}(y^k + c A x^{k+1})
     """
     _require_cp(p, d)
-    tau_k = d.tau_at(k)
+    tau_k = d.tau.value(k)
     x_new = p.f.prox(tau_k, x - tau_k * p.A._raw_adjoint(2.0 * y - y_prev))
     y_new = conjugate_prox(p.g, d.c, y + d.c * p.A._raw_apply(x_new))
     return x_new, y_new
@@ -136,7 +129,7 @@ def cp_step_explicit(p: ProblemSpec, d: DiscreteParams, k: int,
     """
     _require_cp(p, d)
     c = d.c
-    tau_k = d.tau_at(k)
+    tau_k = d.tau.value(k)
     x, z, y = s.x, s.z, s.y
     x_new = p.f.prox(tau_k, x - tau_k * p.A._raw_adjoint(y + c * (p.A._raw_apply(x) - z)))
     y_new = conjugate_prox(p.g, c, y + c * p.A._raw_apply(x_new))

@@ -15,7 +15,7 @@ step is one ADMM iteration by construction.  The modes:
                       subproblems collapse to single prox calls; requires
                       c tau(t) ||A||^2 <= 1 over the horizon
 * general-metric   -- arbitrary PSD schedules M1, M2; subproblems solved by
-                      `metric_prox` (a zero M2 keeps the single z-prox);
+                      `metric_prox` (an absent M2 keeps the single z-prox);
                       requires a uniformly positive x-metric
 
 Every integrator is an explicit Runge-Kutta method given by its Butcher
@@ -35,6 +35,7 @@ quadrature error.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -144,6 +145,8 @@ class FlowParams:
             raise ValueError("give exactly one of tau (closed form) or m1 (general metric)")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
+        if not math.isfinite(self.horizon):
+            raise ValueError("horizon must be finite")
 
     @property
     def mode(self) -> str:
@@ -208,13 +211,13 @@ def schedules(p: ProblemSpec, c, tau=None, m1=None, m2=None):
     return m1, MetricSchedule.zero(p.m) if m2 is None else m2
 
 
-def _make_update(p: ProblemSpec, c, gamma, tau_at, m1: MetricSchedule | None,
-                 m2: MetricSchedule | None, tol):
+def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
+                 m1: MetricSchedule | None, m2: MetricSchedule | None, tol):
     """Build the proximal ADMM update (t, x, z, y) -> (x_new, z_new), with
     z_new taken at the relaxed point x + gamma (x_new - x); t is the flow
     time or the iteration index k.  Each block is chosen here, once: without
-    m1 (metric I / tau_at(t) - c A* A) the x-update is one prox of f, and
-    without a nonzero m2 the z-update is one prox of g; otherwise
+    m1 (metric I / tau(t) - c A* A) the x-update is one prox of f, and
+    without m2 (a zero M2) the z-update is one prox of g; otherwise
     `metric_prox` solves the block in c A* A + M1(t) or M2(t) + c I to tol.
     """
     a_apply, a_adjoint = p.A._raw_apply, p.A._raw_adjoint
@@ -222,7 +225,7 @@ def _make_update(p: ProblemSpec, c, gamma, tau_at, m1: MetricSchedule | None,
 
     if m1 is None:
         def x_update(t, x, z, y):
-            tau_t = tau_at(t)
+            tau_t = tau.value(t)
             arg = x - tau_t * a_adjoint(y + c * (a_apply(x) - z))
             if h_grad is not None:
                 arg = arg - tau_t * h_grad(x)
@@ -236,7 +239,7 @@ def _make_update(p: ProblemSpec, c, gamma, tau_at, m1: MetricSchedule | None,
                 lin = lin + h_grad(x)
             return metric_prox(p.f, q, lin, x, tol=tol)
 
-    if m2 is None or m2.is_zero():
+    if m2 is None:
         def z_update(t, ax_bar, z, y):
             return p.g.prox(1.0 / c, ax_bar + y / c)
     else:
@@ -255,9 +258,8 @@ def _make_rhs(p: ProblemSpec, params: FlowParams):
     """Build the fast (t, x, z, y) -> (u, v, w) closure for one run."""
     c = params.c
     a_apply = p.A._raw_apply
-    update = _make_update(p, c, params.gamma,
-                          None if params.tau is None else params.tau.value,
-                          params.m1, params.m2, params.inner_tol)
+    update = _make_update(p, c, params.gamma, params.tau, params.m1,
+                          params.m2, params.inner_tol)
 
     def rhs_fn(t, x, z, y):
         x_new, z_new = update(t, x, z, y)

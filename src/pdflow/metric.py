@@ -1,14 +1,16 @@
 """Time-dependent metric schedules and the certificates that license them.
 
-The x-update is weighted by M1(t), the z-update by M2(t).  Three schedule
+The x-update is weighted by M1(t), the z-update by M2(t).  Two schedule
 families cover the catalog:
 
-* zero          -- M(t) = 0
-* constant      -- M(t) = U for a fixed PSD operator
+* constant      -- M(t) = U for a fixed PSD operator (zero included)
 * tau-family    -- M1(t) = I / tau(t) - c A* A for a step schedule tau(t),
                    which turns the x-update metric c A* A + M1(t) into the
-                   scaled identity I / tau(t) and the update into a plain
-                   prox step
+                   scaled identity I / tau(t), so `metric_prox` solves the
+                   update as one prox step
+
+Every step schedule is the one formula tau_max - (tau_max - tau0) exp(-t);
+a constant step is tau0 == tau_max.
 
 `certify` evaluates the definiteness and step-size conditions the
 convergence guarantees require, sampling the schedule over the horizon;
@@ -39,52 +41,36 @@ __all__ = [
 
 
 class TauSchedule:
-    """Scalar step schedule tau(t) > 0, nondecreasing in t."""
+    """Scalar step schedule tau(t) = tau_max - (tau_max - tau0) exp(-t),
+    positive and rising from tau0 to tau_max.  A constant schedule is the
+    case tau0 == tau_max, where the formula gives tau0 exactly."""
 
-    def __init__(self, kind, tau0, tau_max=None):
-        self.kind = kind
+    def __init__(self, tau0, tau_max):
         self.tau0 = float(tau0)
-        self.tau_max = self.tau0 if tau_max is None else float(tau_max)
-        if self.tau0 <= 0:
-            raise ValueError("tau schedule must be positive")
-        if self.tau_max < self.tau0:
-            raise ValueError("saturating schedule needs tau_max >= tau0")
+        self.tau_max = float(tau_max)
+        if not 0 < self.tau0 < math.inf:
+            raise ValueError("tau schedule must be positive and finite")
+        if not self.tau0 <= self.tau_max < math.inf:
+            raise ValueError(
+                "saturating schedule needs a finite tau_max >= tau0")
 
     @classmethod
     def constant(cls, tau0) -> "TauSchedule":
-        return cls("constant", tau0)
+        return cls(tau0, tau0)
 
     @classmethod
     def saturating(cls, tau0, tau_max) -> "TauSchedule":
-        """tau(t) = tau_max - (tau_max - tau0) exp(-t), increasing to tau_max."""
-        return cls("saturating", tau0, tau_max)
+        return cls(tau0, tau_max)
 
     def value(self, t) -> float:
-        if self.kind == "constant":
-            return self.tau0
         return self.tau_max - (self.tau_max - self.tau0) * math.exp(-t)
-
-    def derivative(self, t) -> float:
-        if self.kind == "constant":
-            return 0.0
-        return (self.tau_max - self.tau0) * math.exp(-t)
-
-    def sup_value(self) -> float:
-        return self.tau_max
-
-    def sup_derivative_ratio(self) -> float:
-        """sup_t tau'(t) / tau(t)^2, the decay rate of the induced metric."""
-        if self.kind == "constant":
-            return 0.0
-        # tau' / tau^2 decreases in t for the saturating family; sup at t=0
-        return self.derivative(0.0) / self.value(0.0) ** 2
 
 
 class MetricSchedule:
-    """Operator-valued schedule M(t), PSD and nonincreasing in t."""
+    """Operator-valued schedule M(t), PSD and nonincreasing in t: one
+    operator for every t, or the tau family of a step schedule."""
 
-    def __init__(self, kind, dim, constant_op=None, tau=None, c=None, A=None):
-        self.kind = kind
+    def __init__(self, dim, constant_op=None, tau=None, c=None, A=None):
         self.dim = int(dim)
         self._const = constant_op
         self.tau = tau
@@ -95,37 +81,28 @@ class MetricSchedule:
 
     @classmethod
     def zero(cls, dim) -> "MetricSchedule":
-        return cls("zero", dim, constant_op=SelfAdjointPSD.zero(dim))
+        return cls.constant(SelfAdjointPSD.zero(dim))
 
     @classmethod
     def constant(cls, op: SelfAdjointPSD) -> "MetricSchedule":
-        return cls("constant", op.dim, constant_op=op)
+        return cls(op.dim, constant_op=op)
 
     @classmethod
     def tau_family(cls, tau: TauSchedule, c, A: LinearMap) -> "MetricSchedule":
         """M1(t) = I / tau(t) - c A* A; PSD exactly when c tau(t) ||A||^2 <= 1."""
-        return cls("tau-family", A.in_dim, tau=tau, c=float(c), A=A)
+        return cls(A.in_dim, tau=tau, c=float(c), A=A)
 
     def at(self, t) -> SelfAdjointPSD:
-        if self.kind in ("zero", "constant"):
+        if self.tau is None:
             return self._const
         tau_t = self.tau.value(t)
         base = LinearMap.identity(self.dim, 1.0 / tau_t) - self.c * self._gram
         floor = 1.0 / tau_t - self.c * self.A.norm() ** 2
         return SelfAdjointPSD(base, max(floor, 0.0))
 
-    def derivative_sup(self) -> float:
-        """Upper bound on sup_t ||d M / dt||."""
-        if self.kind in ("zero", "constant"):
-            return 0.0
-        return self.tau.sup_derivative_ratio()
-
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
-
     def is_time_invariant(self) -> bool:
         """M(t) is one operator for every t (no tau schedule that moves)."""
-        return self.kind != "tau-family" or self.tau.kind == "constant"
+        return self.tau is None or self.tau.tau0 == self.tau.tau_max
 
 
 def _small_dense(base: LinearMap) -> LinearMap:
@@ -140,17 +117,15 @@ def _small_dense(base: LinearMap) -> LinearMap:
 def x_update_metric(m1: MetricSchedule, c, A: LinearMap, t) -> SelfAdjointPSD:
     """The x-subproblem metric Q = c A* A + M1(t).
 
-    For the tau family the sum collapses to I / tau(t), so the spectral
-    floor and norm are analytic; other schedules are time-independent and
-    Q, with its certified floor/norm pair, is built once and cached per
-    (c, A).  The key holds A itself, not its id: an id can be reused by a
-    new map once the old one is freed.
+    For the tau family (built with this c and A) the sum is the scaled
+    identity I / tau(t); other schedules are time-independent and Q, with
+    its certified floor/norm pair, is built once and cached per (c, A).
+    The key holds A itself, not its id: an id can be reused by a new map
+    once the old one is freed.
     """
     c = float(c)
-    if m1.kind == "tau-family":
-        s = 1.0 / m1.tau.value(t)
-        base = c * A.gram() + m1.at(t).base
-        return SelfAdjointPSD(base, s, norm_hint=s)
+    if m1.tau is not None:
+        return SelfAdjointPSD.identity(A.in_dim, 1.0 / m1.tau.value(t))
     key = ("x", c, A)
     q = m1._q_cache.get(key)
     if q is None:
@@ -169,7 +144,7 @@ def z_update_metric(m2: MetricSchedule, c, t) -> SelfAdjointPSD:
     s I gives the scaled identity (s + c) I with analytic floor and norm.
     """
     c = float(c)
-    if m2.kind == "tau-family":
+    if m2.tau is not None:
         m2_t = m2.at(t)
         return SelfAdjointPSD(m2_t.base + LinearMap.identity(m2.dim, c),
                               m2_t.alpha_floor + c)
@@ -263,7 +238,7 @@ def certify(m1: MetricSchedule, m2: MetricSchedule, c, gamma, A: LinearMap,
     step_ok = True
     for t in sample_times:
         floors.append(floors[0] if invariant and floors else floors_at(t))
-        if m1.kind == "tau-family":
+        if m1.tau is not None:
             tau_t = m1.tau.value(t)
             scalar_ok &= tau_t * (L / 4.0 + c * (3.0 + gamma) / 4.0 * a_norm ** 2) \
                 <= 1.0 + 1e-12
@@ -275,7 +250,7 @@ def certify(m1: MetricSchedule, m2: MetricSchedule, c, gamma, A: LinearMap,
     cweak = all(fl > _PSD_SLACK for fl in floors_x)
     thm4 = all(fl >= -_PSD_SLACK for fl in floors_t4)
     thm7 = all(fl >= -_PSD_SLACK for fl in floors_t7)
-    if m1.kind == "tau-family":
+    if m1.tau is not None:
         rate = bool(scalar_ok and step_ok)
     else:
         rate = thm4
@@ -295,7 +270,7 @@ def weight_W(m1: MetricSchedule, m2: MetricSchedule, c, gamma,
     n, m = A.in_dim, A.out_dim
     m1_t = m1.at(t)
     gram = A.gram()
-    if m1.kind == "tau-family":
+    if m1.tau is not None:
         # I/tau - c gamma A*A, floor analytic
         tau_t = m1.tau.value(t)
         xf = max(1.0 / tau_t - c * gamma * m1.A.norm() ** 2, 0.0)

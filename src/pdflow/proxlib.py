@@ -8,9 +8,12 @@ prox subproblem
 
     argmin_v  f(v) + <v, linear> + 1/2 <v, Q v>
 
-on the fixed-point map F(v) = v - prox_{s f}(v - s (Q v + linear)) with
-s = 1/||Q||.  When Q is stored as a dense matrix (the small cached metrics
-of `metric.x_update_metric` and `z_update_metric`, or
+A scaled identity Q = s I (the tau-family x-update, or a scaled-identity
+M2 in the z-update) is solved exactly by one prox evaluation,
+prox_{f/s}(-linear/s).  Otherwise `metric_prox` works on the fixed-point
+map F(v) = v - prox_{s f}(v - s (Q v + linear)) with s = 1/||Q||.  When Q
+is stored as a dense matrix (the small cached metrics of
+`metric.x_update_metric` and `z_update_metric`, or
 `SelfAdjointPSD.from_dense`) and f has a prox Jacobian, it first takes up
 to `NEWTON_STEPS` semismooth Newton steps on F (Qi-Sun 1993; Li-Sun-Toh
 2018, SSNAL), one n x n solve each, halving a step that does not decrease
@@ -18,8 +21,7 @@ to `NEWTON_STEPS` semismooth Newton steps on F (Qi-Sun 1993; Li-Sun-Toh
 accelerated proximal gradient (FISTA, Beck-Teboulle 2009) with
 gradient-based adaptive restart (O'Donoghue-Candes 2015) from the last
 Newton iterate.  Both phases stop on the same gradient-mapping
-residual; when Q is a scaled identity the first step lands on the exact
-closed form and the second confirms it.
+residual.
 """
 
 from __future__ import annotations
@@ -239,8 +241,10 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
                 tol=1e-10, max_iters=100_000) -> np.ndarray:
     """Minimize f(v) + <v, linear> + 1/2 <v, Q v> for positive definite Q.
 
-    Each iteration evaluates, at its point w_k (w_0 = x0), the prox-gradient
-    step with the fixed step 1/||Q||
+    A scaled identity Q = s I (`Q.base.scale` set) returns the exact
+    minimizer prox_{f/s}(-linear/s) from one prox evaluation.  For any
+    other Q, each iteration evaluates, at its point w_k (w_0 = x0), the
+    prox-gradient step with the fixed step 1/||Q||
 
         v_{k+1} = prox_{step f}(w_k - step (Q w_k + linear))
 
@@ -262,13 +266,14 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
 
     Momentum restarts (theta back to 1, so w_{k+1} = v_{k+1}) whenever the
     gradient mapping at w_k points uphill along the last move, i.e.
-    <w_k - v_{k+1}, v_{k+1} - v_k> > 0.  Scaled-identity and lazy Q run
-    this phase alone.
+    <w_k - v_{k+1}, v_{k+1} - v_k> > 0.  A lazy Q runs this phase alone.
 
     Every prox evaluation, in either phase, counts against max_iters.
 
     Raises
     ------
+    ValueError
+        If max_iters < 1, or f, Q, linear and x0 differ in dimension.
     CertificationError
         If Q carries no positive spectral floor (the subproblem may then
         have no unique minimizer).
@@ -278,11 +283,16 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     if Q.alpha_floor <= 0.0:
         raise CertificationError(
             "metric_prox needs a positive definite Q (alpha_floor > 0)")
+    if max_iters < 1:
+        raise ValueError("metric_prox needs max_iters >= 1")
     lin = np.asarray(linear, dtype=float)
     v = np.array(x0, dtype=float)
     if f.dim != Q.dim or lin.shape != (Q.dim,) or v.shape != (Q.dim,):
         raise ValueError(
             f"metric_prox: f, Q, linear and x0 must share dimension {Q.dim}")
+    scale = Q.base.scale
+    if scale is not None:
+        return f.prox(1.0 / scale, -lin / scale)
     step = 1.0 / Q.norm()
     qapply = Q.base._raw_apply
     mat = Q.base.mat

@@ -172,6 +172,12 @@ class TestErrorPaths:
         assert code == 1
         assert "abs_tol" in capsys.readouterr().err
 
+    def test_infinite_horizon_is_config_error(self, tmp_path, capsys):
+        code = main(["flow", "--problem", "example1", "--tau", "0.25",
+                     "--horizon", "inf", "--out", str(tmp_path)])
+        assert code == 1
+        assert "horizon must be finite" in capsys.readouterr().err
+
     def test_oversized_step_is_config_error(self, tmp_path, capsys):
         code = main(["flow", "--problem", "example1", "--tau", "0.9",
                      "--horizon", "1", "--out", str(tmp_path)])

@@ -145,7 +145,7 @@ class TestResolveTau:
     def test_saturating_tuple(self, example1):
         sched = resolve_tau(("saturating", 0.1, 0.4), example1, 1.0, 1.0)
         assert sched.value(0.0) == pytest.approx(0.1)
-        assert sched.sup_value() == 0.4
+        assert sched.tau_max == 0.4
 
     def test_auto_on_example1(self, example1):
         """||A||^2 = 2, L = 0, c = 1, gamma = 1: the three bounds are
@@ -202,7 +202,7 @@ class TestBuildParams:
                         stop_tol=1e-5)
         d = build_discrete_params(cfg, example1)
         assert d.c == 2.0
-        assert d.tau_at(0) == 0.1
+        assert d.tau.value(0) == 0.1
         assert d.max_iters == 77
         assert d.stop_tol == 1e-5
 

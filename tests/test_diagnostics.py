@@ -40,7 +40,7 @@ def _assert_lyapunov_matches(p, trace, states, m1_at, gamma, m2=_ZERO2):
 def _step_metric(p, d):
     """k -> the per-iteration metric I / tau_k - c A*A of a discrete run."""
     return lambda k: MetricSchedule.tau_family(
-        TauSchedule.constant(d.tau_at(int(k))), d.c, p.A)
+        TauSchedule.constant(d.tau.value(k)), d.c, p.A)
 
 
 class TestLyapunov:
@@ -158,13 +158,6 @@ class TestTraceDiscrete:
         assert trace.t.tolist() == list(range(21))
         assert np.isnan(trace.ergodic_feas).all()
         assert np.isnan(trace.ergodic_gap).all()
-
-    def test_per_iteration_tau_sequence(self, example1):
-        d = DiscreteParams(tau=[0.25, 0.2, 0.1], gamma=0.5, max_iters=5,
-                           stop_tol=0.0)
-        out = run(example1, d, _start())
-        _assert_lyapunov_matches(example1, trace_discrete(example1, d, out),
-                                 out.states, _step_metric(example1, d), 0.5)
 
     def test_per_iteration_tau_schedule(self, example1):
         d = DiscreteParams(tau=TauSchedule.saturating(0.1, 0.3), gamma=0.5,
@@ -284,17 +277,19 @@ class TestCertifyRates:
         assert cert.all_ok()
 
 
-class TestSweepSummary:
-    def _trace_hitting_at(self, hit):
-        if not math.isfinite(hit):
-            return Trace(t=[0.0], dist_primal=[10.0], feas=[0.0])
-        return Trace(t=[0.0, hit], dist_primal=[10.0, 0.005], feas=[0.0, 0.0])
+def _certs_hitting_at(hits):
+    """(gamma, tau*c) -> a passing RateCertificate with the given hit time."""
+    return {k: RateCertificate(feas_constant=1.0, gap_bound_ok=True,
+                               gap_bound_margin=1.0, lyapunov_monotone=True,
+                               first_hit_time=hit)
+            for k, hit in hits.items()}
 
+
+class TestSweepSummary:
     def test_hit_table_and_flags(self):
         hits = {(0.01, 0.49): 12.0, (0.5, 0.49): 9.0, (0.99, 0.49): 8.0,
                 (0.01, 0.10): 31.0, (0.5, 0.10): 29.0, (0.99, 0.10): 28.0}
-        traces = {k: self._trace_hitting_at(v) for k, v in hits.items()}
-        summary = sweep_summary(traces, hit_threshold=1e-2)
+        summary = sweep_summary(_certs_hitting_at(hits), hit_threshold=1e-2)
         assert len(summary.rows) == 6
         assert summary.hit_monotone_in_gamma == {0.49: True, 0.10: True}
         # spreads: 4.0 at tau*c = 0.49, 3.0 at 0.10
@@ -302,26 +297,16 @@ class TestSweepSummary:
 
     def test_detects_non_monotone_hits(self):
         hits = {(0.01, 0.49): 8.0, (0.5, 0.49): 9.0, (0.99, 0.49): 12.0}
-        traces = {k: self._trace_hitting_at(v) for k, v in hits.items()}
-        summary = sweep_summary(traces)
+        summary = sweep_summary(_certs_hitting_at(hits))
         assert summary.hit_monotone_in_gamma == {0.49: False}
-
-    def test_missing_run_becomes_gap_row(self):
-        traces = {(0.5, 0.25): self._trace_hitting_at(10.0),
-                  (0.99, 0.25): None}
-        summary = sweep_summary(traces)
-        missing = [r for r in summary.rows if r.missing()]
-        assert len(missing) == 1
-        assert missing[0].gamma == 0.99
-        assert "-" in summary.render()
 
     def test_certificates_attach_to_rows(self):
         cert = RateCertificate(feas_constant=3.5, gap_bound_ok=True,
                                gap_bound_margin=0.4, lyapunov_monotone=True,
                                first_hit_time=10.0)
-        traces = {(0.5, 0.25): self._trace_hitting_at(10.0)}
-        summary = sweep_summary(traces, certificates={(0.5, 0.25): cert})
+        summary = sweep_summary({(0.5, 0.25): cert})
         row = summary.rows[0]
+        assert row.first_hit_time == 10.0
         assert row.feas_constant == 3.5
         assert row.gap_bound_ok and row.lyapunov_monotone
         assert summary.all_ok()
@@ -329,8 +314,7 @@ class TestSweepSummary:
     def test_render_is_ordered_table(self):
         hits = {(0.01, 0.49): 12.0, (0.99, 0.49): 8.0,
                 (0.01, 0.10): 31.0, (0.99, 0.10): 28.0}
-        traces = {k: self._trace_hitting_at(v) for k, v in hits.items()}
-        text = sweep_summary(traces).render()
+        text = sweep_summary(_certs_hitting_at(hits)).render()
         lines = text.splitlines()
         assert "tau*c" in lines[1] and "first_hit" in lines[1]
         # rows come largest tau*c first, gamma ascending within a block

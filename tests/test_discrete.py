@@ -9,6 +9,7 @@ precision because they are algebraic rearrangements of each other.
 import numpy as np
 import pytest
 
+from pdflow.diagnostics import trace_discrete
 from pdflow.discrete import (DiscreteParams, admm_step, cp_step,
                              cp_step_explicit, run)
 from pdflow.errors import ConfigError
@@ -206,17 +207,21 @@ class TestDiscreteParams:
             DiscreteParams(max_iters=-1)
 
     @pytest.mark.parametrize("tau", [[], (), 0.0, -0.25, [0.2, 0.0],
-                                     np.array([0.2, -0.1])])
+                                     np.array([0.2, -0.1]), [0.3]])
     def test_tau_rejected_at_construction(self, tau):
         with pytest.raises(ValueError, match="tau"):
             DiscreteParams(tau=tau)
 
-    def test_tau_sequence_forms(self):
-        assert DiscreteParams(tau=0.3).tau_at(7) == 0.3
-        seq = DiscreteParams(tau=[0.3, 0.2, 0.1])
-        assert seq.tau_at(0) == 0.3
-        assert seq.tau_at(2) == 0.1
-        assert seq.tau_at(9) == 0.1, "sequence must clamp at its last entry"
-        sched = DiscreteParams(tau=TauSchedule.saturating(0.1, 0.4))
-        assert sched.tau_at(0) == pytest.approx(0.1)
-        assert sched.tau_at(50) == pytest.approx(0.4)
+    def test_float_tau_is_a_constant_schedule(self):
+        """A float tau and its constant TauSchedule give the same iterates
+        and the same trace, bit for bit."""
+        p = catalog("example1")
+        d = DiscreteParams(tau=0.3, gamma=0.5, max_iters=30, stop_tol=0.0)
+        assert isinstance(d.tau, TauSchedule)
+        assert d.tau.tau0 == d.tau.tau_max == 0.3
+        sched = DiscreteParams(tau=TauSchedule.constant(0.3), gamma=0.5,
+                               max_iters=30, stop_tol=0.0)
+        a, b = run(p, d), run(p, sched)
+        np.testing.assert_array_equal(a.U, b.U)
+        np.testing.assert_array_equal(trace_discrete(p, d, a).lyapunov,
+                                      trace_discrete(p, sched, b).lyapunov)

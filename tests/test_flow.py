@@ -114,6 +114,8 @@ class TestFlowParams:
             FlowParams(c=0.0, tau=TauSchedule.constant(0.2))
         with pytest.raises(ValueError):
             FlowParams(tau=TauSchedule.constant(0.2), horizon=0.0)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            FlowParams(tau=TauSchedule.constant(0.2), horizon=np.inf)
 
     def test_mode_names(self):
         assert _closed_params().mode == "closed-form"

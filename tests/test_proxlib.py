@@ -207,8 +207,8 @@ class TestMetricProx:
                           tol=1e-12)
         np.testing.assert_allclose(got, np.array([2.0, 0.0]), atol=1e-10)
 
-    def test_scaled_identity_takes_two_iterations(self):
-        """The first step lands on the closed form; the second confirms it."""
+    def test_scaled_identity_takes_one_prox(self):
+        """Q = s I is solved by one prox evaluation, prox_{f/s}(-lin/s)."""
         calls = []
         inner = l1_norm(3, weight=0.5)
 
@@ -220,7 +220,7 @@ class TestMetricProx:
         q = SelfAdjointPSD.identity(3, scale=4.0)
         got = metric_prox(f, q, np.array([3.0, -0.2, -5.0]), np.ones(3),
                           tol=1e-12)
-        assert len(calls) == 2
+        assert len(calls) == 1
         np.testing.assert_allclose(got, prox(inner, 0.25, -0.25 * np.array(
             [3.0, -0.2, -5.0])), atol=1e-15)
 
@@ -311,6 +311,16 @@ class TestMetricProx:
         assert err.residual > 0.0
         got = metric_prox(zero(2), q, lin, np.zeros(2), tol=1e-14, max_iters=2)
         np.testing.assert_allclose(got, np.linalg.solve(mat, -lin), atol=1e-14)
+
+    @pytest.mark.parametrize("q", [
+        SelfAdjointPSD.identity(2, 2.0),
+        SelfAdjointPSD.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]),
+                                  alpha_floor=1.0)])
+    def test_budget_below_one_rejected(self, q):
+        for max_iters in (0, -3):
+            with pytest.raises(ValueError, match="max_iters"):
+                metric_prox(zero(2), q, np.ones(2), np.zeros(2),
+                            max_iters=max_iters)
 
 
 def _counted(f, with_jac=True):

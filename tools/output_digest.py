@@ -12,7 +12,9 @@ digests diff clean wrote byte-identical outputs for every run.
 The runs: `flow --tau auto --horizon 20 --dump-state` and `check --tau
 auto` with each integrator, `discrete --tau auto --dump-state` with each
 algorithm, and a saturating-tau `flow` and `discrete` run, each on every
-catalog problem; then the divergent `discrete` run on box-qp.
+catalog problem; then the divergent `discrete` run on box-qp, and the
+example1 sweep `reproduce-example1 --horizon 5` (nine flow runs and the
+sweep report).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ def commands():
                "--dump-state"]
         yield ["discrete", *base, "--tau", SATURATING, "--dump-state"]
     yield ["discrete", "--problem", "box-qp", "--tau", "0.2", "--dump-state"]
+    yield ["reproduce-example1", "--horizon", "5"]
 
 
 def _sha(data: bytes) -> str:
