@@ -24,6 +24,7 @@ CSV files.  Floats are serialized with repr, so traces round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -354,10 +355,16 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call in a process; it
+    keeps no state between `parse_args` calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = _load_config(args)
         return _DISPATCH[args.command](args, cfg)
     except ConfigError as exc:

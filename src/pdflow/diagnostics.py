@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import MissingSolutionError
 from .flow import FlowParams, FlowTrajectory, SystemState, schedules
+from .linops import _apply_rows, _row_dots, _row_norms
 from .metric import MetricSchedule, weight_W
 from .problems import ProblemSpec
 
@@ -107,22 +108,6 @@ def initial_weighted_distance(p: ProblemSpec, m1: MetricSchedule,
     return w.seminorm_sq(_stack(s0, x_star, p.A.apply(x_star), np.zeros(p.m)))
 
 
-def _row_dots(a, b) -> np.ndarray:
-    """<a_i, b_i> per row, each one BLAS dot like a 1-D `a_i @ b_i`, so
-    `sqrt(_row_dots(d, d))` is bit-equal to np.linalg.norm of each row
-    (norm(axis=1) and einsum sum in another order)."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _apply_rows(mat, rows) -> np.ndarray:
-    """mat @ r per row r, each one matrix-vector product like `mat.dot(r)`."""
-    return (mat @ rows[:, :, None])[:, :, 0]
-
-
-def _row_norms(a) -> np.ndarray:
-    return np.sqrt(_row_dots(a, a))
-
-
 def _moving_tau(sched: MetricSchedule, t):
     """tau(t_i) per row for a tau-family schedule that moves, else None."""
     return None if sched.is_time_invariant() else [sched.tau.value(ti)
@@ -164,10 +149,11 @@ def _build_trace(p, m1, m2, c, gamma, t, U, erg=None) -> Trace:
         XT, ZT = erg[:, :n], erg[:, n:]
         cols["ergodic_feas"] = _row_norms(_apply_rows(A, XT) - ZT)
         if x_star is not None:
-            opt = p.objective(x_star)
-            cols["ergodic_gap"] = [
-                p.f(xt) + p.h(xt) + p.g(zt) - opt if ti > 0 else np.nan
-                for ti, xt, zt in zip(t, XT, ZT)]
+            live = t > 0
+            gap = np.full(len(t), np.nan)
+            XL = XT[live]
+            gap[live] = p.f(XL) + p.h(XL) + p.g(ZT[live]) - p.objective(x_star)
+            cols["ergodic_gap"] = gap
     return Trace(**cols)
 
 

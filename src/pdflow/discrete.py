@@ -15,6 +15,7 @@ coincide once started from matching states (z^0 = A x^0, y^{-1} = y^0).
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, IntegrationError
 from .flow import SystemState, _make_update, _start_row, _state_rows
 from .metric import MetricSchedule, TauSchedule
-from .problems import ProblemSpec, SaddleResidual, kkt_residual
+from .problems import ProblemSpec, kkt_residuals
 from .proxlib import conjugate_prox
 
 __all__ = [
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
+# Iterates whose KKT residuals `run` evaluates in one call.
+STOP_CHUNK = 16
 
 
 @dataclass
@@ -141,11 +144,13 @@ def cp_step_explicit(p: ProblemSpec, d: DiscreteParams, k: int,
 class DiscreteRun:
     """Iterate history and the stop reason: U holds one row x^k | z^k | y^k
     per iterate k, shape (R, n + 2m), and residuals the matching KKT
-    residuals.  `states`, `final` and `iterations` are built on access.
+    residuals, shape (R, 3), with columns stat_x, stat_z and feas (a
+    diverged iterate's row is inf).  `states`, `final` and `iterations` are
+    built on access.
     """
 
     U: np.ndarray
-    residuals: list
+    residuals: np.ndarray
     stop_reason: str  # "tolerance" | "budget" | "divergence"
     n: int
 
@@ -162,15 +167,38 @@ class DiscreteRun:
         return len(self.U) - 1
 
 
+def _iterates(p: ProblemSpec, d: DiscreteParams, u0, algorithm):
+    """Yield the iterates x^k | z^k | y^k for k = 1, 2, ... from u0."""
+    x, z, y = np.split(u0, [p.n, p.n + p.m])
+    if algorithm == "admm":
+        step = _admm(p, d)
+        for k in itertools.count():
+            x, z, y = step(k, x, z, y)
+            yield x, z, y
+    y_prev = y
+    for k in itertools.count():
+        x, y_new = cp_step(p, d, k, x, y, y_prev)
+        z = p.A._raw_apply(x) - (y_new - y) / d.c
+        y_prev, y = y, y_new
+        yield x, z, y
+
+
 def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
         algorithm: str = "admm") -> DiscreteRun:
     """Iterate until the KKT residual max-component drops to stop_tol,
-    the budget runs out, or an iterate norm exceeds the divergence limit.
+    the budget runs out, or an iterate is not finite or has a block norm
+    above the divergence limit.
 
     algorithm "admm" iterates `admm_step`, built once per run; "cp" uses
     `cp_step` and tracks the splitting variable via
     z^{k+1} = A x^{k+1} - (y^{k+1} - y^k)/c so the same residuals are
     reported.  Raises ValueError if s0 has the wrong dimensions.
+
+    The divergence test runs on every iterate, the residuals on
+    `STOP_CHUNK` iterates at a time, in one `kkt_residuals` call.  The run
+    ends at the first row at or below stop_tol and drops the iterates
+    computed after it, so the result is the one an iterate-by-iterate loop
+    returns, even when a dropped iterate raised.
     """
     u0 = _start_row(p, s0)
     if algorithm not in ("admm", "cp"):
@@ -178,27 +206,55 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
     if algorithm == "cp":
         _require_cp(p, d)
 
-    rows = [u0]
-    x, z, y = np.split(u0, [p.n, p.n + p.m])
-    residuals = [kkt_residual(p, x, z, y)]
-    if residuals[0].max() <= d.stop_tol:
-        return DiscreteRun(np.array(rows), residuals, "tolerance", p.n)
+    n, m = p.n, p.m
+    rows, blocks = [u0], []
+    checked = 0
 
-    admm = _admm(p, d) if algorithm == "admm" else None
-    y_prev = y
-    for k in range(d.max_iters):
-        if algorithm == "admm":
-            x, z, y = admm(k, x, z, y)
-        else:
-            x, y_new = cp_step(p, d, k, x, y, y_prev)
-            z = p.A._raw_apply(x) - (y_new - y) / d.c
-            y_prev, y = y, y_new
-        rows.append(np.concatenate((x, z, y)))
-        norm = max(math.sqrt(x @ x), math.sqrt(z @ z), math.sqrt(y @ y))
-        if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
-            residuals.append(SaddleResidual(np.inf, np.inf, np.inf))
-            return DiscreteRun(np.array(rows), residuals, "divergence", p.n)
-        residuals.append(kkt_residual(p, x, z, y))
-        if residuals[-1].max() <= d.stop_tol:
-            return DiscreteRun(np.array(rows), residuals, "tolerance", p.n)
-    return DiscreteRun(np.array(rows), residuals, "budget", p.n)
+    def stop_row():
+        """Evaluate the residuals of the rows not yet checked; the index of
+        the first at or below stop_tol, or None."""
+        nonlocal checked
+        first, checked = checked, len(rows)
+        if first == checked:
+            return None
+        block = np.array(rows[first:])
+        blocks.append(kkt_residuals(p, block[:, :n], block[:, n:n + m],
+                                    block[:, n + m:]))
+        hits = np.flatnonzero(blocks[-1].max(axis=1) <= d.stop_tol)
+        return first + int(hits[0]) if hits.size else None
+
+    def result(reason, end=None):
+        return DiscreteRun(np.array(rows[:end]),
+                           np.concatenate(blocks)[:end], reason, n)
+
+    iterates = _iterates(p, d, u0, algorithm)
+    error, last = None, None
+    for _ in range(d.max_iters):
+        if len(rows) - checked == STOP_CHUNK:
+            k = stop_row()
+            if k is not None:
+                return result("tolerance", k + 1)
+        try:
+            x, z, y = next(iterates)
+        except Exception as exc:  # re-raised below unless an earlier row stops
+            error = exc
+            break
+        row = np.concatenate((x, z, y))
+        # a NaN or inf anywhere in the row makes its block's norm fail the
+        # comparison (max() would drop a NaN that follows a number)
+        if not (math.sqrt(x @ x) <= DIVERGENCE_LIMIT
+                and math.sqrt(z @ z) <= DIVERGENCE_LIMIT
+                and math.sqrt(y @ y) <= DIVERGENCE_LIMIT):
+            last = row
+            break
+        rows.append(row)
+    k = stop_row()
+    if k is not None:
+        return result("tolerance", k + 1)
+    if error is not None:
+        raise error
+    if last is None:
+        return result("budget")
+    rows.append(last)
+    blocks.append(np.full((1, 3), np.inf))
+    return result("divergence")

@@ -5,6 +5,16 @@ manipulates operators only through `apply`/`adjoint_apply`, so maps can be
 dense matrices, scaled identities, or lazy compositions/sums without the
 callers caring.  Dense materialization is available for small dimensions
 where an exact eigensolve is cheaper than iteration.
+
+Rows in, rows out: `apply` and `adjoint_apply` take one (in_dim,) point or
+(B, in_dim) rows and return a point or (B, out_dim) rows; the shape is
+checked once per call.  Row i of the result is bit-equal to applying the
+map to row i alone.  Dense, identity and zero maps apply rows in one
+call: a dense map as the stacked matrix-vector product `_apply_rows`
+(`X @ mat.T` rounds differently), while a single point keeps `mat.dot`,
+the cheaper call on the flow's per-stage path.  A map built from raw
+closures gets a per-row fallback that calls its closures on one row at a
+time, and so does any composition, sum or multiple that contains one.
 """
 
 from __future__ import annotations
@@ -36,6 +46,42 @@ def _as_vec(x, dim, name="x"):
     return v
 
 
+def _as_point_or_rows(x, dim, name="x"):
+    """x as a float (dim,) point or (B, dim) rows; ValueError otherwise."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (dim,) and (v.ndim != 2 or v.shape[1] != dim):
+        raise ValueError(
+            f"{name} must have shape ({dim},) or (B, {dim}), got {v.shape}")
+    return v
+
+
+def _row_dots(a, b) -> np.ndarray:
+    """<a_i, b_i> per row, each one BLAS dot like a 1-D `a_i @ b_i`, so
+    `sqrt(_row_dots(d, d))` is bit-equal to np.linalg.norm of each row
+    (norm(axis=1) and einsum sum in another order).  `b` may be a
+    broadcast view, such as one vector against every row of `a`."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _apply_rows(mat, rows) -> np.ndarray:
+    """mat @ r per row r, each one matrix-vector product like `mat.dot(r)`."""
+    return (mat @ rows[:, :, None])[:, :, 0]
+
+
+def _row_norms(a) -> np.ndarray:
+    return np.sqrt(_row_dots(a, a))
+
+
+def _per_row(fn, width):
+    """A rows closure that calls the one-point closure `fn` on each row."""
+    def rows(x):
+        out = np.empty((len(x), width))
+        for i, r in enumerate(x):
+            out[i] = fn(r)
+        return out
+    return rows
+
+
 class LinearMap:
     """A linear operator R^in_dim -> R^out_dim with a known adjoint.
 
@@ -44,18 +90,24 @@ class LinearMap:
     in_dim, out_dim : int
         Domain and codomain dimensions.
     apply, adjoint : callable
-        Raw ndarray -> ndarray closures. `adjoint` must satisfy
+        Raw ndarray -> ndarray closures on one point. `adjoint` must satisfy
         <A x, y> = <x, A* y> for all x, y; tests probe this on random pairs.
+    rows_apply, rows_adjoint : callable, optional
+        The same maps on (B, dim) rows; by default they call `apply` and
+        `adjoint` on each row.
     """
 
-    __slots__ = ("in_dim", "out_dim", "_raw_apply", "_raw_adjoint", "mat",
-                 "scale", "_norm")
+    __slots__ = ("in_dim", "out_dim", "_raw_apply", "_raw_adjoint",
+                 "_rows_apply", "_rows_adjoint", "mat", "scale", "_norm")
 
-    def __init__(self, in_dim, out_dim, apply, adjoint):
+    def __init__(self, in_dim, out_dim, apply, adjoint, rows_apply=None,
+                 rows_adjoint=None):
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self._raw_apply = apply
         self._raw_adjoint = adjoint
+        self._rows_apply = rows_apply or _per_row(apply, self.out_dim)
+        self._rows_adjoint = rows_adjoint or _per_row(adjoint, self.in_dim)
         self.mat = None
         self.scale = None
         self._norm = None
@@ -68,7 +120,8 @@ class LinearMap:
         if mat.ndim != 2:
             raise ValueError("dense map needs a 2-d array")
         matT = mat.T.copy()
-        op = cls(mat.shape[1], mat.shape[0], mat.dot, matT.dot)
+        op = cls(mat.shape[1], mat.shape[0], mat.dot, matT.dot,
+                 lambda x: _apply_rows(mat, x), lambda y: _apply_rows(matT, y))
         op.mat = mat
         return op
 
@@ -79,7 +132,7 @@ class LinearMap:
             fwd = lambda x: x.copy()
         else:
             fwd = lambda x: s * x
-        op = cls(dim, dim, fwd, fwd)
+        op = cls(dim, dim, fwd, fwd, fwd, fwd)
         op.scale = s
         return op
 
@@ -88,7 +141,9 @@ class LinearMap:
         out_dim = in_dim if out_dim is None else out_dim
         op = cls(in_dim, out_dim,
                  lambda x: np.zeros(out_dim),
-                 lambda y: np.zeros(in_dim))
+                 lambda y: np.zeros(in_dim),
+                 lambda x: np.zeros((len(x), out_dim)),
+                 lambda y: np.zeros((len(y), in_dim)))
         if in_dim == out_dim:
             op.scale = 0.0
         return op
@@ -96,10 +151,12 @@ class LinearMap:
     # -- evaluation --------------------------------------------------------
 
     def apply(self, x) -> np.ndarray:
-        return self._raw_apply(_as_vec(x, self.in_dim))
+        x = _as_point_or_rows(x, self.in_dim)
+        return self._raw_apply(x) if x.ndim == 1 else self._rows_apply(x)
 
     def adjoint_apply(self, y) -> np.ndarray:
-        return self._raw_adjoint(_as_vec(y, self.out_dim, "y"))
+        y = _as_point_or_rows(y, self.out_dim, "y")
+        return self._raw_adjoint(y) if y.ndim == 1 else self._rows_adjoint(y)
 
     def __call__(self, x) -> np.ndarray:
         return self.apply(x)
@@ -120,9 +177,11 @@ class LinearMap:
                 f"composition dimension mismatch: {self.in_dim} vs {other.out_dim}")
         f, g = self._raw_apply, other._raw_apply
         fa, ga = self._raw_adjoint, other._raw_adjoint
+        F, G = self._rows_apply, other._rows_apply
+        FA, GA = self._rows_adjoint, other._rows_adjoint
         return LinearMap(other.in_dim, self.out_dim,
-                         lambda x: f(g(x)),
-                         lambda y: ga(fa(y)))
+                         lambda x: f(g(x)), lambda y: ga(fa(y)),
+                         lambda x: F(G(x)), lambda y: GA(FA(y)))
 
     def __add__(self, other) -> "LinearMap":
         if not isinstance(other, LinearMap):
@@ -131,9 +190,11 @@ class LinearMap:
             raise ValueError("sum of maps with different shapes")
         f, g = self._raw_apply, other._raw_apply
         fa, ga = self._raw_adjoint, other._raw_adjoint
+        F, G = self._rows_apply, other._rows_apply
+        FA, GA = self._rows_adjoint, other._rows_adjoint
         return LinearMap(self.in_dim, self.out_dim,
-                         lambda x: f(x) + g(x),
-                         lambda y: fa(y) + ga(y))
+                         lambda x: f(x) + g(x), lambda y: fa(y) + ga(y),
+                         lambda x: F(x) + G(x), lambda y: FA(y) + GA(y))
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -141,16 +202,18 @@ class LinearMap:
     def __mul__(self, alpha) -> "LinearMap":
         a = float(alpha)
         f, fa = self._raw_apply, self._raw_adjoint
+        F, FA = self._rows_apply, self._rows_adjoint
         return LinearMap(self.in_dim, self.out_dim,
-                         lambda x: a * f(x),
-                         lambda y: a * fa(y))
+                         lambda x: a * f(x), lambda y: a * fa(y),
+                         lambda x: a * F(x), lambda y: a * FA(y))
 
     __rmul__ = __mul__
 
     @property
     def T(self) -> "LinearMap":
         return LinearMap(self.out_dim, self.in_dim,
-                         self._raw_adjoint, self._raw_apply)
+                         self._raw_adjoint, self._raw_apply,
+                         self._rows_adjoint, self._rows_apply)
 
     def gram(self) -> "LinearMap":
         """A* A as a lazy composition (always square, self-adjoint, PSD)."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import proxlib
 from .errors import MissingSolutionError
-from .linops import LinearMap
+from .linops import LinearMap, _row_norms
 from .proxlib import ProxFunction, SmoothFunction
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "SaddleResidual",
     "lagrangian",
     "kkt_residual",
+    "kkt_residuals",
     "catalog",
     "CATALOG_NAMES",
 ]
@@ -121,16 +122,27 @@ class SaddleResidual:
         return max(self.stat_x, self.stat_z, self.feas)
 
 
+def kkt_residuals(p: ProblemSpec, X, Z, Y) -> np.ndarray:
+    """The `SaddleResidual` fields of each row (x_i, z_i, y_i), as an
+    (R, 3) array with columns stat_x, stat_z and feas.
+
+    X is (R, n) and Z, Y are (R, m).  Each row is bit-equal to the
+    residual of that row alone, and each norm to np.linalg.norm.
+    """
+    X, Z, Y = (np.asarray(a, dtype=float) for a in (X, Z, Y))
+    if X.ndim != 2 or not len(X) == len(Z) == len(Y):
+        raise ValueError("kkt_residuals needs X, Z and Y with one row per "
+                         "point")
+    rx = X - p.f.prox(1.0, X - (p.h.grad(X) + p.A.adjoint_apply(Y)))
+    rz = Z - p.g.prox(1.0, Z + Y)
+    rf = p.A.apply(X) - Z
+    return np.stack((_row_norms(rx), _row_norms(rz), _row_norms(rf)), axis=1)
+
+
 def kkt_residual(p: ProblemSpec, x, z, y) -> SaddleResidual:
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rx = x - p.f.prox(1.0, x - (p.h.grad(x) + p.A._raw_adjoint(y)))
-    rz = z - p.g.prox(1.0, z + y)
-    rf = p.A._raw_apply(x) - z
-    # sqrt(v @ v) is how np.linalg.norm computes a 1-d norm, bit for bit
-    return SaddleResidual(stat_x=math.sqrt(rx @ rx), stat_z=math.sqrt(rz @ rz),
-                          feas=math.sqrt(rf @ rf))
+    """The residuals at one point (x, z, y): `kkt_residuals` of one row."""
+    rows = (np.asarray(v, dtype=float)[None] for v in (x, z, y))
+    return SaddleResidual(*map(float, kkt_residuals(p, *rows)[0]))
 
 
 # -- catalog ----------------------------------------------------------------

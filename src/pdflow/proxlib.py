@@ -22,6 +22,17 @@ accelerated proximal gradient (FISTA, Beck-Teboulle 2009) with
 gradient-based adaptive restart (O'Donoghue-Candes 2015) from the last
 Newton iterate.  Both phases stop on the same gradient-mapping
 residual.
+
+Rows in, rows out: `f(x)`, `f.prox(tau, u)`, `h(x)` and `h.grad(x)` take
+one (dim,) point or (B, dim) rows, at one scalar tau.  A point gives a
+float or a (dim,) point; rows give a (B,) array or (B, dim) rows, and row
+i is bit-equal to the call on row i alone.  The shape is checked once per
+call.  Every catalog constructor, and so every problem-file kind, is row
+native: its closures take either shape (the proxes are elementwise, and
+the values reduce along the last axis).  A `separable` function, or any
+other function built from closures that take one point, gets a per-row
+fallback.  `metric_prox` takes rows too: a scaled-identity Q solves them
+in one prox, any other Q one row at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +42,8 @@ import math
 import numpy as np
 
 from .errors import CertificationError, ToleranceNotMet
-from .linops import SelfAdjointPSD
+from .linops import (SelfAdjointPSD, _apply_rows, _as_point_or_rows,
+                     _per_row, _row_dots)
 
 __all__ = [
     "ProxFunction",
@@ -57,6 +69,22 @@ NEWTON_STEPS = 8
 ARMIJO = 1e-4
 
 
+def _sum_sq(x):
+    """x @ x for a point, or per row of (B, dim) rows, bit-equal either way."""
+    return x @ x if x.ndim == 1 else _row_dots(x, x)
+
+
+def _evaluate(fn, rows, dim, x):
+    """fn at a point as a float, or at each of (B, dim) rows as a (B,)
+    array: in one call when `rows`, otherwise one row at a time."""
+    x = _as_point_or_rows(x, dim, "point")
+    if x.ndim == 1:
+        return float(fn(x))
+    if rows:
+        return np.asarray(fn(x), dtype=float)
+    return np.array([float(fn(r)) for r in x], dtype=float)
+
+
 class ProxFunction:
     """A proper closed convex function with a computable proximal map.
 
@@ -65,37 +93,45 @@ class ProxFunction:
     dim : int
         Ambient dimension.
 
-    `jac_fn(t, u)`, when given, returns the diagonal of an element of the
-    generalized Jacobian of u -> prox_{t f}(u), as a (dim,) array or a
-    scalar; `metric_prox` uses it for its Newton steps.
+    `eval_fn(x)` and `prox_fn(t, u)` take one (dim,) point; with `rows`
+    they also take (B, dim) rows, otherwise rows are passed to them one at
+    a time.  `jac_fn(t, u)`, when given, returns the diagonal of an element
+    of the generalized Jacobian of u -> prox_{t f}(u) at one point, as a
+    (dim,) array or a scalar; `metric_prox` uses it for its Newton steps.
     """
 
-    def __init__(self, dim, eval_fn, prox_fn, params=None, jac_fn=None):
+    def __init__(self, dim, eval_fn, prox_fn, params=None, jac_fn=None,
+                 rows=False):
         self.dim = int(dim)
         self._eval = eval_fn
         self._prox = prox_fn
         self._jac = jac_fn
+        self._rows = bool(rows)
         self.params = dict(params or {})
 
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point must have shape ({self.dim},), got {x.shape}")
-        return float(self._eval(x))
+    def __call__(self, x):
+        """f(x) as a float, or f at each of (B, dim) rows as a (B,) array."""
+        return _evaluate(self._eval, self._rows, self.dim, x)
 
     def prox(self, tau, u) -> np.ndarray:
-        """argmin_p  f(p) + ||p - u||^2 / (2 tau), tau > 0."""
+        """argmin_p  f(p) + ||p - u||^2 / (2 tau), tau > 0, at a point or
+        at each of (B, dim) rows."""
         if not tau > 0:
             raise ValueError("prox step tau must be positive")
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise ValueError(f"point must have shape ({self.dim},), got {u.shape}")
-        return self._prox(float(tau), u)
+        tau = float(tau)
+        if u.shape == (self.dim,):
+            return self._prox(tau, u)
+        u = _as_point_or_rows(u, self.dim, "point")
+        if self._rows:
+            return self._prox(tau, u)
+        return _per_row(lambda r: self._prox(tau, r), self.dim)(u)
 
 
 def zero(dim) -> ProxFunction:
-    return ProxFunction(dim, lambda x: 0.0, lambda t, u: u.copy(),
-                        jac_fn=lambda t, u: 1.0)
+    return ProxFunction(dim, lambda x: np.zeros(x.shape[:-1]),
+                        lambda t, u: u.copy(), jac_fn=lambda t, u: 1.0,
+                        rows=True)
 
 
 def sq_norm(dim, coef=1.0) -> ProxFunction:
@@ -103,9 +139,9 @@ def sq_norm(dim, coef=1.0) -> ProxFunction:
     c = float(coef)
     if c < 0:
         raise ValueError("sq_norm coefficient must be nonnegative")
-    return ProxFunction(dim, lambda x: 0.5 * c * float(x @ x),
+    return ProxFunction(dim, lambda x: 0.5 * c * _sum_sq(x),
                         lambda t, u: u / (1.0 + t * c), {"coef": c},
-                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c))
+                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True)
 
 
 def l1_norm(dim, weight=1.0) -> ProxFunction:
@@ -118,9 +154,9 @@ def l1_norm(dim, weight=1.0) -> ProxFunction:
         thr = t * w
         return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0)
 
-    return ProxFunction(dim, lambda x: w * float(np.abs(x).sum()), prox_fn,
+    return ProxFunction(dim, lambda x: w * np.abs(x).sum(axis=-1), prox_fn,
                         {"weight": w},
-                        jac_fn=lambda t, u: np.abs(u) > t * w)
+                        jac_fn=lambda t, u: np.abs(u) > t * w, rows=True)
 
 
 def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
@@ -131,13 +167,12 @@ def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
         raise ValueError("box lower bound exceeds upper bound")
 
     def eval_fn(x):
-        if np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12):
-            return 0.0
-        return np.inf
+        inside = ((x >= lo - 1e-12) & (x <= hi + 1e-12)).all(axis=-1)
+        return np.where(inside, 0.0, np.inf)
 
     return ProxFunction(dim, eval_fn, lambda t, u: np.clip(u, lo, hi),
                         {"lo": lo, "hi": hi},
-                        jac_fn=lambda t, u: (lo < u) & (u < hi))
+                        jac_fn=lambda t, u: (lo < u) & (u < hi), rows=True)
 
 
 def sq_distance(dim, center, coef=1.0) -> ProxFunction:
@@ -146,45 +181,50 @@ def sq_distance(dim, center, coef=1.0) -> ProxFunction:
     c = float(coef)
     if c < 0:
         raise ValueError("sq_distance coefficient must be nonnegative")
-    return ProxFunction(dim, lambda x: 0.5 * c * float((x - b) @ (x - b)),
+    return ProxFunction(dim, lambda x: 0.5 * c * _sum_sq(x - b),
                         lambda t, u: (u + t * c * b) / (1.0 + t * c),
                         {"center": b, "coef": c},
-                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c))
+                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True)
 
 
 def separable(dim, eval_fn, prox_fn, params=None, jac_fn=None) -> ProxFunction:
     """Wrap custom vectorized eval/prox closures as a prox function.
 
-    Without `jac_fn`, `metric_prox` solves with FISTA alone.
+    The closures see one (dim,) point at a time; rows are passed to them
+    one by one.  Without `jac_fn`, `metric_prox` solves with FISTA alone.
     """
     return ProxFunction(dim, eval_fn, prox_fn, params, jac_fn)
 
 
 class SmoothFunction:
-    """A convex function with Lipschitz gradient, used additively in the objective."""
+    """A convex function with Lipschitz gradient, used additively in the
+    objective.  Like `ProxFunction`, it takes a point or (B, dim) rows, and
+    closures without `rows` see one point at a time."""
 
-    def __init__(self, dim, eval_fn, grad_fn, lipschitz_grad, is_zero=False):
+    def __init__(self, dim, eval_fn, grad_fn, lipschitz_grad, is_zero=False,
+                 rows=False):
         self.dim = int(dim)
         self._eval = eval_fn
         self._grad = grad_fn
         self.lipschitz_grad = float(lipschitz_grad)
         self.is_zero = bool(is_zero)
+        self._rows = bool(rows)
 
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point must have shape ({self.dim},), got {x.shape}")
-        return float(self._eval(x))
+    def __call__(self, x):
+        """h(x) as a float, or h at each of (B, dim) rows as a (B,) array."""
+        return _evaluate(self._eval, self._rows, self.dim, x)
 
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point must have shape ({self.dim},), got {x.shape}")
-        return self._grad(x)
+        if x.shape == (self.dim,):
+            return self._grad(x)
+        x = _as_point_or_rows(x, self.dim, "point")
+        return self._grad(x) if self._rows else _per_row(self._grad, self.dim)(x)
 
 
 def zero_smooth(dim) -> SmoothFunction:
-    return SmoothFunction(dim, lambda x: 0.0, lambda x: np.zeros(dim), 0.0, is_zero=True)
+    return SmoothFunction(dim, lambda x: np.zeros(x.shape[:-1]), np.zeros_like,
+                          0.0, is_zero=True, rows=True)
 
 
 def quadratic_smooth(P, q=None) -> SmoothFunction:
@@ -197,12 +237,17 @@ def quadratic_smooth(P, q=None) -> SmoothFunction:
     evals = np.linalg.eigvalsh(0.5 * (P + P.T))
     if evals[0] < -1e-12:
         raise CertificationError("quadratic smooth term is not convex")
+
+    def eval_fn(x):
+        if x.ndim == 1:
+            return 0.5 * (x @ (P @ x)) + q @ x
+        return (0.5 * _row_dots(x, _apply_rows(P, x))
+                + _row_dots(x, np.broadcast_to(q, x.shape)))
+
     return SmoothFunction(
-        dim,
-        lambda x: 0.5 * float(x @ (P @ x)) + float(q @ x),
-        lambda x: P @ x + q,
-        float(max(evals[-1], 0.0)),
-    )
+        dim, eval_fn,
+        lambda x: (P @ x if x.ndim == 1 else _apply_rows(P, x)) + q,
+        float(max(evals[-1], 0.0)), rows=True)
 
 
 def prox(f: ProxFunction, tau, u) -> np.ndarray:
@@ -270,6 +315,10 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
 
     Every prox evaluation, in either phase, counts against max_iters.
 
+    `linear` and `x0` may be (B, dim) rows, one subproblem per row: a
+    scaled-identity Q solves them in one prox, any other Q one row at a
+    time.
+
     Raises
     ------
     ValueError
@@ -287,12 +336,17 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
         raise ValueError("metric_prox needs max_iters >= 1")
     lin = np.asarray(linear, dtype=float)
     v = np.array(x0, dtype=float)
-    if f.dim != Q.dim or lin.shape != (Q.dim,) or v.shape != (Q.dim,):
+    if (f.dim != Q.dim or lin.shape != v.shape or lin.ndim not in (1, 2)
+            or lin.shape[-1] != Q.dim):
         raise ValueError(
             f"metric_prox: f, Q, linear and x0 must share dimension {Q.dim}")
     scale = Q.base.scale
     if scale is not None:
         return f.prox(1.0 / scale, -lin / scale)
+    if lin.ndim == 2:
+        for i in range(len(v)):
+            v[i] = metric_prox(f, Q, lin[i], v[i], tol, max_iters)
+        return v
     step = 1.0 / Q.norm()
     qapply = Q.base._raw_apply
     mat = Q.base.mat

@@ -10,8 +10,10 @@ from pdflow.checks import CheckResult, render_report, run_checks
 from pdflow.config import INTEGRATORS, RunConfig, build_flow_params
 from pdflow.flow import FlowParams, RK4, SystemState, integrate
 from pdflow.linops import LinearMap, SelfAdjointPSD
-from pdflow.metric import MetricSchedule, TauSchedule
+from pdflow.linops import psd_floor
+from pdflow.metric import MetricSchedule, TauSchedule, x_update_metric
 from pdflow.problems import CATALOG_NAMES, ProblemSpec, catalog
+from pdflow.proxlib import metric_prox
 
 
 def _params(tau=0.25, gamma=0.5):
@@ -180,6 +182,106 @@ class TestInvariantSuite:
         p = catalog(name)
         results = run_checks(p, _suite_params(p, integrator, mode), _start(p))
         assert all(r.status == "ok" for r in results), render_report(results)
+
+
+# The sampled checks as one-sample-at-a-time loops, the reference for the
+# batched checks: same draws from the shared rng, same verdicts and details.
+
+
+def _loop_adjoint(p, rng):
+    worst = 0.0
+    for _ in range(200):
+        x = rng.standard_normal(p.n)
+        y = rng.standard_normal(p.m)
+        lhs = float(p.A.apply(x) @ y)
+        rhs_ = float(x @ p.A.adjoint_apply(y))
+        worst = max(worst, abs(lhs - rhs_) / max(1.0, abs(lhs)))
+    return checks._result("adjoint-consistency", worst <= 1e-10,
+                          f"max relative defect {worst:.2e} over 200 pairs")
+
+
+def _loop_firm_nonexpansive(p, rng):
+    worst = -np.inf
+    for fn, dim in ((p.f, p.n), (p.g, p.m)):
+        for tau in (0.1, 1.0, 10.0):
+            for _ in range(100):
+                u = 5.0 * rng.standard_normal(dim)
+                v = 5.0 * rng.standard_normal(dim)
+                d = fn.prox(tau, u) - fn.prox(tau, v)
+                worst = max(worst, float(d @ d) - float(d @ (u - v)))
+    return checks._result("prox-firm-nonexpansive", worst <= 1e-10,
+                          f"max violation {worst:.2e} over 600 pairs")
+
+
+def _loop_resolvent_identity(p, rng):
+    worst = 0.0
+    for fn, dim in ((p.f, p.n), (p.g, p.m)):
+        for _ in range(200):
+            u = 5.0 * rng.standard_normal(dim)
+            v = fn.prox(1.0, u)
+            w = fn.prox(0.5, 0.5 * u + 0.5 * v)
+            worst = max(worst, float(np.linalg.norm(w - v)))
+    return checks._result("prox-resolvent-identity", worst <= 1e-10,
+                          f"max defect {worst:.2e} over 400 pairs")
+
+
+def _loop_lipschitz(p, params, rng):
+    m1, _ = checks.schedules(p, params.c, params.tau, params.m1, params.m2)
+    metric = x_update_metric(m1, params.c, p.A, 0.0)
+    bound = params.c / psd_floor(metric, strict=False)
+    worst = 0.0
+    for _ in range(300):
+        a = 3.0 * rng.standard_normal(p.n)
+        b = 3.0 * rng.standard_normal(p.n)
+        sa = metric_prox(p.f, metric, -params.c * a, a, tol=1e-12)
+        sb = metric_prox(p.f, metric, -params.c * b, b, tol=1e-12)
+        gap = float(np.linalg.norm(a - b))
+        if gap > 1e-12:
+            worst = max(worst, float(np.linalg.norm(sa - sb)) / gap)
+    return checks._result("subproblem-lipschitz", worst <= bound + 1e-8,
+                          f"max ratio {worst:.6f} vs bound c/alpha = "
+                          f"{bound:.6f}")
+
+
+class TestSampledChecks:
+    """Each sampled check draws its samples as one block and evaluates
+    them in one call; it must read the same numbers from the rng as the
+    loop, and leave the rng where the loop leaves it."""
+
+    @staticmethod
+    def _same(batched, loop, *args):
+        rngs = np.random.default_rng(5), np.random.default_rng(5)
+        assert batched(*args, rngs[0]) == loop(*args, rngs[1])
+        assert rngs[0].standard_normal() == rngs[1].standard_normal()
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_match_one_sample_loops(self, name):
+        p = catalog(name)
+        self._same(checks._check_adjoint, _loop_adjoint, p)
+        self._same(checks._check_firm_nonexpansive, _loop_firm_nonexpansive,
+                   p)
+        self._same(checks._check_resolvent_identity, _loop_resolvent_identity,
+                   p)
+        self._same(checks._check_lipschitz, _loop_lipschitz, p,
+                   _params(tau=0.12, gamma=1.0))
+
+    def test_lipschitz_with_a_dense_metric(self):
+        """A general M1 makes a dense x-subproblem metric, solved row by
+        row."""
+        p = catalog("lasso-small")
+        m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
+        params = FlowParams(c=1.0, gamma=0.5, m1=m1, horizon=5.0,
+                            integrator=RK4(h=0.05))
+        self._same(checks._check_lipschitz, _loop_lipschitz, p, params)
+
+    def test_adjoint_of_a_closure_map(self):
+        """Closures that take one point go through the per-row fallback."""
+        mat = np.array([[1.0, -1.0], [1.0, 1.0], [0.5, 2.0]])
+        a = LinearMap(2, 3, apply=lambda x: mat @ x,
+                      adjoint=lambda y: mat.T @ y)
+        p = ProblemSpec(name="closure", f=proxlib.sq_norm(2),
+                        h=proxlib.zero_smooth(2), g=proxlib.l1_norm(3), A=a)
+        self._same(checks._check_adjoint, _loop_adjoint, p)
 
 
 class TestRenderReport:

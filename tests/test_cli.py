@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from pdflow import cli
 from pdflow.cli import _footer_value, main, write_plot_script, write_trace_csv
 from pdflow.diagnostics import CSV_FIELDS, Trace, trace_flow
 from pdflow.flow import FlowParams, RK4, integrate
@@ -301,6 +302,32 @@ class TestWriters:
         text = path.read_text()
         assert text.startswith("# plot script for data.csv")
         assert '"data.csv" using 1:2' in text
+
+
+class TestParserReuse:
+    def test_calls_parse_only_their_own_argv(self, tmp_path, monkeypatch):
+        """`main` builds its parser once per process; a second call with
+        another subcommand and other flags sees none of the first's."""
+        seen = []
+        monkeypatch.setitem(cli._DISPATCH, "discrete",
+                            lambda args, cfg: seen.append((args, cfg)) or 0)
+        monkeypatch.setitem(cli._DISPATCH, "check",
+                            lambda args, cfg: seen.append((args, cfg)) or 0)
+        assert main(["discrete", "--problem", "lasso-small", "--algorithm",
+                     "cp", "--seed", "9", "--max-iters", "7",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["check", "--problem", "box-qp"]) == 0
+        first, second = seen
+        assert (first[0].command, first[0].algorithm, first[0].seed,
+                first[1].problem, first[1].max_iters) == (
+                    "discrete", "cp", 9, "lasso-small", 7)
+        assert second[0].command == "check"
+        assert not hasattr(second[0], "algorithm")
+        assert second[0].seed == 0 and second[0].out is None
+        assert second[1].problem == "box-qp"
+        assert second[1].max_iters != 7
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli._parser()
 
 
 class TestModuleEntry:

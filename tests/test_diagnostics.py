@@ -145,6 +145,27 @@ class TestTraceFlow:
             rhs_val = float(np.linalg.norm(s.y - y0)) / (1.0 * s.t)
             assert abs(e_feas - rhs_val) <= 1e-8
 
+    @pytest.mark.parametrize("name", ["example1", "lasso-small", "box-qp"])
+    def test_ergodic_gap_matches_per_row_loop(self, name):
+        """The gap column is one row evaluation of f, h and g; each cell
+        equals f(x~) + h(x~) + g(z~) - f* of its own row, blank at t = 0.
+        Row 2's z~ is moved out of box-qp's box, so its gap is +inf."""
+        from dataclasses import replace
+
+        from pdflow.problems import catalog
+
+        p = catalog(name)
+        params = _params(tau=0.1, gamma=1.0, h=0.05)
+        traj = integrate(p, params, None)
+        erg = traj.erg.copy()
+        erg[2, p.n:] = 3.0
+        gap = trace_flow(p, params, replace(traj, erg=erg)).ergodic_gap
+        opt = p.objective(p.known_primal)
+        want = [np.nan] + [p.f(e[:p.n]) + p.h(e[:p.n]) + p.g(e[p.n:]) - opt
+                           for e in erg[1:]]
+        assert gap.tobytes() == np.array(want).tobytes()
+        assert np.isinf(gap[2]) == (name == "box-qp")
+
     def test_csv_field_list_is_stable(self):
         assert CSV_FIELDS == ("t", "dist_primal", "dist_dual", "feas",
                               "lyapunov", "ergodic_feas", "ergodic_gap")

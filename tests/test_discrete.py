@@ -9,14 +9,15 @@ precision because they are algebraic rearrangements of each other.
 import numpy as np
 import pytest
 
+from pdflow import discrete, proxlib
 from pdflow.diagnostics import trace_discrete
-from pdflow.discrete import (DiscreteParams, admm_step, cp_step,
-                             cp_step_explicit, run)
-from pdflow.errors import ConfigError
-from pdflow.flow import Euler, FlowParams, SystemState, integrate
+from pdflow.discrete import (DIVERGENCE_LIMIT, DiscreteParams, admm_step,
+                             cp_step, cp_step_explicit, run)
+from pdflow.errors import ConfigError, ToleranceNotMet
+from pdflow.flow import Euler, FlowParams, SystemState, _start_row, integrate
 from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import MetricSchedule, TauSchedule
-from pdflow.problems import catalog
+from pdflow.problems import ProblemSpec, catalog, kkt_residual
 
 
 def _start():
@@ -195,6 +196,158 @@ class TestRun:
         out = run(example1, d, _start())
         assert len(out.residuals) == len(out.states)
         assert out.residuals[-1].max() < out.residuals[0].max()
+
+
+def _reference_run(p, d, s0=None, algorithm="admm"):
+    """`run` as an iterate-by-iterate loop: each iterate's divergence test,
+    then its residual and the stop test, before the next iterate."""
+    u0 = _start_row(p, s0)
+    n, m = p.n, p.m
+
+    def residual(row):
+        r = kkt_residual(p, row[:n], row[n:n + m], row[n + m:])
+        return [r.stat_x, r.stat_z, r.feas]
+
+    rows, res = [u0], [residual(u0)]
+    if max(res[0]) <= d.stop_tol:
+        return rows, res, "tolerance"
+    steps = discrete._iterates(p, d, u0, algorithm)
+    for _, (x, z, y) in zip(range(d.max_iters), steps):
+        row = np.concatenate((x, z, y))
+        rows.append(row)
+        norm = max(np.linalg.norm(x), np.linalg.norm(z), np.linalg.norm(y))
+        if not np.isfinite(row).all() or norm > DIVERGENCE_LIMIT:
+            res.append([np.inf] * 3)
+            return rows, res, "divergence"
+        res.append(residual(row))
+        if max(res[-1]) <= d.stop_tol:
+            return rows, res, "tolerance"
+    return rows, res, "budget"
+
+
+def _assert_matches_reference(p, d, s0=None, algorithm="admm"):
+    out = run(p, d, s0, algorithm=algorithm)
+    rows, res, reason = _reference_run(p, d, s0, algorithm)
+    assert out.stop_reason == reason
+    assert out.U.shape == (len(rows), p.n + 2 * p.m)
+    assert out.U.tobytes() == np.array(rows).tobytes()
+    assert out.residuals.shape == (len(rows), 3)
+    assert out.residuals.tobytes() == np.array(res).tobytes()
+    return out
+
+
+def _seeded_start(p, seed):
+    rng = np.random.default_rng(seed)
+    x0 = 2.0 * rng.standard_normal(p.n)
+    return SystemState(x0, p.A.apply(x0), rng.standard_normal(p.m), 0.0)
+
+
+def _residual_maxima(p, d, s0):
+    full = DiscreteParams(c=d.c, gamma=d.gamma, tau=d.tau, max_iters=40,
+                          stop_tol=-np.inf)
+    return run(p, full, s0).residuals.max(axis=1)
+
+
+def _fail_from(monkeypatch, k_bad, failure):
+    """Make ADMM iterate k_bad + 1 and later fail: raise, or turn x to NaN."""
+    real = discrete._admm
+
+    def patched(p, d):
+        step = real(p, d)
+
+        def failing(k, x, z, y):
+            if k < k_bad:
+                return step(k, x, z, y)
+            if failure == "raise":
+                raise ToleranceNotMet("inner solve failed", best=x,
+                                      residual=1.0)
+            return np.full_like(x, np.nan), z, y
+        return failing
+
+    monkeypatch.setattr(discrete, "_admm", patched)
+
+
+class TestChunkedStop:
+    """`run` evaluates the residuals of STOP_CHUNK iterates at a time and
+    must return exactly what the iterate-by-iterate loop returns."""
+
+    @pytest.mark.parametrize("name,tau,algorithm", [
+        ("example1", 0.25, "admm"), ("example1", 0.25, "cp"),
+        ("lasso-small", 0.2, "admm"), ("lasso-small", 0.2, "cp"),
+        ("box-qp", 0.12, "admm")])
+    def test_seeded_starts_match_reference(self, name, tau, algorithm):
+        p = catalog(name)
+        d = DiscreteParams(c=1.0, gamma=1.0, tau=tau, max_iters=300,
+                           stop_tol=1e-8)
+        reasons = {_assert_matches_reference(p, d, _seeded_start(p, seed),
+                                             algorithm).stop_reason
+                   for seed in range(4)}
+        assert reasons <= {"tolerance", "budget"}
+
+    def test_divergent_run_matches_reference(self):
+        p = catalog("box-qp")
+        d = DiscreteParams(c=1.0, gamma=1.0, tau=0.2, max_iters=500,
+                           stop_tol=1e-12)
+        assert _assert_matches_reference(p, d).stop_reason == "divergence"
+
+    @pytest.mark.parametrize("k", [0, 1, 15, 16, 17])
+    def test_stop_at_chosen_iterate(self, example1, k):
+        d = DiscreteParams(tau=0.25, max_iters=40)
+        r = _residual_maxima(example1, d, _start())
+        assert r[k] < np.min(r[:k], initial=np.inf)  # first row at r[k]
+        d.stop_tol = float(r[k])
+        out = _assert_matches_reference(example1, d, _start())
+        assert out.stop_reason == "tolerance"
+        assert len(out.U) == k + 1
+
+    @pytest.mark.parametrize("max_iters", [0, 15, 16, 37])
+    def test_budget_inside_and_at_chunks(self, max_iters):
+        p = catalog("lasso-small")
+        d = DiscreteParams(tau=0.2, max_iters=max_iters, stop_tol=0.0)
+        out = _assert_matches_reference(p, d)
+        assert out.stop_reason == "budget"
+        assert len(out.U) == max_iters + 1
+
+    @pytest.mark.parametrize("failure", ["raise", "nan"])
+    def test_failure_after_the_stop_row_is_dropped(self, example1,
+                                                   monkeypatch, failure):
+        """Row 3 stops the run; iterate 6, in the same chunk, raises or is
+        not finite.  The iterate-by-iterate loop never computes it."""
+        d = DiscreteParams(tau=0.25, max_iters=40)
+        d.stop_tol = float(_residual_maxima(example1, d, _start())[3])
+        _fail_from(monkeypatch, 5, failure)
+        out = _assert_matches_reference(example1, d, _start())
+        assert out.stop_reason == "tolerance"
+        assert len(out.U) == 4
+
+    def test_failure_before_any_stop_row(self, example1, monkeypatch):
+        d = DiscreteParams(tau=0.25, max_iters=40, stop_tol=1e-8)
+        _fail_from(monkeypatch, 5, "raise")
+        with pytest.raises(ToleranceNotMet, match="inner solve failed"):
+            run(example1, d, _start())
+        _fail_from(monkeypatch, 5, "nan")
+        out = _assert_matches_reference(example1, d, _start())
+        assert out.stop_reason == "divergence"
+        assert len(out.U) == 7
+
+    def test_nan_in_z_or_y_is_divergence(self):
+        """A g whose prox returns NaN for |u| > 15 puts a NaN in z^1 and
+        y^1 while x^1 stays finite: iterate 1 diverged."""
+        l1 = proxlib.l1_norm(2)
+
+        def prox_fn(t, u):
+            return np.where(np.abs(u) > 15.0, np.nan, l1.prox(t, u))
+
+        base = catalog("example1")
+        p = ProblemSpec("nan-g", base.f, base.h,
+                        proxlib.separable(2, l1, prox_fn), base.A)
+        d = DiscreteParams(tau=0.49, max_iters=50)
+        out = _assert_matches_reference(p, d, _start())
+        assert np.isfinite(out.U[1, :2]).all()
+        assert not np.isfinite(out.U[1, 2:]).all()
+        assert out.stop_reason == "divergence"
+        assert len(out.U) == 2
+        assert np.isinf(out.residuals[-1]).all()
 
 
 class TestDiscreteParams:

@@ -88,6 +88,92 @@ class TestLinearMap:
         np.testing.assert_array_equal(LinearMap.from_dense(mat).to_dense(), mat)
 
 
+def _same_bits(got, want):
+    """Equal shapes and equal bytes, so -0.0 and 0.0 differ too."""
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _one_point_map(mat):
+    """A map from raw closures that reject anything but a single point."""
+    def one(fn):
+        def apply(x):
+            assert x.ndim == 1
+            return fn(x)
+        return apply
+    return LinearMap(mat.shape[1], mat.shape[0], one(mat.dot), one(mat.T.dot))
+
+
+class TestRows:
+    """(B, dim) rows in, (B, dim) rows out, each row bit-equal to the map
+    applied to that row alone."""
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (12, 8), (6, 6), (1, 5),
+                                           (5, 1), (13, 40)])
+    def test_dense_rows_match_points(self, rows, cols):
+        rng = np.random.default_rng(rows * 100 + cols)
+        op = LinearMap.from_dense(_random_dense(rng, rows, cols))
+        X = 10.0 * rng.standard_normal((33, cols))
+        Y = 10.0 * rng.standard_normal((33, rows))
+        _same_bits(op.apply(X), [op.apply(x) for x in X])
+        _same_bits(op.adjoint_apply(Y), [op.adjoint_apply(y) for y in Y])
+
+    def test_views_of_wider_rows(self):
+        """Column slices of a state array, as the callers pass them."""
+        rng = np.random.default_rng(3)
+        op = LinearMap.from_dense(_random_dense(rng, 12, 8))
+        U = rng.standard_normal((20, 32))
+        _same_bits(op.apply(U[:, :8]), [op.apply(u[:8]) for u in U])
+        _same_bits(op.adjoint_apply(U[:, 20:]),
+                   [op.adjoint_apply(u[20:]) for u in U])
+
+    @pytest.mark.parametrize("op", [LinearMap.identity(3),
+                                    LinearMap.identity(3, scale=2.5),
+                                    LinearMap.zero(3)],
+                             ids=["identity", "scaled", "zero"])
+    def test_identity_and_zero_rows(self, op):
+        X = np.random.default_rng(5).standard_normal((7, 3))
+        _same_bits(op.apply(X), [op.apply(x) for x in X])
+        _same_bits(op.adjoint_apply(X), [op.adjoint_apply(x) for x in X])
+
+    def test_rectangular_zero_rows(self):
+        op = LinearMap.zero(3, 5)
+        _same_bits(op.apply(np.ones((4, 3))), np.zeros((4, 5)))
+        _same_bits(op.adjoint_apply(np.ones((4, 5))), np.zeros((4, 3)))
+
+    def test_closure_map_falls_back_per_row(self):
+        rng = np.random.default_rng(9)
+        mat = _random_dense(rng, 4, 3)
+        op = _one_point_map(mat)
+        X = rng.standard_normal((6, 3))
+        Y = rng.standard_normal((6, 4))
+        _same_bits(op.apply(X), [mat.dot(x) for x in X])
+        _same_bits(op.adjoint_apply(Y), [mat.T.dot(y) for y in Y])
+        assert op.apply(np.empty((0, 3))).shape == (0, 4)
+
+    def test_compositions_with_a_closure_map(self):
+        """Every composition keeps the per-row fallback of its closure
+        part and the row path of its dense part."""
+        rng = np.random.default_rng(13)
+        dense = LinearMap.from_dense(_random_dense(rng, 3, 3))
+        closure = _one_point_map(_random_dense(rng, 3, 3))
+        X = rng.standard_normal((5, 3))
+        for op in (dense @ closure, closure @ dense, dense + closure,
+                   closure - dense, 2.0 * closure, closure.T,
+                   closure.gram()):
+            _same_bits(op.apply(X), [op.apply(x) for x in X])
+            _same_bits(op.adjoint_apply(X), [op.adjoint_apply(x) for x in X])
+
+    def test_row_shape_checks(self):
+        op = LinearMap.from_dense(np.ones((3, 2)))
+        for bad in (np.ones((4, 3)), np.ones((2, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="must have shape"):
+                op.apply(bad)
+        with pytest.raises(ValueError, match="must have shape"):
+            op.adjoint_apply(np.ones((4, 2)))
+
+
 class TestOperatorNorm:
     def test_matches_spectral_norm(self):
         rng = np.random.default_rng(17)

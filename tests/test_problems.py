@@ -12,7 +12,7 @@ from pdflow import proxlib
 from pdflow.errors import MissingSolutionError
 from pdflow.linops import LinearMap
 from pdflow.problems import (CATALOG_NAMES, ProblemSpec, catalog,
-                             kkt_residual, lagrangian)
+                             kkt_residual, kkt_residuals, lagrangian)
 
 
 class TestCatalog:
@@ -69,6 +69,34 @@ class TestExample1:
     def test_kkt_positive_off_saddle(self, example1):
         res = kkt_residual(example1, np.ones(2), np.ones(2), np.ones(2))
         assert res.max() > 0.1
+
+
+def _point_residual(p, x, z, y):
+    """The residual of one point, one 1-D numpy call at a time."""
+    rx = x - p.f.prox(1.0, x - (p.h.grad(x) + p.A.adjoint_apply(y)))
+    rz = z - p.g.prox(1.0, z + y)
+    rf = p.A.apply(x) - z
+    return [np.linalg.norm(rx), np.linalg.norm(rz), np.linalg.norm(rf)]
+
+
+class TestKktResiduals:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_rows_match_points_bitwise(self, name):
+        p = catalog(name)
+        rng = np.random.default_rng(61)
+        U = 3.0 * rng.standard_normal((40, p.n + 2 * p.m))
+        X, Z, Y = U[:, :p.n], U[:, p.n:p.n + p.m], U[:, p.n + p.m:]
+        got = kkt_residuals(p, X, Z, Y)
+        want = np.array([_point_residual(p, *r) for r in zip(X, Z, Y)])
+        assert got.shape == (40, 3)
+        assert got.tobytes() == want.tobytes()
+        one = kkt_residual(p, X[7], Z[7], Y[7])
+        assert [one.stat_x, one.stat_z, one.feas] == list(want[7])
+
+    def test_mismatched_rows_rejected(self, example1):
+        with pytest.raises(ValueError, match="one row per point"):
+            kkt_residuals(example1, np.zeros((3, 2)), np.zeros((2, 2)),
+                          np.zeros((3, 2)))
 
 
 class TestLagrangian:

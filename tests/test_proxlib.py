@@ -475,3 +475,108 @@ class TestSmoothFunctions:
         np.testing.assert_array_equal(h.grad(np.ones(2)), np.zeros(2))
         assert h.lipschitz_grad == 0.0
         assert h.is_zero
+
+
+def _same_bits(got, want):
+    """Equal shapes and equal bytes, so -0.0 and 0.0 differ too."""
+    want = np.asarray(want, dtype=float)
+    assert np.shape(got) == want.shape
+    assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+
+
+def _one_point(fn):
+    """Wrap a closure so that it rejects anything but a single point."""
+    def wrapped(*args):
+        assert args[-1].ndim == 1
+        return fn(*args)
+    return wrapped
+
+
+_ROW_KINDS = _KINDS + [
+    ("box-vector", lambda: box(3, lo=[-1.0, 0.0, -2.0], hi=[1.0, 0.5, 2.0])),
+]
+
+
+class TestRows:
+    """(B, dim) rows in, one result per row out, each bit-equal to the call
+    on that row alone, at one scalar step."""
+
+    @pytest.mark.parametrize("name,make", _ROW_KINDS,
+                             ids=[k for k, _ in _ROW_KINDS])
+    def test_prox_and_value_rows_match_points(self, name, make):
+        f = make()
+        rng = np.random.default_rng(31)
+        # the first half inside every box, the second half mostly outside
+        U = np.concatenate((0.2 * rng.uniform(-1.0, 1.0, (20, 3)),
+                            3.0 * rng.standard_normal((20, 3))))
+        for tau in (0.3, 1.0, 7.0):
+            _same_bits(f.prox(tau, U), [f.prox(tau, u) for u in U])
+        _same_bits(f(U), [f(u) for u in U])
+
+    def test_box_rows_outside_are_infinite(self):
+        f = box(2, lo=0.0, hi=1.0)
+        X = np.array([[0.5, 1.0], [0.5, 1.0 + 1e-13], [0.5, 1.1], [-3.0, 0.0]])
+        _same_bits(f(X), [0.0, 0.0, np.inf, np.inf])
+
+    def test_smooth_rows_match_points(self):
+        rng = np.random.default_rng(37)
+        base = rng.standard_normal((4, 4))
+        X = 5.0 * rng.standard_normal((25, 4))
+        for h in (quadratic_smooth(base.T @ base, rng.standard_normal(4)),
+                  quadratic_smooth(base.T @ base), zero_smooth(4)):
+            _same_bits(h(X), [h(x) for x in X])
+            _same_bits(h.grad(X), [h.grad(x) for x in X])
+            _same_bits(h.grad(X[:, ::-1]), [h.grad(x) for x in X[:, ::-1]])
+
+    def test_zero_smooth_gradient_is_zeros_like(self):
+        h = zero_smooth(3)
+        _same_bits(h.grad(np.ones(3)), np.zeros(3))
+        _same_bits(h.grad(np.ones((5, 3))), np.zeros((5, 3)))
+
+    def test_separable_falls_back_per_row(self):
+        inner = l1_norm(3, weight=0.4)
+        f = separable(3, _one_point(inner), _one_point(inner.prox))
+        U = np.random.default_rng(41).standard_normal((9, 3))
+        _same_bits(f.prox(0.7, U), inner.prox(0.7, U))
+        _same_bits(f(U), inner(U))
+        assert f.prox(0.7, np.empty((0, 3))).shape == (0, 3)
+        assert f(np.empty((0, 3))).shape == (0,)
+
+    def test_closure_smooth_function_falls_back_per_row(self):
+        from pdflow.proxlib import SmoothFunction
+
+        inner = quadratic_smooth(np.diag([1.0, 2.0]), np.array([0.5, -1.0]))
+        h = SmoothFunction(2, _one_point(inner), _one_point(inner.grad), 2.0)
+        X = np.random.default_rng(43).standard_normal((6, 2))
+        _same_bits(h(X), inner(X))
+        _same_bits(h.grad(X), inner.grad(X))
+
+    def test_rows_shape_checks(self):
+        f, h = l1_norm(2), zero_smooth(2)
+        for bad in (np.ones((4, 3)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="must have shape"):
+                f.prox(1.0, bad)
+            with pytest.raises(ValueError, match="must have shape"):
+                f(bad)
+            with pytest.raises(ValueError, match="must have shape"):
+                h.grad(bad)
+
+    def test_metric_prox_rows(self):
+        """A scaled-identity Q solves rows in one prox; a dense Q solves
+        each row as its own subproblem."""
+        rng = np.random.default_rng(47)
+        lin = rng.standard_normal((8, 3))
+        x0 = rng.standard_normal((8, 3))
+        inner = l1_norm(3, weight=0.3)
+        scaled = SelfAdjointPSD.identity(3, 2.0)
+        got = metric_prox(inner, scaled, lin, x0)
+        _same_bits(got, [metric_prox(inner, scaled, a, b)
+                         for a, b in zip(lin, x0)])
+        base = rng.standard_normal((3, 3))
+        dense = SelfAdjointPSD.from_dense(base.T @ base + np.eye(3),
+                                          alpha_floor=1.0)
+        got = metric_prox(inner, dense, lin, x0)
+        _same_bits(got, [metric_prox(inner, dense, a, b)
+                         for a, b in zip(lin, x0)])
+        with pytest.raises(ValueError, match="share dimension"):
+            metric_prox(inner, dense, lin, x0[:4])

@@ -12,9 +12,11 @@ digests diff clean wrote byte-identical outputs for every run.
 The runs: `flow --tau auto --horizon 20 --dump-state` and `check --tau
 auto` with each integrator, `discrete --tau auto --dump-state` with each
 algorithm, and a saturating-tau `flow` and `discrete` run, each on every
-catalog problem; then the divergent `discrete` run on box-qp, and the
-example1 sweep `reproduce-example1 --horizon 5` (nine flow runs and the
-sweep report).
+catalog problem, and `check --seed 7`, which draws the sampled checks from
+another stream; then the divergent `discrete` run on box-qp, a lasso-small
+`discrete` run whose budget of 37 iterations ends inside a chunk of the
+stop test, and the example1 sweep `reproduce-example1 --horizon 5` (nine
+flow runs and the sweep report).
 """
 
 from __future__ import annotations
@@ -46,7 +48,10 @@ def commands():
         yield ["flow", *base, "--tau", SATURATING, "--horizon", "20",
                "--dump-state"]
         yield ["discrete", *base, "--tau", SATURATING, "--dump-state"]
+        yield ["check", *base, "--seed", "7"]
     yield ["discrete", "--problem", "box-qp", "--tau", "0.2", "--dump-state"]
+    yield ["discrete", "--problem", "lasso-small", "--tau", "auto",
+           "--max-iters", "37", "--dump-state"]
     yield ["reproduce-example1", "--horizon", "5"]
 
 
