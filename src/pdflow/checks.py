@@ -19,7 +19,8 @@ import numpy as np
 from .diagnostics import lyapunov_excess, trace_flow
 from .discrete import DiscreteParams, run as discrete_run
 from .errors import MissingSolutionError
-from .flow import Euler, FlowParams, SystemState, integrate, rhs, schedules
+from .flow import (Euler, FlowParams, SystemState, _check_rhs_time, _make_rhs,
+                   integrate, schedules)
 from .linops import _apply_rows, _row_dots, _row_norms, psd_floor
 from .metric import certify, x_update_metric
 from .problems import ProblemSpec, kkt_residual
@@ -98,25 +99,26 @@ def _check_conditions(p: ProblemSpec, params: FlowParams) -> CheckResult:
         f"step_ok={report.step_size_ok}")
 
 
-def _check_saddle_stationarity(p: ProblemSpec, params: FlowParams) -> CheckResult:
+def _check_saddle_stationarity(p: ProblemSpec, rhs_fn) -> CheckResult:
     try:
         x_star, y_star = p.require_saddle()
     except MissingSolutionError:
         return CheckResult("saddle-stationarity", "skip", "no known saddle")
-    s = SystemState(x_star.copy(), p.A.apply(x_star), y_star.copy(), 0.0)
-    u, v, w = rhs(p, params, 0.0, s)
+    s = np.concatenate((x_star, p.A.apply(x_star), y_star))
+    u, v, w = rhs_fn(0.0, s)
     norm = max(np.linalg.norm(u), np.linalg.norm(v), np.linalg.norm(w))
     return _result("saddle-stationarity", norm <= 1e-8,
                    f"|rhs| = {norm:.2e} at the known saddle")
 
 
-def _check_third_line(p: ProblemSpec, params: FlowParams, rng) -> CheckResult:
+def _check_third_line(p: ProblemSpec, params: FlowParams, rhs_fn,
+                      rng) -> CheckResult:
     worst = 0.0
     for _ in range(20):
-        s = SystemState(rng.standard_normal(p.n), rng.standard_normal(p.m),
-                        rng.standard_normal(p.m), 0.0)
-        u, v, w = rhs(p, params, 0.0, s)
-        recon = params.c * (p.A.apply(u + s.x) - (v + s.z))
+        x, z, y = (rng.standard_normal(p.n), rng.standard_normal(p.m),
+                   rng.standard_normal(p.m))
+        u, v, w = rhs_fn(0.0, np.concatenate((x, z, y)))
+        recon = params.c * (p.A.apply(u + x) - (v + z))
         worst = max(worst, float(np.linalg.norm(recon - w)))
     return _result("dual-line-consistency", worst <= 1e-12,
                    f"max defect {worst:.2e} over 20 random states")
@@ -203,8 +205,13 @@ def run_checks(p: ProblemSpec, params: FlowParams, s0: SystemState,
         _check_firm_nonexpansive(p, rng),
         _check_resolvent_identity(p, rng),
         _check_conditions(p, params),
-        _check_saddle_stationarity(p, params),
-        _check_third_line(p, params, rng),
+    ]
+    # the rhs at t = 0, certified as `flow.rhs` certifies it, built once
+    _check_rhs_time(p, params, 0.0)
+    rhs_fn = _make_rhs(p, params)
+    results += [
+        _check_saddle_stationarity(p, rhs_fn),
+        _check_third_line(p, params, rhs_fn, rng),
         _check_frozen_solution(p),
     ]
     if params.mode == "closed-form":

@@ -2,10 +2,13 @@
 primal-dual step forms.
 
 `admm_step` is the flow's own proximal ADMM update, built by
-`flow._make_update`, followed by the dual ascent step.  So one explicit
-Euler step of the flow with step 1 is one `admm_step`, which the tests pin
-down to 1e-12; the closed-form or `metric_prox` solve of each block is
-chosen there, once per run.
+`flow._make_update`, followed by the dual ascent step: the update maps the
+flat iterate s = x | z | y to (x_new, z_new, w), with w = c (A x_new - z_new)
+the dual velocity, and the next iterate is x_new | z_new | y + w.  So one
+explicit Euler step of the flow with step 1 is one `admm_step`, which the
+tests pin down to 1e-12; the maps H and B behind the update's affine terms,
+and the closed-form or `metric_prox` solve of each block, are built there,
+once per run.
 
 `cp_step` is the dual-extrapolated primal-dual update (uses 2 y^k - y^{k-1}
 in the x-step); `cp_step_explicit` is the same iteration written with the
@@ -16,7 +19,6 @@ coincide once started from matching states (z^0 = A x^0, y^{-1} = y^0).
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -75,14 +77,14 @@ class DiscreteParams:
 
 
 def _admm(p: ProblemSpec, d: DiscreteParams):
-    """Build the iteration (k, x, z, y) -> (x, z, y) at k + 1 for one run."""
-    c = d.c
-    a_apply = p.A._raw_apply
-    update = _make_update(p, c, d.gamma, d.tau, d.m1, d.m2, d.inner_tol)
+    """Build the iteration (k, s) -> s at k + 1 on flat rows x | z | y for
+    one run."""
+    iy = p.n + p.m
+    update = _make_update(p, d.c, d.gamma, d.tau, d.m1, d.m2, d.inner_tol)
 
-    def step(k, x, z, y):
-        x_new, z_new = update(k, x, z, y)
-        return x_new, z_new, y + c * (a_apply(x_new) - z_new)
+    def step(k, s):
+        x_new, z_new, w = update(k, s)
+        return np.concatenate((x_new, z_new, s[iy:] + w))
 
     return step
 
@@ -95,7 +97,8 @@ def admm_step(p: ProblemSpec, d: DiscreteParams, k: int,
     term in the metric M1^k; z^{k+1} sees the relaxed point
     gamma x^{k+1} + (1-gamma) x^k; y^{k+1} = y^k + c (A x^{k+1} - z^{k+1}).
     """
-    return SystemState(*_admm(p, d)(k, s.x, s.z, s.y), float(k + 1))
+    row = _admm(p, d)(k, _start_row(p, s))
+    return _state_rows([k + 1], row[None], p.n)[0]
 
 
 def _require_cp(p: ProblemSpec, d: DiscreteParams):
@@ -168,19 +171,21 @@ class DiscreteRun:
 
 
 def _iterates(p: ProblemSpec, d: DiscreteParams, u0, algorithm):
-    """Yield the iterates x^k | z^k | y^k for k = 1, 2, ... from u0."""
-    x, z, y = np.split(u0, [p.n, p.n + p.m])
+    """Yield the iterates x^k | z^k | y^k for k = 1, 2, ... from u0, each a
+    new flat row."""
     if algorithm == "admm":
         step = _admm(p, d)
+        s = u0
         for k in itertools.count():
-            x, z, y = step(k, x, z, y)
-            yield x, z, y
+            s = step(k, s)
+            yield s
+    x, _, y = np.split(u0, [p.n, p.n + p.m])
     y_prev = y
     for k in itertools.count():
         x, y_new = cp_step(p, d, k, x, y, y_prev)
         z = p.A._raw_apply(x) - (y_new - y) / d.c
         y_prev, y = y, y_new
-        yield x, z, y
+        yield np.concatenate((x, z, y))
 
 
 def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
@@ -207,6 +212,7 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
         _require_cp(p, d)
 
     n, m = p.n, p.m
+    starts, limit_sq = np.array([0, n, n + m]), DIVERGENCE_LIMIT ** 2
     rows, blocks = [u0], []
     checked = 0
 
@@ -235,16 +241,13 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
             if k is not None:
                 return result("tolerance", k + 1)
         try:
-            x, z, y = next(iterates)
+            row = next(iterates)
         except Exception as exc:  # re-raised below unless an earlier row stops
             error = exc
             break
-        row = np.concatenate((x, z, y))
-        # a NaN or inf anywhere in the row makes its block's norm fail the
-        # comparison (max() would drop a NaN that follows a number)
-        if not (math.sqrt(x @ x) <= DIVERGENCE_LIMIT
-                and math.sqrt(z @ z) <= DIVERGENCE_LIMIT
-                and math.sqrt(y @ y) <= DIVERGENCE_LIMIT):
+        # the squared norms of x, z and y; a NaN or inf anywhere in the row
+        # makes the largest one NaN or inf, which fails the comparison
+        if not np.add.reduceat(row * row, starts).max() <= limit_sq:
             last = row
             break
         rows.append(row)

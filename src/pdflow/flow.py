@@ -1,22 +1,27 @@
 """The primal-dual dynamical system and its time integrators.
 
-State U = (x, z, y).  The right-hand side is one proximal ADMM update,
-(x, z, y) -> (x_new, z_new), read as a velocity: u = x_new - x solves a
-strongly convex prox subproblem, v = z_new - z solves a second one at the
-relaxed point x + gamma u, and the dual velocity is the explicit
+State U = (x, z, y), one flat row.  The right-hand side is one proximal
+ADMM update, U -> (x_new, z_new, w), read as a velocity: u = x_new - x
+solves a strongly convex prox subproblem, v = z_new - z solves a second one
+at the relaxed point x + gamma u, and the dual velocity is the explicit
 
-    w = c (A (u + x) - (v + z)).
+    w = c (A x_new - z_new).
 
 `_make_update` builds that update, and with it the evaluation mode, once
-per run; `discrete.admm_step` uses the same update, so a unit-step Euler
-step is one ADMM iteration by construction.  The modes:
+per run.  Every affine term of it is one of two products with maps built
+then: H U gives the inputs of both subproblems, and B x_new the new part of
+the relaxed point and c A x_new; for the small problems of the catalog each
+is one dense matrix.  `discrete.admm_step` uses the same update, with
+y_new = y + w, so a unit-step Euler step is one ADMM iteration by
+construction.  The modes:
 
 * closed-form      -- x-update metric I / tau(t) (the tau family), both
                       subproblems collapse to single prox calls; requires
                       c tau(t) ||A||^2 <= 1 over the horizon
 * general-metric   -- arbitrary PSD schedules M1, M2; subproblems solved by
-                      `metric_prox` (an absent M2 keeps the single z-prox);
-                      requires a uniformly positive x-metric
+                      `metric_prox`, except that a tau-family M1 and an
+                      absent (zero) M2 are single prox calls; requires a
+                      uniformly positive x-metric
 
 Every integrator is an explicit Runge-Kutta method given by its Butcher
 tableau (Hairer-Norsett-Wanner, Solving ODEs I, II.1-II.4): fixed-step
@@ -42,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationError, IntegrationError
+from .linops import LinearMap, _block_map
 from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
 from .problems import ProblemSpec
 from .proxlib import metric_prox
@@ -101,8 +107,9 @@ class Adaptive:
     tableau's error estimate over abs_tol + rel_tol max(|U_n|, |U_n+1|) is
     at most 1; the next step is h * clip(0.9 err^(-1/5), 0.2, 5), capped at
     h_max, and a rejection whose shrunken step falls below h_min stops the
-    run.  A rejected trial is retried from the same first slope.  h0 = 0
-    never advances and abs_tol = 0 can make the error NaN, which passes.
+    run.  A rejected trial is retried from the same first slope.
+    Construction rejects h0 <= 0, which never advances, and abs_tol <= 0,
+    which can make the error NaN, and a NaN error would pass the test.
     """
 
     rel_tol: float = 1e-6
@@ -213,61 +220,126 @@ def schedules(p: ProblemSpec, c, tau=None, m1=None, m2=None):
 
 def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
                  m1: MetricSchedule | None, m2: MetricSchedule | None, tol):
-    """Build the proximal ADMM update (t, x, z, y) -> (x_new, z_new), with
-    z_new taken at the relaxed point x + gamma (x_new - x); t is the flow
-    time or the iteration index k.  Each block is chosen here, once: without
-    m1 (metric I / tau(t) - c A* A) the x-update is one prox of f, and
-    without m2 (a zero M2) the z-update is one prox of g; otherwise
-    `metric_prox` solves the block in c A* A + M1(t) or M2(t) + c I to tol.
+    """Build the proximal ADMM update (t, s) -> (x_new, z_new, w) on the
+    flat state s = x | z | y, with z_new taken at the relaxed point
+    x + gamma (x_new - x) and the dual velocity w = c (A x_new - z_new); t is
+    the flow time or the iteration index k.  The x-step of a tau family is
+    positive for t >= 0 and the update passes it to the raw prox of f, so a
+    caller at t < 0 certifies it first (`_check_rhs_time`).
+
+    Every affine term is a fixed linear function of s or x_new, so the run
+    builds two maps once: `r = H s` gives the affine inputs of both blocks
+    and `B x_new` the new part of the relaxed point and c A x_new.  Each
+    block solver is chosen here, once:
+
+    * a tau-family M1(t) = I / tau(t) - c1 A1* A1 (the closed-form mode):
+      the x rows of H are [c1 A1* A1 + P, -c A*, A*] and x_new is one prox
+      of f at x - tau(t) (r_x + q)
+    * a constant M1: the x rows are [P - M1, -c A*, A*] and `metric_prox`
+      solves the block in Q1 = c A* A + M1 with lin = r_x + q
+    * no M2 (zero): the z rows of H are [(1 - gamma) A, 0, I / c] and
+      z_new is one prox of g with step 1 / c at r_z + gamma A x_new
+    * an M2(t) = s2(t) I + K2 (s2 = 1 / tau2(t) for a tau family, 0 for a
+      constant): the z rows are [(1 - gamma) A, K2 / c, I / c] and
+      `metric_prox` solves the block in M2(t) + c I with
+      lin = -c (r_z + gamma A x_new) - s2(t) z
+
+    B is [gamma A; c A] in every mode.  A quadratic h (`quadratic_smooth`)
+    folds its P and q in as above; any other h adds its gradient at x to
+    r_x.
     """
-    a_apply, a_adjoint = p.A._raw_apply, p.A._raw_adjoint
-    h_grad = None if p.h.is_zero else p.h.grad
+    z_prox = m2 is None
+    m1, m2 = schedules(p, c, tau, m1, m2)
+    n, m = p.n, p.m
+    A, AT = p.A, p.A.T
+    f, g = p.f, p.g
+    f_prox, g_prox = f._prox, g._prox
 
-    if m1 is None:
-        def x_update(t, x, z, y):
-            tau_t = tau.value(t)
-            arg = x - tau_t * a_adjoint(y + c * (a_apply(x) - z))
-            if h_grad is not None:
-                arg = arg - tau_t * h_grad(x)
-            return p.f.prox(tau_t, arg)
+    P = q = h_grad = None
+    if p.h.P is not None:
+        P, q = LinearMap.from_dense(p.h.P), p.h.q
+    elif not p.h.is_zero:
+        h_grad = p.h._grad
+
+    x_tau = m1.tau
+    if x_tau is not None:
+        kx = m1.c * m1.A.gram()
+        kx = kx if P is None else kx + P
     else:
-        def x_update(t, x, z, y):
-            m1_t = m1.at(t)
-            q = x_update_metric(m1, c, p.A, t)
-            lin = -(m1_t.base._raw_apply(x) + a_adjoint(c * z - y))
-            if h_grad is not None:
-                lin = lin + h_grad(x)
-            return metric_prox(p.f, q, lin, x, tol=tol)
+        q1 = x_update_metric(m1, c, A, 0.0)
+        kx = -1.0 * m1.at(0.0).base if P is None else P - m1.at(0.0).base
 
-    if m2 is None:
-        def z_update(t, ax_bar, z, y):
-            return p.g.prox(1.0 / c, ax_bar + y / c)
-    else:
-        def z_update(t, ax_bar, z, y):
-            lin = -(m2.at(t).base._raw_apply(z) + c * ax_bar + y)
-            return metric_prox(p.g, z_update_metric(m2, c, t), lin, z, tol=tol)
+    z_tau, z_step = m2.tau, 1.0 / c
+    kz = None
+    if z_tau is not None:
+        kz = (-m2.c / c) * m2.A.gram()
+    elif not z_prox:
+        q2 = z_update_metric(m2, c, 0.0)
+        kz = (1.0 / c) * m2.at(0.0).base
+    H = _block_map([[kx, -c * AT, AT],
+                    [(1.0 - gamma) * A, kz, LinearMap.identity(m, 1.0 / c)]],
+                   [n, m, m])
+    B = _block_map([[gamma * A], [c * A]], [n])
+    h_apply, b_apply = H._raw_apply, B._raw_apply
 
-    def update(t, x, z, y):
-        x_new = x_update(t, x, z, y)
-        return x_new, z_update(t, a_apply(x + gamma * (x_new - x)), z, y)
+    def update(t, s):
+        r = h_apply(s)
+        x = s[:n]
+        rx = r[:n]
+        if q is not None:
+            rx = rx + q
+        if h_grad is not None:
+            rx = rx + h_grad(x)
+        if x_tau is not None:
+            tau_t = x_tau.value(t)
+            x_new = f_prox(tau_t, x - tau_t * rx)
+        else:
+            x_new = metric_prox(f, q1, rx, x, tol=tol)
+        bx = b_apply(x_new)
+        rz = r[n:] + bx[:m]
+        if z_prox:
+            z_new = g_prox(z_step, rz)
+        else:
+            z = s[n:n + m]
+            lin = -c * rz
+            if z_tau is not None:
+                lin -= z / z_tau.value(t)
+                q2_t = z_update_metric(m2, c, t)
+            else:
+                q2_t = q2
+            z_new = metric_prox(g, q2_t, lin, z, tol=tol)
+        return x_new, z_new, bx[m:] - c * z_new
 
     return update
 
 
 def _make_rhs(p: ProblemSpec, params: FlowParams):
-    """Build the fast (t, x, z, y) -> (u, v, w) closure for one run."""
-    c = params.c
-    a_apply = p.A._raw_apply
-    update = _make_update(p, c, params.gamma, params.tau, params.m1,
+    """Build the fast (t, s) -> (u, v, w) closure on the flat state s for
+    one run."""
+    n, iy = p.n, p.n + p.m
+    update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
                           params.m2, params.inner_tol)
 
-    def rhs_fn(t, x, z, y):
-        x_new, z_new = update(t, x, z, y)
-        u = x_new - x
-        v = z_new - z
-        return u, v, c * (a_apply(u + x) - (v + z))
+    def rhs_fn(t, s):
+        x_new, z_new, w = update(t, s)
+        return x_new - s[:n], z_new - s[n:iy], w
 
     return rhs_fn
+
+
+def _check_rhs_time(p: ProblemSpec, params: FlowParams, t):
+    """The certificates `rhs` checks before evaluating at time t: a
+    tau-family x-step tau(t) is positive (every one is for t >= 0), as the
+    update's raw prox needs, and in closed-form mode c tau(t) ||A||^2 <= 1.
+    """
+    x_tau = params.tau if params.m1 is None else params.m1.tau
+    if x_tau is not None and not x_tau.value(t) > 0:
+        raise ValueError("prox step tau must be positive")
+    if params.mode == "closed-form":
+        a_norm = p.A.norm()
+        if params.c * params.tau.value(t) * a_norm ** 2 > 1.0 + 1e-12:
+            raise CertificationError(
+                "closed-form mode needs c tau(t) ||A||^2 <= 1")
 
 
 def rhs(p: ProblemSpec, params: FlowParams, t, s: SystemState):
@@ -276,12 +348,8 @@ def rhs(p: ProblemSpec, params: FlowParams, t, s: SystemState):
     Closed-form mode checks its step-size certificate at t; general-metric
     mode fails inside the subproblem solve if the metric is not positive.
     """
-    if params.mode == "closed-form":
-        a_norm = p.A.norm()
-        if params.c * params.tau.value(t) * a_norm ** 2 > 1.0 + 1e-12:
-            raise CertificationError(
-                "closed-form mode needs c tau(t) ||A||^2 <= 1")
-    return _make_rhs(p, params)(t, s.x, s.z, s.y)
+    _check_rhs_time(p, params, t)
+    return _make_rhs(p, params)(t, _start_row(p, s))
 
 
 def _check_certificates(p: ProblemSpec, params: FlowParams):
@@ -357,7 +425,8 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     u0 = _start_row(p, s0)
 
     _check_certificates(p, params)
-    rhs_fn = _make_rhs(p, params)
+    update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
+                          params.m2, params.inner_tol)
     integ = params.integrator
     if type(integ) not in _TABLEAUS:
         raise ValueError(f"unknown integrator {integ!r}")
@@ -387,8 +456,11 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     recs = [(0.0, u0, ints.copy())]  # (t, U, integrals) per record
 
     def slope(i, t_i):
-        s_i = pts[i]
-        np.concatenate(rhs_fn(t_i, s_i[:iz], s_i[iz:iy], s_i[iy:]), out=ks[i])
+        s_i, k_i = pts[i], ks[i]
+        x_new, z_new, w = update(t_i, s_i)
+        np.subtract(x_new, s_i[:iz], out=k_i[:iz])
+        np.subtract(z_new, s_i[iz:iy], out=k_i[iz:iy])
+        k_i[iy:] = w
 
     t = 0.0
     evals = accepted = 0
@@ -414,7 +486,8 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
             # the last stage point is the 5th-order solution
             scale = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(pts[0]),
                                                                np.abs(pts[-1]))
-            err = float(np.sqrt(np.mean(((h * e_w) @ ks / scale) ** 2)))
+            r = (h * e_w) @ ks / scale
+            err = math.sqrt(r @ r / r.size)
             factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
             if err > 1.0:
                 # reject: nothing was committed; retry from the same k1

@@ -19,6 +19,7 @@ time, and so does any composition, sum or multiple that contains one.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -220,15 +221,11 @@ class LinearMap:
         return self.T @ self
 
     def to_dense(self) -> np.ndarray:
+        """The matrix of the map: its rows applied to the unit vectors, so
+        column j is bit-equal to applying the map to e_j."""
         if self.mat is not None:
             return self.mat.copy()
-        cols = np.empty((self.out_dim, self.in_dim))
-        e = np.zeros(self.in_dim)
-        for j in range(self.in_dim):
-            e[j] = 1.0
-            cols[:, j] = self._raw_apply(e)
-            e[j] = 0.0
-        return cols
+        return self._rows_apply(np.eye(self.in_dim)).T.copy()
 
 
 class SelfAdjointPSD:
@@ -318,6 +315,41 @@ def block_diag(blocks) -> SelfAdjointPSD:
     hints = [b._norm_hint for b in blocks]
     hint = max(hints) if all(h is not None for h in hints) else None
     return SelfAdjointPSD(base, floor, hint)
+
+
+def _block_map(blocks, in_dims) -> LinearMap:
+    """The block operator whose block row i is `blocks[i]`, one LinearMap
+    or None (a zero block) per block column, the columns `in_dims` wide;
+    every block row holds at least one map.  A domain at most
+    `_DENSE_EIG_LIMIT` wide gives one dense matrix, so an application is a
+    single product; a wider one applies its blocks lazily, one point at a
+    time."""
+    out_dims = [next(op.out_dim for op in row if op is not None)
+                for row in blocks]
+    rows = list(itertools.accumulate(out_dims, initial=0))
+    cols = list(itertools.accumulate(in_dims, initial=0))
+    parts = [(op, slice(rows[i], rows[i + 1]), slice(cols[j], cols[j + 1]))
+             for i, row in enumerate(blocks)
+             for j, op in enumerate(row) if op is not None]
+    if cols[-1] <= _DENSE_EIG_LIMIT:
+        mat = np.zeros((rows[-1], cols[-1]))
+        for op, r, c in parts:
+            mat[r, c] = op.to_dense()
+        return LinearMap.from_dense(mat)
+
+    def apply(x):
+        out = np.zeros(rows[-1])
+        for op, r, c in parts:
+            out[r] += op._raw_apply(x[c])
+        return out
+
+    def adjoint(y):
+        out = np.zeros(cols[-1])
+        for op, r, c in parts:
+            out[c] += op._raw_adjoint(y[r])
+        return out
+
+    return LinearMap(cols[-1], rows[-1], apply, adjoint)
 
 
 def operator_norm(op: LinearMap, tol=1e-10, max_iters=500, seed=0) -> float:

@@ -199,7 +199,12 @@ def separable(dim, eval_fn, prox_fn, params=None, jac_fn=None) -> ProxFunction:
 class SmoothFunction:
     """A convex function with Lipschitz gradient, used additively in the
     objective.  Like `ProxFunction`, it takes a point or (B, dim) rows, and
-    closures without `rows` see one point at a time."""
+    closures without `rows` see one point at a time.
+
+    `P` and `q` are the matrix and vector of a quadratic
+    h(x) = 1/2 x' P x + q' x (set by `quadratic_smooth`), None otherwise;
+    the flow folds them into its affine update.
+    """
 
     def __init__(self, dim, eval_fn, grad_fn, lipschitz_grad, is_zero=False,
                  rows=False):
@@ -209,6 +214,8 @@ class SmoothFunction:
         self.lipschitz_grad = float(lipschitz_grad)
         self.is_zero = bool(is_zero)
         self._rows = bool(rows)
+        self.P = None
+        self.q = None
 
     def __call__(self, x):
         """h(x) as a float, or h at each of (B, dim) rows as a (B,) array."""
@@ -244,10 +251,12 @@ def quadratic_smooth(P, q=None) -> SmoothFunction:
         return (0.5 * _row_dots(x, _apply_rows(P, x))
                 + _row_dots(x, np.broadcast_to(q, x.shape)))
 
-    return SmoothFunction(
+    h = SmoothFunction(
         dim, eval_fn,
         lambda x: (P @ x if x.ndim == 1 else _apply_rows(P, x)) + q,
         float(max(evals[-1], 0.0)), rows=True)
+    h.P, h.q = P, q
+    return h
 
 
 def prox(f: ProxFunction, tau, u) -> np.ndarray:

@@ -134,19 +134,23 @@ class TestRunChecks:
     def test_closed_form_operator_norms_do_not_grow_with_rhs_calls(
             self, monkeypatch, operator_norm_calls):
         """||A|| is computed once per map, so a closed-form check makes as
-        many power iterations when each of its rhs() calls is repeated."""
-        real = checks.rhs
+        many power iterations when each of its rhs calls is repeated."""
+        real = checks._make_rhs
         counts = []
         for repeats in (1, 3):
             rhs_calls = []
 
-            def repeated(*args, repeats=repeats):
-                for _ in range(repeats):
-                    rhs_calls.append(1)
-                    out = real(*args)
-                return out
+            def make_repeated(*make_args, repeats=repeats, rhs_calls=rhs_calls):
+                rhs_fn = real(*make_args)
 
-            monkeypatch.setattr(checks, "rhs", repeated)
+                def repeated(*args):
+                    for _ in range(repeats):
+                        rhs_calls.append(1)
+                        out = rhs_fn(*args)
+                    return out
+                return repeated
+
+            monkeypatch.setattr(checks, "_make_rhs", make_repeated)
             operator_norm_calls.clear()
             p = catalog("example1")
             results = run_checks(p, _params(), _start(p))

@@ -61,8 +61,11 @@ class TestFlowCommand:
         assert float(footer["gamma"]) == 0.5
         assert float(footer["tau0"]) == 0.25
         assert footer["stop_reason"] == "horizon"
+        assert int(footer["rhs_evals"]) == 4 * 500  # RK4, h = 0.01, T = 5
         assert float(footer["w0_norm_sq"]) > 0
         assert footer["gap_bound_ok"] == "true"
+        report = (tmp_path / "example1-flow-report.txt").read_text()
+        assert "  rhs_evals = 2000\n" in report
 
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a"
@@ -208,6 +211,10 @@ class TestSweepCommands:
         assert code == 0
         assert (tmp_path / "example1-flow-g0.99-tc0.25.csv").exists()
         assert (tmp_path / "example1-flow-g0.5-tc0.25.csv").exists()
+        for gamma in ("0.99", "0.5"):
+            lines = (tmp_path / f"example1-flow-g{gamma}-tc0.25.csv"
+                     ).read_text().splitlines()
+            assert "# rhs_evals = 160" in lines  # RK4, h = 0.05, T = 2
         report = (tmp_path / "example1-sweep-report.txt").read_text()
         assert "tau*c" in report
         out = capsys.readouterr().out

@@ -212,8 +212,8 @@ def _reference_run(p, d, s0=None, algorithm="admm"):
     if max(res[0]) <= d.stop_tol:
         return rows, res, "tolerance"
     steps = discrete._iterates(p, d, u0, algorithm)
-    for _, (x, z, y) in zip(range(d.max_iters), steps):
-        row = np.concatenate((x, z, y))
+    for _, row in zip(range(d.max_iters), steps):
+        x, z, y = row[:n], row[n:n + m], row[n + m:]
         rows.append(row)
         norm = max(np.linalg.norm(x), np.linalg.norm(z), np.linalg.norm(y))
         if not np.isfinite(row).all() or norm > DIVERGENCE_LIMIT:
@@ -255,13 +255,15 @@ def _fail_from(monkeypatch, k_bad, failure):
     def patched(p, d):
         step = real(p, d)
 
-        def failing(k, x, z, y):
+        def failing(k, s):
             if k < k_bad:
-                return step(k, x, z, y)
+                return step(k, s)
             if failure == "raise":
-                raise ToleranceNotMet("inner solve failed", best=x,
+                raise ToleranceNotMet("inner solve failed", best=s[:p.n],
                                       residual=1.0)
-            return np.full_like(x, np.nan), z, y
+            bad = s.copy()
+            bad[:p.n] = np.nan
+            return bad
         return failing
 
     monkeypatch.setattr(discrete, "_admm", patched)

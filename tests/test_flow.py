@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from pdflow import linops
+from pdflow.config import resolve_tau
 from pdflow.errors import CertificationError, IntegrationError
 from pdflow.flow import (Adaptive, Euler, FlowParams, RK4, SystemState,
-                         ergodic, integrate, rhs)
+                         _make_update, ergodic, integrate, rhs)
 from pdflow.linops import SelfAdjointPSD
-from pdflow.metric import MetricSchedule, TauSchedule
-from pdflow.problems import CATALOG_NAMES, catalog
+from pdflow.metric import (MetricSchedule, TauSchedule, x_update_metric,
+                           z_update_metric)
+from pdflow.problems import CATALOG_NAMES, ProblemSpec, catalog
+from pdflow.proxlib import SmoothFunction, l1_norm, metric_prox, sq_distance
 
 
 def _closed_params(tau=0.25, gamma=0.5, c=1.0, horizon=100.0,
@@ -95,6 +98,19 @@ class TestRhs:
         params = _closed_params(tau=0.6)
         with pytest.raises(CertificationError):
             rhs(example1, params, 0.0, _start())
+
+    @pytest.mark.parametrize("mode", ["closed-form", "general-metric"])
+    def test_nonpositive_step_rejected(self, example1, mode):
+        """Before t = 0 a saturating step falls below zero: tau(-5) =
+        0.2 - 0.15 e^5 < 0, which the update's raw prox must never see."""
+        tau = TauSchedule.saturating(0.05, 0.2)
+        if mode == "closed-form":
+            params = FlowParams(c=1.0, gamma=0.5, tau=tau)
+        else:
+            params = FlowParams(c=1.0, gamma=0.5, m1=MetricSchedule.tau_family(
+                tau, 1.0, example1.A))
+        with pytest.raises(ValueError, match="tau must be positive"):
+            rhs(example1, params, -5.0, _start())
 
 
 class TestFlowParams:
@@ -444,3 +460,114 @@ class TestColumnarTrajectory:
         np.testing.assert_array_equal(traj.final.x, traj.U[-1, :n])
         assert traj.final.t == traj.t[-1]
 
+
+
+def _reference_update(p, c, gamma, tau, m1, m2, tol):
+    """The proximal ADMM update as separate per-block formulas, each affine
+    term its own map application: (t, x, z, y) -> (x_new, z_new, w)."""
+    a_apply, a_adjoint = p.A._raw_apply, p.A._raw_adjoint
+    h_grad = None if p.h.is_zero else p.h.grad
+
+    def update(t, x, z, y):
+        if m1 is None:
+            tau_t = tau.value(t)
+            arg = x - tau_t * a_adjoint(y + c * (a_apply(x) - z))
+            if h_grad is not None:
+                arg = arg - tau_t * h_grad(x)
+            x_new = p.f.prox(tau_t, arg)
+        else:
+            lin = -(m1.at(t).base._raw_apply(x) + a_adjoint(c * z - y))
+            if h_grad is not None:
+                lin = lin + h_grad(x)
+            x_new = metric_prox(p.f, x_update_metric(m1, c, p.A, t), lin, x,
+                                tol=tol)
+        ax_bar = a_apply(x + gamma * (x_new - x))
+        if m2 is None:
+            z_new = p.g.prox(1.0 / c, ax_bar + y / c)
+        else:
+            lin = -(m2.at(t).base._raw_apply(z) + c * ax_bar + y)
+            z_new = metric_prox(p.g, z_update_metric(m2, c, t), lin, z,
+                                tol=tol)
+        return x_new, z_new, c * (a_apply(x_new) - z_new)
+
+    return update
+
+
+def _dense_pd(dim, seed):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    return SelfAdjointPSD.from_dense(b @ b.T + 0.3 * np.eye(dim),
+                                     alpha_floor=0.3)
+
+
+def _update_cases(p, gamma):
+    """(tau, m1, m2) per metric case; tau is None when m1 is given."""
+    const = MetricSchedule.constant
+    return {
+        "auto": (resolve_tau("auto", p, 1.0, gamma), None, None),
+        "saturating": (TauSchedule.saturating(0.05, 0.2), None, None),
+        "const-0.5I": (None, const(SelfAdjointPSD.identity(p.n, 0.5)),
+                       const(SelfAdjointPSD.identity(p.m, 0.5))),
+        "dense-m1": (None, const(_dense_pd(p.n, 5)), None),
+        "dense-m2": (TauSchedule.saturating(0.05, 0.2), None,
+                     const(_dense_pd(p.m, 6))),
+    }
+
+
+def _closure_problem(n, m):
+    """A closure-built A (no stored matrix) and a softplus h, whose gradient
+    the update adds on its own."""
+    rng = np.random.default_rng(17)
+    mat = rng.standard_normal((m, n)) / np.sqrt(m)
+    A = linops.LinearMap(n, m, lambda x: mat @ x, lambda y: mat.T @ y)
+    h = SmoothFunction(n, lambda x: float(np.logaddexp(0.0, x).sum()),
+                       lambda x: 0.5 * (1.0 + np.tanh(0.5 * x)), 0.25)
+    return ProblemSpec(f"closure-{n}x{m}", l1_norm(n, 0.1), h,
+                       sq_distance(m, rng.standard_normal(m)), A)
+
+
+class TestAffineUpdate:
+    """The update built from H s and B x_new matches the per-block
+    formulas to 1e-13 relative, block by block."""
+
+    @staticmethod
+    def _assert_matches(p, c, gamma, tau, m1, m2, seed):
+        new = _make_update(p, c, gamma, tau, m1, m2, 1e-12)
+        ref = _reference_update(p, c, gamma, tau, m1, m2, 1e-12)
+        rng = np.random.default_rng(seed)
+        for t in (0.0, 0.7, 3.0):
+            for _ in range(4):
+                s = 3.0 * rng.standard_normal(p.n + 2 * p.m)
+                got = new(t, s)
+                want = ref(t, s[:p.n], s[p.n:p.n + p.m], s[p.n + p.m:])
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    gap = np.linalg.norm(g - w) / max(1.0, np.linalg.norm(w))
+                    assert gap <= 1e-13
+
+    @pytest.mark.parametrize("case", ["auto", "saturating", "const-0.5I",
+                                      "dense-m1", "dense-m2"])
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, 0.01])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog(self, name, gamma, case):
+        p = catalog(name)
+        tau, m1, m2 = _update_cases(p, gamma)[case]
+        self._assert_matches(p, 1.0, gamma, tau, m1, m2, seed=3)
+
+    def test_tau_family_m1_and_m2(self, example1):
+        """Tau-family schedules on both blocks, at c = 2: M1(t) is one prox,
+        M2(t) moves with t."""
+        tau = TauSchedule.saturating(0.05, 0.2)
+        m1 = MetricSchedule.tau_family(tau, 2.0, example1.A)
+        m2 = MetricSchedule.tau_family(TauSchedule.saturating(0.1, 0.45), 2.0,
+                                       example1.A)
+        self._assert_matches(example1, 2.0, 0.5, None, m1, m2, seed=4)
+
+    @pytest.mark.parametrize("n,m", [(3, 4), (10, 30)],
+                             ids=["dense-H", "lazy-H"])
+    @pytest.mark.parametrize("case", ["saturating", "const-0.5I", "dense-m1"])
+    def test_closure_map_and_custom_h(self, n, m, case):
+        p = _closure_problem(n, m)
+        assert p.A.mat is None and p.h.P is None
+        tau, m1, m2 = _update_cases(p, 0.5)[case]
+        self._assert_matches(p, 1.5, 0.5, tau, m1, m2, seed=5)

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pdflow import linops
 from pdflow.errors import CertificationError
 from pdflow.linops import (LinearMap, PowerIterationWarning, SelfAdjointPSD,
                            block_diag, load_dense, operator_norm, psd_floor,
@@ -172,6 +173,32 @@ class TestRows:
                 op.apply(bad)
         with pytest.raises(ValueError, match="must have shape"):
             op.adjoint_apply(np.ones((4, 2)))
+
+
+class TestBlockMap:
+    """`_block_map` is one dense matrix up to _DENSE_EIG_LIMIT columns and
+    a lazy composition above; both must equal the assembled matrix."""
+
+    @pytest.mark.parametrize("in_dims", [(3, 4, 4), (10, 30, 30)],
+                             ids=["dense", "lazy"])
+    def test_matches_assembled_matrix(self, in_dims):
+        rng = np.random.default_rng(31)
+        n, m, _ = in_dims
+        mats = [[rng.standard_normal((n, n)), None, rng.standard_normal((n, m))],
+                [rng.standard_normal((m, n)), np.eye(m), None]]
+        blocks = [[None if a is None else _one_point_map(a) for a in row]
+                  for row in mats]
+        blocks[1][1] = LinearMap.identity(m)
+        op = linops._block_map(blocks, list(in_dims))
+        assert (op.mat is not None) == (sum(in_dims) <= linops._DENSE_EIG_LIMIT)
+        full = np.block([[np.zeros((r, c)) if a is None else a
+                          for a, c in zip(row, in_dims)]
+                         for row, r in zip(mats, (n, m))])
+        x = rng.standard_normal(sum(in_dims))
+        y = rng.standard_normal(n + m)
+        np.testing.assert_allclose(op.apply(x), full @ x, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(op.adjoint_apply(y), full.T @ y, rtol=1e-13,
+                                   atol=1e-13)
 
 
 class TestOperatorNorm:

@@ -465,6 +465,14 @@ class TestSmoothFunctions:
         assert h.lipschitz_grad == pytest.approx(
             float(np.linalg.eigvalsh(p_mat)[-1]))
 
+    def test_quadratic_exposes_its_terms(self):
+        p_mat = np.array([[2.0, 0.5], [0.5, 1.0]])
+        h = quadratic_smooth(p_mat, [1.0, -3.0])
+        np.testing.assert_array_equal(h.P, p_mat)
+        np.testing.assert_array_equal(h.q, [1.0, -3.0])
+        np.testing.assert_array_equal(quadratic_smooth(p_mat).q, np.zeros(2))
+        assert zero_smooth(2).P is None and zero_smooth(2).q is None
+
     def test_quadratic_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             quadratic_smooth(np.array([[1.0, 2.0], [0.0, 1.0]]))
