@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .flow import SystemState, _make_update, _start_row, _state_rows
+from .flow import (SystemState, _check_step, _make_update, _start_row,
+                   _state_rows)
 from .metric import MetricSchedule, TauSchedule
 from .problems import ProblemSpec, kkt_residuals
 from .proxlib import conjugate_prox
@@ -96,7 +97,9 @@ def admm_step(p: ProblemSpec, d: DiscreteParams, k: int,
     x^{k+1} minimizes f plus the linearized h plus the augmented coupling
     term in the metric M1^k; z^{k+1} sees the relaxed point
     gamma x^{k+1} + (1-gamma) x^k; y^{k+1} = y^k + c (A x^{k+1} - z^{k+1}).
+    A tau-family step tau(k) that is not positive (k < 0) is a ValueError.
     """
+    _check_step(d.tau, d.m1, k)
     row = _admm(p, d)(k, _start_row(p, s))
     return _state_rows([k + 1], row[None], p.n)[0]
 

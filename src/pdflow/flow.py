@@ -225,7 +225,7 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     x + gamma (x_new - x) and the dual velocity w = c (A x_new - z_new); t is
     the flow time or the iteration index k.  The x-step of a tau family is
     positive for t >= 0 and the update passes it to the raw prox of f, so a
-    caller at t < 0 certifies it first (`_check_rhs_time`).
+    caller at t < 0 certifies it first (`_check_step`).
 
     Every affine term is a fixed linear function of s or x_new, so the run
     builds two maps once: `r = H s` gives the affine inputs of both blocks
@@ -246,7 +246,11 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
 
     B is [gamma A; c A] in every mode.  A quadratic h (`quadratic_smooth`)
     folds its P and q in as above; any other h adds its gradient at x to
-    r_x.
+    r_x.  With n + 2m at most `linops._DENSE_BLOCK_LIMIT` each map is one
+    dense matrix.  A wider problem applies them lazily: H s takes one A x
+    for both block rows and one A* of y + c (A x - z) (of y - c z when
+    c A* A is not folded), and B x_new one A x_new, where the per-block
+    formulas apply A or A* four times.
     """
     z_prox = m2 is None
     m1, m2 = schedules(p, c, tau, m1, m2)
@@ -261,13 +265,20 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     elif not p.h.is_zero:
         h_grad = p.h._grad
 
+    # kx: the x rows' own x-term besides c A* A, which `fold` adds when the
+    # tau family's coupling is the run's (c, A), as `schedules` builds it
     x_tau = m1.tau
-    if x_tau is not None:
-        kx = m1.c * m1.A.gram()
-        kx = kx if P is None else kx + P
-    else:
+    fold = x_tau is not None and m1.c == c and m1.A is A
+    if x_tau is None:
         q1 = x_update_metric(m1, c, A, 0.0)
         kx = -1.0 * m1.at(0.0).base if P is None else P - m1.at(0.0).base
+    elif fold:
+        kx = P
+    else:
+        kx = m1.c * m1.A.gram() if P is None else m1.c * m1.A.gram() + P
+    kxx = kx
+    if fold:
+        kxx = c * A.gram() if kx is None else c * A.gram() + kx
 
     z_tau, z_step = m2.tau, 1.0 / c
     kz = None
@@ -276,10 +287,33 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     elif not z_prox:
         q2 = z_update_metric(m2, c, 0.0)
         kz = (1.0 / c) * m2.at(0.0).base
-    H = _block_map([[kx, -c * AT, AT],
-                    [(1.0 - gamma) * A, kz, LinearMap.identity(m, 1.0 / c)]],
-                   [n, m, m])
-    B = _block_map([[gamma * A], [c * A]], [n])
+
+    # the wide (lazy) forms apply A once and A* once for H, A once for B
+    a_apply, a_adjoint = A._raw_apply, A._raw_adjoint
+    kx_apply = None if kx is None else kx._raw_apply
+    kz_apply = None if kz is None else kz._raw_apply
+    relax = 1.0 - gamma  # 0 at gamma = 1: the z rows' A x block is zero
+
+    def h_lazy(s):
+        x, z, y = s[:n], s[n:n + m], s[n + m:]
+        ax = a_apply(x)
+        rx = a_adjoint(y + c * (ax - z) if fold else y - c * z)
+        if kx_apply is not None:
+            rx = rx + kx_apply(x)
+        rz = y / c if relax == 0.0 else relax * ax + y / c
+        if kz_apply is not None:
+            rz += kz_apply(z)
+        return np.concatenate((rx, rz))
+
+    b_scales = np.array([[gamma], [c]])
+
+    def b_lazy(x):
+        return (b_scales * a_apply(x)).ravel()
+
+    H = _block_map([[kxx, -c * AT, AT],
+                    [relax * A, kz, LinearMap.identity(m, 1.0 / c)]],
+                   [n, m, m], h_lazy)
+    B = _block_map([[gamma * A], [c * A]], [n], b_lazy)
     h_apply, b_apply = H._raw_apply, B._raw_apply
 
     def update(t, s):
@@ -327,14 +361,19 @@ def _make_rhs(p: ProblemSpec, params: FlowParams):
     return rhs_fn
 
 
-def _check_rhs_time(p: ProblemSpec, params: FlowParams, t):
-    """The certificates `rhs` checks before evaluating at time t: a
-    tau-family x-step tau(t) is positive (every one is for t >= 0), as the
-    update's raw prox needs, and in closed-form mode c tau(t) ||A||^2 <= 1.
-    """
-    x_tau = params.tau if params.m1 is None else params.m1.tau
+def _check_step(tau: TauSchedule | None, m1: MetricSchedule | None, t):
+    """A tau-family x-step tau(t) must be positive, as the raw prox of f in
+    the update needs; every one is for t >= 0."""
+    x_tau = tau if m1 is None else m1.tau
     if x_tau is not None and not x_tau.value(t) > 0:
         raise ValueError("prox step tau must be positive")
+
+
+def _check_rhs_time(p: ProblemSpec, params: FlowParams, t):
+    """The certificates `rhs` checks before evaluating at time t: the
+    x-step (`_check_step`), and in closed-form mode
+    c tau(t) ||A||^2 <= 1."""
+    _check_step(params.tau, params.m1, t)
     if params.mode == "closed-form":
         a_norm = p.A.norm()
         if params.c * params.tau.value(t) * a_norm ** 2 > 1.0 + 1e-12:

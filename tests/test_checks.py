@@ -134,14 +134,15 @@ class TestRunChecks:
     def test_closed_form_operator_norms_do_not_grow_with_rhs_calls(
             self, monkeypatch, operator_norm_calls):
         """||A|| is computed once per map, so a closed-form check makes as
-        many power iterations when each of its rhs calls is repeated."""
-        real = checks._make_rhs
+        many power iterations when its certificate test, which reads ||A||,
+        and each call of its rhs are repeated."""
+        real_make, real_check = checks._make_rhs, checks._check_rhs_time
         counts = []
         for repeats in (1, 3):
             rhs_calls = []
 
             def make_repeated(*make_args, repeats=repeats, rhs_calls=rhs_calls):
-                rhs_fn = real(*make_args)
+                rhs_fn = real_make(*make_args)
 
                 def repeated(*args):
                     for _ in range(repeats):
@@ -150,7 +151,12 @@ class TestRunChecks:
                     return out
                 return repeated
 
+            def check_repeated(*args, repeats=repeats):
+                for _ in range(repeats):
+                    real_check(*args)
+
             monkeypatch.setattr(checks, "_make_rhs", make_repeated)
+            monkeypatch.setattr(checks, "_check_rhs_time", check_repeated)
             operator_norm_calls.clear()
             p = catalog("example1")
             results = run_checks(p, _params(), _start(p))

@@ -46,6 +46,20 @@ class TestAdmmStep:
         assert max(np.abs(s1.x).max(), np.abs(s1.z).max(),
                    np.abs(s1.y).max()) <= 1e-12
 
+    @pytest.mark.parametrize("metric", ["tau", "tau-family-m1"])
+    def test_nonpositive_step_rejected(self, example1, metric):
+        """A saturating step is negative before k = 0: tau(-1) =
+        0.2 - 0.15 e < 0, which the update's raw prox must never see."""
+        tau = TauSchedule.saturating(0.05, 0.2)
+        if metric == "tau":
+            d = DiscreteParams(c=1.0, gamma=0.5, tau=tau)
+        else:
+            d = DiscreteParams(c=1.0, gamma=0.5, m1=MetricSchedule.tau_family(
+                tau, 1.0, example1.A))
+        with pytest.raises(ValueError, match="tau must be positive"):
+            admm_step(example1, d, -1, _start())
+        assert np.isfinite(admm_step(example1, d, 0, _start()).x).all()
+
 
 class TestEulerEquivalence:
     def test_closed_form_mode(self, example1):

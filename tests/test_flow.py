@@ -6,11 +6,13 @@ sizes, and the ergodic averaging against its closed form for a linear
 trajectory.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from pdflow import linops
-from pdflow.config import resolve_tau
+from pdflow.config import load_problem, resolve_tau
 from pdflow.errors import CertificationError, IntegrationError
 from pdflow.flow import (Adaptive, Euler, FlowParams, RK4, SystemState,
                          _make_update, ergodic, integrate, rhs)
@@ -18,7 +20,10 @@ from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import (MetricSchedule, TauSchedule, x_update_metric,
                            z_update_metric)
 from pdflow.problems import CATALOG_NAMES, ProblemSpec, catalog
-from pdflow.proxlib import SmoothFunction, l1_norm, metric_prox, sq_distance
+from pdflow.proxlib import (SmoothFunction, l1_norm, metric_prox,
+                            quadratic_smooth, sq_distance)
+
+_PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 def _closed_params(tau=0.25, gamma=0.5, c=1.0, horizon=100.0,
@@ -563,11 +568,48 @@ class TestAffineUpdate:
                                        example1.A)
         self._assert_matches(example1, 2.0, 0.5, None, m1, m2, seed=4)
 
-    @pytest.mark.parametrize("n,m", [(3, 4), (10, 30)],
-                             ids=["dense-H", "lazy-H"])
-    @pytest.mark.parametrize("case", ["saturating", "const-0.5I", "dense-m1"])
+    # dense-m1 stays below n = 64: past it the floor of c A* A + M1 comes
+    # from a power iteration that does not settle in its budget
+    @pytest.mark.parametrize("n,m,case", [
+        (n, m, case)
+        for n, m in [(3, 4), (10, 60), (130, 5)]
+        for case in ["saturating", "const-0.5I", "dense-m1", "foreign-tau-family"]
+        if not (n == 130 and case == "dense-m1")])
     def test_closure_map_and_custom_h(self, n, m, case):
         p = _closure_problem(n, m)
         assert p.A.mat is None and p.h.P is None
-        tau, m1, m2 = _update_cases(p, 0.5)[case]
+        if case == "foreign-tau-family":
+            # coupled at c = 2, not the run's c = 1.5, so c A* A is not
+            # folded; steps scaled by ||A||^2 keep both metrics positive
+            a2 = p.A.norm() ** 2
+            tau, m1, m2 = None, MetricSchedule.tau_family(
+                TauSchedule.saturating(0.05 / a2, 0.2 / a2), 2.0, p.A), \
+                MetricSchedule.tau_family(TauSchedule.constant(0.1 / a2), 2.0,
+                                          p.A.T)
+        else:
+            tau, m1, m2 = _update_cases(p, 0.5)[case]
         self._assert_matches(p, 1.5, 0.5, tau, m1, m2, seed=5)
+
+    @pytest.mark.parametrize("case", ["auto", "saturating", "const-0.5I",
+                                      "dense-m1", "dense-m2"])
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    @pytest.mark.parametrize("name", ["wide-lasso", "wide-identity",
+                                      "wide-quadratic"])
+    def test_wide_problems(self, name, gamma, case):
+        """Problems past the dense limit, whose H and B apply A lazily: the
+        two problem files (a dense and a scaled-identity A) and a quadratic
+        h, whose P and q the lazy x rows fold in."""
+        if name == "wide-quadratic":
+            rng = np.random.default_rng(23)
+            n, m = 40, 50
+            b = rng.standard_normal((n, n)) / np.sqrt(n)
+            p = ProblemSpec(name, l1_norm(n, 0.1),
+                            quadratic_smooth(b @ b.T, rng.standard_normal(n)),
+                            sq_distance(m, rng.standard_normal(m)),
+                            linops.LinearMap.from_dense(
+                                rng.standard_normal((m, n)) / np.sqrt(m)))
+        else:
+            p = load_problem(os.path.join(_PROBLEMS, name + ".txt"))
+        assert p.n + 2 * p.m > linops._DENSE_BLOCK_LIMIT
+        tau, m1, m2 = _update_cases(p, gamma)[case]
+        self._assert_matches(p, 1.0, gamma, tau, m1, m2, seed=6)

@@ -176,29 +176,32 @@ class TestRows:
 
 
 class TestBlockMap:
-    """`_block_map` is one dense matrix up to _DENSE_EIG_LIMIT columns and
-    a lazy composition above; both must equal the assembled matrix."""
+    """`_block_map` is one dense matrix, equal to the assembled blocks, up
+    to _DENSE_BLOCK_LIMIT columns, and the caller's forward-only map above."""
 
-    @pytest.mark.parametrize("in_dims", [(3, 4, 4), (10, 30, 30)],
-                             ids=["dense", "lazy"])
-    def test_matches_assembled_matrix(self, in_dims):
+    def test_dense_matches_assembled_matrix(self):
         rng = np.random.default_rng(31)
-        n, m, _ = in_dims
+        n, m = 3, 4
         mats = [[rng.standard_normal((n, n)), None, rng.standard_normal((n, m))],
                 [rng.standard_normal((m, n)), np.eye(m), None]]
         blocks = [[None if a is None else _one_point_map(a) for a in row]
                   for row in mats]
         blocks[1][1] = LinearMap.identity(m)
-        op = linops._block_map(blocks, list(in_dims))
-        assert (op.mat is not None) == (sum(in_dims) <= linops._DENSE_EIG_LIMIT)
+        op = linops._block_map(blocks, [n, m, m], lazy=None)
         full = np.block([[np.zeros((r, c)) if a is None else a
-                          for a, c in zip(row, in_dims)]
+                          for a, c in zip(row, (n, m, m))]
                          for row, r in zip(mats, (n, m))])
-        x = rng.standard_normal(sum(in_dims))
-        y = rng.standard_normal(n + m)
-        np.testing.assert_allclose(op.apply(x), full @ x, rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(op.adjoint_apply(y), full.T @ y, rtol=1e-13,
-                                   atol=1e-13)
+        np.testing.assert_array_equal(op.mat, full)
+
+    def test_wide_domain_is_the_lazy_map(self):
+        n = linops._DENSE_BLOCK_LIMIT
+        lazy = lambda x: 2.0 * x[:n]
+        op = linops._block_map([[LinearMap.identity(n, 2.0),
+                                 LinearMap.zero(1, n)]], [n, 1], lazy)
+        assert op.mat is None and op._raw_apply is lazy
+        assert (op.in_dim, op.out_dim) == (n + 1, n)
+        with pytest.raises(NotImplementedError):
+            op._raw_adjoint(np.ones(n))
 
 
 class TestOperatorNorm:
