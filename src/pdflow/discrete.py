@@ -51,8 +51,8 @@ class DiscreteParams:
 
     tau is a TauSchedule evaluated at t = k; a positive number is the
     constant schedule.  Omitting m1 selects the step-derived metric
-    M1^k = I / tau(k) - c A* A (single-prox x-update); omitting m2 keeps the
-    single-prox z-update of a zero M2.
+    M1^k = I / tau(k) - c A* A (single-prox x-update); omitting m2 (a zero
+    M2), or a constant m2 = s I, keeps a single-prox z-update.
     """
 
     c: float = 1.0
@@ -207,6 +207,15 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
     ends at the first row at or below stop_tol and drops the iterates
     computed after it, so the result is the one an iterate-by-iterate loop
     returns, even when a dropped iterate raised.
+
+    The iterates go into one array that doubles when full; a chunk of the
+    stop test is a view of it, and the result a trimmed copy.  The
+    divergence test first checks ||row||^2 <= limit^2 / 4 in one call.
+    Every block's squared norm is at most the row's, so a row that passes
+    passes the per-block test, whatever the rounding of either sum; only a
+    row that fails it, or whose norm is NaN or inf, takes the per-block
+    test, which decides alone.  So the same rows pass and the same rows
+    stop the run.
     """
     u0 = _start_row(p, s0)
     if algorithm not in ("admm", "cp"):
@@ -216,30 +225,33 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
 
     n, m = p.n, p.m
     starts, limit_sq = np.array([0, n, n + m]), DIVERGENCE_LIMIT ** 2
-    rows, blocks = [u0], []
-    checked = 0
+    quarter_sq = 0.25 * limit_sq
+    U = np.empty((4 * STOP_CHUNK, len(u0)))
+    U[0] = u0
+    count, checked = 1, 0
+    blocks = []
 
     def stop_row():
         """Evaluate the residuals of the rows not yet checked; the index of
         the first at or below stop_tol, or None."""
         nonlocal checked
-        first, checked = checked, len(rows)
+        first, checked = checked, count
         if first == checked:
             return None
-        block = np.array(rows[first:])
+        block = U[first:count]
         blocks.append(kkt_residuals(p, block[:, :n], block[:, n:n + m],
                                     block[:, n + m:]))
         hits = np.flatnonzero(blocks[-1].max(axis=1) <= d.stop_tol)
         return first + int(hits[0]) if hits.size else None
 
-    def result(reason, end=None):
-        return DiscreteRun(np.array(rows[:end]),
-                           np.concatenate(blocks)[:end], reason, n)
+    def result(reason, end):
+        return DiscreteRun(U[:end].copy(), np.concatenate(blocks)[:end],
+                           reason, n)
 
     iterates = _iterates(p, d, u0, algorithm)
-    error, last = None, None
+    error, diverged = None, False
     for _ in range(d.max_iters):
-        if len(rows) - checked == STOP_CHUNK:
+        if count - checked == STOP_CHUNK:
             k = stop_row()
             if k is not None:
                 return result("tolerance", k + 1)
@@ -248,19 +260,23 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
         except Exception as exc:  # re-raised below unless an earlier row stops
             error = exc
             break
-        # the squared norms of x, z and y; a NaN or inf anywhere in the row
-        # makes the largest one NaN or inf, which fails the comparison
-        if not np.add.reduceat(row * row, starts).max() <= limit_sq:
-            last = row
+        if count == len(U):
+            U = np.concatenate((U, np.empty_like(U)))
+        U[count] = row
+        # a row of squared norm at most limit^2 / 4 passes; otherwise the
+        # squared norms of x, z and y decide, and a NaN or inf anywhere in
+        # the row makes the largest one NaN or inf, which fails
+        if not (row @ row <= quarter_sq
+                or np.add.reduceat(row * row, starts).max() <= limit_sq):
+            diverged = True  # row k = count is stored but not yet counted
             break
-        rows.append(row)
+        count += 1
     k = stop_row()
     if k is not None:
         return result("tolerance", k + 1)
     if error is not None:
         raise error
-    if last is None:
-        return result("budget")
-    rows.append(last)
+    if not diverged:
+        return result("budget", count)
     blocks.append(np.full((1, 3), np.inf))
-    return result("divergence")
+    return result("divergence", count + 1)

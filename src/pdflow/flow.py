@@ -19,9 +19,9 @@ construction.  The modes:
                       subproblems collapse to single prox calls; requires
                       c tau(t) ||A||^2 <= 1 over the horizon
 * general-metric   -- arbitrary PSD schedules M1, M2; subproblems solved by
-                      `metric_prox`, except that a tau-family M1 and an
-                      absent (zero) M2 are single prox calls; requires a
-                      uniformly positive x-metric
+                      `metric_prox`, except that a tau-family M1 and a
+                      constant M2 = s I (s = 0, no M2, included) are single
+                      prox calls; requires a uniformly positive x-metric
 
 Every integrator is an explicit Runge-Kutta method given by its Butcher
 tableau (Hairer-Norsett-Wanner, Solving ODEs I, II.1-II.4): fixed-step
@@ -105,9 +105,11 @@ class Adaptive:
 
     The first trial step is h0.  A trial is accepted when the RMS of the
     tableau's error estimate over abs_tol + rel_tol max(|U_n|, |U_n+1|) is
-    at most 1; the next step is h * clip(0.9 err^(-1/5), 0.2, 5), capped at
-    h_max, and a rejection whose shrunken step falls below h_min stops the
-    run.  A rejected trial is retried from the same first slope.
+    at most 1; the next step is h * clip(0.9 err^(-1/5), 0.2, 5), and a
+    rejection whose shrunken step falls below h_min stops the run.  A
+    rejected trial is retried from the same first slope.  Every trial step,
+    the first and a retried one included, is capped at min(h, h_max,
+    horizon - t).
     Construction rejects h0 <= 0, which never advances, and abs_tol <= 0,
     which can make the error NaN, and a NaN error would pass the test.
     """
@@ -237,22 +239,25 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
       of f at x - tau(t) (r_x + q)
     * a constant M1: the x rows are [P - M1, -c A*, A*] and `metric_prox`
       solves the block in Q1 = c A* A + M1 with lin = r_x + q
-    * no M2 (zero): the z rows of H are [(1 - gamma) A, 0, I / c] and
-      z_new is one prox of g with step 1 / c at r_z + gamma A x_new
-    * an M2(t) = s2(t) I + K2 (s2 = 1 / tau2(t) for a tau family, 0 for a
-      constant): the z rows are [(1 - gamma) A, K2 / c, I / c] and
+    * a constant scaled identity M2 = s I, zero (no M2) included: with
+      k = c / (c + s), the z rows of H are [k (1 - gamma) A, s I / (c + s),
+      I / (c + s)], the z row of B is k gamma A, and z_new is one prox of g
+      with step 1 / (c + s) at r_z + k gamma A x_new; at s = 0 the middle
+      block is dropped and every factor is exactly 1 or 1 / c
+    * any other M2(t) = s2(t) I + K2 (s2 = 1 / tau2(t) for a tau family, 0
+      for a constant): the z rows are [(1 - gamma) A, K2 / c, I / c] and
       `metric_prox` solves the block in M2(t) + c I with
       lin = -c (r_z + gamma A x_new) - s2(t) z
 
-    B is [gamma A; c A] in every mode.  A quadratic h (`quadratic_smooth`)
-    folds its P and q in as above; any other h adds its gradient at x to
-    r_x.  With n + 2m at most `linops._DENSE_BLOCK_LIMIT` each map is one
-    dense matrix.  A wider problem applies them lazily: H s takes one A x
-    for both block rows and one A* of y + c (A x - z) (of y - c z when
-    c A* A is not folded), and B x_new one A x_new, where the per-block
-    formulas apply A or A* four times.
+    B is [k gamma A; c A], with k = 1 for any other M2.  A quadratic h
+    (`quadratic_smooth`) folds its P and q in as above; any other h adds
+    its gradient at x to r_x.  With n + 2m at most
+    `linops._DENSE_BLOCK_LIMIT` each map is one dense matrix.  A wider
+    problem applies them lazily: H s takes one A x for both block rows and
+    one A* of y + c (A x - z) (of y - c z when c A* A is not folded), and
+    B x_new one A x_new, where the per-block formulas apply A or A* four
+    times.
     """
-    z_prox = m2 is None
     m1, m2 = schedules(p, c, tau, m1, m2)
     n, m = p.n, p.m
     A, AT = p.A, p.A.T
@@ -280,19 +285,29 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     if fold:
         kxx = c * A.gram() if kx is None else c * A.gram() + kx
 
-    z_tau, z_step = m2.tau, 1.0 / c
-    kz = None
+    # a constant M2 = s I scales the z rows by k = c / (c + s) and the y
+    # block to I / (c + s): at s = 0, k is 1.0 and c + s is c
+    z_tau = m2.tau
+    z_scale = None if z_tau is not None else m2.at(0.0).base.scale
+    z_prox = z_scale is not None
+    kz, k, cs = None, 1.0, c
     if z_tau is not None:
         kz = (-m2.c / c) * m2.A.gram()
-    elif not z_prox:
+    elif z_prox:
+        cs = c + z_scale
+        k = c / cs
+        if z_scale != 0.0:
+            kz = LinearMap.identity(m, z_scale / cs)
+    else:
         q2 = z_update_metric(m2, c, 0.0)
         kz = (1.0 / c) * m2.at(0.0).base
+    z_step = 1.0 / cs
 
     # the wide (lazy) forms apply A once and A* once for H, A once for B
     a_apply, a_adjoint = A._raw_apply, A._raw_adjoint
     kx_apply = None if kx is None else kx._raw_apply
     kz_apply = None if kz is None else kz._raw_apply
-    relax = 1.0 - gamma  # 0 at gamma = 1: the z rows' A x block is zero
+    relax = k * (1.0 - gamma)  # 0 at gamma = 1: the z rows' A x block is 0
 
     def h_lazy(s):
         x, z, y = s[:n], s[n:n + m], s[n + m:]
@@ -300,20 +315,20 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
         rx = a_adjoint(y + c * (ax - z) if fold else y - c * z)
         if kx_apply is not None:
             rx = rx + kx_apply(x)
-        rz = y / c if relax == 0.0 else relax * ax + y / c
+        rz = y / cs if relax == 0.0 else relax * ax + y / cs
         if kz_apply is not None:
             rz += kz_apply(z)
         return np.concatenate((rx, rz))
 
-    b_scales = np.array([[gamma], [c]])
+    b_scales = np.array([[k * gamma], [c]])
 
     def b_lazy(x):
         return (b_scales * a_apply(x)).ravel()
 
     H = _block_map([[kxx, -c * AT, AT],
-                    [relax * A, kz, LinearMap.identity(m, 1.0 / c)]],
+                    [relax * A, kz, LinearMap.identity(m, z_step)]],
                    [n, m, m], h_lazy)
-    B = _block_map([[gamma * A], [c * A]], [n], b_lazy)
+    B = _block_map([[(k * gamma) * A], [c * A]], [n], b_lazy)
     h_apply, b_apply = H._raw_apply, B._raw_apply
 
     def update(t, s):
@@ -458,6 +473,15 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     conditions fail, IntegrationError if the state leaves the finite range.
     Adaptive step underflow returns the partial trajectory with
     stop_reason = "step-underflow".
+
+    Everything a step touches is built once per run: the stage points and
+    slopes with each stage's views of them, the step-scaled tableau h a,
+    h b (and h e), rescaled only when h changes, and the record arrays t, U
+    and the integrals, written in place: a fixed-step run's hold exactly
+    the rows it can record, an adaptive run's double when full; the
+    trajectory gets trimmed copies of them.  Each entry
+    is the floating-point expression a per-step build would evaluate, so
+    the trajectory is bit for bit that of such a loop (the tests keep one).
     """
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
@@ -472,8 +496,10 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     c_nodes, a_mat, b_w, e_w = _TABLEAUS[type(integ)]
     adaptive = e_w is not None
     horizon = params.horizon
+    t_end = horizon - 1e-12
     if adaptive:
-        h = min(float(integ.h0), horizon)
+        h, h_max = float(integ.h0), integ.h_max
+        capacity = 256
     else:
         h_fix = float(integ.h)
         if not h_fix > 0:
@@ -483,6 +509,7 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
         n_full = int(np.floor(horizon / h_fix + 1e-9))
         h_last = horizon - n_full * h_fix
         n_steps = n_full + (h_last > 1e-12)
+        capacity = n_steps // record_every + 2
 
     # Row 0 of the stage points is the flat state U = (x, z, y), and the
     # running integrals of x and z are one array, so each stage
@@ -491,41 +518,67 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     pts = np.empty((len(c_nodes), iy + p.m))  # stage points
     ks = np.empty_like(pts)                   # stage slopes
     pts[0] = u0
+    # the rows of a, then b (and e), scaled by h in one call
+    tab = np.vstack((a_mat, b_w) if e_w is None else (a_mat, b_w, e_w))
+    h_tab = np.empty_like(tab)
+    ha, hb, he = h_tab[:len(a_mat)], h_tab[len(a_mat)], h_tab[-1]
+    h_scaled = None  # the step h_tab holds
+    p0, k0, p_last, k_last = pts[0], ks[0], pts[-1], ks[-1]
+    pts_xz = pts[:, :iy]
     ints = np.zeros(iy)
-    recs = [(0.0, u0, ints.copy())]  # (t, U, integrals) per record
+    # per stage: its point, the point's x and z blocks, the slope's x, z
+    # and y blocks; per later stage i: (ha[i, :i], ks[:i], pts[i], c_i)
+    views = [(s_i, s_i[:iz], s_i[iz:iy], k_i[:iz], k_i[iz:iy], k_i[iy:])
+             for s_i, k_i in zip(pts, ks)]
+    stages = [(ha[i, :i], ks[:i], pts[i], float(c_nodes[i]), views[i])
+              for i in range(1, len(c_nodes))]
+    ts = np.empty(capacity)
+    U, integrals = np.empty((capacity, iy + p.m)), np.empty((capacity, iy))
+    ts[0], U[0], integrals[0] = 0.0, u0, ints
+    n_rec = 1
 
-    def slope(i, t_i):
-        s_i, k_i = pts[i], ks[i]
+    def slope(view, t_i):
+        s_i, s_x, s_z, k_x, k_z, k_y = view
         x_new, z_new, w = update(t_i, s_i)
-        np.subtract(x_new, s_i[:iz], out=k_i[:iz])
-        np.subtract(z_new, s_i[iz:iy], out=k_i[iz:iy])
-        k_i[iy:] = w
+        np.subtract(x_new, s_x, out=k_x)
+        np.subtract(z_new, s_z, out=k_z)
+        k_y[:] = w
+
+    def record(t):
+        nonlocal n_rec, ts, U, integrals
+        if n_rec == len(ts):
+            ts, U, integrals = (np.concatenate((a, np.empty_like(a)))
+                                for a in (ts, U, integrals))
+        ts[n_rec], U[n_rec], integrals[n_rec] = t, p0, ints
+        n_rec += 1
 
     t = 0.0
     evals = accepted = 0
     stop_reason = "horizon"
-    while t < horizon - 1e-12 if adaptive else accepted < n_steps:
+    while t < t_end if adaptive else accepted < n_steps:
         if adaptive:
-            h = min(h, horizon - t)
+            h = min(h, h_max, horizon - t)
             t_next = t + h
         else:
             h = h_fix if accepted < n_full else h_last
             t_next = (accepted + 1) * h_fix if accepted + 1 < n_steps else horizon
+        if h != h_scaled:
+            np.multiply(h, tab, out=h_tab)
+            h_scaled = h
         # the adaptive pair keeps k1 across a rejection and takes it from
         # the last stage of an accepted step (FSAL)
         if evals == 0 or not adaptive:
-            slope(0, t)
+            slope(views[0], t)
             evals += 1
-        ha = h * a_mat
-        for i in range(1, len(c_nodes)):
-            pts[i] = pts[0] + ha[i, :i] @ ks[:i]
-            slope(i, t + c_nodes[i] * h)
-        evals += len(c_nodes) - 1
+        for ha_i, ks_i, pts_i, c_i, view in stages:
+            np.add(p0, ha_i @ ks_i, out=pts_i)
+            slope(view, t + c_i * h)
+        evals += len(stages)
         if adaptive:
             # the last stage point is the 5th-order solution
-            scale = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(pts[0]),
-                                                               np.abs(pts[-1]))
-            r = (h * e_w) @ ks / scale
+            scale = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(p0),
+                                                               np.abs(p_last))
+            r = he @ ks / scale
             err = math.sqrt(r @ r / r.size)
             factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
             if err > 1.0:
@@ -539,25 +592,24 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
                     break
                 h *= factor
                 continue
-        hb = h * b_w
-        ints += hb @ pts[:, :iy]
+        ints += hb @ pts_xz
         if adaptive:
-            pts[0] = pts[-1]
-            ks[0] = ks[-1]
+            p0[:] = p_last
+            k0[:] = k_last
         else:
-            pts[0] += hb @ ks
+            p0 += hb @ ks
         t = t_next
-        if not np.isfinite(pts[0]).all():
+        if not np.isfinite(p0).all():
             raise IntegrationError(f"non-finite state at t = {t:.6g}")
         accepted += 1
-        if accepted % record_every == 0 or t >= horizon - 1e-12:
-            recs.append((t, pts[0].copy(), ints.copy()))
+        if accepted % record_every == 0 or t >= t_end:
+            record(t)
         if adaptive:
-            h = min(h * factor, integ.h_max)
-    if t > 0 and recs[-1][0] < t - 1e-12:
-        recs.append((t, pts[0].copy(), ints.copy()))
+            h *= factor
+    if t > 0 and ts[n_rec - 1] < t - 1e-12:
+        record(t)
 
-    ts, U, integrals = (np.array(col) for col in zip(*recs))
+    ts, U, integrals = (a[:n_rec].copy() for a in (ts, U, integrals))
     erg = np.full(integrals.shape, np.nan)
     erg[1:] = ergodic(ts[1:], U[1:, :iy], u0[:iy], integrals[1:])
     return FlowTrajectory(t=ts, U=U, erg=erg, stop_reason=stop_reason,

@@ -145,14 +145,22 @@ def sq_norm(dim, coef=1.0) -> ProxFunction:
 
 
 def l1_norm(dim, weight=1.0) -> ProxFunction:
-    """f(x) = weight ||x||_1; prox is soft thresholding."""
+    """f(x) = weight ||x||_1; prox is soft thresholding,
+    copysign(max(|u| - t w, 0), u), four ufunc calls into one new array.
+
+    A result in the dead zone |u| <= t w is a zero with the sign of u, as
+    sign(u) max(|u| - t w, 0) gives it, except at u = -0.0: the product
+    form gives +0.0 there (sign(-0.0) is +0.0), this form -0.0.
+    """
     w = float(weight)
     if w < 0:
         raise ValueError("l1 weight must be nonnegative")
 
     def prox_fn(t, u):
-        thr = t * w
-        return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0)
+        r = np.abs(u)
+        r -= t * w
+        np.maximum(r, 0.0, out=r)
+        return np.copysign(r, u, out=r)
 
     return ProxFunction(dim, lambda x: w * np.abs(x).sum(axis=-1), prox_fn,
                         {"weight": w},
@@ -160,7 +168,9 @@ def l1_norm(dim, weight=1.0) -> ProxFunction:
 
 
 def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
-    """Indicator of the box [lo, hi]^dim (bounds may be vectors); prox clips."""
+    """Indicator of the box [lo, hi]^dim (bounds may be vectors); prox
+    clips, as minimum(maximum(u, lo), hi): the bits of np.clip(u, lo, hi),
+    NaN included, without its Python wrapper."""
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (dim,)).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (dim,)).copy()
     if np.any(lo > hi):
@@ -170,7 +180,8 @@ def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
         inside = ((x >= lo - 1e-12) & (x <= hi + 1e-12)).all(axis=-1)
         return np.where(inside, 0.0, np.inf)
 
-    return ProxFunction(dim, eval_fn, lambda t, u: np.clip(u, lo, hi),
+    return ProxFunction(dim, eval_fn,
+                        lambda t, u: np.minimum(np.maximum(u, lo), hi),
                         {"lo": lo, "hi": hi},
                         jac_fn=lambda t, u: (lo < u) & (u < hi), rows=True)
 

@@ -17,7 +17,7 @@ from pdflow.errors import ConfigError, ToleranceNotMet
 from pdflow.flow import Euler, FlowParams, SystemState, _start_row, integrate
 from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import MetricSchedule, TauSchedule
-from pdflow.problems import ProblemSpec, catalog, kkt_residual
+from pdflow.problems import ProblemSpec, catalog, kkt_residual, kkt_residuals
 
 
 def _start():
@@ -364,6 +364,136 @@ class TestChunkedStop:
         assert out.stop_reason == "divergence"
         assert len(out.U) == 2
         assert np.isinf(out.residuals[-1]).all()
+
+
+def _list_run(p, d, s0=None, algorithm="admm"):
+    """`run` as a loop that keeps its iterates in a Python list, stacks the
+    rows of each stop-test chunk and of the result, and tests divergence
+    by the block norms alone."""
+    u0 = _start_row(p, s0)
+    n, m = p.n, p.m
+    starts, limit_sq = np.array([0, n, n + m]), DIVERGENCE_LIMIT ** 2
+    rows, blocks = [u0], []
+    checked = 0
+
+    def stop_row():
+        nonlocal checked
+        first, checked = checked, len(rows)
+        if first == checked:
+            return None
+        block = np.array(rows[first:])
+        blocks.append(kkt_residuals(p, block[:, :n], block[:, n:n + m],
+                                    block[:, n + m:]))
+        hits = np.flatnonzero(blocks[-1].max(axis=1) <= d.stop_tol)
+        return first + int(hits[0]) if hits.size else None
+
+    def result(reason, end=None):
+        return discrete.DiscreteRun(np.array(rows[:end]),
+                                    np.concatenate(blocks)[:end], reason, n)
+
+    iterates = discrete._iterates(p, d, u0, algorithm)
+    error, last = None, None
+    for _ in range(d.max_iters):
+        if len(rows) - checked == discrete.STOP_CHUNK:
+            k = stop_row()
+            if k is not None:
+                return result("tolerance", k + 1)
+        try:
+            row = next(iterates)
+        except Exception as exc:
+            error = exc
+            break
+        if not np.add.reduceat(row * row, starts).max() <= limit_sq:
+            last = row
+            break
+        rows.append(row)
+    k = stop_row()
+    if k is not None:
+        return result("tolerance", k + 1)
+    if error is not None:
+        raise error
+    if last is None:
+        return result("budget")
+    rows.append(last)
+    blocks.append(np.full((1, 3), np.inf))
+    return result("divergence")
+
+
+class TestIterateBuffer:
+    """`run` keeps its iterates in one growing array and pre-tests
+    divergence on the row norm; its result is the list loop's, bit for
+    bit."""
+
+    @staticmethod
+    def _assert_same(p, d, s0=None, algorithm="admm"):
+        got = run(p, d, s0, algorithm=algorithm)
+        want = _list_run(p, d, s0, algorithm)
+        assert got.stop_reason == want.stop_reason
+        for g, w in ((got.U, want.U), (got.residuals, want.residuals)):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True)
+            assert g.tobytes() == w.tobytes()
+        assert got.U.base is None  # a trimmed copy, not a view
+        return got
+
+    def test_stop_inside_a_chunk(self, example1):
+        d = DiscreteParams(tau=0.25, max_iters=40)
+        d.stop_tol = float(_residual_maxima(example1, d, _start())[21])
+        out = self._assert_same(example1, d, _start())
+        assert out.stop_reason == "tolerance" and len(out.U) == 22
+
+    @pytest.mark.parametrize("algorithm", ["admm", "cp"])
+    @pytest.mark.parametrize("max_iters", [37, 64, 200])
+    def test_budget(self, algorithm, max_iters):
+        """Budgets inside a chunk, at the first capacity of 64 rows, and
+        past two doublings."""
+        p = catalog("lasso-small")
+        d = DiscreteParams(tau=0.2, max_iters=max_iters, stop_tol=0.0)
+        out = self._assert_same(p, d, _seeded_start(p, 1), algorithm)
+        assert out.stop_reason == "budget" and len(out.U) == max_iters + 1
+
+    def test_divergence(self):
+        p = catalog("box-qp")
+        d = DiscreteParams(c=1.0, gamma=1.0, tau=0.2, max_iters=500,
+                           stop_tol=1e-12)
+        assert self._assert_same(p, d).stop_reason == "divergence"
+
+    def test_raise_after_the_stop_row(self, example1, monkeypatch):
+        d = DiscreteParams(tau=0.25, max_iters=40)
+        d.stop_tol = float(_residual_maxima(example1, d, _start())[3])
+        _fail_from(monkeypatch, 5, "raise")
+        out = self._assert_same(example1, d, _start())
+        assert out.stop_reason == "tolerance" and len(out.U) == 4
+
+    @pytest.mark.parametrize("blocks,diverges", [
+        ([0.9e12, 0.0, 0.0], False),   # norm^2 above limit^2 / 4
+        ([0.6e12, 0.6e12, 0.6e12], False),  # norm^2 above limit^2 itself
+        ([0.0, 1e12, 0.0], False),     # a block exactly at the limit
+        ([0.0, 0.0, 1.0000001e12], True),
+        ([0.0, np.inf, 0.0], True),
+        ([np.nan, 0.0, 0.0], True),
+        ([1e200, 0.0, 0.0], True),     # its square overflows
+    ])
+    def test_divergence_pretest_decides_nothing(self, example1, monkeypatch,
+                                                blocks, diverges):
+        """The per-block test decides every row the row-norm check does not
+        pass: rows near and past the limit, as iterate 2."""
+        row = np.zeros(6)
+        row[::2] = blocks  # the first entry of x, z and y
+
+        def crafted(p, d, u0, algorithm):
+            yield np.ones(6)
+            yield row
+            yield np.ones(6)
+
+        monkeypatch.setattr(discrete, "_iterates", crafted)
+        d = DiscreteParams(tau=0.25, max_iters=3, stop_tol=-1.0)
+        with np.errstate(all="ignore"):
+            out = self._assert_same(example1, d, _start())
+            rows, _, reason = _reference_run(example1, d, _start())
+        assert reason == out.stop_reason
+        assert out.stop_reason == ("divergence" if diverges else "budget")
+        assert len(out.U) == len(rows) == (3 if diverges else 4)
 
 
 class TestDiscreteParams:

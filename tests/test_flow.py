@@ -6,12 +6,14 @@ sizes, and the ergodic averaging against its closed form for a linear
 trajectory.
 """
 
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from pdflow import linops
+from pdflow import flow, linops
 from pdflow.config import load_problem, resolve_tau
 from pdflow.errors import CertificationError, IntegrationError
 from pdflow.flow import (Adaptive, Euler, FlowParams, RK4, SystemState,
@@ -613,3 +615,178 @@ class TestAffineUpdate:
         assert p.n + 2 * p.m > linops._DENSE_BLOCK_LIMIT
         tau, m1, m2 = _update_cases(p, gamma)[case]
         self._assert_matches(p, 1.0, gamma, tau, m1, m2, seed=6)
+
+
+def _reference_integrate(p, params, s0=None, record_every=1):
+    """`integrate` as a loop that slices its stage views, scales the
+    tableau and appends a (t, U, integrals) tuple per step, stacking the
+    records at the end.  It caps only the steps after an accepted one at
+    h_max, so the cases below keep h0 <= h_max."""
+    u0 = flow._start_row(p, s0)
+    flow._check_certificates(p, params)
+    update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
+                          params.m2, params.inner_tol)
+    integ = params.integrator
+    c_nodes, a_mat, b_w, e_w = flow._TABLEAUS[type(integ)]
+    adaptive = e_w is not None
+    horizon = params.horizon
+    if adaptive:
+        h = min(float(integ.h0), horizon)
+    else:
+        h_fix = float(integ.h)
+        n_full = int(np.floor(horizon / h_fix + 1e-9))
+        h_last = horizon - n_full * h_fix
+        n_steps = n_full + (h_last > 1e-12)
+    iz, iy = p.n, p.n + p.m
+    pts = np.empty((len(c_nodes), iy + p.m))
+    ks = np.empty_like(pts)
+    pts[0] = u0
+    ints = np.zeros(iy)
+    recs = [(0.0, u0, ints.copy())]
+
+    def slope(i, t_i):
+        s_i, k_i = pts[i], ks[i]
+        x_new, z_new, w = update(t_i, s_i)
+        np.subtract(x_new, s_i[:iz], out=k_i[:iz])
+        np.subtract(z_new, s_i[iz:iy], out=k_i[iz:iy])
+        k_i[iy:] = w
+
+    t = 0.0
+    evals = accepted = 0
+    stop_reason = "horizon"
+    while t < horizon - 1e-12 if adaptive else accepted < n_steps:
+        if adaptive:
+            h = min(h, horizon - t)
+            t_next = t + h
+        else:
+            h = h_fix if accepted < n_full else h_last
+            t_next = (accepted + 1) * h_fix if accepted + 1 < n_steps else horizon
+        if evals == 0 or not adaptive:
+            slope(0, t)
+            evals += 1
+        ha = h * a_mat
+        for i in range(1, len(c_nodes)):
+            pts[i] = pts[0] + ha[i, :i] @ ks[:i]
+            slope(i, t + c_nodes[i] * h)
+        evals += len(c_nodes) - 1
+        if adaptive:
+            scale = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(pts[0]),
+                                                               np.abs(pts[-1]))
+            r = (h * e_w) @ ks / scale
+            err = math.sqrt(r @ r / r.size)
+            factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+            if err > 1.0:
+                if h * factor < integ.h_min:
+                    stop_reason = "step-underflow"
+                    break
+                h *= factor
+                continue
+        hb = h * b_w
+        ints += hb @ pts[:, :iy]
+        if adaptive:
+            pts[0] = pts[-1]
+            ks[0] = ks[-1]
+        else:
+            pts[0] += hb @ ks
+        t = t_next
+        if not np.isfinite(pts[0]).all():
+            raise IntegrationError(f"non-finite state at t = {t:.6g}")
+        accepted += 1
+        if accepted % record_every == 0 or t >= horizon - 1e-12:
+            recs.append((t, pts[0].copy(), ints.copy()))
+        if adaptive:
+            h = min(h * factor, integ.h_max)
+    if t > 0 and recs[-1][0] < t - 1e-12:
+        recs.append((t, pts[0].copy(), ints.copy()))
+    ts, U, integrals = (np.array(col) for col in zip(*recs))
+    erg = np.full(integrals.shape, np.nan)
+    erg[1:] = ergodic(ts[1:], U[1:, :iy], u0[:iy], integrals[1:])
+    return flow.FlowTrajectory(t=ts, U=U, erg=erg, stop_reason=stop_reason,
+                               rhs_evals=evals, n=p.n)
+
+
+class TestStepLoop:
+    """`integrate` builds its views, scaled tableau and record arrays once
+    per run; its trajectory is the per-step loop's, bit for bit."""
+
+    @staticmethod
+    def _assert_same(p, params, record_every):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = integrate(p, params, record_every=record_every)
+        want = _reference_integrate(p, params, record_every=record_every)
+        for name in ("t", "U", "erg"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True)
+            assert g.tobytes() == w.tobytes()
+        assert got.rhs_evals == want.rhs_evals
+        assert got.stop_reason == want.stop_reason
+        # the record buffers are trimmed copies, not views of the capacity
+        assert got.t.base is None and got.U.base is None
+        return got
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("integrator", [Euler(h=0.05), RK4(h=0.05),
+                                            Adaptive()],
+                             ids=["euler", "rk4", "adaptive"])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog(self, name, integrator, record_every):
+        """T = 2.02 is 40 steps of 0.05 and a clipped step of 0.02."""
+        p = catalog(name)
+        params = FlowParams(c=1.0, gamma=0.5,
+                            tau=resolve_tau("auto", p, 1.0, 0.5),
+                            horizon=2.02, integrator=integrator)
+        traj = self._assert_same(p, params, record_every)
+        assert traj.t[-1] == 2.02
+        if not isinstance(integrator, Adaptive):
+            # the start, every record_every-th step and the last step
+            assert len(traj.t) == 1 + math.ceil(41 / record_every)
+
+    def test_general_metric(self):
+        p = catalog("lasso-small")
+        half = SelfAdjointPSD.identity
+        params = FlowParams(c=1.0, gamma=0.5,
+                            m1=MetricSchedule.constant(half(p.n, 0.5)),
+                            m2=MetricSchedule.constant(half(p.m, 0.5)),
+                            horizon=1.02, integrator=RK4(h=0.05))
+        self._assert_same(p, params, 1)
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_step_underflow(self, example1, record_every):
+        """Tight tolerances with h_min = 0.03 underflow at t ~ 2.14 after
+        34 accepted steps; at record_every = 7 the last one is recorded
+        after the loop."""
+        params = FlowParams(c=1.0, gamma=0.5,
+                            tau=resolve_tau("auto", example1, 1.0, 0.5),
+                            horizon=20.0,
+                            integrator=Adaptive(h0=0.03, rel_tol=1e-8,
+                                                abs_tol=1e-8, h_min=0.03))
+        traj = self._assert_same(example1, params, record_every)
+        assert traj.stop_reason == "step-underflow"
+        assert 2.0 < traj.t[-1] < 3.0
+        with pytest.warns(RuntimeWarning, match="underflowed"):
+            integrate(example1, params)
+
+    def test_long_adaptive_run_grows_its_records(self, example1):
+        """More than the first 256 record rows."""
+        params = FlowParams(c=1.0, gamma=0.5,
+                            tau=resolve_tau("auto", example1, 1.0, 0.5),
+                            horizon=3.0,
+                            integrator=Adaptive(rel_tol=1e-12, abs_tol=1e-12))
+        assert len(self._assert_same(example1, params, 1).t) > 256
+
+
+class TestAdaptiveStepCap:
+    @pytest.mark.parametrize("name", ["example1", "lasso-small"])
+    def test_no_step_exceeds_h_max(self, name):
+        """A first trial of h0 = 3 above h_max = 1, and the retries of its
+        rejections, are capped too."""
+        p = catalog(name)
+        integ = Adaptive(h0=3.0, rel_tol=0.1, abs_tol=1e-3)
+        params = FlowParams(c=1.0, gamma=0.5,
+                            tau=resolve_tau("auto", p, 1.0, 0.5),
+                            horizon=20.0, integrator=integ)
+        traj = integrate(p, params)
+        assert traj.stop_reason == "horizon"
+        assert np.diff(traj.t).max() <= integ.h_max * (1 + 1e-12)

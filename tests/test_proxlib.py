@@ -588,3 +588,52 @@ class TestRows:
                          for a, b in zip(lin, x0)])
         with pytest.raises(ValueError, match="share dimension"):
             metric_prox(inner, dense, lin, x0[:4])
+
+
+def _special_rows(rng):
+    """Random rows with +-0.0, +-inf, NaN and values at +-1 (the box
+    bounds and, at tau = 1, the l1 threshold) put in."""
+    U = 2.0 * rng.standard_normal((40, 6))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0,
+                         -1.0, 0.5, -0.5, 5e-324, -5e-324])
+    U.flat[rng.choice(U.size, 3 * specials.size, replace=False)] = \
+        np.tile(specials, 3)
+    return U
+
+
+class TestUfuncForms:
+    """The l1 and box proxes against sign(u) max(|u| - t w, 0) and
+    np.clip, bit for bit, on rows and on single points."""
+
+    @pytest.mark.parametrize("weight,tau", [(1.0, 1.0), (0.3, 2.0),
+                                            (0.0, 1.0), (2.0, 1e-300)])
+    def test_l1_matches_sign_times_max(self, weight, tau):
+        """Equal bits except at u = -0.0, which the product maps to
+        +0.0 and this one to -0.0; a zero threshold returns u itself."""
+        U = _special_rows(np.random.default_rng(41))
+        f = l1_norm(6, weight)
+        thr = tau * weight
+        with np.errstate(invalid="ignore"):
+            old = np.sign(U) * np.maximum(np.abs(U) - thr, 0.0)
+        neg_zero = (U == 0.0) & np.signbit(U)
+        assert neg_zero.any()
+        for got in (f.prox(tau, U), np.array([f.prox(tau, u) for u in U])):
+            assert np.all(np.signbit(got[neg_zero]) & (got[neg_zero] == 0.0))
+            assert not np.signbit(old[neg_zero]).any()
+            want = np.where(neg_zero, -0.0, old)
+            _same_bits(got, want)
+            if thr == 0.0:
+                _same_bits(got, U)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (-1.0, 1.0), (0.0, 0.5), (-0.0, 0.0), (-np.inf, 2.0),
+        ([-1.0, 0.0, -2.0, -0.0, 0.0, -np.inf],
+         [1.0, 0.5, 2.0, 0.0, 3.0, 0.0])])
+    def test_box_matches_clip(self, lo, hi):
+        U = _special_rows(np.random.default_rng(43))
+        f = box(6, lo, hi)
+        lo_v, hi_v = f.params["lo"], f.params["hi"]
+        want = np.clip(U, lo_v, hi_v)
+        _same_bits(f.prox(1.0, U), want)
+        _same_bits(np.array([f.prox(0.5, u) for u in U]), want)
+        assert np.isnan(f.prox(1.0, U)[np.isnan(U)]).all()

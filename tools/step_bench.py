@@ -1,0 +1,149 @@
+"""Time the per-step layers of two pdflow trees side by side.
+
+Usage:
+
+    python tools/step_bench.py TREE_A TREE_B [--repeats N]
+
+Each tree's `src/pdflow` is loaded in this one process under its own
+package name (`pdflow_a`, `pdflow_b`), so both run on the same interpreter
+and numpy.  Each repeat runs every case once on each tree, so the repeats
+of a case spread over the whole run and a slow spell of the machine hits
+few of them; within a case the trees alternate which runs first.  Each
+line reports the minimum over the repeats (at least 5) for both trees and
+their ratio B / A:
+
+* update: microseconds per call of the proximal ADMM update on a fixed
+  state, in closed-form mode (`auto` tau) on every catalog problem, and in
+  general-metric mode with M1 = M2 = 0.5 I on lasso-small; gamma 0.5
+* integrate: seconds per `integrate` run from the canonical start, for the
+  catalog x {Euler, RK4, Adaptive} with `auto` tau, gamma 0.5, step 0.01
+  (Adaptive: its defaults) and horizon `HORIZON`
+* admm: microseconds per iteration of a 500-iteration `discrete.run` on
+  every catalog problem with `auto` tau and gamma 1
+
+The header gives Python, numpy and the CPU.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import platform
+import sys
+import time
+
+import numpy as np
+
+UPDATE_CALLS = 2000
+ADMM_ITERS = 500
+HORIZON = 20.0
+
+
+def load_tree(tree, name):
+    """Import TREE/src/pdflow as the package `name`; its relative imports
+    resolve inside it."""
+    pkg = os.path.join(os.path.abspath(tree), "src", "pdflow")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg, "__init__.py"),
+        submodule_search_locations=[pkg])
+    if spec is None:
+        sys.exit(f"step_bench: no src/pdflow under {tree}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    for sub in ("config", "discrete", "flow", "linops", "metric", "problems"):
+        importlib.import_module(f"{name}.{sub}")
+    return module
+
+
+def cpu_name():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def cases(pkg):
+    """(label, unit, per, thunk) per measured case for one loaded tree:
+    thunk() runs the case once and the time is divided by `per`."""
+    flow, discrete, problems = pkg.flow, pkg.discrete, pkg.problems
+    resolve_tau, metric = pkg.config.resolve_tau, pkg.metric
+    out = []
+    for name in problems.CATALOG_NAMES:
+        p = problems.catalog(name)
+        tau = resolve_tau("auto", p, 1.0, 0.5)
+        update = flow._make_update(p, 1.0, 0.5, tau, None, None, 1e-10)
+        out.append((f"update closed-form {name}", "us", UPDATE_CALLS / 1e6,
+                    _repeat(update, flow._start_row(p, None))))
+    p = problems.catalog("lasso-small")
+    half = pkg.linops.SelfAdjointPSD.identity
+    m1 = metric.MetricSchedule.constant(half(p.n, 0.5))
+    m2 = metric.MetricSchedule.constant(half(p.m, 0.5))
+    update = flow._make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
+    out.append(("update general-metric lasso-small", "us", UPDATE_CALLS / 1e6,
+                _repeat(update, flow._start_row(p, None))))
+    integrators = {"euler": flow.Euler(0.01), "rk4": flow.RK4(0.01),
+                   "adaptive": flow.Adaptive()}
+    for name in problems.CATALOG_NAMES:
+        p = problems.catalog(name)
+        tau = resolve_tau("auto", p, 1.0, 0.5)
+        for label, integ in integrators.items():
+            params = flow.FlowParams(c=1.0, gamma=0.5, tau=tau,
+                                     horizon=HORIZON, integrator=integ)
+            out.append((f"integrate {label} {name}", "s", 1.0,
+                        lambda p=p, params=params: flow.integrate(p, params)))
+    for name in problems.CATALOG_NAMES:
+        p = problems.catalog(name)
+        d = discrete.DiscreteParams(c=1.0, gamma=1.0,
+                                    tau=resolve_tau("auto", p, 1.0, 1.0),
+                                    max_iters=ADMM_ITERS, stop_tol=0.0)
+        out.append((f"admm {name}", "us", ADMM_ITERS / 1e6,
+                    lambda p=p, d=d: discrete.run(p, d)))
+    return out
+
+
+def _repeat(update, s):
+    def thunk():
+        for _ in range(UPDATE_CALLS):
+            update(0.0, s)
+    return thunk
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("tree_a")
+    ap.add_argument("tree_b")
+    ap.add_argument("--repeats", type=int, default=5)
+    args = ap.parse_args(argv)
+    if args.repeats < 5:
+        ap.error("--repeats must be at least 5")
+    trees = [load_tree(args.tree_a, "pdflow_a"),
+             load_tree(args.tree_b, "pdflow_b")]
+    print(f"python {platform.python_version()}, numpy {np.__version__}, "
+          f"cpu {cpu_name()}")
+    print(f"A = {os.path.abspath(args.tree_a)}")
+    print(f"B = {os.path.abspath(args.tree_b)}")
+    print(f"min of {args.repeats} repeats, trees alternating; horizon "
+          f"{HORIZON:g}")
+    both = list(zip(*(cases(pkg) for pkg in trees)))
+    best = [[float("inf"), float("inf")] for _ in both]
+    for r in range(args.repeats):
+        for i, pair in enumerate(both):
+            for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                start = time.perf_counter()
+                pair[side][3]()
+                best[i][side] = min(best[i][side],
+                                    time.perf_counter() - start)
+    for ((label, unit, per, _), _), (a, b) in zip(both, best):
+        a, b = a / per, b / per
+        print(f"{label:36s} {unit:2s}  A {a:10.4g}  B {b:10.4g}  "
+              f"B/A {b / a:.3f}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
