@@ -114,6 +114,10 @@ class RunConfig:
             raise ConfigError("horizon must be finite")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
+        if math.isnan(self.stop_tol):
+            raise ConfigError("stop_tol must not be NaN")
+        if not self.hit_threshold >= 0:
+            raise ConfigError("hit_threshold must be nonnegative")
         if self.record_every < 1:
             raise ConfigError("record_every must be at least 1")
         return self

@@ -7,18 +7,21 @@ flat iterate s = x | z | y to (x_new, z_new, w), with w = c (A x_new - z_new)
 the dual velocity, and the next iterate is x_new | z_new | y + w.  So one
 explicit Euler step of the flow with step 1 is one `admm_step`, which the
 tests pin down to 1e-12; the maps H and B behind the update's affine terms,
-and the closed-form or `metric_prox` solve of each block, are built there,
-once per run.
+the constant step folded into H's x rows, and the closed-form or
+`metric_prox` solve of each block, are built there, once per run.
 
-`cp_step` is the dual-extrapolated primal-dual update (uses 2 y^k - y^{k-1}
-in the x-step); `cp_step_explicit` is the same iteration written with the
-splitting variable z kept explicit.  Both require h = 0 and gamma = 1 and
-coincide once started from matching states (z^0 = A x^0, y^{-1} = y^0).
+`cp_step` is the dual-extrapolated primal-dual update of Chambolle and Pock
+(2011, 4.3), which uses 2 y^k - y^{k-1} in the x-step; it requires h = 0,
+gamma = 1 and no metric schedules.  By the Moreau identity
+prox_{c g*}(v) = v - c prox_{g/c}(v / c) it is the gamma = 1 proximal
+ADMM once z^k = A x^k - (y^k - y^{k-1}) / c: `cp_step_explicit` is that
+ADMM step, and `run(..., "cp")` is the ADMM loop started from
+z^0 = A x^0 (y^{-1} = y^0), the start row kept as given.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -71,23 +74,12 @@ class DiscreteParams:
             raise ValueError("gamma must lie in [0,1]")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        if math.isnan(self.stop_tol):
+            raise ValueError("stop_tol must not be NaN")
         if isinstance(self.tau, numbers.Real):
             self.tau = TauSchedule.constant(self.tau)
         elif not isinstance(self.tau, TauSchedule):
             raise ValueError("tau must be a positive number or a TauSchedule")
-
-
-def _admm(p: ProblemSpec, d: DiscreteParams):
-    """Build the iteration (k, s) -> s at k + 1 on flat rows x | z | y for
-    one run."""
-    iy = p.n + p.m
-    update = _make_update(p, d.c, d.gamma, d.tau, d.m1, d.m2, d.inner_tol)
-
-    def step(k, s):
-        x_new, z_new, w = update(k, s)
-        return np.concatenate((x_new, z_new, s[iy:] + w))
-
-    return step
 
 
 def admm_step(p: ProblemSpec, d: DiscreteParams, k: int,
@@ -100,8 +92,10 @@ def admm_step(p: ProblemSpec, d: DiscreteParams, k: int,
     A tau-family step tau(k) that is not positive (k < 0) is a ValueError.
     """
     _check_step(d.tau, d.m1, k)
-    row = _admm(p, d)(k, _start_row(p, s))
-    return _state_rows([k + 1], row[None], p.n)[0]
+    u = _start_row(p, s)
+    update = _make_update(p, d.c, d.gamma, d.tau, d.m1, d.m2, d.inner_tol)
+    x_new, z_new, w = update(k, u)
+    return SystemState(x_new, z_new, u[p.n + p.m:] + w, float(k + 1))
 
 
 def _require_cp(p: ProblemSpec, d: DiscreteParams):
@@ -109,6 +103,8 @@ def _require_cp(p: ProblemSpec, d: DiscreteParams):
         raise ConfigError("primal-dual steps require h = 0")
     if d.gamma != 1.0:
         raise ConfigError("primal-dual steps require gamma = 1")
+    if d.m1 is not None or d.m2 is not None:
+        raise ConfigError("primal-dual steps take the step tau, not m1 or m2")
 
 
 def cp_step(p: ProblemSpec, d: DiscreteParams, k: int, x, y, y_prev):
@@ -126,24 +122,20 @@ def cp_step(p: ProblemSpec, d: DiscreteParams, k: int, x, y, y_prev):
 
 def cp_step_explicit(p: ProblemSpec, d: DiscreteParams, k: int,
                      s: SystemState) -> SystemState:
-    """The same primal-dual iteration with the splitting variable explicit.
+    """The same primal-dual iteration with the splitting variable explicit:
+    the gamma = 1 `admm_step`,
 
     x^{k+1} = prox_{tau f}(x^k - tau A*(y^k + c (A x^k - z^k)))
-    y^{k+1} = prox_{c g*}(y^k + c A x^{k+1})
-    z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c
+    z^{k+1} = prox_{g/c}(A x^{k+1} + y^k / c)
+    y^{k+1} = y^k + c (A x^{k+1} - z^{k+1})
 
-    Substituting c (A x^k - z^k) = y^k - y^{k-1} (which the z-update makes
-    an identity from k = 1 on, and the start z^0 = A x^0, y^{-1} = y^0 makes
-    true at k = 0) recovers `cp_step`.
+    By the Moreau identity y^{k+1} = prox_{c g*}(y^k + c A x^{k+1}) and
+    z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c, so c (A x^k - z^k) =
+    y^k - y^{k-1} from k = 1 on, and at k = 0 for the start z^0 = A x^0,
+    y^{-1} = y^0: the iterates are those of `cp_step`.
     """
     _require_cp(p, d)
-    c = d.c
-    tau_k = d.tau.value(k)
-    x, z, y = s.x, s.z, s.y
-    x_new = p.f.prox(tau_k, x - tau_k * p.A._raw_adjoint(y + c * (p.A._raw_apply(x) - z)))
-    y_new = conjugate_prox(p.g, c, y + c * p.A._raw_apply(x_new))
-    z_new = p.A._raw_apply(x_new) - (y_new - y) / c
-    return SystemState(x_new, z_new, y_new, float(k + 1))
+    return admm_step(p, d, k, s)
 
 
 @dataclass
@@ -173,34 +165,18 @@ class DiscreteRun:
         return len(self.U) - 1
 
 
-def _iterates(p: ProblemSpec, d: DiscreteParams, u0, algorithm):
-    """Yield the iterates x^k | z^k | y^k for k = 1, 2, ... from u0, each a
-    new flat row."""
-    if algorithm == "admm":
-        step = _admm(p, d)
-        s = u0
-        for k in itertools.count():
-            s = step(k, s)
-            yield s
-    x, _, y = np.split(u0, [p.n, p.n + p.m])
-    y_prev = y
-    for k in itertools.count():
-        x, y_new = cp_step(p, d, k, x, y, y_prev)
-        z = p.A._raw_apply(x) - (y_new - y) / d.c
-        y_prev, y = y, y_new
-        yield np.concatenate((x, z, y))
-
-
 def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
         algorithm: str = "admm") -> DiscreteRun:
     """Iterate until the KKT residual max-component drops to stop_tol,
     the budget runs out, or an iterate is not finite or has a block norm
     above the divergence limit.
 
-    algorithm "admm" iterates `admm_step`, built once per run; "cp" uses
-    `cp_step` and tracks the splitting variable via
-    z^{k+1} = A x^{k+1} - (y^{k+1} - y^k)/c so the same residuals are
-    reported.  Raises ValueError if s0 has the wrong dimensions.
+    Both algorithms iterate the proximal ADMM update, built once per run,
+    and write x_new, z_new and y + w straight into the next row.
+    Algorithm "admm" starts from s0; "cp" (`_require_cp`) starts from
+    x0 | A x0 | y0, which makes the iterates those of `cp_step` with its
+    splitting variable z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c, while row
+    0 keeps s0.  Raises ValueError if s0 has the wrong dimensions.
 
     The divergence test runs on every iterate, the residuals on
     `STOP_CHUNK` iterates at a time, in one `kkt_residuals` call.  The run
@@ -224,10 +200,16 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
         _require_cp(p, d)
 
     n, m = p.n, p.m
-    starts, limit_sq = np.array([0, n, n + m]), DIVERGENCE_LIMIT ** 2
+    iy = n + m
+    update = _make_update(p, d.c, d.gamma, d.tau, d.m1, d.m2, d.inner_tol)
+    starts, limit_sq = np.array([0, n, iy]), DIVERGENCE_LIMIT ** 2
     quarter_sq = 0.25 * limit_sq
     U = np.empty((4 * STOP_CHUNK, len(u0)))
     U[0] = u0
+    s = u0
+    if algorithm == "cp":
+        s = u0.copy()
+        s[n:iy] = p.A._raw_apply(u0[:n])
     count, checked = 1, 0
     blocks = []
 
@@ -239,8 +221,8 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
         if first == checked:
             return None
         block = U[first:count]
-        blocks.append(kkt_residuals(p, block[:, :n], block[:, n:n + m],
-                                    block[:, n + m:]))
+        blocks.append(kkt_residuals(p, block[:, :n], block[:, n:iy],
+                                    block[:, iy:]))
         hits = np.flatnonzero(blocks[-1].max(axis=1) <= d.stop_tol)
         return first + int(hits[0]) if hits.size else None
 
@@ -248,21 +230,23 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
         return DiscreteRun(U[:end].copy(), np.concatenate(blocks)[:end],
                            reason, n)
 
-    iterates = _iterates(p, d, u0, algorithm)
     error, diverged = None, False
-    for _ in range(d.max_iters):
+    for k in range(d.max_iters):
         if count - checked == STOP_CHUNK:
-            k = stop_row()
-            if k is not None:
-                return result("tolerance", k + 1)
+            stop = stop_row()
+            if stop is not None:
+                return result("tolerance", stop + 1)
         try:
-            row = next(iterates)
+            x_new, z_new, w = update(k, s)
         except Exception as exc:  # re-raised below unless an earlier row stops
             error = exc
             break
         if count == len(U):
             U = np.concatenate((U, np.empty_like(U)))
-        U[count] = row
+        row = U[count]
+        row[:n] = x_new
+        row[n:iy] = z_new
+        np.add(s[iy:], w, out=row[iy:])
         # a row of squared norm at most limit^2 / 4 passes; otherwise the
         # squared norms of x, z and y decide, and a NaN or inf anywhere in
         # the row makes the largest one NaN or inf, which fails
@@ -271,9 +255,10 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
             diverged = True  # row k = count is stored but not yet counted
             break
         count += 1
-    k = stop_row()
-    if k is not None:
-        return result("tolerance", k + 1)
+        s = row
+    stop = stop_row()
+    if stop is not None:
+        return result("tolerance", stop + 1)
     if error is not None:
         raise error
     if not diverged:

@@ -11,9 +11,11 @@ at the relaxed point x + gamma u, and the dual velocity is the explicit
 per run.  Every affine term of it is one of two products with maps built
 then: H U gives the inputs of both subproblems, and B x_new the new part of
 the relaxed point and c A x_new; for the small problems of the catalog each
-is one dense matrix.  `discrete.admm_step` uses the same update, with
-y_new = y + w, so a unit-step Euler step is one ADMM iteration by
-construction.  The modes:
+is one dense matrix.  A constant step tau0 is folded into the x rows of H,
+so their part of H U is the x-prox input itself.  `discrete.admm_step`
+and `discrete.run` use the same update, with y_new = y + w, so a unit-step
+Euler step is one ADMM iteration by construction, and the Chambolle-Pock
+iteration is that ADMM at gamma = 1 from z0 = A x0.  The modes:
 
 * closed-form      -- x-update metric I / tau(t) (the tau family), both
                       subproblems collapse to single prox calls; requires
@@ -235,8 +237,12 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     block solver is chosen here, once:
 
     * a tau-family M1(t) = I / tau(t) - c1 A1* A1 (the closed-form mode):
-      the x rows of H are [c1 A1* A1 + P, -c A*, A*] and x_new is one prox
-      of f at x - tau(t) (r_x + q)
+      the x rows of H are [K, -c A*, A*], K = c1 A1* A1 + P, and x_new is
+      one prox of f at x - tau(t) (r_x + q)
+    * the same with a constant step tau0 (`--tau auto`, a number, every
+      sweep run): tau0 is folded into the x rows, [I - tau0 K, tau0 c A*,
+      -tau0 A*], and q into -tau0 q, so r_x - tau0 q is the prox input
+      itself and x_new is one prox of f with step tau0 at it
     * a constant M1: the x rows are [P - M1, -c A*, A*] and `metric_prox`
       solves the block in Q1 = c A* A + M1 with lin = r_x + q
     * a constant scaled identity M2 = s I, zero (no M2) included: with
@@ -251,12 +257,13 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
 
     B is [k gamma A; c A], with k = 1 for any other M2.  A quadratic h
     (`quadratic_smooth`) folds its P and q in as above; any other h adds
-    its gradient at x to r_x.  With n + 2m at most
-    `linops._DENSE_BLOCK_LIMIT` each map is one dense matrix.  A wider
-    problem applies them lazily: H s takes one A x for both block rows and
-    one A* of y + c (A x - z) (of y - c z when c A* A is not folded), and
-    B x_new one A x_new, where the per-block formulas apply A or A* four
-    times.
+    its gradient at x to r_x (-tau0 times it to a folded x step).  With
+    n + 2m at most `linops._DENSE_BLOCK_LIMIT` each map is one dense
+    matrix.  A wider problem applies them lazily: H s takes one A x for
+    both block rows and one A* of y + c (A x - z) (of y - c z when c A* A
+    is not folded), and B x_new one A x_new, where the per-block formulas
+    apply A or A* four times; a folded x step's lazy rows return
+    x - tau0 (r_x + q), the unfolded prox input bit for bit.
     """
     m1, m2 = schedules(p, c, tau, m1, m2)
     n, m = p.n, p.m
@@ -284,6 +291,10 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     kxx = kx
     if fold:
         kxx = c * A.gram() if kx is None else c * A.gram() + kx
+    # a constant step folds into the x rows: H s is then the prox input
+    tau0 = None
+    if x_tau is not None and x_tau.tau0 == x_tau.tau_max:
+        tau0 = x_tau.tau0
 
     # a constant M2 = s I scales the z rows by k = c / (c + s) and the y
     # block to I / (c + s): at s = 0, k is 1.0 and c + s is c
@@ -315,6 +326,8 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
         rx = a_adjoint(y + c * (ax - z) if fold else y - c * z)
         if kx_apply is not None:
             rx = rx + kx_apply(x)
+        if tau0 is not None:
+            rx = x - tau0 * (rx if q is None else rx + q)
         rz = y / cs if relax == 0.0 else relax * ax + y / cs
         if kz_apply is not None:
             rz += kz_apply(z)
@@ -325,25 +338,35 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     def b_lazy(x):
         return (b_scales * a_apply(x)).ravel()
 
-    H = _block_map([[kxx, -c * AT, AT],
-                    [relax * A, kz, LinearMap.identity(m, z_step)]],
+    x_rows = [kxx, -c * AT, AT]
+    if tau0 is not None:
+        x_rows = [LinearMap.identity(n) - tau0 * kxx, (tau0 * c) * AT,
+                  -tau0 * AT]
+    H = _block_map([x_rows, [relax * A, kz, LinearMap.identity(m, z_step)]],
                    [n, m, m], h_lazy)
     B = _block_map([[(k * gamma) * A], [c * A]], [n], b_lazy)
     h_apply, b_apply = H._raw_apply, B._raw_apply
+    # the q the update adds to r_x: -tau0 q when folded, and none when the
+    # lazy rows have added q already
+    qx = q
+    if tau0 is not None and q is not None:
+        qx = -tau0 * q if H.mat is not None else None
 
     def update(t, s):
         r = h_apply(s)
-        x = s[:n]
         rx = r[:n]
-        if q is not None:
-            rx = rx + q
+        if qx is not None:
+            rx = rx + qx
         if h_grad is not None:
-            rx = rx + h_grad(x)
-        if x_tau is not None:
+            grad = h_grad(s[:n])
+            rx = rx + grad if tau0 is None else rx - tau0 * grad
+        if tau0 is not None:
+            x_new = f_prox(tau0, rx)
+        elif x_tau is not None:
             tau_t = x_tau.value(t)
-            x_new = f_prox(tau_t, x - tau_t * rx)
+            x_new = f_prox(tau_t, s[:n] - tau_t * rx)
         else:
-            x_new = metric_prox(f, q1, rx, x, tol=tol)
+            x_new = metric_prox(f, q1, rx, s[:n], tol=tol)
         bx = b_apply(x_new)
         rz = r[n:] + bx[:m]
         if z_prox:

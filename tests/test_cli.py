@@ -182,6 +182,31 @@ class TestErrorPaths:
         assert code == 1
         assert "horizon must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [
+        ("stop_tol = nan", "stop_tol must not be NaN"),
+        ("hit_threshold = nan", "hit_threshold must be nonnegative"),
+        ("hit_threshold = -1", "hit_threshold must be nonnegative"),
+    ])
+    def test_nan_thresholds_are_config_error(self, tmp_path, capsys, line,
+                                             message):
+        """A NaN stop_tol once ran the whole budget and exited 0, and a NaN
+        or negative hit threshold gave first_hit_time = inf."""
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"problem = example1\n{line}\n")
+        code = main(["discrete", "--config", str(cfg), "--tau", "auto",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_negative_hit_threshold_flag_is_config_error(self, tmp_path,
+                                                         capsys):
+        code = main(["flow", "--problem", "example1", "--tau", "0.25",
+                     "--horizon", "1", "--hit-threshold", "-0.5",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "hit_threshold" in capsys.readouterr().err
+
     def test_oversized_step_is_config_error(self, tmp_path, capsys):
         code = main(["flow", "--problem", "example1", "--tau", "0.9",
                      "--horizon", "1", "--out", str(tmp_path)])

@@ -108,6 +108,23 @@ class TestValidate:
         with pytest.raises(ConfigError):
             RunConfig(record_every=0).validate()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("stop_tol", float("nan"), "stop_tol must not be NaN"),
+        ("hit_threshold", float("nan"), "hit_threshold must be nonnegative"),
+        ("hit_threshold", -1.0, "hit_threshold must be nonnegative"),
+    ])
+    def test_nan_and_negative_thresholds_rejected(self, key, value, message):
+        """A NaN stop_tol never stops a run, and a NaN or negative hit
+        threshold is never hit."""
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**{key: value}).validate()
+
+    def test_threshold_edges_accepted(self):
+        """-inf runs every iteration (the checks use it), and a zero hit
+        threshold is a legal, if strict, level."""
+        cfg = RunConfig(stop_tol=-np.inf, hit_threshold=0.0)
+        assert cfg.validate() is cfg
+
     def test_valid_config_returns_self(self):
         cfg = RunConfig()
         assert cfg.validate() is cfg

@@ -6,6 +6,8 @@ two forms of the primal-dual iteration must agree to near machine
 precision because they are algebraic rearrangements of each other.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,20 @@ class TestPrimalDualForms:
         with pytest.raises(ConfigError):
             cp_step(example1, d, 0, np.zeros(2), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("metric", ["m1", "m2"])
+    def test_requires_no_metric_schedules(self, example1, metric):
+        """CP steps with tau; a set m1 would turn its x-step into a
+        `metric_prox` solve, and m2 would change its z-step."""
+        op = MetricSchedule.constant(SelfAdjointPSD.identity(2, 0.5))
+        d = DiscreteParams(c=1.0, gamma=1.0, tau=0.25, **{metric: op})
+        with pytest.raises(ConfigError, match="m1 or m2"):
+            run(example1, d, algorithm="cp")
+        with pytest.raises(ConfigError, match="m1 or m2"):
+            cp_step(example1, d, 0, np.zeros(2), np.zeros(2), np.zeros(2))
+        with pytest.raises(ConfigError, match="m1 or m2"):
+            cp_step_explicit(example1, d, 0, _start())
+        assert run(example1, d, _start()).iterations > 0  # ADMM takes them
+
     def test_converges_on_example1(self, example1):
         d = DiscreteParams(c=1.0, gamma=1.0, tau=0.25, max_iters=500,
                            stop_tol=1e-6)
@@ -212,6 +228,22 @@ class TestRun:
         assert out.residuals[-1].max() < out.residuals[0].max()
 
 
+def _steps(p, d, u0, algorithm):
+    """Yield the iterates x^k | z^k | y^k for k = 1, 2, ... of `run`, each
+    a new row, from the update `discrete._make_update` builds (so a patched
+    one reaches both): ADMM from u0, CP from x0 | A x0 | y0."""
+    update = discrete._make_update(p, d.c, d.gamma, d.tau, d.m1, d.m2,
+                                   d.inner_tol)
+    n, iy = p.n, p.n + p.m
+    s = u0
+    if algorithm == "cp":
+        s = np.concatenate((u0[:n], p.A.apply(u0[:n]), u0[iy:]))
+    for k in itertools.count():
+        x_new, z_new, w = update(k, s)
+        s = np.concatenate((x_new, z_new, s[iy:] + w))
+        yield s
+
+
 def _reference_run(p, d, s0=None, algorithm="admm"):
     """`run` as an iterate-by-iterate loop: each iterate's divergence test,
     then its residual and the stop test, before the next iterate."""
@@ -225,7 +257,7 @@ def _reference_run(p, d, s0=None, algorithm="admm"):
     rows, res = [u0], [residual(u0)]
     if max(res[0]) <= d.stop_tol:
         return rows, res, "tolerance"
-    steps = discrete._iterates(p, d, u0, algorithm)
+    steps = _steps(p, d, u0, algorithm)
     for _, row in zip(range(d.max_iters), steps):
         x, z, y = row[:n], row[n:n + m], row[n + m:]
         rows.append(row)
@@ -263,24 +295,24 @@ def _residual_maxima(p, d, s0):
 
 
 def _fail_from(monkeypatch, k_bad, failure):
-    """Make ADMM iterate k_bad + 1 and later fail: raise, or turn x to NaN."""
-    real = discrete._admm
+    """Make ADMM iterate k_bad + 1 and later fail: the update raises, or
+    returns a NaN x, the old z and w = 0."""
+    real = discrete._make_update
 
-    def patched(p, d):
-        step = real(p, d)
+    def patched(p, *args):
+        update = real(p, *args)
 
         def failing(k, s):
             if k < k_bad:
-                return step(k, s)
+                return update(k, s)
             if failure == "raise":
                 raise ToleranceNotMet("inner solve failed", best=s[:p.n],
                                       residual=1.0)
-            bad = s.copy()
-            bad[:p.n] = np.nan
-            return bad
+            return (np.full(p.n, np.nan), s[p.n:p.n + p.m].copy(),
+                    np.zeros(p.m))
         return failing
 
-    monkeypatch.setattr(discrete, "_admm", patched)
+    monkeypatch.setattr(discrete, "_make_update", patched)
 
 
 class TestChunkedStop:
@@ -391,7 +423,7 @@ def _list_run(p, d, s0=None, algorithm="admm"):
         return discrete.DiscreteRun(np.array(rows[:end]),
                                     np.concatenate(blocks)[:end], reason, n)
 
-    iterates = discrete._iterates(p, d, u0, algorithm)
+    iterates = _steps(p, d, u0, algorithm)
     error, last = None, None
     for _ in range(d.max_iters):
         if len(rows) - checked == discrete.STOP_CHUNK:
@@ -481,12 +513,15 @@ class TestIterateBuffer:
         row = np.zeros(6)
         row[::2] = blocks  # the first entry of x, z and y
 
-        def crafted(p, d, u0, algorithm):
-            yield np.ones(6)
-            yield row
-            yield np.ones(6)
+        def crafted(p, *args):
+            rows = iter([np.ones(6), row, np.ones(6)])
 
-        monkeypatch.setattr(discrete, "_iterates", crafted)
+            def update(k, s):
+                r = next(rows)
+                return r[:2], r[2:4], r[4:] - s[4:]  # y + w is r[4:]
+            return update
+
+        monkeypatch.setattr(discrete, "_make_update", crafted)
         d = DiscreteParams(tau=0.25, max_iters=3, stop_tol=-1.0)
         with np.errstate(all="ignore"):
             out = self._assert_same(example1, d, _start())
@@ -494,6 +529,85 @@ class TestIterateBuffer:
         assert reason == out.stop_reason
         assert out.stop_reason == ("divergence" if diverges else "budget")
         assert len(out.U) == len(rows) == (3 if diverges else 4)
+
+
+def _cp_dual_extrapolated(p, d, u0, iterations):
+    """The rows of the dual-extrapolated loop `run(..., "cp")` iterated
+    before it ran the ADMM kernel: `cp_step`, with the splitting variable
+    z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c, from y^{-1} = y^0; row 0
+    is u0."""
+    n, iy = p.n, p.n + p.m
+    x, y = u0[:n], u0[iy:]
+    y_prev = y
+    rows = [u0]
+    for k in range(iterations):
+        x, y_new = cp_step(p, d, k, x, y, y_prev)
+        z = p.A._raw_apply(x) - (y_new - y) / d.c
+        y_prev, y = y, y_new
+        rows.append(np.concatenate((x, z, y)))
+    return np.array(rows)
+
+
+def _off_start(p, seed):
+    """A seeded start whose z0 is not A x0."""
+    rng = np.random.default_rng(seed)
+    return SystemState(2.0 * rng.standard_normal(p.n),
+                       rng.standard_normal(p.m), rng.standard_normal(p.m),
+                       0.0)
+
+
+class TestCpOnAdmmKernel:
+    """`run(..., "cp")` is the gamma = 1 ADMM loop started from
+    x0 | A x0 | y0, with row 0 kept as given; the dual-extrapolated loop it
+    replaced agrees to 1e-14."""
+
+    CASES = [("example1", 0.25), ("lasso-small", 0.2)]
+
+    @staticmethod
+    def _stop_inside_a_chunk(p, d, s0):
+        """A stop_tol at which the run stops at a row inside the second
+        chunk, midway (geometrically) between that row's residual and the
+        least before it, so a 1e-14 move of either cannot shift the stop."""
+        full = DiscreteParams(c=d.c, gamma=d.gamma, tau=d.tau, max_iters=60,
+                              stop_tol=-np.inf)
+        r = run(p, full, s0, algorithm="cp").residuals.max(axis=1)
+        k = next(k for k in range(18, 60)
+                 if k % 16 and r[k] < np.min(r[:k]))
+        return float(np.sqrt(r[k] * np.min(r[:k]))), k
+
+    @pytest.mark.parametrize("budget", ["chunk", 37, 64, 200])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name,tau", CASES)
+    def test_matches_admm_and_the_dual_extrapolated_loop(self, name, tau,
+                                                         seed, budget):
+        p = catalog(name)
+        s0 = _off_start(p, seed)
+        u0 = _start_row(p, s0)
+        x0, y0 = s0.x, s0.y
+        assert not np.allclose(s0.z, p.A.apply(x0))
+        if budget == "chunk":
+            d = DiscreteParams(c=1.0, gamma=1.0, tau=tau, max_iters=200)
+            d.stop_tol, k = self._stop_inside_a_chunk(p, d, s0)
+        else:
+            d = DiscreteParams(c=1.0, gamma=1.0, tau=tau, max_iters=budget,
+                               stop_tol=0.0)
+        out = run(p, d, s0, algorithm="cp")
+        if budget == "chunk":
+            assert out.stop_reason == "tolerance" and len(out.U) == k + 1
+        else:
+            assert out.stop_reason == "budget"
+            assert len(out.U) == budget + 1
+        # row 0 is the given start, its z0 included
+        assert out.U[0].tobytes() == u0.tobytes()
+        # the later rows are ADMM's from x0 | A x0 | y0, bit for bit
+        admm = run(p, d, SystemState(x0, p.A.apply(x0), y0, 0.0))
+        assert admm.stop_reason == out.stop_reason
+        assert out.U[1:].tobytes() == admm.U[1:].tobytes()
+        assert out.residuals[1:].tobytes() == admm.residuals[1:].tobytes()
+        # and the dual-extrapolated loop's to 1e-14 relative
+        ref = _cp_dual_extrapolated(p, d, u0, len(out.U) - 1)
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert float(np.abs(out.U - ref).max()) <= 1e-14 * scale
 
 
 class TestDiscreteParams:
@@ -504,6 +618,14 @@ class TestDiscreteParams:
             DiscreteParams(gamma=-0.1)
         with pytest.raises(ValueError):
             DiscreteParams(max_iters=-1)
+
+    def test_nan_stop_tol_rejected(self):
+        """A NaN stop_tol never compares true, so the run would spend its
+        whole budget; -inf, which the checks use to run every iteration,
+        stays legal."""
+        with pytest.raises(ValueError, match="stop_tol"):
+            DiscreteParams(stop_tol=float("nan"))
+        assert DiscreteParams(stop_tol=-np.inf).stop_tol == -np.inf
 
     @pytest.mark.parametrize("tau", [[], (), 0.0, -0.25, [0.2, 0.0],
                                      np.array([0.2, -0.1]), [0.3]])

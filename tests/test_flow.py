@@ -575,7 +575,8 @@ class TestAffineUpdate:
     @pytest.mark.parametrize("n,m,case", [
         (n, m, case)
         for n, m in [(3, 4), (10, 60), (130, 5)]
-        for case in ["saturating", "const-0.5I", "dense-m1", "foreign-tau-family"]
+        for case in ["auto", "saturating", "const-0.5I", "dense-m1",
+                     "foreign-tau-family"]
         if not (n == 130 and case == "dense-m1")])
     def test_closure_map_and_custom_h(self, n, m, case):
         p = _closure_problem(n, m)
@@ -615,6 +616,51 @@ class TestAffineUpdate:
         assert p.n + 2 * p.m > linops._DENSE_BLOCK_LIMIT
         tau, m1, m2 = _update_cases(p, gamma)[case]
         self._assert_matches(p, 1.0, gamma, tau, m1, m2, seed=6)
+
+
+class TestFoldedStep:
+    """A constant step tau0 is folded into H's x rows: each update makes
+    one prox of f, with step tau0 exactly at every t, at the point
+    x - tau0 (A*(y + c (A x - z)) + grad h(x)), on dense and lazy H."""
+
+    @staticmethod
+    def _problem(name):
+        if name in CATALOG_NAMES:
+            return catalog(name)
+        if name == "closure":
+            return _closure_problem(130, 5)  # lazy H and a softplus h
+        return load_problem(os.path.join(_PROBLEMS, name + ".txt"))
+
+    @pytest.mark.parametrize("name", list(CATALOG_NAMES)
+                             + ["wide-lasso", "wide-identity", "closure"])
+    def test_one_prox_at_the_folded_point(self, name, monkeypatch):
+        p = self._problem(name)
+        tau = resolve_tau("auto", p, 1.0, 0.5)
+        tau0 = tau.tau0
+        calls = []
+        real = p.f._prox
+
+        def recording(step, u):
+            calls.append((step, u.copy()))
+            return real(step, u)
+
+        monkeypatch.setattr(p.f, "_prox", recording)
+        update = _make_update(p, 1.0, 0.5, tau, None, None, 1e-12)
+        a_apply, a_adjoint = p.A._raw_apply, p.A._raw_adjoint
+        rng = np.random.default_rng(8)
+        for t in (0.0, 0.7, 3.0):
+            s = 3.0 * rng.standard_normal(p.n + 2 * p.m)
+            x, z, y = s[:p.n], s[p.n:p.n + p.m], s[p.n + p.m:]
+            calls.clear()
+            x_new = update(t, s)[0]
+            assert len(calls) == 1
+            step, arg = calls[0]
+            assert step == tau0
+            grad = np.zeros(p.n) if p.h.is_zero else p.h.grad(x)
+            want = x - tau0 * (a_adjoint(y + a_apply(x) - z) + grad)
+            gap = np.linalg.norm(arg - want) / max(1.0, np.linalg.norm(want))
+            assert gap <= 1e-13
+            assert np.array_equal(x_new, real(tau0, arg))
 
 
 def _reference_integrate(p, params, s0=None, record_every=1):

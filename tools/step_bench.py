@@ -20,6 +20,7 @@ their ratio B / A:
   (Adaptive: its defaults) and horizon `HORIZON`
 * admm: microseconds per iteration of a 500-iteration `discrete.run` on
   every catalog problem with `auto` tau and gamma 1
+* cp: the same with algorithm "cp", on every catalog problem with h = 0
 
 The header gives Python, numpy and the CPU.
 """
@@ -97,13 +98,17 @@ def cases(pkg):
                                      horizon=HORIZON, integrator=integ)
             out.append((f"integrate {label} {name}", "s", 1.0,
                         lambda p=p, params=params: flow.integrate(p, params)))
-    for name in problems.CATALOG_NAMES:
-        p = problems.catalog(name)
-        d = discrete.DiscreteParams(c=1.0, gamma=1.0,
-                                    tau=resolve_tau("auto", p, 1.0, 1.0),
-                                    max_iters=ADMM_ITERS, stop_tol=0.0)
-        out.append((f"admm {name}", "us", ADMM_ITERS / 1e6,
-                    lambda p=p, d=d: discrete.run(p, d)))
+    for algorithm in ("admm", "cp"):
+        for name in problems.CATALOG_NAMES:
+            p = problems.catalog(name)
+            if algorithm == "cp" and not p.h.is_zero:
+                continue  # the primal-dual step needs h = 0
+            d = discrete.DiscreteParams(c=1.0, gamma=1.0,
+                                        tau=resolve_tau("auto", p, 1.0, 1.0),
+                                        max_iters=ADMM_ITERS, stop_tol=0.0)
+            out.append((f"{algorithm} {name}", "us", ADMM_ITERS / 1e6,
+                        lambda p=p, d=d, a=algorithm: discrete.run(
+                            p, d, algorithm=a)))
     return out
 
 
