@@ -106,8 +106,8 @@ class RunConfig:
             raise ConfigError("penalty c must be positive")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must lie in [0,1]")
-        if not self.step > 0:
-            raise ConfigError("step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ConfigError("step must be positive and finite")
         if not self.horizon > 0:
             raise ConfigError("horizon must be positive")
         if not math.isfinite(self.horizon):

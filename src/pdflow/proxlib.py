@@ -98,15 +98,22 @@ class ProxFunction:
     a time.  `jac_fn(t, u)`, when given, returns the diagonal of an element
     of the generalized Jacobian of u -> prox_{t f}(u) at one point, as a
     (dim,) array or a scalar; `metric_prox` uses it for its Newton steps.
+
+    `affine`, set by the builders of quadratic functions (`zero`,
+    `sq_norm`, `sq_distance`) and None otherwise, maps a step t to the
+    affine form (a, b) of the prox, prox_{t f}(u) = a u + b, with a a
+    number and b a (dim,) vector or None for zero; the flow's update folds
+    an affine prox into its matrix (`flow._make_update`).
     """
 
     def __init__(self, dim, eval_fn, prox_fn, params=None, jac_fn=None,
-                 rows=False):
+                 rows=False, affine=None):
         self.dim = int(dim)
         self._eval = eval_fn
         self._prox = prox_fn
         self._jac = jac_fn
         self._rows = bool(rows)
+        self.affine = affine
         self.params = dict(params or {})
 
     def __call__(self, x):
@@ -131,7 +138,7 @@ class ProxFunction:
 def zero(dim) -> ProxFunction:
     return ProxFunction(dim, lambda x: np.zeros(x.shape[:-1]),
                         lambda t, u: u.copy(), jac_fn=lambda t, u: 1.0,
-                        rows=True)
+                        rows=True, affine=lambda t: (1.0, None))
 
 
 def sq_norm(dim, coef=1.0) -> ProxFunction:
@@ -141,7 +148,8 @@ def sq_norm(dim, coef=1.0) -> ProxFunction:
         raise ValueError("sq_norm coefficient must be nonnegative")
     return ProxFunction(dim, lambda x: 0.5 * c * _sum_sq(x),
                         lambda t, u: u / (1.0 + t * c), {"coef": c},
-                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True)
+                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True,
+                        affine=lambda t: (1.0 / (1.0 + t * c), None))
 
 
 def l1_norm(dim, weight=1.0) -> ProxFunction:
@@ -195,7 +203,9 @@ def sq_distance(dim, center, coef=1.0) -> ProxFunction:
     return ProxFunction(dim, lambda x: 0.5 * c * _sum_sq(x - b),
                         lambda t, u: (u + t * c * b) / (1.0 + t * c),
                         {"center": b, "coef": c},
-                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True)
+                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True,
+                        affine=lambda t: (1.0 / (1.0 + t * c),
+                                          (t * c / (1.0 + t * c)) * b))
 
 
 def separable(dim, eval_fn, prox_fn, params=None, jac_fn=None) -> ProxFunction:

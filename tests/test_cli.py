@@ -207,6 +207,16 @@ class TestErrorPaths:
         assert code == 1
         assert "hit_threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["flow", "--horizon", "5"], ["check", "--integrator", "rk4"]])
+    def test_infinite_step_is_config_error(self, tmp_path, capsys, command):
+        """An infinite step used to run no step and report success."""
+        code = main([*command, "--problem", "example1", "--tau", "0.25",
+                     "--step", "inf", "--out", str(tmp_path)])
+        assert code == 1
+        assert "step must be positive and finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_oversized_step_is_config_error(self, tmp_path, capsys):
         code = main(["flow", "--problem", "example1", "--tau", "0.9",
                      "--horizon", "1", "--out", str(tmp_path)])

@@ -108,6 +108,14 @@ class TestValidate:
         with pytest.raises(ConfigError):
             RunConfig(record_every=0).validate()
 
+    @pytest.mark.parametrize("step", [float("inf"), float("nan"), 0.0,
+                                      -1.0])
+    def test_step_must_be_positive_and_finite(self, step):
+        """An infinite step would take no integrator step at all."""
+        with pytest.raises(ConfigError,
+                           match="step must be positive and finite"):
+            RunConfig(step=step).validate()
+
     @pytest.mark.parametrize("key,value,message", [
         ("stop_tol", float("nan"), "stop_tol must not be NaN"),
         ("hit_threshold", float("nan"), "hit_threshold must be nonnegative"),

@@ -22,8 +22,9 @@ from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import (MetricSchedule, TauSchedule, x_update_metric,
                            z_update_metric)
 from pdflow.problems import CATALOG_NAMES, ProblemSpec, catalog
-from pdflow.proxlib import (SmoothFunction, l1_norm, metric_prox,
-                            quadratic_smooth, sq_distance)
+from pdflow.proxlib import (SmoothFunction, box, l1_norm, metric_prox,
+                            quadratic_smooth, separable, sq_distance,
+                            sq_norm, zero)
 
 _PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -337,6 +338,15 @@ class TestIntegrate:
                 pytest.raises(IntegrationError, match="non-finite state"):
             integrate(example1, params, _start())
 
+    @pytest.mark.parametrize("integrator", [Euler, RK4])
+    @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0])
+    def test_step_must_be_positive_and_finite(self, example1, integrator, h):
+        """An infinite step makes the step count NaN and used to return the
+        start alone, with no rhs evaluation."""
+        params = _closed_params(horizon=5.0, integrator=integrator(h=h))
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate(example1, params, _start())
+
     def test_adaptive_fsal_cost(self, example1):
         """With every trial accepted, a step costs 6 rhs evals: its first
         stage is the previous step's last (FSAL)."""
@@ -618,23 +628,33 @@ class TestAffineUpdate:
         self._assert_matches(p, 1.0, gamma, tau, m1, m2, seed=6)
 
 
+def _named_problem(name):
+    """A catalog problem, a problem file, or a closure-built A with a
+    softplus h: "closure" past the dense limit, "softplus-h" below it."""
+    if name in CATALOG_NAMES:
+        return catalog(name)
+    if name == "closure":
+        return _closure_problem(130, 5)
+    if name == "softplus-h":
+        return _closure_problem(3, 4)
+    return load_problem(os.path.join(_PROBLEMS, name + ".txt"))
+
+
+def _rel_gap(got, want):
+    return np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
+
+
 class TestFoldedStep:
     """A constant step tau0 is folded into H's x rows: each update makes
     one prox of f, with step tau0 exactly at every t, at the point
-    x - tau0 (A*(y + c (A x - z)) + grad h(x)), on dense and lazy H."""
-
-    @staticmethod
-    def _problem(name):
-        if name in CATALOG_NAMES:
-            return catalog(name)
-        if name == "closure":
-            return _closure_problem(130, 5)  # lazy H and a softplus h
-        return load_problem(os.path.join(_PROBLEMS, name + ".txt"))
+    x - tau0 (A*(y + c (A x - z)) + grad h(x)), on dense and lazy H.  An
+    affine prox of f (example1's sq_norm, box-qp's zero) is folded in too,
+    so the update makes no call and x_new is the prox at that point."""
 
     @pytest.mark.parametrize("name", list(CATALOG_NAMES)
                              + ["wide-lasso", "wide-identity", "closure"])
     def test_one_prox_at_the_folded_point(self, name, monkeypatch):
-        p = self._problem(name)
+        p = _named_problem(name)
         tau = resolve_tau("auto", p, 1.0, 0.5)
         tau0 = tau.tau0
         calls = []
@@ -653,14 +673,102 @@ class TestFoldedStep:
             x, z, y = s[:p.n], s[p.n:p.n + p.m], s[p.n + p.m:]
             calls.clear()
             x_new = update(t, s)[0]
+            grad = np.zeros(p.n) if p.h.is_zero else p.h.grad(x)
+            want = x - tau0 * (a_adjoint(y + a_apply(x) - z) + grad)
+            if p.f.affine is not None:
+                assert not calls
+                assert _rel_gap(x_new, real(tau0, want)) <= 1e-13
+                continue
             assert len(calls) == 1
             step, arg = calls[0]
             assert step == tau0
-            grad = np.zeros(p.n) if p.h.is_zero else p.h.grad(x)
-            want = x - tau0 * (a_adjoint(y + a_apply(x) - z) + grad)
-            gap = np.linalg.norm(arg - want) / max(1.0, np.linalg.norm(want))
-            assert gap <= 1e-13
+            assert _rel_gap(arg, want) <= 1e-13
             assert np.array_equal(x_new, real(tau0, arg))
+        assert (p.f.affine is None) == (name not in ("example1", "box-qp"))
+
+
+class TestAffineFold:
+    """The affine form (a, b) of a quadratic prox, and the update that
+    folds it into one matrix with H and B (`flow._folded_update`)."""
+
+    @pytest.mark.parametrize("t", [1e-3, 0.25, 1.0, 40.0])
+    @pytest.mark.parametrize("build", [
+        lambda: zero(7), lambda: sq_norm(7, 0.6),
+        lambda: sq_distance(7, np.linspace(-3.0, 4.0, 7), 1.7)],
+        ids=["zero", "sq_norm", "sq_distance"])
+    def test_affine_form_is_the_prox(self, build, t):
+        f = build()
+        a, b = f.affine(t)
+        U = 5.0 * np.random.default_rng(9).standard_normal((6, f.dim))
+        got = a * U if b is None else a * U + b
+        for g, w in zip(got, f._prox(t, U)):
+            assert _rel_gap(g, w) <= 1e-15
+
+    def test_nonlinear_proxes_have_no_affine_form(self):
+        assert l1_norm(3).affine is None
+        assert box(3).affine is None
+        f = sq_norm(3)
+        assert separable(3, f._eval, f._prox).affine is None
+
+    @pytest.mark.parametrize("m2", ["none", "0I", "0.5I"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("name", list(CATALOG_NAMES) + ["ridge-identity"])
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    def test_matches_reference(self, name, gamma, m2, c, monkeypatch):
+        """Folded on every problem with an affine f or g (both on
+        ridge-identity): the update calls no affine prox, and matches the
+        per-block formulas to 1e-13 relative."""
+        p = _named_problem(name)
+        tau = resolve_tau("auto", p, c, gamma)
+        m2 = None if m2 == "none" else MetricSchedule.constant(
+            SelfAdjointPSD.identity(p.m, 0.0 if m2 == "0I" else 0.5))
+        calls = []
+        for fn in (p.f, p.g):
+            real = fn._prox
+
+            def recording(step, u, fn=fn, real=real):
+                calls.append(fn)
+                return real(step, u)
+
+            monkeypatch.setattr(fn, "_prox", recording)
+        new = _make_update(p, c, gamma, tau, None, m2, 1e-12)
+        ref = _reference_update(p, c, gamma, tau, None, m2, 1e-12)
+        affine = [fn for fn in (p.f, p.g) if fn.affine is not None]
+        assert affine
+        rng = np.random.default_rng(11)
+        for t in (0.0, 0.7, 3.0):
+            for _ in range(4):
+                s = 3.0 * rng.standard_normal(p.n + 2 * p.m)
+                calls.clear()
+                got = new(t, s)
+                assert not any(fn in affine for fn in calls)
+                assert len(calls) == 2 - len(affine)
+                want = ref(t, s[:p.n], s[p.n:p.n + p.m], s[p.n + p.m:])
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert _rel_gap(g, w) <= 1e-13
+
+    @pytest.mark.parametrize("name,case", [
+        ("wide-lasso", "auto"), ("wide-identity", "auto"),
+        ("softplus-h", "auto"), ("ridge-identity", "saturating"),
+        ("example1", "saturating"), ("lasso-small", "const-0.5I"),
+        ("ridge-identity", "dense-m1"), ("box-qp", "dense-m2")])
+    def test_unfolded_cases_keep_their_bits(self, name, case, monkeypatch):
+        """A lazy H, a non-quadratic h, a moving step and a general metric
+        are not folded: the update is bit for bit the one built with the
+        affine forms hidden."""
+        p = _named_problem(name)
+        assert p.f.affine is not None or p.g.affine is not None
+        tau, m1, m2 = _update_cases(p, 0.5)[case]
+        update = _make_update(p, 1.0, 0.5, tau, m1, m2, 1e-12)
+        for fn in (p.f, p.g):
+            monkeypatch.setattr(fn, "affine", None)
+        plain = _make_update(p, 1.0, 0.5, tau, m1, m2, 1e-12)
+        rng = np.random.default_rng(12)
+        for t in (0.0, 0.7, 3.0):
+            s = 3.0 * rng.standard_normal(p.n + 2 * p.m)
+            for g, w in zip(update(t, s), plain(t, s)):
+                assert np.array_equal(g, w)
 
 
 def _reference_integrate(p, params, s0=None, record_every=1):

@@ -16,7 +16,9 @@ catalog problem, and `check --seed 7`, which draws the sampled checks from
 another stream; then the divergent `discrete` run on box-qp, a lasso-small
 `discrete` run whose budget of 37 iterations ends inside a chunk of the
 stop test, and the example1 sweep `reproduce-example1 --horizon 5` (nine
-flow runs and the sweep report).
+flow runs and the sweep report).  Last come three runs on the problem
+file `problems/ridge-identity.txt`, whose update is one affine map: an RK4
+`flow`, an ADMM `discrete` run and `check`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from pdflow import cli
 from pdflow.problems import CATALOG_NAMES
 
 SATURATING = "saturating:0.05,0.2"
+RIDGE = os.path.join("problems", "ridge-identity.txt")
 
 
 def commands():
@@ -53,6 +56,11 @@ def commands():
     yield ["discrete", "--problem", "lasso-small", "--tau", "auto",
            "--max-iters", "37", "--dump-state"]
     yield ["reproduce-example1", "--horizon", "5"]
+    ridge = ["--problem", RIDGE, "--tau", "auto"]
+    yield ["flow", *ridge, "--horizon", "20", "--integrator", "rk4",
+           "--dump-state"]
+    yield ["discrete", *ridge, "--algorithm", "admm", "--dump-state"]
+    yield ["check", *ridge]
 
 
 def _sha(data: bytes) -> str:

@@ -15,6 +15,8 @@ their ratio B / A:
 * update: microseconds per call of the proximal ADMM update on a fixed
   state, in closed-form mode (`auto` tau) on every catalog problem, and in
   general-metric mode with M1 = M2 = 0.5 I on lasso-small; gamma 0.5
+* build: microseconds per `flow._make_update` call that builds the
+  closed-form update (`auto` tau, gamma 0.5) on every catalog problem
 * integrate: seconds per `integrate` run from the canonical start, for the
   catalog x {Euler, RK4, Adaptive} with `auto` tau, gamma 0.5, step 0.01
   (Adaptive: its defaults) and horizon `HORIZON`
@@ -37,6 +39,7 @@ import time
 import numpy as np
 
 UPDATE_CALLS = 2000
+BUILD_CALLS = 200
 ADMM_ITERS = 500
 HORIZON = 20.0
 
@@ -88,6 +91,11 @@ def cases(pkg):
     update = flow._make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
     out.append(("update general-metric lasso-small", "us", UPDATE_CALLS / 1e6,
                 _repeat(update, flow._start_row(p, None))))
+    for name in problems.CATALOG_NAMES:
+        p = problems.catalog(name)
+        tau = resolve_tau("auto", p, 1.0, 0.5)
+        out.append((f"build {name}", "us", BUILD_CALLS / 1e6,
+                    _repeat_build(flow, p, tau)))
     integrators = {"euler": flow.Euler(0.01), "rk4": flow.RK4(0.01),
                    "adaptive": flow.Adaptive()}
     for name in problems.CATALOG_NAMES:
@@ -116,6 +124,13 @@ def _repeat(update, s):
     def thunk():
         for _ in range(UPDATE_CALLS):
             update(0.0, s)
+    return thunk
+
+
+def _repeat_build(flow, p, tau):
+    def thunk():
+        for _ in range(BUILD_CALLS):
+            flow._make_update(p, 1.0, 0.5, tau, None, None, 1e-10)
     return thunk
 
 
