@@ -12,11 +12,16 @@ per run.  Every affine term of it is one of two products with maps built
 then: H U gives the inputs of both subproblems, and B x_new the new part of
 the relaxed point and c A x_new; for the small problems of the catalog each
 is one dense matrix.  A constant step tau0 is folded into the x rows of H,
-so their part of H U is the x-prox input itself.  When f or g is quadratic
-its prox is affine (`ProxFunction.affine`), and with a constant step, a
-constant scaled-identity z metric, a dense H and h zero or quadratic, the
-update folds it in too: one product M U + m0, then at most one prox and
-one product, and none of either when both are affine.  `discrete.admm_step`
+so their part of H U is the x-prox input itself.  With a constant step, a
+constant z metric s I (none is s = 0), a dense H and h zero or quadratic,
+the update is one kernel:
+    r     = M U + m0
+    x_new = r_x, or prox_f(tau0, r_x)
+    zw    = r[n:] + G x_new, with no product when f is affine
+    z_new = zw_z, or prox_g(1 / (c + s), zw_z)
+    w     = zw_w, or zw_w - c z_new
+with the affine prox of a quadratic f or g (`ProxFunction.affine`) folded
+into M, m0 and G, where the first choice is taken.  `discrete.admm_step`
 and `discrete.run` use the same update, with y_new = y + w, so a unit-step
 Euler step is one ADMM iteration by construction, and the Chambolle-Pock
 iteration is that ADMM at gamma = 1 from z0 = A x0.  The modes:
@@ -259,13 +264,15 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
       `metric_prox` solves the block in M2(t) + c I with
       lin = -c (r_z + gamma A x_new) - s2(t) z
 
-    * an affine prox of f or g (`ProxFunction.affine`), with a constant
-      step tau0, a constant scaled-identity M2, a dense H and h zero or
-      quadratic: H, B and the affine prox fold into one matrix M and one
-      constant m0 (`_folded_update`), and the update is r = M s + m0
-      followed by the prox of the other function, if it is not affine
-      too, and with an affine g one product G x_new; a moving step, any
-      other metric, another h and a lazy H keep the forms above
+    * a constant step tau0, a constant scaled-identity M2, a dense H and
+      h zero or quadratic: one kernel (`_constant_step_update`),
+        r = M s + m0
+        x_new = r_x, or prox_f(tau0, r_x)
+        zw = r[n:] + G x_new, with no product when f is affine
+        z_new = zw_z, or prox_g(1 / (c + s), zw_z)
+        w = zw_w, or zw_w - c z_new
+      an affine prox takes the first choice; a moving step, any other
+      metric, another h and a lazy H keep the forms above
 
     B is [k gamma A; c A], with k = 1 for any other M2.  A quadratic h
     (`quadratic_smooth`) folds its P and q in as above; any other h adds
@@ -364,11 +371,10 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     if tau0 is not None and q is not None:
         qx = -tau0 * q if H.mat is not None else None
     if tau0 is not None and z_prox and h_grad is None and H.mat is not None:
-        f_aff = None if f.affine is None else f.affine(tau0)
-        g_aff = None if g.affine is None else g.affine(z_step)
-        if f_aff is not None or g_aff is not None:
-            return _folded_update(H.mat, B.mat, qx, n, m, c, tau0, z_step,
-                                  f_prox, g_prox, f_aff, g_aff)
+        return _constant_step_update(
+            H.mat, B.mat, qx, n, m, c, tau0, z_step, f_prox, g_prox,
+            None if f.affine is None else f.affine(tau0),
+            None if g.affine is None else g.affine(z_step))
 
     def update(t, s):
         r = h_apply(s)
@@ -403,20 +409,20 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     return update
 
 
-def _folded_update(hmat, bmat, qx, n, m, c, tau0, z_step, f_prox, g_prox,
-                   f_aff, g_aff):
-    """The closed-form update with the affine prox (a, b) of f or g, or
-    both, folded into one map s -> r = M s + m0 on n + 2m rows, from the
-    dense H and B of `_make_update` and the constant qx of H's x rows.
+def _constant_step_update(hmat, bmat, qx, n, m, c, tau0, z_step, f_prox,
+                          g_prox, f_aff, g_aff):
+    """The constant-step kernel of `_make_update`: one map s -> r = M s + m0
+    on n + 2m rows, from the dense H and B and the constant qx of H's x
+    rows, then at most two proxes and one product G x_new.  With neither
+    prox affine, M = [Hx; Hz; 0], m0 = [qx; 0; 0] and G = B.  The affine
+    prox (a, b) of f or g (f_aff, g_aff) folds into them:
 
     * g affine: z_new = a (r_z + Bz x_new) + b and w = Bw x_new - c z_new,
-      so M = [Hx; a Hz; -c a Hz], m0 = [qx; b; -c b], x_new = prox_f(r_x)
-      and [z_new; w] = r[n:] + G x_new with G = [a Bz; Bw - c a Bz]
+      so M = [Hx; a Hz; -c a Hz], m0 = [qx; b; -c b] and
+      G = [a Bz; Bw - c a Bz]
     * f affine: x_new = a (r_x + qx) + b = Mx s + x0 is r's x rows, with
-      M = [Mx; Hz + Bz Mx; Bw Mx] and m0 = [x0; Bz x0; Bw x0]; then
-      z_new = prox_g(r_z) and w = r_w - c z_new
-    * both: the f fold on top of the g fold (its G in place of B), and the
-      update is r itself
+      M = [Mx; Hz + Bz Mx; Bw Mx] and m0 = [x0; Bz x0; Bw x0]
+    * both: the f fold on top of the g fold (its G in place of B)
     """
     iy = n + m
     M = np.zeros((n + 2 * m, hmat.shape[1]))
@@ -442,33 +448,23 @@ def _folded_update(hmat, bmat, qx, n, m, c, tau0, z_step, f_prox, g_prox,
             m0[:n] += b
         M[n:] += G @ M[:n]
         m0[n:] += G @ m0[:n]
-    m_dot = M.dot
+    m_dot, g_dot = M.dot, G.dot
     if not m0.any():
         m0 = None
 
-    if f_aff is not None and g_aff is not None:
-        def update(t, s):
-            r = m_dot(s)
-            if m0 is not None:
-                r += m0
-            return r[:n], r[n:iy], r[iy:]
-    elif f_aff is not None:
-        def update(t, s):
-            r = m_dot(s)
-            if m0 is not None:
-                r += m0
-            z_new = g_prox(z_step, r[n:iy])
-            return r[:n], z_new, r[iy:] - c * z_new
-    else:
-        g_dot = G.dot
-
-        def update(t, s):
-            r = m_dot(s)
-            if m0 is not None:
-                r += m0
+    def update(t, s):
+        r = m_dot(s)
+        if m0 is not None:
+            r += m0
+        if f_aff is not None:
+            x_new, zw = r[:n], r[n:]
+        else:
             x_new = f_prox(tau0, r[:n])
             zw = r[n:] + g_dot(x_new)
+        if g_aff is not None:
             return x_new, zw[:m], zw[m:]
+        z_new = g_prox(z_step, zw[:m])
+        return x_new, z_new, zw[m:] - c * z_new
 
     return update
 

@@ -48,8 +48,10 @@ class TauSchedule:
     def __init__(self, tau0, tau_max):
         self.tau0 = float(tau0)
         self.tau_max = float(tau_max)
-        if not 0 < self.tau0 < math.inf:
-            raise ValueError("tau schedule must be positive and finite")
+        floor = 1.0 / np.finfo(float).max  # 1 / tau0 is inf at and below it
+        if not floor < self.tau0 < math.inf:
+            raise ValueError(f"tau schedule needs {floor:.6g} < tau0 < inf, "
+                             "where 1 / tau0 is finite")
         if not self.tau0 <= self.tau_max < math.inf:
             raise ValueError(
                 "saturating schedule needs a finite tau_max >= tau0")

@@ -217,6 +217,18 @@ class TestErrorPaths:
         assert "step must be positive and finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", [
+        ["flow", "--horizon", "2"], ["discrete"]])
+    def test_subnormal_tau_is_config_error(self, tmp_path, capsys, command):
+        """A subnormal tau made 1 / tau overflow in the metric I / tau: the
+        run exited 0 with a blank Lyapunov column and every certificate
+        vacuously true."""
+        code = main([*command, "--problem", "example1", "--tau", "1e-320",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "< tau0 < inf" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_oversized_step_is_config_error(self, tmp_path, capsys):
         code = main(["flow", "--problem", "example1", "--tau", "0.9",
                      "--horizon", "1", "--out", str(tmp_path)])

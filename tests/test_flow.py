@@ -562,12 +562,18 @@ class TestAffineUpdate:
                     gap = np.linalg.norm(g - w) / max(1.0, np.linalg.norm(w))
                     assert gap <= 1e-13
 
-    @pytest.mark.parametrize("case", ["auto", "saturating", "const-0.5I",
-                                      "dense-m1", "dense-m2"])
+    @pytest.mark.parametrize("case", ["auto", "auto-unfolded", "saturating",
+                                      "const-0.5I", "dense-m1", "dense-m2"])
     @pytest.mark.parametrize("gamma", [1.0, 0.5, 0.01])
     @pytest.mark.parametrize("name", CATALOG_NAMES)
-    def test_catalog(self, name, gamma, case):
+    def test_catalog(self, name, gamma, case, monkeypatch):
+        """The case "auto-unfolded" hides the affine forms of f and g, so
+        the constant-step kernel makes both proxes."""
         p = catalog(name)
+        if case == "auto-unfolded":
+            case = "auto"
+            for fn in (p.f, p.g):
+                monkeypatch.setattr(fn, "affine", None)
         tau, m1, m2 = _update_cases(p, gamma)[case]
         self._assert_matches(p, 1.0, gamma, tau, m1, m2, seed=3)
 
@@ -629,8 +635,9 @@ class TestAffineUpdate:
 
 
 def _named_problem(name):
-    """A catalog problem, a problem file, or a closure-built A with a
-    softplus h: "closure" past the dense limit, "softplus-h" below it."""
+    """A catalog problem, a problem file (such as "ridge-identity" or
+    "l1-box"), or a closure-built A with a softplus h: "closure" past the
+    dense limit, "softplus-h" below it."""
     if name in CATALOG_NAMES:
         return catalog(name)
     if name == "closure":
@@ -647,12 +654,14 @@ def _rel_gap(got, want):
 class TestFoldedStep:
     """A constant step tau0 is folded into H's x rows: each update makes
     one prox of f, with step tau0 exactly at every t, at the point
-    x - tau0 (A*(y + c (A x - z)) + grad h(x)), on dense and lazy H.  An
-    affine prox of f (example1's sq_norm, box-qp's zero) is folded in too,
-    so the update makes no call and x_new is the prox at that point."""
+    x - tau0 (A*(y + c (A x - z)) + grad h(x)), on dense and lazy H (l1-box:
+    dense, with a nonzero q).  An affine prox of f (example1's sq_norm,
+    box-qp's zero) is folded in too, so the update makes no call and x_new
+    is the prox at that point."""
 
     @pytest.mark.parametrize("name", list(CATALOG_NAMES)
-                             + ["wide-lasso", "wide-identity", "closure"])
+                             + ["l1-box", "wide-lasso", "wide-identity",
+                                "closure"])
     def test_one_prox_at_the_folded_point(self, name, monkeypatch):
         p = _named_problem(name)
         tau = resolve_tau("auto", p, 1.0, 0.5)
@@ -688,8 +697,8 @@ class TestFoldedStep:
 
 
 class TestAffineFold:
-    """The affine form (a, b) of a quadratic prox, and the update that
-    folds it into one matrix with H and B (`flow._folded_update`)."""
+    """The affine form (a, b) of a quadratic prox, and the constant-step
+    kernel that folds it into M, m0 and G (`flow._constant_step_update`)."""
 
     @pytest.mark.parametrize("t", [1e-3, 0.25, 1.0, 40.0])
     @pytest.mark.parametrize("build", [
@@ -712,12 +721,14 @@ class TestAffineFold:
 
     @pytest.mark.parametrize("m2", ["none", "0I", "0.5I"])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("name", list(CATALOG_NAMES) + ["ridge-identity"])
+    @pytest.mark.parametrize("name", list(CATALOG_NAMES)
+                             + ["ridge-identity", "l1-box"])
     @pytest.mark.parametrize("c", [1.0, 1.5])
     def test_matches_reference(self, name, gamma, m2, c, monkeypatch):
         """Folded on every problem with an affine f or g (both on
-        ridge-identity): the update calls no affine prox, and matches the
-        per-block formulas to 1e-13 relative."""
+        ridge-identity, neither on l1-box): the update calls no affine
+        prox and each other prox once, and matches the per-block formulas
+        to 1e-13 relative."""
         p = _named_problem(name)
         tau = resolve_tau("auto", p, c, gamma)
         m2 = None if m2 == "none" else MetricSchedule.constant(
@@ -734,7 +745,7 @@ class TestAffineFold:
         new = _make_update(p, c, gamma, tau, None, m2, 1e-12)
         ref = _reference_update(p, c, gamma, tau, None, m2, 1e-12)
         affine = [fn for fn in (p.f, p.g) if fn.affine is not None]
-        assert affine
+        assert bool(affine) == (name != "l1-box")
         rng = np.random.default_rng(11)
         for t in (0.0, 0.7, 3.0):
             for _ in range(4):

@@ -42,6 +42,8 @@ class TestTauSchedule:
             TauSchedule.saturating(0.1, math.inf)
         with pytest.raises(ValueError):
             TauSchedule.saturating(0.1, math.nan)
+        with pytest.raises(ValueError, match="< tau0 < inf"):
+            TauSchedule.constant(1e-320)
 
 
 class TestMetricSchedule:

@@ -16,9 +16,11 @@ catalog problem, and `check --seed 7`, which draws the sampled checks from
 another stream; then the divergent `discrete` run on box-qp, a lasso-small
 `discrete` run whose budget of 37 iterations ends inside a chunk of the
 stop test, and the example1 sweep `reproduce-example1 --horizon 5` (nine
-flow runs and the sweep report).  Last come three runs on the problem
-file `problems/ridge-identity.txt`, whose update is one affine map: an RK4
-`flow`, an ADMM `discrete` run and `check`.
+flow runs and the sweep report).  Last come the same three runs, an RK4
+`flow`, an ADMM `discrete` run and `check`, on two problem files:
+`problems/ridge-identity.txt`, whose update is one affine map, and
+`problems/l1-box.txt`, whose update makes both proxes and adds a nonzero
+constant.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from pdflow.problems import CATALOG_NAMES
 
 SATURATING = "saturating:0.05,0.2"
 RIDGE = os.path.join("problems", "ridge-identity.txt")
+L1_BOX = os.path.join("problems", "l1-box.txt")
 
 
 def commands():
@@ -56,11 +59,12 @@ def commands():
     yield ["discrete", "--problem", "lasso-small", "--tau", "auto",
            "--max-iters", "37", "--dump-state"]
     yield ["reproduce-example1", "--horizon", "5"]
-    ridge = ["--problem", RIDGE, "--tau", "auto"]
-    yield ["flow", *ridge, "--horizon", "20", "--integrator", "rk4",
-           "--dump-state"]
-    yield ["discrete", *ridge, "--algorithm", "admm", "--dump-state"]
-    yield ["check", *ridge]
+    for path in (RIDGE, L1_BOX):
+        base = ["--problem", path, "--tau", "auto"]
+        yield ["flow", *base, "--horizon", "20", "--integrator", "rk4",
+               "--dump-state"]
+        yield ["discrete", *base, "--algorithm", "admm", "--dump-state"]
+        yield ["check", *base]
 
 
 def _sha(data: bytes) -> str:

@@ -13,8 +13,10 @@ line reports the minimum over the repeats (at least 5) for both trees and
 their ratio B / A:
 
 * update: microseconds per call of the proximal ADMM update on a fixed
-  state, in closed-form mode (`auto` tau) on every catalog problem, and in
-  general-metric mode with M1 = M2 = 0.5 I on lasso-small; gamma 0.5
+  state, in closed-form mode (`auto` tau) on every catalog problem, again
+  with the affine forms of f and g hidden (`unfolded`: both proxes are
+  called), and in general-metric mode with M1 = M2 = 0.5 I on
+  lasso-small; gamma 0.5
 * build: microseconds per `flow._make_update` call that builds the
   closed-form update (`auto` tau, gamma 0.5) on every catalog problem
 * integrate: seconds per `integrate` run from the canonical start, for the
@@ -78,12 +80,16 @@ def cases(pkg):
     flow, discrete, problems = pkg.flow, pkg.discrete, pkg.problems
     resolve_tau, metric = pkg.config.resolve_tau, pkg.metric
     out = []
-    for name in problems.CATALOG_NAMES:
-        p = problems.catalog(name)
-        tau = resolve_tau("auto", p, 1.0, 0.5)
-        update = flow._make_update(p, 1.0, 0.5, tau, None, None, 1e-10)
-        out.append((f"update closed-form {name}", "us", UPDATE_CALLS / 1e6,
-                    _repeat(update, flow._start_row(p, None))))
+    for suffix in ("", " unfolded"):
+        for name in problems.CATALOG_NAMES:
+            p = problems.catalog(name)
+            if suffix:
+                p.f.affine = p.g.affine = None
+            tau = resolve_tau("auto", p, 1.0, 0.5)
+            update = flow._make_update(p, 1.0, 0.5, tau, None, None, 1e-10)
+            out.append((f"update closed-form {name}{suffix}", "us",
+                        UPDATE_CALLS / 1e6,
+                        _repeat(update, flow._start_row(p, None))))
     p = problems.catalog("lasso-small")
     half = pkg.linops.SelfAdjointPSD.identity
     m1 = metric.MetricSchedule.constant(half(p.n, 0.5))
@@ -161,7 +167,7 @@ def main(argv=None):
                                     time.perf_counter() - start)
     for ((label, unit, per, _), _), (a, b) in zip(both, best):
         a, b = a / per, b / per
-        print(f"{label:36s} {unit:2s}  A {a:10.4g}  B {b:10.4g}  "
+        print(f"{label:40s} {unit:2s}  A {a:10.4g}  B {b:10.4g}  "
               f"B/A {b / a:.3f}", flush=True)
 
 
