@@ -19,8 +19,8 @@ import numpy as np
 from .diagnostics import lyapunov_excess, trace_flow
 from .discrete import DiscreteParams, run as discrete_run
 from .errors import MissingSolutionError
-from .flow import (Euler, FlowParams, SystemState, _check_rhs_time, _make_rhs,
-                   integrate, schedules)
+from .flow import (Euler, FlowParams, SystemState, _check_rhs_time,
+                   _make_update, integrate, schedules)
 from .linops import _apply_rows, _row_dots, _row_norms, psd_floor
 from .metric import certify, x_update_metric
 from .problems import ProblemSpec, kkt_residual
@@ -99,25 +99,27 @@ def _check_conditions(p: ProblemSpec, params: FlowParams) -> CheckResult:
         f"step_ok={report.step_size_ok}")
 
 
-def _check_saddle_stationarity(p: ProblemSpec, rhs_fn) -> CheckResult:
+def _check_saddle_stationarity(p: ProblemSpec, update) -> CheckResult:
     try:
         x_star, y_star = p.require_saddle()
     except MissingSolutionError:
         return CheckResult("saddle-stationarity", "skip", "no known saddle")
-    s = np.concatenate((x_star, p.A.apply(x_star), y_star))
-    u, v, w = rhs_fn(0.0, s)
-    norm = max(np.linalg.norm(u), np.linalg.norm(v), np.linalg.norm(w))
+    z_star = p.A.apply(x_star)
+    x_new, z_new, w = update(0.0, np.concatenate((x_star, z_star, y_star)))
+    norm = max(np.linalg.norm(x_new - x_star), np.linalg.norm(z_new - z_star),
+               np.linalg.norm(w))
     return _result("saddle-stationarity", norm <= 1e-8,
                    f"|rhs| = {norm:.2e} at the known saddle")
 
 
-def _check_third_line(p: ProblemSpec, params: FlowParams, rhs_fn,
+def _check_third_line(p: ProblemSpec, params: FlowParams, update,
                       rng) -> CheckResult:
     worst = 0.0
     for _ in range(20):
         x, z, y = (rng.standard_normal(p.n), rng.standard_normal(p.m),
                    rng.standard_normal(p.m))
-        u, v, w = rhs_fn(0.0, np.concatenate((x, z, y)))
+        x_new, z_new, w = update(0.0, np.concatenate((x, z, y)))
+        u, v = x_new - x, z_new - z
         recon = params.c * (p.A.apply(u + x) - (v + z))
         worst = max(worst, float(np.linalg.norm(recon - w)))
     return _result("dual-line-consistency", worst <= 1e-12,
@@ -206,12 +208,13 @@ def run_checks(p: ProblemSpec, params: FlowParams, s0: SystemState,
         _check_resolvent_identity(p, rng),
         _check_conditions(p, params),
     ]
-    # the rhs at t = 0, certified as `flow.rhs` certifies it, built once
+    # the update at t = 0, certified as `flow.rhs` certifies it, built once
     _check_rhs_time(p, params, 0.0)
-    rhs_fn = _make_rhs(p, params)
+    update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
+                          params.m2, params.inner_tol)
     results += [
-        _check_saddle_stationarity(p, rhs_fn),
-        _check_third_line(p, params, rhs_fn, rng),
+        _check_saddle_stationarity(p, update),
+        _check_third_line(p, params, update, rng),
         _check_frozen_solution(p),
     ]
     if params.mode == "closed-form":

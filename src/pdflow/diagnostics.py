@@ -222,7 +222,8 @@ def certify_rates(trace, p: ProblemSpec, w0_norm_sq, grid=DEFAULT_GRID,
     points beyond the trace range are dropped.  Samples whose averaged
     point falls outside dom f x dom g (infinite gap) are skipped, not
     failed.  Lyapunov descent uses the relative slack 1e-6 (1 + V) on every
-    consecutive pair of records that carry a value.
+    consecutive pair of records that carry a value.  A non-finite
+    w0_norm_sq fails the gap bound and an inf Lyapunov value descent.
     """
     if not len(trace):
         raise ValueError("certify_rates needs a nonempty trace")
@@ -232,19 +233,20 @@ def certify_rates(trace, p: ProblemSpec, w0_norm_sq, grid=DEFAULT_GRID,
                     trace.ergodic_gap[rows])
     keep = (t > 0) & ~np.isnan(feas)
     feas_constant = float(np.max(t[keep] * feas[keep], initial=0.0))
-    gap_ok = True
+    gap_ok = w0_norm_sq is None or math.isfinite(w0_norm_sq)
     margin = math.inf
     if w0_norm_sq is not None:
         keep &= np.isfinite(gap)
         bound = w0_norm_sq / (2.0 * t[keep])
         m = bound - gap[keep]
         margin = float(np.min(m, initial=math.inf))
-        gap_ok = not np.any(m < -1e-8 * (1.0 + bound))
+        gap_ok &= not np.any(m < -1e-8 * (1.0 + bound))
+    descent = not (np.isinf(trace.lyapunov).any()
+                   or np.any(lyapunov_excess(trace) > 0.0))
 
     return RateCertificate(
         feas_constant=feas_constant, gap_bound_ok=gap_ok,
-        gap_bound_margin=margin,
-        lyapunov_monotone=not np.any(lyapunov_excess(trace) > 0.0),
+        gap_bound_margin=margin, lyapunov_monotone=descent,
         first_hit_time=first_hit_time(trace, hit_threshold))
 
 

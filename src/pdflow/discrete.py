@@ -54,8 +54,10 @@ class DiscreteParams:
 
     tau is a TauSchedule evaluated at t = k; a positive number is the
     constant schedule.  Omitting m1 selects the step-derived metric
-    M1^k = I / tau(k) - c A* A (single-prox x-update); omitting m2 (a zero
-    M2), or a constant m2 = s I, keeps a single-prox z-update.
+    M1^k = I / tau(k) - c A* A (single-prox x-update); a tau-family m1 must
+    be coupled at this c and the problem's A (`flow.schedules`), else the
+    update is a ValueError.  Omitting m2 (a zero M2), or a constant
+    m2 = s I, keeps a single-prox z-update.
     """
 
     c: float = 1.0

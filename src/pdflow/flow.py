@@ -26,9 +26,10 @@ and `discrete.run` use the same update, with y_new = y + w, so a unit-step
 Euler step is one ADMM iteration by construction, and the Chambolle-Pock
 iteration is that ADMM at gamma = 1 from z0 = A x0.  The modes:
 
-* closed-form      -- x-update metric I / tau(t) (the tau family), both
-                      subproblems collapse to single prox calls; requires
-                      c tau(t) ||A||^2 <= 1 over the horizon
+* closed-form      -- x-update metric I / tau(t) (the tau family, coupled
+                      at the run's c and A), both subproblems collapse to
+                      single prox calls; requires c tau(t) ||A||^2 <= 1
+                      over the horizon, as does a tau-family m1
 * general-metric   -- arbitrary PSD schedules M1, M2; subproblems solved by
                       `metric_prox`, except that a tau-family M1 and a
                       constant M2 = s I (s = 0, no M2, included) are single
@@ -145,7 +146,8 @@ class Adaptive:
 @dataclass
 class FlowParams:
     """Dynamics parameters; give `tau` for closed-form mode or `m1` (+`m2`)
-    for general-metric mode, not both."""
+    for general-metric mode, not both.  A tau-family `m1` must be coupled at
+    this c and the problem's A, and takes the step test of `tau`."""
 
     c: float = 1.0
     gamma: float = 1.0
@@ -225,9 +227,14 @@ def _start_row(p: ProblemSpec, s0: SystemState | None) -> np.ndarray:
 
 def schedules(p: ProblemSpec, c, tau=None, m1=None, m2=None):
     """The metric schedules (M1, M2) of a run: without m1, the tau family
-    M1(t) = I / tau(t) - c A* A of the TauSchedule tau; without m2, zero."""
+    M1(t) = I / tau(t) - c A* A of the TauSchedule tau; without m2, zero.
+    Only at this c and p.A does a tau family cancel the augmented term's
+    c A* A, so a tau-family m1 coupled elsewhere is a ValueError."""
     if m1 is None:
         m1 = MetricSchedule.tau_family(tau, c, p.A)
+    elif m1.tau is not None and not (m1.c == c and m1.A is p.A):
+        raise ValueError("a tau-family m1 must be coupled at the run's c "
+                         "and A")
     return m1, MetricSchedule.zero(p.m) if m2 is None else m2
 
 
@@ -245,9 +252,10 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     and `B x_new` the new part of the relaxed point and c A x_new.  Each
     block solver is chosen here, once:
 
-    * a tau-family M1(t) = I / tau(t) - c1 A1* A1 (the closed-form mode):
-      the x rows of H are [K, -c A*, A*], K = c1 A1* A1 + P, and x_new is
-      one prox of f at x - tau(t) (r_x + q)
+    * a tau-family M1(t) = I / tau(t) - c A* A (the closed-form mode; a
+      ValueError when coupled at another c or A, see `schedules`): the x
+      rows of H are [K, -c A*, A*], K = c A* A + P, and x_new is one prox
+      of f at x - tau(t) (r_x + q)
     * the same with a constant step tau0 (`--tau auto`, a number, every
       sweep run): tau0 is folded into the x rows, [I - tau0 K, tau0 c A*,
       -tau0 A*], and q into -tau0 q, so r_x - tau0 q is the prox input
@@ -279,8 +287,8 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     its gradient at x to r_x (-tau0 times it to a folded x step).  With
     n + 2m at most `linops._DENSE_BLOCK_LIMIT` each map is one dense
     matrix.  A wider problem applies them lazily: H s takes one A x for
-    both block rows and one A* of y + c (A x - z) (of y - c z when c A* A
-    is not folded), and B x_new one A x_new, where the per-block formulas
+    both block rows and one A* of y + c (A x - z) (of y - c z for a
+    constant M1), and B x_new one A x_new, where the per-block formulas
     apply A or A* four times; a folded x step's lazy rows return
     x - tau0 (r_x + q), the unfolded prox input bit for bit.
     """
@@ -296,20 +304,16 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     elif not p.h.is_zero:
         h_grad = p.h._grad
 
-    # kx: the x rows' own x-term besides c A* A, which `fold` adds when the
-    # tau family's coupling is the run's (c, A), as `schedules` builds it
+    # kxx: the x rows' x-term; kx: the part of it the lazy rows apply as
+    # a map, without the c A* A of a tau family
     x_tau = m1.tau
-    fold = x_tau is not None and m1.c == c and m1.A is A
     if x_tau is None:
         q1 = x_update_metric(m1, c, A, 0.0)
         kx = -1.0 * m1.at(0.0).base if P is None else P - m1.at(0.0).base
-    elif fold:
-        kx = P
+        kxx = kx
     else:
-        kx = m1.c * m1.A.gram() if P is None else m1.c * m1.A.gram() + P
-    kxx = kx
-    if fold:
-        kxx = c * A.gram() if kx is None else c * A.gram() + kx
+        kx = P
+        kxx = c * A.gram() if P is None else c * A.gram() + P
     # a constant step folds into the x rows: H s is then the prox input
     tau0 = None
     if x_tau is not None and x_tau.tau0 == x_tau.tau_max:
@@ -342,7 +346,7 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     def h_lazy(s):
         x, z, y = s[:n], s[n:n + m], s[n + m:]
         ax = a_apply(x)
-        rx = a_adjoint(y + c * (ax - z) if fold else y - c * z)
+        rx = a_adjoint(y - c * z if x_tau is None else y + c * (ax - z))
         if kx_apply is not None:
             rx = rx + kx_apply(x)
         if tau0 is not None:
@@ -469,20 +473,6 @@ def _constant_step_update(hmat, bmat, qx, n, m, c, tau0, z_step, f_prox,
     return update
 
 
-def _make_rhs(p: ProblemSpec, params: FlowParams):
-    """Build the fast (t, s) -> (u, v, w) closure on the flat state s for
-    one run."""
-    n, iy = p.n, p.n + p.m
-    update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
-                          params.m2, params.inner_tol)
-
-    def rhs_fn(t, s):
-        x_new, z_new, w = update(t, s)
-        return x_new - s[:n], z_new - s[n:iy], w
-
-    return rhs_fn
-
-
 def _check_step(tau: TauSchedule | None, m1: MetricSchedule | None, t):
     """A tau-family x-step tau(t) must be positive, as the raw prox of f in
     the update needs; every one is for t >= 0."""
@@ -493,39 +483,42 @@ def _check_step(tau: TauSchedule | None, m1: MetricSchedule | None, t):
 
 def _check_rhs_time(p: ProblemSpec, params: FlowParams, t):
     """The certificates `rhs` checks before evaluating at time t: the
-    x-step (`_check_step`), and in closed-form mode
-    c tau(t) ||A||^2 <= 1."""
+    x-step (`_check_step`), and for a tau-family x-step, given as tau or as
+    m1, c tau(t) ||A||^2 <= 1."""
     _check_step(params.tau, params.m1, t)
-    if params.mode == "closed-form":
-        a_norm = p.A.norm()
-        if params.c * params.tau.value(t) * a_norm ** 2 > 1.0 + 1e-12:
-            raise CertificationError(
-                "closed-form mode needs c tau(t) ||A||^2 <= 1")
+    x_tau = schedules(p, params.c, params.tau, params.m1, params.m2)[0].tau
+    if x_tau is not None and \
+            params.c * x_tau.value(t) * p.A.norm() ** 2 > 1.0 + 1e-12:
+        raise CertificationError("closed-form mode needs c tau(t) ||A||^2 <= 1")
 
 
 def rhs(p: ProblemSpec, params: FlowParams, t, s: SystemState):
     """One right-hand-side evaluation (u, v, w) at time t and state s.
 
-    Closed-form mode checks its step-size certificate at t; general-metric
-    mode fails inside the subproblem solve if the metric is not positive.
+    A tau-family x-step has its step-size certificate checked at t; a
+    general metric fails inside the subproblem solve if it is not positive.
     """
     _check_rhs_time(p, params, t)
-    return _make_rhs(p, params)(t, _start_row(p, s))
+    u0 = _start_row(p, s)
+    update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
+                          params.m2, params.inner_tol)
+    x_new, z_new, w = update(t, u0)
+    return x_new - u0[:p.n], z_new - u0[p.n:p.n + p.m], w
 
 
 def _check_certificates(p: ProblemSpec, params: FlowParams):
-    if params.mode == "closed-form":
-        a_norm = p.A.norm()
-        grid = np.linspace(0.0, params.horizon, 65)
-        worst = max(params.c * params.tau.value(t) * a_norm ** 2 for t in grid)
+    """The certificates `integrate` checks before stepping; tau(t) is
+    nondecreasing, so c tau(t) ||A||^2 peaks at the horizon."""
+    m1, m2 = schedules(p, params.c, params.tau, params.m1, params.m2)
+    if m1.tau is not None:
+        worst = params.c * m1.tau.value(params.horizon) * p.A.norm() ** 2
         if worst > 1.0 + 1e-12:
             raise CertificationError(
                 f"closed-form mode needs c tau(t) ||A||^2 <= 1 over the "
                 f"horizon (worst sampled value {worst:.6g})")
-    else:
+    if params.mode == "general-metric":
         from .metric import certify
 
-        m1, m2 = schedules(p, params.c, params.tau, params.m1, params.m2)
         rep = certify(m1, m2, params.c, params.gamma, p.A,
                       lipschitz_h=p.h.lipschitz_grad, horizon=params.horizon)
         if not rep.cstrong.holds:

@@ -5,9 +5,10 @@ families cover the catalog:
 
 * constant      -- M(t) = U for a fixed PSD operator (zero included)
 * tau-family    -- M1(t) = I / tau(t) - c A* A for a step schedule tau(t),
-                   which turns the x-update metric c A* A + M1(t) into the
-                   scaled identity I / tau(t), so `metric_prox` solves the
-                   update as one prox step
+                   coupled at the run's own c and A, which turns the
+                   x-update metric c A* A + M1(t) into the scaled identity
+                   I / tau(t), so `metric_prox` solves the update as one
+                   prox step
 
 Every step schedule is the one formula tau_max - (tau_max - tau0) exp(-t);
 a constant step is tau0 == tau_max.
@@ -79,7 +80,6 @@ class MetricSchedule:
         self.c = c
         self.A = A
         self._gram = None if A is None else A.gram()
-        self._q_cache = {}
 
     @classmethod
     def zero(cls, dim) -> "MetricSchedule":
@@ -91,7 +91,8 @@ class MetricSchedule:
 
     @classmethod
     def tau_family(cls, tau: TauSchedule, c, A: LinearMap) -> "MetricSchedule":
-        """M1(t) = I / tau(t) - c A* A; PSD exactly when c tau(t) ||A||^2 <= 1."""
+        """M1(t) = I / tau(t) - c A* A; PSD exactly when c tau(t) ||A||^2 <= 1.
+        A run takes it only at its own c and A (`flow.schedules`)."""
         return cls(A.in_dim, tau=tau, c=float(c), A=A)
 
     def at(self, t) -> SelfAdjointPSD:
@@ -117,51 +118,36 @@ def _small_dense(base: LinearMap) -> LinearMap:
 
 
 def x_update_metric(m1: MetricSchedule, c, A: LinearMap, t) -> SelfAdjointPSD:
-    """The x-subproblem metric Q = c A* A + M1(t).
+    """The x-subproblem metric Q = c A* A + M1(t), built on each call.
 
-    For the tau family (built with this c and A) the sum is the scaled
-    identity I / tau(t); other schedules are time-independent and Q, with
-    its certified floor/norm pair, is built once and cached per (c, A).
-    The key holds A itself, not its id: an id can be reused by a new map
-    once the old one is freed.
+    For the tau family, which must be coupled at this c and A
+    (`flow.schedules`), the sum is the scaled identity I / tau(t); other
+    schedules are time-independent and Q is built with its certified
+    floor/norm pair.
     """
     c = float(c)
     if m1.tau is not None:
         return SelfAdjointPSD.identity(A.in_dim, 1.0 / m1.tau.value(t))
-    key = ("x", c, A)
-    q = m1._q_cache.get(key)
-    if q is None:
-        base = _small_dense(c * A.gram() + m1.at(0.0).base)
-        floor = psd_floor(SelfAdjointPSD(base, 0.0), strict=False)
-        q = SelfAdjointPSD(base, max(floor, 0.0),
-                           norm_hint=operator_norm(base))
-        m1._q_cache[key] = q
-    return q
+    base = _small_dense(c * A.gram() + m1.at(0.0).base)
+    floor = psd_floor(SelfAdjointPSD(base, 0.0), strict=False)
+    return SelfAdjointPSD(base, max(floor, 0.0), norm_hint=operator_norm(base))
 
 
 def z_update_metric(m2: MetricSchedule, c, t) -> SelfAdjointPSD:
-    """The z-subproblem metric Q = M2(t) + c I, with floor alpha(M2) + c.
-
-    Time-independent schedules build Q once and cache it; a scaled identity
-    s I gives the scaled identity (s + c) I with analytic floor and norm.
+    """The z-subproblem metric Q = M2(t) + c I, with floor alpha(M2) + c,
+    built on each call; a constant scaled identity s I gives the scaled
+    identity (s + c) I with analytic floor and norm.
     """
     c = float(c)
+    m2_t = m2.at(t)
     if m2.tau is not None:
-        m2_t = m2.at(t)
         return SelfAdjointPSD(m2_t.base + LinearMap.identity(m2.dim, c),
                               m2_t.alpha_floor + c)
-    key = ("z", c)
-    q = m2._q_cache.get(key)
-    if q is None:
-        m2_0 = m2.at(0.0)
-        if m2_0.base.scale is not None:
-            q = SelfAdjointPSD.identity(m2.dim, m2_0.base.scale + c)
-        else:
-            base = _small_dense(m2_0.base + LinearMap.identity(m2.dim, c))
-            q = SelfAdjointPSD(base, m2_0.alpha_floor + c,
-                               norm_hint=operator_norm(base))
-        m2._q_cache[key] = q
-    return q
+    if m2_t.base.scale is not None:
+        return SelfAdjointPSD.identity(m2.dim, m2_t.base.scale + c)
+    base = _small_dense(m2_t.base + LinearMap.identity(m2.dim, c))
+    return SelfAdjointPSD(base, m2_t.alpha_floor + c,
+                          norm_hint=operator_norm(base))
 
 
 def default_sample_times(horizon, count=50):

@@ -12,8 +12,8 @@ A scaled identity Q = s I (the tau-family x-update, or a scaled-identity
 M2 in the z-update) is solved exactly by one prox evaluation,
 prox_{f/s}(-linear/s).  Otherwise `metric_prox` works on the fixed-point
 map F(v) = v - prox_{s f}(v - s (Q v + linear)) with s = 1/||Q||.  When Q
-is stored as a dense matrix (the small cached metrics of
-`metric.x_update_metric` and `z_update_metric`, or
+is stored as a dense matrix (the small metrics that
+`metric.x_update_metric` and `z_update_metric` build, or
 `SelfAdjointPSD.from_dense`) and f has a prox Jacobian, it first takes up
 to `NEWTON_STEPS` semismooth Newton steps on F (Qi-Sun 1993; Li-Sun-Toh
 2018, SSNAL), one n x n solve each, halving a step that does not decrease

@@ -135,19 +135,19 @@ class TestRunChecks:
             self, monkeypatch, operator_norm_calls):
         """||A|| is computed once per map, so a closed-form check makes as
         many power iterations when its certificate test, which reads ||A||,
-        and each call of its rhs are repeated."""
-        real_make, real_check = checks._make_rhs, checks._check_rhs_time
+        and each call of its update are repeated."""
+        real_make, real_check = checks._make_update, checks._check_rhs_time
         counts = []
         for repeats in (1, 3):
             rhs_calls = []
 
             def make_repeated(*make_args, repeats=repeats, rhs_calls=rhs_calls):
-                rhs_fn = real_make(*make_args)
+                update = real_make(*make_args)
 
                 def repeated(*args):
                     for _ in range(repeats):
                         rhs_calls.append(1)
-                        out = rhs_fn(*args)
+                        out = update(*args)
                     return out
                 return repeated
 
@@ -155,7 +155,7 @@ class TestRunChecks:
                 for _ in range(repeats):
                     real_check(*args)
 
-            monkeypatch.setattr(checks, "_make_rhs", make_repeated)
+            monkeypatch.setattr(checks, "_make_update", make_repeated)
             monkeypatch.setattr(checks, "_check_rhs_time", check_repeated)
             operator_norm_calls.clear()
             p = catalog("example1")

@@ -8,6 +8,7 @@ module entry point.
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,23 @@ class TestErrorPaths:
         assert code == 1
         assert "< tau0 < inf" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [
+        ["flow", "--horizon", "1"], ["discrete", "--max-iters", "3"]])
+    def test_overflowing_weight_fails_certificates(self, tmp_path, capsys,
+                                                   command):
+        """At tau = 6e-309, 1 / tau is finite but the Lyapunov weight
+        overflows: w0_norm_sq and every Lyapunov cell are inf.  Both rate
+        certificates then fail instead of holding vacuously."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([*command, "--problem", "example1", "--tau", "6e-309",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        out = capsys.readouterr().out
+        for line in ("w0_norm_sq = inf", "gap_bound_ok = false",
+                     "lyapunov_monotone = false"):
+            assert f"  {line}\n" in out
 
     def test_oversized_step_is_config_error(self, tmp_path, capsys):
         code = main(["flow", "--problem", "example1", "--tau", "0.9",

@@ -278,6 +278,33 @@ class TestCertifyRates:
         assert cert.gap_bound_ok
         assert cert.gap_bound_margin == math.inf
 
+    @pytest.mark.parametrize("w0", [math.inf, math.nan])
+    def test_non_finite_w0_fails_gap_bound(self, example1, w0):
+        """A W0 that overflowed bounds nothing, so the gap check fails, also
+        where every gap cell is blank (a discrete run)."""
+        for gap in (2.0, math.nan):
+            trace = self._trace((0.0, 10.0, math.nan), (1.0, 9.0, gap))
+            cert = certify_rates(trace, example1, w0, grid=(1.0,))
+            assert not cert.gap_bound_ok
+            assert cert.lyapunov_monotone
+
+    @pytest.mark.parametrize("values", [(math.inf, math.inf), (math.inf, 9.0),
+                                        (10.0, math.inf)])
+    def test_infinite_lyapunov_fails_descent(self, example1, values):
+        """inf - inf is NaN and inf then finite is a decrease, so neither
+        excess alone is positive; an inf value itself fails descent."""
+        trace = self._trace((0.0, values[0], math.nan),
+                            (1.0, values[1], math.nan))
+        cert = certify_rates(trace, example1, 100.0, grid=(1.0,))
+        assert not cert.lyapunov_monotone
+        assert cert.gap_bound_ok
+
+    def test_blank_lyapunov_cells_are_skipped(self, example1):
+        trace = self._trace((0.0, 10.0, math.nan), (1.0, math.nan, math.nan),
+                            (2.0, 9.0, math.nan))
+        cert = certify_rates(trace, example1, 100.0, grid=(1.0,))
+        assert cert.all_ok()
+
     def test_unknown_distance_skips_gap_check(self, example1):
         trace = self._trace((0.0, 10.0, math.nan), (1.0, 9.0, 2.0))
         cert = certify_rates(trace, example1, None, grid=(1.0,))

@@ -15,6 +15,7 @@ import pytest
 
 from pdflow import flow, linops
 from pdflow.config import load_problem, resolve_tau
+from pdflow.discrete import DiscreteParams, admm_step, run as discrete_run
 from pdflow.errors import CertificationError, IntegrationError
 from pdflow.flow import (Adaptive, Euler, FlowParams, RK4, SystemState,
                          _make_update, ergodic, integrate, rhs)
@@ -598,11 +599,12 @@ class TestAffineUpdate:
         p = _closure_problem(n, m)
         assert p.A.mat is None and p.h.P is None
         if case == "foreign-tau-family":
-            # coupled at c = 2, not the run's c = 1.5, so c A* A is not
-            # folded; steps scaled by ||A||^2 keep both metrics positive
+            # M1 coupled at the run's c = 1.5 and A, M2 a tau family coupled
+            # at c = 2 on A*, which `metric_prox` solves at each t; steps
+            # scaled by ||A||^2 keep both metrics positive
             a2 = p.A.norm() ** 2
             tau, m1, m2 = None, MetricSchedule.tau_family(
-                TauSchedule.saturating(0.05 / a2, 0.2 / a2), 2.0, p.A), \
+                TauSchedule.saturating(0.05 / a2, 0.2 / a2), 1.5, p.A), \
                 MetricSchedule.tau_family(TauSchedule.constant(0.1 / a2), 2.0,
                                           p.A.T)
         else:
@@ -632,6 +634,96 @@ class TestAffineUpdate:
         assert p.n + 2 * p.m > linops._DENSE_BLOCK_LIMIT
         tau, m1, m2 = _update_cases(p, gamma)[case]
         self._assert_matches(p, 1.0, gamma, tau, m1, m2, seed=6)
+
+
+class TestTauFamilyXStep:
+    """A tau-family M1(t) = I / tau(t) - c A* A is coupled at the run's c
+    and A, where it cancels the c A* A of the augmented term and leaves the
+    x-subproblem one prox; any other coupling is refused.  Given as tau or
+    as m1, the x-step takes the step test c tau(t) ||A||^2 <= 1."""
+
+    @pytest.mark.parametrize("case", ["auto", "saturating"])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_x_step_solves_the_exact_subproblem(self, name, case):
+        """x_new is `metric_prox` in the dense Q = c A* A + M1(t), with
+        M1(t) built as a matrix: unlike `_reference_update`, the oracle
+        takes no I / tau(t) shortcut from `x_update_metric`."""
+        p = catalog(name)
+        c, gamma = 1.5, 0.5
+        tau = resolve_tau("auto", p, c, gamma) if case == "auto" \
+            else TauSchedule.saturating(0.05, 0.2)
+        update = _make_update(p, c, gamma, tau, None, None, 1e-12)
+        mat = p.A.to_dense()
+        ata = c * (mat.T @ mat)
+        rng = np.random.default_rng(19)
+        for t in (0.0, 0.7, 3.0):
+            m1_t = np.eye(p.n) / tau.value(t) - ata
+            q_mat = ata + m1_t
+            q = SelfAdjointPSD.from_dense(q_mat, np.linalg.eigvalsh(q_mat)[0])
+            for _ in range(4):
+                s = 3.0 * rng.standard_normal(p.n + 2 * p.m)
+                x, z, y = s[:p.n], s[p.n:p.n + p.m], s[p.n + p.m:]
+                lin = mat.T @ (y - c * z) - m1_t @ x
+                if not p.h.is_zero:
+                    lin = lin + p.h.grad(x)
+                want = metric_prox(p.f, q, lin, x, tol=1e-14)
+                assert _rel_gap(update(t, s)[0], want) <= 1e-12
+
+    @pytest.mark.parametrize("entry", ["integrate", "rhs", "run", "admm_step"])
+    @pytest.mark.parametrize("coupling", ["c", "A"])
+    def test_foreign_coupling_is_refused(self, example1, coupling, entry):
+        """Coupled at c = 2 for a run at c = 1, or at an equal copy of A,
+        the tau family no longer cancels the augmented term."""
+        tau = TauSchedule.constant(0.2)
+        if coupling == "c":
+            m1 = MetricSchedule.tau_family(tau, 2.0, example1.A)
+        else:
+            m1 = MetricSchedule.tau_family(tau, 1.0, linops.LinearMap.from_dense(
+                example1.A.to_dense()))
+        flow_params = FlowParams(c=1.0, gamma=0.5, m1=m1, horizon=1.0)
+        steps = DiscreteParams(c=1.0, gamma=0.5, m1=m1, max_iters=3)
+        calls = {
+            "integrate": lambda: integrate(example1, flow_params, _start()),
+            "rhs": lambda: rhs(example1, flow_params, 0.0, _start()),
+            "run": lambda: discrete_run(example1, steps, _start()),
+            "admm_step": lambda: admm_step(example1, steps, 0, _start()),
+        }
+        with pytest.raises(ValueError, match="coupled at the run's c and A"):
+            calls[entry]()
+
+    def test_tau_family_m1_takes_the_step_test(self, example1):
+        """c tau ||A||^2 = 3 is refused with one message whether the step
+        is given as tau or as a tau-family m1."""
+        tau = TauSchedule.constant(3.0 / example1.A.norm() ** 2)
+        forms = [FlowParams(c=1.0, tau=tau),
+                 FlowParams(c=1.0, m1=MetricSchedule.tau_family(
+                     tau, 1.0, example1.A))]
+        for call in (lambda params: integrate(example1, params, _start()),
+                     lambda params: rhs(example1, params, 0.0, _start())):
+            messages = []
+            for params in forms:
+                with pytest.raises(CertificationError) as info:
+                    call(params)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+        assert messages[0] == "closed-form mode needs c tau(t) ||A||^2 <= 1"
+        with pytest.raises(CertificationError,
+                           match=r"\(worst sampled value 3\)$"):
+            integrate(example1, forms[1], _start())
+
+    def test_step_test_peaks_at_the_horizon(self):
+        """tau(t) is nondecreasing in floating point too: the largest of
+        c tau(t) ||A||^2 over 65 points of [0, T] is its value at T, bit
+        for bit, so `_check_certificates` evaluates it there once."""
+        rng = np.random.default_rng(29)
+        for _ in range(2000):
+            tau0 = float(rng.uniform(1e-3, 1.0))
+            sched = TauSchedule.saturating(tau0, tau0 * rng.uniform(1.0, 5.0))
+            horizon = float(rng.uniform(1e-3, 200.0))
+            c, a_sq = rng.uniform(0.1, 3.0, 2)
+            scan = max(c * sched.value(t) * a_sq
+                       for t in np.linspace(0.0, horizon, 65))
+            assert scan == c * sched.value(horizon) * a_sq
 
 
 def _named_problem(name):

@@ -20,7 +20,8 @@ cells at commas, blanks, `=` and `:`.
 
 A key found in one tree only is noted.  Any other difference is flagged:
 a run, output, line or cell found in one tree only, a non-numeric cell
-that differs, or a numeric cell that is not finite on one side only.  The
+that differs, a numeric cell that is not finite on one side only, or two
+numeric cells of equal value whose text differs (a sign-of-zero flip).  The
 exit status is 1 if an exit code, stop reason, row count or verdict
 differs or anything is flagged, else 0.
 """
@@ -114,12 +115,13 @@ def _number(cell):
 
 def _cell_delta(a, b):
     """|b - a| / max(1, |a|) for two numeric cells, else None when the
-    cells are equal text and inf when they differ."""
+    cells are equal text and inf when they differ.  Numeric cells of equal
+    value but different text, such as -0.0 and 0.0, are inf too."""
     x, y = _number(a), _number(b)
     if x is None or y is None:
         return None if a == b else math.inf
     if x == y or (math.isnan(x) and math.isnan(y)):
-        return 0.0
+        return 0.0 if a == b else math.inf
     if not (math.isfinite(x) and math.isfinite(y)):
         return math.inf
     return abs(y - x) / max(1.0, abs(x))

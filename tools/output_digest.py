@@ -20,7 +20,11 @@ flow runs and the sweep report).  Last come the same three runs, an RK4
 `flow`, an ADMM `discrete` run and `check`, on two problem files:
 `problems/ridge-identity.txt`, whose update is one affine map, and
 `problems/l1-box.txt`, whose update makes both proxes and adds a nonzero
-constant.
+constant.  Then the closed-form step test on example1 at `--tau
+saturating:0.2,0.6`: `flow --horizon 5`, refused with exit 1 because
+c tau(5) ||A||^2 = 1.19461 > 1, and `flow --horizon 0.5`, which passes it.
+Last, a step of 6e-309, whose Lyapunov weight overflows: `discrete
+--max-iters 3` and `flow --horizon 1`, whose rate certificates fail.
 """
 
 from __future__ import annotations
@@ -65,6 +69,11 @@ def commands():
                "--dump-state"]
         yield ["discrete", *base, "--algorithm", "admm", "--dump-state"]
         yield ["check", *base]
+    for horizon in ("5", "0.5"):
+        yield ["flow", "--problem", "example1", "--tau", "saturating:0.2,0.6",
+               "--horizon", horizon]
+    yield ["discrete", "--tau", "6e-309", "--max-iters", "3"]
+    yield ["flow", "--tau", "6e-309", "--horizon", "1"]
 
 
 def _sha(data: bytes) -> str:
