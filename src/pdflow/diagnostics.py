@@ -195,7 +195,8 @@ class RateCertificate:
     feas_constant     -- sup over grid samples of t * ergodic_feas
     gap_bound_ok      -- averaged gap <= W0 / (2 t) + slack at every grid
                          sample whose ergodic point is feasible
-    gap_bound_margin  -- min over those samples of bound - gap
+    gap_bound_margin  -- min over those samples of bound - gap; NaN when
+                         W0 is not finite, where the bound is undefined
     lyapunov_monotone -- descent along all consecutive trace records
     first_hit_time    -- first record time with dist_primal <= threshold
     """
@@ -223,7 +224,8 @@ def certify_rates(trace, p: ProblemSpec, w0_norm_sq, grid=DEFAULT_GRID,
     point falls outside dom f x dom g (infinite gap) are skipped, not
     failed.  Lyapunov descent uses the relative slack 1e-6 (1 + V) on every
     consecutive pair of records that carry a value.  A non-finite
-    w0_norm_sq fails the gap bound and an inf Lyapunov value descent.
+    w0_norm_sq fails the gap bound, with a NaN margin, and an inf Lyapunov
+    value fails descent.
     """
     if not len(trace):
         raise ValueError("certify_rates needs a nonempty trace")
@@ -239,7 +241,7 @@ def certify_rates(trace, p: ProblemSpec, w0_norm_sq, grid=DEFAULT_GRID,
         keep &= np.isfinite(gap)
         bound = w0_norm_sq / (2.0 * t[keep])
         m = bound - gap[keep]
-        margin = float(np.min(m, initial=math.inf))
+        margin = float(np.min(m, initial=math.inf)) if gap_ok else math.nan
         gap_ok &= not np.any(m < -1e-8 * (1.0 + bound))
     descent = not (np.isinf(trace.lyapunov).any()
                    or np.any(lyapunov_excess(trace) > 0.0))

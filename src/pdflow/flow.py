@@ -11,10 +11,10 @@ at the relaxed point x + gamma u, and the dual velocity is the explicit
 per run.  Every affine term of it is one of two products with maps built
 then: H U gives the inputs of both subproblems, and B x_new the new part of
 the relaxed point and c A x_new; for the small problems of the catalog each
-is one dense matrix.  A constant step tau0 is folded into the x rows of H,
-so their part of H U is the x-prox input itself.  With a constant step, a
-constant z metric s I (none is s = 0), a dense H and h zero or quadratic,
-the update is one kernel:
+is one dense matrix.  With a constant step tau0, a constant z metric s I
+(none is s = 0), a dense H and h zero or quadratic, the update is one
+kernel, which folds tau0 into the x rows of H so that their part of the
+map is the x-prox input itself:
     r     = M U + m0
     x_new = r_x, or prox_f(tau0, r_x)
     zw    = r[n:] + G x_new, with no product when f is affine
@@ -255,11 +255,7 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     * a tau-family M1(t) = I / tau(t) - c A* A (the closed-form mode; a
       ValueError when coupled at another c or A, see `schedules`): the x
       rows of H are [K, -c A*, A*], K = c A* A + P, and x_new is one prox
-      of f at x - tau(t) (r_x + q)
-    * the same with a constant step tau0 (`--tau auto`, a number, every
-      sweep run): tau0 is folded into the x rows, [I - tau0 K, tau0 c A*,
-      -tau0 A*], and q into -tau0 q, so r_x - tau0 q is the prox input
-      itself and x_new is one prox of f with step tau0 at it
+      of f at x - tau(t) (r_x + q), a constant step tau(t) = tau0 included
     * a constant M1: the x rows are [P - M1, -c A*, A*] and `metric_prox`
       solves the block in Q1 = c A* A + M1 with lin = r_x + q
     * a constant scaled identity M2 = s I, zero (no M2) included: with
@@ -273,7 +269,8 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
       lin = -c (r_z + gamma A x_new) - s2(t) z
 
     * a constant step tau0, a constant scaled-identity M2, a dense H and
-      h zero or quadratic: one kernel (`_constant_step_update`),
+      h zero or quadratic: one kernel (`_constant_step_update`), which
+      folds tau0 into H's x rows so that r_x is the prox input,
         r = M s + m0
         x_new = r_x, or prox_f(tau0, r_x)
         zw = r[n:] + G x_new, with no product when f is affine
@@ -284,13 +281,11 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
 
     B is [k gamma A; c A], with k = 1 for any other M2.  A quadratic h
     (`quadratic_smooth`) folds its P and q in as above; any other h adds
-    its gradient at x to r_x (-tau0 times it to a folded x step).  With
-    n + 2m at most `linops._DENSE_BLOCK_LIMIT` each map is one dense
-    matrix.  A wider problem applies them lazily: H s takes one A x for
-    both block rows and one A* of y + c (A x - z) (of y - c z for a
-    constant M1), and B x_new one A x_new, where the per-block formulas
-    apply A or A* four times; a folded x step's lazy rows return
-    x - tau0 (r_x + q), the unfolded prox input bit for bit.
+    its gradient at x to r_x.  With n + 2m at most
+    `linops._DENSE_BLOCK_LIMIT` each map is one dense matrix.  A wider
+    problem applies them lazily: H s takes one A x for both block rows and
+    one A* of y + c (A x - z) (of y - c z for a constant M1), and B x_new
+    one A x_new, where the per-block formulas apply A or A* four times.
     """
     m1, m2 = schedules(p, c, tau, m1, m2)
     n, m = p.n, p.m
@@ -314,10 +309,6 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     else:
         kx = P
         kxx = c * A.gram() if P is None else c * A.gram() + P
-    # a constant step folds into the x rows: H s is then the prox input
-    tau0 = None
-    if x_tau is not None and x_tau.tau0 == x_tau.tau_max:
-        tau0 = x_tau.tau0
 
     # a constant M2 = s I scales the z rows by k = c / (c + s) and the y
     # block to I / (c + s): at s = 0, k is 1.0 and c + s is c
@@ -349,8 +340,6 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
         rx = a_adjoint(y - c * z if x_tau is None else y + c * (ax - z))
         if kx_apply is not None:
             rx = rx + kx_apply(x)
-        if tau0 is not None:
-            rx = x - tau0 * (rx if q is None else rx + q)
         rz = y / cs if relax == 0.0 else relax * ax + y / cs
         if kz_apply is not None:
             rz += kz_apply(z)
@@ -361,36 +350,27 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     def b_lazy(x):
         return (b_scales * a_apply(x)).ravel()
 
-    x_rows = [kxx, -c * AT, AT]
-    if tau0 is not None:
-        x_rows = [LinearMap.identity(n) - tau0 * kxx, (tau0 * c) * AT,
-                  -tau0 * AT]
-    H = _block_map([x_rows, [relax * A, kz, LinearMap.identity(m, z_step)]],
+    H = _block_map([[kxx, -c * AT, AT],
+                    [relax * A, kz, LinearMap.identity(m, z_step)]],
                    [n, m, m], h_lazy)
     B = _block_map([[(k * gamma) * A], [c * A]], [n], b_lazy)
     h_apply, b_apply = H._raw_apply, B._raw_apply
-    # the q the update adds to r_x: -tau0 q when folded, and none when the
-    # lazy rows have added q already
-    qx = q
-    if tau0 is not None and q is not None:
-        qx = -tau0 * q if H.mat is not None else None
-    if tau0 is not None and z_prox and h_grad is None and H.mat is not None:
+    if x_tau is not None and m1.is_time_invariant() and z_prox \
+            and h_grad is None and H.mat is not None:
+        tau0 = x_tau.tau0
         return _constant_step_update(
-            H.mat, B.mat, qx, n, m, c, tau0, z_step, f_prox, g_prox,
+            H.mat, B.mat, q, n, m, c, tau0, z_step, f_prox, g_prox,
             None if f.affine is None else f.affine(tau0),
             None if g.affine is None else g.affine(z_step))
 
     def update(t, s):
         r = h_apply(s)
         rx = r[:n]
-        if qx is not None:
-            rx = rx + qx
+        if q is not None:
+            rx = rx + q
         if h_grad is not None:
-            grad = h_grad(s[:n])
-            rx = rx + grad if tau0 is None else rx - tau0 * grad
-        if tau0 is not None:
-            x_new = f_prox(tau0, rx)
-        elif x_tau is not None:
+            rx = rx + h_grad(s[:n])
+        if x_tau is not None:
             tau_t = x_tau.value(t)
             x_new = f_prox(tau_t, s[:n] - tau_t * rx)
         else:
@@ -413,27 +393,33 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     return update
 
 
-def _constant_step_update(hmat, bmat, qx, n, m, c, tau0, z_step, f_prox,
+def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f_prox,
                           g_prox, f_aff, g_aff):
     """The constant-step kernel of `_make_update`: one map s -> r = M s + m0
-    on n + 2m rows, from the dense H and B and the constant qx of H's x
-    rows, then at most two proxes and one product G x_new.  With neither
-    prox affine, M = [Hx; Hz; 0], m0 = [qx; 0; 0] and G = B.  The affine
-    prox (a, b) of f or g (f_aff, g_aff) folds into them:
+    on n + 2m rows, from the dense H and B and the constant q of H's x rows,
+    then at most two proxes and one product G x_new.  The step tau0 folds
+    into the x rows Hx = [K, -c A*, A*]: the prox input x - tau0 (Hx s + q)
+    is Fx s + fx, with Fx = [I - tau0 K, (tau0 c) A*, -tau0 A*] (its z block
+    taken from H's A* block) and fx = -tau0 q.  With neither prox affine,
+    M = [Fx; Hz; 0], m0 = [fx; 0; 0] and G = B.  The affine prox (a, b) of f
+    or g (f_aff, g_aff) folds into them:
 
     * g affine: z_new = a (r_z + Bz x_new) + b and w = Bw x_new - c z_new,
-      so M = [Hx; a Hz; -c a Hz], m0 = [qx; b; -c b] and
+      so M = [Fx; a Hz; -c a Hz], m0 = [fx; b; -c b] and
       G = [a Bz; Bw - c a Bz]
-    * f affine: x_new = a (r_x + qx) + b = Mx s + x0 is r's x rows, with
+    * f affine: x_new = a (Fx s + fx) + b = Mx s + x0 is r's x rows, with
       M = [Mx; Hz + Bz Mx; Bw Mx] and m0 = [x0; Bz x0; Bw x0]
     * both: the f fold on top of the g fold (its G in place of B)
     """
     iy = n + m
     M = np.zeros((n + 2 * m, hmat.shape[1]))
     m0 = np.zeros(n + 2 * m)
-    M[:iy] = hmat
-    if qx is not None:
-        m0[:n] = qx
+    M[:n] = -tau0 * hmat[:n]
+    M[:n, :n] += np.eye(n)
+    M[:n, n:iy] = (tau0 * c) * hmat[:n, iy:]
+    M[n:iy] = hmat[n:]
+    if q is not None:
+        m0[:n] = -tau0 * q
     G = bmat
     if g_aff is not None:
         a, b = g_aff

@@ -236,7 +236,8 @@ class TestErrorPaths:
                                                    command):
         """At tau = 6e-309, 1 / tau is finite but the Lyapunov weight
         overflows: w0_norm_sq and every Lyapunov cell are inf.  Both rate
-        certificates then fail instead of holding vacuously."""
+        certificates then fail instead of holding vacuously, and the gap
+        margin, undefined with the bound, reads nan."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code = main([*command, "--problem", "example1", "--tau", "6e-309",
@@ -244,7 +245,7 @@ class TestErrorPaths:
         assert code == 2
         out = capsys.readouterr().out
         for line in ("w0_norm_sq = inf", "gap_bound_ok = false",
-                     "lyapunov_monotone = false"):
+                     "gap_bound_margin = nan", "lyapunov_monotone = false"):
             assert f"  {line}\n" in out
 
     def test_oversized_step_is_config_error(self, tmp_path, capsys):

@@ -280,12 +280,14 @@ class TestCertifyRates:
 
     @pytest.mark.parametrize("w0", [math.inf, math.nan])
     def test_non_finite_w0_fails_gap_bound(self, example1, w0):
-        """A W0 that overflowed bounds nothing, so the gap check fails, also
-        where every gap cell is blank (a discrete run)."""
+        """A W0 that overflowed bounds nothing, so the gap check fails and
+        its margin is NaN, also where every gap cell is blank (a discrete
+        run)."""
         for gap in (2.0, math.nan):
             trace = self._trace((0.0, 10.0, math.nan), (1.0, 9.0, gap))
             cert = certify_rates(trace, example1, w0, grid=(1.0,))
             assert not cert.gap_bound_ok
+            assert math.isnan(cert.gap_bound_margin)
             assert cert.lyapunov_monotone
 
     @pytest.mark.parametrize("values", [(math.inf, math.inf), (math.inf, 9.0),

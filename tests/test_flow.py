@@ -619,7 +619,7 @@ class TestAffineUpdate:
     def test_wide_problems(self, name, gamma, case):
         """Problems past the dense limit, whose H and B apply A lazily: the
         two problem files (a dense and a scaled-identity A) and a quadratic
-        h, whose P and q the lazy x rows fold in."""
+        h, whose P the lazy x rows apply and whose q the update adds."""
         if name == "wide-quadratic":
             rng = np.random.default_rng(23)
             n, m = 40, 50
@@ -744,12 +744,13 @@ def _rel_gap(got, want):
 
 
 class TestFoldedStep:
-    """A constant step tau0 is folded into H's x rows: each update makes
-    one prox of f, with step tau0 exactly at every t, at the point
-    x - tau0 (A*(y + c (A x - z)) + grad h(x)), on dense and lazy H (l1-box:
-    dense, with a nonzero q).  An affine prox of f (example1's sq_norm,
-    box-qp's zero) is folded in too, so the update makes no call and x_new
-    is the prox at that point."""
+    """A constant step tau0 makes each update one prox of f, with step
+    tau0 exactly at every t, at the point
+    x - tau0 (A*(y + c (A x - z)) + grad h(x)).  The kernel folds tau0 into
+    H's x rows on a dense H (l1-box: with a nonzero q); a lazy H and a
+    non-quadratic h step at tau(t) = tau0 outside it.  An affine prox of f
+    (example1's sq_norm, box-qp's zero) is folded in too, so the update
+    makes no call and x_new is the prox at that point."""
 
     @pytest.mark.parametrize("name", list(CATALOG_NAMES)
                              + ["l1-box", "wide-lasso", "wide-identity",
@@ -786,6 +787,29 @@ class TestFoldedStep:
             assert _rel_gap(arg, want) <= 1e-13
             assert np.array_equal(x_new, real(tau0, arg))
         assert (p.f.affine is None) == (name not in ("example1", "box-qp"))
+
+    @pytest.mark.parametrize("name", ["wide-lasso", "wide-identity", "closure",
+                                      "softplus-h", "dense-m2"])
+    def test_outside_the_kernel_a_constant_step_is_a_moving_step(self, name):
+        """At t = 800, exp(-t) underflows to 0, so the saturating schedule
+        from tau / 2 to tau gives tau exactly: off the kernel (a lazy H, a
+        non-quadratic h, a dense M2) both schedules give the same update,
+        bit for bit."""
+        p = _named_problem("lasso-small" if name == "dense-m2" else name)
+        m2 = MetricSchedule.constant(_dense_pd(p.m, 6)) \
+            if name == "dense-m2" else None
+        tau = resolve_tau("auto", p, 1.5, 0.5).tau0
+        assert TauSchedule.saturating(0.5 * tau, tau).value(800.0) == tau
+        const, moving = (
+            _make_update(p, 1.5, 0.5, sched, None, m2, 1e-12)
+            for sched in (TauSchedule.constant(tau),
+                          TauSchedule.saturating(0.5 * tau, tau)))
+        assert "_constant_step_update" not in const.__qualname__
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            s = 3.0 * rng.standard_normal(p.n + 2 * p.m)
+            for g, w in zip(const(800.0, s), moving(800.0, s)):
+                assert np.array_equal(g, w)
 
 
 class TestAffineFold:

@@ -23,8 +23,15 @@ flow runs and the sweep report).  Last come the same three runs, an RK4
 constant.  Then the closed-form step test on example1 at `--tau
 saturating:0.2,0.6`: `flow --horizon 5`, refused with exit 1 because
 c tau(5) ||A||^2 = 1.19461 > 1, and `flow --horizon 0.5`, which passes it.
-Last, a step of 6e-309, whose Lyapunov weight overflows: `discrete
+Then a step of 6e-309, whose Lyapunov weight overflows: `discrete
 --max-iters 3` and `flow --horizon 1`, whose rate certificates fail.
+Every run above is at c = 1 on a problem inside the dense limit, so none
+would show a change to the c-scaled blocks of the constant-step kernel or
+to the lazy maps of a wide problem.  Last come `flow --c 1.5 --horizon 20`
+and `discrete --c 1.5` on lasso-small and `problems/l1-box.txt`, then
+`flow --horizon 5` on `problems/wide-lasso.txt` and `discrete` on
+`problems/wide-identity.txt`, whose H and B apply A lazily; all of them at
+`--tau auto --dump-state`.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ from pdflow.problems import CATALOG_NAMES
 SATURATING = "saturating:0.05,0.2"
 RIDGE = os.path.join("problems", "ridge-identity.txt")
 L1_BOX = os.path.join("problems", "l1-box.txt")
+WIDE_LASSO = os.path.join("problems", "wide-lasso.txt")
+WIDE_IDENTITY = os.path.join("problems", "wide-identity.txt")
 
 
 def commands():
@@ -74,6 +83,13 @@ def commands():
                "--horizon", horizon]
     yield ["discrete", "--tau", "6e-309", "--max-iters", "3"]
     yield ["flow", "--tau", "6e-309", "--horizon", "1"]
+    for problem in ("lasso-small", L1_BOX):
+        base = ["--problem", problem, "--c", "1.5", "--tau", "auto"]
+        yield ["flow", *base, "--horizon", "20", "--dump-state"]
+        yield ["discrete", *base, "--dump-state"]
+    auto = ["--tau", "auto", "--dump-state"]
+    yield ["flow", "--problem", WIDE_LASSO, *auto, "--horizon", "5"]
+    yield ["discrete", "--problem", WIDE_IDENTITY, *auto]
 
 
 def _sha(data: bytes) -> str:
