@@ -240,9 +240,15 @@ class SelfAdjointPSD:
     `alpha_floor` is a certified lower bound on the spectrum (0 when only
     semidefiniteness is claimed).  The claim is checked by `psd_floor`, not
     at construction.
+
+    `_newton` is None until `proxlib.metric_prox` first takes a Newton
+    step in this operator; it then holds that solver's inverse Newton
+    matrices, one per prox-Jacobian pattern.  Like the norm hint, they are
+    derived from the operator once, so an operator must not be mutated
+    once it is in use.
     """
 
-    __slots__ = ("dim", "base", "alpha_floor", "_norm_hint")
+    __slots__ = ("dim", "base", "alpha_floor", "_norm_hint", "_newton")
 
     def __init__(self, base: LinearMap, alpha_floor=0.0, norm_hint=None):
         if base.in_dim != base.out_dim:
@@ -251,6 +257,7 @@ class SelfAdjointPSD:
         self.base = base
         self.alpha_floor = float(alpha_floor)
         self._norm_hint = norm_hint
+        self._newton = None
 
     @classmethod
     def identity(cls, dim, scale=1.0) -> "SelfAdjointPSD":

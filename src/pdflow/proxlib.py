@@ -16,12 +16,16 @@ is stored as a dense matrix (the small metrics that
 `metric.x_update_metric` and `z_update_metric` build, or
 `SelfAdjointPSD.from_dense`) and f has a prox Jacobian, it first takes up
 to `NEWTON_STEPS` semismooth Newton steps on F (Qi-Sun 1993; Li-Sun-Toh
-2018, SSNAL), one n x n solve each, halving a step that does not decrease
-||F|| enough.  Otherwise, or when Newton has not converged, it runs
-accelerated proximal gradient (FISTA, Beck-Teboulle 2009) with
-gradient-based adaptive restart (O'Donoghue-Candes 2015) from the last
-Newton iterate.  Both phases stop on the same gradient-mapping
-residual.
+2018, SSNAL), halving a step that does not decrease ||F|| enough.  Q
+keeps the inverse Newton matrix of each prox-Jacobian pattern it meets
+(the active set of l1 or box, which rarely changes along a run), up to
+`NEWTON_INVERSE_FLOATS` floats of them, so a step is one matrix-vector
+product; a result never depends on what Q solved before.  Otherwise, or
+when Newton has not converged, it runs accelerated proximal gradient
+(FISTA, Beck-Teboulle 2009) with gradient-based adaptive restart
+(O'Donoghue-Candes 2015) from the last Newton iterate.  Both phases stop
+on the same gradient-mapping residual, and a non-finite residual raises
+`ToleranceNotMet` at once.
 
 Rows in, rows out: `f(x)`, `f.prox(tau, u)`, `h(x)` and `h.grad(x)` take
 one (dim,) point or (B, dim) rows, at one scalar tau.  A point gives a
@@ -64,6 +68,10 @@ __all__ = [
 # Prox evaluations `metric_prox` spends on Newton steps, halved ones
 # included, before handing over to FISTA.
 NEWTON_STEPS = 8
+# Floats of inverse Newton matrices one Q keeps, one n x n inverse per
+# prox-Jacobian pattern: 2 MiB, or 4096 patterns at n = 8.  Patterns past
+# the bound are inverted on every step instead of kept.
+NEWTON_INVERSE_FLOATS = 2 ** 18
 # Armijo's rule for a Newton move w + alpha dv: ||F|| must fall below
 # (1 - ARMIJO * alpha) times its value at w, or alpha is halved.
 ARMIJO = 1e-4
@@ -298,18 +306,39 @@ def conjugate_prox(g: ProxFunction, c, y) -> np.ndarray:
     return y - c * g.prox(1.0 / c, y / c)
 
 
-def _newton_step(f: ProxFunction, mat, step, u, d):
-    """The semismooth Newton move at w for F(w) = w - prox_{step f}(u) = -d,
-    with u = w - step (Q w + linear): solve (I - D + step D Q) dv = d, where
-    D is f's prox Jacobian diagonal at u.  None if the solve fails."""
-    jac = np.asarray(f._jac(step, u), dtype=float)
+def _newton_inverse(mat, step, jac):
+    """The inverse of I - D + step D Q for Q = `mat` and D = diag(jac), or
+    None if that matrix is singular."""
     lhs = mat * np.reshape(step * jac, (-1, 1))
-    lhs.flat[::len(d) + 1] += 1.0 - jac
+    lhs.flat[::len(mat) + 1] += 1.0 - jac
     try:
-        dv = np.linalg.solve(lhs, d)
+        return np.linalg.inv(lhs)
     except np.linalg.LinAlgError:
         return None
-    return dv if np.isfinite(dv).all() else None
+
+
+def _newton_step(f: ProxFunction, Q: SelfAdjointPSD, step, u, d):
+    """The semismooth Newton move at w for F(w) = w - prox_{step f}(u) = -d,
+    with u = w - step (Q w + linear): dv = (I - D + step D Q)^{-1} d, where
+    D is f's prox Jacobian diagonal at u.  Q keeps the inverse (None for a
+    singular matrix) under D's bytes while the kept inverses fit in
+    `NEWTON_INVERSE_FLOATS` floats.  None if the matrix is singular or
+    ||dv||^2 is not finite."""
+    jac = np.asarray(f._jac(step, u), dtype=float)
+    key = jac.tobytes()
+    kept = Q._newton
+    if kept is None:
+        kept = Q._newton = {}
+    if key in kept:
+        inv = kept[key]
+    else:
+        inv = _newton_inverse(Q.base.mat, step, jac)
+        if (len(kept) + 1) * Q.dim * Q.dim <= NEWTON_INVERSE_FLOATS:
+            kept[key] = inv
+    if inv is None:
+        return None
+    dv = inv @ d
+    return dv if math.isfinite(dv @ dv) else None
 
 
 def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
@@ -328,12 +357,19 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
 
     Newton phase: when Q is stored as a dense matrix (`Q.base.mat`) and f
     has a prox Jacobian, the first `NEWTON_STEPS` iterations move w by a
-    semismooth Newton step on F(w) = w - v_{k+1}, one linear solve with
-    I - D + step D Q (nonsingular for positive definite Q).  The move
+    semismooth Newton step on F(w) = w - v_{k+1}, dv = M^{-1} (v_{k+1} - w)
+    with M = I - D + step D Q and D f's prox-Jacobian diagonal (M is
+    nonsingular for positive definite Q).  M depends on D alone, so Q keeps
+    M^{-1} for each pattern D it meets, in `Q._newton`, up to
+    `NEWTON_INVERSE_FLOATS` floats in all, and a step on a known pattern is
+    one matrix-vector product.  M^{-1} is computed the same way whether it
+    is kept or not, so the result depends only on (f, Q, linear, x0, tol,
+    max_iters), never on what Q solved before.  The move
     w + alpha dv, alpha = 1, 1/2, 1/4, ..., is taken at the first alpha
     that cuts ||F|| below (1 - ARMIJO alpha) times its value at w, each
     trial one iteration: full steps can cycle between two active sets of
-    l1 or box.  A failed solve or a non-finite step ends the phase early.
+    l1 or box.  A singular matrix, or a step whose squared norm is not
+    finite, ends the phase early.
 
     FISTA phase: from the last Newton point, or from x0 otherwise,
 
@@ -357,9 +393,11 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
         If Q carries no positive spectral floor (the subproblem may then
         have no unique minimizer).
     ToleranceNotMet
-        If the budget runs out; the exception carries the best iterate.
+        If the budget runs out, or at the first non-finite residual (a
+        NaN or inf in `linear` or `x0`); the exception carries the residual
+        and the best iterate.
     """
-    if Q.alpha_floor <= 0.0:
+    if not Q.alpha_floor > 0.0:
         raise CertificationError(
             "metric_prox needs a positive definite Q (alpha_floor > 0)")
     if max_iters < 1:
@@ -385,11 +423,15 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     theta = 1.0
     # the last point a Newton step left from, its residual and the step
     w_base, res_base, dv, alpha = None, 0.0, None, 1.0
-    for _ in range(max_iters):
+    for k in range(max_iters):
         u = w - step * (qapply(w) + lin)
         v_next = f.prox(step, u)
         d = v_next - w
         res = math.sqrt(d @ d) / step
+        if not math.isfinite(res):
+            raise ToleranceNotMet(
+                f"metric_prox: residual {res} at iteration {k + 1}",
+                best=v, residual=res)
         if res <= tol * max(1.0, math.sqrt(v_next @ v_next)):
             return v_next
         if newton_left:
@@ -398,7 +440,7 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
                 alpha *= 0.5
                 w = w_base + alpha * dv
                 continue
-            dv = _newton_step(f, mat, step, u, d)
+            dv = _newton_step(f, Q, step, u, d)
             if dv is not None:
                 w_base, res_base, alpha = w, res, 1.0
                 w, v = w + dv, v_next

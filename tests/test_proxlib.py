@@ -6,16 +6,22 @@ forms, and against the identities that any correct prox must satisfy
 (Moreau decomposition, firm nonexpansiveness).
 """
 
+import os
+
 import numpy as np
 import pytest
 
+from pdflow import proxlib
+from pdflow.config import load_problem
 from pdflow.errors import CertificationError, ToleranceNotMet
-from pdflow.linops import SelfAdjointPSD
-from pdflow.metric import MetricSchedule, x_update_metric
+from pdflow.linops import LinearMap, SelfAdjointPSD
+from pdflow.metric import MetricSchedule, x_update_metric, z_update_metric
 from pdflow.problems import catalog
 from pdflow.proxlib import (NEWTON_STEPS, box, conjugate_prox, l1_norm,
                             metric_prox, prox, quadratic_smooth, separable,
                             sq_distance, sq_norm, zero, zero_smooth)
+
+_PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 def _golden_min(fn, lo, hi, iters=200):
@@ -283,6 +289,44 @@ class TestMetricProx:
             metric_prox(zero(2), SelfAdjointPSD.zero(2), np.zeros(2),
                         np.zeros(2))
 
+    @pytest.mark.parametrize("floor", [0.0, np.nan])
+    def test_nan_floor_is_not_positive(self, floor):
+        """An indefinite Q with a NaN floor is refused like one with floor
+        0, not solved as if it were positive definite."""
+        q = SelfAdjointPSD.from_dense([[1.0, 0.0], [0.0, -1.0]],
+                                      alpha_floor=floor)
+        with pytest.raises(CertificationError):
+            metric_prox(zero(2), q, np.ones(2), np.zeros(2))
+
+    @pytest.mark.parametrize("where", ["linear", "x0"])
+    def test_nan_input_ends_at_the_first_residual(self, where):
+        """A NaN in `linear` or `x0` makes the first residual NaN, which
+        raises at once instead of spending the whole budget."""
+        p = catalog("lasso-small")
+        m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
+        q = x_update_metric(m1, 1.0, p.A, 0.0)
+        f, calls = _counted(p.f)
+        args = {"linear": np.linspace(-1.0, 1.0, p.n), "x0": np.zeros(p.n)}
+        args[where][2] = np.nan
+        with pytest.raises(ToleranceNotMet, match="residual nan") as info:
+            metric_prox(f, q, args["linear"], args["x0"])
+        assert len(calls) == 1
+        assert np.isnan(info.value.residual)
+        np.testing.assert_array_equal(info.value.best, args["x0"])
+
+    def test_infinite_linear_term_is_not_a_solution(self):
+        """An inf in `linear` sends the prox argument to -inf; the residual
+        is inf, which raises instead of passing inf <= inf as converged."""
+        p = catalog("lasso-small")
+        m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
+        q = x_update_metric(m1, 1.0, p.A, 0.0)
+        lin = np.linspace(-1.0, 1.0, p.n)
+        lin[0] = np.inf
+        with pytest.raises(ToleranceNotMet, match="residual inf") as info:
+            metric_prox(p.f, q, lin, np.zeros(p.n))
+        assert info.value.residual == np.inf
+        np.testing.assert_array_equal(info.value.best, np.zeros(p.n))
+
     def test_budget_exhaustion_carries_best_iterate(self):
         """FISTA path: f = 0 wrapped without a prox Jacobian, since the
         Newton path would solve this dense Q exactly in one step."""
@@ -446,6 +490,115 @@ class TestMetricProxNewton:
         assert len(fista_calls) == 42
         assert len(newton_calls) <= NEWTON_STEPS + 1
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def _subproblems(name):
+    """(f, make_q) for the x-update (M1 = I/2) and the z-update (a dense
+    positive definite M2) of a general-metric run at c = 1 on a catalog
+    problem or problem file; each make_q() call builds a new, equal Q."""
+    if name.endswith(".txt"):
+        p = load_problem(os.path.join(_PROBLEMS, name))
+    else:
+        p = catalog(name)
+    m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
+    base = np.random.default_rng(701).standard_normal((p.m, p.m))
+    mat = base @ base.T / p.m + 0.5 * np.eye(p.m)
+    m2 = MetricSchedule.constant(
+        SelfAdjointPSD.from_dense(mat, float(np.linalg.eigvalsh(mat)[0])))
+    return [(p.f, lambda: x_update_metric(m1, 1.0, p.A, 0.0)),
+            (p.g, lambda: z_update_metric(m2, 1.0, 0.0))]
+
+
+def _random_subproblem(rng, dim):
+    return 3.0 * rng.standard_normal(dim), rng.standard_normal(dim)
+
+
+def _pattern_recorder(f):
+    """f rewrapped so that each prox-Jacobian pattern it gives is kept, as
+    the bytes `metric_prox` keys its inverses on."""
+    seen = set()
+
+    def jac_fn(t, u):
+        jac = f._jac(t, u)
+        seen.add(np.asarray(jac, dtype=float).tobytes())
+        return jac
+
+    return separable(f.dim, f, f._prox, jac_fn=jac_fn), seen
+
+
+_INVERSE_CASES = ["lasso-small", "box-qp", "l1-box.txt"]
+
+
+class TestNewtonInverses:
+    """Q keeps one inverse Newton matrix per prox-Jacobian pattern; a
+    result never depends on what Q solved before."""
+
+    @pytest.mark.parametrize("name", _INVERSE_CASES)
+    def test_warm_and_fresh_q_agree_bit_for_bit(self, name):
+        rng = np.random.default_rng(709)
+        for f, make_q in _subproblems(name):
+            warm = make_q()
+            assert warm.base.mat is not None and warm.base.scale is None
+            for _ in range(200):
+                metric_prox(f, warm, *_random_subproblem(rng, f.dim))
+            assert warm._newton
+            for _ in range(50):
+                lin, x0 = _random_subproblem(rng, f.dim)
+                fresh = make_q()
+                got = metric_prox(f, warm, lin, x0)
+                want = metric_prox(f, fresh, lin, x0)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", _INVERSE_CASES)
+    def test_one_inverse_per_distinct_pattern(self, name):
+        rng = np.random.default_rng(719)
+        for f, make_q in _subproblems(name):
+            q = make_q()
+            g, seen = _pattern_recorder(f)
+            for _ in range(200):
+                metric_prox(g, q, *_random_subproblem(rng, f.dim))
+            assert len(q._newton) == len(seen)
+            assert all(v.shape == (f.dim, f.dim)
+                       for v in q._newton.values())
+
+    def test_kept_inverses_stay_within_the_bound(self, monkeypatch):
+        """With room for three inverses, Q keeps three of the many
+        lasso-small patterns, and every solve still matches a fresh Q."""
+        (f, make_q), _ = _subproblems("lasso-small")
+        q = make_q()
+        monkeypatch.setattr(proxlib, "NEWTON_INVERSE_FLOATS",
+                            3 * f.dim * f.dim)
+        g, seen = _pattern_recorder(f)
+        rng = np.random.default_rng(727)
+        for _ in range(200):
+            lin, x0 = _random_subproblem(rng, f.dim)
+            got = metric_prox(g, q, lin, x0)
+            assert len(q._newton) <= 3
+            assert np.array_equal(got, metric_prox(f, make_q(), lin, x0))
+        assert len(seen) > 3
+        assert len(q._newton) == 3
+
+    def test_singular_pattern_takes_the_fista_path(self):
+        """Q = diag(1, 2) with step 1/2 and a Jacobian of 2 make the Newton
+        matrix I - D + step D Q = diag(0, 1) singular.  Q keeps the
+        pattern as no step, and every solve, the first and the ones that
+        find it kept, is FISTA's from x0: the same result and the same
+        prox count as f without a Jacobian."""
+        q = SelfAdjointPSD(LinearMap.from_dense(np.diag([1.0, 2.0])),
+                           alpha_floor=1.0, norm_hint=2.0)
+        inner = zero(2)
+        singular, singular_calls = _counted(
+            separable(2, inner, inner.prox, jac_fn=lambda t, u: 2.0))
+        fista, fista_calls = _counted(inner, with_jac=False)
+        lin = np.array([3.0, -1.0])
+        for x0 in (np.zeros(2), np.array([1.0, 5.0])):
+            singular_calls.clear()
+            fista_calls.clear()
+            got = metric_prox(singular, q, lin, x0)
+            want = metric_prox(fista, q, lin, x0)
+            assert np.array_equal(got, want)
+            assert len(singular_calls) == len(fista_calls) > 1
+            assert q._newton == {np.full(1, 2.0).tobytes(): None}
 
 
 class TestSmoothFunctions:

@@ -8,11 +8,15 @@ The subproblems are every x-update of four general-metric RK4 flows on
 lasso-small (c = 1, gamma = 0.5, M1 = M2 = 0.5 I, step 0.05, horizon 5),
 from seeded starts at radius sqrt(dim): the flow runs of the `metric-lasso`
 benchmark workload.  Each is solved as recorded (Newton, then FISTA if
-needed) and with f wrapped without its prox Jacobian (FISTA alone).  The
-script prints, per path, microseconds per call (min of 5 passes) and prox
-evaluations per call; then the number of calls that went on to FISTA
-after a full Newton phase, and the largest difference between the two
-paths' solutions.
+needed), once in the run's own Q, which already keeps the inverse Newton
+matrix of every prox-Jacobian pattern the run met (warm), and once in a
+fresh copy of Q per call, which keeps none (cold); and with f wrapped
+without its prox Jacobian (FISTA alone).  The script prints the Newton
+steps and distinct Jacobian patterns of each flow run; then, per path,
+microseconds per call (min of 5 passes) and prox evaluations per call;
+then the number of calls that went on to FISTA after a full Newton
+phase, whether the cold and warm solutions are bit-equal, and the largest
+difference between the Newton and FISTA solutions.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from unittest import mock
 
 import numpy as np
 
-from pdflow import flow
+from pdflow import flow, proxlib
 from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import MetricSchedule
 from pdflow.problems import catalog
@@ -40,25 +44,34 @@ def _start(rng, dim):
 
 
 def subproblems():
-    """The (f, Q, linear, x0, tol) of every x-update of the flow runs."""
+    """The (f, Q, linear, x0, tol) of every x-update of the flow runs, and
+    each run's Newton steps and distinct Jacobian patterns."""
     p = catalog("lasso-small")
     params = flow.FlowParams(
         c=1.0, gamma=0.5, horizon=5.0, integrator=flow.RK4(h=0.05),
         m1=MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5)),
         m2=MetricSchedule.constant(SelfAdjointPSD.identity(p.m, 0.5)))
-    calls = []
+    calls, runs, steps = [], [], [0]
+    newton_step = proxlib._newton_step
 
     def record(f, Q, linear, x0, tol):
         if f is p.f:
             calls.append((f, Q, np.copy(linear), np.copy(x0), tol))
         return metric_prox(f, Q, linear, x0, tol=tol)
 
+    def count(f, Q, *args):
+        steps[0] += f is p.f
+        return newton_step(f, Q, *args)
+
     rng = np.random.default_rng(SEED)
-    with mock.patch.object(flow, "metric_prox", record):
+    with mock.patch.object(flow, "metric_prox", record), \
+            mock.patch.object(proxlib, "_newton_step", count):
         for _ in range(STARTS):
             x0, y0 = _start(rng, p.n), _start(rng, p.m)
+            steps[0] = 0
             flow.integrate(p, params, flow.SystemState(x0, p.A.apply(x0), y0))
-    return calls
+            runs.append((steps[0], len(calls[-1][1]._newton)))
+    return calls, runs
 
 
 def _counted(f, with_jac):
@@ -72,18 +85,28 @@ def _counted(f, with_jac):
     return separable(f.dim, f, prox_fn, jac_fn=f._jac if with_jac else None), count
 
 
-def measure(calls, with_jac):
-    """Solutions, us per call, prox evaluations per call, and fallbacks."""
+def _fresh(q):
+    """A copy of q that keeps no Newton inverses (its norm is copied, so
+    the copy costs no power iteration)."""
+    return SelfAdjointPSD(q.base, q.alpha_floor, q.norm())
+
+
+def measure(calls, with_jac, cold=False):
+    """Solutions, us per call, prox evaluations per call, and fallbacks;
+    with `cold`, each call solves in a fresh copy of its Q."""
     if not with_jac:
         calls = [(separable(f.dim, f, f._prox), *rest) for f, *rest in calls]
     best = np.inf
     for _ in range(REPEATS):
+        batch = [(f, _fresh(q) if cold else q, *rest)
+                 for f, q, *rest in calls]
         t0 = time.perf_counter()
-        for f, q, lin, x0, tol in calls:
+        for f, q, lin, x0, tol in batch:
             metric_prox(f, q, lin, x0, tol=tol)
         best = min(best, time.perf_counter() - t0)
     sols, evals, fallbacks = [], [], 0
     for f, q, lin, x0, tol in calls:
+        q = _fresh(q) if cold else q
         g, count = _counted(f, with_jac)
         sols.append(metric_prox(g, q, lin, x0, tol=tol))
         evals.append(count["prox"])
@@ -94,17 +117,23 @@ def measure(calls, with_jac):
 
 
 def main() -> int:
-    calls = subproblems()
+    calls, runs = subproblems()
     print(f"{len(calls)} lasso-small x-subproblems from {STARTS} flow starts "
           f"(seed {SEED})")
+    for i, (steps, patterns) in enumerate(runs):
+        print(f"flow run {i}: {steps} newton steps, {patterns} distinct "
+              "jacobian patterns")
     newton = measure(calls, with_jac=True)
+    cold = measure(calls, with_jac=True, cold=True)
     fista = measure(calls, with_jac=False)
-    for name, (_, us, evals, _) in (("newton+fista", newton),
+    for name, (_, us, evals, _) in (("newton warm", newton),
+                                    ("newton cold", cold),
                                     ("fista only", fista)):
         print(f"{name:>12}: {us:7.1f} us/call (min of {REPEATS}), prox evals "
               f"per call median {np.median(evals):g}, mean {evals.mean():.1f}, "
               f"max {evals.max()}")
     print(f"fista after a full newton phase: {newton[3]} of {len(calls)}")
+    print(f"cold == warm, bit for bit: {np.array_equal(cold[0], newton[0])}")
     print(f"max |newton - fista only|: {np.abs(newton[0] - fista[0]).max():.2e}")
     return 0
 

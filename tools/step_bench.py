@@ -23,7 +23,9 @@ their ratio B / A:
   catalog x {Euler, RK4, Adaptive} with `auto` tau, gamma 0.5, step 0.01
   (Adaptive: its defaults) and horizon `HORIZON`
 * admm: microseconds per iteration of a 500-iteration `discrete.run` on
-  every catalog problem with `auto` tau and gamma 1
+  every catalog problem with `auto` tau and gamma 1, and in
+  general-metric mode with M1 = M2 = 0.5 I on lasso-small, where each
+  iteration solves its x-update with `metric_prox`
 * cp: the same with algorithm "cp", on every catalog problem with h = 0
 
 The header gives Python, numpy and the CPU.
@@ -123,6 +125,13 @@ def cases(pkg):
             out.append((f"{algorithm} {name}", "us", ADMM_ITERS / 1e6,
                         lambda p=p, d=d, a=algorithm: discrete.run(
                             p, d, algorithm=a)))
+        if algorithm == "admm":
+            p = problems.catalog("lasso-small")
+            d = discrete.DiscreteParams(c=1.0, gamma=1.0, m1=m1, m2=m2,
+                                        max_iters=ADMM_ITERS, stop_tol=0.0)
+            out.append(("admm general-metric lasso-small", "us",
+                        ADMM_ITERS / 1e6,
+                        lambda p=p, d=d: discrete.run(p, d)))
     return out
 
 
