@@ -12,6 +12,7 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,7 +148,12 @@ def _check_lipschitz(p: ProblemSpec, params: FlowParams, rng) -> CheckResult:
 
 def _check_euler_equivalence(p: ProblemSpec, params: FlowParams,
                              s0: SystemState) -> CheckResult:
-    steps = 25
+    """Unit Euler steps against as many ADMM iterations: at most 25, and
+    none past the horizon, the span over which the run's step test holds."""
+    steps = min(25, math.floor(params.horizon))
+    if steps == 0:
+        return CheckResult("unit-step-equivalence", "skip",
+                           "horizon holds no unit step")
     traj = integrate(p, replace(params, horizon=float(steps),
                                 integrator=Euler(h=1.0)), s0)
     d = DiscreteParams(c=params.c, gamma=params.gamma,

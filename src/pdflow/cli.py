@@ -265,7 +265,7 @@ def cmd_discrete(args, cfg) -> int:
               ("tau", _fmt(cfg.tau)), ("tau0", d.tau.value(0.0)),
               ("max_iters", d.max_iters), ("stop_tol", d.stop_tol),
               ("seed", args.seed), ("stop_reason", result.stop_reason),
-              ("iterations", len(result.U) - 1),
+              ("iterations", result.iterations),
               ("final_kkt", result.residuals[-1].max()),
               ("hit_threshold", cfg.hit_threshold)]
     footer += _certificate_footer(cert, w0)
@@ -313,7 +313,7 @@ def _run_sweep(args, cfg) -> int:
               encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
     print(text)
-    return 0 if all(c.all_ok() for c in certs.values()) else 2
+    return 0 if summary.all_ok() else 2
 
 
 def cmd_reproduce_example1(args, cfg) -> int:

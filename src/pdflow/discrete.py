@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .flow import (SystemState, _check_step, _make_update, _start_row,
-                   _state_rows)
+from .flow import SystemState, _check_step, _make_update, _start_row
 from .metric import MetricSchedule, TauSchedule
 from .problems import ProblemSpec, kkt_residuals
 from .proxlib import conjugate_prox
@@ -145,22 +144,13 @@ class DiscreteRun:
     """Iterate history and the stop reason: U holds one row x^k | z^k | y^k
     per iterate k, shape (R, n + 2m), and residuals the matching KKT
     residuals, shape (R, 3), with columns stat_x, stat_z and feas (a
-    diverged iterate's row is inf).  `states`, `final` and `iterations` are
-    built on access.
+    diverged iterate's row is inf).  `iterations` is len(U) - 1, the count
+    that the CLI footer and `perfbench/` read.
     """
 
     U: np.ndarray
     residuals: np.ndarray
     stop_reason: str  # "tolerance" | "budget" | "divergence"
-    n: int
-
-    @property
-    def states(self) -> list:
-        return _state_rows(np.arange(len(self.U), dtype=float), self.U, self.n)
-
-    @property
-    def final(self) -> SystemState:
-        return _state_rows([len(self.U) - 1], self.U[-1:], self.n)[0]
 
     @property
     def iterations(self) -> int:
@@ -230,7 +220,7 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
 
     def result(reason, end):
         return DiscreteRun(U[:end].copy(), np.concatenate(blocks)[:end],
-                           reason, n)
+                           reason)
 
     error, diverged = None, False
     for k in range(d.max_iters):

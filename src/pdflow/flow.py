@@ -175,20 +175,14 @@ class FlowParams:
         return "closed-form" if self.tau is not None else "general-metric"
 
 
-def _state_rows(t, U, n) -> list:
-    """SystemState views of the rows x | z | y of U at the times t."""
-    m = (U.shape[1] - n) // 2
-    return [SystemState(u[:n], u[n:n + m], u[n + m:], float(ti))
-            for ti, u in zip(t, U)]
-
-
 @dataclass
 class FlowTrajectory:
     """The recorded trajectory as arrays, one row per record: times t (R,)
     from 0, states U (R, n + 2m) with rows x | z | y, and ergodic averages
     erg (R, n + m) with rows x_tilde | z_tilde, NaN where t = 0.
-    stop_reason is "horizon" or "step-underflow".  `states`, `ergodic_x`,
-    `ergodic_z` (None at t = 0) and `final` are views built on access.
+    stop_reason is "horizon" or "step-underflow".  The views `states`,
+    `ergodic_x` and `ergodic_z` (None at t = 0) are built on access; no
+    code in `src/` reads them, and they stay because `perfbench/` does.
     """
 
     t: np.ndarray
@@ -200,11 +194,9 @@ class FlowTrajectory:
 
     @property
     def states(self) -> list:
-        return _state_rows(self.t, self.U, self.n)
-
-    @property
-    def final(self) -> SystemState:
-        return _state_rows(self.t[-1:], self.U[-1:], self.n)[0]
+        n, m = self.n, (self.U.shape[1] - self.n) // 2
+        return [SystemState(u[:n], u[n:n + m], u[n + m:], float(ti))
+                for ti, u in zip(self.t, self.U)]
 
     @property
     def ergodic_x(self) -> list:
@@ -281,11 +273,11 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
 
     B is [k gamma A; c A], with k = 1 for any other M2.  A quadratic h
     (`quadratic_smooth`) folds its P and q in as above; any other h adds
-    its gradient at x to r_x.  With n + 2m at most
-    `linops._DENSE_BLOCK_LIMIT` each map is one dense matrix.  A wider
-    problem applies them lazily: H s takes one A x for both block rows and
-    one A* of y + c (A x - z) (of y - c z for a constant M1), and B x_new
-    one A x_new, where the per-block formulas apply A or A* four times.
+    its gradient at x to r_x.  With n + 2m at most `linops._DENSE_LIMIT`
+    each map is one dense matrix.  A wider problem applies them lazily:
+    H s takes one A x for both block rows and one A* of y + c (A x - z) (of
+    y - c z for a constant M1), and B x_new one A x_new, where the per-block
+    formulas apply A or A* four times.
     """
     m1, m2 = schedules(p, c, tau, m1, m2)
     n, m = p.n, p.m

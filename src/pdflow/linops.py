@@ -36,14 +36,14 @@ __all__ = [
     "save_dense",
 ]
 
-# dense eigensolve below this size, shifted power iteration above
-_DENSE_EIG_LIMIT = 64
-# Widest domain `_block_map` assembles as one dense matrix.  Measured on
-# the flow's affine map H (n + 2m columns) on a 2-vCPU VM: against the lazy
-# form, the dense product takes 0.64-0.70 of the time per evaluation up to
-# 128 columns and repays its longer build within 33 evaluations; at 256
-# columns it takes 0.90 and needs about 500.
-_DENSE_BLOCK_LIMIT = 128
+# Widest operator stored as one dense matrix (`_block_map`, `_small_dense`)
+# and given a dense eigensolve (`_smallest_eig`).  Measured on a 2-vCPU VM:
+# against the lazy form, the flow's dense H (n + 2m columns) takes
+# 0.64-0.70 of the time per evaluation up to 128 columns and repays its
+# longer build within 33 evaluations; at 256 columns it takes 0.90 and needs
+# about 500.  `psd_floor` takes 0.86 and 1.92 ms dense at 96 and 128
+# dimensions, against 19.4 and 22.5 ms by shifted power iteration.
+_DENSE_LIMIT = 128
 
 
 def _as_vec(x, dim, name="x"):
@@ -330,6 +330,16 @@ def block_diag(blocks) -> SelfAdjointPSD:
     return SelfAdjointPSD(base, floor, hint)
 
 
+def _small_dense(base: LinearMap) -> LinearMap:
+    """Self-adjoint `base` as one symmetrized dense matrix when it is at
+    most `_DENSE_LIMIT` wide, so each application is a single product
+    instead of a chain of lazy closures; a wider `base` as it is."""
+    if base.in_dim > _DENSE_LIMIT:
+        return base
+    mat = base.to_dense()
+    return LinearMap.from_dense(0.5 * (mat + mat.T))
+
+
 def _forward_only(y):
     raise NotImplementedError("this block map applies forward only")
 
@@ -338,7 +348,7 @@ def _block_map(blocks, in_dims, lazy) -> LinearMap:
     """The block operator whose block row i is `blocks[i]`, one LinearMap
     or None (a zero block) per block column, the columns `in_dims` wide;
     every block row holds at least one map.  A domain at most
-    `_DENSE_BLOCK_LIMIT` wide gives one dense matrix, so an application is
+    `_DENSE_LIMIT` wide gives one dense matrix, so an application is
     a single product.  A wider one is the forward-only map whose application
     is `lazy`, which the caller writes to share products between blocks
     (one A x for every block that applies A, say)."""
@@ -346,7 +356,7 @@ def _block_map(blocks, in_dims, lazy) -> LinearMap:
                 for row in blocks]
     rows = list(itertools.accumulate(out_dims, initial=0))
     cols = list(itertools.accumulate(in_dims, initial=0))
-    if cols[-1] > _DENSE_BLOCK_LIMIT:
+    if cols[-1] > _DENSE_LIMIT:
         return LinearMap(cols[-1], rows[-1], lazy, _forward_only)
     mat = np.zeros((rows[-1], cols[-1]))
     for i, row in enumerate(blocks):
@@ -389,7 +399,7 @@ def operator_norm(op: LinearMap, tol=1e-10, max_iters=500, seed=0) -> float:
 
 def _smallest_eig(u: SelfAdjointPSD, tol=1e-10) -> float:
     """Raw smallest-eigenvalue estimate (may be negative)."""
-    if u.dim <= _DENSE_EIG_LIMIT:
+    if u.dim <= _DENSE_LIMIT:
         h = u.base.to_dense()
         h = 0.5 * (h + h.T)
         return float(np.linalg.eigvalsh(h)[0])
@@ -403,9 +413,13 @@ def _smallest_eig(u: SelfAdjointPSD, tol=1e-10) -> float:
 def psd_floor(u: SelfAdjointPSD, tol=1e-8, strict=True) -> float:
     """Smallest eigenvalue of `u`; certifies the PSD claim.
 
-    With `strict` (default), an estimate below -tol raises
-    CertificationError.  Pass strict=False to obtain the raw value for
-    operators whose definiteness is the question being decided.
+    Up to `_DENSE_LIMIT` dimensions the value comes from a dense
+    eigensolve.  Above it, it comes from shifted power iteration, which
+    warns (PowerIterationWarning) when it does not stabilize; the value
+    it returns then can sit above the true smallest eigenvalue.  With
+    `strict` (default), an estimate below -tol raises CertificationError.
+    Pass strict=False to obtain the raw value for operators whose
+    definiteness is the question being decided.
     """
     lam = _smallest_eig(u, tol=min(tol, 1e-10))
     if strict and lam < -tol:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import (_DENSE_EIG_LIMIT, LinearMap, SelfAdjointPSD, block_diag,
+from .linops import (LinearMap, SelfAdjointPSD, _small_dense, block_diag,
                      operator_norm, psd_floor)
 
 __all__ = [
@@ -106,15 +106,6 @@ class MetricSchedule:
     def is_time_invariant(self) -> bool:
         """M(t) is one operator for every t (no tau schedule that moves)."""
         return self.tau is None or self.tau.tau0 == self.tau.tau_max
-
-
-def _small_dense(base: LinearMap) -> LinearMap:
-    """`base` as one dense matrix when it is small enough to store, so each
-    application is a single product instead of a chain of lazy closures."""
-    if base.in_dim > _DENSE_EIG_LIMIT:
-        return base
-    mat = base.to_dense()
-    return LinearMap.from_dense(0.5 * (mat + mat.T))
 
 
 def x_update_metric(m1: MetricSchedule, c, A: LinearMap, t) -> SelfAdjointPSD:

@@ -31,6 +31,8 @@ GAMMAS = (0.99, 0.5, 0.01)
 HORIZON = 200.0
 STEP = 0.01
 HIT = 1e-2
+# the x, z and y blocks of a row x | z | y on example1 (n = m = 2)
+X, Z, Y = slice(0, 2), slice(2, 4), slice(4, 6)
 
 
 def _report(num, label, ok, detail=""):
@@ -77,9 +79,9 @@ class TestCriterion1:
         saddle and completes within the per-run time budget."""
         worst_x = worst_y = worst_s = 0.0
         for (gamma, tauc), data in sweep_runs.items():
-            final = data["traj"].final
-            nx = float(np.linalg.norm(final.x))
-            ny = float(np.linalg.norm(final.y))
+            final = data["traj"].U[-1]
+            nx = float(np.linalg.norm(final[X]))
+            ny = float(np.linalg.norm(final[Y]))
             worst_x = max(worst_x, nx)
             worst_y = max(worst_y, ny)
             worst_s = max(worst_s, data["seconds"])
@@ -178,15 +180,15 @@ class TestCriterion4:
     def _compare(self, p, params, d, steps):
         traj = integrate(p, params, _start())
         it = run(p, d, _start())
-        assert len(traj.states) == len(it.states) == steps + 1
+        assert len(traj.U) == len(it.U) == steps + 1
         worst = 0.0
-        for s_flow, s_disc in zip(traj.states, it.states):
-            scale = max(1.0, float(np.linalg.norm(s_disc.x)),
-                        float(np.linalg.norm(s_disc.z)),
-                        float(np.linalg.norm(s_disc.y)))
-            diff = max(float(np.linalg.norm(s_flow.x - s_disc.x)),
-                       float(np.linalg.norm(s_flow.z - s_disc.z)),
-                       float(np.linalg.norm(s_flow.y - s_disc.y)))
+        for u_flow, u_disc in zip(traj.U, it.U):
+            scale = max(1.0, float(np.linalg.norm(u_disc[X])),
+                        float(np.linalg.norm(u_disc[Z])),
+                        float(np.linalg.norm(u_disc[Y])))
+            diff = max(float(np.linalg.norm(u_flow[X] - u_disc[X])),
+                       float(np.linalg.norm(u_flow[Z] - u_disc[Z])),
+                       float(np.linalg.norm(u_flow[Y] - u_disc[Y])))
             worst = max(worst, diff / scale)
         return worst
 
@@ -239,7 +241,7 @@ class TestCriterion5:
         out = run(p, d2, _start(), algorithm="cp")
         conv_ok = (out.stop_reason == "tolerance"
                    and out.residuals[-1].max() <= 1e-6
-                   and float(np.linalg.norm(out.final.x)) <= 1e-4)
+                   and float(np.linalg.norm(out.U[-1, X])) <= 1e-4)
         _report(5, "primal-dual forms and convergence",
                 forms_ok and conv_ok,
                 f"form gap {worst:.2e}, {out.iterations} iterations")

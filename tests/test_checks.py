@@ -119,6 +119,22 @@ class TestRunChecks:
         assert result.status == "FAIL"
         assert "21 discrete iterates vs 26 Euler records" in result.detail
 
+    @pytest.mark.parametrize("horizon,steps", [(100.0, 25), (3.7, 3),
+                                               (1.0, 1)])
+    def test_unit_step_equivalence_stays_inside_the_horizon(
+            self, example1, horizon, steps):
+        result = checks._check_euler_equivalence(
+            example1, replace(_params(), horizon=horizon), _start(example1))
+        assert result.status == "ok", result.detail
+        assert result.detail.endswith(f"over {steps} steps")
+
+    def test_unit_step_equivalence_skips_a_horizon_under_one_step(
+            self, example1):
+        result = checks._check_euler_equivalence(
+            example1, replace(_params(), horizon=0.5), _start(example1))
+        assert (result.status, result.detail) == (
+            "skip", "horizon holds no unit step")
+
     def test_saddle_start_passes(self, example1):
         """From the exact saddle the KKT residual is 0 at k = 0; the
         unit-step comparison still runs every step."""

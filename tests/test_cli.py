@@ -265,6 +265,32 @@ class TestCheckCommand:
         assert "FAIL" not in report
         assert capsys.readouterr().out.strip() != ""
 
+    @pytest.mark.parametrize("command", ["flow", "check"])
+    def test_check_accepts_what_flow_accepts(self, tmp_path, capsys,
+                                             command):
+        """c tau(t) ||A||^2 <= 1 holds up to t = 0.5 for this schedule.
+        `check` once compared 25 unit steps whatever the horizon, so its
+        step test read tau(25) and refused a run that `flow` accepts; a
+        horizon under one step now skips that comparison."""
+        code = main([command, "--problem", "example1", "--tau",
+                     "saturating:0.2,0.6", "--horizon", "0.5",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        if command == "check":
+            assert ("skip unit-step-equivalence: horizon holds no unit step"
+                    in out)
+            assert "11 of 11 checks passed" in out
+
+    @pytest.mark.parametrize("command", ["flow", "check"])
+    def test_both_refuse_a_step_that_fails_over_the_horizon(
+            self, tmp_path, capsys, command):
+        code = main([command, "--problem", "example1", "--tau",
+                     "saturating:0.2,0.6", "--horizon", "3",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "c tau(t) ||A||^2 <= 1" in capsys.readouterr().err
+
 
 class TestSweepCommands:
     def test_sweep_from_config(self, tmp_path, capsys):

@@ -30,10 +30,14 @@ def _start():
                        np.array([-10.0, 10.0]), 0.0)
 
 
-def _assert_lyapunov_matches(p, trace, states, m1_at, gamma, m2=_ZERO2):
+def _assert_lyapunov_matches(p, trace, t, U, m1_at, gamma, m2=_ZERO2):
     """The Lyapunov column equals lyapunov() under the metric of each
-    record's own time (or iteration), to 1e-12 relative."""
-    ref = [lyapunov(p, m1_at(s.t), m2, 1.0, gamma, s.t, s) for s in states]
+    record's own time (or iteration) t, at its row x | z | y of U, to
+    1e-12 relative."""
+    n, m = p.n, p.m
+    ref = [lyapunov(p, m1_at(ti), m2, 1.0, gamma, ti,
+                    SystemState(u[:n], u[n:n + m], u[n + m:], ti))
+           for ti, u in zip(t, U)]
     np.testing.assert_allclose(trace.lyapunov, ref, rtol=1e-12, atol=0.0)
 
 
@@ -122,7 +126,7 @@ class TestTraceFlow:
         traj = integrate(example1, params, _start())
         m1 = MetricSchedule.tau_family(tau, 1.0, example1.A)
         _assert_lyapunov_matches(example1, trace_flow(example1, params, traj),
-                                 traj.states, lambda t: m1, 0.5)
+                                 traj.t, traj.U, lambda t: m1, 0.5)
 
     def test_lyapunov_column_moving_m2(self, example1):
         """A tau-family M2 moves the z block of W instead."""
@@ -133,7 +137,7 @@ class TestTraceFlow:
                             integrator=RK4(h=0.01))
         traj = integrate(example1, params, _start())
         _assert_lyapunov_matches(example1, trace_flow(example1, params, traj),
-                                 traj.states, lambda t: m1, 0.5, m2)
+                                 traj.t, traj.U, lambda t: m1, 0.5, m2)
 
     def test_ergodic_feasibility_identity(self, example1):
         """||A x_avg - z_avg|| must equal ||y(t) - y0|| / (c t): the dual
@@ -185,7 +189,8 @@ class TestTraceDiscrete:
                            max_iters=5, stop_tol=0.0)
         out = run(example1, d, _start())
         _assert_lyapunov_matches(example1, trace_discrete(example1, d, out),
-                                 out.states, _step_metric(example1, d), 0.5)
+                                 np.arange(len(out.U), dtype=float), out.U,
+                                 _step_metric(example1, d), 0.5)
 
     def test_lyapunov_descends_for_admm(self, example1):
         d = DiscreteParams(tau=0.25, gamma=1.0, max_iters=60, stop_tol=0.0)

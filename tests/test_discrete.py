@@ -27,6 +27,17 @@ def _start():
                        np.array([-10.0, 10.0]), 0.0)
 
 
+def _assert_rows_agree(p, U_flow, U_disc):
+    """Each block of each flow row is within 1e-12 of the discrete row's,
+    relative to max(1, ||x^k||)."""
+    n, m = p.n, p.m
+    for u_flow, u_disc in zip(U_flow, U_disc):
+        scale = max(1.0, float(np.linalg.norm(u_disc[:n])))
+        for block in (slice(0, n), slice(n, n + m), slice(n + m, None)):
+            gap = float(np.linalg.norm(u_flow[block] - u_disc[block]))
+            assert gap <= 1e-12 * scale
+
+
 class TestAdmmStep:
     def test_hand_derived_iteration(self, example1):
         """tau = 0.25, gamma = 0.5, c = 1 from the documented start.
@@ -72,12 +83,8 @@ class TestEulerEquivalence:
         d = DiscreteParams(c=1.0, gamma=0.5, tau=0.25, max_iters=100,
                            stop_tol=0.0)
         it = run(example1, d, _start())
-        assert len(traj.states) == len(it.states) == 101
-        for s_flow, s_disc in zip(traj.states, it.states):
-            scale = max(1.0, float(np.linalg.norm(s_disc.x)))
-            assert float(np.linalg.norm(s_flow.x - s_disc.x)) <= 1e-12 * scale
-            assert float(np.linalg.norm(s_flow.z - s_disc.z)) <= 1e-12 * scale
-            assert float(np.linalg.norm(s_flow.y - s_disc.y)) <= 1e-12 * scale
+        assert len(traj.U) == len(it.U) == 101
+        _assert_rows_agree(example1, traj.U, it.U)
 
     def test_general_metric_mode(self, example1):
         """Same equivalence with explicit dense metrics on both updates."""
@@ -91,11 +98,7 @@ class TestEulerEquivalence:
         d = DiscreteParams(c=1.0, gamma=1.0, m1=m1, m2=m2,
                            inner_tol=1e-12, max_iters=50, stop_tol=0.0)
         it = run(example1, d, _start())
-        for s_flow, s_disc in zip(traj.states, it.states):
-            scale = max(1.0, float(np.linalg.norm(s_disc.x)))
-            assert float(np.linalg.norm(s_flow.x - s_disc.x)) <= 1e-12 * scale
-            assert float(np.linalg.norm(s_flow.z - s_disc.z)) <= 1e-12 * scale
-            assert float(np.linalg.norm(s_flow.y - s_disc.y)) <= 1e-12 * scale
+        _assert_rows_agree(example1, traj.U, it.U)
 
 
 class TestPrimalDualForms:
@@ -151,7 +154,7 @@ class TestPrimalDualForms:
         assert out.stop_reason == "tolerance"
         assert out.iterations <= 500
         assert out.residuals[-1].max() <= 1e-6
-        assert float(np.linalg.norm(out.final.x)) <= 1e-4
+        assert float(np.linalg.norm(out.U[-1, :example1.n])) <= 1e-4
 
 
 class TestRun:
@@ -164,7 +167,7 @@ class TestRun:
         out = run(example1, DiscreteParams(stop_tol=1e-8), s0)
         assert out.stop_reason == "tolerance"
         assert out.iterations == 0
-        assert len(out.states) == len(out.residuals) == 1
+        assert len(out.U) == len(out.residuals) == 1
 
     def test_budget_stop(self, example1):
         d = DiscreteParams(tau=0.25, max_iters=3, stop_tol=0.0)
@@ -188,8 +191,9 @@ class TestRun:
                            stop_tol=1e-10)
         out = run(p, d)
         assert out.stop_reason == "tolerance"
-        np.testing.assert_allclose(out.final.x, p.known_primal, atol=1e-8)
-        np.testing.assert_allclose(out.final.y, p.known_dual, atol=1e-8)
+        np.testing.assert_allclose(out.U[-1, :p.n], p.known_primal, atol=1e-8)
+        np.testing.assert_allclose(out.U[-1, p.n + p.m:], p.known_dual,
+                                   atol=1e-8)
 
     def test_admm_reaches_boxqp_solution(self):
         p = catalog("box-qp")
@@ -197,7 +201,7 @@ class TestRun:
                            stop_tol=1e-10)
         out = run(p, d)
         assert out.stop_reason == "tolerance"
-        np.testing.assert_allclose(out.final.x, p.known_primal, atol=1e-8)
+        np.testing.assert_allclose(out.U[-1, :p.n], p.known_primal, atol=1e-8)
 
     def test_wrong_start_dimensions_rejected(self, example1):
         """A z0 of shape (1,) would broadcast against the 2-d problem."""
@@ -207,24 +211,33 @@ class TestRun:
 
     @pytest.mark.parametrize("algorithm", ["admm", "cp"])
     def test_rows_match_state_views(self, algorithm):
+        """Row k is x^k | z^k | y^k of the state-by-state step form: row 0
+        the start, then `admm_step`, or `cp_step_explicit` from
+        x0 | A x0 | y0."""
         p = catalog("lasso-small")
         d = DiscreteParams(c=1.0, gamma=1.0, tau=0.2, max_iters=12,
                            stop_tol=0.0)
         out = run(p, d, algorithm=algorithm)
         assert out.U.shape == (13, p.n + 2 * p.m)
         assert out.iterations == 12
-        states = out.states
-        assert len(states) == len(out.residuals) == 13
-        for k, s in enumerate(states):
+        assert len(out.U) == len(out.residuals) == 13
+        x0, z0, y0 = p.default_start()
+        np.testing.assert_array_equal(np.concatenate((x0, z0, y0)), out.U[0])
+        if algorithm == "admm":
+            s, step = SystemState(x0, z0, y0, 0.0), admm_step
+        else:
+            s, step = SystemState(x0, p.A.apply(x0), y0, 0.0), cp_step_explicit
+        for k in range(1, 13):
+            s = step(p, d, k - 1, s)
             assert s.t == float(k)
             np.testing.assert_array_equal(np.concatenate((s.x, s.z, s.y)),
                                           out.U[k])
-        np.testing.assert_array_equal(out.final.y, out.U[-1, p.n + p.m:])
+        np.testing.assert_array_equal(s.y, out.U[-1, p.n + p.m:])
 
     def test_residual_history_aligned(self, example1):
         d = DiscreteParams(tau=0.25, max_iters=50, stop_tol=0.0)
         out = run(example1, d, _start())
-        assert len(out.residuals) == len(out.states)
+        assert len(out.residuals) == len(out.U)
         assert out.residuals[-1].max() < out.residuals[0].max()
 
 
@@ -421,7 +434,7 @@ def _list_run(p, d, s0=None, algorithm="admm"):
 
     def result(reason, end=None):
         return discrete.DiscreteRun(np.array(rows[:end]),
-                                    np.concatenate(blocks)[:end], reason, n)
+                                    np.concatenate(blocks)[:end], reason)
 
     iterates = _steps(p, d, u0, algorithm)
     error, last = None, None

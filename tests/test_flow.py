@@ -192,9 +192,10 @@ class TestIntegrate:
     def test_saddle_is_stationary(self, example1):
         s0 = SystemState(np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
         traj = integrate(example1, _closed_params(horizon=5.0), s0)
-        final = traj.final
-        assert np.abs(final.x).max() <= 1e-10
-        assert np.abs(final.y).max() <= 1e-10
+        n, m = example1.n, example1.m
+        final = traj.U[-1]
+        assert np.abs(final[:n]).max() <= 1e-10
+        assert np.abs(final[n + m:]).max() <= 1e-10
 
     def test_default_start_is_problem_start(self, example1):
         traj = integrate(example1, _closed_params(horizon=0.5,
@@ -207,9 +208,10 @@ class TestIntegrate:
         """The long-horizon run must land within the documented radii of
         the origin saddle."""
         traj = integrate(example1, _closed_params(horizon=100.0), _start())
-        final = traj.final
-        assert float(np.linalg.norm(final.x)) <= 1e-3
-        assert float(np.linalg.norm(final.y)) <= 1e-2
+        n, m = example1.n, example1.m
+        final = traj.U[-1]
+        assert float(np.linalg.norm(final[:n])) <= 1e-3
+        assert float(np.linalg.norm(final[n + m:])) <= 1e-2
         assert traj.stop_reason == "horizon"
 
     def test_rk4_step_size_refinement(self, example1):
@@ -217,21 +219,23 @@ class TestIntegrate:
         more than the fourth-order error estimate allows."""
         params_a = _closed_params(horizon=10.0, integrator=RK4(h=0.02))
         params_b = _closed_params(horizon=10.0, integrator=RK4(h=0.004))
-        fa = integrate(example1, params_a, _start()).final
-        fb = integrate(example1, params_b, _start()).final
-        assert float(np.linalg.norm(fa.x - fb.x)) <= 1e-7
-        assert float(np.linalg.norm(fa.y - fb.y)) <= 1e-7
+        n, m = example1.n, example1.m
+        fa = integrate(example1, params_a, _start()).U[-1]
+        fb = integrate(example1, params_b, _start()).U[-1]
+        assert float(np.linalg.norm(fa[:n] - fb[:n])) <= 1e-7
+        assert float(np.linalg.norm(fa[n + m:] - fb[n + m:])) <= 1e-7
 
     def test_euler_first_order_convergence(self, example1):
         """Euler endpoint error must shrink roughly linearly in h."""
+        n, m = example1.n, example1.m
         ref = integrate(example1, _closed_params(
-            horizon=5.0, integrator=RK4(h=0.002)), _start()).final
+            horizon=5.0, integrator=RK4(h=0.002)), _start()).U[-1]
         errs = []
         for h in (0.04, 0.02, 0.01):
             fin = integrate(example1, _closed_params(
-                horizon=5.0, integrator=Euler(h=h)), _start()).final
-            errs.append(float(np.linalg.norm(fin.x - ref.x)
-                              + np.linalg.norm(fin.y - ref.y)))
+                horizon=5.0, integrator=Euler(h=h)), _start()).U[-1]
+            errs.append(float(np.linalg.norm(fin[:n] - ref[:n])
+                              + np.linalg.norm(fin[n + m:] - ref[n + m:])))
         assert errs[0] > errs[1] > errs[2]
         ratio = errs[0] / errs[2]
         assert 2.0 <= ratio <= 8.0, f"expected first-order decay, got {ratio}"
@@ -241,12 +245,13 @@ class TestIntegrate:
         params_ad = _closed_params(horizon=20.0,
                                    integrator=Adaptive(rel_tol=1e-8,
                                                        abs_tol=1e-10))
-        ref = integrate(example1, params_ref, _start()).final
+        n, m = example1.n, example1.m
+        ref = integrate(example1, params_ref, _start()).U[-1]
         ada = integrate(example1, params_ad, _start())
         assert ada.stop_reason == "horizon"
-        assert ada.final.t == pytest.approx(20.0, abs=1e-9)
-        assert float(np.linalg.norm(ada.final.x - ref.x)) <= 1e-6
-        assert float(np.linalg.norm(ada.final.y - ref.y)) <= 1e-5
+        assert ada.t[-1] == pytest.approx(20.0, abs=1e-9)
+        assert float(np.linalg.norm(ada.U[-1, :n] - ref[:n])) <= 1e-6
+        assert float(np.linalg.norm(ada.U[-1, n + m:] - ref[n + m:])) <= 1e-5
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     @pytest.mark.parametrize("mode", ["closed-form", "general-metric"])
@@ -324,10 +329,8 @@ class TestIntegrate:
         last = 1.0 - 3 * 0.3
         alone = integrate(example1, _closed_params(
             horizon=last, integrator=type(integrator)(h=last)), traj.states[3])
-        for got, want in ((alone.final.x, traj.final.x),
-                          (alone.final.z, traj.final.z),
-                          (alone.final.y, traj.final.y)):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(alone.U[-1], traj.U[-1], rtol=0.0,
+                                   atol=1e-14)
 
     @pytest.mark.parametrize("integrator", [Euler(h=5.0), RK4(h=5.0)],
                              ids=["euler", "rk4"])
@@ -364,8 +367,9 @@ class TestIntegrate:
             horizon=1.0, integrator=RK4(h=0.01)), _start(), record_every=10)
         assert len(full.states) == 101
         assert len(thin.states) == 11
-        np.testing.assert_array_equal(thin.final.x, full.final.x)
-        np.testing.assert_array_equal(thin.final.y, full.final.y)
+        n, m = example1.n, example1.m
+        np.testing.assert_array_equal(thin.U[-1, :n], full.U[-1, :n])
+        np.testing.assert_array_equal(thin.U[-1, n + m:], full.U[-1, n + m:])
         assert thin.states[1].t == pytest.approx(0.1)
 
     def test_initial_record_has_no_average(self, example1):
@@ -400,10 +404,11 @@ class TestIntegrate:
                              m1=MetricSchedule.tau_family(tau, 1.0, example1.A),
                              inner_tol=1e-12, horizon=5.0,
                              integrator=RK4(h=0.02))
-        fc = integrate(example1, closed, _start()).final
-        fg = integrate(example1, general, _start()).final
-        assert float(np.linalg.norm(fc.x - fg.x)) <= 1e-7
-        assert float(np.linalg.norm(fc.y - fg.y)) <= 1e-7
+        n, m = example1.n, example1.m
+        fc = integrate(example1, closed, _start()).U[-1]
+        fg = integrate(example1, general, _start()).U[-1]
+        assert float(np.linalg.norm(fc[:n] - fg[:n])) <= 1e-7
+        assert float(np.linalg.norm(fc[n + m:] - fg[n + m:])) <= 1e-7
 
     def test_general_metric_requires_positive_floor(self):
         """With a rank-deficient A and no metric, c A*A + M1 is singular and
@@ -428,7 +433,7 @@ class TestIntegrate:
         params = FlowParams(c=1.0, gamma=1.0, m1=m1, horizon=30.0,
                             integrator=RK4(h=0.02), inner_tol=1e-11)
         traj = integrate(example1, params, _start())
-        assert float(np.linalg.norm(traj.final.x)) <= 1e-2
+        assert float(np.linalg.norm(traj.U[-1, :example1.n])) <= 1e-2
 
 
 class TestColumnarTrajectory:
@@ -475,8 +480,8 @@ class TestColumnarTrajectory:
             else:
                 np.testing.assert_array_equal(np.concatenate((xt, zt)),
                                               traj.erg[i])
-        np.testing.assert_array_equal(traj.final.x, traj.U[-1, :n])
-        assert traj.final.t == traj.t[-1]
+        np.testing.assert_array_equal(states[-1].x, traj.U[-1, :n])
+        assert states[-1].t == traj.t[-1]
 
 
 
@@ -631,7 +636,7 @@ class TestAffineUpdate:
                                 rng.standard_normal((m, n)) / np.sqrt(m)))
         else:
             p = load_problem(os.path.join(_PROBLEMS, name + ".txt"))
-        assert p.n + 2 * p.m > linops._DENSE_BLOCK_LIMIT
+        assert p.n + 2 * p.m > linops._DENSE_LIMIT
         tau, m1, m2 = _update_cases(p, gamma)[case]
         self._assert_matches(p, 1.0, gamma, tau, m1, m2, seed=6)
 

@@ -177,7 +177,7 @@ class TestRows:
 
 class TestBlockMap:
     """`_block_map` is one dense matrix, equal to the assembled blocks, up
-    to _DENSE_BLOCK_LIMIT columns, and the caller's forward-only map above."""
+    to _DENSE_LIMIT columns, and the caller's forward-only map above."""
 
     def test_dense_matches_assembled_matrix(self):
         rng = np.random.default_rng(31)
@@ -194,7 +194,7 @@ class TestBlockMap:
         np.testing.assert_array_equal(op.mat, full)
 
     def test_wide_domain_is_the_lazy_map(self):
-        n = linops._DENSE_BLOCK_LIMIT
+        n = linops._DENSE_LIMIT
         lazy = lambda x: 2.0 * x[:n]
         op = linops._block_map([[LinearMap.identity(n, 2.0),
                                  LinearMap.zero(1, n)]], [n, 1], lazy)
@@ -317,11 +317,26 @@ class TestPsdFloor:
         got = psd_floor(SelfAdjointPSD.from_dense(mat), strict=False)
         assert got == pytest.approx(-0.5, rel=1e-6)
 
+    @pytest.mark.parametrize("dim", [96, 128])
+    def test_dense_up_to_the_limit(self, dim):
+        """Up to `_DENSE_LIMIT` the floor is a dense eigensolve.  Shifted
+        power iteration on these matrices warns and reads about 0.2 %
+        above the true floor, the unsafe side of a PSD certificate."""
+        rng = np.random.default_rng(dim)
+        base = rng.standard_normal((dim, dim))
+        mat = base.T @ base / dim + 0.5 * np.eye(dim)
+        mat = 0.5 * (mat + mat.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PowerIterationWarning)
+            got = psd_floor(SelfAdjointPSD.from_dense(mat))
+        assert got == pytest.approx(float(np.linalg.eigvalsh(mat)[0]),
+                                    rel=1e-12, abs=0.0)
+
     def test_large_dimension_uses_shifted_power_iteration(self):
         """Above the dense cutoff the floor comes from a spectral shift;
         it must still agree with eigvalsh on the same matrix."""
         rng = np.random.default_rng(43)
-        dim = 80
+        dim = linops._DENSE_LIMIT + 32
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         eigs = np.concatenate([[0.3], rng.uniform(1.0, 3.0, dim - 1)])
         mat = (q * eigs) @ q.T

@@ -22,7 +22,10 @@ flow runs and the sweep report).  Last come the same three runs, an RK4
 `problems/l1-box.txt`, whose update makes both proxes and adds a nonzero
 constant.  Then the closed-form step test on example1 at `--tau
 saturating:0.2,0.6`: `flow --horizon 5`, refused with exit 1 because
-c tau(5) ||A||^2 = 1.19461 > 1, and `flow --horizon 0.5`, which passes it.
+c tau(5) ||A||^2 = 1.19461 > 1, and `flow --horizon 0.5`, which passes it,
+then `check --horizon 0.5`, which must accept what that `flow` run
+accepts: its unit-step comparison takes no step past the horizon, so here
+it is skipped instead of certifying tau(25).
 Then a step of 6e-309, whose Lyapunov weight overflows: `discrete
 --max-iters 3` and `flow --horizon 1`, whose rate certificates fail.
 Every run above is at c = 1 on a problem inside the dense limit, so none
@@ -81,6 +84,8 @@ def commands():
     for horizon in ("5", "0.5"):
         yield ["flow", "--problem", "example1", "--tau", "saturating:0.2,0.6",
                "--horizon", horizon]
+    yield ["check", "--problem", "example1", "--tau", "saturating:0.2,0.6",
+           "--horizon", "0.5"]
     yield ["discrete", "--tau", "6e-309", "--max-iters", "3"]
     yield ["flow", "--tau", "6e-309", "--horizon", "1"]
     for problem in ("lasso-small", L1_BOX):
