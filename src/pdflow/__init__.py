@@ -5,7 +5,6 @@ from .errors import (
     ConfigError,
     IntegrationError,
     MissingSolutionError,
-    PowerIterationWarning,
     ToleranceNotMet,
 )
 from .linops import LinearMap, SelfAdjointPSD, block_diag, load_dense, operator_norm, psd_floor

@@ -15,10 +15,11 @@ Sections and keys:
 `tau` is a decimal, `auto`, or `saturating:tau0,tau_max`.  `auto` picks
 the largest step the flow's conditions allow, shrunk by 1 percent:
 0.99 min(1/(c n^2), 4/(L + c(3+gamma) n^2), 2/(L + 2 c n^2)) with n the
-operator norm of A and L the gradient Lipschitz constant of h.  The first
-term is the closed-form step test c tau n^2 <= 1, the second the rate
-condition tau (L/4 + c (3+gamma)/4 n^2) <= 1 of `metric.certify`, the
-last the same with L/2 at gamma = 1.  They bound the flow, not the
+exact ||A||_2 (an eigensolve, so no estimate eats the margin) and L the
+gradient Lipschitz constant of h.  The first term is the closed-form step
+test c tau n^2 <= 1, the second the rate condition
+tau (L/4 + c (3+gamma)/4 n^2) <= 1 of `metric.certify`, the last the same
+with L/2 at gamma = 1.  They bound the flow, not the
 unit-step discrete schemes: at gamma < 1, `discrete --tau auto` diverges
 on example1 (gamma = 0.5) and on `problems/ridge-identity.txt` (gamma =
 0.01, after 92 iterations), and box-qp, which has an h, ends at its budget

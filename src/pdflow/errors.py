@@ -1,4 +1,4 @@
-"""Shared exception and warning types."""
+"""Shared exception types."""
 
 
 class CertificationError(RuntimeError):
@@ -28,7 +28,3 @@ class ConfigError(ValueError):
 
 class IntegrationError(RuntimeError):
     """The trajectory left the finite range or the stepper broke down."""
-
-
-class PowerIterationWarning(RuntimeWarning):
-    """Power iteration stopped on budget; the returned estimate may be loose."""

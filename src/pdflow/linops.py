@@ -3,8 +3,9 @@
 Everything downstream (prox subproblems, metric schedules, certificates)
 manipulates operators only through `apply`/`adjoint_apply`, so maps can be
 dense matrices, scaled identities, or lazy compositions/sums without the
-callers caring.  Dense materialization is available for small dimensions
-where an exact eigensolve is cheaper than iteration.
+callers caring.  Norms and spectral floors are exact: each is one
+eigensolve of a dense form, and a form past `_EIGENSOLVE_FLOATS` is
+refused with a CertificationError rather than estimated.
 
 Rows in, rows out: `apply` and `adjoint_apply` take one (in_dim,) point or
 (B, in_dim) rows and return a point or (B, out_dim) rows; the shape is
@@ -20,11 +21,10 @@ time, and so does any composition, sum or multiple that contains one.
 from __future__ import annotations
 
 import itertools
-import warnings
 
 import numpy as np
 
-from .errors import CertificationError, PowerIterationWarning
+from .errors import CertificationError
 
 __all__ = [
     "LinearMap",
@@ -36,14 +36,18 @@ __all__ = [
     "save_dense",
 ]
 
-# Widest operator stored as one dense matrix (`_block_map`, `_small_dense`)
-# and given a dense eigensolve (`_smallest_eig`).  Measured on a 2-vCPU VM:
-# against the lazy form, the flow's dense H (n + 2m columns) takes
-# 0.64-0.70 of the time per evaluation up to 128 columns and repays its
-# longer build within 33 evaluations; at 256 columns it takes 0.90 and needs
-# about 500.  `psd_floor` takes 0.86 and 1.92 ms dense at 96 and 128
-# dimensions, against 19.4 and 22.5 ms by shifted power iteration.
+# Widest operator stored as one dense matrix (`_block_map`,
+# `_metric_spectrum`).  Measured on a 2-vCPU VM: against the lazy form, the
+# flow's dense H (n + 2m columns) takes 0.64-0.70 of the time per evaluation
+# up to 128 columns and repays its longer build within 33 evaluations; at
+# 256 columns it takes 0.90 and needs about 500.
 _DENSE_LIMIT = 128
+
+# Largest dense form, in floats, that a norm or a spectral floor
+# materializes: A itself (out x in) for `operator_norm`, a metric (dim x dim)
+# for `psd_floor`.  2**22 floats is 32 MiB; `eigvalsh` at 2048 x 2048 takes
+# 0.71 s on a 2-vCPU VM.  Past it a certificate is refused, not estimated.
+_EIGENSOLVE_FLOATS = 2 ** 22
 
 
 def _as_vec(x, dim, name="x"):
@@ -169,7 +173,7 @@ class LinearMap:
         return self.apply(x)
 
     def norm(self) -> float:
-        """||A|| by `operator_norm` at its defaults, computed once per map."""
+        """||A|| by `operator_norm`, computed once per map."""
         if self._norm is None:
             self._norm = operator_norm(self)
         return self._norm
@@ -311,33 +315,61 @@ class SelfAdjointPSD:
 
 
 def block_diag(blocks) -> SelfAdjointPSD:
-    """Stack self-adjoint blocks along the diagonal of one operator."""
+    """Stack self-adjoint blocks along the diagonal of one operator; rows
+    apply each block's rows to their column slice."""
     blocks = list(blocks)
     dims = [b.dim for b in blocks]
     offsets = np.cumsum([0] + dims)
+    spans = list(zip(blocks, offsets[:-1], offsets[1:]))
     total = int(offsets[-1])
 
     def apply(x):
         out = np.empty(total)
-        for b, lo, hi in zip(blocks, offsets[:-1], offsets[1:]):
+        for b, lo, hi in spans:
             out[lo:hi] = b.base._raw_apply(x[lo:hi])
         return out
 
-    base = LinearMap(total, total, apply, apply)
+    def rows(x):
+        out = np.empty((len(x), total))
+        for b, lo, hi in spans:
+            out[:, lo:hi] = b.base._rows_apply(x[:, lo:hi])
+        return out
+
+    base = LinearMap(total, total, apply, apply, rows, rows)
     floor = min(b.alpha_floor for b in blocks)
     hints = [b._norm_hint for b in blocks]
     hint = max(hints) if all(h is not None for h in hints) else None
     return SelfAdjointPSD(base, floor, hint)
 
 
-def _small_dense(base: LinearMap) -> LinearMap:
-    """Self-adjoint `base` as one symmetrized dense matrix when it is at
-    most `_DENSE_LIMIT` wide, so each application is a single product
-    instead of a chain of lazy closures; a wider `base` as it is."""
-    if base.in_dim > _DENSE_LIMIT:
-        return base
+def _refuse_past_cap(what, rows, cols):
+    """CertificationError when a rows x cols dense form is past the cap."""
+    if rows * cols > _EIGENSOLVE_FLOATS:
+        raise CertificationError(
+            f"{what}: the {rows} x {cols} dense form holds {rows * cols} "
+            f"floats, past the {_EIGENSOLVE_FLOATS} an exact eigensolve may "
+            f"materialize, and an estimate would not certify it")
+
+
+def _symmetric_spectrum(base: LinearMap, what):
+    """The symmetrized dense matrix of self-adjoint `base` and its
+    eigenvalues in ascending order, refused past the cap."""
+    _refuse_past_cap(what, base.in_dim, base.in_dim)
     mat = base.to_dense()
-    return LinearMap.from_dense(0.5 * (mat + mat.T))
+    mat = 0.5 * (mat + mat.T)
+    return mat, np.linalg.eigvalsh(mat)
+
+
+def _metric_spectrum(base: LinearMap):
+    """Self-adjoint `base`, its smallest eigenvalue and its norm
+    max(|lambda_min|, |lambda_max|), both from one eigensolve.  The map
+    returned is the symmetrized matrix when `base` is at most `_DENSE_LIMIT`
+    wide, so each application is a single product instead of a chain of
+    lazy closures; a wider `base` as it is."""
+    mat, eigs = _symmetric_spectrum(base, "metric")
+    if base.in_dim <= _DENSE_LIMIT:
+        base = LinearMap.from_dense(mat)
+    return base, float(eigs[0]), float(max(-eigs[0], eigs[-1]))
 
 
 def _forward_only(y):
@@ -366,62 +398,32 @@ def _block_map(blocks, in_dims, lazy) -> LinearMap:
     return LinearMap.from_dense(mat)
 
 
-def operator_norm(op: LinearMap, tol=1e-10, max_iters=500, seed=0) -> float:
-    """Largest singular value via power iteration on A* A.
-
-    Deterministic for a fixed seed.  Warns (and returns the best estimate)
-    if the Rayleigh quotient has not stabilized within the budget.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.in_dim)
-    nv = np.linalg.norm(v)
-    if nv == 0.0 or op.in_dim == 0:
+def operator_norm(op: LinearMap) -> float:
+    """||A||_2 exactly: |s| for a scaled identity s I.  For any other map,
+    the square root of the largest eigenvalue of the Gram matrix of A's
+    narrow side (A* A or A A*, whichever is smaller), built from `to_dense`.
+    A map whose dense form is past `_EIGENSOLVE_FLOATS` raises
+    CertificationError before anything is materialized."""
+    if op.scale is not None:
+        return abs(op.scale)
+    _refuse_past_cap("operator_norm", op.out_dim, op.in_dim)
+    if op.in_dim == 0 or op.out_dim == 0:
         return 0.0
-    v /= nv
-    lam = 0.0
-    for _ in range(max_iters):
-        w = op._raw_adjoint(op._raw_apply(v))
-        lam_new = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-30):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    warnings.warn(
-        f"operator_norm: power iteration did not stabilize to {tol:g} "
-        f"in {max_iters} iterations; returning last estimate",
-        PowerIterationWarning,
-    )
-    return float(np.sqrt(max(lam, 0.0)))
-
-
-def _smallest_eig(u: SelfAdjointPSD, tol=1e-10) -> float:
-    """Raw smallest-eigenvalue estimate (may be negative)."""
-    if u.dim <= _DENSE_LIMIT:
-        h = u.base.to_dense()
-        h = 0.5 * (h + h.T)
-        return float(np.linalg.eigvalsh(h)[0])
-    # spectrum of s I - U is s - eig(U), nonnegative for s >= lambda_max,
-    # so the largest singular value of the shift recovers lambda_min
-    s = operator_norm(u.base, tol=tol) * 1.01 + 1e-12
-    shifted = LinearMap.identity(u.dim, s) - u.base
-    return s - operator_norm(shifted, tol=tol)
+    mat = op.to_dense()
+    gram = mat.T @ mat if op.in_dim <= op.out_dim else mat @ mat.T
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def psd_floor(u: SelfAdjointPSD, tol=1e-8, strict=True) -> float:
     """Smallest eigenvalue of `u`; certifies the PSD claim.
 
-    Up to `_DENSE_LIMIT` dimensions the value comes from a dense
-    eigensolve.  Above it, it comes from shifted power iteration, which
-    warns (PowerIterationWarning) when it does not stabilize; the value
-    it returns then can sit above the true smallest eigenvalue.  With
-    `strict` (default), an estimate below -tol raises CertificationError.
+    The value is exact: one eigensolve of the symmetrized dense matrix,
+    which is refused with CertificationError past `_EIGENSOLVE_FLOATS`.
+    With `strict` (default), a value below -tol raises CertificationError.
     Pass strict=False to obtain the raw value for operators whose
     definiteness is the question being decided.
     """
-    lam = _smallest_eig(u, tol=min(tol, 1e-10))
+    lam = float(_symmetric_spectrum(u.base, "psd_floor")[1][0])
     if strict and lam < -tol:
         raise CertificationError(
             f"operator is not positive semidefinite: smallest eigenvalue {lam:.3e}")

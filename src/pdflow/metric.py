@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import (LinearMap, SelfAdjointPSD, _small_dense, block_diag,
-                     operator_norm, psd_floor)
+from .linops import (LinearMap, SelfAdjointPSD, _metric_spectrum, block_diag,
+                     psd_floor)
 
 __all__ = [
     "TauSchedule",
@@ -113,15 +113,14 @@ def x_update_metric(m1: MetricSchedule, c, A: LinearMap, t) -> SelfAdjointPSD:
 
     For the tau family, which must be coupled at this c and A
     (`flow.schedules`), the sum is the scaled identity I / tau(t); other
-    schedules are time-independent and Q is built with its certified
-    floor/norm pair.
+    schedules are time-independent and Q is built with the floor and norm
+    of one eigensolve.
     """
     c = float(c)
     if m1.tau is not None:
         return SelfAdjointPSD.identity(A.in_dim, 1.0 / m1.tau.value(t))
-    base = _small_dense(c * A.gram() + m1.at(0.0).base)
-    floor = psd_floor(SelfAdjointPSD(base, 0.0), strict=False)
-    return SelfAdjointPSD(base, max(floor, 0.0), norm_hint=operator_norm(base))
+    base, floor, norm = _metric_spectrum(c * A.gram() + m1.at(0.0).base)
+    return SelfAdjointPSD(base, max(floor, 0.0), norm_hint=norm)
 
 
 def z_update_metric(m2: MetricSchedule, c, t) -> SelfAdjointPSD:
@@ -136,9 +135,9 @@ def z_update_metric(m2: MetricSchedule, c, t) -> SelfAdjointPSD:
                               m2_t.alpha_floor + c)
     if m2_t.base.scale is not None:
         return SelfAdjointPSD.identity(m2.dim, m2_t.base.scale + c)
-    base = _small_dense(m2_t.base + LinearMap.identity(m2.dim, c))
-    return SelfAdjointPSD(base, m2_t.alpha_floor + c,
-                          norm_hint=operator_norm(base))
+    base, _, norm = _metric_spectrum(
+        m2_t.base + LinearMap.identity(m2.dim, c))
+    return SelfAdjointPSD(base, m2_t.alpha_floor + c, norm_hint=norm)
 
 
 def default_sample_times(horizon, count=50):

@@ -73,7 +73,6 @@ class TestRunChecks:
         assert by_name["lyapunov-descent"].status == "skip"
         assert all(r.ok for r in results)
 
-    @pytest.mark.filterwarnings("ignore::pdflow.linops.PowerIterationWarning")
     def test_broken_adjoint_is_caught(self):
         """A map whose adjoint is wrong must fail the adjoint consistency
         check; other algebraic checks keep running."""
@@ -149,9 +148,9 @@ class TestRunChecks:
 
     def test_closed_form_operator_norms_do_not_grow_with_rhs_calls(
             self, monkeypatch, operator_norm_calls):
-        """||A|| is computed once per map, so a closed-form check makes as
-        many power iterations when its certificate test, which reads ||A||,
-        and each call of its update are repeated."""
+        """||A|| is computed once per map, so a closed-form check computes
+        as many norms when its certificate test, which reads ||A||, and
+        each call of its update are repeated."""
         real_make, real_check = checks._make_update, checks._check_rhs_time
         counts = []
         for repeats in (1, 3):

@@ -1,5 +1,8 @@
 """Tests for run-configuration parsing, serializing, and resolution."""
 
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,20 @@ from pdflow.config import (RunConfig, build_discrete_params,
 from pdflow.errors import ConfigError
 from pdflow.flow import Adaptive, Euler, RK4
 from pdflow.metric import TauSchedule
-from pdflow.problems import catalog
+from pdflow.problems import CATALOG_NAMES, catalog
+
+
+
+def _problem_files():
+    """The shipped problem files; the data files they name hold no
+    [problem] section."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(
+            os.path.dirname(__file__), os.pardir, "problems", "*.txt"))):
+        with open(path, encoding="utf-8") as fh:
+            if "[problem]" in fh.read():
+                found.append(path)
+    return found
 
 
 class TestParse:
@@ -188,6 +204,19 @@ class TestResolveTau:
         assert sched.value(0.0) == pytest.approx(expected, rel=1e-6)
         assert sched.value(0.0) < 4.0 / (lip + 4.0), \
             "auto must sit strictly inside the flow condition"
+
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    @pytest.mark.parametrize(
+        "problem", list(CATALOG_NAMES) + _problem_files(),
+        ids=lambda s: os.path.basename(s))
+    def test_auto_is_inside_the_step_test_by_its_margin(self, problem, c):
+        """c tau ||A||^2 <= 0.99 with the exact ||A||_2: the 1 percent
+        margin of `auto` is not eaten by an estimate of the norm that
+        reads low."""
+        p = load_problem(problem)
+        norm = np.linalg.norm(p.A.to_dense(), 2)
+        tau = resolve_tau("auto", p, c, 0.5).value(0.0)
+        assert c * tau * norm ** 2 <= 0.99 * (1.0 + 1e-12)
 
     def test_garbage_rejected(self, example1):
         with pytest.raises(ConfigError):

@@ -5,16 +5,13 @@ matrix-free result is compared against the same computation done with
 explicit arrays.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
 from pdflow import linops
 from pdflow.errors import CertificationError
-from pdflow.linops import (LinearMap, PowerIterationWarning, SelfAdjointPSD,
-                           block_diag, load_dense, operator_norm, psd_floor,
-                           save_dense)
+from pdflow.linops import (LinearMap, SelfAdjointPSD, block_diag, load_dense,
+                           operator_norm, psd_floor, save_dense)
 
 
 def _random_dense(rng, rows, cols):
@@ -216,15 +213,44 @@ class TestOperatorNorm:
     def test_zero_map(self):
         assert operator_norm(LinearMap.zero(3, 3)) == 0.0
 
-    def test_budget_warning(self):
-        mat = np.diag([1.0, 1.0 - 1e-12, 0.5])
-        op = LinearMap.from_dense(mat)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = operator_norm(op, tol=1e-16, max_iters=2)
-        assert any(issubclass(w.category, PowerIterationWarning)
-                   for w in caught)
-        assert 0.4 < value <= 1.0 + 1e-9
+    @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "closure"])
+    def test_clustered_top_singular_values_are_exact(self, lazy):
+        """Top two singular values within 1e-4 relative: the norm still
+        equals the SVD's to 1e-12, for a dense map and for a map from
+        closures alone, whose matrix comes from its applications."""
+        rng = np.random.default_rng(113)
+        for rows, cols in [(8, 8), (6, 9), (9, 6)] * 4:
+            k = min(rows, cols)
+            u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+            v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+            top = rng.uniform(0.5, 2.0)
+            s = np.concatenate([[top, top * (1.0 - rng.uniform(0.0, 1e-4))],
+                                rng.uniform(0.1, 0.4 * top, k - 2)])
+            mat = (u * s) @ v.T
+            op = _one_point_map(mat) if lazy else LinearMap.from_dense(mat)
+            assert (op.mat is None) == lazy
+            assert operator_norm(op) == pytest.approx(
+                np.linalg.norm(mat, 2), rel=1e-12, abs=0.0)
+
+    def test_scaled_identity_is_its_scale(self):
+        assert operator_norm(LinearMap.identity(5, -2.5)) == 2.5
+
+    def test_past_the_cap_is_refused_before_any_application(self):
+        """A dense form past the cap raises CertificationError without
+        calling the map: closures that raise if called allocate nothing."""
+        def never(x):
+            raise AssertionError("the map was applied")
+
+        cap = 2 ** 22
+        wide = LinearMap(2 ** 11 + 1, 2 ** 11 + 1, never, never)
+        with pytest.raises(CertificationError, match="dense form"):
+            operator_norm(wide)
+        with pytest.raises(CertificationError, match="dense form"):
+            psd_floor(SelfAdjointPSD(wide), strict=False)
+        flat = LinearMap(cap + 1, 1, never, never)
+        with pytest.raises(CertificationError, match="dense form"):
+            operator_norm(flat)
+        assert linops._EIGENSOLVE_FLOATS == cap
 
 
 class TestSelfAdjointPSD:
@@ -297,6 +323,34 @@ class TestBlockDiag:
         total = x[:2] @ m1 @ x[:2] + x[2:] @ m2 @ x[2:]
         np.testing.assert_allclose(op.seminorm_sq(x), total, rtol=1e-12)
 
+    def test_rows_match_unit_vectors_bit_for_bit(self):
+        """The rows path (each block's rows on its column slice) gives the
+        matrix that applying the map to each unit vector gives, sign bits
+        included, and each row of a batch equals that row applied alone."""
+        rng = np.random.default_rng(37)
+        a = _random_dense(rng, 3, 4)
+        gram = LinearMap.from_dense(a).gram()
+        blocks = [
+            SelfAdjointPSD(LinearMap.identity(4, 2.0) - 0.5 * gram),
+            SelfAdjointPSD(_one_point_map(a @ a.T) + LinearMap.identity(3)),
+            SelfAdjointPSD.from_dense(a @ a.T),
+            SelfAdjointPSD.identity(3, 0.25),
+            SelfAdjointPSD.zero(2)]
+        base = block_diag(blocks).base
+        eye = np.eye(base.in_dim)
+        _same_bits(base.to_dense(), np.array([base.apply(e) for e in eye]).T)
+        X = rng.standard_normal((9, base.in_dim))
+        _same_bits(base.apply(X), [base.apply(x) for x in X])
+
+
+def _shifted_gram(dim):
+    """B^T B / dim + 0.5 I for a standard normal B seeded by dim, whose
+    smallest eigenvalues cluster just above 0.5."""
+    rng = np.random.default_rng(dim)
+    base = rng.standard_normal((dim, dim))
+    mat = base.T @ base / dim + 0.5 * np.eye(dim)
+    return 0.5 * (mat + mat.T)
+
 
 class TestPsdFloor:
     def test_dense_floor_is_smallest_eigenvalue(self):
@@ -319,30 +373,48 @@ class TestPsdFloor:
 
     @pytest.mark.parametrize("dim", [96, 128])
     def test_dense_up_to_the_limit(self, dim):
-        """Up to `_DENSE_LIMIT` the floor is a dense eigensolve.  Shifted
-        power iteration on these matrices warns and reads about 0.2 %
-        above the true floor, the unsafe side of a PSD certificate."""
-        rng = np.random.default_rng(dim)
-        base = rng.standard_normal((dim, dim))
-        mat = base.T @ base / dim + 0.5 * np.eye(dim)
-        mat = 0.5 * (mat + mat.T)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", PowerIterationWarning)
-            got = psd_floor(SelfAdjointPSD.from_dense(mat))
+        """The floor is a dense eigensolve; shifted power iteration on
+        these matrices read about 0.2 % above the true floor, the unsafe
+        side of a PSD certificate."""
+        mat = _shifted_gram(dim)
+        got = psd_floor(SelfAdjointPSD.from_dense(mat))
         assert got == pytest.approx(float(np.linalg.eigvalsh(mat)[0]),
                                     rel=1e-12, abs=0.0)
 
-    def test_large_dimension_uses_shifted_power_iteration(self):
-        """Above the dense cutoff the floor comes from a spectral shift;
-        it must still agree with eigvalsh on the same matrix."""
+    def test_clustered_floor_past_the_dense_limit(self):
+        """At 160 dimensions, past `_DENSE_LIMIT`, shifted power iteration
+        read 0.500810 against a floor of 0.500023; the floor is still the
+        exact eigensolve."""
+        mat = _shifted_gram(160)
+        assert len(mat) > linops._DENSE_LIMIT
+        got = psd_floor(SelfAdjointPSD.from_dense(mat))
+        assert got == pytest.approx(float(np.linalg.eigvalsh(mat)[0]),
+                                    rel=1e-12, abs=0.0)
+
+    def test_metric_norm_is_the_largest_magnitude(self):
+        """`_metric_spectrum` reads the floor and the norm
+        max(|lambda_min|, |lambda_max|) off one eigensolve, an indefinite
+        matrix included, and stores the matrix it solved."""
+        rng = np.random.default_rng(47)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        for eigs, norm in [([-3.0, 1.0, 2.0], 3.0), ([-1.0, 0.5, 2.0], 2.0)]:
+            mat = (q * eigs) @ q.T
+            base, floor, got = linops._metric_spectrum(_one_point_map(mat))
+            solved = np.linalg.eigvalsh(base.mat)
+            assert (floor, got) == (solved[0], max(-solved[0], solved[-1]))
+            assert floor == pytest.approx(eigs[0], rel=1e-12)
+            assert got == pytest.approx(norm, rel=1e-12)
+
+    def test_large_dimension_is_an_eigensolve(self):
+        """Above the dense storage limit the floor is the same exact
+        eigensolve; it must agree with the spectrum the matrix was built
+        from."""
         rng = np.random.default_rng(43)
         dim = linops._DENSE_LIMIT + 32
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         eigs = np.concatenate([[0.3], rng.uniform(1.0, 3.0, dim - 1)])
         mat = (q * eigs) @ q.T
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PowerIterationWarning)
-            got = psd_floor(SelfAdjointPSD.from_dense(mat), tol=1e-10)
+        got = psd_floor(SelfAdjointPSD.from_dense(mat), tol=1e-10)
         assert got == pytest.approx(0.3, abs=1e-6)
 
 

@@ -97,6 +97,17 @@ class TestXUpdateMetric:
         x = np.array([0.7, -0.4])
         np.testing.assert_allclose(q1.apply(x), dense @ x, atol=1e-12)
 
+    def test_floor_and_norm_from_one_eigensolve(self, operator_norm_calls):
+        """A dense Q takes its floor and its norm from one eigensolve of
+        the matrix it stores; no separate norm is computed."""
+        mat = np.array([[1.2, 0.3], [0.3, 0.9]])
+        m1 = MetricSchedule.constant(SelfAdjointPSD.from_dense(mat))
+        q = x_update_metric(m1, 2.0, _A2, 0.0)
+        eigs = np.linalg.eigvalsh(q.base.mat)
+        assert q.alpha_floor == eigs[0]
+        assert q.norm() == eigs[-1]
+        assert operator_norm_calls == []
+
     def test_q_is_per_map_when_maps_are_freed(self):
         # Each map is dropped after its call, so a later one may reuse its
         # id; each Q must be built from the map it is given.
@@ -134,6 +145,14 @@ class TestZUpdateMetric:
         assert q.alpha_floor == pytest.approx(floor + 2.0)
         assert q.norm() == pytest.approx(
             float(np.linalg.eigvalsh(dense)[-1]), rel=1e-8)
+
+    def test_dense_norm_from_one_eigensolve(self, operator_norm_calls):
+        mat = np.array([[1.0, 0.4], [0.4, 0.6]])
+        m2 = MetricSchedule.constant(SelfAdjointPSD.from_dense(mat, 0.3))
+        q = z_update_metric(m2, 2.0, 0.0)
+        assert q.norm() == np.linalg.eigvalsh(q.base.mat)[-1]
+        assert q.alpha_floor == 2.3
+        assert operator_norm_calls == []
 
 
 class TestCertify:

@@ -87,7 +87,7 @@ def _counted(f, with_jac):
 
 def _fresh(q):
     """A copy of q that keeps no Newton inverses (its norm is copied, so
-    the copy costs no power iteration)."""
+    the copy costs no eigensolve)."""
     return SelfAdjointPSD(q.base, q.alpha_floor, q.norm())
 
 

@@ -34,7 +34,9 @@ to the lazy maps of a wide problem.  Last come `flow --c 1.5 --horizon 20`
 and `discrete --c 1.5` on lasso-small and `problems/l1-box.txt`, then
 `flow --horizon 5` on `problems/wide-lasso.txt` and `discrete` on
 `problems/wide-identity.txt`, whose H and B apply A lazily; all of them at
-`--tau auto --dump-state`.
+`--tau auto --dump-state`.  Last of all, `check --tau auto` on
+`problems/wide-lasso.txt`, whose report pins the floors `certify` reads and
+the norm of the largest shipped A, 40 x 64.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ def commands():
     auto = ["--tau", "auto", "--dump-state"]
     yield ["flow", "--problem", WIDE_LASSO, *auto, "--horizon", "5"]
     yield ["discrete", "--problem", WIDE_IDENTITY, *auto]
+    yield ["check", "--problem", WIDE_LASSO, "--tau", "auto"]
 
 
 def _sha(data: bytes) -> str:
