@@ -35,6 +35,13 @@ iteration is that ADMM at gamma = 1 from z0 = A x0.  The modes:
                       constant M2 = s I (s = 0, no M2, included) are single
                       prox calls; requires a uniformly positive x-metric
 
+The update takes an optional start (x, z) for its `metric_prox` solves,
+which otherwise start at the state's own x and z.  `integrate` passes the
+previous evaluation's (x_new, z_new): a stage point's x lags behind the
+solution's l1 pattern during a transient, and semismooth Newton, exact once
+it has the pattern, then has fewer patterns to walk through.  An ADMM
+iterate already is the previous solution, so `discrete` passes none.
+
 Every integrator is an explicit Runge-Kutta method given by its Butcher
 tableau (Hairer-Norsett-Wanner, Solving ODEs I, II.1-II.4): fixed-step
 Euler (at unit step, proximal ADMM), fixed-step classical RK4, and the
@@ -232,12 +239,15 @@ def schedules(p: ProblemSpec, c, tau=None, m1=None, m2=None):
 
 def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
                  m1: MetricSchedule | None, m2: MetricSchedule | None, tol):
-    """Build the proximal ADMM update (t, s) -> (x_new, z_new, w) on the
-    flat state s = x | z | y, with z_new taken at the relaxed point
+    """Build the proximal ADMM update (t, s, start=None) -> (x_new, z_new, w)
+    on the flat state s = x | z | y, with z_new taken at the relaxed point
     x + gamma (x_new - x) and the dual velocity w = c (A x_new - z_new); t is
     the flow time or the iteration index k.  The x-step of a tau family is
     positive for t >= 0 and the update passes it to the raw prox of f, so a
-    caller at t < 0 certifies it first (`_check_step`).
+    caller at t < 0 certifies it first (`_check_step`).  A `metric_prox`
+    solve of the x (z) block starts at start[0] (start[1]) when a start
+    (x, z) is given, and at s's own x (z) otherwise; single proxes ignore
+    it.
 
     Every affine term is a fixed linear function of s or x_new, so the run
     builds two maps once: `r = H s` gives the affine inputs of both blocks
@@ -355,7 +365,7 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
             None if f.affine is None else f.affine(tau0),
             None if g.affine is None else g.affine(z_step))
 
-    def update(t, s):
+    def update(t, s, start=None):
         r = h_apply(s)
         rx = r[:n]
         if q is not None:
@@ -366,7 +376,8 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
             tau_t = x_tau.value(t)
             x_new = f_prox(tau_t, s[:n] - tau_t * rx)
         else:
-            x_new = metric_prox(f, q1, rx, s[:n], tol=tol)
+            x_new = metric_prox(f, q1, rx,
+                                s[:n] if start is None else start[0], tol=tol)
         bx = b_apply(x_new)
         rz = r[n:] + bx[:m]
         if z_prox:
@@ -379,7 +390,8 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
                 q2_t = z_update_metric(m2, c, t)
             else:
                 q2_t = q2
-            z_new = metric_prox(g, q2_t, lin, z, tol=tol)
+            z_new = metric_prox(g, q2_t, lin,
+                                z if start is None else start[1], tol=tol)
         return x_new, z_new, bx[m:] - c * z_new
 
     return update
@@ -402,6 +414,8 @@ def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f_prox,
     * f affine: x_new = a (Fx s + fx) + b = Mx s + x0 is r's x rows, with
       M = [Mx; Hz + Bz Mx; Bw Mx] and m0 = [x0; Bz x0; Bw x0]
     * both: the f fold on top of the g fold (its G in place of B)
+
+    Both proxes are exact single calls, so the update ignores a start.
     """
     iy = n + m
     M = np.zeros((n + 2 * m, hmat.shape[1]))
@@ -434,7 +448,7 @@ def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f_prox,
     if not m0.any():
         m0 = None
 
-    def update(t, s):
+    def update(t, s, start=None):
         r = m_dot(s)
         if m0 is not None:
             r += m0
@@ -562,6 +576,11 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     trajectory gets trimmed copies of them.  Each entry
     is the floating-point expression a per-step build would evaluate, so
     the trajectory is bit for bit that of such a loop (the tests keep one).
+
+    Each rhs evaluation starts its `metric_prox` solves at the previous
+    evaluation's (x_new, z_new), whichever stage, step or rejected adaptive
+    trial made it; the run's first evaluation starts at its own stage
+    point, so it is `rhs` bit for bit.
     """
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
@@ -617,9 +636,13 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     ts[0], U[0], integrals[0] = 0.0, u0, ints
     n_rec = 1
 
+    start = None  # the previous evaluation's (x_new, z_new)
+
     def slope(view, t_i):
+        nonlocal start
         s_i, s_x, s_z, k_x, k_z, k_y = view
-        x_new, z_new, w = update(t_i, s_i)
+        x_new, z_new, w = update(t_i, s_i, start)
+        start = x_new, z_new
         np.subtract(x_new, s_x, out=k_x)
         np.subtract(z_new, s_z, out=k_z)
         k_y[:] = w

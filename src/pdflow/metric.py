@@ -126,13 +126,12 @@ def x_update_metric(m1: MetricSchedule, c, A: LinearMap, t) -> SelfAdjointPSD:
 def z_update_metric(m2: MetricSchedule, c, t) -> SelfAdjointPSD:
     """The z-subproblem metric Q = M2(t) + c I, with floor alpha(M2) + c,
     built on each call; a constant scaled identity s I gives the scaled
-    identity (s + c) I with analytic floor and norm.
+    identity (s + c) I with analytic floor and norm.  Any other M2, a tau
+    family included, gives Q with the norm of one eigensolve, stored as a
+    dense matrix up to the dense limit.
     """
     c = float(c)
     m2_t = m2.at(t)
-    if m2.tau is not None:
-        return SelfAdjointPSD(m2_t.base + LinearMap.identity(m2.dim, c),
-                              m2_t.alpha_floor + c)
     if m2_t.base.scale is not None:
         return SelfAdjointPSD.identity(m2.dim, m2_t.base.scale + c)
     base, _, norm = _metric_spectrum(

@@ -345,6 +345,24 @@ class TestChunkedStop:
                    for seed in range(4)}
         assert reasons <= {"tolerance", "budget"}
 
+    @pytest.mark.parametrize("dense_m2", [False, True])
+    def test_general_metric_matches_reference(self, dense_m2):
+        """`metric_prox` solves in both blocks (a dense M2) or in x alone:
+        `run` steps update(k, s) with no start, so every iterate is the
+        start-less loop's, bit for bit."""
+        p = catalog("lasso-small")
+        rng = np.random.default_rng(6)
+        b = rng.standard_normal((p.m, p.m)) / np.sqrt(p.m)
+        m2 = (SelfAdjointPSD.from_dense(b @ b.T + 0.3 * np.eye(p.m), 0.3)
+              if dense_m2 else SelfAdjointPSD.identity(p.m, 0.5))
+        d = DiscreteParams(c=1.0, gamma=0.5, max_iters=300, stop_tol=1e-10,
+                           m1=MetricSchedule.constant(
+                               SelfAdjointPSD.identity(p.n, 0.5)),
+                           m2=MetricSchedule.constant(m2))
+        for seed in range(2):
+            out = _assert_matches_reference(p, d, _seeded_start(p, seed))
+            assert out.stop_reason == "tolerance"
+
     def test_divergent_run_matches_reference(self):
         p = catalog("box-qp")
         d = DiscreteParams(c=1.0, gamma=1.0, tau=0.2, max_iters=500,

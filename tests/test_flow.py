@@ -188,6 +188,23 @@ class TestErgodicAverage:
             ergodic(s0.t, v0, v0, np.zeros(4))
 
 
+def _dense_m2_case(p):
+    """lasso-small at c = 1: M1 = 0.5 I and a dense diagonal M2."""
+    m2_mat = np.diag(np.linspace(0.2, 1.0, p.m))
+    return 1.0, MetricSchedule.constant(
+        SelfAdjointPSD.identity(p.n, 0.5)), MetricSchedule.constant(
+        SelfAdjointPSD.from_dense(m2_mat, alpha_floor=0.2))
+
+
+def _tau_family_m2_case(p):
+    """example1 at c = 2: tau-family M1, and a tau-family M2(t) coupled at
+    c = 2 on A*, whose z-metric moves with t."""
+    return 2.0, MetricSchedule.tau_family(
+        TauSchedule.saturating(0.05, 0.2), 2.0, p.A), \
+        MetricSchedule.tau_family(TauSchedule.saturating(0.1, 0.45), 2.0,
+                                  p.A.T)
+
+
 class TestIntegrate:
     def test_saddle_is_stationary(self, example1):
         s0 = SystemState(np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
@@ -280,21 +297,22 @@ class TestIntegrate:
             defect = p.A.apply(xt) - zt - (s.y - y0) / (c * s.t)
             assert float(np.abs(defect).max()) <= 1e-8
 
+    @pytest.mark.parametrize("name,case", [
+        ("lasso-small", _dense_m2_case), ("example1", _tau_family_m2_case)],
+        ids=["dense-m2", "tau-family-m2"])
     def test_general_metric_operator_norms_do_not_grow_with_evals(
-            self, operator_norm_calls):
-        """Subproblem metrics and their norms are built once per run, so the
-        number of norm computations does not scale with rhs evaluations."""
+            self, operator_norm_calls, name, case):
+        """Subproblem metrics carry the norm of the eigensolve that builds
+        them, once per run or, for a moving M2(t), once per z-update, so the
+        number of `operator_norm` calls does not scale with rhs
+        evaluations."""
         calls = operator_norm_calls
         counts = []
         for horizon in (0.5, 2.0):
-            p = catalog("lasso-small")  # fresh: ||A|| is cached on the map
-            m2_mat = np.diag(np.linspace(0.2, 1.0, p.m))
-            params = FlowParams(
-                c=1.0, gamma=0.5, horizon=horizon,
-                m1=MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5)),
-                m2=MetricSchedule.constant(
-                    SelfAdjointPSD.from_dense(m2_mat, alpha_floor=0.2)),
-                integrator=RK4(h=0.1))
+            p = catalog(name)  # fresh: ||A|| is cached on the map
+            c, m1, m2 = case(p)
+            params = FlowParams(c=c, gamma=0.5, horizon=horizon, m1=m1, m2=m2,
+                                integrator=RK4(h=0.1))
             calls.clear()
             traj = integrate(p, params)
             counts.append((len(calls), traj.rhs_evals))
@@ -900,11 +918,14 @@ class TestAffineFold:
                 assert np.array_equal(g, w)
 
 
-def _reference_integrate(p, params, s0=None, record_every=1):
+def _reference_integrate(p, params, s0=None, record_every=1, warm=True):
     """`integrate` as a loop that slices its stage views, scales the
     tableau and appends a (t, U, integrals) tuple per step, stacking the
     records at the end.  It caps only the steps after an accepted one at
-    h_max, so the cases below keep h0 <= h_max."""
+    h_max, so the cases below keep h0 <= h_max.  Each evaluation starts its
+    subproblem solves at the previous evaluation's (x_new, z_new), as
+    `integrate` does; with warm=False every one starts at its stage
+    point."""
     u0 = flow._start_row(p, s0)
     flow._check_certificates(p, params)
     update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
@@ -927,9 +948,14 @@ def _reference_integrate(p, params, s0=None, record_every=1):
     ints = np.zeros(iy)
     recs = [(0.0, u0, ints.copy())]
 
+    start = None
+
     def slope(i, t_i):
+        nonlocal start
         s_i, k_i = pts[i], ks[i]
-        x_new, z_new, w = update(t_i, s_i)
+        x_new, z_new, w = update(t_i, s_i, start)
+        if warm:
+            start = x_new, z_new
         np.subtract(x_new, s_i[:iz], out=k_i[:iz])
         np.subtract(z_new, s_i[iz:iy], out=k_i[iz:iy])
         k_i[iy:] = w
@@ -1058,6 +1084,116 @@ class TestStepLoop:
                             horizon=3.0,
                             integrator=Adaptive(rel_tol=1e-12, abs_tol=1e-12))
         assert len(self._assert_same(example1, params, 1).t) > 256
+
+
+def _half_metrics(p, m2=None):
+    """M1 = 0.5 I and M2 = 0.5 I (or m2), the `metric-lasso` metrics."""
+    half = SelfAdjointPSD.identity
+    return (MetricSchedule.constant(half(p.n, 0.5)),
+            MetricSchedule.constant(half(p.m, 0.5)) if m2 is None else m2)
+
+
+def _radius_starts(p, count, seed=11):
+    """Seeded starts x0, z0 = A x0, y0 with x0 and y0 at radius sqrt(dim)."""
+    rng = np.random.default_rng(seed)
+
+    def draw(dim):
+        u = rng.standard_normal(dim)
+        return math.sqrt(dim) * u / np.linalg.norm(u)
+
+    for _ in range(count):
+        x0, y0 = draw(p.n), draw(p.m)
+        yield SystemState(x0, p.A.apply(x0), y0, 0.0)
+
+
+class TestWarmStart:
+    """`integrate` starts the `metric_prox` solves of each rhs evaluation
+    at the previous evaluation's (x_new, z_new)."""
+
+    def test_prox_evaluations_per_call(self, monkeypatch):
+        """The `metric-lasso` flow setup (lasso-small, M1 = M2 = 0.5 I, RK4
+        h = 0.05, T = 5) from four seeded starts: an x-update spends at most
+        2.2 prox evaluations on average, where a solve from the stage point
+        spends more (2.6 on these starts)."""
+        p = catalog("lasso-small")
+        m1, m2 = _half_metrics(p)
+        params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=5.0,
+                            integrator=RK4(h=0.05))
+        proxes = []
+        real = p.f._prox
+
+        def counting(t, u):
+            proxes.append(1)
+            return real(t, u)
+
+        monkeypatch.setattr(p.f, "_prox", counting)
+        per_call = {}
+        for warm in (True, False):
+            proxes.clear()
+            evals = 0
+            for s0 in _radius_starts(p, 4):
+                if warm:
+                    evals += integrate(p, params, s0).rhs_evals
+                else:
+                    evals += _reference_integrate(p, params, s0,
+                                                  warm=False).rhs_evals
+            per_call[warm] = len(proxes) / evals
+        assert per_call[True] <= 2.2 < per_call[False]
+
+    def test_each_evaluation_starts_at_the_last_solution(self, monkeypatch):
+        """Adaptive trials with rejections and a dense M2, so both blocks
+        are `metric_prox` solves: the first evaluation gets no start and is
+        `rhs` bit for bit; every later one gets the (x_new, z_new) the one
+        before it returned, across stages, steps and rejected trials."""
+        p = catalog("lasso-small")
+        m1, m2 = _half_metrics(p, MetricSchedule.constant(_dense_pd(p.m, 6)))
+        params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=2.0,
+                            integrator=Adaptive(rel_tol=1e-8, h0=1.0))
+        s0 = next(_radius_starts(p, 1))
+        calls = []
+        real = flow._make_update
+
+        def recording(*args):
+            update = real(*args)
+
+            def recorded(t, s, start=None):
+                out = update(t, s, start)
+                calls.append((t, s.copy(), start, out))
+                return out
+            return recorded
+
+        monkeypatch.setattr(flow, "_make_update", recording)
+        traj = integrate(p, params, s0)
+        monkeypatch.undo()
+        assert traj.rhs_evals == len(calls)
+        assert traj.rhs_evals > 1 + 6 * (len(traj.t) - 1), "no rejection"
+        t0, u0, start, (x_new, z_new, w) = calls[0]
+        assert t0 == 0.0 and start is None
+        u, v, want_w = rhs(p, params, 0.0, s0)
+        n, m = p.n, p.m
+        assert (x_new - u0[:n]).tobytes() == u.tobytes()
+        assert (z_new - u0[n:n + m]).tobytes() == v.tobytes()
+        assert w.tobytes() == want_w.tobytes()
+        for before, after in zip(calls, calls[1:]):
+            assert after[2][0] is before[3][0]
+            assert after[2][1] is before[3][1]
+
+    @pytest.mark.parametrize("dense_m2", [False, True])
+    def test_matches_cold_starts(self, dense_m2):
+        """An RK4 general-metric flow agrees with the loop whose solves all
+        start at their stage points to 1e-12 relative, row by row."""
+        p = catalog("lasso-small")
+        m1, m2 = _half_metrics(p, MetricSchedule.constant(_dense_pd(p.m, 6))
+                               if dense_m2 else None)
+        params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=5.0,
+                            integrator=RK4(h=0.05))
+        for s0 in _radius_starts(p, 2):
+            got = integrate(p, params, s0)
+            want = _reference_integrate(p, params, s0, warm=False)
+            assert got.t.tobytes() == want.t.tobytes()
+            gap = np.linalg.norm(got.U - want.U, axis=1) / np.maximum(
+                1.0, np.linalg.norm(want.U, axis=1))
+            assert gap.max() <= 1e-12
 
 
 class TestAdaptiveStepCap:

@@ -7,16 +7,17 @@ Usage, from the root of the tree under test:
 The subproblems are every x-update of four general-metric RK4 flows on
 lasso-small (c = 1, gamma = 0.5, M1 = M2 = 0.5 I, step 0.05, horizon 5),
 from seeded starts at radius sqrt(dim): the flow runs of the `metric-lasso`
-benchmark workload.  Each is solved as recorded (Newton, then FISTA if
-needed), once in the run's own Q, which already keeps the inverse Newton
-matrix of every prox-Jacobian pattern the run met (warm), and once in a
-fresh copy of Q per call, which keeps none (cold); and with f wrapped
-without its prox Jacobian (FISTA alone).  The script prints the Newton
-steps and distinct Jacobian patterns of each flow run; then, per path,
-microseconds per call (min of 5 passes) and prox evaluations per call;
-then the number of calls that went on to FISTA after a full Newton
-phase, whether the cold and warm solutions are bit-equal, and the largest
-difference between the Newton and FISTA solutions.
+benchmark workload.  Each is solved as recorded, from the start the flow
+gave it (Newton, then FISTA if needed), once in the run's own Q, which
+already keeps the inverse Newton matrix of every prox-Jacobian pattern
+the run met (kept inverses), and once in a copy of Q per call, which keeps
+none (fresh Q); and with f wrapped without its prox Jacobian (FISTA
+alone).  The script prints the Newton steps and distinct Jacobian patterns
+of each flow run; then, per path, microseconds per call (min of 5 passes)
+and prox evaluations per call; then the number of calls that went on to
+FISTA after a full Newton phase, whether the solutions in a fresh Q and
+with kept inverses are bit-equal, and the largest difference between the
+Newton and FISTA solutions.
 """
 
 from __future__ import annotations
@@ -91,14 +92,14 @@ def _fresh(q):
     return SelfAdjointPSD(q.base, q.alpha_floor, q.norm())
 
 
-def measure(calls, with_jac, cold=False):
+def measure(calls, with_jac, fresh=False):
     """Solutions, us per call, prox evaluations per call, and fallbacks;
-    with `cold`, each call solves in a fresh copy of its Q."""
+    with `fresh`, each call solves in a fresh copy of its Q."""
     if not with_jac:
         calls = [(separable(f.dim, f, f._prox), *rest) for f, *rest in calls]
     best = np.inf
     for _ in range(REPEATS):
-        batch = [(f, _fresh(q) if cold else q, *rest)
+        batch = [(f, _fresh(q) if fresh else q, *rest)
                  for f, q, *rest in calls]
         t0 = time.perf_counter()
         for f, q, lin, x0, tol in batch:
@@ -106,7 +107,7 @@ def measure(calls, with_jac, cold=False):
         best = min(best, time.perf_counter() - t0)
     sols, evals, fallbacks = [], [], 0
     for f, q, lin, x0, tol in calls:
-        q = _fresh(q) if cold else q
+        q = _fresh(q) if fresh else q
         g, count = _counted(f, with_jac)
         sols.append(metric_prox(g, q, lin, x0, tol=tol))
         evals.append(count["prox"])
@@ -124,16 +125,17 @@ def main() -> int:
         print(f"flow run {i}: {steps} newton steps, {patterns} distinct "
               "jacobian patterns")
     newton = measure(calls, with_jac=True)
-    cold = measure(calls, with_jac=True, cold=True)
+    fresh = measure(calls, with_jac=True, fresh=True)
     fista = measure(calls, with_jac=False)
-    for name, (_, us, evals, _) in (("newton warm", newton),
-                                    ("newton cold", cold),
+    for name, (_, us, evals, _) in (("kept inverses", newton),
+                                    ("fresh Q", fresh),
                                     ("fista only", fista)):
-        print(f"{name:>12}: {us:7.1f} us/call (min of {REPEATS}), prox evals "
+        print(f"{name:>13}: {us:7.1f} us/call (min of {REPEATS}), prox evals "
               f"per call median {np.median(evals):g}, mean {evals.mean():.1f}, "
               f"max {evals.max()}")
     print(f"fista after a full newton phase: {newton[3]} of {len(calls)}")
-    print(f"cold == warm, bit for bit: {np.array_equal(cold[0], newton[0])}")
+    print(f"fresh Q == kept inverses, bit for bit: "
+          f"{np.array_equal(fresh[0], newton[0])}")
     print(f"max |newton - fista only|: {np.abs(newton[0] - fista[0]).max():.2e}")
     return 0
 

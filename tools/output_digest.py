@@ -6,8 +6,12 @@ Usage, from the root of the tree under test:
 
 Each run goes through `pdflow.cli.main` in its own temporary directory.
 The script prints the run's arguments and exit code, then the sha256 of its
-stdout, its stderr and every file it wrote, in name order.  Two trees whose
-digests diff clean wrote byte-identical outputs for every run.
+stdout, its stderr and every file it wrote, in name order.  The stderr
+hash covers what the run printed there, then each warning it raised as
+its category and message, as `tools/output_diff.py` keeps them: not the
+file and line it came from, which move with the source and differ between
+checkouts.  Two trees whose digests diff clean wrote byte-identical
+outputs for every run.
 
 The runs: `flow --tau auto --horizon 20 --dump-state` and `check --tau
 auto` with each integrator, `discrete --tau auto --dump-state` with each
@@ -109,9 +113,10 @@ def run(argv) -> list:
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
+                warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.main(argv + ["--out", tmp])
+        err.writelines(f"{w.category.__name__}: {w.message}\n" for w in caught)
         lines = [f"{' '.join(argv)}: exit {code}",
                  f"  {_sha(out.getvalue().encode())}  <stdout>",
                  f"  {_sha(err.getvalue().encode())}  <stderr>"]
