@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# Iterates whose KKT residuals `run` evaluates in one call.
+# The most iterates whose KKT residuals `run` evaluates in one call.
 STOP_CHUNK = 16
 
 
@@ -157,6 +157,21 @@ class DiscreteRun:
         return len(self.U) - 1
 
 
+def _next_chunk(start, end, span, stop_tol):
+    """Rows to compute before the next stop test.  The residual maximum
+    fell from `start` to `end` over the last `span` rows; the chunk is the
+    number of rows that rate takes from `end` down to stop_tol, within
+    [1, STOP_CHUNK], and `STOP_CHUNK` when the maximum did not fall.  The
+    rate is a difference of logs, so no ratio can underflow to 0."""
+    if not (span > 0 and 0.0 < end < start and stop_tol > 0.0):
+        return STOP_CHUNK
+    rate = (math.log(end) - math.log(start)) / span
+    if not rate < 0.0:
+        return STOP_CHUNK
+    need = (math.log(stop_tol) - math.log(end)) / rate
+    return min(max(math.ceil(need), 1), STOP_CHUNK)
+
+
 def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
         algorithm: str = "admm") -> DiscreteRun:
     """Iterate until the KKT residual max-component drops to stop_tol,
@@ -170,11 +185,16 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
     splitting variable z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c, while row
     0 keeps s0.  Raises ValueError if s0 has the wrong dimensions.
 
-    The divergence test runs on every iterate, the residuals on
-    `STOP_CHUNK` iterates at a time, in one `kkt_residuals` call.  The run
-    ends at the first row at or below stop_tol and drops the iterates
-    computed after it, so the result is the one an iterate-by-iterate loop
-    returns, even when a dropped iterate raised.
+    The divergence test runs on every iterate, the residuals on a chunk
+    of iterates at a time, in one `kkt_residuals` call.  The first chunk
+    is `STOP_CHUNK` rows; each next one is the number of rows that the
+    decay of the residual maxima over the last chunk predicts it takes to
+    reach stop_tol (`_next_chunk`), so a run computes few iterates past
+    its stop row.  The run ends at the first row at or below stop_tol and
+    drops the iterates computed after it.  Each row's residuals are
+    bit-equal to that row's alone, so the result is the one an
+    iterate-by-iterate loop returns, whatever the chunks, even when a
+    dropped iterate raised.
 
     The iterates go into one array that doubles when full; a chunk of the
     stop test is a view of it, and the result a trimmed copy.  The
@@ -202,21 +222,31 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
     if algorithm == "cp":
         s = u0.copy()
         s[n:iy] = p.A._raw_apply(u0[:n])
-    count, checked = 1, 0
+    count, checked, chunk = 1, 0, STOP_CHUNK
     blocks = []
 
     def stop_row():
-        """Evaluate the residuals of the rows not yet checked; the index of
-        the first at or below stop_tol, or None."""
-        nonlocal checked
+        """Evaluate the residuals of the rows not yet checked and size the
+        next chunk; the index of the first row at or below stop_tol, or
+        None."""
+        nonlocal checked, chunk
         first, checked = checked, count
         if first == checked:
             return None
         block = U[first:count]
         blocks.append(kkt_residuals(p, block[:, :n], block[:, n:iy],
                                     block[:, iy:]))
-        hits = np.flatnonzero(blocks[-1].max(axis=1) <= d.stop_tol)
-        return first + int(hits[0]) if hits.size else None
+        maxima = blocks[-1].max(axis=1)
+        hits = np.flatnonzero(maxima <= d.stop_tol)
+        if hits.size:
+            return first + int(hits[0])
+        # the decay runs from the last row checked before, if there is one
+        if first:
+            start, span = blocks[-2][-1].max(), count - first
+        else:
+            start, span = maxima[0], count - 1
+        chunk = _next_chunk(start, maxima[-1], span, d.stop_tol)
+        return None
 
     def result(reason, end):
         return DiscreteRun(U[:end].copy(), np.concatenate(blocks)[:end],
@@ -224,7 +254,7 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
 
     error, diverged = None, False
     for k in range(d.max_iters):
-        if count - checked == STOP_CHUNK:
+        if count - checked == chunk:
             stop = stop_row()
             if stop is not None:
                 return result("tolerance", stop + 1)

@@ -16,7 +16,11 @@ is stored as a dense matrix (the small metrics that
 `metric.x_update_metric` and `z_update_metric` build, or
 `SelfAdjointPSD.from_dense`) and f has a prox Jacobian, it first takes up
 to `NEWTON_STEPS` semismooth Newton steps on F (Qi-Sun 1993; Li-Sun-Toh
-2018, SSNAL), halving a step that does not decrease ||F|| enough.  Q
+2018, SSNAL), halving a step that does not decrease ||F|| enough.  A
+piecewise affine prox (l1, box and the quadratics) also names the affine
+piece that a prox output lies on, and the solve starts at the exact
+minimizer on its start point's piece, so a start on the solution's piece
+(the previous solution, along a run) costs one prox evaluation.  Q
 keeps the inverse Newton matrix of each prox-Jacobian pattern it meets
 (the active set of l1 or box, which rarely changes along a run), up to
 `NEWTON_INVERSE_FLOATS` floats of them, so a step is one matrix-vector
@@ -107,6 +111,14 @@ class ProxFunction:
     of the generalized Jacobian of u -> prox_{t f}(u) at one point, as a
     (dim,) array or a scalar; `metric_prox` uses it for its Newton steps.
 
+    `piece_fn(t, x)`, set by the builders whose prox is piecewise affine
+    (`zero`, `sq_norm`, `l1_norm`, `box`, `sq_distance`) and None
+    otherwise, returns the affine piece prox_{t f}(u) = D u + e that a prox
+    output x lies on, as (D, e): D is the diagonal that `jac_fn` gives on
+    that piece, a (dim,) array or a scalar, and e a (dim,) array or a
+    scalar.  `metric_prox` starts a solve at the exact minimizer on its
+    start point's piece.
+
     `affine`, set by the builders of quadratic functions (`zero`,
     `sq_norm`, `sq_distance`) and None otherwise, maps a step t to the
     affine form (a, b) of the prox, prox_{t f}(u) = a u + b, with a a
@@ -115,11 +127,12 @@ class ProxFunction:
     """
 
     def __init__(self, dim, eval_fn, prox_fn, params=None, jac_fn=None,
-                 rows=False, affine=None):
+                 rows=False, affine=None, piece_fn=None):
         self.dim = int(dim)
         self._eval = eval_fn
         self._prox = prox_fn
         self._jac = jac_fn
+        self._piece = piece_fn
         self._rows = bool(rows)
         self.affine = affine
         self.params = dict(params or {})
@@ -146,7 +159,8 @@ class ProxFunction:
 def zero(dim) -> ProxFunction:
     return ProxFunction(dim, lambda x: np.zeros(x.shape[:-1]),
                         lambda t, u: u.copy(), jac_fn=lambda t, u: 1.0,
-                        rows=True, affine=lambda t: (1.0, None))
+                        rows=True, affine=lambda t: (1.0, None),
+                        piece_fn=lambda t, x: (1.0, 0.0))
 
 
 def sq_norm(dim, coef=1.0) -> ProxFunction:
@@ -157,7 +171,8 @@ def sq_norm(dim, coef=1.0) -> ProxFunction:
     return ProxFunction(dim, lambda x: 0.5 * c * _sum_sq(x),
                         lambda t, u: u / (1.0 + t * c), {"coef": c},
                         jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True,
-                        affine=lambda t: (1.0 / (1.0 + t * c), None))
+                        affine=lambda t: (1.0 / (1.0 + t * c), None),
+                        piece_fn=lambda t, x: (1.0 / (1.0 + t * c), 0.0))
 
 
 def l1_norm(dim, weight=1.0) -> ProxFunction:
@@ -178,9 +193,14 @@ def l1_norm(dim, weight=1.0) -> ProxFunction:
         np.maximum(r, 0.0, out=r)
         return np.copysign(r, u, out=r)
 
+    def piece_fn(t, x):
+        # the piece of sign(x): u - t w sign(x) where x != 0, else 0
+        return np.asarray(x != 0.0, dtype=float), (-t * w) * np.sign(x)
+
     return ProxFunction(dim, lambda x: w * np.abs(x).sum(axis=-1), prox_fn,
                         {"weight": w},
-                        jac_fn=lambda t, u: np.abs(u) > t * w, rows=True)
+                        jac_fn=lambda t, u: np.abs(u) > t * w, rows=True,
+                        piece_fn=piece_fn)
 
 
 def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
@@ -196,10 +216,16 @@ def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
         inside = ((x >= lo - 1e-12) & (x <= hi + 1e-12)).all(axis=-1)
         return np.where(inside, 0.0, np.inf)
 
+    def piece_fn(t, x):
+        # u strictly inside, x (a bound) elsewhere
+        inside = np.asarray((lo < x) & (x < hi), dtype=float)
+        return inside, x - inside * x
+
     return ProxFunction(dim, eval_fn,
                         lambda t, u: np.minimum(np.maximum(u, lo), hi),
                         {"lo": lo, "hi": hi},
-                        jac_fn=lambda t, u: (lo < u) & (u < hi), rows=True)
+                        jac_fn=lambda t, u: (lo < u) & (u < hi), rows=True,
+                        piece_fn=piece_fn)
 
 
 def sq_distance(dim, center, coef=1.0) -> ProxFunction:
@@ -208,21 +234,26 @@ def sq_distance(dim, center, coef=1.0) -> ProxFunction:
     c = float(coef)
     if c < 0:
         raise ValueError("sq_distance coefficient must be nonnegative")
+    def affine(t):
+        return 1.0 / (1.0 + t * c), (t * c / (1.0 + t * c)) * b
+
     return ProxFunction(dim, lambda x: 0.5 * c * _sum_sq(x - b),
                         lambda t, u: (u + t * c * b) / (1.0 + t * c),
                         {"center": b, "coef": c},
                         jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True,
-                        affine=lambda t: (1.0 / (1.0 + t * c),
-                                          (t * c / (1.0 + t * c)) * b))
+                        affine=affine, piece_fn=lambda t, x: affine(t))
 
 
-def separable(dim, eval_fn, prox_fn, params=None, jac_fn=None) -> ProxFunction:
+def separable(dim, eval_fn, prox_fn, params=None, jac_fn=None,
+              piece_fn=None) -> ProxFunction:
     """Wrap custom vectorized eval/prox closures as a prox function.
 
     The closures see one (dim,) point at a time; rows are passed to them
-    one by one.  Without `jac_fn`, `metric_prox` solves with FISTA alone.
+    one by one.  Without `jac_fn`, `metric_prox` solves with FISTA alone;
+    without `piece_fn`, it starts each solve at its x0.
     """
-    return ProxFunction(dim, eval_fn, prox_fn, params, jac_fn)
+    return ProxFunction(dim, eval_fn, prox_fn, params, jac_fn,
+                        piece_fn=piece_fn)
 
 
 class SmoothFunction:
@@ -317,28 +348,50 @@ def _newton_inverse(mat, step, jac):
         return None
 
 
-def _newton_step(f: ProxFunction, Q: SelfAdjointPSD, step, u, d):
-    """The semismooth Newton move at w for F(w) = w - prox_{step f}(u) = -d,
-    with u = w - step (Q w + linear): dv = (I - D + step D Q)^{-1} d, where
-    D is f's prox Jacobian diagonal at u.  Q keeps the inverse (None for a
-    singular matrix) under D's bytes while the kept inverses fit in
-    `NEWTON_INVERSE_FLOATS` floats.  None if the matrix is singular or
-    ||dv||^2 is not finite."""
-    jac = np.asarray(f._jac(step, u), dtype=float)
+def _kept_inverse(Q: SelfAdjointPSD, step, jac):
+    """The inverse of I - D + step D Q for D = diag(jac), or None if that
+    matrix is singular.  Q keeps it under jac's bytes while the kept
+    inverses fit in `NEWTON_INVERSE_FLOATS` floats."""
     key = jac.tobytes()
     kept = Q._newton
     if kept is None:
         kept = Q._newton = {}
     if key in kept:
-        inv = kept[key]
-    else:
-        inv = _newton_inverse(Q.base.mat, step, jac)
-        if (len(kept) + 1) * Q.dim * Q.dim <= NEWTON_INVERSE_FLOATS:
-            kept[key] = inv
+        return kept[key]
+    inv = _newton_inverse(Q.base.mat, step, jac)
+    if (len(kept) + 1) * Q.dim * Q.dim <= NEWTON_INVERSE_FLOATS:
+        kept[key] = inv
+    return inv
+
+
+def _newton_step(f: ProxFunction, Q: SelfAdjointPSD, step, u, d):
+    """The semismooth Newton move at w for F(w) = w - prox_{step f}(u) = -d,
+    with u = w - step (Q w + linear): dv = (I - D + step D Q)^{-1} d, where
+    D is f's prox Jacobian diagonal at u.  None if the matrix is singular
+    or ||dv||^2 is not finite."""
+    inv = _kept_inverse(Q, step, np.asarray(f._jac(step, u), dtype=float))
     if inv is None:
         return None
     dv = inv @ d
     return dv if math.isfinite(dv @ dv) else None
+
+
+def _piece_start(f: ProxFunction, Q: SelfAdjointPSD, step, lin, x0):
+    """The minimizer on the affine piece prox_{step f}(u) = D u + e that x0
+    lies on (f's `piece_fn`): the v with v = D (v - step (Q v + lin)) + e,
+    that is (I - D + step D Q)^{-1} (e - step D lin).  x0 itself if x0 or
+    lin is not finite (checked first, so the piece warns of nothing), if
+    that matrix is singular, or if v is not finite."""
+    # ndarray.dot gives the bits of @ here at half its call overhead
+    if not math.isfinite(x0.dot(x0) + lin.dot(lin)):
+        return x0
+    jac, e = f._piece(step, x0)
+    jac = np.asarray(jac, dtype=float)
+    inv = _kept_inverse(Q, step, jac)
+    if inv is None:
+        return x0
+    v = inv.dot(e - jac * (step * lin))
+    return v if math.isfinite(v.dot(v)) else x0
 
 
 def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
@@ -347,8 +400,8 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
 
     A scaled identity Q = s I (`Q.base.scale` set) returns the exact
     minimizer prox_{f/s}(-linear/s) from one prox evaluation.  For any
-    other Q, each iteration evaluates, at its point w_k (w_0 = x0), the
-    prox-gradient step with the fixed step 1/||Q||
+    other Q, each iteration evaluates, at its point w_k (w_0 = x0, or the
+    piece start below), the prox-gradient step with the fixed step 1/||Q||
 
         v_{k+1} = prox_{step f}(w_k - step (Q w_k + linear))
 
@@ -363,15 +416,24 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     M^{-1} for each pattern D it meets, in `Q._newton`, up to
     `NEWTON_INVERSE_FLOATS` floats in all, and a step on a known pattern is
     one matrix-vector product.  M^{-1} is computed the same way whether it
-    is kept or not, so the result depends only on (f, Q, linear, x0, tol,
-    max_iters), never on what Q solved before.  The move
-    w + alpha dv, alpha = 1, 1/2, 1/4, ..., is taken at the first alpha
-    that cuts ||F|| below (1 - ARMIJO alpha) times its value at w, each
-    trial one iteration: full steps can cycle between two active sets of
-    l1 or box.  A singular matrix, or a step whose squared norm is not
+    is kept or not, so a result never depends on what Q solved before.
+    The move w + alpha dv, alpha = 1, 1/2, 1/4, ..., is taken at the first
+    alpha that cuts ||F|| below (1 - ARMIJO alpha) times its value at w,
+    each trial one iteration: full steps can cycle between two active sets
+    of l1 or box.  A singular matrix, or a step whose squared norm is not
     finite, ends the phase early.
 
-    FISTA phase: from the last Newton point, or from x0 otherwise,
+    Piece start: when f also names its affine pieces (a piecewise affine
+    prox, see `ProxFunction`), w_0 is not x0 but the exact minimizer on
+    the piece prox_{step f}(u) = D u + e that x0 lies on, M^{-1} (e - step
+    D linear), from the same kept M^{-1} (`_piece_start`).  It costs no
+    prox evaluation.  When x0's piece is the solution's, as it mostly is
+    for a start at the previous solution of a run, the first evaluation
+    passes the test and the call returns; otherwise the phases run from
+    w_0 as from any point.  A NaN or inf in x0 or `linear` (or a squared
+    norm past the largest float), or a singular M, leaves w_0 = x0.
+
+    FISTA phase: from the last Newton point, or from w_0 otherwise,
 
         w_{k+1} = v_{k+1} + (theta_k - 1) / theta_{k+1} (v_{k+1} - v_k)
 
@@ -379,7 +441,8 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     gradient mapping at w_k points uphill along the last move, i.e.
     <w_k - v_{k+1}, v_{k+1} - v_k> > 0.  A lazy Q runs this phase alone.
 
-    Every prox evaluation, in either phase, counts against max_iters.
+    Every prox evaluation, in either phase, counts against max_iters.  A
+    result depends only on (f, Q, linear, x0, tol, max_iters).
 
     `linear` and `x0` may be (B, dim) rows, one subproblem per row: a
     scaled-identity Q solves them in one prox, any other Q one row at a
@@ -420,6 +483,8 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     mat = Q.base.mat
     newton_left = NEWTON_STEPS if mat is not None and f._jac is not None else 0
     w = v
+    if newton_left and f._piece is not None:
+        w = _piece_start(f, Q, step, lin, v)
     theta = 1.0
     # the last point a Newton step left from, its residual and the step
     w_base, res_base, dv, alpha = None, 0.0, None, 1.0

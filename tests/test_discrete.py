@@ -363,6 +363,48 @@ class TestChunkedStop:
             out = _assert_matches_reference(p, d, _seeded_start(p, seed))
             assert out.stop_reason == "tolerance"
 
+    def test_general_metric_run_computes_no_update_past_its_stop(
+            self, monkeypatch):
+        """The `metric-lasso` ADMM setup (lasso-small, M1 = M2 = 0.5 I,
+        gamma = 0.5, stop_tol 1e-10) from six seeded starts: each chunk is
+        sized from the residual decay, so every update `run` computes, a
+        `metric_prox` solve each, is an iterate it keeps."""
+        p = catalog("lasso-small")
+        half = SelfAdjointPSD.identity
+        d = DiscreteParams(c=1.0, gamma=0.5, max_iters=20000, stop_tol=1e-10,
+                           m1=MetricSchedule.constant(half(p.n, 0.5)),
+                           m2=MetricSchedule.constant(half(p.m, 0.5)))
+        updates = []
+        real = discrete._make_update
+
+        def counting(*args):
+            update = real(*args)
+
+            def counted(t, s, start=None):
+                updates.append(t)
+                return update(t, s, start)
+            return counted
+
+        monkeypatch.setattr(discrete, "_make_update", counting)
+        for seed in range(6):
+            updates.clear()
+            out = run(p, d, _seeded_start(p, seed))
+            assert out.stop_reason == "tolerance"
+            assert len(updates) == out.iterations
+
+    @pytest.mark.parametrize("start,end,span,stop_tol,chunk", [
+        (1e-2, 1e-4, 4, 3e-8, 8),        # 7.05 rows at 10^-0.5 a row
+        (1e-2, 1e-4, 4, 3e-5, 2),        # 1.05 rows
+        (1e-2, 1e-2, 4, 1e-8, 16),       # no decay
+        (1e-4, 1e-2, 4, 1e-8, 16),       # growth
+        (1e300, 1e-300, 1, 1e-320, 1),   # end / start underflows to 0
+        (np.nan, 1e-4, 4, 1e-8, 16),
+        (1e-2, 1e-4, 4, 0.0, 16),        # a stop_tol no row can meet
+        (np.nextafter(1e300, np.inf), 1e300, 4, 1.0, 16),  # equal logs
+    ])
+    def test_next_chunk(self, start, end, span, stop_tol, chunk):
+        assert discrete._next_chunk(start, end, span, stop_tol) == chunk
+
     def test_divergent_run_matches_reference(self):
         p = catalog("box-qp")
         d = DiscreteParams(c=1.0, gamma=1.0, tau=0.2, max_iters=500,

@@ -7,6 +7,7 @@ forms, and against the identities that any correct prox must satisfy
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -301,14 +302,17 @@ class TestMetricProx:
     @pytest.mark.parametrize("where", ["linear", "x0"])
     def test_nan_input_ends_at_the_first_residual(self, where):
         """A NaN in `linear` or `x0` makes the first residual NaN, which
-        raises at once instead of spending the whole budget."""
+        raises at once instead of spending the whole budget; the piece
+        start before it warns of nothing."""
         p = catalog("lasso-small")
         m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
         q = x_update_metric(m1, 1.0, p.A, 0.0)
         f, calls = _counted(p.f)
         args = {"linear": np.linspace(-1.0, 1.0, p.n), "x0": np.zeros(p.n)}
         args[where][2] = np.nan
-        with pytest.raises(ToleranceNotMet, match="residual nan") as info:
+        with pytest.raises(ToleranceNotMet, match="residual nan") as info, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             metric_prox(f, q, args["linear"], args["x0"])
         assert len(calls) == 1
         assert np.isnan(info.value.residual)
@@ -322,8 +326,12 @@ class TestMetricProx:
         q = x_update_metric(m1, 1.0, p.A, 0.0)
         lin = np.linspace(-1.0, 1.0, p.n)
         lin[0] = np.inf
-        with pytest.raises(ToleranceNotMet, match="residual inf") as info:
-            metric_prox(p.f, q, lin, np.zeros(p.n))
+        f, calls = _counted(p.f)
+        with pytest.raises(ToleranceNotMet, match="residual inf") as info, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            metric_prox(f, q, lin, np.zeros(p.n))
+        assert len(calls) == 1
         assert info.value.residual == np.inf
         np.testing.assert_array_equal(info.value.best, np.zeros(p.n))
 
@@ -341,20 +349,28 @@ class TestMetricProx:
         assert err.residual > 0.0
 
     def test_budget_counts_newton_evaluations(self):
-        """Newton path: the first evaluation fails the test and the Newton
-        step then lands on Q^{-1}(-lin), which the second evaluation
-        accepts.  A budget of one raises with a finite best iterate."""
+        """Newton path from x0 (f = 0 without its piece): the first
+        evaluation fails the test and the Newton step then lands on
+        Q^{-1}(-lin), which the second evaluation accepts.  A budget of one
+        raises with a finite best iterate.  With its piece, f = 0 starts at
+        that solution of its single piece, which costs no evaluation, so a
+        budget of one suffices."""
         mat = np.array([[2.0, 1.0], [1.0, 2.0]])
         q = SelfAdjointPSD.from_dense(mat, alpha_floor=1.0)
         lin = np.array([5.0, 0.0])
+        f, _ = _counted(zero(2), piece=False)
         with pytest.raises(ToleranceNotMet) as info:
-            metric_prox(zero(2), q, lin, np.zeros(2), tol=1e-14, max_iters=1)
+            metric_prox(f, q, lin, np.zeros(2), tol=1e-14, max_iters=1)
         err = info.value
         assert err.best.shape == (2,)
         assert np.isfinite(err.best).all()
         assert err.residual > 0.0
-        got = metric_prox(zero(2), q, lin, np.zeros(2), tol=1e-14, max_iters=2)
-        np.testing.assert_allclose(got, np.linalg.solve(mat, -lin), atol=1e-14)
+        want = np.linalg.solve(mat, -lin)
+        got = metric_prox(f, q, lin, np.zeros(2), tol=1e-14, max_iters=2)
+        np.testing.assert_allclose(got, want, atol=1e-14)
+        got = metric_prox(zero(2), q, lin, np.zeros(2), tol=1e-14,
+                          max_iters=1)
+        np.testing.assert_allclose(got, want, atol=1e-14)
 
     @pytest.mark.parametrize("q", [
         SelfAdjointPSD.identity(2, 2.0),
@@ -367,17 +383,18 @@ class TestMetricProx:
                             max_iters=max_iters)
 
 
-def _counted(f, with_jac=True):
+def _counted(f, with_jac=True, piece=True):
     """f rewrapped with a prox-call counter; without its prox Jacobian
-    unless `with_jac`, so that `metric_prox` runs FISTA alone."""
+    unless `with_jac`, so that `metric_prox` runs FISTA alone, and without
+    its affine pieces unless `piece`, so that Newton starts at x0."""
     calls = []
 
     def prox_fn(t, u):
         calls.append(t)
         return f.prox(t, u)
 
-    return separable(f.dim, f, prox_fn,
-                     jac_fn=f._jac if with_jac else None), calls
+    return separable(f.dim, f, prox_fn, jac_fn=f._jac if with_jac else None,
+                     piece_fn=f._piece if piece else None), calls
 
 
 def _random_pd(rng, dim):
@@ -467,10 +484,11 @@ class TestMetricProxNewton:
         """Two-dimensional l1 subproblems on which full Newton steps from
         x0 cycle between two active sets and never reach the tolerance.
         Halving a step that does not decrease ||F|| enough breaks the
-        cycle inside the Newton phase, with no FISTA fallback."""
+        cycle inside the Newton phase, with no FISTA fallback.  f carries
+        no pieces, so Newton starts at x0 itself."""
         mat = np.array(mat)
         q = SelfAdjointPSD.from_dense(mat, float(np.linalg.eigvalsh(mat)[0]))
-        f, calls = _counted(l1_norm(2, weight=weight))
+        f, calls = _counted(l1_norm(2, weight=weight), piece=False)
         got = metric_prox(f, q, np.array(lin), np.array(x0))
         np.testing.assert_allclose(got, v_star, rtol=0, atol=1e-12)
         assert len(calls) <= NEWTON_STEPS + 1
@@ -514,8 +532,10 @@ def _random_subproblem(rng, dim):
 
 
 def _pattern_recorder(f):
-    """f rewrapped so that each prox-Jacobian pattern it gives is kept, as
-    the bytes `metric_prox` keys its inverses on."""
+    """f rewrapped so that each prox-Jacobian pattern it gives, from its
+    Jacobian or its pieces, is kept, as the bytes `metric_prox` keys its
+    inverses on; the rewrap keeps f's pieces, so `metric_prox` takes the
+    same path as with f."""
     seen = set()
 
     def jac_fn(t, u):
@@ -523,7 +543,13 @@ def _pattern_recorder(f):
         seen.add(np.asarray(jac, dtype=float).tobytes())
         return jac
 
-    return separable(f.dim, f, f._prox, jac_fn=jac_fn), seen
+    def piece_fn(t, x):
+        jac, e = f._piece(t, x)
+        seen.add(np.asarray(jac, dtype=float).tobytes())
+        return jac, e
+
+    return separable(f.dim, f, f._prox, jac_fn=jac_fn,
+                     piece_fn=piece_fn), seen
 
 
 _INVERSE_CASES = ["lasso-small", "box-qp", "l1-box.txt"]
@@ -599,6 +625,105 @@ class TestNewtonInverses:
             assert np.array_equal(got, want)
             assert len(singular_calls) == len(fista_calls) > 1
             assert q._newton == {np.full(1, 2.0).tobytes(): None}
+
+
+def _prox_calls(monkeypatch, f):
+    """A list that gets one entry per evaluation of f's prox closure."""
+    calls = []
+    real = f._prox
+
+    def counting(t, u):
+        calls.append(t)
+        return real(t, u)
+
+    monkeypatch.setattr(f, "_prox", counting)
+    return calls
+
+
+# the x-block of lasso-small and the dense-M2 z-blocks (g a box) of box-qp
+# and l1-box, as (name, index into `_subproblems`)
+_PIECE_CASES = [("lasso-small", 0), ("box-qp", 1), ("l1-box.txt", 1)]
+
+
+class TestPieceStart:
+    """`metric_prox` starts at the exact minimizer on the affine piece of
+    the prox that its start point lies on, at no prox evaluation."""
+
+    @pytest.mark.parametrize("name,make", _KINDS, ids=[k for k, _ in _KINDS])
+    def test_piece_agrees_with_prox_and_jacobian(self, name, make):
+        """Away from the breakpoints, the piece (D, e) of x = prox_{t f}(u)
+        has u's Jacobian D, and prox_{t f} = D v + e at u and around it."""
+        f = make()
+        rng = np.random.default_rng(739)
+        checked = 0
+        for t in (0.3, 1.0, 2.5):
+            for _ in range(40):
+                u = 3.0 * rng.standard_normal(f.dim)
+                jac = np.asarray(f._jac(t, u), dtype=float)
+                if not (np.array_equal(f._jac(t, u - 1e-3), jac)
+                        and np.array_equal(f._jac(t, u + 1e-3), jac)):
+                    continue  # within 1e-3 of a breakpoint
+                checked += 1
+                d, e = f._piece(t, f.prox(t, u))
+                assert np.array_equal(np.asarray(d, dtype=float), jac)
+                for v in (u, u + 1e-4 * rng.uniform(-1.0, 1.0, f.dim)):
+                    np.testing.assert_allclose(f.prox(t, v), d * v + e,
+                                               rtol=1e-13, atol=1e-13)
+        assert checked >= 110
+
+    @pytest.mark.parametrize("name,block", _PIECE_CASES)
+    def test_start_on_the_solution_piece_takes_one_evaluation(
+            self, monkeypatch, name, block):
+        """Started at its solution, or at another point of the solution's
+        piece, a solve makes exactly one prox evaluation."""
+        f, make_q = _subproblems(name)[block]
+        q = make_q()
+        rng = np.random.default_rng(743)
+        calls = _prox_calls(monkeypatch, f)
+        step = 1.0 / q.norm()
+
+        def piece(x):
+            return np.asarray(f._piece(step, x)[0], dtype=float)
+
+        moved = 0
+        for _ in range(40):
+            lin, x0 = _random_subproblem(rng, f.dim)
+            want = metric_prox(f, q, lin, x0)
+            near = want + 1e-3 * piece(want) * rng.standard_normal(f.dim)
+            starts = [want]
+            if np.array_equal(piece(near), piece(want)):
+                starts.append(near)
+                moved += 1
+            for start in starts:
+                calls.clear()
+                got = metric_prox(f, q, lin, start)
+                assert len(calls) == 1
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        assert moved >= 35
+
+    @pytest.mark.parametrize("name,block", _PIECE_CASES)
+    def test_start_on_a_wrong_piece_meets_the_tolerance(
+            self, monkeypatch, name, block):
+        """Started at another subproblem's solution, a solve takes more
+        evaluations, agrees with FISTA alone, and is the solve in a fresh
+        Q bit for bit."""
+        f, make_q = _subproblems(name)[block]
+        q = make_q()
+        rng = np.random.default_rng(751)
+        others = [metric_prox(f, q, *_random_subproblem(rng, f.dim))
+                  for _ in range(30)]
+        calls = _prox_calls(monkeypatch, f)
+        fista, _ = _counted(f, with_jac=False)
+        wrong = 0
+        for start in others:
+            lin, _ = _random_subproblem(rng, f.dim)
+            calls.clear()
+            got = metric_prox(f, q, lin, start)
+            wrong += len(calls) > 1
+            assert np.array_equal(got, metric_prox(f, make_q(), lin, start))
+            want = metric_prox(fista, make_q(), lin, start, tol=1e-12)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        assert wrong >= 25
 
 
 class TestSmoothFunctions:

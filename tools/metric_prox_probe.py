@@ -4,20 +4,23 @@ Usage, from the root of the tree under test:
 
     PYTHONPATH=src python tools/metric_prox_probe.py
 
-The subproblems are every x-update of four general-metric RK4 flows on
-lasso-small (c = 1, gamma = 0.5, M1 = M2 = 0.5 I, step 0.05, horizon 5),
-from seeded starts at radius sqrt(dim): the flow runs of the `metric-lasso`
-benchmark workload.  Each is solved as recorded, from the start the flow
-gave it (Newton, then FISTA if needed), once in the run's own Q, which
-already keeps the inverse Newton matrix of every prox-Jacobian pattern
-the run met (kept inverses), and once in a copy of Q per call, which keeps
-none (fresh Q); and with f wrapped without its prox Jacobian (FISTA
-alone).  The script prints the Newton steps and distinct Jacobian patterns
-of each flow run; then, per path, microseconds per call (min of 5 passes)
-and prox evaluations per call; then the number of calls that went on to
-FISTA after a full Newton phase, whether the solutions in a fresh Q and
-with kept inverses are bit-equal, and the largest difference between the
-Newton and FISTA solutions.
+The subproblems are every x-update of the `metric-lasso` benchmark setup
+on lasso-small (c = 1, gamma = 0.5, M1 = M2 = 0.5 I), from seeded starts
+at radius sqrt(dim): four general-metric RK4 flows (step 0.05, horizon 5),
+and twelve proximal ADMM runs (`discrete.run`, stop_tol 1e-10).  Each is
+solved as recorded, from the start the run gave it, on four paths: in the
+run's own Q, which already keeps the inverse Newton matrix of every
+prox-Jacobian pattern the run met (kept inverses); in a copy of Q per
+call, which keeps none (fresh Q); with f wrapped without its affine
+pieces, so that Newton starts at x0 and not on x0's piece (newton from x0);
+and with f wrapped without its prox Jacobian (FISTA alone).  The script
+prints the Newton steps and distinct Jacobian patterns of each flow run;
+then, for each setup and path, microseconds per call (min of 5 passes),
+prox evaluations per call, the calls that return at their first prox
+evaluation, and the calls that went on to FISTA after a full Newton
+phase; then whether the solutions in a fresh Q and with kept inverses are
+bit-equal, and the largest difference between the Newton and FISTA
+solutions.
 """
 
 from __future__ import annotations
@@ -28,14 +31,15 @@ from unittest import mock
 
 import numpy as np
 
-from pdflow import flow, proxlib
+from pdflow import discrete, flow, proxlib
 from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import MetricSchedule
 from pdflow.problems import catalog
 from pdflow.proxlib import NEWTON_STEPS, metric_prox, separable
 
 SEED = 11
-STARTS = 4
+FLOW_STARTS = 4
+ADMM_STARTS = 12
 REPEATS = 5
 
 
@@ -45,13 +49,16 @@ def _start(rng, dim):
 
 
 def subproblems():
-    """The (f, Q, linear, x0, tol) of every x-update of the flow runs, and
-    each run's Newton steps and distinct Jacobian patterns."""
+    """The (f, Q, linear, x0, tol) of every x-update of the flow runs and
+    of the ADMM runs, and each flow run's Newton steps and distinct
+    Jacobian patterns."""
     p = catalog("lasso-small")
-    params = flow.FlowParams(
-        c=1.0, gamma=0.5, horizon=5.0, integrator=flow.RK4(h=0.05),
-        m1=MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5)),
-        m2=MetricSchedule.constant(SelfAdjointPSD.identity(p.m, 0.5)))
+    m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
+    m2 = MetricSchedule.constant(SelfAdjointPSD.identity(p.m, 0.5))
+    params = flow.FlowParams(c=1.0, gamma=0.5, horizon=5.0,
+                             integrator=flow.RK4(h=0.05), m1=m1, m2=m2)
+    admm = discrete.DiscreteParams(c=1.0, gamma=0.5, m1=m1, m2=m2,
+                                   max_iters=20000, stop_tol=1e-10)
     calls, runs, steps = [], [], [0]
     newton_step = proxlib._newton_step
 
@@ -67,23 +74,31 @@ def subproblems():
     rng = np.random.default_rng(SEED)
     with mock.patch.object(flow, "metric_prox", record), \
             mock.patch.object(proxlib, "_newton_step", count):
-        for _ in range(STARTS):
+        for _ in range(FLOW_STARTS):
             x0, y0 = _start(rng, p.n), _start(rng, p.m)
             steps[0] = 0
             flow.integrate(p, params, flow.SystemState(x0, p.A.apply(x0), y0))
             runs.append((steps[0], len(calls[-1][1]._newton)))
-    return calls, runs
+        flow_calls, calls[:] = list(calls), []
+        for _ in range(ADMM_STARTS):
+            x0, y0 = _start(rng, p.n), _start(rng, p.m)
+            discrete.run(p, admm, flow.SystemState(x0, p.A.apply(x0), y0))
+    return {"flow": flow_calls, "admm": calls}, runs
 
 
-def _counted(f, with_jac):
-    """f with a counter on its prox evaluations."""
-    count = {"prox": 0}
-
+def _wrapped(f, path, count=None):
+    """f as the path sees it: with its prox Jacobian and pieces, without
+    its pieces, or without either; with `count`, each prox evaluation
+    adds one to count["prox"]."""
     def prox_fn(t, u):
-        count["prox"] += 1
+        if count is not None:
+            count["prox"] += 1
         return f._prox(t, u)
 
-    return separable(f.dim, f, prox_fn, jac_fn=f._jac if with_jac else None), count
+    return separable(f.dim, f, prox_fn,
+                     jac_fn=None if path == "fista only" else f._jac,
+                     piece_fn=f._piece if path in (
+                         "kept inverses", "fresh Q") else None)
 
 
 def _fresh(q):
@@ -92,51 +107,57 @@ def _fresh(q):
     return SelfAdjointPSD(q.base, q.alpha_floor, q.norm())
 
 
-def measure(calls, with_jac, fresh=False):
-    """Solutions, us per call, prox evaluations per call, and fallbacks;
-    with `fresh`, each call solves in a fresh copy of its Q."""
-    if not with_jac:
-        calls = [(separable(f.dim, f, f._prox), *rest) for f, *rest in calls]
+def measure(calls, path):
+    """Solutions, us per call, prox evaluations per call, and fallbacks.
+    On the "fresh Q" path each call solves in a fresh copy of its Q; every
+    other path solves in the run's own Q."""
+    fresh = path == "fresh Q"
+    timed = [(_wrapped(f, path), *rest) for f, *rest in calls]
     best = np.inf
     for _ in range(REPEATS):
         batch = [(f, _fresh(q) if fresh else q, *rest)
-                 for f, q, *rest in calls]
+                 for f, q, *rest in timed]
         t0 = time.perf_counter()
         for f, q, lin, x0, tol in batch:
             metric_prox(f, q, lin, x0, tol=tol)
         best = min(best, time.perf_counter() - t0)
     sols, evals, fallbacks = [], [], 0
     for f, q, lin, x0, tol in calls:
-        q = _fresh(q) if fresh else q
-        g, count = _counted(f, with_jac)
-        sols.append(metric_prox(g, q, lin, x0, tol=tol))
+        count = {"prox": 0}
+        g = _wrapped(f, path, count)
+        sols.append(metric_prox(g, _fresh(q) if fresh else q, lin, x0,
+                                tol=tol))
         evals.append(count["prox"])
         # the Newton phase makes at most NEWTON_STEPS evaluations, and one
         # more accepts its last point
-        fallbacks += with_jac and count["prox"] > NEWTON_STEPS + 1
+        fallbacks += path != "fista only" and count["prox"] > NEWTON_STEPS + 1
     return np.array(sols), 1e6 * best / len(calls), np.array(evals), fallbacks
 
 
+PATHS = ("kept inverses", "fresh Q", "newton from x0", "fista only")
+
+
 def main() -> int:
-    calls, runs = subproblems()
-    print(f"{len(calls)} lasso-small x-subproblems from {STARTS} flow starts "
-          f"(seed {SEED})")
+    setups, runs = subproblems()
+    print(f"lasso-small x-subproblems (seed {SEED}): "
+          f"{len(setups['flow'])} from {FLOW_STARTS} flow starts, "
+          f"{len(setups['admm'])} from {ADMM_STARTS} ADMM starts")
     for i, (steps, patterns) in enumerate(runs):
         print(f"flow run {i}: {steps} newton steps, {patterns} distinct "
               "jacobian patterns")
-    newton = measure(calls, with_jac=True)
-    fresh = measure(calls, with_jac=True, fresh=True)
-    fista = measure(calls, with_jac=False)
-    for name, (_, us, evals, _) in (("kept inverses", newton),
-                                    ("fresh Q", fresh),
-                                    ("fista only", fista)):
-        print(f"{name:>13}: {us:7.1f} us/call (min of {REPEATS}), prox evals "
-              f"per call median {np.median(evals):g}, mean {evals.mean():.1f}, "
-              f"max {evals.max()}")
-    print(f"fista after a full newton phase: {newton[3]} of {len(calls)}")
-    print(f"fresh Q == kept inverses, bit for bit: "
-          f"{np.array_equal(fresh[0], newton[0])}")
-    print(f"max |newton - fista only|: {np.abs(newton[0] - fista[0]).max():.2e}")
+    for name, calls in setups.items():
+        print(f"-- {name}: {len(calls)} calls")
+        got = {path: measure(calls, path) for path in PATHS}
+        for path, (_, us, evals, fallbacks) in got.items():
+            print(f"{path:>14}: {us:7.1f} us/call (min of {REPEATS}), prox "
+                  f"evals per call median {np.median(evals):g}, mean "
+                  f"{evals.mean():.2f}, max {evals.max()}; at the first "
+                  f"evaluation {int((evals == 1).sum())}, fista after a "
+                  f"full newton phase {fallbacks}")
+        print("fresh Q == kept inverses, bit for bit: "
+              f"{np.array_equal(got['fresh Q'][0], got['kept inverses'][0])}")
+        print("max |newton - fista only|: "
+              f"{np.abs(got['kept inverses'][0] - got['fista only'][0]).max():.2e}")
     return 0
 
 
