@@ -18,9 +18,10 @@ is stored as a dense matrix (the small metrics that
 to `NEWTON_STEPS` semismooth Newton steps on F (Qi-Sun 1993; Li-Sun-Toh
 2018, SSNAL), halving a step that does not decrease ||F|| enough.  A
 piecewise affine prox (l1, box and the quadratics) also names the affine
-piece that a prox output lies on, and the solve starts at the exact
+piece that a prox output lies on, and the solve first tries the exact
 minimizer on its start point's piece, so a start on the solution's piece
-(the previous solution, along a run) costs one prox evaluation.  Q
+(the previous solution, along a run) costs one prox evaluation, and any
+other start one more than Newton from the start point.  Q
 keeps the inverse Newton matrix of each prox-Jacobian pattern it meets
 (the active set of l1 or box, which rarely changes along a run), up to
 `NEWTON_INVERSE_FLOATS` floats of them, so a step is one matrix-vector
@@ -111,13 +112,13 @@ class ProxFunction:
     of the generalized Jacobian of u -> prox_{t f}(u) at one point, as a
     (dim,) array or a scalar; `metric_prox` uses it for its Newton steps.
 
-    `piece_fn(t, x)`, set by the builders whose prox is piecewise affine
-    (`zero`, `sq_norm`, `l1_norm`, `box`, `sq_distance`) and None
-    otherwise, returns the affine piece prox_{t f}(u) = D u + e that a prox
-    output x lies on, as (D, e): D is the diagonal that `jac_fn` gives on
-    that piece, a (dim,) array or a scalar, and e a (dim,) array or a
-    scalar.  `metric_prox` starts a solve at the exact minimizer on its
-    start point's piece.
+    `piece_fn(t, x)`, for a piecewise affine prox, returns the affine
+    piece prox_{t f}(u) = D u + e that a prox output x lies on, as (D, e):
+    D is the diagonal that `jac_fn` gives on that piece, a (dim,) array or
+    a scalar, and e a (dim,) array or a scalar.  `l1_norm` and `box` set
+    it; with `affine` given and no `piece_fn`, the single piece is
+    affine's (a, b).  `metric_prox` first tries a solve on its start
+    point's piece.
 
     `affine`, set by the builders of quadratic functions (`zero`,
     `sq_norm`, `sq_distance`) and None otherwise, maps a step t to the
@@ -132,6 +133,10 @@ class ProxFunction:
         self._eval = eval_fn
         self._prox = prox_fn
         self._jac = jac_fn
+        if piece_fn is None and affine is not None:
+            def piece_fn(t, x):
+                a, b = affine(t)
+                return a, 0.0 if b is None else b
         self._piece = piece_fn
         self._rows = bool(rows)
         self.affine = affine
@@ -159,8 +164,7 @@ class ProxFunction:
 def zero(dim) -> ProxFunction:
     return ProxFunction(dim, lambda x: np.zeros(x.shape[:-1]),
                         lambda t, u: u.copy(), jac_fn=lambda t, u: 1.0,
-                        rows=True, affine=lambda t: (1.0, None),
-                        piece_fn=lambda t, x: (1.0, 0.0))
+                        rows=True, affine=lambda t: (1.0, None))
 
 
 def sq_norm(dim, coef=1.0) -> ProxFunction:
@@ -171,8 +175,7 @@ def sq_norm(dim, coef=1.0) -> ProxFunction:
     return ProxFunction(dim, lambda x: 0.5 * c * _sum_sq(x),
                         lambda t, u: u / (1.0 + t * c), {"coef": c},
                         jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True,
-                        affine=lambda t: (1.0 / (1.0 + t * c), None),
-                        piece_fn=lambda t, x: (1.0 / (1.0 + t * c), 0.0))
+                        affine=lambda t: (1.0 / (1.0 + t * c), None))
 
 
 def l1_norm(dim, weight=1.0) -> ProxFunction:
@@ -234,26 +237,21 @@ def sq_distance(dim, center, coef=1.0) -> ProxFunction:
     c = float(coef)
     if c < 0:
         raise ValueError("sq_distance coefficient must be nonnegative")
-    def affine(t):
-        return 1.0 / (1.0 + t * c), (t * c / (1.0 + t * c)) * b
-
     return ProxFunction(dim, lambda x: 0.5 * c * _sum_sq(x - b),
                         lambda t, u: (u + t * c * b) / (1.0 + t * c),
                         {"center": b, "coef": c},
                         jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True,
-                        affine=affine, piece_fn=lambda t, x: affine(t))
+                        affine=lambda t: (1.0 / (1.0 + t * c),
+                                          (t * c / (1.0 + t * c)) * b))
 
 
-def separable(dim, eval_fn, prox_fn, params=None, jac_fn=None,
-              piece_fn=None) -> ProxFunction:
+def separable(dim, eval_fn, prox_fn, params=None, jac_fn=None) -> ProxFunction:
     """Wrap custom vectorized eval/prox closures as a prox function.
 
     The closures see one (dim,) point at a time; rows are passed to them
-    one by one.  Without `jac_fn`, `metric_prox` solves with FISTA alone;
-    without `piece_fn`, it starts each solve at its x0.
+    one by one.  Without `jac_fn`, `metric_prox` solves with FISTA alone.
     """
-    return ProxFunction(dim, eval_fn, prox_fn, params, jac_fn,
-                        piece_fn=piece_fn)
+    return ProxFunction(dim, eval_fn, prox_fn, params, jac_fn)
 
 
 class SmoothFunction:
@@ -379,19 +377,19 @@ def _newton_step(f: ProxFunction, Q: SelfAdjointPSD, step, u, d):
 def _piece_start(f: ProxFunction, Q: SelfAdjointPSD, step, lin, x0):
     """The minimizer on the affine piece prox_{step f}(u) = D u + e that x0
     lies on (f's `piece_fn`): the v with v = D (v - step (Q v + lin)) + e,
-    that is (I - D + step D Q)^{-1} (e - step D lin).  x0 itself if x0 or
-    lin is not finite (checked first, so the piece warns of nothing), if
-    that matrix is singular, or if v is not finite."""
+    that is (I - D + step D Q)^{-1} (e - step D lin).  None if x0 or lin
+    is not finite (checked first, so the piece warns of nothing), if that
+    matrix is singular, or if v is not finite."""
     # ndarray.dot gives the bits of @ here at half its call overhead
     if not math.isfinite(x0.dot(x0) + lin.dot(lin)):
-        return x0
+        return None
     jac, e = f._piece(step, x0)
     jac = np.asarray(jac, dtype=float)
     inv = _kept_inverse(Q, step, jac)
     if inv is None:
-        return x0
+        return None
     v = inv.dot(e - jac * (step * lin))
-    return v if math.isfinite(v.dot(v)) else x0
+    return v if math.isfinite(v.dot(v)) else None
 
 
 def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
@@ -400,8 +398,9 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
 
     A scaled identity Q = s I (`Q.base.scale` set) returns the exact
     minimizer prox_{f/s}(-linear/s) from one prox evaluation.  For any
-    other Q, each iteration evaluates, at its point w_k (w_0 = x0, or the
-    piece start below), the prox-gradient step with the fixed step 1/||Q||
+    other Q, each iteration evaluates, at its point w_k (w_0 = x0, after
+    the piece start below), the prox-gradient step with the fixed step
+    1/||Q||
 
         v_{k+1} = prox_{step f}(w_k - step (Q w_k + linear))
 
@@ -423,15 +422,18 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     of l1 or box.  A singular matrix, or a step whose squared norm is not
     finite, ends the phase early.
 
-    Piece start: when f also names its affine pieces (a piecewise affine
-    prox, see `ProxFunction`), w_0 is not x0 but the exact minimizer on
-    the piece prox_{step f}(u) = D u + e that x0 lies on, M^{-1} (e - step
-    D linear), from the same kept M^{-1} (`_piece_start`).  It costs no
+    Piece start: when the Newton phase runs and f also names its affine
+    pieces (a piecewise affine prox, see `ProxFunction`), the first
+    iteration evaluates not at x0 but at the exact minimizer on the piece
+    prox_{step f}(u) = D u + e that x0 lies on, M^{-1} (e - step D
+    linear), from the same kept M^{-1} (`_piece_start`), which costs no
     prox evaluation.  When x0's piece is the solution's, as it mostly is
-    for a start at the previous solution of a run, the first evaluation
-    passes the test and the call returns; otherwise the phases run from
-    w_0 as from any point.  A NaN or inf in x0 or `linear` (or a squared
-    norm past the largest float), or a singular M, leaves w_0 = x0.
+    for a start at the previous solution of a run, that evaluation passes
+    the test and the call returns.  Otherwise the phases run from w_0 = x0
+    as without the start, so a wrong piece costs one evaluation and
+    spends none of the Newton phase.  A NaN or inf in x0 or `linear` (or
+    a squared norm past the largest float), or a singular M, skips the
+    start.
 
     FISTA phase: from the last Newton point, or from w_0 otherwise,
 
@@ -441,8 +443,9 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     gradient mapping at w_k points uphill along the last move, i.e.
     <w_k - v_{k+1}, v_{k+1} - v_k> > 0.  A lazy Q runs this phase alone.
 
-    Every prox evaluation, in either phase, counts against max_iters.  A
-    result depends only on (f, Q, linear, x0, tol, max_iters).
+    Every prox evaluation, the piece start's and either phase's, counts
+    against max_iters.  A result depends only on (f, Q, linear, x0, tol,
+    max_iters).
 
     `linear` and `x0` may be (B, dim) rows, one subproblem per row: a
     scaled-identity Q solves them in one prox, any other Q one row at a
@@ -482,9 +485,10 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     qapply = Q.base._raw_apply
     mat = Q.base.mat
     newton_left = NEWTON_STEPS if mat is not None and f._jac is not None else 0
-    w = v
+    start = None
     if newton_left and f._piece is not None:
-        w = _piece_start(f, Q, step, lin, v)
+        start = _piece_start(f, Q, step, lin, v)
+    w = v if start is None else start
     theta = 1.0
     # the last point a Newton step left from, its residual and the step
     w_base, res_base, dv, alpha = None, 0.0, None, 1.0
@@ -499,6 +503,10 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
                 best=v, residual=res)
         if res <= tol * max(1.0, math.sqrt(v_next @ v_next)):
             return v_next
+        if start is not None:
+            # x0's piece is not the solution's: run the phases from x0
+            start, w = None, v
+            continue
         if newton_left:
             newton_left -= 1
             if w_base is not None and res > (1.0 - ARMIJO * alpha) * res_base:

@@ -1113,9 +1113,9 @@ class TestWarmStart:
     def test_prox_evaluations_per_call(self, monkeypatch):
         """The `metric-lasso` flow setup (lasso-small, M1 = M2 = 0.5 I, RK4
         h = 0.05, T = 5) from four seeded starts: an x-update spends at most
-        1.02 prox evaluations on average, since the previous solution's
+        1.04 prox evaluations on average, since the previous solution's
         piece almost always holds, where a solve from the stage point
-        spends more (1.79 on these starts)."""
+        spends more (2.42 on these starts)."""
         p = catalog("lasso-small")
         m1, m2 = _half_metrics(p)
         params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=5.0,
@@ -1139,7 +1139,7 @@ class TestWarmStart:
                     evals += _reference_integrate(p, params, s0,
                                                   warm=False).rhs_evals
             per_call[warm] = len(proxes) / evals
-        assert per_call[True] <= 1.02 < per_call[False]
+        assert per_call[True] <= 1.04 < per_call[False]
 
     def test_each_evaluation_starts_at_the_last_solution(self, monkeypatch):
         """Adaptive trials with rejections and a dense M2, so both blocks

@@ -6,6 +6,7 @@ forms, and against the identities that any correct prox must satisfy
 (Moreau decomposition, firm nonexpansiveness).
 """
 
+import copy
 import os
 import warnings
 
@@ -384,17 +385,22 @@ class TestMetricProx:
 
 
 def _counted(f, with_jac=True, piece=True):
-    """f rewrapped with a prox-call counter; without its prox Jacobian
-    unless `with_jac`, so that `metric_prox` runs FISTA alone, and without
-    its affine pieces unless `piece`, so that Newton starts at x0."""
+    """A copy of f and a list that gets one entry per evaluation of the
+    copy's prox.  The copy drops f's prox Jacobian unless `with_jac`, so
+    that `metric_prox` runs FISTA alone, and f's affine pieces unless
+    `piece`, so that Newton starts at x0."""
     calls = []
+    real = f._prox
 
     def prox_fn(t, u):
         calls.append(t)
-        return f.prox(t, u)
+        return real(t, u)
 
-    return separable(f.dim, f, prox_fn, jac_fn=f._jac if with_jac else None,
-                     piece_fn=f._piece if piece else None), calls
+    g = copy.copy(f)
+    g._prox = prox_fn
+    g._jac = f._jac if with_jac else None
+    g._piece = f._piece if piece else None
+    return g, calls
 
 
 def _random_pd(rng, dim):
@@ -471,6 +477,8 @@ class TestMetricProxNewton:
             np.testing.assert_allclose(got, v_star, rtol=0, atol=1e-12)
             assert len(calls) <= NEWTON_STEPS + 1
 
+    @pytest.mark.parametrize("piece", [True, False],
+                             ids=["piece start", "newton from x0"])
     @pytest.mark.parametrize("mat,lin,x0,weight,v_star", [
         ([[2.0, -1.5], [-1.5, 2.0]], [1.0, -1.0], [0.25, 1.75], 0.5,
          [-1.0 / 7.0, 1.0 / 7.0]),
@@ -480,15 +488,17 @@ class TestMetricProxNewton:
          [0.0, 1.4]),
     ])
     def test_halved_steps_break_active_set_cycles(self, mat, lin, x0, weight,
-                                                  v_star):
+                                                  v_star, piece):
         """Two-dimensional l1 subproblems on which full Newton steps from
         x0 cycle between two active sets and never reach the tolerance.
         Halving a step that does not decrease ||F|| enough breaks the
-        cycle inside the Newton phase, with no FISTA fallback.  f carries
-        no pieces, so Newton starts at x0 itself."""
+        cycle inside the Newton phase, with no FISTA fallback.  The real
+        l1 first tries x0's piece, which is not the solution's in the
+        second case, and then runs Newton from x0; without its pieces,
+        Newton starts at x0 at once."""
         mat = np.array(mat)
         q = SelfAdjointPSD.from_dense(mat, float(np.linalg.eigvalsh(mat)[0]))
-        f, calls = _counted(l1_norm(2, weight=weight), piece=False)
+        f, calls = _counted(l1_norm(2, weight=weight), piece=piece)
         got = metric_prox(f, q, np.array(lin), np.array(x0))
         np.testing.assert_allclose(got, v_star, rtol=0, atol=1e-12)
         assert len(calls) <= NEWTON_STEPS + 1
@@ -501,7 +511,7 @@ class TestMetricProxNewton:
         m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
         q = x_update_metric(m1, 1.0, p.A, 0.0)
         lin = np.linspace(-1.0, 1.0, p.n)
-        fista, fista_calls = _counted(p.f, with_jac=False)
+        fista, fista_calls = _counted(separable(p.n, p.f, p.f.prox))
         newton, newton_calls = _counted(p.f)
         want = metric_prox(fista, q, lin, np.zeros(p.n))
         got = metric_prox(newton, q, lin, np.zeros(p.n))
@@ -532,10 +542,9 @@ def _random_subproblem(rng, dim):
 
 
 def _pattern_recorder(f):
-    """f rewrapped so that each prox-Jacobian pattern it gives, from its
-    Jacobian or its pieces, is kept, as the bytes `metric_prox` keys its
-    inverses on; the rewrap keeps f's pieces, so `metric_prox` takes the
-    same path as with f."""
+    """A copy of f that records each prox-Jacobian pattern it gives, from
+    its Jacobian or its pieces, as the bytes `metric_prox` keys its
+    inverses on; `metric_prox` takes the same path with it as with f."""
     seen = set()
 
     def jac_fn(t, u):
@@ -548,8 +557,9 @@ def _pattern_recorder(f):
         seen.add(np.asarray(jac, dtype=float).tobytes())
         return jac, e
 
-    return separable(f.dim, f, f._prox, jac_fn=jac_fn,
-                     piece_fn=piece_fn), seen
+    g = copy.copy(f)
+    g._jac, g._piece = jac_fn, piece_fn
+    return g, seen
 
 
 _INVERSE_CASES = ["lasso-small", "box-qp", "l1-box.txt"]
@@ -627,19 +637,6 @@ class TestNewtonInverses:
             assert q._newton == {np.full(1, 2.0).tobytes(): None}
 
 
-def _prox_calls(monkeypatch, f):
-    """A list that gets one entry per evaluation of f's prox closure."""
-    calls = []
-    real = f._prox
-
-    def counting(t, u):
-        calls.append(t)
-        return real(t, u)
-
-    monkeypatch.setattr(f, "_prox", counting)
-    return calls
-
-
 # the x-block of lasso-small and the dense-M2 z-blocks (g a box) of box-qp
 # and l1-box, as (name, index into `_subproblems`)
 _PIECE_CASES = [("lasso-small", 0), ("box-qp", 1), ("l1-box.txt", 1)]
@@ -672,14 +669,14 @@ class TestPieceStart:
         assert checked >= 110
 
     @pytest.mark.parametrize("name,block", _PIECE_CASES)
-    def test_start_on_the_solution_piece_takes_one_evaluation(
-            self, monkeypatch, name, block):
+    def test_start_on_the_solution_piece_takes_one_evaluation(self, name,
+                                                              block):
         """Started at its solution, or at another point of the solution's
         piece, a solve makes exactly one prox evaluation."""
         f, make_q = _subproblems(name)[block]
         q = make_q()
         rng = np.random.default_rng(743)
-        calls = _prox_calls(monkeypatch, f)
+        f, calls = _counted(f)
         step = 1.0 / q.norm()
 
         def piece(x):
@@ -702,8 +699,7 @@ class TestPieceStart:
         assert moved >= 35
 
     @pytest.mark.parametrize("name,block", _PIECE_CASES)
-    def test_start_on_a_wrong_piece_meets_the_tolerance(
-            self, monkeypatch, name, block):
+    def test_start_on_a_wrong_piece_meets_the_tolerance(self, name, block):
         """Started at another subproblem's solution, a solve takes more
         evaluations, agrees with FISTA alone, and is the solve in a fresh
         Q bit for bit."""
@@ -712,8 +708,8 @@ class TestPieceStart:
         rng = np.random.default_rng(751)
         others = [metric_prox(f, q, *_random_subproblem(rng, f.dim))
                   for _ in range(30)]
-        calls = _prox_calls(monkeypatch, f)
         fista, _ = _counted(f, with_jac=False)
+        f, calls = _counted(f)
         wrong = 0
         for start in others:
             lin, _ = _random_subproblem(rng, f.dim)

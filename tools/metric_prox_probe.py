@@ -11,9 +11,10 @@ and twelve proximal ADMM runs (`discrete.run`, stop_tol 1e-10).  Each is
 solved as recorded, from the start the run gave it, on four paths: in the
 run's own Q, which already keeps the inverse Newton matrix of every
 prox-Jacobian pattern the run met (kept inverses); in a copy of Q per
-call, which keeps none (fresh Q); with f wrapped without its affine
-pieces, so that Newton starts at x0 and not on x0's piece (newton from x0);
-and with f wrapped without its prox Jacobian (FISTA alone).  The script
+call, which keeps none (fresh Q); with f copied without its affine
+pieces, so that Newton starts at x0 and does not first try x0's piece
+(newton from x0); and with f copied without its prox Jacobian (FISTA
+alone).  The script
 prints the Newton steps and distinct Jacobian patterns of each flow run;
 then, for each setup and path, microseconds per call (min of 5 passes),
 prox evaluations per call, the calls that return at their first prox
@@ -25,6 +26,7 @@ solutions.
 
 from __future__ import annotations
 
+import copy
 import sys
 import time
 from unittest import mock
@@ -35,7 +37,7 @@ from pdflow import discrete, flow, proxlib
 from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import MetricSchedule
 from pdflow.problems import catalog
-from pdflow.proxlib import NEWTON_STEPS, metric_prox, separable
+from pdflow.proxlib import NEWTON_STEPS, metric_prox
 
 SEED = 11
 FLOW_STARTS = 4
@@ -86,19 +88,26 @@ def subproblems():
     return {"flow": flow_calls, "admm": calls}, runs
 
 
+def _pieces(path):
+    return path in ("kept inverses", "fresh Q")
+
+
 def _wrapped(f, path, count=None):
-    """f as the path sees it: with its prox Jacobian and pieces, without
-    its pieces, or without either; with `count`, each prox evaluation
-    adds one to count["prox"]."""
+    """A copy of f as the path sees it: with its prox Jacobian and pieces,
+    without its pieces, or without either; with `count`, each prox
+    evaluation adds one to count["prox"]."""
     def prox_fn(t, u):
         if count is not None:
             count["prox"] += 1
         return f._prox(t, u)
 
-    return separable(f.dim, f, prox_fn,
-                     jac_fn=None if path == "fista only" else f._jac,
-                     piece_fn=f._piece if path in (
-                         "kept inverses", "fresh Q") else None)
+    g = copy.copy(f)
+    g._prox = prox_fn
+    if path == "fista only":
+        g._jac = None
+    if not _pieces(path):
+        g._piece = None
+    return g
 
 
 def _fresh(q):
@@ -128,9 +137,11 @@ def measure(calls, path):
         sols.append(metric_prox(g, _fresh(q) if fresh else q, lin, x0,
                                 tol=tol))
         evals.append(count["prox"])
-        # the Newton phase makes at most NEWTON_STEPS evaluations, and one
-        # more accepts its last point
-        fallbacks += path != "fista only" and count["prox"] > NEWTON_STEPS + 1
+        # the Newton phase makes at most NEWTON_STEPS evaluations, one more
+        # accepts its last point, and a piece start that fails makes one
+        # before them
+        fallbacks += (path != "fista only"
+                      and count["prox"] > NEWTON_STEPS + 1 + _pieces(path))
     return np.array(sols), 1e6 * best / len(calls), np.array(evals), fallbacks
 
 
