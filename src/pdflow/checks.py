@@ -20,7 +20,7 @@ import numpy as np
 from .diagnostics import lyapunov_excess, trace_flow
 from .discrete import DiscreteParams, run as discrete_run
 from .errors import MissingSolutionError
-from .flow import (Euler, FlowParams, SystemState, _check_rhs_time,
+from .flow import (Euler, FlowParams, SystemState, _blocks, _check_rhs_time,
                    _make_update, integrate, schedules)
 from .linops import _apply_rows, _row_dots, _row_norms, psd_floor
 from .metric import certify, x_update_metric
@@ -106,7 +106,8 @@ def _check_saddle_stationarity(p: ProblemSpec, update) -> CheckResult:
     except MissingSolutionError:
         return CheckResult("saddle-stationarity", "skip", "no known saddle")
     z_star = p.A.apply(x_star)
-    x_new, z_new, w = update(0.0, np.concatenate((x_star, z_star, y_star)))
+    x_new, z_new, w = _blocks(p, update, 0.0,
+                              np.concatenate((x_star, z_star, y_star)))
     norm = max(np.linalg.norm(x_new - x_star), np.linalg.norm(z_new - z_star),
                np.linalg.norm(w))
     return _result("saddle-stationarity", norm <= 1e-8,
@@ -119,7 +120,7 @@ def _check_third_line(p: ProblemSpec, params: FlowParams, update,
     for _ in range(20):
         x, z, y = (rng.standard_normal(p.n), rng.standard_normal(p.m),
                    rng.standard_normal(p.m))
-        x_new, z_new, w = update(0.0, np.concatenate((x, z, y)))
+        x_new, z_new, w = _blocks(p, update, 0.0, np.concatenate((x, z, y)))
         u, v = x_new - x, z_new - z
         recon = params.c * (p.A.apply(u + x) - (v + z))
         worst = max(worst, float(np.linalg.norm(recon - w)))

@@ -2,10 +2,11 @@
 primal-dual step forms.
 
 `admm_step` is the flow's own proximal ADMM update, built by
-`flow._make_update`, followed by the dual ascent step: the update maps the
-flat iterate s = x | z | y to (x_new, z_new, w), with w = c (A x_new - z_new)
-the dual velocity, and the next iterate is x_new | z_new | y + w.  So one
-explicit Euler step of the flow with step 1 is one `admm_step`, which the
+`flow._make_update`, followed by the dual ascent step: from the flat
+iterate s = x | z | y the update writes x_new | z_new | w into a row, with
+w = c (A x_new - z_new) the dual velocity, and the next iterate is
+x_new | z_new | y + w.  So one explicit Euler step of the flow with step 1
+is one `admm_step`, which the
 tests pin down to 1e-12; the maps H and B behind the update's affine terms,
 the constant step folded into H's x rows, and the closed-form or
 `metric_prox` solve of each block, are built there, once per run.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .flow import SystemState, _check_step, _make_update, _start_row
+from .flow import SystemState, _blocks, _check_step, _make_update, _start_row
 from .metric import MetricSchedule, TauSchedule
 from .problems import ProblemSpec, kkt_residuals
 from .proxlib import conjugate_prox
@@ -95,7 +96,7 @@ def admm_step(p: ProblemSpec, d: DiscreteParams, k: int,
     _check_step(d.tau, d.m1, k)
     u = _start_row(p, s)
     update = _make_update(p, d.c, d.gamma, d.tau, d.m1, d.m2, d.inner_tol)
-    x_new, z_new, w = update(k, u)
+    x_new, z_new, w = _blocks(p, update, k, u)
     return SystemState(x_new, z_new, u[p.n + p.m:] + w, float(k + 1))
 
 
@@ -178,8 +179,9 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
     the budget runs out, or an iterate is not finite or has a block norm
     above the divergence limit.
 
-    Both algorithms iterate the proximal ADMM update, built once per run,
-    and write x_new, z_new and y + w straight into the next row.
+    Both algorithms iterate the proximal ADMM update, built once per run:
+    it writes x_new | z_new | w straight into the next row, and y is added
+    to w there.
     Algorithm "admm" starts from s0; "cp" (`_require_cp`) starts from
     x0 | A x0 | y0, which makes the iterates those of `cp_step` with its
     splitting variable z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c, while row
@@ -258,21 +260,20 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
             stop = stop_row()
             if stop is not None:
                 return result("tolerance", stop + 1)
-        try:
-            x_new, z_new, w = update(k, s)
-        except Exception as exc:  # re-raised below unless an earlier row stops
-            error = exc
-            break
         if count == len(U):
             U = np.concatenate((U, np.empty_like(U)))
         row = U[count]
-        row[:n] = x_new
-        row[n:iy] = z_new
-        np.add(s[iy:], w, out=row[iy:])
+        try:
+            update(k, s, row)
+        except Exception as exc:  # re-raised below unless an earlier row stops
+            error = exc
+            break
+        y_row = row[iy:]
+        y_row += s[iy:]
         # a row of squared norm at most limit^2 / 4 passes; otherwise the
         # squared norms of x, z and y decide, and a NaN or inf anywhere in
         # the row makes the largest one NaN or inf, which fails
-        if not (row @ row <= quarter_sq
+        if not (row.dot(row) <= quarter_sq
                 or np.add.reduceat(row * row, starts).max() <= limit_sq):
             diverged = True  # row k = count is stored but not yet counted
             break

@@ -35,12 +35,15 @@ iteration is that ADMM at gamma = 1 from z0 = A x0.  The modes:
                       constant M2 = s I (s = 0, no M2, included) are single
                       prox calls; requires a uniformly positive x-metric
 
-The update takes an optional start (x, z) for its `metric_prox` solves,
-which otherwise start at the state's own x and z.  `integrate` passes the
-previous evaluation's (x_new, z_new): a stage point's x lags behind the
-solution's l1 pattern during a transient, and semismooth Newton, exact once
-it has the pattern, then has fewer patterns to walk through.  An ADMM
-iterate already is the previous solution, so `discrete` passes none.
+The update writes x_new | z_new | w into a row the caller gives, so
+`integrate` evaluates straight into its slope rows and `discrete.run` into
+its next iterate.  It takes an optional start (x, z) for its `metric_prox`
+solves, which otherwise start at the state's own x and z, and returns the
+start for the next solve.  `integrate` passes the previous evaluation's
+(x_new, z_new): a stage point's x lags behind the solution's l1 pattern
+during a transient, and semismooth Newton, exact once it has the pattern,
+then has fewer patterns to walk through.  An ADMM iterate already is the
+previous solution, so `discrete` passes none.
 
 Every integrator is an explicit Runge-Kutta method given by its Butcher
 tableau (Hairer-Norsett-Wanner, Solving ODEs I, II.1-II.4): fixed-step
@@ -239,15 +242,21 @@ def schedules(p: ProblemSpec, c, tau=None, m1=None, m2=None):
 
 def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
                  m1: MetricSchedule | None, m2: MetricSchedule | None, tol):
-    """Build the proximal ADMM update (t, s, start=None) -> (x_new, z_new, w)
-    on the flat state s = x | z | y, with z_new taken at the relaxed point
-    x + gamma (x_new - x) and the dual velocity w = c (A x_new - z_new); t is
-    the flow time or the iteration index k.  The x-step of a tau family is
-    positive for t >= 0 and the update passes it to the raw prox of f, so a
-    caller at t < 0 certifies it first (`_check_step`).  A `metric_prox`
-    solve of the x (z) block starts at start[0] (start[1]) when a start
-    (x, z) is given, and at s's own x (z) otherwise; single proxes ignore
-    it.
+    """Build the proximal ADMM update on the flat state s = x | z | y:
+    update(t, s, out, start=None) writes x_new | z_new | w into `out`, a
+    flat row of length n + 2m that does not overlap s, with z_new taken at
+    the relaxed point x + gamma (x_new - x) and the dual velocity
+    w = c (A x_new - z_new); t is the flow time or the iteration index k.
+    Callers evaluate into the rows they keep (a slope row of `integrate`,
+    the next iterate of `discrete.run`), or take the three blocks of a
+    fresh row from `_blocks`.  The x-step of a tau family is positive for
+    t >= 0 and the update passes it to the raw prox of f, so a caller at
+    t < 0 certifies it first (`_check_step`).  A `metric_prox` solve of the
+    x (z) block starts at start[0] (start[1]) when a start (x, z) is given,
+    and at s's own x (z) otherwise; single proxes ignore it.  The update
+    returns the start for the next solve: its own (x_new, z_new) arrays,
+    which do not alias `out`, or None from the constant-step kernel, whose
+    proxes are all single calls.
 
     Every affine term is a fixed linear function of s or x_new, so the run
     builds two maps once: `r = H s` gives the affine inputs of both blocks
@@ -291,6 +300,7 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     """
     m1, m2 = schedules(p, c, tau, m1, m2)
     n, m = p.n, p.m
+    iy = n + m
     A, AT = p.A, p.A.T
     f, g = p.f, p.g
     f_prox, g_prox = f._prox, g._prox
@@ -365,7 +375,7 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
             None if f.affine is None else f.affine(tau0),
             None if g.affine is None else g.affine(z_step))
 
-    def update(t, s, start=None):
+    def update(t, s, out, start=None):
         r = h_apply(s)
         rx = r[:n]
         if q is not None:
@@ -392,7 +402,10 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
                 q2_t = q2
             z_new = metric_prox(g, q2_t, lin,
                                 z if start is None else start[1], tol=tol)
-        return x_new, z_new, bx[m:] - c * z_new
+        out[:n] = x_new
+        out[n:iy] = z_new
+        np.subtract(bx[m:], c * z_new, out=out[iy:])
+        return x_new, z_new
 
     return update
 
@@ -401,7 +414,10 @@ def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f_prox,
                           g_prox, f_aff, g_aff):
     """The constant-step kernel of `_make_update`: one map s -> r = M s + m0
     on n + 2m rows, from the dense H and B and the constant q of H's x rows,
-    then at most two proxes and one product G x_new.  The step tau0 folds
+    then at most two proxes and one product G x_new, all in the row `out`:
+    r is written into it, each non-affine prox reads its block of it and
+    writes the result back, and G x_new and -c z_new are added to the rows
+    below.  The step tau0 folds
     into the x rows Hx = [K, -c A*, A*]: the prox input x - tau0 (Hx s + q)
     is Fx s + fx, with Fx = [I - tau0 K, (tau0 c) A*, -tau0 A*] (its z block
     taken from H's A* block) and fx = -tau0 q.  With neither prox affine,
@@ -415,7 +431,8 @@ def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f_prox,
       M = [Mx; Hz + Bz Mx; Bw Mx] and m0 = [x0; Bz x0; Bw x0]
     * both: the f fold on top of the g fold (its G in place of B)
 
-    Both proxes are exact single calls, so the update ignores a start.
+    Both proxes are exact single calls, so the update ignores a start and
+    returns None.
     """
     iy = n + m
     M = np.zeros((n + 2 * m, hmat.shape[1]))
@@ -448,21 +465,28 @@ def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f_prox,
     if not m0.any():
         m0 = None
 
-    def update(t, s, start=None):
-        r = m_dot(s)
+    def update(t, s, out, start=None):
+        m_dot(s, out=out)
         if m0 is not None:
-            r += m0
-        if f_aff is not None:
-            x_new, zw = r[:n], r[n:]
-        else:
-            x_new = f_prox(tau0, r[:n])
-            zw = r[n:] + g_dot(x_new)
-        if g_aff is not None:
-            return x_new, zw[:m], zw[m:]
-        z_new = g_prox(z_step, zw[:m])
-        return x_new, z_new, zw[m:] - c * z_new
+            out += m0
+        if f_aff is None:
+            x_new, zw = out[:n], out[n:]
+            x_new[...] = f_prox(tau0, x_new)
+            zw += g_dot(x_new)
+        if g_aff is None:
+            z_new, w = out[n:iy], out[iy:]
+            z_new[...] = g_prox(z_step, z_new)
+            w -= c * z_new
+        return None
 
     return update
+
+
+def _blocks(p: ProblemSpec, update, t, s):
+    """(x_new, z_new, w) of one update at (t, s), sliced from a fresh row."""
+    out = np.empty_like(s)
+    update(t, s, out)
+    return out[:p.n], out[p.n:p.n + p.m], out[p.n + p.m:]
 
 
 def _check_step(tau: TauSchedule | None, m1: MetricSchedule | None, t):
@@ -494,7 +518,7 @@ def rhs(p: ProblemSpec, params: FlowParams, t, s: SystemState):
     u0 = _start_row(p, s)
     update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
                           params.m2, params.inner_tol)
-    x_new, z_new, w = update(t, u0)
+    x_new, z_new, w = _blocks(p, update, t, u0)
     return x_new - u0[:p.n], z_new - u0[p.n:p.n + p.m], w
 
 
@@ -573,9 +597,14 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     h b (and h e), rescaled only when h changes, and the record arrays t, U
     and the integrals, written in place: a fixed-step run's hold exactly
     the rows it can record, an adaptive run's double when full; the
-    trajectory gets trimmed copies of them.  Each entry
-    is the floating-point expression a per-step build would evaluate, so
-    the trajectory is bit for bit that of such a loop (the tests keep one).
+    trajectory gets trimmed copies of them.  Each rhs evaluation writes
+    x_new | z_new | w straight into its slope row, less the stage point's
+    x and z in one subtraction.  The adaptive error estimate is written
+    into buffers, and |U_n| carries over from the last accepted step's
+    |U_n+1|.  Each entry is the floating-point expression a per-step build
+    would evaluate, so the trajectory is bit for bit that of such a loop
+    (the tests keep one).  The finiteness test takes ||U||^2 first and the
+    entries only when that is not finite, so the same states raise.
 
     Each rhs evaluation starts its `metric_prox` solves at the previous
     evaluation's (x_new, z_new), whichever stage, step or rejected adaptive
@@ -613,7 +642,7 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     # Row 0 of the stage points is the flat state U = (x, z, y), and the
     # running integrals of x and z are one array, so each stage
     # combination is a single matrix-vector product.
-    iz, iy = p.n, p.n + p.m
+    iy = p.n + p.m
     pts = np.empty((len(c_nodes), iy + p.m))  # stage points
     ks = np.empty_like(pts)                   # stage slopes
     pts[0] = u0
@@ -625,27 +654,22 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     p0, k0, p_last, k_last = pts[0], ks[0], pts[-1], ks[-1]
     pts_xz = pts[:, :iy]
     ints = np.zeros(iy)
-    # per stage: its point, the point's x and z blocks, the slope's x, z
-    # and y blocks; per later stage i: (ha[i, :i], ks[:i], pts[i], c_i)
-    views = [(s_i, s_i[:iz], s_i[iz:iy], k_i[:iz], k_i[iz:iy], k_i[iy:])
-             for s_i, k_i in zip(pts, ks)]
-    stages = [(ha[i, :i], ks[:i], pts[i], float(c_nodes[i]), views[i])
+    # per stage: the x | z blocks of its slope and of its point; per later
+    # stage i: (ha[i, :i], ks[:i], pts[i], ks[i], c_i, its blocks)
+    k0_xz, p0_xz = ks[0, :iy], pts_xz[0]
+    stages = [(ha[i, :i], ks[:i], pts[i], ks[i], float(c_nodes[i]),
+               ks[i, :iy], pts_xz[i])
               for i in range(1, len(c_nodes))]
+    if adaptive:
+        # |U_n|, |U_n+1|, the error scale and the scaled error
+        abs_n = np.abs(p0)
+        abs_next, scale, err_r = (np.empty_like(p0) for _ in range(3))
     ts = np.empty(capacity)
     U, integrals = np.empty((capacity, iy + p.m)), np.empty((capacity, iy))
     ts[0], U[0], integrals[0] = 0.0, u0, ints
     n_rec = 1
 
     start = None  # the previous evaluation's (x_new, z_new)
-
-    def slope(view, t_i):
-        nonlocal start
-        s_i, s_x, s_z, k_x, k_z, k_y = view
-        x_new, z_new, w = update(t_i, s_i, start)
-        start = x_new, z_new
-        np.subtract(x_new, s_x, out=k_x)
-        np.subtract(z_new, s_z, out=k_z)
-        k_y[:] = w
 
     def record(t):
         nonlocal n_rec, ts, U, integrals
@@ -671,18 +695,24 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
         # the adaptive pair keeps k1 across a rejection and takes it from
         # the last stage of an accepted step (FSAL)
         if evals == 0 or not adaptive:
-            slope(views[0], t)
+            start = update(t, p0, k0, start)
+            np.subtract(k0_xz, p0_xz, out=k0_xz)
             evals += 1
-        for ha_i, ks_i, pts_i, c_i, view in stages:
-            np.add(p0, ha_i @ ks_i, out=pts_i)
-            slope(view, t + c_i * h)
+        for ha_i, ks_i, pts_i, k_i, c_i, k_xz, p_xz in stages:
+            np.add(p0, ha_i.dot(ks_i), out=pts_i)
+            start = update(t + c_i * h, pts_i, k_i, start)
+            np.subtract(k_xz, p_xz, out=k_xz)
         evals += len(stages)
         if adaptive:
-            # the last stage point is the 5th-order solution
-            scale = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(p0),
-                                                               np.abs(p_last))
-            r = he @ ks / scale
-            err = math.sqrt(r @ r / r.size)
+            # the last stage point is the 5th-order solution; the scale is
+            # abs_tol + rel_tol max(|U_n|, |U_n+1|)
+            np.abs(p_last, out=abs_next)
+            np.maximum(abs_n, abs_next, out=scale)
+            scale *= integ.rel_tol
+            scale += integ.abs_tol
+            he.dot(ks, out=err_r)
+            err_r /= scale
+            err = math.sqrt(err_r.dot(err_r) / err_r.size)
             factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
             if err > 1.0:
                 # reject: nothing was committed; retry from the same k1
@@ -695,14 +725,17 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
                     break
                 h *= factor
                 continue
+        # `@`, not `.dot`: with 2 or 3 columns the strided pts_xz rounds
+        # differently under the two, and the records keep `@`'s bits
         ints += hb @ pts_xz
         if adaptive:
-            p0[:] = p_last
-            k0[:] = k_last
+            p0[...] = p_last
+            k0[...] = k_last
+            abs_n, abs_next = abs_next, abs_n
         else:
-            p0 += hb @ ks
+            p0 += hb.dot(ks)
         t = t_next
-        if not np.isfinite(p0).all():
+        if not (math.isfinite(p0.dot(p0)) or np.isfinite(p0).all()):
             raise IntegrationError(f"non-finite state at t = {t:.6g}")
         accepted += 1
         if accepted % record_every == 0 or t >= t_end:

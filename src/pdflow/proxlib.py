@@ -370,8 +370,8 @@ def _newton_step(f: ProxFunction, Q: SelfAdjointPSD, step, u, d):
     inv = _kept_inverse(Q, step, np.asarray(f._jac(step, u), dtype=float))
     if inv is None:
         return None
-    dv = inv @ d
-    return dv if math.isfinite(dv @ dv) else None
+    dv = inv.dot(d)
+    return dv if math.isfinite(dv.dot(dv)) else None
 
 
 def _piece_start(f: ProxFunction, Q: SelfAdjointPSD, step, lin, x0):
@@ -496,12 +496,12 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
         u = w - step * (qapply(w) + lin)
         v_next = f.prox(step, u)
         d = v_next - w
-        res = math.sqrt(d @ d) / step
+        res = math.sqrt(d.dot(d)) / step
         if not math.isfinite(res):
             raise ToleranceNotMet(
                 f"metric_prox: residual {res} at iteration {k + 1}",
                 best=v, residual=res)
-        if res <= tol * max(1.0, math.sqrt(v_next @ v_next)):
+        if res <= tol * max(1.0, math.sqrt(v_next.dot(v_next))):
             return v_next
         if start is not None:
             # x0's piece is not the solution's: run the phases from x0

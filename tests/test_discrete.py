@@ -252,7 +252,9 @@ def _steps(p, d, u0, algorithm):
     if algorithm == "cp":
         s = np.concatenate((u0[:n], p.A.apply(u0[:n]), u0[iy:]))
     for k in itertools.count():
-        x_new, z_new, w = update(k, s)
+        row = np.empty_like(s)
+        update(k, s, row)
+        x_new, z_new, w = row[:n], row[n:iy], row[iy:]
         s = np.concatenate((x_new, z_new, s[iy:] + w))
         yield s
 
@@ -309,20 +311,22 @@ def _residual_maxima(p, d, s0):
 
 def _fail_from(monkeypatch, k_bad, failure):
     """Make ADMM iterate k_bad + 1 and later fail: the update raises, or
-    returns a NaN x, the old z and w = 0."""
+    writes a NaN x, the old z and w = 0."""
     real = discrete._make_update
 
     def patched(p, *args):
         update = real(p, *args)
 
-        def failing(k, s):
+        def failing(k, s, out, start=None):
             if k < k_bad:
-                return update(k, s)
+                return update(k, s, out)
             if failure == "raise":
                 raise ToleranceNotMet("inner solve failed", best=s[:p.n],
                                       residual=1.0)
-            return (np.full(p.n, np.nan), s[p.n:p.n + p.m].copy(),
-                    np.zeros(p.m))
+            out[:p.n] = np.nan
+            out[p.n:p.n + p.m] = s[p.n:p.n + p.m]
+            out[p.n + p.m:] = 0.0
+            return None
         return failing
 
     monkeypatch.setattr(discrete, "_make_update", patched)
@@ -380,9 +384,9 @@ class TestChunkedStop:
         def counting(*args):
             update = real(*args)
 
-            def counted(t, s, start=None):
+            def counted(t, s, out, start=None):
                 updates.append(t)
-                return update(t, s, start)
+                return update(t, s, out, start)
             return counted
 
         monkeypatch.setattr(discrete, "_make_update", counting)
@@ -589,9 +593,10 @@ class TestIterateBuffer:
         def crafted(p, *args):
             rows = iter([np.ones(6), row, np.ones(6)])
 
-            def update(k, s):
-                r = next(rows)
-                return r[:2], r[2:4], r[4:] - s[4:]  # y + w is r[4:]
+            def update(k, s, out, start=None):
+                out[:] = next(rows)
+                out[4:] -= s[4:]  # y + w is the row's y
+                return None
             return update
 
         monkeypatch.setattr(discrete, "_make_update", crafted)

@@ -25,7 +25,7 @@ from pdflow.metric import (MetricSchedule, TauSchedule, x_update_metric,
 from pdflow.problems import CATALOG_NAMES, ProblemSpec, catalog
 from pdflow.proxlib import (SmoothFunction, box, l1_norm, metric_prox,
                             quadratic_smooth, separable, sq_distance,
-                            sq_norm, zero)
+                            sq_norm, zero, zero_smooth)
 
 _PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -534,6 +534,12 @@ def _reference_update(p, c, gamma, tau, m1, m2, tol):
     return update
 
 
+def _three_blocks(p, *args):
+    """`_make_update(p, *args)` as (t, s) -> (x_new, z_new, w)."""
+    update = _make_update(p, *args)
+    return lambda t, s: flow._blocks(p, update, t, s)
+
+
 def _dense_pd(dim, seed):
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((dim, dim)) / np.sqrt(dim)
@@ -573,7 +579,7 @@ class TestAffineUpdate:
 
     @staticmethod
     def _assert_matches(p, c, gamma, tau, m1, m2, seed):
-        new = _make_update(p, c, gamma, tau, m1, m2, 1e-12)
+        new = _three_blocks(p, c, gamma, tau, m1, m2, 1e-12)
         ref = _reference_update(p, c, gamma, tau, m1, m2, 1e-12)
         rng = np.random.default_rng(seed)
         for t in (0.0, 0.7, 3.0):
@@ -672,7 +678,7 @@ class TestTauFamilyXStep:
         c, gamma = 1.5, 0.5
         tau = resolve_tau("auto", p, c, gamma) if case == "auto" \
             else TauSchedule.saturating(0.05, 0.2)
-        update = _make_update(p, c, gamma, tau, None, None, 1e-12)
+        update = _three_blocks(p, c, gamma, tau, None, None, 1e-12)
         mat = p.A.to_dense()
         ata = c * (mat.T @ mat)
         rng = np.random.default_rng(19)
@@ -787,7 +793,7 @@ class TestFoldedStep:
             return real(step, u)
 
         monkeypatch.setattr(p.f, "_prox", recording)
-        update = _make_update(p, 1.0, 0.5, tau, None, None, 1e-12)
+        update = _three_blocks(p, 1.0, 0.5, tau, None, None, 1e-12)
         a_apply, a_adjoint = p.A._raw_apply, p.A._raw_adjoint
         rng = np.random.default_rng(8)
         for t in (0.0, 0.7, 3.0):
@@ -821,10 +827,12 @@ class TestFoldedStep:
         tau = resolve_tau("auto", p, 1.5, 0.5).tau0
         assert TauSchedule.saturating(0.5 * tau, tau).value(800.0) == tau
         const, moving = (
-            _make_update(p, 1.5, 0.5, sched, None, m2, 1e-12)
+            _three_blocks(p, 1.5, 0.5, sched, None, m2, 1e-12)
             for sched in (TauSchedule.constant(tau),
                           TauSchedule.saturating(0.5 * tau, tau)))
-        assert "_constant_step_update" not in const.__qualname__
+        assert "_constant_step_update" not in _make_update(
+            p, 1.5, 0.5, TauSchedule.constant(tau), None, m2,
+            1e-12).__qualname__
         rng = np.random.default_rng(13)
         for _ in range(3):
             s = 3.0 * rng.standard_normal(p.n + 2 * p.m)
@@ -878,7 +886,7 @@ class TestAffineFold:
                 return real(step, u)
 
             monkeypatch.setattr(fn, "_prox", recording)
-        new = _make_update(p, c, gamma, tau, None, m2, 1e-12)
+        new = _three_blocks(p, c, gamma, tau, None, m2, 1e-12)
         ref = _reference_update(p, c, gamma, tau, None, m2, 1e-12)
         affine = [fn for fn in (p.f, p.g) if fn.affine is not None]
         assert bool(affine) == (name != "l1-box")
@@ -907,15 +915,75 @@ class TestAffineFold:
         p = _named_problem(name)
         assert p.f.affine is not None or p.g.affine is not None
         tau, m1, m2 = _update_cases(p, 0.5)[case]
-        update = _make_update(p, 1.0, 0.5, tau, m1, m2, 1e-12)
+        update = _three_blocks(p, 1.0, 0.5, tau, m1, m2, 1e-12)
         for fn in (p.f, p.g):
             monkeypatch.setattr(fn, "affine", None)
-        plain = _make_update(p, 1.0, 0.5, tau, m1, m2, 1e-12)
+        plain = _three_blocks(p, 1.0, 0.5, tau, m1, m2, 1e-12)
         rng = np.random.default_rng(12)
         for t in (0.0, 0.7, 3.0):
             s = 3.0 * rng.standard_normal(p.n + 2 * p.m)
             for g, w in zip(update(t, s), plain(t, s)):
                 assert np.array_equal(g, w)
+
+
+class TestUpdateContract:
+    """update(t, s, out, start=None) writes every entry of `out`, which
+    less (x, z, 0) is the `rhs` velocity bit for bit, and returns the start
+    of the next solve: the general path's own (x_new, z_new), not views of
+    `out`, and None from the constant-step kernel."""
+
+    @staticmethod
+    def _params(p, mode):
+        tau = resolve_tau("auto", p, 1.0, 0.5)
+        m1, m2 = _half_metrics(p)
+        return {
+            "folded": dict(tau=tau),
+            "unfolded": dict(tau=tau),
+            "general-0.5I": dict(m1=m1, m2=m2),
+            "general-dense-m2": dict(
+                m1=m1, m2=MetricSchedule.constant(_dense_pd(p.m, 6))),
+            "moving-tau": dict(tau=TauSchedule.saturating(0.5 * tau.tau0,
+                                                          tau.tau0)),
+        }[mode]
+
+    @pytest.mark.parametrize("mode", ["folded", "unfolded", "general-0.5I",
+                                      "general-dense-m2", "moving-tau"])
+    @pytest.mark.parametrize("name", list(CATALOG_NAMES) + ["wide-lasso"])
+    def test_writes_the_rhs_row(self, name, mode, monkeypatch):
+        p = _named_problem(name)
+        if mode == "unfolded":
+            for fn in (p.f, p.g):
+                monkeypatch.setattr(fn, "affine", None)
+        params = FlowParams(c=1.0, gamma=0.5, horizon=5.0,
+                            **self._params(p, mode))
+        update = _make_update(p, params.c, params.gamma, params.tau,
+                              params.m1, params.m2, params.inner_tol)
+        kernel = mode in ("folded", "unfolded") and name in CATALOG_NAMES
+        assert ("_constant_step_update" in update.__qualname__) == kernel
+        n, iy = p.n, p.n + p.m
+        rng = np.random.default_rng(21)
+        start = None
+        for t in (0.0, 0.7, 3.0):
+            s = 3.0 * rng.standard_normal(iy + p.m)
+            for given in (None, start):
+                out = np.full(iy + p.m, np.nan)
+                returned = update(t, s, out, given)
+                assert not np.isnan(out).any()
+                if given is None:
+                    u, v, w = rhs(p, params, t, SystemState(
+                        s[:n], s[n:iy], s[iy:], t))
+                    assert (out[:n] - s[:n]).tobytes() == u.tobytes()
+                    assert (out[n:iy] - s[n:iy]).tobytes() == v.tobytes()
+                    assert out[iy:].tobytes() == w.tobytes()
+                if kernel:
+                    assert returned is None
+                    continue
+                x_new, z_new = returned
+                assert x_new.tobytes() == out[:n].tobytes()
+                assert z_new.tobytes() == out[n:iy].tobytes()
+                assert not np.shares_memory(x_new, out)
+                assert not np.shares_memory(z_new, out)
+                start = returned
 
 
 def _reference_integrate(p, params, s0=None, record_every=1, warm=True):
@@ -953,9 +1021,11 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True):
     def slope(i, t_i):
         nonlocal start
         s_i, k_i = pts[i], ks[i]
-        x_new, z_new, w = update(t_i, s_i, start)
+        row = np.empty_like(s_i)
+        returned = update(t_i, s_i, row, start)
+        x_new, z_new, w = row[:iz], row[iz:iy], row[iy:]
         if warm:
-            start = x_new, z_new
+            start = returned
         np.subtract(x_new, s_i[:iz], out=k_i[:iz])
         np.subtract(z_new, s_i[iz:iy], out=k_i[iz:iy])
         k_i[iy:] = w
@@ -1051,6 +1121,21 @@ class TestStepLoop:
         if not isinstance(integrator, Adaptive):
             # the start, every record_every-th step and the last step
             assert len(traj.t) == 1 + math.ceil(41 / record_every)
+
+    @pytest.mark.parametrize("integrator", [Euler(h=0.05), RK4(h=0.05),
+                                            Adaptive()],
+                             ids=["euler", "rk4", "adaptive"])
+    def test_one_by_one_problem(self, integrator):
+        """n = m = 1: the integrals' stage sum reads the x | z columns of
+        the stage points, a strided block of two columns, where `@` and
+        `ndarray.dot` round differently."""
+        p = ProblemSpec("one-by-one", l1_norm(1, 0.1), zero_smooth(1),
+                        sq_distance(1, np.array([0.5])),
+                        linops.LinearMap.from_dense(np.array([[2.0]])))
+        params = FlowParams(c=1.0, gamma=0.5,
+                            tau=resolve_tau("auto", p, 1.0, 0.5),
+                            horizon=2.02, integrator=integrator)
+        self._assert_same(p, params, 1)
 
     def test_general_metric(self):
         p = catalog("lasso-small")
@@ -1157,10 +1242,10 @@ class TestWarmStart:
         def recording(*args):
             update = real(*args)
 
-            def recorded(t, s, start=None):
-                out = update(t, s, start)
-                calls.append((t, s.copy(), start, out))
-                return out
+            def recorded(t, s, out, start=None):
+                returned = update(t, s, out, start)
+                calls.append((t, s.copy(), start, out.copy(), returned))
+                return returned
             return recorded
 
         monkeypatch.setattr(flow, "_make_update", recording)
@@ -1168,16 +1253,16 @@ class TestWarmStart:
         monkeypatch.undo()
         assert traj.rhs_evals == len(calls)
         assert traj.rhs_evals > 1 + 6 * (len(traj.t) - 1), "no rejection"
-        t0, u0, start, (x_new, z_new, w) = calls[0]
+        t0, u0, start, row, _ = calls[0]
         assert t0 == 0.0 and start is None
         u, v, want_w = rhs(p, params, 0.0, s0)
         n, m = p.n, p.m
-        assert (x_new - u0[:n]).tobytes() == u.tobytes()
-        assert (z_new - u0[n:n + m]).tobytes() == v.tobytes()
-        assert w.tobytes() == want_w.tobytes()
+        assert (row[:n] - u0[:n]).tobytes() == u.tobytes()
+        assert (row[n:n + m] - u0[n:n + m]).tobytes() == v.tobytes()
+        assert row[n + m:].tobytes() == want_w.tobytes()
         for before, after in zip(calls, calls[1:]):
-            assert after[2][0] is before[3][0]
-            assert after[2][1] is before[3][1]
+            assert after[2][0] is before[4][0]
+            assert after[2][1] is before[4][1]
 
     @pytest.mark.parametrize("dense_m2", [False, True])
     def test_matches_cold_starts(self, dense_m2):

@@ -21,20 +21,27 @@ their ratio B / A:
   closed-form update (`auto` tau, gamma 0.5) on every catalog problem
 * integrate: seconds per `integrate` run from the canonical start, for the
   catalog x {Euler, RK4, Adaptive} with `auto` tau, gamma 0.5, step 0.01
-  (Adaptive: its defaults) and horizon `HORIZON`
+  (Adaptive: its defaults) and horizon `HORIZON`, and for the
+  `metric-lasso` flow setup (lasso-small, M1 = M2 = 0.5 I, c 1, gamma
+  0.5, RK4 h 0.05, horizon 5); each of these lines also gives the
+  microseconds per rhs evaluation, the run's time over its `rhs_evals`
 * admm: microseconds per iteration of a 500-iteration `discrete.run` on
   every catalog problem with `auto` tau and gamma 1, and in
   general-metric mode with M1 = M2 = 0.5 I on lasso-small, where each
   iteration solves its x-update with `metric_prox`
 * cp: the same with algorithm "cp", on every catalog problem with h = 0
 
-The header gives Python, numpy and the CPU.
+A tree whose update writes into a row it is given (update(t, s, out))
+and one whose update returns its blocks (update(t, s)) can be compared:
+the update lines call each tree's own form.  The header gives Python,
+numpy and the CPU.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import os
 import platform
 import sys
@@ -114,6 +121,11 @@ def cases(pkg):
                                      horizon=HORIZON, integrator=integ)
             out.append((f"integrate {label} {name}", "s", 1.0,
                         lambda p=p, params=params: flow.integrate(p, params)))
+    p = problems.catalog("lasso-small")
+    params = flow.FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=5.0,
+                             integrator=flow.RK4(0.05))
+    out.append(("integrate rk4 general-metric lasso-small", "s", 1.0,
+                lambda p=p, params=params: flow.integrate(p, params)))
     for algorithm in ("admm", "cp"):
         for name in problems.CATALOG_NAMES:
             p = problems.catalog(name)
@@ -136,9 +148,13 @@ def cases(pkg):
 
 
 def _repeat(update, s):
+    args = (0.0, s)
+    if "out" in inspect.signature(update).parameters:
+        args += (np.empty_like(s),)
+
     def thunk():
         for _ in range(UPDATE_CALLS):
-            update(0.0, s)
+            update(*args)
     return thunk
 
 
@@ -167,17 +183,24 @@ def main(argv=None):
           f"{HORIZON:g}")
     both = list(zip(*(cases(pkg) for pkg in trees)))
     best = [[float("inf"), float("inf")] for _ in both]
+    evals = [[None, None] for _ in both]  # an integrate run's rhs_evals
     for r in range(args.repeats):
         for i, pair in enumerate(both):
             for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
                 start = time.perf_counter()
-                pair[side][3]()
+                result = pair[side][3]()
                 best[i][side] = min(best[i][side],
                                     time.perf_counter() - start)
-    for ((label, unit, per, _), _), (a, b) in zip(both, best):
+                evals[i][side] = getattr(result, "rhs_evals", None)
+    for ((label, unit, per, _), _), (a, b), (ea, eb) in zip(both, best,
+                                                           evals):
+        per_eval = ""
+        if ea and eb:
+            per_eval = (f"  us/eval A {1e6 * a / ea:6.3g}  "
+                        f"B {1e6 * b / eb:6.3g}")
         a, b = a / per, b / per
         print(f"{label:40s} {unit:2s}  A {a:10.4g}  B {b:10.4g}  "
-              f"B/A {b / a:.3f}", flush=True)
+              f"B/A {b / a:.3f}{per_eval}", flush=True)
 
 
 if __name__ == "__main__":
