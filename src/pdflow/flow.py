@@ -35,6 +35,12 @@ iteration is that ADMM at gamma = 1 from z0 = A x0.  The modes:
                       constant M2 = s I (s = 0, no M2, included) are single
                       prox calls; requires a uniformly positive x-metric
 
+With a constant M1 and a single-prox z block, the update is piecewise
+affine in U as well: on the joint piece of the two proxes that the solves'
+start lies on it is one affine map, which one product applies together
+with a certificate that the state lies inside that piece, and only a state
+that fails the certificate takes the `metric_prox` solve.
+
 The update writes x_new | z_new | w into a row the caller gives, so
 `integrate` evaluates straight into its slope rows and `discrete.run` into
 its next iterate.  It takes an optional start (x, z) for its `metric_prox`
@@ -72,7 +78,7 @@ from .errors import CertificationError, IntegrationError
 from .linops import LinearMap, _block_map
 from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
 from .problems import ProblemSpec
-from .proxlib import metric_prox
+from .proxlib import NEWTON_INVERSE_FLOATS, _kept_inverse, metric_prox
 
 __all__ = [
     "SystemState",
@@ -256,7 +262,8 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     and at s's own x (z) otherwise; single proxes ignore it.  The update
     returns the start for the next solve: its own (x_new, z_new) arrays,
     which do not alias `out`, or None from the constant-step kernel, whose
-    proxes are all single calls.
+    proxes are all single calls.  The general path writes through views of
+    a row of its own, made here, and copies that row into `out`.
 
     Every affine term is a fixed linear function of s or x_new, so the run
     builds two maps once: `r = H s` gives the affine inputs of both blocks
@@ -289,6 +296,16 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
         w = zw_w, or zw_w - c z_new
       an affine prox takes the first choice; a moving step, any other
       metric, another h and a lazy H keep the forms above
+    * a constant M1 with a dense Q1, a constant scaled-identity M2, a dense
+      H, h zero or quadratic, and f and g that name their pieces and
+      regions (`ProxFunction`): the update first tries the certified
+      affine map of the joint piece that the solves' start lies on
+      (`_piece_rows`).  One product gives the row x_new | z_new | w and a
+      certificate that both prox inputs lie at least PIECE_MARGIN inside
+      that piece's region; when it holds, the row is written and no
+      `metric_prox` solve runs, and otherwise the update takes the
+      `metric_prox` form above, unchanged.  A certified row depends on s
+      alone, and the returned start is the product's own x_new and z_new
 
     B is [k gamma A; c A], with k = 1 for any other M2.  A quadratic h
     (`quadratic_smooth`) folds its P and q in as above; any other h adds
@@ -374,8 +391,22 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
             H.mat, B.mat, q, n, m, c, tau0, z_step, f_prox, g_prox,
             None if f.affine is None else f.affine(tau0),
             None if g.affine is None else g.affine(z_step))
+    piece_rows = None
+    if x_tau is None and z_prox and h_grad is None and H.mat is not None \
+            and q1.base.mat is not None and f._region is not None \
+            and g._region is not None:
+        piece_rows = _piece_rows(H.mat, B.mat, q, q1, f, g, c, z_step)
+    # the fallback's row, written through views made here, then copied
+    width = iy + m
+    row = np.empty(width)
+    row_x, row_z, row_w = row[:n], row[n:iy], row[iy:]
 
     def update(t, s, out, start=None):
+        if piece_rows is not None:
+            r = piece_rows(s, *((s[:n], s[n:iy]) if start is None else start))
+            if r is not None:
+                out[...] = r[:width]
+                return r[:n], r[n:iy]
         r = h_apply(s)
         rx = r[:n]
         if q is not None:
@@ -402,12 +433,136 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
                 q2_t = q2
             z_new = metric_prox(g, q2_t, lin,
                                 z if start is None else start[1], tol=tol)
-        out[:n] = x_new
-        out[n:iy] = z_new
-        np.subtract(bx[m:], c * z_new, out=out[iy:])
+        row_x[...] = x_new
+        row_z[...] = z_new
+        np.subtract(bx[m:], c * z_new, out=row_w)
+        out[...] = row
         return x_new, z_new
 
     return update
+
+
+# How far inside its piece's region a certified prox input must lie
+# (`_piece_rows`): roundoff in the map's products is some 1e-15 of the
+# row's size, so an input the map puts past this margin is inside.
+PIECE_MARGIN = 1e-9
+
+
+def _flat(v, dim):
+    """A piece's scalar or (dim,) entry as a (dim,) float array."""
+    v = np.asarray(v, dtype=float)
+    return v if v.shape == (dim,) else np.full(dim, v)
+
+
+def _piece_key(fn, step):
+    """x -> bytes naming the piece of prox_{step fn} that x lies on: the
+    bytes of its (D, e), or one constant for an affine prox."""
+    if fn.affine is not None:
+        return lambda x: b""
+    piece = fn._piece
+
+    def key(x):
+        d, e = piece(step, x)
+        return np.asarray(d, dtype=float).tobytes() + \
+            np.asarray(e, dtype=float).tobytes()
+    return key
+
+
+def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
+    """The certified piece maps of the general path of `_make_update`, for
+    a constant M1 with a dense Q1 = c A* A + M1, a single-prox z block
+    (step z_step), a dense H and B, h zero or quadratic (its q), and f and
+    g that name their pieces and regions (`ProxFunction`).
+
+    rows(s, x0, z0) tries the joint piece D = (D_x, D_z) that x0 lies on
+    for `metric_prox`'s step 1 / ||Q1|| and z0 for z_step, the pieces
+    `metric_prox` and the z prox would start from.  On D the x block's
+    solution is the minimizer on D_x's piece, x_new = K (e_x - step D_x
+    (H_x s + q)) with K = (I - D_x + step D_x Q1)^{-1} (`_kept_inverse`),
+    so the whole update, x_new | z_new | w = A_D s + a_D, is affine in s,
+    and so are both prox inputs, u_x = x_new - step (Q1 x_new + H_x s + q)
+    and r_z = H_z s + B_z x_new, as C_D s + c_D.  One product of the
+    stacked [A_D; C_D; -C_D; 1; -1] gives the row and the certificate:
+    every input at least PIECE_MARGIN inside both bounds of its piece's
+    region, and a finite sum of s (an infinite offset on the last two
+    rows), so a state with a NaN or inf entry fails whatever the product
+    makes of the zero coefficients that meet it.  When the certificate
+    holds, prox(u_x) = x_new, so x_new is the exact minimizer, and z_new
+    the exact prox; rows returns the product, whose first n + 2m entries
+    are the row.  Otherwise, or when x0 or z0 lies on no piece, it returns
+    None.  Regions are disjoint, so at most one piece certifies a state,
+    and a certified row depends on s alone.
+
+    Each map is built on the first visit to its piece, as one matrix on
+    (s, 1), and kept while the maps fit in `NEWTON_INVERSE_FLOATS` floats;
+    a map past the bound is rebuilt on each visit, the same way, so a row
+    never depends on what was kept.
+    """
+    n, width = bmat.shape[1], hmat.shape[1]
+    m = (width - n) // 2
+    step = 1.0 / q1.norm()
+    # the affine maps of s as matrices on (s, 1): H_x s + q, H_z s
+    hx1 = np.zeros((n, width + 1))
+    hx1[:, :width] = hmat[:n]
+    if q is not None:
+        hx1[:, width] = q
+    hx1 *= step
+    hz1 = np.zeros((m, width + 1))
+    hz1[:, :width] = hmat[n:]
+    fixed = np.eye(n) - step * q1.base.mat
+    guard = np.ones((2, width + 1))
+    guard[1] = -1.0
+    guard[:, width] = math.inf
+    f_key, g_key = _piece_key(f, step), _piece_key(g, z_step)
+    maps, kept = {}, 0
+
+    def build(x0, z0):
+        dx, ex = f._piece(step, x0)
+        dz, ez = g._piece(z_step, z0)
+        (lo_x, hi_x), (lo_z, hi_z) = f._region(step, x0), g._region(z_step, z0)
+        lo = np.concatenate((_flat(lo_x, n), _flat(lo_z, m)))
+        hi = np.concatenate((_flat(hi_x, n), _flat(hi_z, m)))
+        dx = _flat(dx, n)
+        if not ((lo < hi).all() and np.isfinite(dx).all()):
+            return None
+        inv = _kept_inverse(q1, step, dx)
+        if inv is None:
+            return None
+        x1 = inv.dot(dx[:, None] * hx1)
+        x1 *= -1.0
+        x1[:, width] += inv.dot(_flat(ex, n))
+        bx1 = bmat.dot(x1)
+        rz1 = hz1 + bx1[:m]
+        z1 = np.reshape(dz, (-1, 1)) * rz1
+        z1[:, width] += ez
+        inputs = np.concatenate((fixed.dot(x1) - hx1, rz1))
+        stacked = np.concatenate((x1, z1, bx1[m:] - c * z1, inputs, -inputs,
+                                  guard))
+        if not np.isfinite(stacked[:-2]).all():
+            return None
+        # an infinite bound gives an infinite offset, a row that holds
+        stacked[width:-2, width] += np.concatenate((-lo, hi)) - PIECE_MARGIN
+        return stacked[:, :width].copy(), stacked[:, width].copy()
+
+    def rows(s, x0, z0):
+        nonlocal kept
+        key = f_key(x0) + g_key(z0)
+        got = maps.get(key)
+        if got is None:
+            got = build(x0, z0)
+            if got is None:
+                return None
+            size = got[0].size + got[1].size
+            if kept + size <= NEWTON_INVERSE_FLOATS:
+                maps[key] = got
+                kept += size
+        mat, off = got
+        r = mat.dot(s)
+        r += off
+        cert = r[width:]
+        return r if cert[cert.argmin()] > 0.0 else None
+
+    return rows
 
 
 def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f_prox,

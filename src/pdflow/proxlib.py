@@ -115,10 +115,16 @@ class ProxFunction:
     `piece_fn(t, x)`, for a piecewise affine prox, returns the affine
     piece prox_{t f}(u) = D u + e that a prox output x lies on, as (D, e):
     D is the diagonal that `jac_fn` gives on that piece, a (dim,) array or
-    a scalar, and e a (dim,) array or a scalar.  `l1_norm` and `box` set
-    it; with `affine` given and no `piece_fn`, the single piece is
-    affine's (a, b).  `metric_prox` first tries a solve on its start
-    point's piece.
+    a scalar, and e a (dim,) array or a scalar.  `region_fn(t, x)`, given
+    with `piece_fn`, returns the input region of that piece as bounds
+    (lo, hi), (dim,) arrays or scalars: prox_{t f}(u) = D u + e wherever
+    lo < u < hi entrywise, and a bound may be infinite.  A point that lies
+    on no piece of l1 or box (a NaN, or a point outside the box) gets
+    bounds with lo < hi false.  `l1_norm` and `box` set both; with
+    `affine` given, the single piece is affine's (a, b) and its region the
+    whole line.  `metric_prox` first tries a solve on its start point's
+    piece, and the flow's update (`flow._make_update`) certifies that
+    piece's affine map on its region.
 
     `affine`, set by the builders of quadratic functions (`zero`,
     `sq_norm`, `sq_distance`) and None otherwise, maps a step t to the
@@ -128,7 +134,7 @@ class ProxFunction:
     """
 
     def __init__(self, dim, eval_fn, prox_fn, params=None, jac_fn=None,
-                 rows=False, affine=None, piece_fn=None):
+                 rows=False, affine=None, piece_fn=None, region_fn=None):
         self.dim = int(dim)
         self._eval = eval_fn
         self._prox = prox_fn
@@ -137,7 +143,11 @@ class ProxFunction:
             def piece_fn(t, x):
                 a, b = affine(t)
                 return a, 0.0 if b is None else b
+
+            def region_fn(t, x):
+                return -math.inf, math.inf
         self._piece = piece_fn
+        self._region = region_fn
         self._rows = bool(rows)
         self.affine = affine
         self.params = dict(params or {})
@@ -198,12 +208,21 @@ def l1_norm(dim, weight=1.0) -> ProxFunction:
 
     def piece_fn(t, x):
         # the piece of sign(x): u - t w sign(x) where x != 0, else 0
-        return np.asarray(x != 0.0, dtype=float), (-t * w) * np.sign(x)
+        sign = np.sign(x)
+        return np.abs(sign), (-t * w) * sign
+
+    def region_fn(t, x):
+        # sign(x) u > t w where x != 0, |u| <= t w where x = 0; a NaN is
+        # on no piece, with NaN bounds
+        sign = np.sign(x)
+        tw = t * w
+        return (np.where(sign < 0.0, -np.inf, (2.0 * tw) * sign - tw),
+                np.where(sign > 0.0, np.inf, (2.0 * tw) * sign + tw))
 
     return ProxFunction(dim, lambda x: w * np.abs(x).sum(axis=-1), prox_fn,
                         {"weight": w},
                         jac_fn=lambda t, u: np.abs(u) > t * w, rows=True,
-                        piece_fn=piece_fn)
+                        piece_fn=piece_fn, region_fn=region_fn)
 
 
 def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
@@ -224,11 +243,20 @@ def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
         inside = np.asarray((lo < x) & (x < hi), dtype=float)
         return inside, x - inside * x
 
+    def region_fn(t, x):
+        # (lo, hi) inside, u <= lo at lo, u >= hi at hi; a point outside
+        # the box, or NaN, is on no piece: (inf, -inf)
+        inside, at_lo, at_hi = (lo < x) & (x < hi), x == lo, x == hi
+        return (np.where(inside, lo, np.where(
+                    at_lo, -np.inf, np.where(at_hi, hi, np.inf))),
+                np.where(inside, hi, np.where(
+                    at_hi, np.inf, np.where(at_lo, lo, -np.inf))))
+
     return ProxFunction(dim, eval_fn,
                         lambda t, u: np.minimum(np.maximum(u, lo), hi),
                         {"lo": lo, "hi": hi},
                         jac_fn=lambda t, u: (lo < u) & (u < hi), rows=True,
-                        piece_fn=piece_fn)
+                        piece_fn=piece_fn, region_fn=region_fn)
 
 
 def sq_distance(dim, center, coef=1.0) -> ProxFunction:

@@ -668,6 +668,33 @@ class TestPieceStart:
                                                rtol=1e-13, atol=1e-13)
         assert checked >= 110
 
+    @pytest.mark.parametrize("name,make", _KINDS, ids=[k for k, _ in _KINDS])
+    def test_region_holds_its_piece(self, name, make):
+        """The region (lo, hi) of the piece of x = prox_{t f}(u) holds u
+        in its closure, and prox_{t f} = D v + e at points v drawn in it;
+        a NaN, and a point outside the box, lie on no piece of l1 or box,
+        so their bounds fail lo < hi."""
+        f = make()
+        rng = np.random.default_rng(751)
+        for t in (0.3, 1.0, 2.5):
+            for _ in range(40):
+                u = 3.0 * rng.standard_normal(f.dim)
+                x = f.prox(t, u)
+                d, e = f._piece(t, x)
+                lo, hi = (np.broadcast_to(b, (f.dim,))
+                          for b in f._region(t, x))
+                assert np.all((lo <= u) & (u <= hi))
+                v = rng.uniform(np.maximum(lo, u - 2.0),
+                                np.minimum(hi, u + 2.0))
+                np.testing.assert_allclose(f.prox(t, v), d * v + e,
+                                           rtol=1e-13, atol=1e-13)
+        if name in ("l1", "box"):
+            for x in (np.full(3, np.nan), np.array([2.0, 0.0, -1.0])):
+                lo, hi = f._region(1.0, x)
+                assert not (lo < hi).all()
+                if name == "l1":
+                    break  # every finite point lies on a piece of l1
+
     @pytest.mark.parametrize("name,block", _PIECE_CASES)
     def test_start_on_the_solution_piece_takes_one_evaluation(self, name,
                                                               block):

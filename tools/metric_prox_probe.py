@@ -4,21 +4,24 @@ Usage, from the root of the tree under test:
 
     PYTHONPATH=src python tools/metric_prox_probe.py
 
-The subproblems are every x-update of the `metric-lasso` benchmark setup
-on lasso-small (c = 1, gamma = 0.5, M1 = M2 = 0.5 I), from seeded starts
-at radius sqrt(dim): four general-metric RK4 flows (step 0.05, horizon 5),
-and twelve proximal ADMM runs (`discrete.run`, stop_tol 1e-10).  Each is
-solved as recorded, from the start the run gave it, on four paths: in the
-run's own Q, which already keeps the inverse Newton matrix of every
-prox-Jacobian pattern the run met (kept inverses); in a copy of Q per
-call, which keeps none (fresh Q); with f copied without its affine
+The update evaluations are those of the `metric-lasso` benchmark setup on
+lasso-small (c = 1, gamma = 0.5, M1 = M2 = 0.5 I), from seeded starts at
+radius sqrt(dim): four general-metric RK4 flows (step 0.05, horizon 5),
+and twelve proximal ADMM runs (`discrete.run`, stop_tol 1e-10).  For each
+setup the script first prints how many evaluations the update's piece
+map certified and how many fell back to a `metric_prox` solve of the x
+block (`flow._make_update`).  The subproblems are those fallback solves.
+Each is solved as recorded, from the start the run gave it, on four
+paths: in the run's own Q, which already keeps the inverse Newton matrix
+of every prox-Jacobian pattern the run met (kept inverses); in a copy of
+Q per call, which keeps none (fresh Q); with f copied without its affine
 pieces, so that Newton starts at x0 and does not first try x0's piece
 (newton from x0); and with f copied without its prox Jacobian (FISTA
-alone).  The script
-prints the Newton steps and distinct Jacobian patterns of each flow run;
-then, for each setup and path, microseconds per call (min of 5 passes),
-prox evaluations per call, the calls that return at their first prox
-evaluation, and the calls that went on to FISTA after a full Newton
+alone).  The script prints the Newton steps of each flow run and the
+Jacobian patterns its Q keeps an inverse of, for the piece maps and for
+Newton; then, for each setup and path, microseconds per call (min of 5
+passes), prox evaluations per call, the calls that return at their first
+prox evaluation, and the calls that went on to FISTA after a full Newton
 phase; then whether the solutions in a fresh Q and with kept inverses are
 bit-equal, and the largest difference between the Newton and FISTA
 solutions.
@@ -51,9 +54,9 @@ def _start(rng, dim):
 
 
 def subproblems():
-    """The (f, Q, linear, x0, tol) of every x-update of the flow runs and
-    of the ADMM runs, and each flow run's Newton steps and distinct
-    Jacobian patterns."""
+    """The (f, Q, linear, x0, tol) of every `metric_prox` x-update of the
+    flow runs and of the ADMM runs, the update evaluations of each, and
+    each flow run's Newton steps and kept-inverse patterns."""
     p = catalog("lasso-small")
     m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
     m2 = MetricSchedule.constant(SelfAdjointPSD.identity(p.m, 0.5))
@@ -61,8 +64,17 @@ def subproblems():
                              integrator=flow.RK4(h=0.05), m1=m1, m2=m2)
     admm = discrete.DiscreteParams(c=1.0, gamma=0.5, m1=m1, m2=m2,
                                    max_iters=20000, stop_tol=1e-10)
-    calls, runs, steps = [], [], [0]
+    calls, runs, steps, evals = [], [], [0], [0]
     newton_step = proxlib._newton_step
+    make_update = flow._make_update
+
+    def counted_update(*args):
+        update = make_update(*args)
+
+        def counted(*call):
+            evals[0] += 1
+            return update(*call)
+        return counted
 
     def record(f, Q, linear, x0, tol):
         if f is p.f:
@@ -75,17 +87,22 @@ def subproblems():
 
     rng = np.random.default_rng(SEED)
     with mock.patch.object(flow, "metric_prox", record), \
-            mock.patch.object(proxlib, "_newton_step", count):
+            mock.patch.object(proxlib, "_newton_step", count), \
+            mock.patch.object(flow, "_make_update", counted_update), \
+            mock.patch.object(discrete, "_make_update", counted_update):
         for _ in range(FLOW_STARTS):
             x0, y0 = _start(rng, p.n), _start(rng, p.m)
-            steps[0] = 0
+            steps[0], before = 0, len(calls)
             flow.integrate(p, params, flow.SystemState(x0, p.A.apply(x0), y0))
-            runs.append((steps[0], len(calls[-1][1]._newton)))
+            newton = calls[-1][1]._newton if len(calls) > before else None
+            runs.append((steps[0], len(newton or ())))
         flow_calls, calls[:] = list(calls), []
+        flow_evals, evals[0] = evals[0], 0
         for _ in range(ADMM_STARTS):
             x0, y0 = _start(rng, p.n), _start(rng, p.m)
             discrete.run(p, admm, flow.SystemState(x0, p.A.apply(x0), y0))
-    return {"flow": flow_calls, "admm": calls}, runs
+    return ({"flow": flow_calls, "admm": calls},
+            {"flow": flow_evals, "admm": evals[0]}, runs)
 
 
 def _pieces(path):
@@ -149,13 +166,17 @@ PATHS = ("kept inverses", "fresh Q", "newton from x0", "fista only")
 
 
 def main() -> int:
-    setups, runs = subproblems()
+    setups, evals, runs = subproblems()
+    for name, calls in setups.items():
+        print(f"{name} update evaluations: {evals[name]}, certified by "
+              f"their piece map {evals[name] - len(calls)}, fallback "
+              f"metric_prox solves {len(calls)}")
     print(f"lasso-small x-subproblems (seed {SEED}): "
           f"{len(setups['flow'])} from {FLOW_STARTS} flow starts, "
           f"{len(setups['admm'])} from {ADMM_STARTS} ADMM starts")
     for i, (steps, patterns) in enumerate(runs):
-        print(f"flow run {i}: {steps} newton steps, {patterns} distinct "
-              "jacobian patterns")
+        print(f"flow run {i}: {steps} newton steps, {patterns} jacobian "
+              "patterns with a kept inverse (piece maps' included)")
     for name, calls in setups.items():
         print(f"-- {name}: {len(calls)} calls")
         got = {path: measure(calls, path) for path in PATHS}
