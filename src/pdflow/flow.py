@@ -296,16 +296,18 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
         w = zw_w, or zw_w - c z_new
       an affine prox takes the first choice; a moving step, any other
       metric, another h and a lazy H keep the forms above
-    * a constant M1 with a dense Q1, a constant scaled-identity M2, a dense
-      H, h zero or quadratic, and f and g that name their pieces and
-      regions (`ProxFunction`): the update first tries the certified
-      affine map of the joint piece that the solves' start lies on
-      (`_piece_rows`).  One product gives the row x_new | z_new | w and a
-      certificate that both prox inputs lie at least PIECE_MARGIN inside
-      that piece's region; when it holds, the row is written and no
-      `metric_prox` solve runs, and otherwise the update takes the
-      `metric_prox` form above, unchanged.  A certified row depends on s
-      alone, and the returned start is the product's own x_new and z_new
+    * a constant M1 with a dense Q1 that has a positive floor (as
+      `metric_prox` needs), a constant scaled-identity M2, a dense H, h
+      zero or quadratic, f and g that name their pieces and regions
+      (`ProxFunction`), and room for `PIECE_MAPS` maps: the update first
+      tries the certified affine map of the joint piece that the solves'
+      start lies on (`_piece_rows`).  One product gives the row
+      x_new | z_new | w and a certificate that both prox inputs lie at
+      least PIECE_MARGIN inside that piece's region; when it holds, the
+      row is written and no `metric_prox` solve runs, and otherwise the
+      update takes the `metric_prox` form above, unchanged.  A certified
+      row depends on s alone, and the returned start is the product's own
+      x_new and z_new
 
     B is [k gamma A; c A], with k = 1 for any other M2.  A quadratic h
     (`quadratic_smooth`) folds its P and q in as above; any other h adds
@@ -393,8 +395,8 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
             None if g.affine is None else g.affine(z_step))
     piece_rows = None
     if x_tau is None and z_prox and h_grad is None and H.mat is not None \
-            and q1.base.mat is not None and f._region is not None \
-            and g._region is not None:
+            and q1.base.mat is not None and q1.alpha_floor > 0.0 \
+            and f._region is not None and g._region is not None:
         piece_rows = _piece_rows(H.mat, B.mat, q, q1, f, g, c, z_step)
     # the fallback's row, written through views made here, then copied
     width = iy + m
@@ -446,6 +448,12 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
 # (`_piece_rows`): roundoff in the map's products is some 1e-15 of the
 # row's size, so an input the map puts past this margin is inside.
 PIECE_MARGIN = 1e-9
+# The fewest piece maps that must fit in `NEWTON_INVERSE_FLOATS` floats
+# for the update to use them (maps of at most 4096 floats).  A run meets
+# some 5 to 40 pieces; past this size a map's build costs more than the
+# warm `metric_prox` solves it replaces, and ADMM's transient, which meets
+# a new piece every few iterations, runs slower with maps than without.
+PIECE_MAPS = 64
 
 
 def _flat(v, dim):
@@ -470,9 +478,11 @@ def _piece_key(fn, step):
 
 def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     """The certified piece maps of the general path of `_make_update`, for
-    a constant M1 with a dense Q1 = c A* A + M1, a single-prox z block
-    (step z_step), a dense H and B, h zero or quadratic (its q), and f and
-    g that name their pieces and regions (`ProxFunction`).
+    a constant M1 with a dense Q1 = c A* A + M1 that has a positive floor,
+    a single-prox z block (step z_step), a dense H and B, h zero or
+    quadratic (its q), and f and g that name their pieces and regions
+    (`ProxFunction`); None when fewer than `PIECE_MAPS` maps fit in
+    `NEWTON_INVERSE_FLOATS` floats, and the update then always solves.
 
     rows(s, x0, z0) tries the joint piece D = (D_x, D_z) that x0 lies on
     for `metric_prox`'s step 1 / ||Q1|| and z0 for z_step, the pieces
@@ -494,9 +504,10 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     and a certified row depends on s alone.
 
     Each map is built on the first visit to its piece, as one matrix on
-    (s, 1), and kept while the maps fit in `NEWTON_INVERSE_FLOATS` floats;
-    a map past the bound is rebuilt on each visit, the same way, so a row
-    never depends on what was kept.
+    (s, 1), and kept while the maps fit in `NEWTON_INVERSE_FLOATS` floats.
+    A new piece past that bound drops the least recently used map, which
+    is built again, the same way, on its next visit, so a row never
+    depends on what was kept.
     """
     n, width = bmat.shape[1], hmat.shape[1]
     m = (width - n) // 2
@@ -514,7 +525,13 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     guard[1] = -1.0
     guard[:, width] = math.inf
     f_key, g_key = _piece_key(f, step), _piece_key(g, z_step)
-    maps, kept = {}, 0
+    # the maps kept, least recently used first, and how many fit: a map
+    # has a row, n + m prox inputs, their negations and the guard's 2 rows
+    maps = {}
+    capacity = NEWTON_INVERSE_FLOATS // (
+        (width + 2 * (n + m) + 2) * (width + 1))
+    if capacity < PIECE_MAPS:
+        return None
 
     def build(x0, z0):
         dx, ex = f._piece(step, x0)
@@ -545,17 +562,15 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
         return stacked[:, :width].copy(), stacked[:, width].copy()
 
     def rows(s, x0, z0):
-        nonlocal kept
         key = f_key(x0) + g_key(z0)
-        got = maps.get(key)
+        got = maps.pop(key, None)
         if got is None:
             got = build(x0, z0)
             if got is None:
                 return None
-            size = got[0].size + got[1].size
-            if kept + size <= NEWTON_INVERSE_FLOATS:
-                maps[key] = got
-                kept += size
+            if len(maps) >= capacity:
+                del maps[next(iter(maps))]
+        maps[key] = got
         mat, off = got
         r = mat.dot(s)
         r += off

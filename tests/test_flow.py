@@ -1358,16 +1358,19 @@ class TestPieceMaps:
 
     @pytest.mark.parametrize("name", ["lasso-small", "l1-box"])
     def test_rows_do_not_depend_on_what_was_kept(self, name, monkeypatch):
-        """With no float budget, every map and every Newton inverse is
-        rebuilt on each visit, and a warm RK4 run gives the same
-        trajectory bit for bit."""
+        """With room for one map and no Newton inverse, every change of
+        piece drops the last map and every inverse is rebuilt, and a warm
+        RK4 run gives the same trajectory bit for bit."""
         p = _named_problem(name)
         m1, m2 = _half_metrics(p)
         params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=3.0,
                             integrator=RK4(h=0.05))
         s0 = next(_radius_starts(p, 1))
         kept = integrate(p, params, s0)
-        monkeypatch.setattr(flow, "NEWTON_INVERSE_FLOATS", 0)
+        width = p.n + 2 * p.m
+        monkeypatch.setattr(flow, "PIECE_MAPS", 1)
+        monkeypatch.setattr(flow, "NEWTON_INVERSE_FLOATS",
+                            (width + 2 * (p.n + p.m) + 2) * (width + 1))
         monkeypatch.setattr(proxlib, "NEWTON_INVERSE_FLOATS", 0)
         rebuilt = integrate(p, params, s0)
         assert kept.U.tobytes() == rebuilt.U.tobytes()
@@ -1456,6 +1459,49 @@ class TestPieceMaps:
                 update(0.0, s, np.empty_like(s), start)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("caller", ["rhs", "admm"])
+    def test_indefinite_m1_raises(self, caller):
+        """M1 = -0.1 I leaves Q1 = A* A + M1 with no positive floor on
+        lasso-small.  From x0 = 0, on l1's zero piece, whose map would
+        exist, the update takes no map and its solve refuses Q1."""
+        p = catalog("lasso-small")
+        m1 = MetricSchedule.constant(
+            SelfAdjointPSD.from_dense(-0.1 * np.eye(p.n)))
+        m2 = MetricSchedule.constant(SelfAdjointPSD.identity(p.m, 0.5))
+        s = SystemState(np.zeros(p.n), np.zeros(p.m), np.zeros(p.m))
+        with pytest.raises(CertificationError, match="positive definite Q"):
+            if caller == "rhs":
+                rhs(p, FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2), 0.0, s)
+            else:
+                discrete_run(p, DiscreteParams(c=1.0, m1=m1, m2=m2), s)
+
+    def test_maps_past_the_size_limit_are_not_built(self, monkeypatch):
+        """A 20 x 30 lasso's map has 14 742 floats, past the 4096 of
+        `PIECE_MAPS` maps in the budget: every evaluation of a warm run
+        solves with `metric_prox` and writes the bits of an update built
+        without piece maps."""
+        rng = np.random.default_rng(5)
+        n, m = 20, 30
+        A = linops.LinearMap.from_dense(rng.standard_normal((m, n)))
+        p = ProblemSpec(name="lasso-20x30", f=l1_norm(n, 0.05),
+                        h=zero_smooth(n), A=A,
+                        g=sq_distance(m, rng.standard_normal(m)))
+        m1, m2 = _half_metrics(p)
+        params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=1.0,
+                            integrator=RK4(h=0.05))
+        calls = self._warm_calls(p, params, monkeypatch)
+        update = _make_update(p, 1.0, 0.5, None, m1, m2, 1e-12)
+        with monkeypatch.context() as patch:
+            patch.setattr(p.f, "_region", None)
+            plain = _make_update(p, 1.0, 0.5, None, m1, m2, 1e-12)
+        solves = _count_metric_prox(monkeypatch)
+        for t, s, start in calls:
+            got, want = np.empty_like(s), np.empty_like(s)
+            update(t, s, got, start)
+            plain(t, s, want, start)
+            assert got.tobytes() == want.tobytes()
+        assert len(solves) == 2 * len(calls)
 
 
 class TestAdaptiveStepCap:
