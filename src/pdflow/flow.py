@@ -39,7 +39,9 @@ With a constant M1 and a single-prox z block, the update is piecewise
 affine in U as well: on the joint piece of the two proxes that the solves'
 start lies on it is one affine map, which one product applies together
 with a certificate that the state lies inside that piece, and only a state
-that fails the certificate takes the `metric_prox` solve.
+that fails the certificate takes the `metric_prox` solve.  Both
+piecewise-affine updates, this one and the kernel, give the affine map of
+each joint piece as data (`update.pieces`).
 
 The update writes x_new | z_new | w into a row the caller gives, so
 `integrate` evaluates straight into its slope rows and `discrete.run` into
@@ -64,6 +66,16 @@ h sum_i b_i (X_i, Z_i) over the stage points of each accepted step, the
 tableau's own quadrature, so the identity
 A x_tilde - z_tilde = (y(t) - y0) / (c t)  holds to roundoff instead of
 quadrature error.
+
+On a joint piece the slope is affine, and so is a whole fixed-step RK4
+step: U <- Phi_D U + phi_D.  An RK4 run of a piecewise-affine update
+stacks that map with the integrals' increment and a certificate that every
+stage lies on the piece (`_StepMaps`), and takes a step by one product
+wherever the certificate holds; elsewhere it takes the stagewise step.
+The two agree to roundoff.  Euler runs keep the stagewise step, since a
+map step would save one evaluation, about what finding the piece of each
+stagewise step costs; adaptive runs keep it too, since their step, and so
+their map, changes every step.
 """
 
 from __future__ import annotations
@@ -196,7 +208,10 @@ class FlowTrajectory:
     """The recorded trajectory as arrays, one row per record: times t (R,)
     from 0, states U (R, n + 2m) with rows x | z | y, and ergodic averages
     erg (R, n + m) with rows x_tilde | z_tilde, NaN where t = 0.
-    stop_reason is "horizon" or "step-underflow".  The views `states`,
+    stop_reason is "horizon" or "step-underflow".  rhs_evals counts the
+    tableau's stage evaluations, s per step, a step that a step map took
+    included, since its one product stands for s evaluations; map_steps
+    counts the steps a map took (`_StepMaps`).  The views `states`,
     `ergodic_x` and `ergodic_z` (None at t = 0) are built on access; no
     code in `src/` reads them, and they stay because `perfbench/` does.
     """
@@ -207,6 +222,7 @@ class FlowTrajectory:
     stop_reason: str
     rhs_evals: int
     n: int
+    map_steps: int = 0
 
     @property
     def states(self) -> list:
@@ -309,6 +325,15 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
       row depends on s alone, and the returned start is the product's own
       x_new and z_new
 
+    Both piecewise-affine forms, the kernel with f and g whose proxes are
+    affine or name their pieces and regions and the certified general
+    path, carry `update.pieces` = (key, piece, takes_start): key(x, z)
+    names the joint piece that the prox outputs x_new = x and z_new = z
+    lie on, and piece(x, z) gives that piece's update as one matrix on
+    (s, 1) with its prox inputs' rows and bounds (`_kernel_pieces`,
+    `_piece_rows`), from which `integrate` builds its step maps.  Every
+    other update has `update.pieces` None.
+
     B is [k gamma A; c A], with k = 1 for any other M2.  A quadratic h
     (`quadratic_smooth`) folds its P and q in as above; any other h adds
     its gradient at x to r_x.  With n + 2m at most `linops._DENSE_LIMIT`
@@ -388,16 +413,14 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     h_apply, b_apply = H._raw_apply, B._raw_apply
     if x_tau is not None and m1.is_time_invariant() and z_prox \
             and h_grad is None and H.mat is not None:
-        tau0 = x_tau.tau0
-        return _constant_step_update(
-            H.mat, B.mat, q, n, m, c, tau0, z_step, f_prox, g_prox,
-            None if f.affine is None else f.affine(tau0),
-            None if g.affine is None else g.affine(z_step))
-    piece_rows = None
+        return _constant_step_update(H.mat, B.mat, q, n, m, c, x_tau.tau0,
+                                     z_step, f, g)
+    piece_rows = pieces = None
     if x_tau is None and z_prox and h_grad is None and H.mat is not None \
             and q1.base.mat is not None and q1.alpha_floor > 0.0 \
             and f._region is not None and g._region is not None:
-        piece_rows = _piece_rows(H.mat, B.mat, q, q1, f, g, c, z_step)
+        piece_rows, pieces = _piece_rows(H.mat, B.mat, q, q1, f, g, c,
+                                         z_step) or (None, None)
     # the fallback's row, written through views made here, then copied
     width = iy + m
     row = np.empty(width)
@@ -441,6 +464,7 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
         out[...] = row
         return x_new, z_new
 
+    update.pieces = pieces
     return update
 
 
@@ -462,9 +486,19 @@ def _flat(v, dim):
     return v if v.shape == (dim,) else np.full(dim, v)
 
 
+def _piece(fn, step, x, dim):
+    """(D, e, lo, hi) of the piece of prox_{step fn} that output x lies
+    on, each a (dim,) array (`_flat`): prox(u) = D u + e for lo < u < hi."""
+    d, e = fn._piece(step, x)
+    lo, hi = fn._region(step, x)
+    return _flat(d, dim), _flat(e, dim), _flat(lo, dim), _flat(hi, dim)
+
+
 def _piece_key(fn, step):
     """x -> bytes naming the piece of prox_{step fn} that x lies on: the
-    bytes of its (D, e), or one constant for an affine prox."""
+    bytes of its (D, e), or one constant for an affine prox.  The bytes fix
+    the piece's (D, e) and region, so a map built from any x of one key is
+    the same map."""
     if fn.affine is not None:
         return lambda x: b""
     piece = fn._piece
@@ -481,8 +515,9 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     a constant M1 with a dense Q1 = c A* A + M1 that has a positive floor,
     a single-prox z block (step z_step), a dense H and B, h zero or
     quadratic (its q), and f and g that name their pieces and regions
-    (`ProxFunction`); None when fewer than `PIECE_MAPS` maps fit in
-    `NEWTON_INVERSE_FLOATS` floats, and the update then always solves.
+    (`ProxFunction`): (rows, pieces), or None when fewer than
+    `PIECE_MAPS` maps fit in `NEWTON_INVERSE_FLOATS` floats, and the update
+    then always solves.
 
     rows(s, x0, z0) tries the joint piece D = (D_x, D_z) that x0 lies on
     for `metric_prox`'s step 1 / ||Q1|| and z0 for z_step, the pieces
@@ -508,6 +543,12 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     A new piece past that bound drops the least recently used map, which
     is built again, the same way, on its next visit, so a row never
     depends on what was kept.
+
+    pieces is (key, piece, True), the form `_kernel_pieces` gives for the
+    constant-step kernel: key(x, z) names the joint piece of outputs x and
+    z, and piece(x, z) is its (E, lo, hi), E = [A_D a_D; C_D c_D] on
+    (s, 1) with the inputs' bounds, read from its map, for `integrate`'s
+    step maps; True says that the update takes a start.
     """
     n, width = bmat.shape[1], hmat.shape[1]
     m = (width - n) // 2
@@ -533,6 +574,9 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     if capacity < PIECE_MAPS:
         return None
 
+    def key_of(x0, z0):
+        return f_key(x0) + g_key(z0)
+
     def build(x0, z0):
         dx, ex = f._piece(step, x0)
         dz, ez = g._piece(z_step, z0)
@@ -557,9 +601,12 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
                                   guard))
         if not np.isfinite(stacked[:-2]).all():
             return None
+        # the offsets of the row and the inputs before the bounds join them
+        own = stacked[:width + n + m, width].copy()
         # an infinite bound gives an infinite offset, a row that holds
         stacked[width:-2, width] += np.concatenate((-lo, hi)) - PIECE_MARGIN
-        return stacked[:, :width].copy(), stacked[:, width].copy()
+        return stacked[:, :width].copy(), stacked[:, width].copy(), own, lo, \
+            hi
 
     def rows(s, x0, z0):
         key = f_key(x0) + g_key(z0)
@@ -571,17 +618,24 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
             if len(maps) >= capacity:
                 del maps[next(iter(maps))]
         maps[key] = got
-        mat, off = got
-        r = mat.dot(s)
-        r += off
+        r = got[0].dot(s)
+        r += got[1]
         cert = r[width:]
         return r if cert[cert.argmin()] > 0.0 else None
 
-    return rows
+    def piece(x0, z0):
+        # the kept map, which the evaluations on this piece have used, or
+        # else one built for this call alone
+        got = maps.get(key_of(x0, z0)) or build(x0, z0)
+        if got is None:
+            return None
+        return np.column_stack((got[0][:width + n + m], got[2])), got[3], \
+            got[4]
+
+    return rows, (key_of, piece, True)
 
 
-def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f_prox,
-                          g_prox, f_aff, g_aff):
+def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f, g):
     """The constant-step kernel of `_make_update`: one map s -> r = M s + m0
     on n + 2m rows, from the dense H and B and the constant q of H's x rows,
     then at most two proxes and one product G x_new, all in the row `out`:
@@ -605,6 +659,9 @@ def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f_prox,
     returns None.
     """
     iy = n + m
+    f_prox, g_prox = f._prox, g._prox
+    f_aff = None if f.affine is None else f.affine(tau0)
+    g_aff = None if g.affine is None else g.affine(z_step)
     M = np.zeros((n + 2 * m, hmat.shape[1]))
     m0 = np.zeros(n + 2 * m)
     M[:n] = -tau0 * hmat[:n]
@@ -632,6 +689,9 @@ def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f_prox,
         M[n:] += G @ M[:n]
         m0[n:] += G @ m0[:n]
     m_dot, g_dot = M.dot, G.dot
+    pieces = None
+    if f._region is not None and g._region is not None:
+        pieces = _kernel_pieces(M, m0, G, n, m, c, tau0, z_step, f, g)
     if not m0.any():
         m0 = None
 
@@ -649,7 +709,58 @@ def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f_prox,
             w -= c * z_new
         return None
 
+    update.pieces = pieces
     return update
+
+
+def _kernel_pieces(M, m0, G, n, m, c, tau0, z_step, f, g):
+    """The joint pieces of the constant-step kernel (`_constant_step_update`)
+    as (key, piece, False), for f and g whose proxes are affine or name
+    their pieces and regions: key(x, z) names the joint piece D of the
+    prox outputs x_new = x and z_new = z (b"" for an affine prox, which
+    has one piece), and piece(x, z) gives D's map as (E, lo, hi), or None
+    when D's region is empty or its map not finite.  E is a matrix on
+    (s, 1): its first n + 2m rows give the update's row x_new | z_new | w
+    on D, and the rest the inputs of the non-affine proxes, r_x = M_x s +
+    m0_x and zw_z, which D's map holds for while lo < input < hi.  On D,
+    x_new = D_x r_x + e_x, zw = r[n:] + G x_new and z_new = D_z zw_z + e_z,
+    so both rows follow from M, m0 and G by products; an affine prox is
+    already folded into them."""
+    width = M.shape[1]
+    f_key, g_key = _piece_key(f, tau0), _piece_key(g, z_step)
+    f_aff, g_aff = f.affine is not None, g.affine is not None
+
+    def key(x, z):
+        return f_key(x) + g_key(z)
+
+    def piece(x, z):
+        mh = np.concatenate((M, m0[:, None]), axis=1)
+        inputs, lo, hi = [], [np.empty(0)], [np.empty(0)]
+        xs, zw = mh[:n], mh[n:]
+        if not f_aff:
+            dx, ex, lo_x, hi_x = _piece(f, tau0, x, n)
+            xs = dx[:, None] * xs
+            xs[:, width] += ex
+            zw = zw + G.dot(xs)
+            inputs.append(mh[:n])
+            lo.append(lo_x)
+            hi.append(hi_x)
+        zs, ws = zw[:m], zw[m:]
+        if not g_aff:
+            dz, ez, lo_z, hi_z = _piece(g, z_step, z, m)
+            zs = dz[:, None] * zs
+            zs[:, width] += ez
+            ws = ws - c * zs
+            inputs.append(zw[:m])
+            lo.append(lo_z)
+            hi.append(hi_z)
+        mat = np.concatenate([xs, zs, ws] + inputs)
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        if not ((lo < hi).all() and np.isfinite(mat).all()):
+            return None
+        return mat, lo, hi
+
+    return key, piece, False
 
 
 def _blocks(p: ProblemSpec, update, t, s):
@@ -748,6 +859,176 @@ _DP54 = _tableau(
 
 _TABLEAUS = {Euler: _EULER, RK4: _RK4, Adaptive: _DP54}
 
+# Floats of step maps one run keeps (2 MiB), least recently used dropped
+# first; the map in use is always kept.
+STEP_MAP_FLOATS = 2 ** 18
+# The fewest step maps that must fit in `STEP_MAP_FLOATS` floats for a
+# run to take them: maps of at most 16 384 floats, a limit that depends on
+# the problem's size alone (lasso-small's RK4 maps have 6 848, or 7 488 on
+# the general path).  A build costs O((n + 2m)^3) and a map step saves a
+# few evaluations of O((n + 2m)^2), so past this size a run's builds cost
+# more than its map steps save: on seeded dense lassos, RK4 runs of 100
+# steps took 1.1 to 1.9 times as long with maps as without at widths 56
+# to 80, and 2.4 to 4.9 times at widths 96 to 128.
+STEP_MAPS = 16
+# The fewest full steps a run must have to take step maps.  A run meets
+# a few pieces in its transient and pays a build of some 80 to 150 us on
+# each that holds across a step, and a piece key on every stagewise step:
+# on the catalog problems and general-metric lasso-small, RK4 runs of 16
+# steps of 0.05 to 1 took 0.66 to 1.30 times as long with maps as
+# without, runs of 32 steps 0.40 to 1.03, and runs of 100 steps 0.16 to
+# 0.76.
+STEP_MAP_MIN_STEPS = 32
+
+
+class _StepMaps:
+    """The step maps of one fixed-step RK4 run of a piecewise-affine
+    update.
+
+    On a joint piece D the update is x_new | z_new | w = A_D s + a_D
+    (`update.pieces`), so the slope is affine too, and so is every stage
+    point of an explicit Runge-Kutta step: with P_1 = I and K_i = J_D P_i,
+    P_i = I + h sum_j a_ij K_j on (U, 1).  One step is then
+    U <- Phi_D U + phi_D with Phi_D = I + h sum_i b_i K_i, the integrals
+    add Psi_D U + psi_D = h sum_i b_i (P_i U)_xz, and every stage's prox
+    inputs are affine in U.  A map stacks Phi_D, Psi_D, the last stage's
+    x_new | z_new when the update takes starts, and a certificate: each
+    stage input PIECE_MARGIN inside each finite bound of D's region (an
+    infinite bound holds for every finite input, so it has no row), and
+    two guard rows, +-sum(U) plus an infinite offset added after the
+    finite product, which fail for a NaN or inf entry.  `step(u)` applies
+    the current map by one product and returns it when the certificate
+    holds, so that every stage lies on D and the stagewise step would
+    evaluate this same affine map.
+
+    Otherwise the run takes the stagewise step, keeping its evaluations'
+    outputs (`observe`), and then `settle` picks the map for the next
+    step: the map of the piece that the step's last evaluation lies on,
+    once the step before it, stagewise or by a map, ended on that piece
+    too.  So a transient that meets a new piece every step builds no map,
+    and one key is taken per stagewise step.  Maps are kept while they fit
+    in `STEP_MAP_FLOATS` floats, and a dropped map is built again, the
+    same way, so the trajectory never depends on what was kept.
+    """
+
+    def __init__(self, pieces, a_mat, b_w, h, n, m):
+        self.key_of, self.piece_at, warm = pieces
+        self.ha, self.hb = h * a_mat, h * b_w
+        self.n, self.iy, self.width = n, n + m, n + 2 * m
+        self.stages = len(b_w)
+        self.cert = self.width + self.iy * (1 + warm)
+        self.warm = warm
+        self.key = None  # the piece the last step ended on
+        self.last = np.empty(n + m)  # the last evaluation's x_new | z_new
+        self.current = None
+        self.kept = {}
+        # the most rows a map has: those before the certificate, both
+        # bounds of all n + m prox inputs at every stage, and the guard;
+        # how many such maps fit, and how many are kept, at least one
+        rows = self.cert + 2 * self.stages * self.iy + 2
+        self.fit = STEP_MAP_FLOATS // (rows * self.width)
+        self.capacity = max(1, self.fit)
+        self.count = 0
+        self.eye = np.eye(self.width + 1)
+        # each stage's nonzero terms (j, h a_ij)
+        self.terms = [[(j, self.ha[i, j]) for j in range(i)
+                       if self.ha[i, j] != 0.0] for i in range(self.stages)]
+        # +-sum(U), whose infinite offsets join after the product
+        self.guard = np.ones((2, self.width + 1))
+        self.guard[1] = -1.0
+        self.guard[:, self.width] = 0.0
+
+    def step(self, u):
+        """The product of the current map at u, or None when no map is
+        current or its certificate fails: rows [:width] are the next
+        state, [width:width + n + m] the integrals' increment, and, when
+        the update takes starts, the next n + m the last stage's
+        x_new | z_new."""
+        if self.current is None:
+            return None
+        r = self.current[0].dot(u)
+        r += self.current[1]
+        cert = r[self.cert:]
+        if not cert[cert.argmin()] > 0.0:
+            return None
+        self.count += 1
+        return r
+
+    def observe(self, row):
+        """Keep a stagewise evaluation's x_new | z_new, from its row."""
+        self.last[...] = row[:self.iy]
+
+    def settle(self):
+        """After a stagewise step, pick the map the next step tries: that
+        of the piece its last evaluation lies on, if the step before it
+        ended on that piece too."""
+        key = self.key_of(self.last[:self.n], self.last[self.n:])
+        held, self.key = key == self.key, key
+        self.current = None
+        if not held:
+            return
+        if self.key in self.kept:
+            got = self.kept.pop(self.key)
+        else:
+            got = self._build(self.piece_at(self.last[:self.n],
+                                             self.last[self.n:]))
+            if len(self.kept) >= self.capacity:
+                del self.kept[next(iter(self.kept))]
+        self.kept[self.key] = self.current = got
+
+    def _build(self, piece):
+        """(matrix, offsets) of the step map of one piece (E, lo, hi), or
+        None when there is no piece or the map is not finite.  Every map
+        here is square on (U, 1), its last row that of the constant 1."""
+        if piece is None:
+            return None
+        mat, lo, hi = piece
+        width, iy, stages = self.width, self.iy, self.stages
+        # the slope J_D = A_D - diag(I, I, 0) with its offset j_D
+        slope = np.zeros((width + 1, width + 1))
+        slope[:width] = mat[:width]
+        slope.flat[:iy * (width + 2):width + 2] -= 1.0
+        # the stage points P_i = I + sum_j h a_ij K_j and K_i = J_D P_i
+        points = np.empty((stages, width + 1, width + 1))
+        slopes = np.empty_like(points)
+        for i, terms in enumerate(self.terms):
+            point = points[i]
+            point[...] = self.eye
+            for j, ha_ij in terms:
+                point += ha_ij * slopes[j]
+            np.dot(slope, point, out=slopes[i])
+        phi = self.hb.dot(slopes[:, :width].reshape(stages, -1))
+        psi = self.hb.dot(points[:, :iy].reshape(stages, -1))
+        out = [phi.reshape(width, width + 1) + self.eye[:width],
+               psi.reshape(iy, width + 1)]
+        if self.warm:
+            out.append(mat[:iy].dot(points[-1]))
+        # every stage's inputs, inside each finite bound by the margin
+        inputs = np.matmul(mat[width:], points)
+        low, high = np.isfinite(lo), np.isfinite(hi)
+        above, below = inputs[:, low], -inputs[:, high]
+        above[:, :, width] -= lo[low] + PIECE_MARGIN
+        below[:, :, width] += hi[high] - PIECE_MARGIN
+        out += [above.reshape(-1, width + 1), below.reshape(-1, width + 1),
+                self.guard]
+        stacked = np.concatenate(out)
+        if not np.isfinite(stacked).all():
+            return None
+        off = stacked[:, width].copy()
+        off[-2:] = math.inf
+        return stacked[:, :width].copy(), off
+
+
+def _step_maps(pieces, a_mat, b_w, h, n, m, n_full):
+    """The `_StepMaps` of a fixed-step run with n_full full steps of h, or
+    None when the update has no pieces, the tableau has one stage (Euler),
+    the run has fewer than `STEP_MAP_MIN_STEPS` full steps, or fewer than
+    `STEP_MAPS` maps fit in `STEP_MAP_FLOATS` floats."""
+    if pieces is None or len(b_w) == 1 or n_full < STEP_MAP_MIN_STEPS:
+        return None
+    maps = _StepMaps(pieces, a_mat, b_w, h, n, m)
+    return maps if maps.fit >= STEP_MAPS else None
+
 
 def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
               record_every: int = 1) -> FlowTrajectory:
@@ -780,6 +1061,16 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     evaluation's (x_new, z_new), whichever stage, step or rejected adaptive
     trial made it; the run's first evaluation starts at its own stage
     point, so it is `rhs` bit for bit.
+
+    An RK4 run of an update with pieces (`update.pieces`), long enough
+    and with maps small enough to repay their builds (`_step_maps`),
+    first tries the current step map (`_StepMaps`) at each full step:
+    when its certificate holds, one product gives the next state, the
+    integrals' increment and, for an update that takes starts, the last
+    stage's (x_new, z_new), which starts the next evaluation.  Otherwise,
+    and on a clipped last step, the step is stagewise, and the pieces its
+    evaluations lie on pick the next step's map.  A map step counts the
+    tableau's stages in `rhs_evals` and one in `map_steps`.
     """
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
@@ -840,6 +1131,15 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     n_rec = 1
 
     start = None  # the previous evaluation's (x_new, z_new)
+    # an RK4 run of a piecewise-affine update also steps by maps; the
+    # rows of a map step's product (`_StepMaps.step`)
+    maps = None if adaptive else _step_maps(
+        getattr(update, "pieces", None), a_mat, b_w, h_fix, p.n, p.m, n_full)
+    if maps is not None:
+        warm, width = maps.warm, iy + p.m
+        int_rows = slice(width, width + iy)
+        x_rows = slice(width + iy, width + iy + p.n)
+        z_rows = slice(width + iy + p.n, width + 2 * iy)
 
     def record(t):
         nonlocal n_rec, ts, U, integrals
@@ -862,48 +1162,66 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
         if h != h_scaled:
             np.multiply(h, tab, out=h_tab)
             h_scaled = h
-        # the adaptive pair keeps k1 across a rejection and takes it from
-        # the last stage of an accepted step (FSAL)
-        if evals == 0 or not adaptive:
-            start = update(t, p0, k0, start)
-            np.subtract(k0_xz, p0_xz, out=k0_xz)
-            evals += 1
-        for ha_i, ks_i, pts_i, k_i, c_i, k_xz, p_xz in stages:
-            np.add(p0, ha_i.dot(ks_i), out=pts_i)
-            start = update(t + c_i * h, pts_i, k_i, start)
-            np.subtract(k_xz, p_xz, out=k_xz)
-        evals += len(stages)
-        if adaptive:
-            # the last stage point is the 5th-order solution; the scale is
-            # abs_tol + rel_tol max(|U_n|, |U_n+1|)
-            np.abs(p_last, out=abs_next)
-            np.maximum(abs_n, abs_next, out=scale)
-            scale *= integ.rel_tol
-            scale += integ.abs_tol
-            he.dot(ks, out=err_r)
-            err_r /= scale
-            err = math.sqrt(err_r.dot(err_r) / err_r.size)
-            factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
-            if err > 1.0:
-                # reject: nothing was committed; retry from the same k1
-                if h * factor < integ.h_min:
-                    stop_reason = "step-underflow"
-                    warnings.warn(
-                        f"adaptive integrator underflowed its minimum step at "
-                        f"t = {t:.6g}; returning the partial trajectory",
-                        RuntimeWarning)
-                    break
-                h *= factor
-                continue
-        # `@`, not `.dot`: with 2 or 3 columns the strided pts_xz rounds
-        # differently under the two, and the records keep `@`'s bits
-        ints += hb @ pts_xz
-        if adaptive:
-            p0[...] = p_last
-            k0[...] = k_last
-            abs_n, abs_next = abs_next, abs_n
+        r = maps.step(p0) if maps is not None and accepted < n_full else None
+        if r is not None:
+            # a map step: the next state, the integrals' increment and the
+            # last stage's x_new | z_new from one product
+            ints += r[int_rows]
+            p0[...] = r[:width]
+            if warm:
+                start = r[x_rows], r[z_rows]
+            evals += len(c_nodes)
         else:
-            p0 += hb.dot(ks)
+            # the adaptive pair keeps k1 across a rejection and takes it
+            # from the last stage of an accepted step (FSAL)
+            if evals == 0 or not adaptive:
+                start = update(t, p0, k0, start)
+                if maps is not None:
+                    maps.observe(k0)
+                np.subtract(k0_xz, p0_xz, out=k0_xz)
+                evals += 1
+            for ha_i, ks_i, pts_i, k_i, c_i, k_xz, p_xz in stages:
+                np.add(p0, ha_i.dot(ks_i), out=pts_i)
+                start = update(t + c_i * h, pts_i, k_i, start)
+                if maps is not None:
+                    maps.observe(k_i)
+                np.subtract(k_xz, p_xz, out=k_xz)
+            evals += len(stages)
+            if adaptive:
+                # the last stage point is the 5th-order solution; the scale
+                # is abs_tol + rel_tol max(|U_n|, |U_n+1|)
+                np.abs(p_last, out=abs_next)
+                np.maximum(abs_n, abs_next, out=scale)
+                scale *= integ.rel_tol
+                scale += integ.abs_tol
+                he.dot(ks, out=err_r)
+                err_r /= scale
+                err = math.sqrt(err_r.dot(err_r) / err_r.size)
+                factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0
+                                      else 5.0))
+                if err > 1.0:
+                    # reject: nothing was committed; retry from the same k1
+                    if h * factor < integ.h_min:
+                        stop_reason = "step-underflow"
+                        warnings.warn(
+                            f"adaptive integrator underflowed its minimum "
+                            f"step at t = {t:.6g}; returning the partial "
+                            f"trajectory", RuntimeWarning)
+                        break
+                    h *= factor
+                    continue
+            # `@`, not `.dot`: with 2 or 3 columns the strided pts_xz rounds
+            # differently under the two, and the records keep `@`'s bits
+            ints += hb @ pts_xz
+            if adaptive:
+                p0[...] = p_last
+                k0[...] = k_last
+                abs_n, abs_next = abs_next, abs_n
+            else:
+                p0 += hb.dot(ks)
+                # only a full step tries a map
+                if maps is not None and accepted + 1 < n_full:
+                    maps.settle()
         t = t_next
         if not (math.isfinite(p0.dot(p0)) or np.isfinite(p0).all()):
             raise IntegrationError(f"non-finite state at t = {t:.6g}")
@@ -919,4 +1237,5 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     erg = np.full(integrals.shape, np.nan)
     erg[1:] = ergodic(ts[1:], U[1:, :iy], u0[:iy], integrals[1:])
     return FlowTrajectory(t=ts, U=U, erg=erg, stop_reason=stop_reason,
-                          rhs_evals=evals, n=p.n)
+                          rhs_evals=evals, n=p.n,
+                          map_steps=0 if maps is None else maps.count)

@@ -386,6 +386,29 @@ class TestWriters:
                 repr(float(v)) for v in (*s.x, *s.z, *s.y))
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
+    def test_cells_are_the_row_by_row_reprs(self, tmp_path):
+        """Every cell is repr of its float, row by row, with the trace's
+        NaN cells blank and the state columns' NaN kept: the bytes of
+        `",".join(map(repr, row))` per row, on NaN, +-0.0, +-inf,
+        subnormal and ordinary cells."""
+        special = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324,
+                   -2.2250738585072014e-308, 1.0 / 3.0, -1e300, 7.0]
+        rows = len(special)
+        table = np.array([np.roll(special, i)
+                          for i in range(len(CSV_FIELDS))]).T
+        trace = Trace(**{name: table[:, i]
+                         for i, name in enumerate(CSV_FIELDS)})
+        U = np.array([np.roll(special, -i) for i in range(4)]).T
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, trace, U=U, n=2, footer=[("k", 1.5)])
+        want = [_HEADER + ",x_0,x_1,z_0,y_0"]
+        for i in range(rows):
+            cells = [("" if math.isnan(v) else repr(v))
+                     for v in table[i].tolist()]
+            want.append(",".join(cells + list(map(repr, U[i].tolist()))))
+        want.append("# k = 1.5")
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
     def test_float_cells_round_trip(self, tmp_path):
         """repr-formatted cells parse back to the identical float."""
         value = 1.0 / 3.0

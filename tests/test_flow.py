@@ -9,6 +9,7 @@ trajectory.
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -987,14 +988,17 @@ class TestUpdateContract:
                 start = returned
 
 
-def _reference_integrate(p, params, s0=None, record_every=1, warm=True):
+def _reference_integrate(p, params, s0=None, record_every=1, warm=True,
+                         maps=True, log=None):
     """`integrate` as a loop that slices its stage views, scales the
     tableau and appends a (t, U, integrals) tuple per step, stacking the
     records at the end.  It caps only the steps after an accepted one at
     h_max, so the cases below keep h0 <= h_max.  Each evaluation starts its
     subproblem solves at the previous evaluation's (x_new, z_new), as
     `integrate` does; with warm=False every one starts at its stage
-    point."""
+    point.  A fixed-step run of a piecewise-affine update takes the step
+    maps of `flow._StepMaps`, as `integrate` does, unless maps=False; each
+    map step appends (U_n, the start it was given, U_n+1) to `log`."""
     u0 = flow._start_row(p, s0)
     flow._check_certificates(p, params)
     update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
@@ -1018,12 +1022,18 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True):
     recs = [(0.0, u0, ints.copy())]
 
     start = None
+    steps = None
+    if maps and not adaptive:
+        steps = flow._step_maps(update.pieces, a_mat, b_w, h_fix, p.n, p.m,
+                                n_full)
 
     def slope(i, t_i):
         nonlocal start
         s_i, k_i = pts[i], ks[i]
         row = np.empty_like(s_i)
         returned = update(t_i, s_i, row, start)
+        if steps is not None:
+            steps.observe(row)
         x_new, z_new, w = row[:iz], row[iz:iy], row[iy:]
         if warm:
             start = returned
@@ -1041,6 +1051,26 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True):
         else:
             h = h_fix if accepted < n_full else h_last
             t_next = (accepted + 1) * h_fix if accepted + 1 < n_steps else horizon
+        r = None
+        if steps is not None and accepted < n_full:
+            r = steps.step(pts[0])
+        if r is not None:
+            width = iy + p.m
+            if log is not None:
+                log.append((pts[0].copy(), start, r[:width].copy()))
+            ints += r[width:width + iy]
+            pts[0] = r[:width]
+            if steps.warm:
+                start = (r[width + iy:width + iy + iz],
+                         r[width + iy + iz:width + 2 * iy])
+            evals += len(c_nodes)
+            t = t_next
+            if not np.isfinite(pts[0]).all():
+                raise IntegrationError(f"non-finite state at t = {t:.6g}")
+            accepted += 1
+            if accepted % record_every == 0 or t >= horizon - 1e-12:
+                recs.append((t, pts[0].copy(), ints.copy()))
+            continue
         if evals == 0 or not adaptive:
             slope(0, t)
             evals += 1
@@ -1068,6 +1098,8 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True):
             ks[0] = ks[-1]
         else:
             pts[0] += hb @ ks
+            if steps is not None and accepted + 1 < n_full:
+                steps.settle()
         t = t_next
         if not np.isfinite(pts[0]).all():
             raise IntegrationError(f"non-finite state at t = {t:.6g}")
@@ -1082,7 +1114,8 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True):
     erg = np.full(integrals.shape, np.nan)
     erg[1:] = ergodic(ts[1:], U[1:, :iy], u0[:iy], integrals[1:])
     return flow.FlowTrajectory(t=ts, U=U, erg=erg, stop_reason=stop_reason,
-                               rhs_evals=evals, n=p.n)
+                               rhs_evals=evals, n=p.n,
+                               map_steps=0 if steps is None else steps.count)
 
 
 class TestStepLoop:
@@ -1101,6 +1134,7 @@ class TestStepLoop:
             assert np.array_equal(g, w, equal_nan=True)
             assert g.tobytes() == w.tobytes()
         assert got.rhs_evals == want.rhs_evals
+        assert got.map_steps == want.map_steps
         assert got.stop_reason == want.stop_reason
         # the record buffers are trimmed copies, not views of the capacity
         assert got.t.base is None and got.U.base is None
@@ -1112,7 +1146,9 @@ class TestStepLoop:
                              ids=["euler", "rk4", "adaptive"])
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_catalog(self, name, integrator, record_every):
-        """T = 2.02 is 40 steps of 0.05 and a clipped step of 0.02."""
+        """T = 2.02 is 40 steps of 0.05 and a clipped step of 0.02; an RK4
+        run takes step maps, and so does the reference, and an Euler run
+        takes none."""
         p = catalog(name)
         params = FlowParams(c=1.0, gamma=0.5,
                             tau=resolve_tau("auto", p, 1.0, 0.5),
@@ -1122,6 +1158,7 @@ class TestStepLoop:
         if not isinstance(integrator, Adaptive):
             # the start, every record_every-th step and the last step
             assert len(traj.t) == 1 + math.ceil(41 / record_every)
+            assert (traj.map_steps > 0) == isinstance(integrator, RK4)
 
     @pytest.mark.parametrize("integrator", [Euler(h=0.05), RK4(h=0.05),
                                             Adaptive()],
@@ -1138,14 +1175,16 @@ class TestStepLoop:
                             horizon=2.02, integrator=integrator)
         self._assert_same(p, params, 1)
 
-    def test_general_metric(self):
+    def test_general_metric(self, monkeypatch):
+        """Its 20 steps take maps once runs of any length may."""
+        monkeypatch.setattr(flow, "STEP_MAP_MIN_STEPS", 0)
         p = catalog("lasso-small")
         half = SelfAdjointPSD.identity
         params = FlowParams(c=1.0, gamma=0.5,
                             m1=MetricSchedule.constant(half(p.n, 0.5)),
                             m2=MetricSchedule.constant(half(p.m, 0.5)),
                             horizon=1.02, integrator=RK4(h=0.05))
-        self._assert_same(p, params, 1)
+        assert self._assert_same(p, params, 1).map_steps > 0
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_step_underflow(self, example1, record_every):
@@ -1201,7 +1240,8 @@ class TestWarmStart:
         h = 0.05, T = 5) from four seeded starts: an x-update spends 0.052
         prox evaluations on average (83 in 1 600), since the piece map of
         the previous solution's piece certifies almost every evaluation
-        with no prox call, where a solve from the stage point spends more
+        with no prox call, and a step map most steps, where a solve from
+        the stage point, in a loop that evaluates every stage, spends more
         (1.92 on these starts)."""
         p = catalog("lasso-small")
         m1, m2 = _half_metrics(p)
@@ -1223,8 +1263,8 @@ class TestWarmStart:
                 if warm:
                     evals += integrate(p, params, s0).rhs_evals
                 else:
-                    evals += _reference_integrate(p, params, s0,
-                                                  warm=False).rhs_evals
+                    evals += _reference_integrate(p, params, s0, warm=False,
+                                                  maps=False).rhs_evals
             per_call[warm] = len(proxes) / evals
         assert per_call[True] <= 0.052
         assert 1.04 < per_call[False]
@@ -1502,6 +1542,277 @@ class TestPieceMaps:
             plain(t, s, want, start)
             assert got.tobytes() == want.tobytes()
         assert len(solves) == 2 * len(calls)
+
+
+def _step_map_case(name, integrator, horizon=5.0, gamma=0.5, tol=1e-10):
+    """(p, params) for a step-map case: `auto` tau on a catalog problem or
+    problem file, or "general", lasso-small with M1 = M2 = 0.5 I."""
+    if name == "general":
+        p = catalog("lasso-small")
+        m1, m2 = _half_metrics(p)
+        return p, FlowParams(c=1.0, gamma=gamma, m1=m1, m2=m2,
+                             horizon=horizon, integrator=integrator,
+                             inner_tol=tol)
+    p = _named_problem(name)
+    return p, FlowParams(c=1.0, gamma=gamma,
+                         tau=resolve_tau("auto", p, 1.0, gamma),
+                         horizon=horizon, integrator=integrator,
+                         inner_tol=tol)
+
+
+def _update_of(p, params):
+    return _make_update(p, params.c, params.gamma, params.tau, params.m1,
+                        params.m2, params.inner_tol)
+
+
+def _primed(monkeypatch, p, params, s, seen=None):
+    """Make every `_StepMaps` of the next runs start with the map of the
+    piece that the update's outputs at s lie on, as if two steps had ended
+    on that piece, runs of a single step included; each new instance is
+    appended to `seen` with that map."""
+    x, z, _ = flow._blocks(p, _update_of(p, params), 0.0, s)
+    real = flow._StepMaps.__init__
+    monkeypatch.setattr(flow, "STEP_MAP_MIN_STEPS", 0)  # one-step runs
+
+    def init(self, *args):
+        real(self, *args)
+        self.key = self.key_of(x, z)
+        self.last[...] = np.concatenate((x, z))
+        self.settle()
+        if seen is not None:
+            seen.append((self, self.current))
+
+    monkeypatch.setattr(flow._StepMaps, "__init__", init)
+
+
+class TestStepMaps:
+    """A fixed-step RK4 run of a piecewise-affine update takes a step by
+    one product of its piece's step map (`flow._StepMaps`) when the
+    product certifies that every stage lies on that piece."""
+
+    CASES = list(CATALOG_NAMES) + ["l1-box", "ridge-identity", "general"]
+
+    @staticmethod
+    def _one_step(p, params, u, start=None):
+        """U_n+1 of one stagewise step from u, and the piece key of the
+        outputs of each of its stage evaluations."""
+        update = _update_of(p, params)
+        integ = params.integrator
+        c_nodes, a_mat, b_w, _ = flow._TABLEAUS[type(integ)]
+        n, iy = p.n, p.n + p.m
+        slopes, keys = [], []
+        for i in range(len(c_nodes)):
+            point = u + integ.h * (a_mat[i, :i] @ np.array(slopes)) \
+                if i else u.copy()
+            row = np.empty_like(u)
+            start = update(0.0, point, row, start)
+            keys.append(update.pieces[0](row[:n], row[n:iy]))
+            row[:iy] -= point[:iy]
+            slopes.append(row)
+        return u + integ.h * (b_w @ np.array(slopes)), keys
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_map_steps_match_stagewise_steps(self, name):
+        """From a seeded start, RK4 to T = 5: each map step is within 1e-13
+        relative of the stagewise step from the same state and start,
+        whose subproblems are solved to 1e-14, and at least 3 in 4 steps
+        are map steps (77 of 100 on l1-box, 89 to 98 on the rest)."""
+        p, params = _step_map_case(name, RK4(h=0.05))
+        s0 = next(_radius_starts(p, 1))
+        log = []
+        traj = _reference_integrate(p, params, s0, log=log)
+        assert traj.map_steps == len(log) >= 0.75 * (len(traj.t) - 1)
+        exact = _step_map_case(name, RK4(h=0.05), tol=1e-14)[1]
+        for u, start, want in log:
+            got, keys = self._one_step(p, exact, u, start)
+            assert _rel_gap(got, want) <= 1e-13
+            assert len(set(keys)) == 1
+
+    @pytest.mark.parametrize("name", ["lasso-small", "example1"])
+    def test_steps_that_cross_a_boundary_fall_back(self, name, monkeypatch):
+        """RK4 steps of a stagewise run whose stages lie on more than one
+        piece: with the map of the first stage's piece current, each step
+        fails the certificate and keeps the bits of the stagewise step."""
+        p, params = _step_map_case(name, RK4(h=0.05))
+        traj = _reference_integrate(p, params, maps=False)
+        crossing = [u for u in traj.U[:-1]
+                    if len(set(self._one_step(p, params, u)[1])) > 1]
+        assert crossing
+        one = replace(params, horizon=0.05)
+        for u in crossing:
+            s = SystemState(u[:p.n], u[p.n:p.n + p.m], u[p.n + p.m:])
+            plain = integrate(p, one, s)
+            with monkeypatch.context() as patch:
+                _primed(patch, p, one, u)
+                got = integrate(p, one, s)
+            assert got.map_steps == 0
+            assert got.U.tobytes() == plain.U.tobytes()
+
+    @staticmethod
+    def _bound_state(mode, gap):
+        """lasso-small and a state whose x-update solution is its own x,
+        the known primal point, with the x-prox input of the inactive entry
+        2 at distance `gap` inside the bound |u| <= t w of its zero piece,
+        for the closed-form `auto` step or for M1 = M2 = 0.5 I
+        (`TestPieceMaps._lasso_state`)."""
+        if mode == "general":
+            p, m1, m2, s = TestPieceMaps._lasso_state(gap)
+            return p, FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2,
+                                 horizon=0.05, integrator=RK4(h=0.05)), s
+        p = catalog("lasso-small")
+        tau = resolve_tau("auto", p, 1.0, 0.5)
+        x = np.array(p.known_primal)
+        tw = 0.05 * tau.tau0
+        # the prox input is x - tau0 A* y at z = A x, so A* y = -w xi puts
+        # entry j at x_j + tau0 w xi_j
+        xi = np.sign(x)
+        xi[[0, 2, 3, 7]] = [0.3, 1.0 - gap / tw, -0.2, 0.1]
+        y = np.linalg.lstsq(p.A.mat.T, -0.05 * xi, rcond=None)[0]
+        return p, FlowParams(c=1.0, gamma=0.5, tau=tau, horizon=0.05,
+                             integrator=RK4(h=0.05)), \
+            np.concatenate((x, p.A.apply(x), y))
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5 * flow.PIECE_MARGIN, 0.005])
+    @pytest.mark.parametrize("mode", ["closed-form", "general"])
+    def test_state_at_a_bound_takes_the_stagewise_step(self, mode, gap,
+                                                       monkeypatch):
+        """With the map of its own piece current, a state whose prox input
+        lies on its region's bound, or inside it by less than the margin,
+        takes the stagewise step, with the bits of a run that has no map
+        yet; one inside by 0.005 takes the map step, within 1e-13."""
+        p, params, s = self._bound_state(mode, gap)
+        state = SystemState(s[:p.n], s[p.n:p.n + p.m], s[p.n + p.m:])
+        plain = integrate(p, params, state)
+        _primed(monkeypatch, p, params, s)
+        got = integrate(p, params, state)
+        assert got.map_steps == (gap > flow.PIECE_MARGIN)
+        if got.map_steps:
+            assert _rel_gap(got.U[-1], plain.U[-1]) <= 1e-13
+        else:
+            assert got.U.tobytes() == plain.U.tobytes()
+
+    @pytest.mark.parametrize("index,value", [
+        (0, math.nan), (3, math.inf), (10, -math.inf), (25, math.nan)])
+    def test_non_finite_state_raises_as_without_maps(self, index, value,
+                                                     monkeypatch):
+        """A NaN or inf in x, z or y fails the certificate of the map of
+        the clean state's piece, and the run raises the IntegrationError
+        of a run that has no map yet, with the same message."""
+        p, params, s = self._bound_state("closed-form", 0.005)
+        bad = s.copy()
+        bad[index] = value
+        state = SystemState(bad[:p.n], bad[p.n:p.n + p.m], bad[p.n + p.m:])
+        messages, seen = [], []
+        for primed in (False, True):
+            with monkeypatch.context() as patch:
+                if primed:
+                    _primed(patch, p, params, s, seen)
+                with np.errstate(all="ignore"), \
+                        pytest.raises(IntegrationError) as info:
+                    integrate(p, params, state)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        maps, current = seen[0]
+        maps.current = current
+        with np.errstate(all="ignore"):
+            assert maps.step(bad) is None
+        assert maps.step(s) is not None
+
+    @pytest.mark.parametrize("integrator,gamma,seed", [
+        (RK4(h=0.5), 0.5, 1), (RK4(h=0.5), 1.0, 2)])
+    def test_trajectory_does_not_depend_on_what_was_kept(
+            self, integrator, gamma, seed, monkeypatch):
+        """l1-box runs to T = 40 that come back to a piece they left: with
+        room for one step map, every change of piece drops the last map,
+        more maps are built, and the trajectory is the same bit for bit."""
+        p, params = _step_map_case("l1-box", integrator, horizon=40.0,
+                                   gamma=gamma)
+        s0 = next(_radius_starts(p, 1, seed=seed))
+        builds = []
+        real = flow._StepMaps._build
+
+        def counting(self, piece):
+            builds.append(1)
+            return real(self, piece)
+
+        monkeypatch.setattr(flow._StepMaps, "_build", counting)
+        kept = integrate(p, params, s0)
+        kept_builds = len(builds)
+        monkeypatch.setattr(flow, "STEP_MAPS", 0)
+        monkeypatch.setattr(flow, "STEP_MAP_FLOATS", 0)
+        builds.clear()
+        rebuilt = integrate(p, params, s0)
+        assert len(builds) > kept_builds
+        assert kept.map_steps == rebuilt.map_steps > 0
+        assert kept.U.tobytes() == rebuilt.U.tobytes()
+        assert kept.erg.tobytes() == rebuilt.erg.tobytes()
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_euler_runs_take_no_maps(self, name):
+        """An Euler run, unit steps to T = 100 or steps of 0.05 to T = 5,
+        builds no map and keeps the stagewise bits."""
+        for h, horizon in ((1.0, 100.0), (0.05, 5.0)):
+            p, params = _step_map_case(name, Euler(h=h), horizon=horizon)
+            s0 = next(_radius_starts(p, 1))
+            got = integrate(p, params, s0)
+            assert got.map_steps == 0
+            plain = _reference_integrate(p, params, s0, maps=False)
+            assert got.U.tobytes() == plain.U.tobytes()
+
+    @pytest.mark.parametrize("name", ["lasso-small", "box-qp"])
+    def test_short_runs_take_no_maps(self, name):
+        """An RK4 run of fewer than `STEP_MAP_MIN_STEPS` full steps builds
+        no map and keeps the stagewise bits; one of that many takes maps."""
+        steps = flow.STEP_MAP_MIN_STEPS
+        p, params = _step_map_case(name, RK4(h=0.05),
+                                   horizon=0.05 * (steps - 0.5))
+        s0 = next(_radius_starts(p, 1))
+        short = integrate(p, params, s0)
+        assert len(short.t) == steps + 1 and short.map_steps == 0
+        plain = _reference_integrate(p, params, s0, maps=False)
+        assert short.U.tobytes() == plain.U.tobytes()
+        longer = replace(params, horizon=0.05 * steps)
+        assert integrate(p, longer, s0).map_steps > 0
+
+    def test_maps_past_the_size_limit_are_not_built(self, monkeypatch):
+        """A 16 x 24 lasso's RK4 map may have 23 408 floats, so fewer than
+        `STEP_MAPS` fit in the budget: the run builds no map and keeps the
+        stagewise bits.  A budget with room for them takes maps."""
+        rng = np.random.default_rng(5)
+        n, m = 24, 16
+        A = linops.LinearMap.from_dense(rng.standard_normal((m, n)))
+        p = ProblemSpec(name="lasso-16x24", f=l1_norm(n, 0.05),
+                        h=zero_smooth(n), A=A,
+                        g=sq_distance(m, rng.standard_normal(m)))
+        params = FlowParams(c=1.0, gamma=0.5,
+                            tau=resolve_tau("auto", p, 1.0, 0.5),
+                            horizon=5.0, integrator=RK4(h=0.05))
+        s0 = next(_radius_starts(p, 1))
+        got = integrate(p, params, s0)
+        assert got.map_steps == 0
+        plain = _reference_integrate(p, params, s0, maps=False)
+        assert got.U.tobytes() == plain.U.tobytes()
+        monkeypatch.setattr(flow, "STEP_MAP_FLOATS", 16 * 23_408)
+        assert integrate(p, params, s0).map_steps > 0
+
+    @pytest.mark.parametrize("name", ["example1", "lasso-small", "box-qp",
+                                      "l1-box", "ridge-identity"])
+    def test_kernel_piece_map_is_the_update(self, name):
+        """At the states of an RK4 run, the constant-step kernel's piece
+        map of its own outputs gives the update's row to 1e-13 relative,
+        and its prox inputs lie inside their region."""
+        p, params = _step_map_case(name, RK4(h=0.05))
+        update = _update_of(p, params)
+        key_of, piece_at, warm = update.pieces
+        assert not warm
+        n, iy, width = p.n, p.n + p.m, p.n + 2 * p.m
+        for s in integrate(p, params, next(_radius_starts(p, 1))).U:
+            row = np.empty_like(s)
+            update(0.0, s, row)
+            mat, lo, hi = piece_at(row[:n], row[n:iy])
+            got = mat.dot(np.append(s, 1.0))
+            assert _rel_gap(got[:width], row) <= 1e-13
+            assert np.all((lo <= got[width:]) & (got[width:] <= hi))
 
 
 class TestAdaptiveStepCap:

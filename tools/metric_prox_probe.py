@@ -4,26 +4,28 @@ Usage, from the root of the tree under test:
 
     PYTHONPATH=src python tools/metric_prox_probe.py
 
-The update evaluations are those of the `metric-lasso` benchmark setup on
-lasso-small (c = 1, gamma = 0.5, M1 = M2 = 0.5 I), from seeded starts at
-radius sqrt(dim): four general-metric RK4 flows (step 0.05, horizon 5),
-and twelve proximal ADMM runs (`discrete.run`, stop_tol 1e-10).  For each
-setup the script first prints how many evaluations the update's piece
-map certified and how many fell back to a `metric_prox` solve of the x
-block (`flow._make_update`).  The subproblems are those fallback solves.
-Each is solved as recorded, from the start the run gave it, on four
-paths: in the run's own Q, which already keeps the inverse Newton matrix
-of every prox-Jacobian pattern the run met (kept inverses); in a copy of
-Q per call, which keeps none (fresh Q); with f copied without its affine
-pieces, so that Newton starts at x0 and does not first try x0's piece
-(newton from x0); and with f copied without its prox Jacobian (FISTA
-alone).  The script prints the Newton steps of each flow run and the
-Jacobian patterns its Q keeps an inverse of, for the piece maps and for
-Newton; then, for each setup and path, microseconds per call (min of 5
-passes), prox evaluations per call, the calls that return at their first
-prox evaluation, and the calls that went on to FISTA after a full Newton
-phase; then whether the solutions in a fresh Q and with kept inverses are
-bit-equal, and the largest difference between the Newton and FISTA
+The update evaluations are those of the `metric-lasso` benchmark setup
+on lasso-small (c = 1, gamma = 0.5, M1 = M2 = 0.5 I), from seeded starts
+at radius sqrt(dim): four general-metric RK4 flows (step 0.05, horizon
+5), and twelve proximal ADMM runs (`discrete.run`, stop_tol 1e-10); a
+flow evaluates the update only in the steps that no step map takes
+(`flow._StepMaps`).  For each setup the script first prints how many
+evaluations the update's piece map certified and how many fell back to a
+`metric_prox` solve of the x block (`flow._make_update`).  The
+subproblems are those fallback solves.  Each is solved as recorded, from
+the start the run gave it, on four paths: in the run's own Q, which
+already keeps the inverse Newton matrix of every prox-Jacobian pattern
+the run met (kept inverses); in a copy of Q per call, which keeps none
+(fresh Q); with f copied without its affine pieces, so that Newton
+starts at x0 and does not first try x0's piece (newton from x0); and
+with f copied without its prox Jacobian (FISTA alone).  The script
+prints the Newton steps of each flow run and the Jacobian patterns its Q
+keeps an inverse of, for the piece maps and for Newton; then, for each
+setup and path, microseconds per call (min of 5 passes), prox
+evaluations per call, the calls that return at their first prox
+evaluation, and the calls that went on to FISTA after a full Newton
+phase; then whether the solutions in a fresh Q and with kept inverses
+are bit-equal, and the largest difference between the Newton and FISTA
 solutions.
 """
 
@@ -74,6 +76,9 @@ def subproblems():
         def counted(*call):
             evals[0] += 1
             return update(*call)
+        # the flows keep their step maps, so the evaluations counted are
+        # those of the steps no map took
+        counted.pieces = update.pieces
         return counted
 
     def record(f, Q, linear, x0, tol):

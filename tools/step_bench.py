@@ -23,8 +23,12 @@ their ratio B / A:
   catalog x {Euler, RK4, Adaptive} with `auto` tau, gamma 0.5, step 0.01
   (Adaptive: its defaults) and horizon `HORIZON`, and for the
   `metric-lasso` flow setup (lasso-small, M1 = M2 = 0.5 I, c 1, gamma
-  0.5, RK4 h 0.05, horizon 5); each of these lines also gives the
-  microseconds per rhs evaluation, the run's time over its `rhs_evals`
+  0.5, RK4 h 0.05, horizon 5), and for the `reproduce-example1` sweep's
+  RK4 step 0.01 and horizon 200 on example1 (`auto` tau, gamma 0.5); each
+  of these lines also gives the microseconds per rhs evaluation, the
+  run's time over its `rhs_evals` (a step map's product counts as the
+  tableau's stages), and the share of its steps that a step map took
+  (`FlowTrajectory.map_steps`, 0 for a tree without step maps)
 * admm: microseconds per iteration of a 500-iteration `discrete.run` on
   every catalog problem with `auto` tau and gamma 1, and in
   general-metric mode with M1 = M2 = 0.5 I on lasso-small, where each
@@ -53,6 +57,8 @@ UPDATE_CALLS = 2000
 BUILD_CALLS = 200
 ADMM_ITERS = 500
 HORIZON = 20.0
+# the `reproduce-example1` sweep's step and horizon
+SWEEP_STEP, SWEEP_HORIZON = 0.01, 200.0
 
 
 def load_tree(tree, name):
@@ -126,6 +132,13 @@ def cases(pkg):
                              integrator=flow.RK4(0.05))
     out.append(("integrate rk4 general-metric lasso-small", "s", 1.0,
                 lambda p=p, params=params: flow.integrate(p, params)))
+    p = problems.catalog("example1")
+    params = flow.FlowParams(c=1.0, gamma=0.5,
+                             tau=resolve_tau("auto", p, 1.0, 0.5),
+                             horizon=SWEEP_HORIZON,
+                             integrator=flow.RK4(SWEEP_STEP))
+    out.append(("integrate rk4 closed-form example1", "s", 1.0,
+                lambda p=p, params=params: flow.integrate(p, params)))
     for algorithm in ("admm", "cp"):
         for name in problems.CATALOG_NAMES:
             p = problems.catalog(name)
@@ -165,6 +178,12 @@ def _repeat_build(flow, p, tau):
     return thunk
 
 
+def _map_share(traj):
+    """The share of a run's steps that a step map took; 0 for a tree
+    without step maps.  Every case records every step."""
+    return getattr(traj, "map_steps", 0) / (len(traj.t) - 1)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tree_a")
@@ -183,7 +202,7 @@ def main(argv=None):
           f"{HORIZON:g}")
     both = list(zip(*(cases(pkg) for pkg in trees)))
     best = [[float("inf"), float("inf")] for _ in both]
-    evals = [[None, None] for _ in both]  # an integrate run's rhs_evals
+    runs = [[None, None] for _ in both]  # an integrate case's trajectory
     for r in range(args.repeats):
         for i, pair in enumerate(both):
             for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
@@ -191,13 +210,15 @@ def main(argv=None):
                 result = pair[side][3]()
                 best[i][side] = min(best[i][side],
                                     time.perf_counter() - start)
-                evals[i][side] = getattr(result, "rhs_evals", None)
-    for ((label, unit, per, _), _), (a, b), (ea, eb) in zip(both, best,
-                                                           evals):
+                if hasattr(result, "rhs_evals"):
+                    runs[i][side] = result
+    for ((label, unit, per, _), _), (a, b), (ra, rb) in zip(both, best,
+                                                           runs):
         per_eval = ""
-        if ea and eb:
-            per_eval = (f"  us/eval A {1e6 * a / ea:6.3g}  "
-                        f"B {1e6 * b / eb:6.3g}")
+        if ra is not None and rb is not None:
+            per_eval = (f"  us/eval A {1e6 * a / ra.rhs_evals:6.3g}  "
+                        f"B {1e6 * b / rb.rhs_evals:6.3g}  map steps "
+                        f"A {_map_share(ra):.3f}  B {_map_share(rb):.3f}")
         a, b = a / per, b / per
         print(f"{label:40s} {unit:2s}  A {a:10.4g}  B {b:10.4g}  "
               f"B/A {b / a:.3f}{per_eval}", flush=True)
