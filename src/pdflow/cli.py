@@ -240,7 +240,7 @@ def cmd_flow(args, cfg) -> int:
               ("tau", _fmt(cfg.tau)), ("tau0", params.tau.value(0.0)),
               ("horizon", params.horizon), ("seed", args.seed),
               ("stop_reason", traj.stop_reason),
-              ("rhs_evals", traj.rhs_evals),
+              ("rhs_evals", traj.rhs_evals), ("map_steps", traj.map_steps),
               ("hit_threshold", cfg.hit_threshold)]
     footer += _certificate_footer(cert, w0)
     report = _emit_run(out, f"{p.name}-flow", f"{p.name} flow", trace,
@@ -296,6 +296,7 @@ def _run_sweep(args, cfg) -> int:
                       ("horizon", cfg.horizon), ("seed", args.seed),
                       ("stop_reason", traj.stop_reason),
                       ("rhs_evals", traj.rhs_evals),
+                      ("map_steps", traj.map_steps),
                       ("hit_threshold", cfg.hit_threshold)]
             traces[gamma, tauc] = trace
             certs[gamma, tauc] = cert

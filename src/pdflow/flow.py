@@ -67,15 +67,17 @@ tableau's own quadrature, so the identity
 A x_tilde - z_tilde = (y(t) - y0) / (c t)  holds to roundoff instead of
 quadrature error.
 
-On a joint piece the slope is affine, and so is a whole fixed-step RK4
-step: U <- Phi_D U + phi_D.  An RK4 run of a piecewise-affine update
-stacks that map with the integrals' increment and a certificate that every
-stage lies on the piece (`_StepMaps`), and takes a step by one product
-wherever the certificate holds; elsewhere it takes the stagewise step.
-The two agree to roundoff.  Euler runs keep the stagewise step, since a
-map step would save one evaluation, about what finding the piece of each
-stagewise step costs; adaptive runs keep it too, since their step, and so
-their map, changes every step.
+On a joint piece the slope is affine, and so is a whole Runge-Kutta step
+of a fixed h: U <- Phi_D U + phi_D.  An RK4 run of a piecewise-affine
+update stacks that map with the integrals' increment and a certificate
+that every stage lies on the piece (`stepmaps`), and takes a step by one
+product wherever the certificate holds; elsewhere it takes the stagewise
+step.  The two agree to roundoff.  An adaptive run does the same for its
+trials at h_max, with the error estimate and the next first slope in the
+product, and takes a map step only where the stagewise trial would be
+accepted and followed by another at h_max.  Euler runs keep the stagewise
+step, since a map step would save one evaluation, about what finding the
+piece of each stagewise step costs.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ from .linops import LinearMap, _block_map
 from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
 from .problems import ProblemSpec
 from .proxlib import NEWTON_INVERSE_FLOATS, _kept_inverse, metric_prox
+from .stepmaps import MAP_STEP_ERR, PIECE_MARGIN, _step_maps
 
 __all__ = [
     "SystemState",
@@ -209,9 +212,10 @@ class FlowTrajectory:
     from 0, states U (R, n + 2m) with rows x | z | y, and ergodic averages
     erg (R, n + m) with rows x_tilde | z_tilde, NaN where t = 0.
     stop_reason is "horizon" or "step-underflow".  rhs_evals counts the
-    tableau's stage evaluations, s per step, a step that a step map took
-    included, since its one product stands for s evaluations; map_steps
-    counts the steps a map took (`_StepMaps`).  The views `states`,
+    tableau's stage evaluations, a step that a step map took included,
+    since its one product stands for the stagewise step's evaluations;
+    map_steps counts the steps a map took (`stepmaps._StepMaps`), full
+    RK4 steps and adaptive steps at h_max.  The views `states`,
     `ergodic_x` and `ergodic_z` (None at t = 0) are built on access; no
     code in `src/` reads them, and they stay because `perfbench/` does.
     """
@@ -468,10 +472,6 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     return update
 
 
-# How far inside its piece's region a certified prox input must lie
-# (`_piece_rows`): roundoff in the map's products is some 1e-15 of the
-# row's size, so an input the map puts past this margin is inside.
-PIECE_MARGIN = 1e-9
 # The fewest piece maps that must fit in `NEWTON_INVERSE_FLOATS` floats
 # for the update to use them (maps of at most 4096 floats).  A run meets
 # some 5 to 40 pieces; past this size a map's build costs more than the
@@ -859,176 +859,6 @@ _DP54 = _tableau(
 
 _TABLEAUS = {Euler: _EULER, RK4: _RK4, Adaptive: _DP54}
 
-# Floats of step maps one run keeps (2 MiB), least recently used dropped
-# first; the map in use is always kept.
-STEP_MAP_FLOATS = 2 ** 18
-# The fewest step maps that must fit in `STEP_MAP_FLOATS` floats for a
-# run to take them: maps of at most 16 384 floats, a limit that depends on
-# the problem's size alone (lasso-small's RK4 maps have 6 848, or 7 488 on
-# the general path).  A build costs O((n + 2m)^3) and a map step saves a
-# few evaluations of O((n + 2m)^2), so past this size a run's builds cost
-# more than its map steps save: on seeded dense lassos, RK4 runs of 100
-# steps took 1.1 to 1.9 times as long with maps as without at widths 56
-# to 80, and 2.4 to 4.9 times at widths 96 to 128.
-STEP_MAPS = 16
-# The fewest full steps a run must have to take step maps.  A run meets
-# a few pieces in its transient and pays a build of some 80 to 150 us on
-# each that holds across a step, and a piece key on every stagewise step:
-# on the catalog problems and general-metric lasso-small, RK4 runs of 16
-# steps of 0.05 to 1 took 0.66 to 1.30 times as long with maps as
-# without, runs of 32 steps 0.40 to 1.03, and runs of 100 steps 0.16 to
-# 0.76.
-STEP_MAP_MIN_STEPS = 32
-
-
-class _StepMaps:
-    """The step maps of one fixed-step RK4 run of a piecewise-affine
-    update.
-
-    On a joint piece D the update is x_new | z_new | w = A_D s + a_D
-    (`update.pieces`), so the slope is affine too, and so is every stage
-    point of an explicit Runge-Kutta step: with P_1 = I and K_i = J_D P_i,
-    P_i = I + h sum_j a_ij K_j on (U, 1).  One step is then
-    U <- Phi_D U + phi_D with Phi_D = I + h sum_i b_i K_i, the integrals
-    add Psi_D U + psi_D = h sum_i b_i (P_i U)_xz, and every stage's prox
-    inputs are affine in U.  A map stacks Phi_D, Psi_D, the last stage's
-    x_new | z_new when the update takes starts, and a certificate: each
-    stage input PIECE_MARGIN inside each finite bound of D's region (an
-    infinite bound holds for every finite input, so it has no row), and
-    two guard rows, +-sum(U) plus an infinite offset added after the
-    finite product, which fail for a NaN or inf entry.  `step(u)` applies
-    the current map by one product and returns it when the certificate
-    holds, so that every stage lies on D and the stagewise step would
-    evaluate this same affine map.
-
-    Otherwise the run takes the stagewise step, keeping its evaluations'
-    outputs (`observe`), and then `settle` picks the map for the next
-    step: the map of the piece that the step's last evaluation lies on,
-    once the step before it, stagewise or by a map, ended on that piece
-    too.  So a transient that meets a new piece every step builds no map,
-    and one key is taken per stagewise step.  Maps are kept while they fit
-    in `STEP_MAP_FLOATS` floats, and a dropped map is built again, the
-    same way, so the trajectory never depends on what was kept.
-    """
-
-    def __init__(self, pieces, a_mat, b_w, h, n, m):
-        self.key_of, self.piece_at, warm = pieces
-        self.ha, self.hb = h * a_mat, h * b_w
-        self.n, self.iy, self.width = n, n + m, n + 2 * m
-        self.stages = len(b_w)
-        self.cert = self.width + self.iy * (1 + warm)
-        self.warm = warm
-        self.key = None  # the piece the last step ended on
-        self.last = np.empty(n + m)  # the last evaluation's x_new | z_new
-        self.current = None
-        self.kept = {}
-        # the most rows a map has: those before the certificate, both
-        # bounds of all n + m prox inputs at every stage, and the guard;
-        # how many such maps fit, and how many are kept, at least one
-        rows = self.cert + 2 * self.stages * self.iy + 2
-        self.fit = STEP_MAP_FLOATS // (rows * self.width)
-        self.capacity = max(1, self.fit)
-        self.count = 0
-        self.eye = np.eye(self.width + 1)
-        # each stage's nonzero terms (j, h a_ij)
-        self.terms = [[(j, self.ha[i, j]) for j in range(i)
-                       if self.ha[i, j] != 0.0] for i in range(self.stages)]
-        # +-sum(U), whose infinite offsets join after the product
-        self.guard = np.ones((2, self.width + 1))
-        self.guard[1] = -1.0
-        self.guard[:, self.width] = 0.0
-
-    def step(self, u):
-        """The product of the current map at u, or None when no map is
-        current or its certificate fails: rows [:width] are the next
-        state, [width:width + n + m] the integrals' increment, and, when
-        the update takes starts, the next n + m the last stage's
-        x_new | z_new."""
-        if self.current is None:
-            return None
-        r = self.current[0].dot(u)
-        r += self.current[1]
-        cert = r[self.cert:]
-        if not cert[cert.argmin()] > 0.0:
-            return None
-        self.count += 1
-        return r
-
-    def observe(self, row):
-        """Keep a stagewise evaluation's x_new | z_new, from its row."""
-        self.last[...] = row[:self.iy]
-
-    def settle(self):
-        """After a stagewise step, pick the map the next step tries: that
-        of the piece its last evaluation lies on, if the step before it
-        ended on that piece too."""
-        key = self.key_of(self.last[:self.n], self.last[self.n:])
-        held, self.key = key == self.key, key
-        self.current = None
-        if not held:
-            return
-        if self.key in self.kept:
-            got = self.kept.pop(self.key)
-        else:
-            got = self._build(self.piece_at(self.last[:self.n],
-                                             self.last[self.n:]))
-            if len(self.kept) >= self.capacity:
-                del self.kept[next(iter(self.kept))]
-        self.kept[self.key] = self.current = got
-
-    def _build(self, piece):
-        """(matrix, offsets) of the step map of one piece (E, lo, hi), or
-        None when there is no piece or the map is not finite.  Every map
-        here is square on (U, 1), its last row that of the constant 1."""
-        if piece is None:
-            return None
-        mat, lo, hi = piece
-        width, iy, stages = self.width, self.iy, self.stages
-        # the slope J_D = A_D - diag(I, I, 0) with its offset j_D
-        slope = np.zeros((width + 1, width + 1))
-        slope[:width] = mat[:width]
-        slope.flat[:iy * (width + 2):width + 2] -= 1.0
-        # the stage points P_i = I + sum_j h a_ij K_j and K_i = J_D P_i
-        points = np.empty((stages, width + 1, width + 1))
-        slopes = np.empty_like(points)
-        for i, terms in enumerate(self.terms):
-            point = points[i]
-            point[...] = self.eye
-            for j, ha_ij in terms:
-                point += ha_ij * slopes[j]
-            np.dot(slope, point, out=slopes[i])
-        phi = self.hb.dot(slopes[:, :width].reshape(stages, -1))
-        psi = self.hb.dot(points[:, :iy].reshape(stages, -1))
-        out = [phi.reshape(width, width + 1) + self.eye[:width],
-               psi.reshape(iy, width + 1)]
-        if self.warm:
-            out.append(mat[:iy].dot(points[-1]))
-        # every stage's inputs, inside each finite bound by the margin
-        inputs = np.matmul(mat[width:], points)
-        low, high = np.isfinite(lo), np.isfinite(hi)
-        above, below = inputs[:, low], -inputs[:, high]
-        above[:, :, width] -= lo[low] + PIECE_MARGIN
-        below[:, :, width] += hi[high] - PIECE_MARGIN
-        out += [above.reshape(-1, width + 1), below.reshape(-1, width + 1),
-                self.guard]
-        stacked = np.concatenate(out)
-        if not np.isfinite(stacked).all():
-            return None
-        off = stacked[:, width].copy()
-        off[-2:] = math.inf
-        return stacked[:, :width].copy(), off
-
-
-def _step_maps(pieces, a_mat, b_w, h, n, m, n_full):
-    """The `_StepMaps` of a fixed-step run with n_full full steps of h, or
-    None when the update has no pieces, the tableau has one stage (Euler),
-    the run has fewer than `STEP_MAP_MIN_STEPS` full steps, or fewer than
-    `STEP_MAPS` maps fit in `STEP_MAP_FLOATS` floats."""
-    if pieces is None or len(b_w) == 1 or n_full < STEP_MAP_MIN_STEPS:
-        return None
-    maps = _StepMaps(pieces, a_mat, b_w, h, n, m)
-    return maps if maps.fit >= STEP_MAPS else None
-
 
 def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
               record_every: int = 1) -> FlowTrajectory:
@@ -1062,15 +892,25 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     trial made it; the run's first evaluation starts at its own stage
     point, so it is `rhs` bit for bit.
 
-    An RK4 run of an update with pieces (`update.pieces`), long enough
-    and with maps small enough to repay their builds (`_step_maps`),
-    first tries the current step map (`_StepMaps`) at each full step:
-    when its certificate holds, one product gives the next state, the
-    integrals' increment and, for an update that takes starts, the last
-    stage's (x_new, z_new), which starts the next evaluation.  Otherwise,
-    and on a clipped last step, the step is stagewise, and the pieces its
-    evaluations lie on pick the next step's map.  A map step counts the
-    tableau's stages in `rhs_evals` and one in `map_steps`.
+    An RK4 or adaptive run of an update with pieces (`update.pieces`),
+    long enough and with maps small enough to repay their builds
+    (`stepmaps._step_maps`), first tries the current step map
+    (`stepmaps._StepMaps`) at each full step, or each adaptive trial at
+    h_max: when its certificate holds, one product gives the next state,
+    the integrals' increment and, for an update that takes starts, the
+    last stage's (x_new, z_new), which starts the next evaluation.  An
+    adaptive trial also gets its error estimate and the next first slope
+    from it, and takes the map step only if the error is at most
+    `MAP_STEP_ERR`, where the stagewise trial is accepted too and the next
+    trial is again at h_max.  So the steps are those of a run without maps
+    up to the first step below h_max after a map step, whose size the
+    controller takes from the error of a state that a map made: from there
+    the times move at roundoff, which the controller carries on.
+    Otherwise, and on a clipped step, the step is stagewise, and the piece
+    its last evaluation lies on picks the next step's map, after a step
+    that the next trial follows at the map's step.  A map step counts the
+    evaluations of the stagewise step in `rhs_evals` and one in
+    `map_steps`.
     """
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
@@ -1089,6 +929,7 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     if adaptive:
         h, h_max = float(integ.h0), integ.h_max
         capacity = 256
+        n_full = int(horizon / h_max + 1e-9)  # steps of h_max
     else:
         h_fix = float(integ.h)
         if not 0 < h_fix < math.inf:
@@ -1115,31 +956,44 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     p0, k0, p_last, k_last = pts[0], ks[0], pts[-1], ks[-1]
     pts_xz = pts[:, :iy]
     ints = np.zeros(iy)
+    # an RK4 or adaptive run of a piecewise-affine update also steps by
+    # maps, at its full step or h_max
+    maps = _step_maps(getattr(update, "pieces", None), a_mat, b_w, e_w,
+                      h_max if adaptive else h_fix, p.n, p.m, n_full)
+    map_steps = 0
+    width = iy + p.m
     # per stage: the x | z blocks of its slope and of its point; per later
-    # stage i: (ha[i, :i], ks[:i], pts[i], ks[i], c_i, its blocks)
+    # stage i: (ha[i, :i], ks[:i], pts[i], ks[i], c_i, its blocks, and
+    # for the last stage of a run with maps, which picks the next map from
+    # its evaluation, `maps.observe`)
     k0_xz, p0_xz = ks[0, :iy], pts_xz[0]
+    last = len(c_nodes) - 1
     stages = [(ha[i, :i], ks[:i], pts[i], ks[i], float(c_nodes[i]),
-               ks[i, :iy], pts_xz[i])
+               ks[i, :iy], pts_xz[i],
+               maps.observe if maps is not None and i == last else None)
               for i in range(1, len(c_nodes))]
     if adaptive:
         # |U_n|, |U_n+1|, the error scale and the scaled error
         abs_n = np.abs(p0)
         abs_next, scale, err_r = (np.empty_like(p0) for _ in range(3))
+
+        def error(u_next, est):
+            """The RMS of est over abs_tol + rel_tol max(|U_n|, |u_next|),
+            and the controller's factor; est may be err_r."""
+            np.abs(u_next, out=abs_next)
+            np.maximum(abs_n, abs_next, out=scale)
+            np.multiply(scale, integ.rel_tol, out=scale)
+            np.add(scale, integ.abs_tol, out=scale)
+            np.divide(est, scale, out=err_r)
+            err = math.sqrt(err_r.dot(err_r) / err_r.size)
+            return err, min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0
+                                     else 5.0))
     ts = np.empty(capacity)
     U, integrals = np.empty((capacity, iy + p.m)), np.empty((capacity, iy))
     ts[0], U[0], integrals[0] = 0.0, u0, ints
     n_rec = 1
 
     start = None  # the previous evaluation's (x_new, z_new)
-    # an RK4 run of a piecewise-affine update also steps by maps; the
-    # rows of a map step's product (`_StepMaps.step`)
-    maps = None if adaptive else _step_maps(
-        getattr(update, "pieces", None), a_mat, b_w, h_fix, p.n, p.m, n_full)
-    if maps is not None:
-        warm, width = maps.warm, iy + p.m
-        int_rows = slice(width, width + iy)
-        x_rows = slice(width + iy, width + iy + p.n)
-        z_rows = slice(width + iy + p.n, width + 2 * iy)
 
     def record(t):
         nonlocal n_rec, ts, U, integrals
@@ -1162,43 +1016,45 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
         if h != h_scaled:
             np.multiply(h, tab, out=h_tab)
             h_scaled = h
-        r = maps.step(p0) if maps is not None and accepted < n_full else None
+        r = None
+        if maps is not None and (h == h_max if adaptive else
+                                 accepted < n_full):
+            r = maps.step(p0)
+            if r is not None and adaptive:
+                err, factor = error(r[:width], r[maps.err])
+                if not err <= MAP_STEP_ERR:
+                    r = None
         if r is not None:
-            # a map step: the next state, the integrals' increment and the
-            # last stage's x_new | z_new from one product
-            ints += r[int_rows]
+            # a map step: the next state, the integrals' increment, the
+            # last stage's slope and x_new | z_new from one product
+            ints += r[maps.ints]
             p0[...] = r[:width]
-            if warm:
-                start = r[x_rows], r[z_rows]
-            evals += len(c_nodes)
+            if adaptive:
+                k0[...] = r[maps.slope]
+                abs_n, abs_next = abs_next, abs_n
+            if maps.warm:
+                start = r[maps.x_new], r[maps.z_new]
+            # the stagewise step's evaluations, k1 among them unless an
+            # adaptive trial has it already (FSAL)
+            evals += len(stages) + (evals == 0 or not adaptive)
+            map_steps += 1
         else:
             # the adaptive pair keeps k1 across a rejection and takes it
             # from the last stage of an accepted step (FSAL)
             if evals == 0 or not adaptive:
                 start = update(t, p0, k0, start)
-                if maps is not None:
-                    maps.observe(k0)
                 np.subtract(k0_xz, p0_xz, out=k0_xz)
                 evals += 1
-            for ha_i, ks_i, pts_i, k_i, c_i, k_xz, p_xz in stages:
+            for ha_i, ks_i, pts_i, k_i, c_i, k_xz, p_xz, observe in stages:
                 np.add(p0, ha_i.dot(ks_i), out=pts_i)
                 start = update(t + c_i * h, pts_i, k_i, start)
-                if maps is not None:
-                    maps.observe(k_i)
+                if observe is not None:
+                    observe(k_i)
                 np.subtract(k_xz, p_xz, out=k_xz)
             evals += len(stages)
             if adaptive:
-                # the last stage point is the 5th-order solution; the scale
-                # is abs_tol + rel_tol max(|U_n|, |U_n+1|)
-                np.abs(p_last, out=abs_next)
-                np.maximum(abs_n, abs_next, out=scale)
-                scale *= integ.rel_tol
-                scale += integ.abs_tol
-                he.dot(ks, out=err_r)
-                err_r /= scale
-                err = math.sqrt(err_r.dot(err_r) / err_r.size)
-                factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0
-                                      else 5.0))
+                # the last stage point is the 5th-order solution
+                err, factor = error(p_last, he.dot(ks, out=err_r))
                 if err > 1.0:
                     # reject: nothing was committed; retry from the same k1
                     if h * factor < integ.h_min:
@@ -1219,9 +1075,10 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
                 abs_n, abs_next = abs_next, abs_n
             else:
                 p0 += hb.dot(ks)
-                # only a full step tries a map
-                if maps is not None and accepted + 1 < n_full:
-                    maps.settle()
+            # only a trial at the map's step tries one
+            if maps is not None and ((factor >= 1.0 and h == h_max)
+                                     if adaptive else accepted + 1 < n_full):
+                maps.settle()
         t = t_next
         if not (math.isfinite(p0.dot(p0)) or np.isfinite(p0).all()):
             raise IntegrationError(f"non-finite state at t = {t:.6g}")
@@ -1237,5 +1094,4 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     erg = np.full(integrals.shape, np.nan)
     erg[1:] = ergodic(ts[1:], U[1:, :iy], u0[:iy], integrals[1:])
     return FlowTrajectory(t=ts, U=U, erg=erg, stop_reason=stop_reason,
-                          rhs_evals=evals, n=p.n,
-                          map_steps=0 if maps is None else maps.count)
+                          rhs_evals=evals, n=p.n, map_steps=map_steps)

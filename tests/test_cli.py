@@ -63,10 +63,14 @@ class TestFlowCommand:
         assert float(footer["tau0"]) == 0.25
         assert footer["stop_reason"] == "horizon"
         assert int(footer["rhs_evals"]) == 4 * 500  # RK4, h = 0.01, T = 5
+        # the steps one product of a step map took, of the 500
+        map_steps = int(footer["map_steps"])
+        assert 0 < map_steps <= 500
         assert float(footer["w0_norm_sq"]) > 0
         assert footer["gap_bound_ok"] == "true"
         report = (tmp_path / "example1-flow-report.txt").read_text()
         assert "  rhs_evals = 2000\n" in report
+        assert f"  map_steps = {map_steps}\n" in report
 
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a"
@@ -110,6 +114,8 @@ class TestAdaptiveFlowCommand:
         text = (tmp_path / "a" / csv).read_text()
         assert "# gap_bound_ok = true" in text
         assert "# lyapunov_monotone = true" in text
+        # T = 100: trials at h_max = 1 take step maps
+        assert "# map_steps = 0" not in text and "# map_steps = " in text
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "b" / csv).read_bytes() == \
             (tmp_path / "a" / csv).read_bytes()
@@ -307,6 +313,8 @@ class TestSweepCommands:
             lines = (tmp_path / f"example1-flow-g{gamma}-tc0.25.csv"
                      ).read_text().splitlines()
             assert "# rhs_evals = 160" in lines  # RK4, h = 0.05, T = 2
+            map_steps = [ln for ln in lines if ln.startswith("# map_steps")]
+            assert map_steps and map_steps[0] != "# map_steps = 0"
         report = (tmp_path / "example1-sweep-report.txt").read_text()
         assert "tau*c" in report
         out = capsys.readouterr().out

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pdflow import flow, linops, proxlib
+from pdflow import flow, linops, proxlib, stepmaps
 from pdflow.config import load_problem, resolve_tau
 from pdflow.discrete import DiscreteParams, admm_step, run as discrete_run
 from pdflow.errors import (CertificationError, IntegrationError,
@@ -996,9 +996,10 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True,
     h_max, so the cases below keep h0 <= h_max.  Each evaluation starts its
     subproblem solves at the previous evaluation's (x_new, z_new), as
     `integrate` does; with warm=False every one starts at its stage
-    point.  A fixed-step run of a piecewise-affine update takes the step
-    maps of `flow._StepMaps`, as `integrate` does, unless maps=False; each
-    map step appends (U_n, the start it was given, U_n+1) to `log`."""
+    point.  An RK4 or adaptive run of a piecewise-affine update takes the
+    step maps of `stepmaps._StepMaps`, as `integrate` does, unless
+    maps=False; each map step appends (U_n, the start it was given, the
+    map's product) to `log`."""
     u0 = flow._start_row(p, s0)
     flow._check_certificates(p, params)
     update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
@@ -1009,11 +1010,13 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True,
     horizon = params.horizon
     if adaptive:
         h = min(float(integ.h0), horizon)
+        h_map, n_full = integ.h_max, int(horizon / integ.h_max + 1e-9)
     else:
         h_fix = float(integ.h)
         n_full = int(np.floor(horizon / h_fix + 1e-9))
         h_last = horizon - n_full * h_fix
         n_steps = n_full + (h_last > 1e-12)
+        h_map = h_fix
     iz, iy = p.n, p.n + p.m
     pts = np.empty((len(c_nodes), iy + p.m))
     ks = np.empty_like(pts)
@@ -1023,9 +1026,17 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True,
 
     start = None
     steps = None
-    if maps and not adaptive:
-        steps = flow._step_maps(update.pieces, a_mat, b_w, h_fix, p.n, p.m,
-                                n_full)
+    map_steps = 0
+    if maps:
+        steps = stepmaps._step_maps(update.pieces, a_mat, b_w, e_w, h_map,
+                                    p.n, p.m, n_full)
+
+    def error(u_next, est):
+        scale = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(pts[0]),
+                                                           np.abs(u_next))
+        r = est / scale
+        err = math.sqrt(r @ r / r.size)
+        return err, min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
 
     def slope(i, t_i):
         nonlocal start
@@ -1052,24 +1063,33 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True,
             h = h_fix if accepted < n_full else h_last
             t_next = (accepted + 1) * h_fix if accepted + 1 < n_steps else horizon
         r = None
-        if steps is not None and accepted < n_full:
+        if steps is not None and h == h_map and (adaptive
+                                                 or accepted < n_full):
             r = steps.step(pts[0])
-        if r is not None:
             width = iy + p.m
+            if r is not None and adaptive:
+                err, factor = error(r[:width], r[steps.err])
+                if not err <= stepmaps.MAP_STEP_ERR:
+                    r = None
+        if r is not None:
             if log is not None:
-                log.append((pts[0].copy(), start, r[:width].copy()))
+                log.append((pts[0].copy(), start, r.copy()))
             ints += r[width:width + iy]
             pts[0] = r[:width]
+            if adaptive:
+                ks[0] = r[steps.slope]
             if steps.warm:
-                start = (r[width + iy:width + iy + iz],
-                         r[width + iy + iz:width + 2 * iy])
-            evals += len(c_nodes)
+                start = r[steps.x_new], r[steps.z_new]
+            evals += len(c_nodes) - (adaptive and evals > 0)
+            map_steps += 1
             t = t_next
             if not np.isfinite(pts[0]).all():
                 raise IntegrationError(f"non-finite state at t = {t:.6g}")
             accepted += 1
             if accepted % record_every == 0 or t >= horizon - 1e-12:
                 recs.append((t, pts[0].copy(), ints.copy()))
+            if adaptive:
+                h = min(h * factor, integ.h_max)
             continue
         if evals == 0 or not adaptive:
             slope(0, t)
@@ -1080,11 +1100,7 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True,
             slope(i, t + c_nodes[i] * h)
         evals += len(c_nodes) - 1
         if adaptive:
-            scale = integ.abs_tol + integ.rel_tol * np.maximum(np.abs(pts[0]),
-                                                               np.abs(pts[-1]))
-            r = (h * e_w) @ ks / scale
-            err = math.sqrt(r @ r / r.size)
-            factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+            err, factor = error(pts[-1], (h * e_w) @ ks)
             if err > 1.0:
                 if h * factor < integ.h_min:
                     stop_reason = "step-underflow"
@@ -1098,8 +1114,9 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True,
             ks[0] = ks[-1]
         else:
             pts[0] += hb @ ks
-            if steps is not None and accepted + 1 < n_full:
-                steps.settle()
+        if steps is not None and ((factor >= 1.0 and h == h_map) if adaptive
+                                  else accepted + 1 < n_full):
+            steps.settle()
         t = t_next
         if not np.isfinite(pts[0]).all():
             raise IntegrationError(f"non-finite state at t = {t:.6g}")
@@ -1114,8 +1131,7 @@ def _reference_integrate(p, params, s0=None, record_every=1, warm=True,
     erg = np.full(integrals.shape, np.nan)
     erg[1:] = ergodic(ts[1:], U[1:, :iy], u0[:iy], integrals[1:])
     return flow.FlowTrajectory(t=ts, U=U, erg=erg, stop_reason=stop_reason,
-                               rhs_evals=evals, n=p.n,
-                               map_steps=0 if steps is None else steps.count)
+                               rhs_evals=evals, n=p.n, map_steps=map_steps)
 
 
 class TestStepLoop:
@@ -1177,7 +1193,7 @@ class TestStepLoop:
 
     def test_general_metric(self, monkeypatch):
         """Its 20 steps take maps once runs of any length may."""
-        monkeypatch.setattr(flow, "STEP_MAP_MIN_STEPS", 0)
+        monkeypatch.setattr(stepmaps, "STEP_MAP_MIN_STEPS", 0)
         p = catalog("lasso-small")
         half = SelfAdjointPSD.identity
         params = FlowParams(c=1.0, gamma=0.5,
@@ -1185,6 +1201,14 @@ class TestStepLoop:
                             m2=MetricSchedule.constant(half(p.m, 0.5)),
                             horizon=1.02, integrator=RK4(h=0.05))
         assert self._assert_same(p, params, 1).map_steps > 0
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("name", ["lasso-small", "l1-box", "general"])
+    def test_adaptive_step_maps(self, name, record_every):
+        """Adaptive runs to T = 70 take step maps at h_max, and so does
+        the reference."""
+        p, params = _step_map_case(name, Adaptive(), horizon=70.0)
+        assert self._assert_same(p, params, record_every).map_steps > 0
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_step_underflow(self, example1, record_every):
@@ -1436,7 +1460,7 @@ class TestPieceMaps:
         y = np.linalg.lstsq(p.A.mat.T, -0.05 * xi, rcond=None)[0]
         return p, m1, m2, np.concatenate((x, p.A.apply(x), y))
 
-    @pytest.mark.parametrize("gap", [0.0, 0.5 * flow.PIECE_MARGIN])
+    @pytest.mark.parametrize("gap", [0.0, 0.5 * stepmaps.PIECE_MARGIN])
     def test_boundary_falls_back(self, gap, monkeypatch):
         """A prox input on its piece's boundary, or inside it by less
         than the margin, fails the certificate: the update solves with
@@ -1571,8 +1595,9 @@ def _primed(monkeypatch, p, params, s, seen=None):
     on that piece, runs of a single step included; each new instance is
     appended to `seen` with that map."""
     x, z, _ = flow._blocks(p, _update_of(p, params), 0.0, s)
-    real = flow._StepMaps.__init__
-    monkeypatch.setattr(flow, "STEP_MAP_MIN_STEPS", 0)  # one-step runs
+    real = stepmaps._StepMaps.__init__
+    monkeypatch.setattr(stepmaps, "STEP_MAP_MIN_STEPS", 0)  # one-step runs
+    monkeypatch.setattr(stepmaps, "ADAPTIVE_MAP_MIN_STEPS", 0)
 
     def init(self, *args):
         real(self, *args)
@@ -1582,34 +1607,37 @@ def _primed(monkeypatch, p, params, s, seen=None):
         if seen is not None:
             seen.append((self, self.current))
 
-    monkeypatch.setattr(flow._StepMaps, "__init__", init)
+    monkeypatch.setattr(stepmaps._StepMaps, "__init__", init)
 
 
 class TestStepMaps:
-    """A fixed-step RK4 run of a piecewise-affine update takes a step by
-    one product of its piece's step map (`flow._StepMaps`) when the
-    product certifies that every stage lies on that piece."""
+    """A fixed-step RK4 run of a piecewise-affine update, and an adaptive
+    run at h_max, take a step by one product of its piece's step map
+    (`stepmaps._StepMaps`) when the product certifies that every stage lies
+    on that piece."""
 
     CASES = list(CATALOG_NAMES) + ["l1-box", "ridge-identity", "general"]
 
     @staticmethod
     def _one_step(p, params, u, start=None):
-        """U_n+1 of one stagewise step from u, and the piece key of the
+        """U_n+1 of one stagewise step from u, at h or at an adaptive run's
+        h_max, the slope at its last stage, and the piece key of the
         outputs of each of its stage evaluations."""
         update = _update_of(p, params)
         integ = params.integrator
+        h = integ.h_max if isinstance(integ, Adaptive) else integ.h
         c_nodes, a_mat, b_w, _ = flow._TABLEAUS[type(integ)]
         n, iy = p.n, p.n + p.m
         slopes, keys = [], []
         for i in range(len(c_nodes)):
-            point = u + integ.h * (a_mat[i, :i] @ np.array(slopes)) \
+            point = u + h * (a_mat[i, :i] @ np.array(slopes)) \
                 if i else u.copy()
             row = np.empty_like(u)
             start = update(0.0, point, row, start)
             keys.append(update.pieces[0](row[:n], row[n:iy]))
             row[:iy] -= point[:iy]
             slopes.append(row)
-        return u + integ.h * (b_w @ np.array(slopes)), keys
+        return u + h * (b_w @ np.array(slopes)), slopes[-1], keys
 
     @pytest.mark.parametrize("name", CASES)
     def test_map_steps_match_stagewise_steps(self, name):
@@ -1624,8 +1652,49 @@ class TestStepMaps:
         assert traj.map_steps == len(log) >= 0.75 * (len(traj.t) - 1)
         exact = _step_map_case(name, RK4(h=0.05), tol=1e-14)[1]
         for u, start, want in log:
-            got, keys = self._one_step(p, exact, u, start)
-            assert _rel_gap(got, want) <= 1e-13
+            got, _, keys = self._one_step(p, exact, u, start)
+            assert _rel_gap(got, want[:len(u)]) <= 1e-13
+            assert len(set(keys)) == 1
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_adaptive_map_steps_keep_the_step_count(self, name):
+        """From a seeded start, adaptive to T = 100: rhs_evals and the
+        records' count are those of the run without maps, and so are the
+        times up to the first step below h_max that follows a map step.
+        That step's size comes from the error estimate of a state a map
+        made, which carries some 1e-10 relative roundoff into the
+        controller, so the later times and states move, within the run's
+        tolerance.  Each map step is within 1e-13 relative of the
+        stagewise trial from the same state and start, the last slope
+        included, with every stage on one piece; most steps at h_max
+        (58 to 86 of 63 to 86 here) are map steps."""
+        integ = Adaptive()
+        p, params = _step_map_case(name, integ, horizon=100.0)
+        s0 = next(_radius_starts(p, 1))
+        got = integrate(p, params, s0)
+        plain = _reference_integrate(p, params, s0, maps=False)
+        assert (got.rhs_evals, len(got.t), got.stop_reason) == \
+            (plain.rhs_evals, len(plain.t), plain.stop_reason)
+        log = []
+        assert _reference_integrate(p, params, s0, log=log).map_steps == \
+            got.map_steps == len(log)
+        # the first map step starts at record `first`
+        first = next(i for i, u in enumerate(plain.U)
+                     if u.tobytes() == log[0][0].tobytes())
+        full = np.diff(plain.t) == integ.h_max
+        assert got.map_steps >= 0.875 * full.sum()
+        moved = first + 1 + np.argmin(full[first:])
+        assert got.t[:moved].tobytes() == plain.t[:moved].tobytes()
+        assert np.abs(got.t - plain.t).max() <= integ.rel_tol
+        assert max(_rel_gap(a, b) for a, b in zip(got.U, plain.U)) <= \
+            integ.rel_tol
+        exact = _step_map_case(name, integ, tol=1e-14)[1]
+        width = len(s0.x) + 2 * len(s0.y)
+        for u, start, want in log:
+            state, slope, keys = self._one_step(p, exact, u, start)
+            assert _rel_gap(state, want[:width]) <= 1e-13
+            assert _rel_gap(slope, want[2 * width + p.n + p.m:3 * width
+                                         + p.n + p.m]) <= 1e-13
             assert len(set(keys)) == 1
 
     @pytest.mark.parametrize("name", ["lasso-small", "example1"])
@@ -1636,7 +1705,7 @@ class TestStepMaps:
         p, params = _step_map_case(name, RK4(h=0.05))
         traj = _reference_integrate(p, params, maps=False)
         crossing = [u for u in traj.U[:-1]
-                    if len(set(self._one_step(p, params, u)[1])) > 1]
+                    if len(set(self._one_step(p, params, u)[2])) > 1]
         assert crossing
         one = replace(params, horizon=0.05)
         for u in crossing:
@@ -1648,17 +1717,24 @@ class TestStepMaps:
             assert got.map_steps == 0
             assert got.U.tobytes() == plain.U.tobytes()
 
+    # one step of 0.05: RK4, or an adaptive first trial at its h_max, with
+    # tolerances that a map step's error estimate passes near the solution
+    ONE_STEP = {"rk4": RK4(h=0.05),
+                "adaptive": Adaptive(h0=0.05, h_max=0.05, rel_tol=1e-3,
+                                     abs_tol=1e-3)}
+
     @staticmethod
-    def _bound_state(mode, gap):
+    def _bound_state(mode, gap, integrator="rk4"):
         """lasso-small and a state whose x-update solution is its own x,
         the known primal point, with the x-prox input of the inactive entry
         2 at distance `gap` inside the bound |u| <= t w of its zero piece,
         for the closed-form `auto` step or for M1 = M2 = 0.5 I
-        (`TestPieceMaps._lasso_state`)."""
+        (`TestPieceMaps._lasso_state`), and one step of `ONE_STEP`."""
+        integrator = TestStepMaps.ONE_STEP[integrator]
         if mode == "general":
             p, m1, m2, s = TestPieceMaps._lasso_state(gap)
             return p, FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2,
-                                 horizon=0.05, integrator=RK4(h=0.05)), s
+                                 horizon=0.05, integrator=integrator), s
         p = catalog("lasso-small")
         tau = resolve_tau("auto", p, 1.0, 0.5)
         x = np.array(p.known_primal)
@@ -1669,36 +1745,39 @@ class TestStepMaps:
         xi[[0, 2, 3, 7]] = [0.3, 1.0 - gap / tw, -0.2, 0.1]
         y = np.linalg.lstsq(p.A.mat.T, -0.05 * xi, rcond=None)[0]
         return p, FlowParams(c=1.0, gamma=0.5, tau=tau, horizon=0.05,
-                             integrator=RK4(h=0.05)), \
+                             integrator=integrator), \
             np.concatenate((x, p.A.apply(x), y))
 
-    @pytest.mark.parametrize("gap", [0.0, 0.5 * flow.PIECE_MARGIN, 0.005])
+    @pytest.mark.parametrize("integrator", ["rk4", "adaptive"])
+    @pytest.mark.parametrize("gap", [0.0, 0.5 * stepmaps.PIECE_MARGIN, 0.005])
     @pytest.mark.parametrize("mode", ["closed-form", "general"])
     def test_state_at_a_bound_takes_the_stagewise_step(self, mode, gap,
+                                                       integrator,
                                                        monkeypatch):
         """With the map of its own piece current, a state whose prox input
         lies on its region's bound, or inside it by less than the margin,
         takes the stagewise step, with the bits of a run that has no map
         yet; one inside by 0.005 takes the map step, within 1e-13."""
-        p, params, s = self._bound_state(mode, gap)
+        p, params, s = self._bound_state(mode, gap, integrator)
         state = SystemState(s[:p.n], s[p.n:p.n + p.m], s[p.n + p.m:])
         plain = integrate(p, params, state)
         _primed(monkeypatch, p, params, s)
         got = integrate(p, params, state)
-        assert got.map_steps == (gap > flow.PIECE_MARGIN)
+        assert got.map_steps == (gap > stepmaps.PIECE_MARGIN)
         if got.map_steps:
             assert _rel_gap(got.U[-1], plain.U[-1]) <= 1e-13
         else:
             assert got.U.tobytes() == plain.U.tobytes()
 
+    @pytest.mark.parametrize("integrator", ["rk4", "adaptive"])
     @pytest.mark.parametrize("index,value", [
         (0, math.nan), (3, math.inf), (10, -math.inf), (25, math.nan)])
     def test_non_finite_state_raises_as_without_maps(self, index, value,
-                                                     monkeypatch):
+                                                     integrator, monkeypatch):
         """A NaN or inf in x, z or y fails the certificate of the map of
         the clean state's piece, and the run raises the IntegrationError
         of a run that has no map yet, with the same message."""
-        p, params, s = self._bound_state("closed-form", 0.005)
+        p, params, s = self._bound_state("closed-form", 0.005, integrator)
         bad = s.copy()
         bad[index] = value
         state = SystemState(bad[:p.n], bad[p.n:p.n + p.m], bad[p.n + p.m:])
@@ -1729,17 +1808,17 @@ class TestStepMaps:
                                    gamma=gamma)
         s0 = next(_radius_starts(p, 1, seed=seed))
         builds = []
-        real = flow._StepMaps._build
+        real = stepmaps._StepMaps._build
 
         def counting(self, piece):
             builds.append(1)
             return real(self, piece)
 
-        monkeypatch.setattr(flow._StepMaps, "_build", counting)
+        monkeypatch.setattr(stepmaps._StepMaps, "_build", counting)
         kept = integrate(p, params, s0)
         kept_builds = len(builds)
-        monkeypatch.setattr(flow, "STEP_MAPS", 0)
-        monkeypatch.setattr(flow, "STEP_MAP_FLOATS", 0)
+        monkeypatch.setattr(stepmaps, "STEP_MAPS", 0)
+        monkeypatch.setattr(stepmaps, "STEP_MAP_FLOATS", 0)
         builds.clear()
         rebuilt = integrate(p, params, s0)
         assert len(builds) > kept_builds
@@ -1759,11 +1838,61 @@ class TestStepMaps:
             plain = _reference_integrate(p, params, s0, maps=False)
             assert got.U.tobytes() == plain.U.tobytes()
 
+    @pytest.mark.parametrize("mode", ["closed-form", "general"])
+    def test_adaptive_map_step_needs_a_small_error(self, mode, monkeypatch):
+        """With the map of its own piece current and its certificate
+        holding, a state takes the map step when the map's error estimate
+        passes `MAP_STEP_ERR`, and at tolerances of 1e-12, where it does
+        not, takes the stagewise trials, with the bits of a run that has
+        no map yet."""
+        certified = []
+        real = stepmaps._StepMaps.step
+
+        def step(self, u):
+            r = real(self, u)
+            certified.append(r is not None)
+            return r
+
+        monkeypatch.setattr(stepmaps._StepMaps, "step", step)
+        for tol, map_steps in ((1e-3, 1), (1e-12, 0)):
+            p, params, s = self._bound_state(mode, 0.005, "adaptive")
+            params = replace(params, integrator=replace(
+                params.integrator, rel_tol=tol, abs_tol=tol))
+            state = SystemState(s[:p.n], s[p.n:p.n + p.m], s[p.n + p.m:])
+            plain = integrate(p, params, state)
+            certified.clear()
+            with monkeypatch.context() as patch:
+                _primed(patch, p, params, s)
+                got = integrate(p, params, state)
+            assert certified[0]
+            assert got.map_steps == map_steps
+            if map_steps:
+                assert _rel_gap(got.U[-1], plain.U[-1]) <= 1e-13
+            else:
+                assert got.U.tobytes() == plain.U.tobytes()
+                assert got.rhs_evals == plain.rhs_evals
+
+    @pytest.mark.parametrize("name", ["lasso-small", "box-qp"])
+    def test_adaptive_runs_under_the_length_rule_take_no_maps(self, name):
+        """An adaptive run shorter than `ADAPTIVE_MAP_MIN_STEPS` steps of
+        h_max builds no map and keeps the stagewise bits; one that long
+        takes maps."""
+        steps = stepmaps.ADAPTIVE_MAP_MIN_STEPS
+        p, params = _step_map_case(name, Adaptive(), horizon=steps - 0.5)
+        s0 = next(_radius_starts(p, 1))
+        short = integrate(p, params, s0)
+        assert short.map_steps == 0
+        plain = _reference_integrate(p, params, s0, maps=False)
+        assert short.t.tobytes() == plain.t.tobytes()
+        assert short.U.tobytes() == plain.U.tobytes()
+        longer = replace(params, horizon=float(steps))
+        assert integrate(p, longer, s0).map_steps > 0
+
     @pytest.mark.parametrize("name", ["lasso-small", "box-qp"])
     def test_short_runs_take_no_maps(self, name):
         """An RK4 run of fewer than `STEP_MAP_MIN_STEPS` full steps builds
         no map and keeps the stagewise bits; one of that many takes maps."""
-        steps = flow.STEP_MAP_MIN_STEPS
+        steps = stepmaps.STEP_MAP_MIN_STEPS
         p, params = _step_map_case(name, RK4(h=0.05),
                                    horizon=0.05 * (steps - 0.5))
         s0 = next(_radius_starts(p, 1))
@@ -1792,7 +1921,7 @@ class TestStepMaps:
         assert got.map_steps == 0
         plain = _reference_integrate(p, params, s0, maps=False)
         assert got.U.tobytes() == plain.U.tobytes()
-        monkeypatch.setattr(flow, "STEP_MAP_FLOATS", 16 * 23_408)
+        monkeypatch.setattr(stepmaps, "STEP_MAP_FLOATS", 16 * 23_408)
         assert integrate(p, params, s0).map_steps > 0
 
     @pytest.mark.parametrize("name", ["example1", "lasso-small", "box-qp",

@@ -9,7 +9,7 @@ on lasso-small (c = 1, gamma = 0.5, M1 = M2 = 0.5 I), from seeded starts
 at radius sqrt(dim): four general-metric RK4 flows (step 0.05, horizon
 5), and twelve proximal ADMM runs (`discrete.run`, stop_tol 1e-10); a
 flow evaluates the update only in the steps that no step map takes
-(`flow._StepMaps`).  For each setup the script first prints how many
+(`stepmaps._StepMaps`).  For each setup the script first prints how many
 evaluations the update's piece map certified and how many fell back to a
 `metric_prox` solve of the x block (`flow._make_update`).  The
 subproblems are those fallback solves.  Each is solved as recorded, from

@@ -14,13 +14,15 @@ checkouts.  Two trees whose digests diff clean wrote byte-identical
 outputs for every run.
 
 The runs: `flow --tau auto --horizon 20 --dump-state` and `check --tau
-auto` with each integrator, `discrete --tau auto --dump-state` with each
-algorithm, and a saturating-tau `flow` and `discrete` run, each on every
-catalog problem, and `check --seed 7`, which draws the sampled checks from
-another stream; then the divergent `discrete` run on box-qp, a lasso-small
-`discrete` run whose budget of 37 iterations ends inside a chunk of the
-stop test, and the example1 sweep `reproduce-example1 --horizon 5` (nine
-flow runs and the sweep report).  Last come the same three runs, an RK4
+auto` with each integrator, an adaptive `flow --horizon 100`, long
+enough for its trials at h_max to take step maps, `discrete --tau auto
+--dump-state` with each algorithm, and a saturating-tau `flow` and
+`discrete` run, each on every catalog problem, and `check --seed 7`,
+which draws the sampled checks from another stream; then the divergent
+`discrete` run on box-qp, a lasso-small `discrete` run whose budget of
+37 iterations ends inside a chunk of the stop test, and the example1
+sweep `reproduce-example1 --horizon 5` (nine flow runs and the sweep
+report).  Last come the same three runs, an RK4
 `flow`, an ADMM `discrete` run and `check`, on two problem files:
 `problems/ridge-identity.txt`, whose update is one affine map, and
 `problems/l1-box.txt`, whose update makes both proxes and adds a nonzero
@@ -70,6 +72,8 @@ def commands():
             yield ["flow", *base, "--tau", "auto", "--horizon", "20",
                    "--integrator", integrator, "--dump-state"]
             yield ["check", *base, "--tau", "auto", "--integrator", integrator]
+        yield ["flow", *base, "--tau", "auto", "--horizon", "100",
+               "--integrator", "adaptive", "--dump-state"]
         for algorithm in ("admm", "cp"):
             yield ["discrete", *base, "--algorithm", algorithm, "--tau", "auto",
                    "--dump-state"]

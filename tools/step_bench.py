@@ -21,14 +21,17 @@ their ratio B / A:
   closed-form update (`auto` tau, gamma 0.5) on every catalog problem
 * integrate: seconds per `integrate` run from the canonical start, for the
   catalog x {Euler, RK4, Adaptive} with `auto` tau, gamma 0.5, step 0.01
-  (Adaptive: its defaults) and horizon `HORIZON`, and for the
+  (Adaptive: its defaults) and horizon `HORIZON`, for Adaptive again at
+  horizon `ADAPTIVE_HORIZON`, long enough for its trials at h_max to take
+  step maps (`stepmaps.ADAPTIVE_MAP_MIN_STEPS`), and for the
   `metric-lasso` flow setup (lasso-small, M1 = M2 = 0.5 I, c 1, gamma
   0.5, RK4 h 0.05, horizon 5), and for the `reproduce-example1` sweep's
   RK4 step 0.01 and horizon 200 on example1 (`auto` tau, gamma 0.5); each
   of these lines also gives the microseconds per rhs evaluation, the
   run's time over its `rhs_evals` (a step map's product counts as the
-  tableau's stages), and the share of its steps that a step map took
-  (`FlowTrajectory.map_steps`, 0 for a tree without step maps)
+  evaluations of the stagewise step it stands for), and the share of its
+  steps that a step map took (`FlowTrajectory.map_steps`, 0 for a tree
+  without step maps)
 * admm: microseconds per iteration of a 500-iteration `discrete.run` on
   every catalog problem with `auto` tau and gamma 1, and in
   general-metric mode with M1 = M2 = 0.5 I on lasso-small, where each
@@ -57,6 +60,7 @@ UPDATE_CALLS = 2000
 BUILD_CALLS = 200
 ADMM_ITERS = 500
 HORIZON = 20.0
+ADAPTIVE_HORIZON = 100.0
 # the `reproduce-example1` sweep's step and horizon
 SWEEP_STEP, SWEEP_HORIZON = 0.01, 200.0
 
@@ -127,6 +131,11 @@ def cases(pkg):
                                      horizon=HORIZON, integrator=integ)
             out.append((f"integrate {label} {name}", "s", 1.0,
                         lambda p=p, params=params: flow.integrate(p, params)))
+        params = flow.FlowParams(c=1.0, gamma=0.5, tau=tau,
+                                 horizon=ADAPTIVE_HORIZON,
+                                 integrator=flow.Adaptive())
+        out.append((f"integrate adaptive {name} T={ADAPTIVE_HORIZON:g}", "s",
+                    1.0, lambda p=p, params=params: flow.integrate(p, params)))
     p = problems.catalog("lasso-small")
     params = flow.FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=5.0,
                              integrator=flow.RK4(0.05))
