@@ -38,10 +38,10 @@ iteration is that ADMM at gamma = 1 from z0 = A x0.  The modes:
 With a constant M1 and a single-prox z block, the update is piecewise
 affine in U as well: on the joint piece of the two proxes that the solves'
 start lies on it is one affine map, which one product applies together
-with a certificate that the state lies inside that piece, and only a state
-that fails the certificate takes the `metric_prox` solve.  Both
-piecewise-affine updates, this one and the kernel, give the affine map of
-each joint piece as data (`update.pieces`).
+with a certificate that the state lies inside that piece (`stepmaps`),
+and only a state that fails the certificate takes the `metric_prox` solve.
+Both piecewise-affine updates, this one and the kernel, give the affine
+map of each joint piece as data (`update.pieces`).
 
 The update writes x_new | z_new | w into a row the caller gives, so
 `integrate` evaluates straight into its slope rows and `discrete.run` into
@@ -93,7 +93,7 @@ from .linops import LinearMap, _block_map
 from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
 from .problems import ProblemSpec
 from .proxlib import NEWTON_INVERSE_FLOATS, _kept_inverse, metric_prox
-from .stepmaps import MAP_STEP_ERR, PIECE_MARGIN, _step_maps
+from .stepmaps import MAP_STEP_ERR, _certified, _step_maps
 
 __all__ = [
     "SystemState",
@@ -322,11 +322,11 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
       (`ProxFunction`), and room for `PIECE_MAPS` maps: the update first
       tries the certified affine map of the joint piece that the solves'
       start lies on (`_piece_rows`).  One product gives the row
-      x_new | z_new | w and a certificate that both prox inputs lie at
-      least PIECE_MARGIN inside that piece's region; when it holds, the
-      row is written and no `metric_prox` solve runs, and otherwise the
-      update takes the `metric_prox` form above, unchanged.  A certified
-      row depends on s alone, and the returned start is the product's own
+      x_new | z_new | w and the certificate that both prox inputs lie
+      inside that piece's region (`stepmaps`); when it holds, the row is
+      written and no `metric_prox` solve runs, and otherwise the update
+      takes the `metric_prox` form above, unchanged.  A certified row
+      depends on s alone, and the returned start is the product's own
       x_new and z_new
 
     Both piecewise-affine forms, the kernel with f and g whose proxes are
@@ -526,28 +526,27 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     (H_x s + q)) with K = (I - D_x + step D_x Q1)^{-1} (`_kept_inverse`),
     so the whole update, x_new | z_new | w = A_D s + a_D, is affine in s,
     and so are both prox inputs, u_x = x_new - step (Q1 x_new + H_x s + q)
-    and r_z = H_z s + B_z x_new, as C_D s + c_D.  One product of the
-    stacked [A_D; C_D; -C_D; 1; -1] gives the row and the certificate:
-    every input at least PIECE_MARGIN inside both bounds of its piece's
-    region, and a finite sum of s (an infinite offset on the last two
-    rows), so a state with a NaN or inf entry fails whatever the product
-    makes of the zero coefficients that meet it.  When the certificate
-    holds, prox(u_x) = x_new, so x_new is the exact minimizer, and z_new
-    the exact prox; rows returns the product, whose first n + 2m entries
-    are the row.  Otherwise, or when x0 or z0 lies on no piece, it returns
-    None.  Regions are disjoint, so at most one piece certifies a state,
-    and a certified row depends on s alone.
+    and r_z = H_z s + B_z x_new, as C_D s + c_D.  One product of the map
+    (`stepmaps._certified`) gives the row and the certificate that every
+    input lies inside its piece's region and that s is finite (the
+    `stepmaps` docstring).  When it holds, prox(u_x) = x_new, so x_new is
+    the exact minimizer, and z_new the exact prox; rows returns the
+    product, whose first n + 2m entries are the row.  Otherwise, or when
+    x0 or z0 lies on no piece, it returns None.  Regions are disjoint, so
+    at most one piece certifies a state, and a certified row depends on s
+    alone.
 
     Each map is built on the first visit to its piece, as one matrix on
-    (s, 1), and kept while the maps fit in `NEWTON_INVERSE_FLOATS` floats.
-    A new piece past that bound drops the least recently used map, which
-    is built again, the same way, on its next visit, so a row never
-    depends on what was kept.
+    (s, 1), and kept with that piece: as many maps as fit in
+    `NEWTON_INVERSE_FLOATS` floats at their largest.  A new piece past
+    that count drops the least recently used map, which is built again,
+    the same way, on its next visit, so a row never depends on what was
+    kept.
 
     pieces is (key, piece, True), the form `_kernel_pieces` gives for the
     constant-step kernel: key(x, z) names the joint piece of outputs x and
     z, and piece(x, z) is its (E, lo, hi), E = [A_D a_D; C_D c_D] on
-    (s, 1) with the inputs' bounds, read from its map, for `integrate`'s
+    (s, 1) with the inputs' bounds (kept with its map), for `integrate`'s
     step maps; True says that the update takes a start.
     """
     n, width = bmat.shape[1], hmat.shape[1]
@@ -562,12 +561,12 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     hz1 = np.zeros((m, width + 1))
     hz1[:, :width] = hmat[n:]
     fixed = np.eye(n) - step * q1.base.mat
-    guard = np.ones((2, width + 1))
-    guard[1] = -1.0
-    guard[:, width] = math.inf
     f_key, g_key = _piece_key(f, step), _piece_key(g, z_step)
-    # the maps kept, least recently used first, and how many fit: a map
-    # has a row, n + m prox inputs, their negations and the guard's 2 rows
+    # an affine g has one piece, that of every z
+    g_piece = None if g.affine is None else _piece(g, z_step, None, m)
+    # the maps kept with their pieces, least recently used first, and how
+    # many: a map has at most a row, n + m prox inputs, their negations and
+    # the guard's 2 rows
     maps = {}
     capacity = NEWTON_INVERSE_FLOATS // (
         (width + 2 * (n + m) + 2) * (width + 1))
@@ -578,12 +577,9 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
         return f_key(x0) + g_key(z0)
 
     def build(x0, z0):
-        dx, ex = f._piece(step, x0)
-        dz, ez = g._piece(z_step, z0)
-        (lo_x, hi_x), (lo_z, hi_z) = f._region(step, x0), g._region(z_step, z0)
-        lo = np.concatenate((_flat(lo_x, n), _flat(lo_z, m)))
-        hi = np.concatenate((_flat(hi_x, n), _flat(hi_z, m)))
-        dx = _flat(dx, n)
+        dx, ex, lo_x, hi_x = _piece(f, step, x0, n)
+        dz, ez, lo_z, hi_z = g_piece or _piece(g, z_step, z0, m)
+        lo, hi = np.concatenate((lo_x, lo_z)), np.concatenate((hi_x, hi_z))
         if not ((lo < hi).all() and np.isfinite(dx).all()):
             return None
         inv = _kept_inverse(q1, step, dx)
@@ -591,30 +587,24 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
             return None
         x1 = inv.dot(dx[:, None] * hx1)
         x1 *= -1.0
-        x1[:, width] += inv.dot(_flat(ex, n))
+        x1[:, width] += inv.dot(ex)
         bx1 = bmat.dot(x1)
         rz1 = hz1 + bx1[:m]
-        z1 = np.reshape(dz, (-1, 1)) * rz1
+        z1 = dz[:, None] * rz1
         z1[:, width] += ez
-        inputs = np.concatenate((fixed.dot(x1) - hx1, rz1))
-        stacked = np.concatenate((x1, z1, bx1[m:] - c * z1, inputs, -inputs,
-                                  guard))
-        if not np.isfinite(stacked[:-2]).all():
-            return None
-        # the offsets of the row and the inputs before the bounds join them
-        own = stacked[:width + n + m, width].copy()
-        # an infinite bound gives an infinite offset, a row that holds
-        stacked[width:-2, width] += np.concatenate((-lo, hi)) - PIECE_MARGIN
-        return stacked[:, :width].copy(), stacked[:, width].copy(), own, lo, \
-            hi
+        return np.concatenate((x1, z1, bx1[m:] - c * z1, fixed.dot(x1) - hx1,
+                               rz1)), lo, hi
 
     def rows(s, x0, z0):
         key = f_key(x0) + g_key(z0)
         got = maps.pop(key, None)
         if got is None:
             got = build(x0, z0)
-            if got is None:
+            mapped = got and _certified((got[0][:width],),
+                                        got[0][None, width:], *got[1:])
+            if mapped is None:
                 return None
+            got = mapped + (got,)
             if len(maps) >= capacity:
                 del maps[next(iter(maps))]
         maps[key] = got
@@ -624,13 +614,10 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
         return r if cert[cert.argmin()] > 0.0 else None
 
     def piece(x0, z0):
-        # the kept map, which the evaluations on this piece have used, or
-        # else one built for this call alone
-        got = maps.get(key_of(x0, z0)) or build(x0, z0)
-        if got is None:
-            return None
-        return np.column_stack((got[0][:width + n + m], got[2])), got[3], \
-            got[4]
+        # the kept piece, which the evaluations on it have used, or else
+        # one built for this call alone
+        got = maps.get(key_of(x0, z0))
+        return build(x0, z0) if got is None else got[2]
 
     return rows, (key_of, piece, True)
 

@@ -1,13 +1,21 @@
-"""Per-piece step maps: a Runge-Kutta step of one fixed h taken by one
-certified product while all its stages stay on one affine piece of the
-update.
+"""Per-piece maps of a piecewise-affine update and their certificate.
 
-`flow.integrate` takes them for the full steps of an RK4 run and for the
-trials of an adaptive run at its h_max, where the runs are long enough and
-the maps small enough to repay their builds (`_step_maps`).  The pieces
-come from the update itself (`update.pieces`, built by `flow._make_update`);
-this module composes each piece's step with its certificate and keeps the
-maps a run has built.
+On a joint piece D of its proxes the update is affine in the state
+(`update.pieces`, from `flow._make_update`), and so is a Runge-Kutta step
+of one fixed h.  A piece map is one matrix on (U, 1) whose product gives
+the update's row (`flow._piece_rows`) or a whole step (`_StepMaps`) and a
+certificate, built for both by `_certified`: a row per prox input, affine
+in U, and finite bound of D's region, input - lo - PIECE_MARGIN or
+hi - PIECE_MARGIN - input (an infinite bound holds for every finite
+input), and two guard rows, +-sum(U) plus an infinite offset added after
+the map's finite test, which fail for a NaN or inf entry of U whatever
+the product makes of the zero coefficients that meet it.  Where every
+certificate entry is positive, every input lies inside D's region, and
+the product is what the update, or the stagewise step, evaluates.
+
+`flow.integrate` takes step maps for the full steps of an RK4 run and for
+the trials of an adaptive run at its h_max, where the runs are long
+enough and the maps small enough to repay their builds (`_step_maps`).
 """
 
 from __future__ import annotations
@@ -76,13 +84,10 @@ class _StepMaps:
     inputs are affine in U.  A map stacks Phi_D, Psi_D, for an embedded
     pair the error estimate h sum_i e_i K_i and the last stage's slope
     (the next step's first, FSAL), the last stage's x_new | z_new when the
-    update takes starts, and a certificate: each stage input PIECE_MARGIN
-    inside each finite bound of D's region (an infinite bound holds for
-    every finite input, so it has no row), and two guard rows, +-sum(U)
-    plus an infinite offset added after the finite product, which fail for
-    a NaN or inf entry.  `step(u)` applies the current map by one product
-    and returns it when the certificate holds, so that every stage lies on
-    D and the stagewise step would evaluate this same affine map.
+    update takes starts, and the certificate of every stage's prox inputs
+    (`_certified`).  `step(u)` applies the current map by one product and
+    returns it when the certificate holds, so that every stage lies on D
+    and the stagewise step would evaluate this same affine map.
 
     Otherwise the run takes the stagewise step, keeping its last
     evaluation's output (`observe`), and then `settle` picks the map for
@@ -130,10 +135,6 @@ class _StepMaps:
         # each stage's nonzero terms (j, h a_ij)
         self.terms = [[(j, ha[i, j]) for j in range(i) if ha[i, j] != 0.0]
                       for i in range(self.stages)]
-        # +-sum(U), whose infinite offsets join after the product
-        self.guard = np.ones((2, width + 1))
-        self.guard[1] = -1.0
-        self.guard[:, width] = 0.0
 
     def step(self, u):
         """The product of the current map at u, or None when no map is
@@ -199,20 +200,31 @@ class _StepMaps:
                     slopes[-1, :width]]
         if self.warm:
             out.append(mat[:iy].dot(points[-1]))
-        # every stage's inputs, inside each finite bound by the margin
-        inputs = np.matmul(mat[width:], points)
-        low, high = np.isfinite(lo), np.isfinite(hi)
-        above, below = inputs[:, low], -inputs[:, high]
-        above[:, :, width] -= lo[low] + PIECE_MARGIN
-        below[:, :, width] += hi[high] - PIECE_MARGIN
-        out += [above.reshape(-1, width + 1), below.reshape(-1, width + 1),
-                self.guard]
-        stacked = np.concatenate(out)
-        if not np.isfinite(stacked).all():
-            return None
-        off = stacked[:, width].copy()
-        off[-2:] = math.inf
-        return stacked[:, :width].copy(), off
+        return _certified(out, np.matmul(mat[width:], points), lo, hi)
+
+
+def _certified(out, inputs, lo, hi):
+    """(matrix, offsets) of the piece map whose rows on (U, 1) are those of
+    `out`, then the certificate of `inputs`, every stage's prox inputs as
+    (stages, inputs, width + 1), with bounds lo and hi; None when the map
+    is not finite."""
+    width = inputs.shape[-1] - 1
+    # input - lo and hi - input, less the margin, where the bound is finite
+    bound = np.concatenate((-lo, hi))
+    bound -= PIECE_MARGIN
+    rows = np.concatenate((inputs, -inputs), axis=1)
+    rows[:, :, width] += bound
+    rows = rows[:, np.isfinite(bound)]
+    # +-sum(U), whose infinite offsets join after the finite test
+    stacked = np.concatenate([*out, rows.reshape(-1, width + 1),
+                              np.zeros((2, width + 1))])
+    stacked[-2, :width] = 1.0
+    stacked[-1, :width] = -1.0
+    if not np.isfinite(stacked).all():
+        return None
+    off = stacked[:, width].copy()
+    off[-2:] = math.inf
+    return stacked[:, :width].copy(), off
 
 
 def _step_maps(pieces, a_mat, b_w, e_w, h, n, m, n_full):

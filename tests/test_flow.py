@@ -1420,25 +1420,55 @@ class TestPieceMaps:
                 assert _rel_gap(got, w) <= 1e-13
         assert certified >= 0.8 * len(calls)
 
-    @pytest.mark.parametrize("name", ["lasso-small", "l1-box"])
-    def test_rows_do_not_depend_on_what_was_kept(self, name, monkeypatch):
+    @pytest.mark.parametrize("name,gamma,algorithm", [
+        ("lasso-small", 0.5, "rk4"), ("l1-box", 0.5, "rk4"),
+        ("l1-box", 0.5, "admm"), ("l1-box", 1.0, "admm")],
+        ids=["lasso-small", "l1-box", "l1-box-admm-0.5", "l1-box-admm-1"])
+    def test_rows_do_not_depend_on_what_was_kept(self, name, gamma,
+                                                 algorithm, monkeypatch):
         """With room for one map and no Newton inverse, every change of
         piece drops the last map and every inverse is rebuilt, and a warm
-        RK4 run gives the same trajectory bit for bit."""
+        RK4 run, or an ADMM run, gives the same iterates bit for bit.  The
+        ADMM runs come back to pieces they left, so they build more maps
+        (27 against 8 or 9); the RK4 runs, whose step maps take most steps,
+        build as many."""
         p = _named_problem(name)
         m1, m2 = _half_metrics(p)
-        params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=3.0,
-                            integrator=RK4(h=0.05))
         s0 = next(_radius_starts(p, 1))
-        kept = integrate(p, params, s0)
+        if algorithm == "rk4":
+            params = FlowParams(c=1.0, gamma=gamma, m1=m1, m2=m2,
+                                horizon=3.0, integrator=RK4(h=0.05))
+
+            def run():
+                return integrate(p, params, s0)
+        else:
+            params = DiscreteParams(c=1.0, gamma=gamma, m1=m1, m2=m2)
+
+            def run():
+                return discrete_run(p, params, s0)
+        builds = []
+        real = flow._certified
+
+        def counting(*args):
+            builds.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(flow, "_certified", counting)
+        kept = run()
+        kept_builds = len(builds)
         width = p.n + 2 * p.m
         monkeypatch.setattr(flow, "PIECE_MAPS", 1)
         monkeypatch.setattr(flow, "NEWTON_INVERSE_FLOATS",
                             (width + 2 * (p.n + p.m) + 2) * (width + 1))
         monkeypatch.setattr(proxlib, "NEWTON_INVERSE_FLOATS", 0)
-        rebuilt = integrate(p, params, s0)
+        builds.clear()
+        rebuilt = run()
+        assert len(builds) >= kept_builds + (algorithm == "admm")
         assert kept.U.tobytes() == rebuilt.U.tobytes()
-        assert kept.erg.tobytes() == rebuilt.erg.tobytes()
+        if algorithm == "rk4":
+            assert kept.erg.tobytes() == rebuilt.erg.tobytes()
+        else:
+            assert kept.residuals.tobytes() == rebuilt.residuals.tobytes()
 
     @staticmethod
     def _lasso_state(gap):
@@ -1521,6 +1551,33 @@ class TestPieceMaps:
                 update = _make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
             with pytest.raises(ToleranceNotMet) as info:
                 update(0.0, s, np.empty_like(s), start)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_guard_alone_fails_non_finite_states(self, value, monkeypatch):
+        """Both proxes of ridge-identity are affine, so its one piece has
+        an unbounded region and its certificate is the guard alone: the
+        known saddle point certifies with no `metric_prox` solve, and with
+        one entry NaN or inf it fails and raises the `ToleranceNotMet` of
+        an update built without piece maps, with the same message."""
+        p = _named_problem("ridge-identity")
+        m1, m2 = _half_metrics(p)
+        x = np.array(p.known_primal)
+        s = np.concatenate((x, p.A.apply(x), p.known_dual))
+        update = _make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
+        with monkeypatch.context() as patch:
+            patch.setattr(p.f, "_region", None)
+            plain = _make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
+        solves = _count_metric_prox(monkeypatch)
+        update(0.0, s, np.empty_like(s))
+        assert not solves
+        s[3] = value
+        messages = []
+        for each in (update, plain):
+            with pytest.raises(ToleranceNotMet) as info:
+                each(0.0, s, np.empty_like(s))
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
@@ -1925,23 +1982,34 @@ class TestStepMaps:
         assert integrate(p, params, s0).map_steps > 0
 
     @pytest.mark.parametrize("name", ["example1", "lasso-small", "box-qp",
-                                      "l1-box", "ridge-identity"])
-    def test_kernel_piece_map_is_the_update(self, name):
-        """At the states of an RK4 run, the constant-step kernel's piece
-        map of its own outputs gives the update's row to 1e-13 relative,
-        and its prox inputs lie inside their region."""
+                                      "l1-box", "ridge-identity", "general"])
+    def test_kernel_piece_map_is_the_update(self, name, monkeypatch):
+        """At the states of an RK4 run, the piece map of the update's own
+        outputs gives its row to 1e-13 relative, and its prox inputs lie
+        inside their region: at every state for the constant-step kernel,
+        and for the general path at each state whose evaluation its piece
+        map certified, with no `metric_prox` solve (48 of 101 here, from
+        the state's own x and z)."""
         p, params = _step_map_case(name, RK4(h=0.05))
         update = _update_of(p, params)
         key_of, piece_at, warm = update.pieces
-        assert not warm
+        assert warm == (name == "general")
         n, iy, width = p.n, p.n + p.m, p.n + 2 * p.m
-        for s in integrate(p, params, next(_radius_starts(p, 1))).U:
+        states = integrate(p, params, next(_radius_starts(p, 1))).U
+        solves = _count_metric_prox(monkeypatch)
+        checked = 0
+        for s in states:
             row = np.empty_like(s)
+            before = len(solves)
             update(0.0, s, row)
+            if len(solves) > before:
+                continue
+            checked += 1
             mat, lo, hi = piece_at(row[:n], row[n:iy])
             got = mat.dot(np.append(s, 1.0))
             assert _rel_gap(got[:width], row) <= 1e-13
             assert np.all((lo <= got[width:]) & (got[width:] <= hi))
+        assert checked >= 0.4 * len(states)
 
 
 class TestAdaptiveStepCap:

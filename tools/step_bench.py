@@ -18,7 +18,12 @@ their ratio B / A:
   called), and in general-metric mode with M1 = M2 = 0.5 I on
   lasso-small; gamma 0.5
 * build: microseconds per `flow._make_update` call that builds the
-  closed-form update (`auto` tau, gamma 0.5) on every catalog problem
+  closed-form update (`auto` tau, gamma 0.5) on every catalog problem,
+  and (`build+eval`) per general-metric build on lasso-small with
+  M1 = M2 = 0.5 I together with its first evaluation at the canonical
+  start, where the update's piece map certifies: that evaluation builds
+  the map and its certificate, as an ADMM transient does on each new
+  piece
 * integrate: seconds per `integrate` run from the canonical start, for the
   catalog x {Euler, RK4, Adaptive} with `auto` tau, gamma 0.5, step 0.01
   (Adaptive: its defaults) and horizon `HORIZON`, for Adaptive again at
@@ -116,6 +121,8 @@ def cases(pkg):
     update = flow._make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
     out.append(("update general-metric lasso-small", "us", UPDATE_CALLS / 1e6,
                 _repeat(update, flow._start_row(p, None))))
+    out.append(("build+eval general-metric lasso-small", "us",
+                BUILD_CALLS / 1e6, _repeat_first(flow, p, m1, m2)))
     for name in problems.CATALOG_NAMES:
         p = problems.catalog(name)
         tau = resolve_tau("auto", p, 1.0, 0.5)
@@ -184,6 +191,20 @@ def _repeat_build(flow, p, tau):
     def thunk():
         for _ in range(BUILD_CALLS):
             flow._make_update(p, 1.0, 0.5, tau, None, None, 1e-10)
+    return thunk
+
+
+def _repeat_first(flow, p, m1, m2):
+    def make():
+        return flow._make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
+    s = flow._start_row(p, None)
+    args = (0.0, s)
+    if "out" in inspect.signature(make()).parameters:
+        args += (np.empty_like(s),)
+
+    def thunk():
+        for _ in range(BUILD_CALLS):
+            make()(*args)
     return thunk
 
 
