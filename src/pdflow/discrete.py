@@ -44,8 +44,11 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
+# The rows of `run`'s first stop test, and how many of the last rows
+# checked give the residual decay that sizes each later one.
+STOP_WINDOW = 16
 # The most iterates whose KKT residuals `run` evaluates in one call.
-STOP_CHUNK = 16
+STOP_CHUNK = 64
 
 
 @dataclass
@@ -160,8 +163,9 @@ class DiscreteRun:
 
 def _next_chunk(start, end, span, stop_tol):
     """Rows to compute before the next stop test.  The residual maximum
-    fell from `start` to `end` over the last `span` rows; the chunk is the
-    number of rows that rate takes from `end` down to stop_tol, within
+    fell from `start` to `end` over the last `span` rows (`run` passes at
+    most the last `STOP_WINDOW` rows checked); the chunk is the number of
+    rows that rate takes from `end` down to stop_tol, within
     [1, STOP_CHUNK], and `STOP_CHUNK` when the maximum did not fall.  The
     rate is a difference of logs, so no ratio can underflow to 0."""
     if not (span > 0 and 0.0 < end < start and stop_tol > 0.0):
@@ -181,7 +185,11 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
 
     Both algorithms iterate the proximal ADMM update, built once per run:
     it writes x_new | z_new | w straight into the next row, and y is added
-    to w there.
+    to w there.  Each evaluation gets the start the one before returned
+    (`flow._make_update`), whose x and z are the bits of the iterate it
+    steps from, so the iterates are those of a loop that passes none;
+    after a certified piece map the start carries that piece's key, and
+    the next evaluation computes none.
     Algorithm "admm" starts from s0; "cp" (`_require_cp`) starts from
     x0 | A x0 | y0, which makes the iterates those of `cp_step` with its
     splitting variable z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c, while row
@@ -189,11 +197,14 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
 
     The divergence test runs on every iterate, the residuals on a chunk
     of iterates at a time, in one `kkt_residuals` call.  The first chunk
-    is `STOP_CHUNK` rows; each next one is the number of rows that the
-    decay of the residual maxima over the last chunk predicts it takes to
-    reach stop_tol (`_next_chunk`), so a run computes few iterates past
-    its stop row.  The run ends at the first row at or below stop_tol and
-    drops the iterates computed after it.  Each row's residuals are
+    is `STOP_WINDOW` rows; each next one is the number of rows that the
+    decay of the residual maxima over the last `STOP_WINDOW` rows checked
+    predicts it takes to reach stop_tol, at most `STOP_CHUNK`
+    (`_next_chunk`).  The local rate follows a decay that speeds up after
+    a plateau, so a run computes few iterates past its stop row, and a
+    slow decay takes few stop tests.  The run ends at the first row at or
+    below stop_tol and drops the iterates computed after it.  Each row's
+    residuals are
     bit-equal to that row's alone, so the result is the one an
     iterate-by-iterate loop returns, whatever the chunks, even when a
     dropped iterate raised.
@@ -218,20 +229,20 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
     update = _make_update(p, d.c, d.gamma, d.tau, d.m1, d.m2, d.inner_tol)
     starts, limit_sq = np.array([0, n, iy]), DIVERGENCE_LIMIT ** 2
     quarter_sq = 0.25 * limit_sq
-    U = np.empty((4 * STOP_CHUNK, len(u0)))
+    U = np.empty((STOP_CHUNK, len(u0)))
     U[0] = u0
-    s = u0
+    s, start = u0, None
     if algorithm == "cp":
         s = u0.copy()
         s[n:iy] = p.A._raw_apply(u0[:n])
-    count, checked, chunk = 1, 0, STOP_CHUNK
-    blocks = []
+    count, checked, chunk = 1, 0, STOP_WINDOW
+    blocks, peaks = [], np.empty(0)
 
     def stop_row():
         """Evaluate the residuals of the rows not yet checked and size the
         next chunk; the index of the first row at or below stop_tol, or
         None."""
-        nonlocal checked, chunk
+        nonlocal checked, chunk, peaks
         first, checked = checked, count
         if first == checked:
             return None
@@ -242,12 +253,9 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
         hits = np.flatnonzero(maxima <= d.stop_tol)
         if hits.size:
             return first + int(hits[0])
-        # the decay runs from the last row checked before, if there is one
-        if first:
-            start, span = blocks[-2][-1].max(), count - first
-        else:
-            start, span = maxima[0], count - 1
-        chunk = _next_chunk(start, maxima[-1], span, d.stop_tol)
+        # the maxima of the last STOP_WINDOW rows checked
+        peaks = np.concatenate((peaks, maxima))[-STOP_WINDOW:]
+        chunk = _next_chunk(peaks[0], peaks[-1], len(peaks) - 1, d.stop_tol)
         return None
 
     def result(reason, end):
@@ -264,7 +272,7 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
             U = np.concatenate((U, np.empty_like(U)))
         row = U[count]
         try:
-            update(k, s, row)
+            start = update(k, s, row, start)
         except Exception as exc:  # re-raised below unless an earlier row stops
             error = exc
             break

@@ -51,7 +51,9 @@ start for the next solve.  `integrate` passes the previous evaluation's
 (x_new, z_new): a stage point's x lags behind the solution's l1 pattern
 during a transient, and semismooth Newton, exact once it has the pattern,
 then has fewer patterns to walk through.  An ADMM iterate already is the
-previous solution, so `discrete` passes none.
+previous solution, so the start `discrete.run` passes back has the
+iterate's own bits.  A certified piece map returns (x_new, z_new, key),
+with its piece's key, so the evaluation after it names no piece.
 
 Every integrator is an explicit Runge-Kutta method given by its Butcher
 tableau (Hairer-Norsett-Wanner, Solving ODEs I, II.1-II.4): fixed-step
@@ -278,12 +280,14 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     fresh row from `_blocks`.  The x-step of a tau family is positive for
     t >= 0 and the update passes it to the raw prox of f, so a caller at
     t < 0 certifies it first (`_check_step`).  A `metric_prox` solve of the
-    x (z) block starts at start[0] (start[1]) when a start (x, z) is given,
-    and at s's own x (z) otherwise; single proxes ignore it.  The update
-    returns the start for the next solve: its own (x_new, z_new) arrays,
-    which do not alias `out`, or None from the constant-step kernel, whose
-    proxes are all single calls.  The general path writes through views of
-    a row of its own, made here, and copies that row into `out`.
+    x (z) block starts at start[0] (start[1]) when a start (x, z) or
+    (x, z, key) is given, and at s's own x (z) otherwise; single proxes
+    ignore it.  The update returns the start for the next solve: its own
+    (x_new, z_new) arrays, which do not alias `out`, with the key of its
+    piece after a certified piece map (below), or None from the
+    constant-step kernel, whose proxes are all single calls.  The general
+    path writes through views of a row of its own, made here, and copies
+    that row into `out`.
 
     Every affine term is a fixed linear function of s or x_new, so the run
     builds two maps once: `r = H s` gives the affine inputs of both blocks
@@ -325,9 +329,12 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
       x_new | z_new | w and the certificate that both prox inputs lie
       inside that piece's region (`stepmaps`); when it holds, the row is
       written and no `metric_prox` solve runs, and otherwise the update
-      takes the `metric_prox` form above, unchanged.  A certified row
-      depends on s alone, and the returned start is the product's own
-      x_new and z_new
+      takes the `metric_prox` form above, whose solve skips its piece
+      start when the x block's rows of the certificate failed, so as not
+      to try that piece again.  A certified row depends on s alone, and
+      the returned start is the product's own x_new and z_new with the
+      piece's key, which names the piece of x_new and z_new: the next
+      evaluation from it computes no key
 
     Both piecewise-affine forms, the kernel with f and g whose proxes are
     affine or name their pieces and regions and the certified general
@@ -431,11 +438,18 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     row_x, row_z, row_w = row[:n], row[n:iy], row[iy:]
 
     def update(t, s, out, start=None):
+        if start is None:
+            x0, z0, key = s[:n], s[n:iy], None
+        elif len(start) == 3:
+            x0, z0, key = start
+        else:
+            (x0, z0), key = start, None
+        retry = True
         if piece_rows is not None:
-            r = piece_rows(s, *((s[:n], s[n:iy]) if start is None else start))
+            r, key, retry = piece_rows(s, x0, z0, key)
             if r is not None:
                 out[...] = r[:width]
-                return r[:n], r[n:iy]
+                return r[:n], r[n:iy], key
         r = h_apply(s)
         rx = r[:n]
         if q is not None:
@@ -446,8 +460,7 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
             tau_t = x_tau.value(t)
             x_new = f_prox(tau_t, s[:n] - tau_t * rx)
         else:
-            x_new = metric_prox(f, q1, rx,
-                                s[:n] if start is None else start[0], tol=tol)
+            x_new = metric_prox(f, q1, rx, x0, tol=tol, piece_start=retry)
         bx = b_apply(x_new)
         rz = r[n:] + bx[:m]
         if z_prox:
@@ -460,8 +473,7 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
                 q2_t = z_update_metric(m2, c, t)
             else:
                 q2_t = q2
-            z_new = metric_prox(g, q2_t, lin,
-                                z if start is None else start[1], tol=tol)
+            z_new = metric_prox(g, q2_t, lin, z0, tol=tol)
         row_x[...] = x_new
         row_z[...] = z_new
         np.subtract(bx[m:], c * z_new, out=row_w)
@@ -519,29 +531,39 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     `PIECE_MAPS` maps fit in `NEWTON_INVERSE_FLOATS` floats, and the update
     then always solves.
 
-    rows(s, x0, z0) tries the joint piece D = (D_x, D_z) that x0 lies on
-    for `metric_prox`'s step 1 / ||Q1|| and z0 for z_step, the pieces
-    `metric_prox` and the z prox would start from.  On D the x block's
-    solution is the minimizer on D_x's piece, x_new = K (e_x - step D_x
-    (H_x s + q)) with K = (I - D_x + step D_x Q1)^{-1} (`_kept_inverse`),
-    so the whole update, x_new | z_new | w = A_D s + a_D, is affine in s,
-    and so are both prox inputs, u_x = x_new - step (Q1 x_new + H_x s + q)
+    rows(s, x0, z0, key) tries the joint piece D = (D_x, D_z) that x0
+    lies on for `metric_prox`'s step 1 / ||Q1|| and z0 for z_step, the
+    pieces `metric_prox` and the z prox would start from; key names D
+    when a certified evaluation has just returned it with (x0, z0), and
+    is None otherwise, when rows computes it (`_piece_key`, one call per
+    block).  On D the x block's solution is the minimizer on D_x's
+    piece, x_new = K (e_x - step D_x (H_x s + q)) with
+    K = (I - D_x + step D_x Q1)^{-1} (`_kept_inverse`), so the whole
+    update, x_new | z_new | w = A_D s + a_D, is affine in s, and so are
+    both prox inputs, u_x = x_new - step (Q1 x_new + H_x s + q)
     and r_z = H_z s + B_z x_new, as C_D s + c_D.  One product of the map
     (`stepmaps._certified`) gives the row and the certificate that every
     input lies inside its piece's region and that s is finite (the
     `stepmaps` docstring).  When it holds, prox(u_x) = x_new, so x_new is
-    the exact minimizer, and z_new the exact prox; rows returns the
-    product, whose first n + 2m entries are the row.  Otherwise, or when
-    x0 or z0 lies on no piece, it returns None.  Regions are disjoint, so
-    at most one piece certifies a state, and a certified row depends on s
-    alone.
+    the exact minimizer, and z_new the exact prox; rows returns
+    (r, key, False), with r the product, whose first n + 2m entries are
+    the row, and key D's.  D's map puts a dead-zone entry of x_new at
+    exactly e's value (the unit row of K) and keeps the sign of every
+    other entry by the margin, so key is also the key of x_new and z_new.
+    Otherwise rows returns (None, key, retry): retry is False when a
+    certificate row of the x block's inputs failed, so that the fallback's
+    `metric_prox` solve does not try D_x again (`piece_start`), and True
+    when only z-block or guard rows failed, where D_x holds, or when x0 or
+    z0 lies on no piece.  Regions are disjoint, so at most one piece
+    certifies a state, and a certified row depends on s alone.
 
     Each map is built on the first visit to its piece, as one matrix on
-    (s, 1), and kept with that piece: as many maps as fit in
-    `NEWTON_INVERSE_FLOATS` floats at their largest.  A new piece past
-    that count drops the least recently used map, which is built again,
-    the same way, on its next visit, so a row never depends on what was
-    kept.
+    (s, 1), and kept with that piece and the bounds that have certificate
+    rows: as many maps as fit in `NEWTON_INVERSE_FLOATS` floats at their
+    largest.  A new piece past that count drops the least recently used
+    map, which is built again, the same way, on its next visit, so a row
+    never depends on what was kept.  A given key is that of the map just
+    used, so it is looked up without moving it in that order.
 
     pieces is (key, piece, True), the form `_kernel_pieces` gives for the
     constant-step kernel: key(x, z) names the joint piece of outputs x and
@@ -564,6 +586,9 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     f_key, g_key = _piece_key(f, step), _piece_key(g, z_step)
     # an affine g has one piece, that of every z
     g_piece = None if g.affine is None else _piece(g, z_step, None, m)
+    # which of the bounds lo | hi, each x then z, are the x block's
+    x_bounds = np.zeros(2 * (n + m), dtype=bool)
+    x_bounds[:n] = x_bounds[n + m:2 * n + m] = True
     # the maps kept with their pieces, least recently used first, and how
     # many: a map has at most a row, n + m prox inputs, their negations and
     # the guard's 2 rows
@@ -595,29 +620,35 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
         return np.concatenate((x1, z1, bx1[m:] - c * z1, fixed.dot(x1) - hx1,
                                rz1)), lo, hi
 
-    def rows(s, x0, z0):
-        key = f_key(x0) + g_key(z0)
-        got = maps.pop(key, None)
+    def rows(s, x0, z0, key):
+        got = None if key is None else maps.get(key)
         if got is None:
-            got = build(x0, z0)
-            mapped = got and _certified((got[0][:width],),
-                                        got[0][None, width:], *got[1:])
-            if mapped is None:
-                return None
-            got = mapped + (got,)
-            if len(maps) >= capacity:
-                del maps[next(iter(maps))]
-        maps[key] = got
+            if key is None:
+                key = f_key(x0) + g_key(z0)
+            got = maps.pop(key, None)
+            if got is None:
+                got = build(x0, z0)
+                mapped = got and _certified((got[0][:width],),
+                                            got[0][None, width:], *got[1:])
+                if mapped is None:
+                    return None, key, True
+                got = mapped + (got,)
+                if len(maps) >= capacity:
+                    del maps[next(iter(maps))]
+            maps[key] = got
         r = got[0].dot(s)
         r += got[1]
         cert = r[width:]
-        return r if cert[cert.argmin()] > 0.0 else None
+        if cert[cert.argmin()] > 0.0:
+            return r, key, False
+        # the x block's certificate rows, the guard's excepted
+        return None, key, (cert[:-2][x_bounds[got[2]]] > 0.0).all()
 
     def piece(x0, z0):
         # the kept piece, which the evaluations on it have used, or else
         # one built for this call alone
         got = maps.get(key_of(x0, z0))
-        return build(x0, z0) if got is None else got[2]
+        return build(x0, z0) if got is None else got[3]
 
     return rows, (key_of, piece, True)
 

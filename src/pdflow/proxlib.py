@@ -212,12 +212,17 @@ def l1_norm(dim, weight=1.0) -> ProxFunction:
         return np.abs(sign), (-t * w) * sign
 
     def region_fn(t, x):
-        # sign(x) u > t w where x != 0, |u| <= t w where x = 0; a NaN is
-        # on no piece, with NaN bounds
-        sign = np.sign(x)
+        # sign(x) u > t w where x != 0, |u| <= t w where x = 0: the bounds
+        # 2 t w sign(x) -+ t w, with -inf below a negative x and inf above
+        # a positive one; a NaN is on no piece, with NaN bounds
         tw = t * w
-        return (np.where(sign < 0.0, -np.inf, (2.0 * tw) * sign - tw),
-                np.where(sign > 0.0, np.inf, (2.0 * tw) * sign + tw))
+        hi = np.sign(x)
+        hi *= 2.0 * tw
+        lo = hi - tw
+        hi += tw
+        lo[x < 0.0] = -np.inf
+        hi[x > 0.0] = np.inf
+        return lo, hi
 
     return ProxFunction(dim, lambda x: w * np.abs(x).sum(axis=-1), prox_fn,
                         {"weight": w},
@@ -421,7 +426,7 @@ def _piece_start(f: ProxFunction, Q: SelfAdjointPSD, step, lin, x0):
 
 
 def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
-                tol=1e-10, max_iters=100_000) -> np.ndarray:
+                tol=1e-10, max_iters=100_000, piece_start=True) -> np.ndarray:
     """Minimize f(v) + <v, linear> + 1/2 <v, Q v> for positive definite Q.
 
     A scaled identity Q = s I (`Q.base.scale` set) returns the exact
@@ -461,7 +466,9 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     as without the start, so a wrong piece costs one evaluation and
     spends none of the Newton phase.  A NaN or inf in x0 or `linear` (or
     a squared norm past the largest float), or a singular M, skips the
-    start.
+    start, and so does `piece_start` False: the flow's update passes it
+    after the certificate of x0's piece map has failed
+    (`flow._make_update`), so that piece is tried once.
 
     FISTA phase: from the last Newton point, or from w_0 otherwise,
 
@@ -473,7 +480,7 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
 
     Every prox evaluation, the piece start's and either phase's, counts
     against max_iters.  A result depends only on (f, Q, linear, x0, tol,
-    max_iters).
+    max_iters, piece_start).
 
     `linear` and `x0` may be (B, dim) rows, one subproblem per row: a
     scaled-identity Q solves them in one prox, any other Q one row at a
@@ -507,14 +514,15 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
         return f.prox(1.0 / scale, -lin / scale)
     if lin.ndim == 2:
         for i in range(len(v)):
-            v[i] = metric_prox(f, Q, lin[i], v[i], tol, max_iters)
+            v[i] = metric_prox(f, Q, lin[i], v[i], tol, max_iters,
+                               piece_start)
         return v
     step = 1.0 / Q.norm()
     qapply = Q.base._raw_apply
     mat = Q.base.mat
     newton_left = NEWTON_STEPS if mat is not None and f._jac is not None else 0
     start = None
-    if newton_left and f._piece is not None:
+    if newton_left and piece_start and f._piece is not None:
         start = _piece_start(f, Q, step, lin, v)
     w = v if start is None else start
     theta = 1.0

@@ -171,9 +171,10 @@ class _StepMaps:
         self.kept[self.key] = self.current = got
 
     def _build(self, piece):
-        """(matrix, offsets) of the step map of one piece (E, lo, hi), or
-        None when there is no piece or the map is not finite.  Every map
-        here is square on (U, 1), its last row that of the constant 1."""
+        """(matrix, offsets, finite) of the step map of one piece
+        (E, lo, hi) (`_certified`), or None when there is no piece or the
+        map is not finite.  Every map here is square on (U, 1), its last
+        row that of the constant 1."""
         if piece is None:
             return None
         mat, lo, hi = piece
@@ -204,17 +205,20 @@ class _StepMaps:
 
 
 def _certified(out, inputs, lo, hi):
-    """(matrix, offsets) of the piece map whose rows on (U, 1) are those of
-    `out`, then the certificate of `inputs`, every stage's prox inputs as
-    (stages, inputs, width + 1), with bounds lo and hi; None when the map
-    is not finite."""
+    """(matrix, offsets, finite) of the piece map whose rows on (U, 1) are
+    those of `out`, then the certificate of `inputs`, every stage's prox
+    inputs as (stages, inputs, width + 1), with bounds lo and hi; None when
+    the map is not finite.  Each stage's certificate rows are those of
+    the True entries of `finite`, over the bounds lo then hi, in order;
+    the guard's two rows come last."""
     width = inputs.shape[-1] - 1
     # input - lo and hi - input, less the margin, where the bound is finite
     bound = np.concatenate((-lo, hi))
     bound -= PIECE_MARGIN
     rows = np.concatenate((inputs, -inputs), axis=1)
     rows[:, :, width] += bound
-    rows = rows[:, np.isfinite(bound)]
+    finite = np.isfinite(bound)
+    rows = rows[:, finite]
     # +-sum(U), whose infinite offsets join after the finite test
     stacked = np.concatenate([*out, rows.reshape(-1, width + 1),
                               np.zeros((2, width + 1))])
@@ -224,7 +228,7 @@ def _certified(out, inputs, lo, hi):
         return None
     off = stacked[:, width].copy()
     off[-2:] = math.inf
-    return stacked[:, :width].copy(), off
+    return stacked[:, :width].copy(), off, finite
 
 
 def _step_maps(pieces, a_mat, b_w, e_w, h, n, m, n_full):

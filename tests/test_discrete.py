@@ -333,8 +333,9 @@ def _fail_from(monkeypatch, k_bad, failure):
 
 
 class TestChunkedStop:
-    """`run` evaluates the residuals of STOP_CHUNK iterates at a time and
-    must return exactly what the iterate-by-iterate loop returns."""
+    """`run` evaluates the residuals of a chunk of iterates at a time, at
+    most STOP_CHUNK, and must return exactly what the iterate-by-iterate
+    loop returns."""
 
     @pytest.mark.parametrize("name,tau,algorithm", [
         ("example1", 0.25, "admm"), ("example1", 0.25, "cp"),
@@ -352,8 +353,10 @@ class TestChunkedStop:
     @pytest.mark.parametrize("dense_m2", [False, True])
     def test_general_metric_matches_reference(self, dense_m2):
         """`metric_prox` solves in both blocks (a dense M2) or in x alone:
-        `run` steps update(k, s) with no start, so every iterate is the
-        start-less loop's, bit for bit."""
+        `run` passes each update the start the one before returned, whose
+        x and z are the iterate's own bits and, after a certified piece
+        map, that piece's key, so every iterate is the start-less loop's,
+        bit for bit."""
         p = catalog("lasso-small")
         rng = np.random.default_rng(6)
         b = rng.standard_normal((p.m, p.m)) / np.sqrt(p.m)
@@ -399,15 +402,44 @@ class TestChunkedStop:
     @pytest.mark.parametrize("start,end,span,stop_tol,chunk", [
         (1e-2, 1e-4, 4, 3e-8, 8),        # 7.05 rows at 10^-0.5 a row
         (1e-2, 1e-4, 4, 3e-5, 2),        # 1.05 rows
-        (1e-2, 1e-2, 4, 1e-8, 16),       # no decay
-        (1e-4, 1e-2, 4, 1e-8, 16),       # growth
+        (1e-2, 1e-2, 4, 1e-8, discrete.STOP_CHUNK),      # no decay
+        (1e-4, 1e-2, 4, 1e-8, discrete.STOP_CHUNK),      # growth
         (1e300, 1e-300, 1, 1e-320, 1),   # end / start underflows to 0
-        (np.nan, 1e-4, 4, 1e-8, 16),
-        (1e-2, 1e-4, 4, 0.0, 16),        # a stop_tol no row can meet
-        (np.nextafter(1e300, np.inf), 1e300, 4, 1.0, 16),  # equal logs
+        (np.nan, 1e-4, 4, 1e-8, discrete.STOP_CHUNK),
+        # a stop_tol no row can meet
+        (1e-2, 1e-4, 4, 0.0, discrete.STOP_CHUNK),
+        (np.nextafter(1e300, np.inf), 1e300, 4, 1.0,
+         discrete.STOP_CHUNK),                            # equal logs
+        (1e-2, 1e-3, 4, 3e-10, 27),      # 26.1 rows at 10^-0.25 a row
+        (1e-2, 1e-3, 4, 1e-300, discrete.STOP_CHUNK),    # 1188 rows, capped
     ])
     def test_next_chunk(self, start, end, span, stop_tol, chunk):
         assert discrete._next_chunk(start, end, span, stop_tol) == chunk
+
+    def test_chunk_follows_the_late_rate(self, example1, monkeypatch):
+        """Residual maxima that stay at 1 up to row 63 and then fall by
+        10^0.5 a row: the first chunk (16 rows) sees no decay and the next
+        is the cap, rows 16 to 79.  The decay over the last 16 of them, 7.5
+        decades over 15 rows, puts the stop (3.2e-10, 9.49 decades) 4 rows
+        on, where the rate over the whole chunk would put it 18 rows on.
+        The run stops at row 83 and computes no iterate past it."""
+        def maximum(k):
+            return 1.0 if k < 64 else 10.0 ** (-0.5 * (k - 64))
+
+        sizes = []
+
+        def residuals(p, x, z, y):
+            first = sum(sizes)
+            sizes.append(len(x))
+            return np.repeat([[maximum(k)] for k in range(first, first
+                                                          + len(x))], 3, 1)
+
+        monkeypatch.setattr(discrete, "kkt_residuals", residuals)
+        d = DiscreteParams(tau=0.25, max_iters=200, stop_tol=3.2e-10)
+        out = run(example1, d, _start())
+        assert sizes == [discrete.STOP_WINDOW, discrete.STOP_CHUNK, 4]
+        assert out.stop_reason == "tolerance"
+        assert out.iterations == 83 == sum(sizes) - 1
 
     def test_divergent_run_matches_reference(self):
         p = catalog("box-qp")

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pdflow import flow, linops, proxlib, stepmaps
+from pdflow import discrete, flow, linops, proxlib, stepmaps
 from pdflow.config import load_problem, resolve_tau
 from pdflow.discrete import DiscreteParams, admm_step, run as discrete_run
 from pdflow.errors import (CertificationError, IntegrationError,
@@ -980,11 +980,15 @@ class TestUpdateContract:
                 if kernel:
                     assert returned is None
                     continue
-                x_new, z_new = returned
+                # a certified piece map adds its piece's key, which is
+                # that of the outputs
+                x_new, z_new, *key = returned
                 assert x_new.tobytes() == out[:n].tobytes()
                 assert z_new.tobytes() == out[n:iy].tobytes()
                 assert not np.shares_memory(x_new, out)
                 assert not np.shares_memory(z_new, out)
+                if key:
+                    assert key == [update.pieces[0](x_new, z_new)]
                 start = returned
 
 
@@ -1362,6 +1366,20 @@ def _count_metric_prox(monkeypatch):
     return calls
 
 
+def _count_piece_starts(monkeypatch):
+    """A list that grows by one at each piece start of a `metric_prox`
+    solve (`proxlib._piece_start`)."""
+    calls = []
+    real = proxlib._piece_start
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(proxlib, "_piece_start", counting)
+    return calls
+
+
 class TestPieceMaps:
     """With a constant M1, a single-prox z block and f and g that name
     their pieces, the general path's update tries the affine map of the
@@ -1494,19 +1512,182 @@ class TestPieceMaps:
     def test_boundary_falls_back(self, gap, monkeypatch):
         """A prox input on its piece's boundary, or inside it by less
         than the margin, fails the certificate: the update solves with
-        `metric_prox` and writes the bits of an update built without
-        piece maps."""
+        one `metric_prox` call, which does not try that piece again (no
+        piece start), and its row matches the per-block formulas to 1e-13
+        relative."""
         p, m1, m2, s = self._lasso_state(gap)
+        update = _make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
+        solves = _count_metric_prox(monkeypatch)
+        starts = _count_piece_starts(monkeypatch)
+        got = np.empty_like(s)
+        update(0.0, s, got)
+        assert len(solves) == 1
+        assert not starts
+        n, iy = p.n, p.n + p.m
+        want = _reference_update(p, 1.0, 0.5, None, m1, m2, 1e-14)(
+            0.0, s[:n], s[n:iy], s[iy:])
+        for block, w in zip((got[:n], got[n:iy], got[iy:]), want):
+            assert _rel_gap(block, w) <= 1e-13
+
+    @pytest.mark.parametrize("algorithm", ["rk4", "admm"])
+    def test_certified_start_carries_its_key(self, algorithm, monkeypatch):
+        """The `metric-lasso` setup (lasso-small, M1 = M2 = 0.5 I, gamma
+        0.5; RK4 h 0.05 to T 5, ADMM to 1e-10) from two seeded starts: an
+        evaluation whose start a certified evaluation returned, with its
+        key, calls no `_piece_key` closure, and every other evaluation
+        calls one per block.  Each run is bit for bit the run whose update
+        drops the key it returns, as before keys were carried, and an ADMM
+        run also the run whose update is given no start."""
+        p = catalog("lasso-small")
+        m1, m2 = _half_metrics(p)
+        if algorithm == "rk4":
+            params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=5.0,
+                                integrator=RK4(h=0.05))
+            module, drops = flow, (None, "key")
+
+            def run(s0):
+                traj = integrate(p, params, s0)
+                return traj.U, traj.erg
+        else:
+            params = DiscreteParams(c=1.0, gamma=0.5, m1=m1, m2=m2,
+                                    max_iters=20000, stop_tol=1e-10)
+            module, drops = discrete, (None, "key", "start")
+
+            def run(s0):
+                out = discrete_run(p, params, s0)
+                return out.U, out.residuals
+        keys, evals = [], []  # per evaluation: (given a key, keys taken)
+        real_key, real = flow._piece_key, flow._make_update
+
+        def counting_key(fn, step):
+            key = real_key(fn, step)
+
+            def counted(x):
+                keys.append(1)
+                return key(x)
+            return counted
+
+        def dropping(drop):
+            def make(*args):
+                update = real(*args)
+
+                def recorded(t, s, out, start=None):
+                    if drop == "start":
+                        start = None
+                    before = len(keys)
+                    returned = update(t, s, out, start)
+                    evals.append((start is not None and len(start) == 3,
+                                  len(keys) - before))
+                    if drop == "key" and returned is not None:
+                        returned = returned[:2]
+                    return returned
+                recorded.pieces = update.pieces
+                return recorded
+            return make
+
+        monkeypatch.setattr(flow, "_piece_key", counting_key)
+        for s0 in _radius_starts(p, 2):
+            got = {}
+            for drop in drops:
+                evals.clear()
+                monkeypatch.setattr(module, "_make_update", dropping(drop))
+                got[drop] = run(s0)
+                if drop is None:
+                    carried = [taken for given, taken in evals if given]
+                    others = [taken for given, taken in evals if not given]
+                    assert len(carried) > len(others) > 0
+                    assert set(carried) == {0} and set(others) == {2}
+            for drop in drops[1:]:
+                for a, b in zip(got[None], got[drop]):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_dead_zone_row_keeps_its_key(self, monkeypatch):
+        """The state of `_lasso_state` certifies with x_new exactly zero in
+        its four dead-zone entries, and the key the update returns with it
+        is that of its outputs, with those zeros as +0.0 or as -0.0.  A
+        start whose zeros are -0.0, as l1's prox writes them for a negative
+        input, certifies with the same key and row."""
+        p, m1, m2, s = self._lasso_state(0.005)
+        update = _make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
+        key_of = update.pieces[0]
+        solves = _count_metric_prox(monkeypatch)
+        n, iy = p.n, p.n + p.m
+        dead = [0, 2, 3, 7]
+        x0 = s[:n].copy()
+        x0[dead] = -0.0
+        got = []
+        for start in (None, (x0, s[n:iy])):
+            out = np.empty_like(s)
+            x_new, z_new, key = update(0.0, s, out, start)
+            assert not x_new[dead].any()
+            for zero in (0.0, -0.0):
+                x = x_new.copy()
+                x[dead] = zero
+                assert key_of(x, z_new) == key
+            got.append((out.tobytes(), key))
+        assert not solves
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("name", ["example1", "lasso-small"])
+    def test_fallback_retries_the_piece_only_for_z(self, name, monkeypatch):
+        """The evaluations of general-metric ADMM runs (M1 = M2 = 0.5 I,
+        gamma 0.5, four seeded starts), replayed with their starts: a
+        fallback tries its start's piece again only when the certificate
+        held for the x block.  example1's f is affine, with no x rows, so
+        each fallback failed on a z row and keeps the piece start, which
+        ends its solve at one prox evaluation with the bits of an update
+        built without piece maps; lasso-small's g is affine, with no z
+        rows, so each fallback failed on an x row and skips it."""
+        p = catalog(name)
+        m1, m2 = _half_metrics(p)
+        params = DiscreteParams(c=1.0, gamma=0.5, m1=m1, m2=m2)
+        calls = []
+        real = flow._make_update
+
+        def recording(*args):
+            update = real(*args)
+
+            def recorded(t, s, out, start=None):
+                calls.append((t, s.copy(), start))
+                return update(t, s, out, start)
+            return recorded
+
+        with monkeypatch.context() as patch:
+            patch.setattr(discrete, "_make_update", recording)
+            for s0 in _radius_starts(p, 4):
+                discrete_run(p, params, s0)
         update = _make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
         with monkeypatch.context() as patch:
             patch.setattr(p.f, "_region", None)
             plain = _make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
         solves = _count_metric_prox(monkeypatch)
-        got, want = np.empty_like(s), np.empty_like(s)
-        update(0.0, s, got)
-        assert len(solves) == 1
-        plain(0.0, s, want)
-        assert got.tobytes() == want.tobytes()
+        starts = _count_piece_starts(monkeypatch)
+        proxes = []
+        real_prox = p.f._prox
+
+        def counting_prox(*args):
+            proxes.append(1)
+            return real_prox(*args)
+
+        monkeypatch.setattr(p.f, "_prox", counting_prox)
+        fallbacks = 0
+        for t, s, start in calls:
+            solves.clear()
+            starts.clear()
+            proxes.clear()
+            got = np.empty_like(s)
+            update(t, s, got, start)
+            if not solves:
+                continue
+            fallbacks += 1
+            if name == "lasso-small":
+                assert not starts
+                continue
+            assert len(starts) == len(proxes) == 1
+            want = np.empty_like(s)
+            plain(t, s, want, start)
+            assert got.tobytes() == want.tobytes()
+        assert fallbacks >= 4
 
     def test_one_row_per_piece(self, monkeypatch):
         """Inside its region by 0.005, of t w = 0.018, the state

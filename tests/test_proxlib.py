@@ -695,6 +695,23 @@ class TestPieceStart:
                 if name == "l1":
                     break  # every finite point lies on a piece of l1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_l1_region_bits(self):
+        """l1's region is, bit for bit, the bounds of the sign formula
+        where(sign < 0, -inf, 2 t w sign - t w) and where(sign > 0, inf,
+        2 t w sign + t w): at signed zeros, NaN (NaN bounds), infinities,
+        subnormals, and at t w = 0, where the zeros' signs count."""
+        x = np.array([0.0, -0.0, 1.5, -2.0, np.nan, np.inf, -np.inf,
+                      5e-324, -5e-324, 1e300])
+        for weight in (0.0, 0.05, 2.0):
+            f = l1_norm(x.size, weight)
+            for t in (0.0, 0.3, 1e308):
+                sign, tw = np.sign(x), t * weight
+                want = (np.where(sign < 0.0, -np.inf, (2.0 * tw) * sign - tw),
+                        np.where(sign > 0.0, np.inf, (2.0 * tw) * sign + tw))
+                for got, w in zip(f._region(t, x), want):
+                    assert got.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("name,block", _PIECE_CASES)
     def test_start_on_the_solution_piece_takes_one_evaluation(self, name,
                                                               block):

@@ -40,7 +40,12 @@ their ratio B / A:
 * admm: microseconds per iteration of a 500-iteration `discrete.run` on
   every catalog problem with `auto` tau and gamma 1, and in
   general-metric mode with M1 = M2 = 0.5 I on lasso-small, where each
-  iteration solves its x-update with `metric_prox`
+  iteration solves its x-update with `metric_prox` or takes its piece
+  map, mostly past convergence (stop_tol 0); and (`to 1e-10`) per
+  iteration kept of the `metric-lasso` ADMM runs, the 12 seeded starts
+  of seed `METRIC_LASSO_SEED` (c 1, gamma 0.5, stop_tol 1e-10), each run
+  to its stop: transients, stop tests and the iterates computed past the
+  stop row included
 * cp: the same with algorithm "cp", on every catalog problem with h = 0
 
 A tree whose update writes into a row it is given (update(t, s, out))
@@ -68,6 +73,9 @@ HORIZON = 20.0
 ADAPTIVE_HORIZON = 100.0
 # the `reproduce-example1` sweep's step and horizon
 SWEEP_STEP, SWEEP_HORIZON = 0.01, 200.0
+# the seed of the `metric-lasso` inputs whose ADMM starts the `to 1e-10`
+# line runs, and how many flow and ADMM starts the workload draws
+METRIC_LASSO_SEED, METRIC_LASSO_STARTS = 7, (4, 12)
 
 
 def load_tree(tree, name):
@@ -173,7 +181,33 @@ def cases(pkg):
             out.append(("admm general-metric lasso-small", "us",
                         ADMM_ITERS / 1e6,
                         lambda p=p, d=d: discrete.run(p, d)))
+            out.append(_metric_lasso_admm(pkg, p, m1, m2))
     return out
+
+
+def _metric_lasso_admm(pkg, p, m1, m2):
+    """The `to 1e-10` case: the `metric-lasso` workload's ADMM starts, drawn
+    as its inputs draw them (x0 and y0 at radius sqrt(dim), the flows'
+    first), with z0 = A x0, each run to stop_tol 1e-10."""
+    rng = np.random.default_rng(METRIC_LASSO_SEED)
+
+    def draw(dim):
+        u = rng.standard_normal(dim)
+        return np.sqrt(dim) * u / np.linalg.norm(u)
+
+    flows, admms = METRIC_LASSO_STARTS
+    starts = [(draw(p.n), draw(p.m)) for _ in range(flows + admms)][flows:]
+    starts = [pkg.flow.SystemState(x0, p.A.apply(x0), y0)
+              for x0, y0 in starts]
+    d = pkg.discrete.DiscreteParams(c=1.0, gamma=0.5, m1=m1, m2=m2,
+                                    max_iters=20000, stop_tol=1e-10)
+
+    def thunk():
+        for s0 in starts:
+            pkg.discrete.run(p, d, s0)
+    kept = sum(pkg.discrete.run(p, d, s0).iterations for s0 in starts)
+    return ("admm general-metric lasso-small to 1e-10", "us", kept / 1e6,
+            thunk)
 
 
 def _repeat(update, s):
