@@ -13,15 +13,8 @@ then: H U gives the inputs of both subproblems, and B x_new the new part of
 the relaxed point and c A x_new; for the small problems of the catalog each
 is one dense matrix.  With a constant step tau0, a constant z metric s I
 (none is s = 0), a dense H and h zero or quadratic, the update is one
-kernel, which folds tau0 into the x rows of H so that their part of the
-map is the x-prox input itself:
-    r     = M U + m0
-    x_new = r_x, or prox_f(tau0, r_x)
-    zw    = r[n:] + G x_new, with no product when f is affine
-    z_new = zw_z, or prox_g(1 / (c + s), zw_z)
-    w     = zw_w, or zw_w - c z_new
-with the affine prox of a quadratic f or g (`ProxFunction.affine`) folded
-into M, m0 and G, where the first choice is taken.  `discrete.admm_step`
+kernel: one affine map, r = M U + m0, then at most two proxes and one
+product (`stepmaps._constant_step_update`).  `discrete.admm_step`
 and `discrete.run` use the same update, with y_new = y + w, so a unit-step
 Euler step is one ADMM iteration by construction, and the Chambolle-Pock
 iteration is that ADMM at gamma = 1 from z0 = A x0.  The modes:
@@ -38,10 +31,11 @@ iteration is that ADMM at gamma = 1 from z0 = A x0.  The modes:
 With a constant M1 and a single-prox z block, the update is piecewise
 affine in U as well: on the joint piece of the two proxes that the solves'
 start lies on it is one affine map, which one product applies together
-with a certificate that the state lies inside that piece (`stepmaps`),
-and only a state that fails the certificate takes the `metric_prox` solve.
-Both piecewise-affine updates, this one and the kernel, give the affine
-map of each joint piece as data (`update.pieces`).
+with a certificate that the state lies inside that piece, and only a state
+that fails the certificate takes the `metric_prox` solve.  Both
+piecewise-affine updates, this one and the kernel, give the affine map of
+each joint piece as data (`update.pieces`).  The kernel, the pieces, their
+maps and the certificate live in `stepmaps`.
 
 The update writes x_new | z_new | w into a row the caller gives, so
 `integrate` evaluates straight into its slope rows and `discrete.run` into
@@ -69,17 +63,12 @@ tableau's own quadrature, so the identity
 A x_tilde - z_tilde = (y(t) - y0) / (c t)  holds to roundoff instead of
 quadrature error.
 
-On a joint piece the slope is affine, and so is a whole Runge-Kutta step
-of a fixed h: U <- Phi_D U + phi_D.  An RK4 run of a piecewise-affine
-update stacks that map with the integrals' increment and a certificate
-that every stage lies on the piece (`stepmaps`), and takes a step by one
-product wherever the certificate holds; elsewhere it takes the stagewise
-step.  The two agree to roundoff.  An adaptive run does the same for its
-trials at h_max, with the error estimate and the next first slope in the
-product, and takes a map step only where the stagewise trial would be
-accepted and followed by another at h_max.  Euler runs keep the stagewise
-step, since a map step would save one evaluation, about what finding the
-piece of each stagewise step costs.
+On a joint piece a whole Runge-Kutta step of a fixed h is affine too, and
+an RK4 run of a piecewise-affine update, or an adaptive run at h_max,
+takes a step by one certified product wherever it can
+(`stepmaps._StepMaps`, the two agree to roundoff).  Euler runs keep the
+stagewise step, since a map step would save one evaluation, about what
+finding the piece of each stagewise step costs.
 """
 
 from __future__ import annotations
@@ -94,8 +83,9 @@ from .errors import CertificationError, IntegrationError
 from .linops import LinearMap, _block_map
 from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
 from .problems import ProblemSpec
-from .proxlib import NEWTON_INVERSE_FLOATS, _kept_inverse, metric_prox
-from .stepmaps import MAP_STEP_ERR, _certified, _step_maps
+from .proxlib import metric_prox
+from .stepmaps import (MAP_STEP_ERR, _constant_step_update, _piece_rows,
+                       _step_maps)
 
 __all__ = [
     "SystemState",
@@ -311,39 +301,26 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
       lin = -c (r_z + gamma A x_new) - s2(t) z
 
     * a constant step tau0, a constant scaled-identity M2, a dense H and
-      h zero or quadratic: one kernel (`_constant_step_update`), which
-      folds tau0 into H's x rows so that r_x is the prox input,
-        r = M s + m0
-        x_new = r_x, or prox_f(tau0, r_x)
-        zw = r[n:] + G x_new, with no product when f is affine
-        z_new = zw_z, or prox_g(1 / (c + s), zw_z)
-        w = zw_w, or zw_w - c z_new
-      an affine prox takes the first choice; a moving step, any other
-      metric, another h and a lazy H keep the forms above
+      h zero or quadratic: one kernel, which folds tau0 and every affine
+      prox into one map (`stepmaps._constant_step_update`); a moving step,
+      any other metric, another h and a lazy H keep the forms above
     * a constant M1 with a dense Q1 that has a positive floor (as
       `metric_prox` needs), a constant scaled-identity M2, a dense H, h
       zero or quadratic, f and g that name their pieces and regions
-      (`ProxFunction`), and room for `PIECE_MAPS` maps: the update first
-      tries the certified affine map of the joint piece that the solves'
-      start lies on (`_piece_rows`).  One product gives the row
-      x_new | z_new | w and the certificate that both prox inputs lie
-      inside that piece's region (`stepmaps`); when it holds, the row is
-      written and no `metric_prox` solve runs, and otherwise the update
-      takes the `metric_prox` form above, whose solve skips its piece
-      start when the x block's rows of the certificate failed, so as not
-      to try that piece again.  A certified row depends on s alone, and
-      the returned start is the product's own x_new and z_new with the
-      piece's key, which names the piece of x_new and z_new: the next
-      evaluation from it computes no key
+      (`ProxFunction`), and room for `stepmaps.PIECE_MAPS` maps: the update
+      first tries the certified affine map of the joint piece that the
+      solves' start lies on (`stepmaps._piece_rows`).  When its
+      certificate holds, the row is written, no `metric_prox` solve runs,
+      and the returned start is the product's own x_new and z_new with
+      the piece's key, so the next evaluation from it computes no key;
+      otherwise the update takes the `metric_prox` form above, whose solve
+      skips its piece start when the x block's rows of the certificate
+      failed, so as not to try that piece again
 
     Both piecewise-affine forms, the kernel with f and g whose proxes are
     affine or name their pieces and regions and the certified general
-    path, carry `update.pieces` = (key, piece, takes_start): key(x, z)
-    names the joint piece that the prox outputs x_new = x and z_new = z
-    lie on, and piece(x, z) gives that piece's update as one matrix on
-    (s, 1) with its prox inputs' rows and bounds (`_kernel_pieces`,
-    `_piece_rows`), from which `integrate` builds its step maps.  Every
-    other update has `update.pieces` None.
+    path, carry their joint pieces as `update.pieces` (`stepmaps`), from
+    which `integrate` builds its step maps; every other update has None.
 
     B is [k gamma A; c A], with k = 1 for any other M2.  A quadratic h
     (`quadratic_smooth`) folds its P and q in as above; any other h adds
@@ -482,303 +459,6 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
 
     update.pieces = pieces
     return update
-
-
-# The fewest piece maps that must fit in `NEWTON_INVERSE_FLOATS` floats
-# for the update to use them (maps of at most 4096 floats).  A run meets
-# some 5 to 40 pieces; past this size a map's build costs more than the
-# warm `metric_prox` solves it replaces, and ADMM's transient, which meets
-# a new piece every few iterations, runs slower with maps than without.
-PIECE_MAPS = 64
-
-
-def _flat(v, dim):
-    """A piece's scalar or (dim,) entry as a (dim,) float array."""
-    v = np.asarray(v, dtype=float)
-    return v if v.shape == (dim,) else np.full(dim, v)
-
-
-def _piece(fn, step, x, dim):
-    """(D, e, lo, hi) of the piece of prox_{step fn} that output x lies
-    on, each a (dim,) array (`_flat`): prox(u) = D u + e for lo < u < hi."""
-    d, e = fn._piece(step, x)
-    lo, hi = fn._region(step, x)
-    return _flat(d, dim), _flat(e, dim), _flat(lo, dim), _flat(hi, dim)
-
-
-def _piece_key(fn, step):
-    """x -> bytes naming the piece of prox_{step fn} that x lies on: the
-    bytes of its (D, e), or one constant for an affine prox.  The bytes fix
-    the piece's (D, e) and region, so a map built from any x of one key is
-    the same map."""
-    if fn.affine is not None:
-        return lambda x: b""
-    piece = fn._piece
-
-    def key(x):
-        d, e = piece(step, x)
-        return np.asarray(d, dtype=float).tobytes() + \
-            np.asarray(e, dtype=float).tobytes()
-    return key
-
-
-def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
-    """The certified piece maps of the general path of `_make_update`, for
-    a constant M1 with a dense Q1 = c A* A + M1 that has a positive floor,
-    a single-prox z block (step z_step), a dense H and B, h zero or
-    quadratic (its q), and f and g that name their pieces and regions
-    (`ProxFunction`): (rows, pieces), or None when fewer than
-    `PIECE_MAPS` maps fit in `NEWTON_INVERSE_FLOATS` floats, and the update
-    then always solves.
-
-    rows(s, x0, z0, key) tries the joint piece D = (D_x, D_z) that x0
-    lies on for `metric_prox`'s step 1 / ||Q1|| and z0 for z_step, the
-    pieces `metric_prox` and the z prox would start from; key names D
-    when a certified evaluation has just returned it with (x0, z0), and
-    is None otherwise, when rows computes it (`_piece_key`, one call per
-    block).  On D the x block's solution is the minimizer on D_x's
-    piece, x_new = K (e_x - step D_x (H_x s + q)) with
-    K = (I - D_x + step D_x Q1)^{-1} (`_kept_inverse`), so the whole
-    update, x_new | z_new | w = A_D s + a_D, is affine in s, and so are
-    both prox inputs, u_x = x_new - step (Q1 x_new + H_x s + q)
-    and r_z = H_z s + B_z x_new, as C_D s + c_D.  One product of the map
-    (`stepmaps._certified`) gives the row and the certificate that every
-    input lies inside its piece's region and that s is finite (the
-    `stepmaps` docstring).  When it holds, prox(u_x) = x_new, so x_new is
-    the exact minimizer, and z_new the exact prox; rows returns
-    (r, key, False), with r the product, whose first n + 2m entries are
-    the row, and key D's.  D's map puts a dead-zone entry of x_new at
-    exactly e's value (the unit row of K) and keeps the sign of every
-    other entry by the margin, so key is also the key of x_new and z_new.
-    Otherwise rows returns (None, key, retry): retry is False when a
-    certificate row of the x block's inputs failed, so that the fallback's
-    `metric_prox` solve does not try D_x again (`piece_start`), and True
-    when only z-block or guard rows failed, where D_x holds, or when x0 or
-    z0 lies on no piece.  Regions are disjoint, so at most one piece
-    certifies a state, and a certified row depends on s alone.
-
-    Each map is built on the first visit to its piece, as one matrix on
-    (s, 1), and kept with that piece and the bounds that have certificate
-    rows: as many maps as fit in `NEWTON_INVERSE_FLOATS` floats at their
-    largest.  A new piece past that count drops the least recently used
-    map, which is built again, the same way, on its next visit, so a row
-    never depends on what was kept.  A given key is that of the map just
-    used, so it is looked up without moving it in that order.
-
-    pieces is (key, piece, True), the form `_kernel_pieces` gives for the
-    constant-step kernel: key(x, z) names the joint piece of outputs x and
-    z, and piece(x, z) is its (E, lo, hi), E = [A_D a_D; C_D c_D] on
-    (s, 1) with the inputs' bounds (kept with its map), for `integrate`'s
-    step maps; True says that the update takes a start.
-    """
-    n, width = bmat.shape[1], hmat.shape[1]
-    m = (width - n) // 2
-    step = 1.0 / q1.norm()
-    # the affine maps of s as matrices on (s, 1): H_x s + q, H_z s
-    hx1 = np.zeros((n, width + 1))
-    hx1[:, :width] = hmat[:n]
-    if q is not None:
-        hx1[:, width] = q
-    hx1 *= step
-    hz1 = np.zeros((m, width + 1))
-    hz1[:, :width] = hmat[n:]
-    fixed = np.eye(n) - step * q1.base.mat
-    f_key, g_key = _piece_key(f, step), _piece_key(g, z_step)
-    # an affine g has one piece, that of every z
-    g_piece = None if g.affine is None else _piece(g, z_step, None, m)
-    # which of the bounds lo | hi, each x then z, are the x block's
-    x_bounds = np.zeros(2 * (n + m), dtype=bool)
-    x_bounds[:n] = x_bounds[n + m:2 * n + m] = True
-    # the maps kept with their pieces, least recently used first, and how
-    # many: a map has at most a row, n + m prox inputs, their negations and
-    # the guard's 2 rows
-    maps = {}
-    capacity = NEWTON_INVERSE_FLOATS // (
-        (width + 2 * (n + m) + 2) * (width + 1))
-    if capacity < PIECE_MAPS:
-        return None
-
-    def key_of(x0, z0):
-        return f_key(x0) + g_key(z0)
-
-    def build(x0, z0):
-        dx, ex, lo_x, hi_x = _piece(f, step, x0, n)
-        dz, ez, lo_z, hi_z = g_piece or _piece(g, z_step, z0, m)
-        lo, hi = np.concatenate((lo_x, lo_z)), np.concatenate((hi_x, hi_z))
-        if not ((lo < hi).all() and np.isfinite(dx).all()):
-            return None
-        inv = _kept_inverse(q1, step, dx)
-        if inv is None:
-            return None
-        x1 = inv.dot(dx[:, None] * hx1)
-        x1 *= -1.0
-        x1[:, width] += inv.dot(ex)
-        bx1 = bmat.dot(x1)
-        rz1 = hz1 + bx1[:m]
-        z1 = dz[:, None] * rz1
-        z1[:, width] += ez
-        return np.concatenate((x1, z1, bx1[m:] - c * z1, fixed.dot(x1) - hx1,
-                               rz1)), lo, hi
-
-    def rows(s, x0, z0, key):
-        got = None if key is None else maps.get(key)
-        if got is None:
-            if key is None:
-                key = f_key(x0) + g_key(z0)
-            got = maps.pop(key, None)
-            if got is None:
-                got = build(x0, z0)
-                mapped = got and _certified((got[0][:width],),
-                                            got[0][None, width:], *got[1:])
-                if mapped is None:
-                    return None, key, True
-                got = mapped + (got,)
-                if len(maps) >= capacity:
-                    del maps[next(iter(maps))]
-            maps[key] = got
-        r = got[0].dot(s)
-        r += got[1]
-        cert = r[width:]
-        if cert[cert.argmin()] > 0.0:
-            return r, key, False
-        # the x block's certificate rows, the guard's excepted
-        return None, key, (cert[:-2][x_bounds[got[2]]] > 0.0).all()
-
-    def piece(x0, z0):
-        # the kept piece, which the evaluations on it have used, or else
-        # one built for this call alone
-        got = maps.get(key_of(x0, z0))
-        return build(x0, z0) if got is None else got[3]
-
-    return rows, (key_of, piece, True)
-
-
-def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f, g):
-    """The constant-step kernel of `_make_update`: one map s -> r = M s + m0
-    on n + 2m rows, from the dense H and B and the constant q of H's x rows,
-    then at most two proxes and one product G x_new, all in the row `out`:
-    r is written into it, each non-affine prox reads its block of it and
-    writes the result back, and G x_new and -c z_new are added to the rows
-    below.  The step tau0 folds
-    into the x rows Hx = [K, -c A*, A*]: the prox input x - tau0 (Hx s + q)
-    is Fx s + fx, with Fx = [I - tau0 K, (tau0 c) A*, -tau0 A*] (its z block
-    taken from H's A* block) and fx = -tau0 q.  With neither prox affine,
-    M = [Fx; Hz; 0], m0 = [fx; 0; 0] and G = B.  The affine prox (a, b) of f
-    or g (f_aff, g_aff) folds into them:
-
-    * g affine: z_new = a (r_z + Bz x_new) + b and w = Bw x_new - c z_new,
-      so M = [Fx; a Hz; -c a Hz], m0 = [fx; b; -c b] and
-      G = [a Bz; Bw - c a Bz]
-    * f affine: x_new = a (Fx s + fx) + b = Mx s + x0 is r's x rows, with
-      M = [Mx; Hz + Bz Mx; Bw Mx] and m0 = [x0; Bz x0; Bw x0]
-    * both: the f fold on top of the g fold (its G in place of B)
-
-    Both proxes are exact single calls, so the update ignores a start and
-    returns None.
-    """
-    iy = n + m
-    f_prox, g_prox = f._prox, g._prox
-    f_aff = None if f.affine is None else f.affine(tau0)
-    g_aff = None if g.affine is None else g.affine(z_step)
-    M = np.zeros((n + 2 * m, hmat.shape[1]))
-    m0 = np.zeros(n + 2 * m)
-    M[:n] = -tau0 * hmat[:n]
-    M[:n, :n] += np.eye(n)
-    M[:n, n:iy] = (tau0 * c) * hmat[:n, iy:]
-    M[n:iy] = hmat[n:]
-    if q is not None:
-        m0[:n] = -tau0 * q
-    G = bmat
-    if g_aff is not None:
-        a, b = g_aff
-        M[iy:] = (-c * a) * hmat[n:]
-        M[n:iy] *= a
-        if b is not None:
-            m0[n:iy], m0[iy:] = b, (-c) * b
-        G = bmat.copy()
-        G[m:] -= (c * a) * bmat[:m]
-        G[:m] *= a
-    if f_aff is not None:
-        a, b = f_aff
-        M[:n] *= a
-        m0[:n] *= a
-        if b is not None:
-            m0[:n] += b
-        M[n:] += G @ M[:n]
-        m0[n:] += G @ m0[:n]
-    m_dot, g_dot = M.dot, G.dot
-    pieces = None
-    if f._region is not None and g._region is not None:
-        pieces = _kernel_pieces(M, m0, G, n, m, c, tau0, z_step, f, g)
-    if not m0.any():
-        m0 = None
-
-    def update(t, s, out, start=None):
-        m_dot(s, out=out)
-        if m0 is not None:
-            out += m0
-        if f_aff is None:
-            x_new, zw = out[:n], out[n:]
-            x_new[...] = f_prox(tau0, x_new)
-            zw += g_dot(x_new)
-        if g_aff is None:
-            z_new, w = out[n:iy], out[iy:]
-            z_new[...] = g_prox(z_step, z_new)
-            w -= c * z_new
-        return None
-
-    update.pieces = pieces
-    return update
-
-
-def _kernel_pieces(M, m0, G, n, m, c, tau0, z_step, f, g):
-    """The joint pieces of the constant-step kernel (`_constant_step_update`)
-    as (key, piece, False), for f and g whose proxes are affine or name
-    their pieces and regions: key(x, z) names the joint piece D of the
-    prox outputs x_new = x and z_new = z (b"" for an affine prox, which
-    has one piece), and piece(x, z) gives D's map as (E, lo, hi), or None
-    when D's region is empty or its map not finite.  E is a matrix on
-    (s, 1): its first n + 2m rows give the update's row x_new | z_new | w
-    on D, and the rest the inputs of the non-affine proxes, r_x = M_x s +
-    m0_x and zw_z, which D's map holds for while lo < input < hi.  On D,
-    x_new = D_x r_x + e_x, zw = r[n:] + G x_new and z_new = D_z zw_z + e_z,
-    so both rows follow from M, m0 and G by products; an affine prox is
-    already folded into them."""
-    width = M.shape[1]
-    f_key, g_key = _piece_key(f, tau0), _piece_key(g, z_step)
-    f_aff, g_aff = f.affine is not None, g.affine is not None
-
-    def key(x, z):
-        return f_key(x) + g_key(z)
-
-    def piece(x, z):
-        mh = np.concatenate((M, m0[:, None]), axis=1)
-        inputs, lo, hi = [], [np.empty(0)], [np.empty(0)]
-        xs, zw = mh[:n], mh[n:]
-        if not f_aff:
-            dx, ex, lo_x, hi_x = _piece(f, tau0, x, n)
-            xs = dx[:, None] * xs
-            xs[:, width] += ex
-            zw = zw + G.dot(xs)
-            inputs.append(mh[:n])
-            lo.append(lo_x)
-            hi.append(hi_x)
-        zs, ws = zw[:m], zw[m:]
-        if not g_aff:
-            dz, ez, lo_z, hi_z = _piece(g, z_step, z, m)
-            zs = dz[:, None] * zs
-            zs[:, width] += ez
-            ws = ws - c * zs
-            inputs.append(zw[:m])
-            lo.append(lo_z)
-            hi.append(hi_z)
-        mat = np.concatenate([xs, zs, ws] + inputs)
-        lo, hi = np.concatenate(lo), np.concatenate(hi)
-        if not ((lo < hi).all() and np.isfinite(mat).all()):
-            return None
-        return mat, lo, hi
-
-    return key, piece, False
 
 
 def _blocks(p: ProblemSpec, update, t, s):
@@ -925,7 +605,8 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     controller takes from the error of a state that a map made: from there
     the times move at roundoff, which the controller carries on.
     Otherwise, and on a clipped step, the step is stagewise, and the piece
-    its last evaluation lies on picks the next step's map, after a step
+    its last evaluation lies on, named by the key that evaluation returned
+    when a piece map certified it, picks the next step's map, after a step
     that the next trial follows at the map's step.  A map step counts the
     evaluations of the stagewise step in `rhs_evals` and one in
     `map_steps`.
@@ -1096,7 +777,8 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
             # only a trial at the map's step tries one
             if maps is not None and ((factor >= 1.0 and h == h_max)
                                      if adaptive else accepted + 1 < n_full):
-                maps.settle()
+                maps.settle(start[2] if start is not None and len(start) == 3
+                            else None)
         t = t_next
         if not (math.isfinite(p0.dot(p0)) or np.isfinite(p0).all()):
             raise IntegrationError(f"non-finite state at t = {t:.6g}")

@@ -246,10 +246,10 @@ class SelfAdjointPSD:
     at construction.
 
     `_newton` is None until `proxlib.metric_prox` first takes a Newton
-    step in this operator; it then holds that solver's inverse Newton
-    matrices, one per prox-Jacobian pattern.  Like the norm hint, they are
-    derived from the operator once, so an operator must not be mutated
-    once it is in use.
+    step in this operator; it then keeps that solver's inverse Newton
+    matrices, one per prox-Jacobian pattern, in a `proxlib._Kept` store.
+    Like the norm hint, they are derived from the operator once, so an
+    operator must not be mutated once it is in use.
     """
 
     __slots__ = ("dim", "base", "alpha_floor", "_norm_hint", "_newton")

@@ -23,9 +23,9 @@ minimizer on its start point's piece, so a start on the solution's piece
 (the previous solution, along a run) costs one prox evaluation, and any
 other start one more than Newton from the start point.  Q
 keeps the inverse Newton matrix of each prox-Jacobian pattern it meets
-(the active set of l1 or box, which rarely changes along a run), up to
-`NEWTON_INVERSE_FLOATS` floats of them, so a step is one matrix-vector
-product; a result never depends on what Q solved before.  Otherwise, or
+(the active set of l1 or box, which rarely changes along a run) in a
+`_Kept` store, so a step is one matrix-vector product; a result never
+depends on what Q solved before.  Otherwise, or
 when Newton has not converged, it runs accelerated proximal gradient
 (FISTA, Beck-Teboulle 2009) with gradient-based adaptive restart
 (O'Donoghue-Candes 2015) from the last Newton iterate.  Both phases stop
@@ -73,10 +73,10 @@ __all__ = [
 # Prox evaluations `metric_prox` spends on Newton steps, halved ones
 # included, before handing over to FISTA.
 NEWTON_STEPS = 8
-# Floats of inverse Newton matrices one Q keeps, one n x n inverse per
-# prox-Jacobian pattern: 2 MiB, or 4096 patterns at n = 8.  Patterns past
-# the bound are inverted on every step instead of kept.
-NEWTON_INVERSE_FLOATS = 2 ** 18
+# Floats that one `_Kept` store holds (2 MiB): 4096 inverse Newton
+# matrices at n = 8, 64 general-path piece maps of lasso-small, or 16 RK4
+# step maps of a problem of width 48.
+KEPT_FLOATS = 2 ** 18
 # Armijo's rule for a Newton move w + alpha dv: ||F|| must fall below
 # (1 - ARMIJO * alpha) times its value at w, or alpha is halved.
 ARMIJO = 1e-4
@@ -379,20 +379,42 @@ def _newton_inverse(mat, step, jac):
         return None
 
 
+class _Kept(dict):
+    """Values kept under their keys, least recently used first: as many
+    values of `floats` floats each as fit in `KEPT_FLOATS` floats (its
+    `capacity`; 0 keeps nothing).  `keep` adds a value as the most recently
+    used and drops the least recently used past the capacity; a caller that
+    uses a kept value moves it to the end by setting what it pops.  Every
+    value kept is a pure function of its key, computed the same way whether
+    it is kept or not, so what a run computes never depends on what was
+    kept."""
+
+    __slots__ = ("capacity",)
+
+    def __init__(self, floats):
+        super().__init__()
+        self.capacity = KEPT_FLOATS // floats
+
+    def keep(self, key, value):
+        """Keep value under key, a key not kept, as the most recently used;
+        return value."""
+        self[key] = value
+        if len(self) > self.capacity:
+            del self[next(iter(self))]
+        return value
+
+
 def _kept_inverse(Q: SelfAdjointPSD, step, jac):
     """The inverse of I - D + step D Q for D = diag(jac), or None if that
-    matrix is singular.  Q keeps it under jac's bytes while the kept
-    inverses fit in `NEWTON_INVERSE_FLOATS` floats."""
+    matrix is singular, kept in Q's `_Kept` store under jac's bytes."""
     key = jac.tobytes()
     kept = Q._newton
     if kept is None:
-        kept = Q._newton = {}
+        kept = Q._newton = _Kept(Q.dim * Q.dim)
     if key in kept:
-        return kept[key]
-    inv = _newton_inverse(Q.base.mat, step, jac)
-    if (len(kept) + 1) * Q.dim * Q.dim <= NEWTON_INVERSE_FLOATS:
-        kept[key] = inv
-    return inv
+        inv = kept[key] = kept.pop(key)
+        return inv
+    return kept.keep(key, _newton_inverse(Q.base.mat, step, jac))
 
 
 def _newton_step(f: ProxFunction, Q: SelfAdjointPSD, step, u, d):
@@ -445,10 +467,10 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     semismooth Newton step on F(w) = w - v_{k+1}, dv = M^{-1} (v_{k+1} - w)
     with M = I - D + step D Q and D f's prox-Jacobian diagonal (M is
     nonsingular for positive definite Q).  M depends on D alone, so Q keeps
-    M^{-1} for each pattern D it meets, in `Q._newton`, up to
-    `NEWTON_INVERSE_FLOATS` floats in all, and a step on a known pattern is
-    one matrix-vector product.  M^{-1} is computed the same way whether it
-    is kept or not, so a result never depends on what Q solved before.
+    M^{-1} for each pattern D it meets, in its `_Kept` store `Q._newton`,
+    and a step on a known pattern is one matrix-vector product.  M^{-1} is
+    computed the same way whether it is kept or not, so a result never
+    depends on what Q solved before.
     The move w + alpha dv, alpha = 1, 1/2, 1/4, ..., is taken at the first
     alpha that cuts ||F|| below (1 - ARMIJO alpha) times its value at w,
     each trial one iteration: full steps can cycle between two active sets

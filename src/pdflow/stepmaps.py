@@ -1,17 +1,28 @@
-"""Per-piece maps of a piecewise-affine update and their certificate.
+"""The pieces of a piecewise-affine update, their maps and their certificate.
 
-On a joint piece D of its proxes the update is affine in the state
-(`update.pieces`, from `flow._make_update`), and so is a Runge-Kutta step
-of one fixed h.  A piece map is one matrix on (U, 1) whose product gives
-the update's row (`flow._piece_rows`) or a whole step (`_StepMaps`) and a
-certificate, built for both by `_certified`: a row per prox input, affine
-in U, and finite bound of D's region, input - lo - PIECE_MARGIN or
-hi - PIECE_MARGIN - input (an infinite bound holds for every finite
-input), and two guard rows, +-sum(U) plus an infinite offset added after
-the map's finite test, which fail for a NaN or inf entry of U whatever
-the product makes of the zero coefficients that meet it.  Where every
-certificate entry is positive, every input lies inside D's region, and
-the product is what the update, or the stagewise step, evaluates.
+On a joint piece D of its proxes the proximal ADMM update of
+`flow._make_update` is affine in the state, x_new | z_new | w = A_D s + a_D,
+and so are its prox inputs, C_D s + c_D.  Both piecewise-affine forms of the
+update give their pieces as data, `update.pieces` = (key, piece,
+takes_start): key(x, z) names the joint piece that prox outputs x and z lie
+on (`_joint_key`), and piece(x, z) gives its E = [A_D a_D; C_D c_D] on
+(s, 1) with the inputs' bounds lo and hi.  `_kernel_pieces` builds them for
+the constant-step kernel (`_constant_step_update`, one affine map and at
+most two proxes), and `_piece_rows` for the certified general path, whose
+evaluations first try the map of their start's piece.
+
+A Runge-Kutta step of one fixed h is affine on D too.  A piece map is one
+matrix on (U, 1) whose product gives the update's row (`_piece_rows`) or a
+whole step (`_StepMaps`) and a certificate, built for both by `_certified`:
+a row per prox input, affine in U, and finite bound of D's region,
+input - lo - PIECE_MARGIN or hi - PIECE_MARGIN - input (an infinite bound
+holds for every finite input), and two guard rows, +-sum(U) plus an
+infinite offset added after the map's finite test, which fail for a NaN or
+inf entry of U whatever the product makes of the zero coefficients that
+meet it.  Where every certificate entry is positive, every input lies
+inside D's region, and the product is what the update, or the stagewise
+step, evaluates.  The maps of one update, or of one run, are kept under
+their pieces' keys in a `proxlib._Kept` store.
 
 `flow.integrate` takes step maps for the full steps of an RK4 run and for
 the trials of an adaptive run at its h_max, where the runs are long
@@ -24,17 +35,22 @@ import math
 
 import numpy as np
 
+from .proxlib import _Kept, _kept_inverse
+
 # How far inside its piece's region a certified prox input must lie, in
-# a piece map of the update (`flow._piece_rows`) and at every stage of a
-# step map: roundoff in the map's products is some 1e-15 of the row's
-# size, so an input the map puts past this margin is inside.
+# a piece map of the update (`_piece_rows`) and at every stage of a step
+# map: roundoff in the map's products is some 1e-15 of the row's size, so
+# an input the map puts past this margin is inside.
 PIECE_MARGIN = 1e-9
-# Floats of step maps one run keeps (2 MiB), least recently used dropped
-# first; the map in use is always kept.
-STEP_MAP_FLOATS = 2 ** 18
-# The fewest step maps that must fit in `STEP_MAP_FLOATS` floats for a
-# run to take them: maps of at most 16 384 floats, a limit that depends on
-# the problem's size alone (lasso-small's RK4 maps have 6 848, or 7 488 on
+# The fewest piece maps that must fit in one `_Kept` store for the update
+# to use them (maps of at most 4096 floats).  A run meets some 5 to 40
+# pieces; past this size a map's build costs more than the warm
+# `metric_prox` solves it replaces, and ADMM's transient, which meets a
+# new piece every few iterations, runs slower with maps than without.
+PIECE_MAPS = 64
+# The fewest step maps that must fit in one `_Kept` store for a run to
+# take them: maps of at most 16 384 floats, a limit that depends on the
+# problem's size alone (lasso-small's RK4 maps have 6 848, or 7 488 on
 # the general path, and its adaptive maps 12 736 or 13 376).  A build
 # costs O((n + 2m)^3) and a map step saves a few evaluations of
 # O((n + 2m)^2), so past this size a run's builds cost more than its map
@@ -70,6 +86,312 @@ ADAPTIVE_MAP_MIN_STEPS = 64
 MAP_STEP_ERR = 0.5
 
 
+def _flat(v, dim):
+    """A piece's scalar or (dim,) entry as a (dim,) float array."""
+    v = np.asarray(v, dtype=float)
+    return v if v.shape == (dim,) else np.full(dim, v)
+
+
+def _piece(fn, step, x, dim):
+    """(D, e, lo, hi) of the piece of prox_{step fn} that output x lies
+    on, each a (dim,) array (`_flat`): prox(u) = D u + e for lo < u < hi."""
+    d, e = fn._piece(step, x)
+    lo, hi = fn._region(step, x)
+    return _flat(d, dim), _flat(e, dim), _flat(lo, dim), _flat(hi, dim)
+
+
+def _piece_key(fn, step):
+    """x -> bytes naming the piece of prox_{step fn} that x lies on: the
+    bytes of its (D, e), or one constant for an affine prox.  The bytes fix
+    the piece's (D, e) and region, so a map built from any x of one key is
+    the same map."""
+    if fn.affine is not None:
+        return lambda x: b""
+    piece = fn._piece
+
+    def key(x):
+        d, e = piece(step, x)
+        return np.asarray(d, dtype=float).tobytes() + \
+            np.asarray(e, dtype=float).tobytes()
+    return key
+
+
+def _joint_key(f_key, g_key):
+    """(x, z) -> bytes naming the joint piece that prox outputs x and z lie
+    on, from the keys of the two blocks' pieces (`_piece_key`)."""
+    def key_of(x, z):
+        return f_key(x) + g_key(z)
+    return key_of
+
+
+def _constant_step_update(hmat, bmat, q, n, m, c, tau0, z_step, f, g):
+    """The constant-step kernel of `flow._make_update`: one map
+    s -> r = M s + m0 on n + 2m rows, from the dense H and B and the
+    constant q of H's x rows, then at most two proxes and one product
+    G x_new, all in the row `out`: r is written into it, each non-affine
+    prox reads its block of it and writes the result back, and G x_new and
+    -c z_new are added to the rows below.  The step tau0 folds into the x
+    rows Hx = [K, -c A*, A*]: the prox input x - tau0 (Hx s + q) is
+    Fx s + fx, with Fx = [I - tau0 K, (tau0 c) A*, -tau0 A*] (its z block
+    taken from H's A* block) and fx = -tau0 q.  With neither prox affine,
+    M = [Fx; Hz; 0], m0 = [fx; 0; 0] and G = B.  The affine prox (a, b) of f
+    or g (f_aff, g_aff) folds into them:
+
+    * g affine: z_new = a (r_z + Bz x_new) + b and w = Bw x_new - c z_new,
+      so M = [Fx; a Hz; -c a Hz], m0 = [fx; b; -c b] and
+      G = [a Bz; Bw - c a Bz]
+    * f affine: x_new = a (Fx s + fx) + b = Mx s + x0 is r's x rows, with
+      M = [Mx; Hz + Bz Mx; Bw Mx] and m0 = [x0; Bz x0; Bw x0]
+    * both: the f fold on top of the g fold (its G in place of B)
+
+    Both proxes are exact single calls, so the update ignores a start and
+    returns None.
+    """
+    iy = n + m
+    f_prox, g_prox = f._prox, g._prox
+    f_aff = None if f.affine is None else f.affine(tau0)
+    g_aff = None if g.affine is None else g.affine(z_step)
+    M = np.zeros((n + 2 * m, hmat.shape[1]))
+    m0 = np.zeros(n + 2 * m)
+    M[:n] = -tau0 * hmat[:n]
+    M[:n, :n] += np.eye(n)
+    M[:n, n:iy] = (tau0 * c) * hmat[:n, iy:]
+    M[n:iy] = hmat[n:]
+    if q is not None:
+        m0[:n] = -tau0 * q
+    G = bmat
+    if g_aff is not None:
+        a, b = g_aff
+        M[iy:] = (-c * a) * hmat[n:]
+        M[n:iy] *= a
+        if b is not None:
+            m0[n:iy], m0[iy:] = b, (-c) * b
+        G = bmat.copy()
+        G[m:] -= (c * a) * bmat[:m]
+        G[:m] *= a
+    if f_aff is not None:
+        a, b = f_aff
+        M[:n] *= a
+        m0[:n] *= a
+        if b is not None:
+            m0[:n] += b
+        M[n:] += G @ M[:n]
+        m0[n:] += G @ m0[:n]
+    m_dot, g_dot = M.dot, G.dot
+    pieces = None
+    if f._region is not None and g._region is not None:
+        pieces = _kernel_pieces(M, m0, G, n, m, c, tau0, z_step, f, g)
+    if not m0.any():
+        m0 = None
+
+    def update(t, s, out, start=None):
+        m_dot(s, out=out)
+        if m0 is not None:
+            out += m0
+        if f_aff is None:
+            x_new, zw = out[:n], out[n:]
+            x_new[...] = f_prox(tau0, x_new)
+            zw += g_dot(x_new)
+        if g_aff is None:
+            z_new, w = out[n:iy], out[iy:]
+            z_new[...] = g_prox(z_step, z_new)
+            w -= c * z_new
+        return None
+
+    update.pieces = pieces
+    return update
+
+
+def _kernel_pieces(M, m0, G, n, m, c, tau0, z_step, f, g):
+    """The joint pieces of the constant-step kernel
+    (`_constant_step_update`) as (key, piece, False), for f and g whose
+    proxes are affine (one piece, key b"") or name their pieces and
+    regions; piece(x, z) is None when D's region is empty or its map not
+    finite.  E's rows past the update's are the inputs of the non-affine
+    proxes, r_x = M_x s + m0_x and zw_z.  On D, x_new = D_x r_x + e_x,
+    zw = r[n:] + G x_new and z_new = D_z zw_z + e_z, so both rows follow
+    from M, m0 and G by products; an affine prox is already folded into
+    them."""
+    width = M.shape[1]
+    f_aff, g_aff = f.affine is not None, g.affine is not None
+    key_of = _joint_key(_piece_key(f, tau0), _piece_key(g, z_step))
+
+    def piece(x, z):
+        mh = np.concatenate((M, m0[:, None]), axis=1)
+        inputs, lo, hi = [], [np.empty(0)], [np.empty(0)]
+        xs, zw = mh[:n], mh[n:]
+        if not f_aff:
+            dx, ex, lo_x, hi_x = _piece(f, tau0, x, n)
+            xs = dx[:, None] * xs
+            xs[:, width] += ex
+            zw = zw + G.dot(xs)
+            inputs.append(mh[:n])
+            lo.append(lo_x)
+            hi.append(hi_x)
+        zs, ws = zw[:m], zw[m:]
+        if not g_aff:
+            dz, ez, lo_z, hi_z = _piece(g, z_step, z, m)
+            zs = dz[:, None] * zs
+            zs[:, width] += ez
+            ws = ws - c * zs
+            inputs.append(zw[:m])
+            lo.append(lo_z)
+            hi.append(hi_z)
+        mat = np.concatenate([xs, zs, ws] + inputs)
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        if not ((lo < hi).all() and np.isfinite(mat).all()):
+            return None
+        return mat, lo, hi
+
+    return key_of, piece, False
+
+
+def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
+    """The certified piece maps of the general path of `flow._make_update`,
+    for a constant M1 with a dense Q1 = c A* A + M1 that has a positive
+    floor, a single-prox z block (step z_step), a dense H and B, h zero or
+    quadratic (its q), and f and g that name their pieces and regions
+    (`ProxFunction`): (rows, pieces), or None when fewer than `PIECE_MAPS`
+    maps fit in a `_Kept` store, and the update then always solves.
+
+    rows(s, x0, z0, key) tries the joint piece D = (D_x, D_z) that x0
+    lies on for `metric_prox`'s step 1 / ||Q1|| and z0 for z_step, the
+    pieces `metric_prox` and the z prox would start from; key names D
+    when a certified evaluation has just returned it with (x0, z0), and
+    is None otherwise, when rows computes it (`_piece_key`, one call per
+    block).  On D the x
+    block's solution is the minimizer on D_x's piece,
+    x_new = K (e_x - step D_x (H_x s + q)) with
+    K = (I - D_x + step D_x Q1)^{-1} (`_kept_inverse`), so the whole
+    update, x_new | z_new | w = A_D s + a_D, is affine in s, and so are
+    both prox inputs, u_x = x_new - step (Q1 x_new + H_x s + q)
+    and r_z = H_z s + B_z x_new, as C_D s + c_D.  One product of the map
+    (`_certified`) gives the row and the certificate that every input
+    lies inside its piece's region and that s is finite.  When it holds,
+    prox(u_x) = x_new, so x_new is the exact minimizer, and z_new the
+    exact prox; rows returns (r, key, False), with r the product, whose
+    first n + 2m entries are the row, and key D's.  D's map puts a
+    dead-zone entry of x_new at exactly e's value (the unit row of K) and
+    keeps the sign of every other entry by the margin, so key is also the
+    key of x_new and z_new.  Otherwise rows returns (None, key, retry):
+    retry is False when a certificate row of the x block's inputs failed,
+    so that the fallback's `metric_prox` solve does not try D_x again
+    (`piece_start`), and True when only z-block or guard rows failed,
+    where D_x holds, or when x0 or z0 lies on no piece.  Regions are
+    disjoint, so at most one piece certifies a state, and a certified row
+    depends on s alone.
+
+    Each map is built on the first visit to its piece and kept with that
+    piece's (E, lo, hi) and the bounds that have certificate rows, in a
+    store sized for the largest map.  A given key is that of the map just
+    used, so it is looked up without moving it.  pieces is (key, piece,
+    True): piece(x, z) reads the kept (E, lo, hi), and True says that the
+    update takes a start.
+    """
+    n, width = bmat.shape[1], hmat.shape[1]
+    m = (width - n) // 2
+    # a map has at most a row, n + m prox inputs, their negations and the
+    # guard's 2 rows
+    maps = _Kept((width + 2 * (n + m) + 2) * (width + 1))
+    if maps.capacity < PIECE_MAPS:
+        return None
+    step = 1.0 / q1.norm()
+    # the affine maps of s as matrices on (s, 1): H_x s + q, H_z s
+    hx1 = np.zeros((n, width + 1))
+    hx1[:, :width] = hmat[:n]
+    if q is not None:
+        hx1[:, width] = q
+    hx1 *= step
+    hz1 = np.zeros((m, width + 1))
+    hz1[:, :width] = hmat[n:]
+    fixed = np.eye(n) - step * q1.base.mat
+    f_key, g_key = _piece_key(f, step), _piece_key(g, z_step)
+    key_of = _joint_key(f_key, g_key)
+    # an affine g has one piece, that of every z
+    g_piece = None if g.affine is None else _piece(g, z_step, None, m)
+    # which of the bounds lo | hi, each x then z, are the x block's
+    x_bounds = np.zeros(2 * (n + m), dtype=bool)
+    x_bounds[:n] = x_bounds[n + m:2 * n + m] = True
+
+    def build(x0, z0):
+        dx, ex, lo_x, hi_x = _piece(f, step, x0, n)
+        dz, ez, lo_z, hi_z = g_piece or _piece(g, z_step, z0, m)
+        lo, hi = np.concatenate((lo_x, lo_z)), np.concatenate((hi_x, hi_z))
+        if not ((lo < hi).all() and np.isfinite(dx).all()):
+            return None
+        inv = _kept_inverse(q1, step, dx)
+        if inv is None:
+            return None
+        x1 = inv.dot(dx[:, None] * hx1)
+        x1 *= -1.0
+        x1[:, width] += inv.dot(ex)
+        bx1 = bmat.dot(x1)
+        rz1 = hz1 + bx1[:m]
+        z1 = dz[:, None] * rz1
+        z1[:, width] += ez
+        return np.concatenate((x1, z1, bx1[m:] - c * z1, fixed.dot(x1) - hx1,
+                               rz1)), lo, hi
+
+    def rows(s, x0, z0, key):
+        got = None if key is None else maps.get(key)
+        if got is None:
+            if key is None:
+                # key_of's bytes, without its call
+                key = f_key(x0) + g_key(z0)
+            got = maps.pop(key, None)
+            if got is not None:
+                maps[key] = got
+            else:
+                got = build(x0, z0)
+                mapped = got and _certified((got[0][:width],),
+                                            got[0][None, width:], *got[1:])
+                if mapped is None:
+                    return None, key, True
+                got = maps.keep(key, mapped + (got,))
+        r = got[0].dot(s)
+        r += got[1]
+        cert = r[width:]
+        if cert[cert.argmin()] > 0.0:
+            return r, key, False
+        # the x block's certificate rows, the guard's excepted
+        return None, key, (cert[:-2][x_bounds[got[2]]] > 0.0).all()
+
+    def piece(x0, z0):
+        # the kept piece, which the evaluations on it have used, or else
+        # one built for this call alone
+        got = maps.get(key_of(x0, z0))
+        return build(x0, z0) if got is None else got[3]
+
+    return rows, (key_of, piece, True)
+
+
+def _certified(out, inputs, lo, hi):
+    """(matrix, offsets, finite) of the piece map whose rows on (U, 1) are
+    those of `out`, then the certificate of `inputs`, every stage's prox
+    inputs as (stages, inputs, width + 1), with bounds lo and hi; None when
+    the map is not finite.  Each stage's certificate rows are those of
+    the True entries of `finite`, over the bounds lo then hi, in order;
+    the guard's two rows come last."""
+    width = inputs.shape[-1] - 1
+    # input - lo and hi - input, less the margin, where the bound is finite
+    bound = np.concatenate((-lo, hi))
+    bound -= PIECE_MARGIN
+    rows = np.concatenate((inputs, -inputs), axis=1)
+    rows[:, :, width] += bound
+    finite = np.isfinite(bound)
+    rows = rows[:, finite]
+    # +-sum(U), whose infinite offsets join after the finite test
+    stacked = np.concatenate([*out, rows.reshape(-1, width + 1),
+                              np.zeros((2, width + 1))])
+    stacked[-2, :width] = 1.0
+    stacked[-1, :width] = -1.0
+    if not np.isfinite(stacked).all():
+        return None
+    off = stacked[:, width].copy()
+    off[-2:] = math.inf
+    return stacked[:, :width].copy(), off, finite
+
+
 class _StepMaps:
     """The step maps of one run of a piecewise-affine update, at one step
     h: every full step of a fixed-step RK4 run, or every trial of an
@@ -93,10 +415,11 @@ class _StepMaps:
     evaluation's output (`observe`), and then `settle` picks the map for
     the next step: the map of the piece that evaluation lies on, once the
     step before it, stagewise or by a map, ended on that piece too.  So a
-    transient that meets a new piece every step builds no map, and one key
-    is taken per stagewise step.  Maps are kept while they fit in
-    `STEP_MAP_FLOATS` floats, and a dropped map is built again, the same
-    way, so the trajectory never depends on what was kept.
+    transient that meets a new piece every step builds no map, and at most
+    one key is taken per stagewise step, none when the last evaluation
+    returned its piece's key.  The maps are kept in a `_Kept` store
+    (`kept`) sized for the largest map; the map in use is `current`,
+    kept or not.
     """
 
     def __init__(self, pieces, a_mat, b_w, e_w, h, n, m):
@@ -124,13 +447,9 @@ class _StepMaps:
         self.key = None  # the piece the last step ended on
         self.last = np.empty(iy)  # the last evaluation's x_new | z_new
         self.current = None
-        self.kept = {}
         # the most rows a map has: those before the certificate, both
-        # bounds of all n + m prox inputs at every stage, and the guard;
-        # how many such maps fit, and how many are kept, at least one
-        rows += 2 * self.stages * iy + 2
-        self.fit = STEP_MAP_FLOATS // (rows * width)
-        self.capacity = max(1, self.fit)
+        # bounds of all n + m prox inputs at every stage, and the guard
+        self.kept = _Kept((rows + 2 * self.stages * iy + 2) * width)
         self.eye = np.eye(width + 1)
         # each stage's nonzero terms (j, h a_ij)
         self.terms = [[(j, ha[i, j]) for j in range(i) if ha[i, j] != 0.0]
@@ -152,23 +471,22 @@ class _StepMaps:
         from its row."""
         self.last[...] = row[:self.iy]
 
-    def settle(self):
+    def settle(self, key=None):
         """After a stagewise step, pick the map the next step tries: that
         of the piece its last evaluation lies on, if the step before it
-        ended on that piece too."""
-        key = self.key_of(self.last[:self.n], self.last[self.n:])
+        ended on that piece too.  key names that piece when the evaluation
+        returned it, and is computed otherwise."""
+        if key is None:
+            key = self.key_of(self.last[:self.n], self.last[self.n:])
         held, self.key = key == self.key, key
         self.current = None
         if not held:
             return
-        if self.key in self.kept:
-            got = self.kept.pop(self.key)
+        if key in self.kept:
+            self.current = self.kept[key] = self.kept.pop(key)
         else:
-            got = self._build(self.piece_at(self.last[:self.n],
-                                             self.last[self.n:]))
-            if len(self.kept) >= self.capacity:
-                del self.kept[next(iter(self.kept))]
-        self.kept[self.key] = self.current = got
+            self.current = self.kept.keep(key, self._build(self.piece_at(
+                self.last[:self.n], self.last[self.n:])))
 
     def _build(self, piece):
         """(matrix, offsets, finite) of the step map of one piece
@@ -204,42 +522,15 @@ class _StepMaps:
         return _certified(out, np.matmul(mat[width:], points), lo, hi)
 
 
-def _certified(out, inputs, lo, hi):
-    """(matrix, offsets, finite) of the piece map whose rows on (U, 1) are
-    those of `out`, then the certificate of `inputs`, every stage's prox
-    inputs as (stages, inputs, width + 1), with bounds lo and hi; None when
-    the map is not finite.  Each stage's certificate rows are those of
-    the True entries of `finite`, over the bounds lo then hi, in order;
-    the guard's two rows come last."""
-    width = inputs.shape[-1] - 1
-    # input - lo and hi - input, less the margin, where the bound is finite
-    bound = np.concatenate((-lo, hi))
-    bound -= PIECE_MARGIN
-    rows = np.concatenate((inputs, -inputs), axis=1)
-    rows[:, :, width] += bound
-    finite = np.isfinite(bound)
-    rows = rows[:, finite]
-    # +-sum(U), whose infinite offsets join after the finite test
-    stacked = np.concatenate([*out, rows.reshape(-1, width + 1),
-                              np.zeros((2, width + 1))])
-    stacked[-2, :width] = 1.0
-    stacked[-1, :width] = -1.0
-    if not np.isfinite(stacked).all():
-        return None
-    off = stacked[:, width].copy()
-    off[-2:] = math.inf
-    return stacked[:, :width].copy(), off, finite
-
-
 def _step_maps(pieces, a_mat, b_w, e_w, h, n, m, n_full):
     """The `_StepMaps` at step h of a run with n_full full steps of h (an
     adaptive run: whose horizon holds n_full steps of h = h_max), or None
     when the update has no pieces, the tableau has one stage (Euler), the
     run has fewer than `STEP_MAP_MIN_STEPS` full steps
     (`ADAPTIVE_MAP_MIN_STEPS` for an adaptive run), or fewer than
-    `STEP_MAPS` maps fit in `STEP_MAP_FLOATS` floats."""
+    `STEP_MAPS` maps fit in its `_Kept` store."""
     least = STEP_MAP_MIN_STEPS if e_w is None else ADAPTIVE_MAP_MIN_STEPS
     if pieces is None or len(b_w) == 1 or n_full < least:
         return None
     maps = _StepMaps(pieces, a_mat, b_w, e_w, h, n, m)
-    return maps if maps.fit >= STEP_MAPS else None
+    return maps if maps.kept.capacity >= STEP_MAPS else None

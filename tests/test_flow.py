@@ -1444,12 +1444,12 @@ class TestPieceMaps:
         ids=["lasso-small", "l1-box", "l1-box-admm-0.5", "l1-box-admm-1"])
     def test_rows_do_not_depend_on_what_was_kept(self, name, gamma,
                                                  algorithm, monkeypatch):
-        """With room for one map and no Newton inverse, every change of
-        piece drops the last map and every inverse is rebuilt, and a warm
+        """With nothing kept, no piece map, step map or Newton inverse,
+        every map and inverse is built again where it is used, and a warm
         RK4 run, or an ADMM run, gives the same iterates bit for bit.  The
-        ADMM runs come back to pieces they left, so they build more maps
-        (27 against 8 or 9); the RK4 runs, whose step maps take most steps,
-        build as many."""
+        ADMM runs come back to pieces they left, so they build more maps;
+        the RK4 runs, whose step maps take most steps, build at least as
+        many."""
         p = _named_problem(name)
         m1, m2 = _half_metrics(p)
         s0 = next(_radius_starts(p, 1))
@@ -1465,20 +1465,18 @@ class TestPieceMaps:
             def run():
                 return discrete_run(p, params, s0)
         builds = []
-        real = flow._certified
+        real = stepmaps._certified
 
         def counting(*args):
             builds.append(1)
             return real(*args)
 
-        monkeypatch.setattr(flow, "_certified", counting)
+        monkeypatch.setattr(stepmaps, "_certified", counting)
         kept = run()
         kept_builds = len(builds)
-        width = p.n + 2 * p.m
-        monkeypatch.setattr(flow, "PIECE_MAPS", 1)
-        monkeypatch.setattr(flow, "NEWTON_INVERSE_FLOATS",
-                            (width + 2 * (p.n + p.m) + 2) * (width + 1))
-        monkeypatch.setattr(proxlib, "NEWTON_INVERSE_FLOATS", 0)
+        monkeypatch.setattr(proxlib, "KEPT_FLOATS", 0)
+        monkeypatch.setattr(stepmaps, "PIECE_MAPS", 0)
+        monkeypatch.setattr(stepmaps, "STEP_MAPS", 0)
         builds.clear()
         rebuilt = run()
         assert len(builds) >= kept_builds + (algorithm == "admm")
@@ -1557,7 +1555,7 @@ class TestPieceMaps:
                 out = discrete_run(p, params, s0)
                 return out.U, out.residuals
         keys, evals = [], []  # per evaluation: (given a key, keys taken)
-        real_key, real = flow._piece_key, flow._make_update
+        real_key, real = stepmaps._piece_key, flow._make_update
 
         def counting_key(fn, step):
             key = real_key(fn, step)
@@ -1585,7 +1583,7 @@ class TestPieceMaps:
                 return recorded
             return make
 
-        monkeypatch.setattr(flow, "_piece_key", counting_key)
+        monkeypatch.setattr(stepmaps, "_piece_key", counting_key)
         for s0 in _radius_starts(p, 2):
             got = {}
             for drop in drops:
@@ -1600,6 +1598,63 @@ class TestPieceMaps:
             for drop in drops[1:]:
                 for a, b in zip(got[None], got[drop]):
                     assert a.tobytes() == b.tobytes()
+
+    def test_settle_takes_the_carried_key(self, monkeypatch):
+        """The `metric-lasso` RK4 flows (lasso-small, M1 = M2 = 0.5 I,
+        gamma 0.5, h 0.05 to T 5) from two seeded starts: a settle after a
+        stagewise step whose last evaluation a piece map certified takes
+        the key that evaluation returned and calls no `key_of`, and every
+        other settle calls it once.  Each run is bit for bit the run whose
+        update drops the key it returns, where every settle calls it."""
+        p = catalog("lasso-small")
+        m1, m2 = _half_metrics(p)
+        params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=5.0,
+                            integrator=RK4(h=0.05))
+        keys, settles = [], []  # per settle: (given a key, keys taken)
+        real_init, real_settle = (stepmaps._StepMaps.__init__,
+                                  stepmaps._StepMaps.settle)
+        real_make = flow._make_update
+
+        def init(self, *args):
+            real_init(self, *args)
+            key_of = self.key_of
+
+            def counted(x, z):
+                keys.append(1)
+                return key_of(x, z)
+            self.key_of = counted
+
+        def settle(self, key=None):
+            before = len(keys)
+            real_settle(self, key)
+            settles.append((key is not None, len(keys) - before))
+
+        def dropping(*args):
+            update = real_make(*args)
+
+            def dropped(t, s, out, start=None):
+                returned = update(t, s, out, start)
+                return None if returned is None else returned[:2]
+            dropped.pieces = update.pieces
+            return dropped
+
+        monkeypatch.setattr(stepmaps._StepMaps, "__init__", init)
+        monkeypatch.setattr(stepmaps._StepMaps, "settle", settle)
+        for s0 in _radius_starts(p, 2):
+            settles.clear()
+            carried = integrate(p, params, s0)
+            given = [taken for key, taken in settles if key]
+            others = [taken for key, taken in settles if not key]
+            assert len(given) > len(others) > 0
+            assert set(given) == {0} and set(others) == {1}
+            with monkeypatch.context() as patch:
+                patch.setattr(flow, "_make_update", dropping)
+                settles.clear()
+                dropped = integrate(p, params, s0)
+            assert settles and not any(key for key, _ in settles)
+            assert carried.map_steps == dropped.map_steps > 0
+            assert carried.U.tobytes() == dropped.U.tobytes()
+            assert carried.erg.tobytes() == dropped.erg.tobytes()
 
     def test_dead_zone_row_keeps_its_key(self, monkeypatch):
         """The state of `_lasso_state` certifies with x_new exactly zero in
@@ -2040,8 +2095,8 @@ class TestStepMaps:
     def test_trajectory_does_not_depend_on_what_was_kept(
             self, integrator, gamma, seed, monkeypatch):
         """l1-box runs to T = 40 that come back to a piece they left: with
-        room for one step map, every change of piece drops the last map,
-        more maps are built, and the trajectory is the same bit for bit."""
+        no step map kept, each map is built again where it is picked, more
+        maps are built, and the trajectory is the same bit for bit."""
         p, params = _step_map_case("l1-box", integrator, horizon=40.0,
                                    gamma=gamma)
         s0 = next(_radius_starts(p, 1, seed=seed))
@@ -2056,7 +2111,7 @@ class TestStepMaps:
         kept = integrate(p, params, s0)
         kept_builds = len(builds)
         monkeypatch.setattr(stepmaps, "STEP_MAPS", 0)
-        monkeypatch.setattr(stepmaps, "STEP_MAP_FLOATS", 0)
+        monkeypatch.setattr(proxlib, "KEPT_FLOATS", 0)
         builds.clear()
         rebuilt = integrate(p, params, s0)
         assert len(builds) > kept_builds
@@ -2159,7 +2214,7 @@ class TestStepMaps:
         assert got.map_steps == 0
         plain = _reference_integrate(p, params, s0, maps=False)
         assert got.U.tobytes() == plain.U.tobytes()
-        monkeypatch.setattr(stepmaps, "STEP_MAP_FLOATS", 16 * 23_408)
+        monkeypatch.setattr(proxlib, "KEPT_FLOATS", 16 * 23_408)
         assert integrate(p, params, s0).map_steps > 0
 
     @pytest.mark.parametrize("name", ["example1", "lasso-small", "box-qp",

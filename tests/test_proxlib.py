@@ -565,6 +565,40 @@ def _pattern_recorder(f):
 _INVERSE_CASES = ["lasso-small", "box-qp", "l1-box.txt"]
 
 
+class TestKept:
+    """The one store of kept values: least recently used first, as many
+    values as fit in `KEPT_FLOATS` floats."""
+
+    def test_drops_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(proxlib, "KEPT_FLOATS", 35)
+        kept = proxlib._Kept(10)
+        assert kept.capacity == 3
+        for key in "abc":
+            assert kept.keep(key, key.upper()) == key.upper()
+        # a used value is kept again as the most recently used
+        kept.keep("a", kept.pop("a"))
+        assert kept.keep("d", None) is None
+        assert list(kept.items()) == [("c", "C"), ("a", "A"), ("d", None)]
+        # a lookup does not move its key
+        assert kept.get("c") == "C" and kept.get("b") is None
+        kept.keep("e", "E")
+        assert list(kept) == ["a", "d", "e"]
+
+    @pytest.mark.parametrize("floats,capacity", [
+        (1, 2 ** 18), (4096, 64), (4097, 63), (2 ** 18, 1), (2 ** 18 + 1, 0)])
+    def test_capacity_is_what_fits_in_the_budget(self, floats, capacity):
+        assert proxlib.KEPT_FLOATS == 2 ** 18
+        assert proxlib._Kept(floats).capacity == capacity
+
+    def test_capacity_zero_keeps_nothing(self, monkeypatch):
+        monkeypatch.setattr(proxlib, "KEPT_FLOATS", 0)
+        kept = proxlib._Kept(1)
+        assert kept.capacity == 0
+        for key in "ab":
+            assert kept.keep(key, key.upper()) == key.upper()
+            assert not kept
+
+
 class TestNewtonInverses:
     """Q keeps one inverse Newton matrix per prox-Jacobian pattern; a
     result never depends on what Q solved before."""
@@ -599,17 +633,27 @@ class TestNewtonInverses:
 
     def test_kept_inverses_stay_within_the_bound(self, monkeypatch):
         """With room for three inverses, Q keeps three of the many
-        lasso-small patterns, and every solve still matches a fresh Q."""
+        lasso-small patterns, the three used last, and every solve still
+        matches a fresh Q."""
         (f, make_q), _ = _subproblems("lasso-small")
         q = make_q()
-        monkeypatch.setattr(proxlib, "NEWTON_INVERSE_FLOATS",
-                            3 * f.dim * f.dim)
+        monkeypatch.setattr(proxlib, "KEPT_FLOATS", 3 * f.dim * f.dim)
         g, seen = _pattern_recorder(f)
+        used, real = [], proxlib._kept_inverse
+
+        def recorded(Q, step, jac):
+            if Q is q:
+                used.append(jac.tobytes())
+            return real(Q, step, jac)
+
+        monkeypatch.setattr(proxlib, "_kept_inverse", recorded)
         rng = np.random.default_rng(727)
         for _ in range(200):
             lin, x0 = _random_subproblem(rng, f.dim)
             got = metric_prox(g, q, lin, x0)
             assert len(q._newton) <= 3
+            last = list(dict.fromkeys(reversed(used)))[:3]
+            assert list(q._newton) == last[::-1]
             assert np.array_equal(got, metric_prox(f, make_q(), lin, x0))
         assert len(seen) > 3
         assert len(q._newton) == 3

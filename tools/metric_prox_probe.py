@@ -12,17 +12,18 @@ flow evaluates the update only in the steps that no step map takes
 (`stepmaps._StepMaps`).  For each setup the script first prints how many
 evaluations the update's piece map certified and how many fell back to a
 `metric_prox` solve of the x block (`flow._make_update`), the piece keys
-(`flow._piece_key` calls, one per block) that the evaluations computed,
+(`stepmaps._piece_key` calls, one per block) that the evaluations computed,
 and how many fallback solves began with a piece start
 (`proxlib._piece_start`), which the update skips once the piece map has
 shown the start's piece wrong for the x block.  The subproblems are those
 fallback solves.  Each is solved as recorded, from the start the run gave
 it and with or without the piece start as the run took it, on four
-paths: in the run's own Q, which already keeps the inverse Newton matrix
-of every prox-Jacobian pattern the run met (kept inverses); in a copy of
-Q per call, which keeps none (fresh Q); with f copied without its affine
-pieces, so that Newton starts at x0 and never tries x0's piece (newton
-from x0); and with f copied without its prox Jacobian (FISTA alone).
+paths: in the run's own Q, whose store (`proxlib._Kept`) already keeps the
+inverse Newton matrices of the prox-Jacobian patterns the run met (kept
+inverses); in a copy of Q per call, which keeps none (fresh Q); with f
+copied without its affine pieces, so that Newton starts at x0 and never
+tries x0's piece (newton from x0); and with f copied without its prox
+Jacobian (FISTA alone).
 The script prints the Newton steps of each flow run and the Jacobian
 patterns its Q keeps an inverse of, for the piece maps and for Newton;
 then, for each setup and path, microseconds per call (min of 5 passes),
@@ -30,7 +31,8 @@ prox evaluations per call, the calls that return at their first prox
 evaluation, and the calls that went on to FISTA after a full Newton
 phase; then whether the solutions in a fresh Q and with kept inverses
 are bit-equal, and the largest difference between the Newton and FISTA
-solutions.  A tree whose `metric_prox` has no `piece_start` runs too.
+solutions.  A tree whose `metric_prox` has no `piece_start`, or whose
+piece keys live in `flow`, runs too.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from unittest import mock
 
 import numpy as np
 
-from pdflow import discrete, flow, proxlib
+from pdflow import discrete, flow, proxlib, stepmaps
 from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import MetricSchedule
 from pdflow.problems import catalog
@@ -79,7 +81,9 @@ def subproblems():
     newton_step = proxlib._newton_step
     piece_start = proxlib._piece_start
     make_update = flow._make_update
-    piece_key = flow._piece_key
+    # the module that builds the update's pieces
+    pieces = stepmaps if hasattr(stepmaps, "_piece_key") else flow
+    piece_key = pieces._piece_key
 
     def counted_key(fn, step):
         key = piece_key(fn, step)
@@ -124,7 +128,7 @@ def subproblems():
     with mock.patch.object(flow, "metric_prox", record), \
             mock.patch.object(proxlib, "_newton_step", count), \
             mock.patch.object(proxlib, "_piece_start", count_start), \
-            mock.patch.object(flow, "_piece_key", counted_key), \
+            mock.patch.object(pieces, "_piece_key", counted_key), \
             mock.patch.object(flow, "_make_update", counted_update), \
             mock.patch.object(discrete, "_make_update", counted_update):
         for _ in range(FLOW_STARTS):

@@ -22,8 +22,8 @@ their ratio B / A:
   and (`build+eval`) per general-metric build on lasso-small with
   M1 = M2 = 0.5 I together with its first evaluation at the canonical
   start, where the update's piece map certifies: that evaluation builds
-  the map and its certificate, as an ADMM transient does on each new
-  piece
+  the map and its certificate (`stepmaps._piece_rows`), as an ADMM
+  transient does on each new piece
 * integrate: seconds per `integrate` run from the canonical start, for the
   catalog x {Euler, RK4, Adaptive} with `auto` tau, gamma 0.5, step 0.01
   (Adaptive: its defaults) and horizon `HORIZON`, for Adaptive again at
