@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,9 +214,10 @@ def _as_tau(value, where):
 
 
 def parse(text: str) -> RunConfig:
-    """Parse config text; malformed input raises ConfigError with the line."""
-    cfg = RunConfig()
-    seen = set()
+    """Parse config text; malformed input raises ConfigError with the line.
+    The converted values are collected first and the `RunConfig` is built
+    once from them."""
+    fields = {}
     for where, section, key, value in _scan(text):
         if section == "run":
             handler = _RUN_KEYS.get(key)
@@ -228,11 +229,11 @@ def parse(text: str) -> RunConfig:
                 raise ConfigError(f"{where}: unknown key {key!r} in [sweep]")
         else:
             raise ConfigError(f"{where}: unknown section [{section}]")
-        if (section, key) in seen:
+        # each (section, key) has its own field
+        if handler[0] in fields:
             raise ConfigError(f"{where}: duplicate key {key!r}")
-        seen.add((section, key))
-        cfg = replace(cfg, **{handler[0]: handler[1](value, where, key)})
-    return cfg.validate()
+        fields[handler[0]] = handler[1](value, where, key)
+    return RunConfig(**fields).validate()
 
 
 _RUN_KEYS = {

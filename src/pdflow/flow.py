@@ -313,8 +313,9 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
       certificate holds, the row is written, no `metric_prox` solve runs,
       and the returned start is the product's own x_new and z_new with
       the piece's key, so the next evaluation from it computes no key;
-      otherwise the update takes the `metric_prox` form above, whose solve
-      skips its piece start when the x block's rows of the certificate
+      otherwise it tries one guessed next piece the same way, and then
+      takes the `metric_prox` form above, whose solve skips its piece
+      start when the x block's rows of the start piece's certificate
       failed, so as not to try that piece again
 
     Both piecewise-affine forms, the kernel with f and g whose proxes are

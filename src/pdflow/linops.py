@@ -245,14 +245,14 @@ class SelfAdjointPSD:
     semidefiniteness is claimed).  The claim is checked by `psd_floor`, not
     at construction.
 
-    `_newton` is None until `proxlib.metric_prox` first takes a Newton
-    step in this operator; it then keeps that solver's inverse Newton
-    matrices, one per prox-Jacobian pattern, in a `proxlib._Kept` store.
+    `_mat_bytes` is None until `proxlib._kept_inverse` first keeps an
+    inverse Newton matrix of this operator; it then holds the bytes of the
+    dense matrix, part of the key under which that one store keeps them.
     Like the norm hint, they are derived from the operator once, so an
     operator must not be mutated once it is in use.
     """
 
-    __slots__ = ("dim", "base", "alpha_floor", "_norm_hint", "_newton")
+    __slots__ = ("dim", "base", "alpha_floor", "_norm_hint", "_mat_bytes")
 
     def __init__(self, base: LinearMap, alpha_floor=0.0, norm_hint=None):
         if base.in_dim != base.out_dim:
@@ -261,7 +261,7 @@ class SelfAdjointPSD:
         self.base = base
         self.alpha_floor = float(alpha_floor)
         self._norm_hint = norm_hint
-        self._newton = None
+        self._mat_bytes = None
 
     @classmethod
     def identity(cls, dim, scale=1.0) -> "SelfAdjointPSD":

@@ -21,11 +21,11 @@ piecewise affine prox (l1, box and the quadratics) also names the affine
 piece that a prox output lies on, and the solve first tries the exact
 minimizer on its start point's piece, so a start on the solution's piece
 (the previous solution, along a run) costs one prox evaluation, and any
-other start one more than Newton from the start point.  Q
-keeps the inverse Newton matrix of each prox-Jacobian pattern it meets
-(the active set of l1 or box, which rarely changes along a run) in a
-`_Kept` store, so a step is one matrix-vector product; a result never
-depends on what Q solved before.  Otherwise, or
+other start one more than Newton from the start point.  The
+inverse Newton matrix of each prox-Jacobian pattern (the active set of l1
+or box, which rarely changes along a run) is kept by content, for every Q
+of the same matrix (`_kept_inverse`), so a step is one matrix-vector
+product; a result never depends on what was solved before.  Otherwise, or
 when Newton has not converged, it runs accelerated proximal gradient
 (FISTA, Beck-Teboulle 2009) with gradient-based adaptive restart
 (O'Donoghue-Candes 2015) from the last Newton iterate.  Both phases stop
@@ -389,31 +389,56 @@ class _Kept(dict):
     it is kept or not, so what a run computes never depends on what was
     kept."""
 
-    __slots__ = ("capacity",)
+    __slots__ = ("capacity", "floats")
 
     def __init__(self, floats):
         super().__init__()
+        self.floats = floats
         self.capacity = KEPT_FLOATS // floats
 
     def keep(self, key, value):
         """Keep value under key, a key not kept, as the most recently used;
         return value."""
         self[key] = value
-        if len(self) > self.capacity:
+        while len(self) > self.capacity:
             del self[next(iter(self))]
         return value
 
 
+# The inverse Newton matrices of every Q in this process (`_kept_inverse`).
+_INVERSES = _Kept(1)
+
+
 def _kept_inverse(Q: SelfAdjointPSD, step, jac):
     """The inverse of I - D + step D Q for D = diag(jac), or None if that
-    matrix is singular, kept in Q's `_Kept` store under jac's bytes."""
-    key = jac.tobytes()
-    kept = Q._newton
-    if kept is None:
-        kept = Q._newton = _Kept(Q.dim * Q.dim)
+    matrix is singular.
+
+    That inverse is a pure function of Q's dense matrix, step and D, so
+    one process-wide `_Kept` store, `_INVERSES`, keeps it under (the bytes
+    of Q's matrix, step, jac's bytes) for every Q that meets it: the runs
+    of one problem and metric, each with its own Q of the same matrix,
+    share the inverses any of them computed.  Q's bytes are taken once per
+    Q (`SelfAdjointPSD._mat_bytes`) and a bytes object keeps its hash, so
+    a lookup hashes jac's n floats whatever n is.  At each miss the
+    store's capacity becomes `KEPT_FLOATS` // n^2 for the largest n it has
+    held since it was last empty, the new inverse's included (its
+    `floats`), so with runs of several sizes in one process it still holds
+    at most `KEPT_FLOATS` floats; after a large Q it keeps fewer small
+    inverses until it empties.  `metric_prox`'s Newton steps and piece
+    starts, and the general path's piece maps (`stepmaps._piece_rows`),
+    read their inverses here."""
+    mat = Q._mat_bytes
+    if mat is None:
+        mat = Q._mat_bytes = Q.base.mat.tobytes()
+    key = (mat, step, jac.tobytes())
+    kept = _INVERSES
     if key in kept:
         inv = kept[key] = kept.pop(key)
         return inv
+    floats = Q.dim * Q.dim
+    if floats > kept.floats or not kept:
+        kept.floats = floats
+    kept.capacity = KEPT_FLOATS // kept.floats
     return kept.keep(key, _newton_inverse(Q.base.mat, step, jac))
 
 
@@ -466,11 +491,10 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     has a prox Jacobian, the first `NEWTON_STEPS` iterations move w by a
     semismooth Newton step on F(w) = w - v_{k+1}, dv = M^{-1} (v_{k+1} - w)
     with M = I - D + step D Q and D f's prox-Jacobian diagonal (M is
-    nonsingular for positive definite Q).  M depends on D alone, so Q keeps
-    M^{-1} for each pattern D it meets, in its `_Kept` store `Q._newton`,
-    and a step on a known pattern is one matrix-vector product.  M^{-1} is
-    computed the same way whether it is kept or not, so a result never
-    depends on what Q solved before.
+    nonsingular for positive definite Q).  M^{-1} is kept for each pattern
+    D, by Q's matrix, step and D (`_kept_inverse`), so a step on a known
+    pattern is one matrix-vector product, and a result never depends on
+    what was solved before.
     The move w + alpha dv, alpha = 1, 1/2, 1/4, ..., is taken at the first
     alpha that cuts ||F|| below (1 - ARMIJO alpha) times its value at w,
     each trial one iteration: full steps can cycle between two active sets

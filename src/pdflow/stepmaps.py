@@ -5,11 +5,14 @@ On a joint piece D of its proxes the proximal ADMM update of
 and so are its prox inputs, C_D s + c_D.  Both piecewise-affine forms of the
 update give their pieces as data, `update.pieces` = (key, piece,
 takes_start): key(x, z) names the joint piece that prox outputs x and z lie
-on (`_joint_key`), and piece(x, z) gives its E = [A_D a_D; C_D c_D] on
-(s, 1) with the inputs' bounds lo and hi.  `_kernel_pieces` builds them for
-the constant-step kernel (`_constant_step_update`, one affine map and at
-most two proxes), and `_piece_rows` for the certified general path, whose
-evaluations first try the map of their start's piece.
+on (`_joint_key`), and piece(x, z, key), given that key, gives its
+E = [A_D a_D; C_D c_D] on (s, 1) with the inputs' bounds lo and hi.
+`_kernel_pieces` builds them for the constant-step kernel
+(`_constant_step_update`, one affine map and at most two proxes), and
+`_piece_rows` for the certified general path, whose evaluations first try
+the map of their start's piece and, when its certificate fails, the map
+of the piece that the proxes of the inputs that map gives lie on, before
+they solve.
 
 A Runge-Kutta step of one fixed h is affine on D too.  A piece map is one
 matrix on (U, 1) whose product gives the update's row (`_piece_rows`) or a
@@ -206,17 +209,17 @@ def _kernel_pieces(M, m0, G, n, m, c, tau0, z_step, f, g):
     """The joint pieces of the constant-step kernel
     (`_constant_step_update`) as (key, piece, False), for f and g whose
     proxes are affine (one piece, key b"") or name their pieces and
-    regions; piece(x, z) is None when D's region is empty or its map not
-    finite.  E's rows past the update's are the inputs of the non-affine
-    proxes, r_x = M_x s + m0_x and zw_z.  On D, x_new = D_x r_x + e_x,
-    zw = r[n:] + G x_new and z_new = D_z zw_z + e_z, so both rows follow
-    from M, m0 and G by products; an affine prox is already folded into
-    them."""
+    regions; piece(x, z, key) is None when D's region is empty or its map
+    not finite.  E's rows past the update's are the inputs of the
+    non-affine proxes, r_x = M_x s + m0_x and zw_z.  On D,
+    x_new = D_x r_x + e_x, zw = r[n:] + G x_new and z_new = D_z zw_z + e_z,
+    so both rows follow from M, m0 and G by products; an affine prox is
+    already folded into them."""
     width = M.shape[1]
     f_aff, g_aff = f.affine is not None, g.affine is not None
     key_of = _joint_key(_piece_key(f, tau0), _piece_key(g, z_step))
 
-    def piece(x, z):
+    def piece(x, z, key):
         mh = np.concatenate((M, m0[:, None]), axis=1)
         inputs, lo, hi = [], [np.empty(0)], [np.empty(0)]
         xs, zw = mh[:n], mh[n:]
@@ -273,20 +276,30 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     first n + 2m entries are the row, and key D's.  D's map puts a
     dead-zone entry of x_new at exactly e's value (the unit row of K) and
     keeps the sign of every other entry by the margin, so key is also the
-    key of x_new and z_new.  Otherwise rows returns (None, key, retry):
-    retry is False when a certificate row of the x block's inputs failed,
-    so that the fallback's `metric_prox` solve does not try D_x again
-    (`piece_start`), and True when only z-block or guard rows failed,
-    where D_x holds, or when x0 or z0 lies on no piece.  Regions are
-    disjoint, so at most one piece certifies a state, and a certified row
-    depends on s alone.
+    key of x_new and z_new.
+
+    When D's certificate fails, rows guesses the next piece once, as an
+    active-set move of semismooth Newton: D's input rows of E give the
+    inputs u_x and r_z that D makes of s, and D' is the piece that their
+    proxes prox_{step f}(u_x) and prox_{z_step g}(r_z) lie on.  If D' is
+    not D, its map (kept, or built as on a first visit) is applied, and
+    when its certificate holds rows returns (r, key', False) for D' as
+    above: the exact row, with no solve.  Otherwise rows returns
+    (None, key, retry), with D's key: retry is False when a certificate
+    row of D's x-block inputs failed, so that the fallback's
+    `metric_prox` solve does not try D_x again (`piece_start`), and True
+    when only z-block or guard rows failed, where D_x holds, or when x0
+    or z0 lies on no piece.  A non-finite s fails every certificate by
+    its guard rows, so it falls back.  Regions are disjoint, so at most
+    one piece certifies a state, and a certified row depends on s alone.
 
     Each map is built on the first visit to its piece and kept with that
     piece's (E, lo, hi) and the bounds that have certificate rows, in a
     store sized for the largest map.  A given key is that of the map just
     used, so it is looked up without moving it.  pieces is (key, piece,
-    True): piece(x, z) reads the kept (E, lo, hi), and True says that the
-    update takes a start.
+    True): piece(x, z, key) reads the kept (E, lo, hi) of key's piece,
+    that of the outputs x and z, and True says that the update takes a
+    start.
     """
     n, width = bmat.shape[1], hmat.shape[1]
     m = (width - n) // 2
@@ -307,6 +320,7 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
     fixed = np.eye(n) - step * q1.base.mat
     f_key, g_key = _piece_key(f, step), _piece_key(g, z_step)
     key_of = _joint_key(f_key, g_key)
+    f_prox, g_prox = f._prox, g._prox
     # an affine g has one piece, that of every z
     g_piece = None if g.affine is None else _piece(g, z_step, None, m)
     # which of the bounds lo | hi, each x then z, are the x block's
@@ -332,34 +346,52 @@ def _piece_rows(hmat, bmat, q, q1, f, g, c, z_step):
         return np.concatenate((x1, z1, bx1[m:] - c * z1, fixed.dot(x1) - hx1,
                                rz1)), lo, hi
 
+    def map_of(key, x0, z0):
+        # the kept map of key's piece, made the most recently used, or one
+        # built from its outputs x0 and z0 and kept; None when it has none
+        got = maps.pop(key, None)
+        if got is not None:
+            maps[key] = got
+            return got
+        got = build(x0, z0)
+        mapped = got and _certified((got[0][:width],), got[0][None, width:],
+                                    *got[1:])
+        return None if mapped is None else maps.keep(key, mapped + (got,))
+
     def rows(s, x0, z0, key):
         got = None if key is None else maps.get(key)
         if got is None:
             if key is None:
                 # key_of's bytes, without its call
                 key = f_key(x0) + g_key(z0)
-            got = maps.pop(key, None)
-            if got is not None:
-                maps[key] = got
-            else:
-                got = build(x0, z0)
-                mapped = got and _certified((got[0][:width],),
-                                            got[0][None, width:], *got[1:])
-                if mapped is None:
-                    return None, key, True
-                got = maps.keep(key, mapped + (got,))
+            got = map_of(key, x0, z0)
+            if got is None:
+                return None, key, True
         r = got[0].dot(s)
         r += got[1]
         cert = r[width:]
         if cert[cert.argmin()] > 0.0:
             return r, key, False
-        # the x block's certificate rows, the guard's excepted
+        # the guess: the piece that the proxes of D's inputs lie on
+        inputs = got[3][0][width:]
+        u = inputs[:, :width].dot(s)
+        u += inputs[:, width]
+        x1, z1 = f_prox(step, u[:n]), g_prox(z_step, u[n:])
+        guess = f_key(x1) + g_key(z1)
+        other = None if guess == key else map_of(guess, x1, z1)
+        if other is not None:
+            r = other[0].dot(s)
+            r += other[1]
+            held = r[width:]
+            if held[held.argmin()] > 0.0:
+                return r, guess, False
+        # D's x-block certificate rows, the guard's excepted
         return None, key, (cert[:-2][x_bounds[got[2]]] > 0.0).all()
 
-    def piece(x0, z0):
+    def piece(x0, z0, key):
         # the kept piece, which the evaluations on it have used, or else
         # one built for this call alone
-        got = maps.get(key_of(x0, z0))
+        got = maps.get(key)
         return build(x0, z0) if got is None else got[3]
 
     return rows, (key_of, piece, True)
@@ -486,7 +518,7 @@ class _StepMaps:
             self.current = self.kept[key] = self.kept.pop(key)
         else:
             self.current = self.kept.keep(key, self._build(self.piece_at(
-                self.last[:self.n], self.last[self.n:])))
+                self.last[:self.n], self.last[self.n:], key)))
 
     def _build(self, piece):
         """(matrix, offsets, finite) of the step map of one piece

@@ -1,11 +1,15 @@
 """Tests for run-configuration parsing, serializing, and resolution."""
 
+import dataclasses
 import glob
+import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from pdflow import cli, config
 from pdflow.config import (RunConfig, build_discrete_params,
                            build_flow_params, initial_state, load_problem,
                            parse, parse_file, resolve_tau, serialize)
@@ -104,6 +108,85 @@ gammas = 0.9, 0.1
     def test_bad_bool(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse("dump_state = maybe\n")
+
+
+def _load_script(*parts):
+    """A script of the tree, imported from its path under a name of its
+    own (a dataclass in it needs its module registered)."""
+    name = "_".join(parts)[:-3]
+    if name not in sys.modules:
+        path = os.path.join(os.path.dirname(__file__), os.pardir, *parts)
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _parse_by_replace(text):
+    """`parse` as one `dataclasses.replace` per key: the reference that
+    `parse`, which builds its `RunConfig` once, must equal, errors and
+    their messages included."""
+    cfg = RunConfig()
+    seen = set()
+    for where, section, key, value in config._scan(text):
+        if section == "run":
+            handler = config._RUN_KEYS.get(key)
+            if handler is None:
+                raise ConfigError(f"{where}: unknown key {key!r} in [run]")
+        elif section == "sweep":
+            handler = config._SWEEP_KEYS.get(key)
+            if handler is None:
+                raise ConfigError(f"{where}: unknown key {key!r} in [sweep]")
+        else:
+            raise ConfigError(f"{where}: unknown section [{section}]")
+        if (section, key) in seen:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        seen.add((section, key))
+        cfg = dataclasses.replace(
+            cfg, **{handler[0]: handler[1](value, where, key)})
+    return cfg.validate()
+
+
+def _written_configs(indir):
+    """The config texts that the benchmark's workloads write (seeds 0 and
+    1), and the canonical text (`serialize`) of the config of every run of
+    `tools/output_digest.py`."""
+    workloads = _load_script("perfbench", "workloads.py").WORKLOADS
+    texts = []
+    for name, workload in workloads.items():
+        for seed in (0, 1):
+            where = os.path.join(indir, f"{name}-{seed}")
+            os.makedirs(where)
+            workload.write_inputs(seed, where)
+            for path in sorted(glob.glob(os.path.join(where, "*.cfg"))):
+                with open(path, encoding="utf-8") as fh:
+                    texts.append(fh.read())
+    digest = _load_script("tools", "output_digest.py")
+    for argv in digest.commands():
+        args = cli.build_parser().parse_args(argv)
+        texts.append(serialize(cli._load_config(args)))
+    return texts
+
+
+class TestParseOnce:
+    def test_equals_a_replace_per_key(self, tmp_path):
+        texts = _written_configs(str(tmp_path))
+        assert len(texts) > 100
+        for text in texts:
+            assert parse(text) == _parse_by_replace(text)
+
+    @pytest.mark.parametrize("text", [
+        "c = 1.0\nc = 2.0\n", "[sweep]\ntaucs = 0.1\ntaucs = 0.2\n",
+        "no_such_key = 1\n", "[sweep]\nstep = 1\n", "[mystery]\nkey = 1\n",
+        "problem = example1\nc = 1.0\nc = oops\n", "mode = sideways\n",
+        "dump_state = maybe\n", "tau = saturating:0.1\n", "x0 = 1, a\n",
+        "max_iters = 2.5\n", "c = -1\n", "step = inf\n"])
+    def test_errors_keep_their_messages(self, text):
+        with pytest.raises(ConfigError) as want:
+            _parse_by_replace(text)
+        with pytest.raises(ConfigError) as got:
+            parse(text)
+        assert str(got.value) == str(want.value)
 
 
 class TestValidate:

@@ -1380,6 +1380,22 @@ def _count_piece_starts(monkeypatch):
     return calls
 
 
+def _on_a_bound(update, s, start, n, m):
+    """s scaled so that the first prox input of its start's piece that has
+    a finite bound, and moves with the scale, lies on that bound, as that
+    piece's map computes the input (`update.pieces`)."""
+    iy, width = n + m, n + 2 * m
+    x0, z0 = (s[:n], s[n:iy]) if start is None else start[:2]
+    key_of, piece_at, _ = update.pieces
+    mat, lo, hi = piece_at(x0, z0, key_of(x0, z0))
+    inputs = mat[width:]
+    slope, offset = inputs[:, :width].dot(s), inputs[:, width]
+    for bound in (lo, hi):
+        for j in np.flatnonzero(np.isfinite(bound) & (slope != 0.0)):
+            return s * ((bound[j] - offset[j]) / slope[j])
+    return s
+
+
 class TestPieceMaps:
     """With a constant M1, a single-prox z block and f and g that name
     their pieces, the general path's update tries the affine map of the
@@ -1444,9 +1460,11 @@ class TestPieceMaps:
         ids=["lasso-small", "l1-box", "l1-box-admm-0.5", "l1-box-admm-1"])
     def test_rows_do_not_depend_on_what_was_kept(self, name, gamma,
                                                  algorithm, monkeypatch):
-        """With nothing kept, no piece map, step map or Newton inverse,
-        every map and inverse is built again where it is used, and a warm
-        RK4 run, or an ADMM run, gives the same iterates bit for bit.  The
+        """With nothing kept, no piece map, step map or Newton inverse (an
+        empty inverse store that keeps nothing), every map and inverse is
+        built again where it is used, and a warm RK4 run, or an ADMM run,
+        gives the same iterates bit for bit as a run whose inverse store
+        other runs may have warmed.  The
         ADMM runs come back to pieces they left, so they build more maps;
         the RK4 runs, whose step maps take most steps, build at least as
         many."""
@@ -1475,6 +1493,7 @@ class TestPieceMaps:
         kept = run()
         kept_builds = len(builds)
         monkeypatch.setattr(proxlib, "KEPT_FLOATS", 0)
+        monkeypatch.setattr(proxlib, "_INVERSES", proxlib._Kept(1))
         monkeypatch.setattr(stepmaps, "PIECE_MAPS", 0)
         monkeypatch.setattr(stepmaps, "STEP_MAPS", 0)
         builds.clear()
@@ -1532,10 +1551,13 @@ class TestPieceMaps:
         """The `metric-lasso` setup (lasso-small, M1 = M2 = 0.5 I, gamma
         0.5; RK4 h 0.05 to T 5, ADMM to 1e-10) from two seeded starts: an
         evaluation whose start a certified evaluation returned, with its
-        key, calls no `_piece_key` closure, and every other evaluation
-        calls one per block.  Each run is bit for bit the run whose update
-        drops the key it returns, as before keys were carried, and an ADMM
-        run also the run whose update is given no start."""
+        key, calls no `_piece_key` closure for its start's piece, and
+        every other evaluation calls one per block; an evaluation whose
+        start's piece fails its certificate calls one more per block for
+        the piece it guesses, and returns a key other than that piece's.
+        Each run is bit for bit the run whose update drops the key it
+        returns, as before keys were carried, and an ADMM run also the
+        run whose update is given no start."""
         p = catalog("lasso-small")
         m1, m2 = _half_metrics(p)
         if algorithm == "rk4":
@@ -1554,28 +1576,41 @@ class TestPieceMaps:
             def run(s0):
                 out = discrete_run(p, params, s0)
                 return out.U, out.residuals
-        keys, evals = [], []  # per evaluation: (given a key, keys taken)
+        n, iy = p.n, p.n + p.m
+        # per evaluation: (given a key, keys taken, guessed); keys are
+        # counted while `counting` holds
+        keys, evals, counting = [], [], [True]
         real_key, real = stepmaps._piece_key, flow._make_update
 
         def counting_key(fn, step):
             key = real_key(fn, step)
 
             def counted(x):
-                keys.append(1)
+                if counting[0]:
+                    keys.append(1)
                 return key(x)
             return counted
 
         def dropping(drop):
             def make(*args):
                 update = real(*args)
+                key_of = update.pieces[0]
 
                 def recorded(t, s, out, start=None):
                     if drop == "start":
                         start = None
                     before = len(keys)
                     returned = update(t, s, out, start)
+                    taken = len(keys) - before
+                    x0, z0 = (s[:n], s[n:iy]) if start is None else start[:2]
+                    counting[0] = False
+                    own = key_of(x0, z0)
+                    counting[0] = True
+                    # a returned key other than the start's piece's, or
+                    # none, follows a failed certificate and its guess
+                    guessed = len(returned) == 2 or returned[2] != own
                     evals.append((start is not None and len(start) == 3,
-                                  len(keys) - before))
+                                  taken, guessed))
                     if drop == "key" and returned is not None:
                         returned = returned[:2]
                     return returned
@@ -1591,10 +1626,13 @@ class TestPieceMaps:
                 monkeypatch.setattr(module, "_make_update", dropping(drop))
                 got[drop] = run(s0)
                 if drop is None:
-                    carried = [taken for given, taken in evals if given]
-                    others = [taken for given, taken in evals if not given]
+                    carried = [taken - 2 * guessed
+                               for given, taken, guessed in evals if given]
+                    others = [taken - 2 * guessed
+                              for given, taken, guessed in evals if not given]
                     assert len(carried) > len(others) > 0
                     assert set(carried) == {0} and set(others) == {2}
+                    assert any(guessed for _, _, guessed in evals)
             for drop in drops[1:]:
                 for a, b in zip(got[None], got[drop]):
                     assert a.tobytes() == b.tobytes()
@@ -1604,8 +1642,11 @@ class TestPieceMaps:
         gamma 0.5, h 0.05 to T 5) from two seeded starts: a settle after a
         stagewise step whose last evaluation a piece map certified takes
         the key that evaluation returned and calls no `key_of`, and every
-        other settle calls it once.  Each run is bit for bit the run whose
-        update drops the key it returns, where every settle calls it."""
+        other settle calls it once.  With the guessed pieces, the last
+        evaluation of every stagewise step here certifies, so every settle
+        is given a key.  Each run is bit for bit the run whose update
+        drops the key it returns, where every settle calls `key_of`
+        once."""
         p = catalog("lasso-small")
         m1, m2 = _half_metrics(p)
         params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=5.0,
@@ -1645,16 +1686,64 @@ class TestPieceMaps:
             carried = integrate(p, params, s0)
             given = [taken for key, taken in settles if key]
             others = [taken for key, taken in settles if not key]
-            assert len(given) > len(others) > 0
-            assert set(given) == {0} and set(others) == {1}
+            assert len(given) > len(others)
+            assert set(given) == {0} and set(others) <= {1}
             with monkeypatch.context() as patch:
                 patch.setattr(flow, "_make_update", dropping)
                 settles.clear()
                 dropped = integrate(p, params, s0)
             assert settles and not any(key for key, _ in settles)
+            assert {taken for _, taken in settles} == {1}
             assert carried.map_steps == dropped.map_steps > 0
             assert carried.U.tobytes() == dropped.U.tobytes()
             assert carried.erg.tobytes() == dropped.erg.tobytes()
+
+    def test_step_map_build_takes_the_settled_key(self, monkeypatch):
+        """The `metric-lasso` RK4 flows from two seeded starts: each step
+        map's build reads its piece (`update.pieces`) under the key that
+        `settle` passes it, with no `_piece_key` call, and each run is bit
+        for bit the run whose piece reader names the piece again."""
+        p = catalog("lasso-small")
+        m1, m2 = _half_metrics(p)
+        params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=5.0,
+                            integrator=RK4(h=0.05))
+        keys, reads = [], []  # per read: keys taken
+        real_key, real_init = stepmaps._piece_key, stepmaps._StepMaps.__init__
+        renamed = [False]
+
+        def counting_key(fn, step):
+            key = real_key(fn, step)
+
+            def counted(x):
+                keys.append(1)
+                return key(x)
+            return counted
+
+        def init(self, *args):
+            real_init(self, *args)
+            piece_at, key_of = self.piece_at, self.key_of
+
+            def read(x, z, key):
+                if renamed[0]:
+                    key = key_of(x, z)
+                before = len(keys)
+                got = piece_at(x, z, key)
+                reads.append(len(keys) - before)
+                return got
+            self.piece_at = read
+
+        monkeypatch.setattr(stepmaps, "_piece_key", counting_key)
+        monkeypatch.setattr(stepmaps._StepMaps, "__init__", init)
+        for s0 in _radius_starts(p, 2):
+            reads.clear()
+            given = integrate(p, params, s0)
+            assert reads and set(reads) == {0}
+            renamed[0] = True
+            again = integrate(p, params, s0)
+            renamed[0] = False
+            assert given.map_steps == again.map_steps > 0
+            assert given.U.tobytes() == again.U.tobytes()
+            assert given.erg.tobytes() == again.erg.tobytes()
 
     def test_dead_zone_row_keeps_its_key(self, monkeypatch):
         """The state of `_lasso_state` certifies with x_new exactly zero in
@@ -1686,13 +1775,18 @@ class TestPieceMaps:
     @pytest.mark.parametrize("name", ["example1", "lasso-small"])
     def test_fallback_retries_the_piece_only_for_z(self, name, monkeypatch):
         """The evaluations of general-metric ADMM runs (M1 = M2 = 0.5 I,
-        gamma 0.5, four seeded starts), replayed with their starts: a
-        fallback tries its start's piece again only when the certificate
-        held for the x block.  example1's f is affine, with no x rows, so
-        each fallback failed on a z row and keeps the piece start, which
-        ends its solve at one prox evaluation with the bits of an update
-        built without piece maps; lasso-small's g is affine, with no z
-        rows, so each fallback failed on an x row and skips it."""
+        gamma 0.5, four seeded starts), replayed with their starts, each
+        as recorded and again with its state scaled so that one prox input
+        of its start's piece lies on that piece's bound (`_on_a_bound`),
+        where the guessed piece seldom certifies: a fallback tries its
+        start's piece again only when the certificate held for the x
+        block.  example1's f is affine, with no x rows, so each fallback
+        failed on a z row and keeps the piece start, which ends its solve
+        at one prox evaluation with the bits of an update built without
+        piece maps; lasso-small's g is affine, with no z rows, so each
+        fallback failed on an x row and skips it.  example1's guess
+        certifies every recorded state that its start's piece fails: with
+        f affine, that piece's z inputs are the state's own."""
         p = catalog(name)
         m1, m2 = _half_metrics(p)
         params = DiscreteParams(c=1.0, gamma=0.5, m1=m1, m2=m2)
@@ -1726,7 +1820,10 @@ class TestPieceMaps:
 
         monkeypatch.setattr(p.f, "_prox", counting_prox)
         fallbacks = 0
-        for t, s, start in calls:
+        states = [(t, s, start) for t, s, start in calls]
+        states += [(t, _on_a_bound(update, s, start, p.n, p.m), start)
+                   for t, s, start in calls]
+        for t, s, start in states:
             solves.clear()
             starts.clear()
             proxes.clear()
@@ -1762,6 +1859,40 @@ class TestPieceMaps:
         assert not solves
         assert rows[0] == rows[1]
         want = _reference_update(p, 1.0, 0.5, None, m1, m2, 1e-12)(
+            0.0, s[:n], s[n:iy], s[iy:])
+        for got, w in zip((out[:n], out[n:iy], out[iy:]), want):
+            assert _rel_gap(got, w) <= 1e-13
+
+    @pytest.mark.parametrize("entry,value", [(0, 1.0), (1, -1.0), (2, 1.0),
+                                             (5, 0.0)])
+    def test_guessed_piece_certifies(self, entry, value, monkeypatch):
+        """The state of `_lasso_state`, from a start on another piece of
+        l1 (one entry of x moved to `value`): that piece's map puts a prox
+        input outside its region, so its certificate fails, and the proxes
+        of the inputs it gives lie on the state's own piece, whose map
+        certifies.  The update makes no `metric_prox` call, returns the
+        key of the state's piece, and its row matches the per-block
+        formulas to 1e-13 relative.  (Of the 16 starts that move one entry
+        to -1, 0 or 1 onto another piece, 7 certify by the guess, these
+        four among them; the others fall back.)"""
+        p, m1, m2, s = self._lasso_state(0.005)
+        update = _make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
+        key_of, piece_at, _ = update.pieces
+        n, iy, width = p.n, p.n + p.m, p.n + 2 * p.m
+        x0, z0 = s[:n].copy(), s[n:iy]
+        x0[entry] = value
+        start_key = key_of(x0, z0)
+        assert start_key != key_of(s[:n], z0)
+        mat, lo, hi = piece_at(x0, z0, start_key)
+        inputs = mat[width:].dot(np.append(s, 1.0))
+        assert not np.all((lo + stepmaps.PIECE_MARGIN < inputs)
+                          & (inputs < hi - stepmaps.PIECE_MARGIN))
+        solves = _count_metric_prox(monkeypatch)
+        out = np.empty_like(s)
+        x_new, z_new, key = update(0.0, s, out, (x0, z0))
+        assert not solves
+        assert key == key_of(s[:n], z0) == key_of(x_new, z_new)
+        want = _reference_update(p, 1.0, 0.5, None, m1, m2, 1e-14)(
             0.0, s[:n], s[n:iy], s[iy:])
         for got, w in zip((out[:n], out[n:iy], out[iy:]), want):
             assert _rel_gap(got, w) <= 1e-13
@@ -2223,9 +2354,10 @@ class TestStepMaps:
         """At the states of an RK4 run, the piece map of the update's own
         outputs gives its row to 1e-13 relative, and its prox inputs lie
         inside their region: at every state for the constant-step kernel,
-        and for the general path at each state whose evaluation its piece
-        map certified, with no `metric_prox` solve (48 of 101 here, from
-        the state's own x and z)."""
+        and for the general path at each state whose evaluation a piece
+        map certified, its start's or the guessed one, with no
+        `metric_prox` solve (88 of 101 here from the state's own x and z,
+        48 of them by the start's piece)."""
         p, params = _step_map_case(name, RK4(h=0.05))
         update = _update_of(p, params)
         key_of, piece_at, warm = update.pieces
@@ -2241,7 +2373,8 @@ class TestStepMaps:
             if len(solves) > before:
                 continue
             checked += 1
-            mat, lo, hi = piece_at(row[:n], row[n:iy])
+            mat, lo, hi = piece_at(row[:n], row[n:iy],
+                                   key_of(row[:n], row[n:iy]))
             got = mat.dot(np.append(s, 1.0))
             assert _rel_gap(got[:width], row) <= 1e-13
             assert np.all((lo <= got[width:]) & (got[width:] <= hi))

@@ -599,25 +599,42 @@ class TestKept:
             assert not kept
 
 
+def _kept_patterns(q):
+    """The prox-Jacobian patterns, as bytes, whose inverse Newton matrices
+    in q's matrix the store keeps, least recently used first."""
+    mat = q.base.mat.tobytes()
+    return [jac for (kept, _, jac) in proxlib._INVERSES if kept == mat]
+
+
 class TestNewtonInverses:
-    """Q keeps one inverse Newton matrix per prox-Jacobian pattern; a
-    result never depends on what Q solved before."""
+    """One store keeps one inverse Newton matrix per Q matrix, step and
+    prox-Jacobian pattern; a result never depends on what was kept.  Each
+    test starts from an empty store."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_store(self, monkeypatch):
+        monkeypatch.setattr(proxlib, "_INVERSES", proxlib._Kept(1))
 
     @pytest.mark.parametrize("name", _INVERSE_CASES)
-    def test_warm_and_fresh_q_agree_bit_for_bit(self, name):
+    def test_warm_and_fresh_q_agree_bit_for_bit(self, name, monkeypatch):
+        """A warm store gives the bits of an empty one, for the Q that
+        warmed it and for a new, equal Q."""
         rng = np.random.default_rng(709)
         for f, make_q in _subproblems(name):
             warm = make_q()
             assert warm.base.mat is not None and warm.base.scale is None
             for _ in range(200):
                 metric_prox(f, warm, *_random_subproblem(rng, f.dim))
-            assert warm._newton
+            assert _kept_patterns(warm)
             for _ in range(50):
                 lin, x0 = _random_subproblem(rng, f.dim)
-                fresh = make_q()
                 got = metric_prox(f, warm, lin, x0)
-                want = metric_prox(f, fresh, lin, x0)
+                shared = metric_prox(f, make_q(), lin, x0)
+                with monkeypatch.context() as patch:
+                    patch.setattr(proxlib, "_INVERSES", proxlib._Kept(1))
+                    want = metric_prox(f, make_q(), lin, x0)
                 assert np.array_equal(got, want)
+                assert np.array_equal(shared, want)
 
     @pytest.mark.parametrize("name", _INVERSE_CASES)
     def test_one_inverse_per_distinct_pattern(self, name):
@@ -627,14 +644,16 @@ class TestNewtonInverses:
             g, seen = _pattern_recorder(f)
             for _ in range(200):
                 metric_prox(g, q, *_random_subproblem(rng, f.dim))
-            assert len(q._newton) == len(seen)
+            assert len(_kept_patterns(q)) == len(seen)
+            mat = q.base.mat.tobytes()
             assert all(v.shape == (f.dim, f.dim)
-                       for v in q._newton.values())
+                       for key, v in proxlib._INVERSES.items()
+                       if key[0] == mat)
 
     def test_kept_inverses_stay_within_the_bound(self, monkeypatch):
-        """With room for three inverses, Q keeps three of the many
+        """With room for three inverses, the store keeps three of the many
         lasso-small patterns, the three used last, and every solve still
-        matches a fresh Q."""
+        matches a solve from an empty store."""
         (f, make_q), _ = _subproblems("lasso-small")
         q = make_q()
         monkeypatch.setattr(proxlib, "KEPT_FLOATS", 3 * f.dim * f.dim)
@@ -651,19 +670,84 @@ class TestNewtonInverses:
         for _ in range(200):
             lin, x0 = _random_subproblem(rng, f.dim)
             got = metric_prox(g, q, lin, x0)
-            assert len(q._newton) <= 3
+            assert len(proxlib._INVERSES) <= 3
             last = list(dict.fromkeys(reversed(used)))[:3]
-            assert list(q._newton) == last[::-1]
-            assert np.array_equal(got, metric_prox(f, make_q(), lin, x0))
+            assert _kept_patterns(q) == last[::-1]
+            with monkeypatch.context() as patch:
+                patch.setattr(proxlib, "_INVERSES", proxlib._Kept(1))
+                want = metric_prox(f, make_q(), lin, x0)
+            assert np.array_equal(got, want)
         assert len(seen) > 3
-        assert len(q._newton) == 3
+        assert len(proxlib._INVERSES) == 3
+
+    def test_the_bound_holds_across_sizes(self, monkeypatch):
+        """A budget of 64 floats holds 16 inverses of n = 2.  Once the
+        store has held one of n = 4 it holds at most 64 // 4^2 = 4
+        inverses, so at most 64 floats whatever their sizes, and it holds
+        16 of n = 2 again only after it has been emptied."""
+        monkeypatch.setattr(proxlib, "KEPT_FLOATS", 64)
+        small = SelfAdjointPSD.from_dense(np.diag([1.0, 2.0]), 1.0)
+        large = SelfAdjointPSD.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]), 1.0)
+        for i in range(20):
+            proxlib._kept_inverse(small, 0.5, np.array([1.0, i]))
+        assert len(proxlib._INVERSES) == 16
+        for i in range(3):
+            proxlib._kept_inverse(large, 0.25, np.full(4, float(i)))
+            proxlib._kept_inverse(small, 0.5, np.array([1.0, i]))
+            floats = sum(len(key[2]) ** 2 // 64
+                         for key in proxlib._INVERSES)
+            assert floats <= 64 and len(proxlib._INVERSES) <= 4
+        proxlib._INVERSES.clear()
+        for i in range(20):
+            proxlib._kept_inverse(small, 0.5, np.array([1.0, i]))
+        assert len(proxlib._INVERSES) == 16
+
+    def test_another_matrix_or_step_gets_another_inverse(self):
+        """One pattern under two matrices, or under two steps, gives two
+        kept inverses, each that of its own matrix and step."""
+        rng = np.random.default_rng(733)
+        q = _random_pd(rng, 5)
+        other = _random_pd(rng, 5)
+        jac = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        step = 1.0 / q.norm()
+        cases = [(q, step), (other, step), (q, 0.5 * step)]
+        got = [proxlib._kept_inverse(each, h, jac) for each, h in cases]
+        assert len(proxlib._INVERSES) == 3
+        for (each, h), inv in zip(cases, got):
+            want = proxlib._newton_inverse(each.base.mat, h, jac)
+            assert np.array_equal(inv, want)
+        for i in range(3):
+            for j in range(i):
+                assert not np.array_equal(got[i], got[j])
+
+    def test_equal_matrices_share_one_entry(self, monkeypatch):
+        """Two Q built apart from equal matrices share one kept inverse
+        per pattern and step: the second Q finds the first one's, and no
+        inverse is computed for it."""
+        rng = np.random.default_rng(739)
+        base = rng.standard_normal((5, 5))
+        mat = base.T @ base + np.eye(5)
+        a = SelfAdjointPSD.from_dense(mat, 1.0)
+        b = SelfAdjointPSD.from_dense(mat.copy(), 1.0)
+        assert a.base.mat is not b.base.mat
+        computed, real = [], proxlib._newton_inverse
+
+        def counting(*args):
+            computed.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(proxlib, "_newton_inverse", counting)
+        jac = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
+        first = proxlib._kept_inverse(a, 0.1, jac)
+        assert proxlib._kept_inverse(b, 0.1, jac) is first
+        assert len(computed) == len(proxlib._INVERSES) == 1
 
     def test_singular_pattern_takes_the_fista_path(self):
         """Q = diag(1, 2) with step 1/2 and a Jacobian of 2 make the Newton
-        matrix I - D + step D Q = diag(0, 1) singular.  Q keeps the
-        pattern as no step, and every solve, the first and the ones that
-        find it kept, is FISTA's from x0: the same result and the same
-        prox count as f without a Jacobian."""
+        matrix I - D + step D Q = diag(0, 1) singular.  The store keeps
+        the pattern as no step, and every solve, the first and the ones
+        that find it kept, is FISTA's from x0: the same result and the
+        same prox count as f without a Jacobian."""
         q = SelfAdjointPSD(LinearMap.from_dense(np.diag([1.0, 2.0])),
                            alpha_floor=1.0, norm_hint=2.0)
         inner = zero(2)
@@ -678,7 +762,8 @@ class TestNewtonInverses:
             want = metric_prox(fista, q, lin, x0)
             assert np.array_equal(got, want)
             assert len(singular_calls) == len(fista_calls) > 1
-            assert q._newton == {np.full(1, 2.0).tobytes(): None}
+            assert proxlib._INVERSES == {
+                (q.base.mat.tobytes(), 0.5, np.full(1, 2.0).tobytes()): None}
 
 
 # the x-block of lasso-small and the dense-M2 z-blocks (g a box) of box-qp

@@ -18,25 +18,41 @@ and how many fallback solves began with a piece start
 shown the start's piece wrong for the x block.  The subproblems are those
 fallback solves.  Each is solved as recorded, from the start the run gave
 it and with or without the piece start as the run took it, on four
-paths: in the run's own Q, whose store (`proxlib._Kept`) already keeps the
-inverse Newton matrices of the prox-Jacobian patterns the run met (kept
-inverses); in a copy of Q per call, which keeps none (fresh Q); with f
+paths: in the run's own Q, whose inverse Newton matrices of the
+prox-Jacobian patterns the run met are already kept
+(`proxlib._kept_inverse`; kept inverses); in a copy of Q per call, with
+nothing kept (fresh Q); with f
 copied without its affine pieces, so that Newton starts at x0 and never
 tries x0's piece (newton from x0); and with f copied without its prox
 Jacobian (FISTA alone).
 The script prints the Newton steps of each flow run and the Jacobian
-patterns its Q keeps an inverse of, for the piece maps and for Newton;
+patterns with a kept inverse in its Q, for the piece maps and for Newton;
 then, for each setup and path, microseconds per call (min of 5 passes),
 prox evaluations per call, the calls that return at their first prox
 evaluation, and the calls that went on to FISTA after a full Newton
 phase; then whether the solutions in a fresh Q and with kept inverses
 are bit-equal, and the largest difference between the Newton and FISTA
-solutions.  A tree whose `metric_prox` has no `piece_start`, or whose
-piece keys live in `flow`, runs too.
+solutions.
+
+Before all that, it runs the same flows and ADMM runs twice in this one
+process, a cold pass (nothing kept yet) and a warm pass (what the first
+left kept), and prints per run and per pass on average: the evaluations
+whose start's piece map failed and that tried the piece its product
+names (guesses tried: the x-prox calls an evaluation makes outside
+`metric_prox`), the evaluations that piece's map certified (guesses
+certified: a returned key other than that of the start's piece), the
+`metric_prox` solves left (fallbacks), the piece maps built, the builds
+whose piece certified no evaluation of the run, and the inverse Newton
+matrices computed (`proxlib._newton_inverse` calls).
+
+A tree whose `metric_prox` has no `piece_start`, whose piece keys live in
+`flow`, whose Q keeps its own inverses (`SelfAdjointPSD._newton`) or
+whose update guesses no piece runs too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import sys
 import time
@@ -67,13 +83,7 @@ def subproblems():
     evaluations, the piece keys they computed and the piece starts of the
     solves; and each flow run's Newton steps and kept-inverse
     patterns."""
-    p = catalog("lasso-small")
-    m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
-    m2 = MetricSchedule.constant(SelfAdjointPSD.identity(p.m, 0.5))
-    params = flow.FlowParams(c=1.0, gamma=0.5, horizon=5.0,
-                             integrator=flow.RK4(h=0.05), m1=m1, m2=m2)
-    admm = discrete.DiscreteParams(c=1.0, gamma=0.5, m1=m1, m2=m2,
-                                   max_iters=20000, stop_tol=1e-10)
+    p, params, admm = _setup()
     calls, runs, steps = [], [], [0]
     # update evaluations, piece keys (all, and those inside evaluations)
     # and piece starts
@@ -135,8 +145,9 @@ def subproblems():
             x0, y0 = _start(rng, p.n), _start(rng, p.m)
             steps[0], before = 0, len(calls)
             flow.integrate(p, params, flow.SystemState(x0, p.A.apply(x0), y0))
-            newton = calls[-1][1]._newton if len(calls) > before else None
-            runs.append((steps[0], len(newton or ())))
+            kept = _kept_patterns(calls[-1][1]) if len(calls) > before \
+                else ()
+            runs.append((steps[0], len(kept)))
         counts = {"flow": (len(calls), evals[0], keys[1], starts[0])}
         evals[0], keys[1], starts[0] = 0, 0, 0
         flow_calls, calls[:] = list(calls), []
@@ -145,6 +156,130 @@ def subproblems():
             discrete.run(p, admm, flow.SystemState(x0, p.A.apply(x0), y0))
         counts["admm"] = (len(calls), evals[0], keys[1], starts[0])
     return {"flow": flow_calls, "admm": calls}, counts, runs
+
+
+def _setup():
+    """lasso-small and the `metric-lasso` flow and ADMM parameters."""
+    p = catalog("lasso-small")
+    m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
+    m2 = MetricSchedule.constant(SelfAdjointPSD.identity(p.m, 0.5))
+    params = flow.FlowParams(c=1.0, gamma=0.5, horizon=5.0,
+                             integrator=flow.RK4(h=0.05), m1=m1, m2=m2)
+    admm = discrete.DiscreteParams(c=1.0, gamma=0.5, m1=m1, m2=m2,
+                                   max_iters=20000, stop_tol=1e-10)
+    return p, params, admm
+
+
+def _kept_patterns(q):
+    """The prox-Jacobian patterns whose inverse Newton matrices in q are
+    kept: in the one store by content (`proxlib._INVERSES`), or in q's own
+    store on a tree that has one."""
+    if hasattr(q, "_newton"):
+        return list(q._newton or ())
+    return [jac for mat, _, jac in proxlib._INVERSES if mat == q._mat_bytes]
+
+
+@contextlib.contextmanager
+def _nothing_kept():
+    """A context in which no inverse Newton matrix is found kept or kept:
+    an empty store under a budget of 0 (a tree whose Q keeps its own
+    inverses needs a fresh Q instead, `_fresh`)."""
+    if not hasattr(proxlib, "_INVERSES"):
+        yield
+        return
+    with mock.patch.object(proxlib, "KEPT_FLOATS", 0), \
+            mock.patch.object(proxlib, "_INVERSES", proxlib._Kept(1)):
+        yield
+
+
+COUNTS = ("guesses tried", "guesses certified", "fallbacks", "builds",
+          "builds never certified", "inverses computed")
+
+
+def run_counts():
+    """{setup: [per pass: [per run: COUNTS]]} for the flows and ADMM runs
+    of `subproblems`, a cold pass and then a warm one."""
+    p, params, admm = _setup()
+    n, iy = p.n, p.n + p.m
+    run = {}  # the counts of the run going on
+    built, certified = [], set()  # per run: piece maps built, keys returned
+    inside = {"update": 0, "solve": 0}
+    real_prox, real_solve = p.f._prox, flow.metric_prox
+    real_keep, real_inverse = proxlib._Kept.keep, proxlib._newton_inverse
+    make_update = flow._make_update
+
+    def prox(t, u):
+        run["guesses tried"] += inside["update"] and not inside["solve"]
+        return real_prox(t, u)
+
+    def solve(f, *args, **kwargs):
+        run["fallbacks"] += f is p.f
+        inside["solve"] += 1
+        try:
+            return real_solve(f, *args, **kwargs)
+        finally:
+            inside["solve"] -= 1
+
+    def keep(self, key, value):
+        # a piece map is kept with its piece: (matrix, offsets, finite,
+        # piece)
+        if isinstance(value, tuple) and len(value) == 4:
+            built.append(key)
+        return real_keep(self, key, value)
+
+    def inverse(*args):
+        run["inverses computed"] += 1
+        return real_inverse(*args)
+
+    def counted_update(*args):
+        update = make_update(*args)
+        key_of = update.pieces[0]
+
+        def counted(t, s, out, start=None):
+            inside["update"] += 1
+            try:
+                returned = update(t, s, out, start)
+            finally:
+                inside["update"] -= 1
+            if returned is not None and len(returned) == 3:
+                certified.add(returned[2])
+                x0, z0 = (s[:n], s[n:iy]) if start is None else start[:2]
+                run["guesses certified"] += returned[2] != key_of(x0, z0)
+            return returned
+        counted.pieces = update.pieces
+        return counted
+
+    rng = np.random.default_rng(SEED)
+    starts = {"flow": [], "admm": []}
+    for name, count in (("flow", FLOW_STARTS), ("admm", ADMM_STARTS)):
+        for _ in range(count):
+            x0, y0 = _start(rng, p.n), _start(rng, p.m)
+            starts[name].append(flow.SystemState(x0, p.A.apply(x0), y0))
+    got = {"flow": [], "admm": []}
+    if hasattr(proxlib, "_INVERSES"):
+        proxlib._INVERSES.clear()
+    with mock.patch.object(p.f, "_prox", prox), \
+            mock.patch.object(flow, "metric_prox", solve), \
+            mock.patch.object(proxlib._Kept, "keep", keep), \
+            mock.patch.object(proxlib, "_newton_inverse", inverse), \
+            mock.patch.object(flow, "_make_update", counted_update), \
+            mock.patch.object(discrete, "_make_update", counted_update):
+        for _ in ("cold", "warm"):
+            for name, each in (("flow", lambda s0: flow.integrate(
+                    p, params, s0)), ("admm", lambda s0: discrete.run(
+                    p, admm, s0))):
+                runs = []
+                for s0 in starts[name]:
+                    run.update(dict.fromkeys(COUNTS, 0))
+                    built.clear()
+                    certified.clear()
+                    each(s0)
+                    run["builds"] = len(built)
+                    run["builds never certified"] = sum(
+                        key not in certified for key in built)
+                    runs.append([run[c] for c in COUNTS])
+                got[name].append(runs)
+    return got
 
 
 def _solve(f, q, lin, x0, tol, piece_start):
@@ -178,8 +313,9 @@ def _wrapped(f, path, count=None):
 
 
 def _fresh(q):
-    """A copy of q that keeps no Newton inverses (its norm is copied, so
-    the copy costs no eigensolve)."""
+    """A copy of q (its norm is copied, so the copy costs no eigensolve):
+    one that keeps no Newton inverses on a tree whose Q keeps its own, and
+    one that finds none kept inside `_nothing_kept`."""
     return SelfAdjointPSD(q.base, q.alpha_floor, q.norm())
 
 
@@ -188,21 +324,26 @@ def measure(calls, path):
     On the "fresh Q" path each call solves in a fresh copy of its Q; every
     other path solves in the run's own Q."""
     fresh = path == "fresh Q"
+
+    def kept():
+        return _nothing_kept() if fresh else contextlib.nullcontext()
     timed = [(_wrapped(f, path), *rest) for f, *rest in calls]
     best = np.inf
     for _ in range(REPEATS):
         batch = [(f, _fresh(q) if fresh else q, *rest)
                  for f, q, *rest in timed]
         t0 = time.perf_counter()
-        for f, q, lin, x0, tol, start in batch:
-            _solve(f, q, lin, x0, tol, start)
+        with kept():
+            for f, q, lin, x0, tol, start in batch:
+                _solve(f, q, lin, x0, tol, start)
         best = min(best, time.perf_counter() - t0)
     sols, evals, fallbacks = [], [], 0
     for f, q, lin, x0, tol, start in calls:
         count = {"prox": 0}
         g = _wrapped(f, path, count)
-        sols.append(_solve(g, _fresh(q) if fresh else q, lin, x0, tol,
-                           start))
+        with kept():
+            sols.append(_solve(g, _fresh(q) if fresh else q, lin, x0, tol,
+                               start))
         evals.append(count["prox"])
         # the Newton phase makes at most NEWTON_STEPS evaluations, one more
         # accepts its last point, and a piece start that fails makes one
@@ -216,6 +357,14 @@ PATHS = ("kept inverses", "fresh Q", "newton from x0", "fista only")
 
 
 def main() -> int:
+    for name, passes in run_counts().items():
+        for label, runs in zip(("cold", "warm"), passes):
+            for i, counts in enumerate(runs):
+                print(f"{label} {name} run {i}: " + ", ".join(
+                    f"{c} {v}" for c, v in zip(COUNTS, counts)))
+            mean = np.mean(runs, axis=0)
+            print(f"{label} {name} per run: " + ", ".join(
+                f"{c} {v:.2f}" for c, v in zip(COUNTS, mean)))
     setups, counts, runs = subproblems()
     for name, (solves, evals, keys, starts) in counts.items():
         print(f"{name} update evaluations: {evals}, certified by their "

@@ -17,6 +17,14 @@ their ratio B / A:
   with the affine forms of f and g hidden (`unfolded`: both proxes are
   called), and in general-metric mode with M1 = M2 = 0.5 I on
   lasso-small; gamma 0.5
+* piece change: microseconds per general-metric update call on
+  lasso-small (M1 = M2 = 0.5 I, gamma 0.5) at a state whose start's
+  piece fails its certificate: the fourth evaluation of a unit-step ADMM
+  run from the canonical start, given the third's x_new and z_new without
+  their key (the first three evaluate alike on either tree).  A tree that
+  guesses the next piece (`stepmaps._piece_rows`) takes the map of the
+  piece that the failed map's product names; one that does not solves
+  with `metric_prox`
 * build: microseconds per `flow._make_update` call that builds the
   closed-form update (`auto` tau, gamma 0.5) on every catalog problem,
   and (`build+eval`) per general-metric build on lasso-small with
@@ -129,6 +137,8 @@ def cases(pkg):
     update = flow._make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
     out.append(("update general-metric lasso-small", "us", UPDATE_CALLS / 1e6,
                 _repeat(update, flow._start_row(p, None))))
+    out.append(("piece change general-metric lasso-small", "us",
+                UPDATE_CALLS / 1e6, _repeat_piece_change(update, flow, p)))
     out.append(("build+eval general-metric lasso-small", "us",
                 BUILD_CALLS / 1e6, _repeat_first(flow, p, m1, m2)))
     for name in problems.CATALOG_NAMES:
@@ -218,6 +228,22 @@ def _repeat(update, s):
     def thunk():
         for _ in range(UPDATE_CALLS):
             update(*args)
+    return thunk
+
+
+def _repeat_piece_change(update, flow, p):
+    """The `piece change` case: the update called again and again at the
+    fourth state of a unit-step ADMM run from the canonical start, from
+    the third evaluation's x_new and z_new."""
+    s, start = flow._start_row(p, None), None
+    out = np.empty_like(s)
+    for _ in range(3):
+        start = update(0.0, s, out, start)[:2]
+        s = out.copy()
+
+    def thunk():
+        for _ in range(UPDATE_CALLS):
+            update(0.0, s, out, start)
     return thunk
 
 
