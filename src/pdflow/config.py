@@ -20,10 +20,15 @@ gradient Lipschitz constant of h.  The first term is the closed-form step
 test c tau n^2 <= 1, the second the rate condition
 tau (L/4 + c (3+gamma)/4 n^2) <= 1 of `metric.certify`, the last the same
 with L/2 at gamma = 1.  They bound the flow, not the
-unit-step discrete schemes: at gamma < 1, `discrete --tau auto` diverges
-on example1 (gamma = 0.5) and on `problems/ridge-identity.txt` (gamma =
-0.01, after 92 iterations), and box-qp, which has an h, ends at its budget
-at gamma = 0.5.  A certified discrete step is open item 2 of ROADMAP.md.
+unit-step discrete schemes.  At the CLI's other defaults, `discrete --tau
+auto` diverges on example1 at gamma = 0.5 and 0.01 (after 221 and 41
+iterations) and, at gamma = 0.01, on lasso-small (63) and on the problem
+files `ridge-identity.txt` (92), `wide-lasso.txt` (61) and
+`wide-identity.txt` (60).  It ends at its budget on box-qp, which has an
+h, at gamma = 0.5 and 0.01 (exit 2, the Lyapunov values rise), and on
+`wide-identity.txt` at gamma = 0.5 (exit 0, still converging).  Every run
+at gamma = 1 or 0.99, and every `l1-box.txt` run, ends in `tolerance`.  A
+certified discrete step is open item 2 of ROADMAP.md.
 
 `x0`/`z0`/`y0` accept a vector, `auto` (problem default; z0 = A x0), or
 `example1-default` (the documented start (-10,10)/(-20,0)/(-10,10)).

@@ -1,23 +1,23 @@
-"""Discrete counterparts of the flow: a proximal ADMM family and two
-primal-dual step forms.
+"""Discrete counterparts of the flow: the proximal ADMM family and the
+Chambolle-Pock primal-dual iteration.
 
-`admm_step` is the flow's own proximal ADMM update, built by
+`run` iterates the flow's own proximal ADMM update, built once per run by
 `flow._make_update`, followed by the dual ascent step: from the flat
 iterate s = x | z | y the update writes x_new | z_new | w into a row, with
 w = c (A x_new - z_new) the dual velocity, and the next iterate is
 x_new | z_new | y + w.  So one explicit Euler step of the flow with step 1
-is one `admm_step`, which the
-tests pin down to 1e-12; the maps H and B behind the update's affine terms,
-the constant step folded into H's x rows, and the closed-form or
-`metric_prox` solve of each block, are built there, once per run.
+is one ADMM iteration, which the tests pin down to 1e-12; the maps H and B
+behind the update's affine terms, the constant step folded into H's x
+rows, and the closed-form or `metric_prox` solve of each block, are built
+there, once per run.
 
-`cp_step` is the dual-extrapolated primal-dual update of Chambolle and Pock
-(2011, 4.3), which uses 2 y^k - y^{k-1} in the x-step; it requires h = 0,
-gamma = 1 and no metric schedules.  By the Moreau identity
+The primal-dual iteration of Chambolle and Pock (2011, 4.3) uses
+2 y^k - y^{k-1} in the x-step; it requires h = 0, gamma = 1 and no metric
+schedules (`_require_cp`).  By the Moreau identity
 prox_{c g*}(v) = v - c prox_{g/c}(v / c) it is the gamma = 1 proximal
-ADMM once z^k = A x^k - (y^k - y^{k-1}) / c: `cp_step_explicit` is that
-ADMM step, and `run(..., "cp")` is the ADMM loop started from
-z^0 = A x^0 (y^{-1} = y^0), the start row kept as given.
+ADMM once z^k = A x^k - (y^k - y^{k-1}) / c, so `run(..., "cp")` is the
+ADMM loop started from z^0 = A x^0 (y^{-1} = y^0), the start row kept as
+given.
 """
 
 from __future__ import annotations
@@ -28,18 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationError
-from .flow import SystemState, _blocks, _check_step, _make_update, _start_row
+from .errors import ConfigError
+from .flow import SystemState, _make_update, _start_row
 from .metric import MetricSchedule, TauSchedule
 from .problems import ProblemSpec, kkt_residuals
-from .proxlib import conjugate_prox
 
 __all__ = [
     "DiscreteParams",
     "DiscreteRun",
-    "admm_step",
-    "cp_step",
-    "cp_step_explicit",
     "run",
 ]
 
@@ -87,22 +83,6 @@ class DiscreteParams:
             raise ValueError("tau must be a positive number or a TauSchedule")
 
 
-def admm_step(p: ProblemSpec, d: DiscreteParams, k: int,
-              s: SystemState) -> SystemState:
-    """One proximal ADMM iteration (x-update, relaxed z-update, dual ascent).
-
-    x^{k+1} minimizes f plus the linearized h plus the augmented coupling
-    term in the metric M1^k; z^{k+1} sees the relaxed point
-    gamma x^{k+1} + (1-gamma) x^k; y^{k+1} = y^k + c (A x^{k+1} - z^{k+1}).
-    A tau-family step tau(k) that is not positive (k < 0) is a ValueError.
-    """
-    _check_step(d.tau, d.m1, k)
-    u = _start_row(p, s)
-    update = _make_update(p, d.c, d.gamma, d.tau, d.m1, d.m2, d.inner_tol)
-    x_new, z_new, w = _blocks(p, update, k, u)
-    return SystemState(x_new, z_new, u[p.n + p.m:] + w, float(k + 1))
-
-
 def _require_cp(p: ProblemSpec, d: DiscreteParams):
     if not p.h.is_zero:
         raise ConfigError("primal-dual steps require h = 0")
@@ -110,37 +90,6 @@ def _require_cp(p: ProblemSpec, d: DiscreteParams):
         raise ConfigError("primal-dual steps require gamma = 1")
     if d.m1 is not None or d.m2 is not None:
         raise ConfigError("primal-dual steps take the step tau, not m1 or m2")
-
-
-def cp_step(p: ProblemSpec, d: DiscreteParams, k: int, x, y, y_prev):
-    """Dual-extrapolated primal-dual step; returns (x^{k+1}, y^{k+1}).
-
-    x^{k+1} = prox_{tau f}(x^k - tau A*(2 y^k - y^{k-1}))
-    y^{k+1} = prox_{c g*}(y^k + c A x^{k+1})
-    """
-    _require_cp(p, d)
-    tau_k = d.tau.value(k)
-    x_new = p.f.prox(tau_k, x - tau_k * p.A._raw_adjoint(2.0 * y - y_prev))
-    y_new = conjugate_prox(p.g, d.c, y + d.c * p.A._raw_apply(x_new))
-    return x_new, y_new
-
-
-def cp_step_explicit(p: ProblemSpec, d: DiscreteParams, k: int,
-                     s: SystemState) -> SystemState:
-    """The same primal-dual iteration with the splitting variable explicit:
-    the gamma = 1 `admm_step`,
-
-    x^{k+1} = prox_{tau f}(x^k - tau A*(y^k + c (A x^k - z^k)))
-    z^{k+1} = prox_{g/c}(A x^{k+1} + y^k / c)
-    y^{k+1} = y^k + c (A x^{k+1} - z^{k+1})
-
-    By the Moreau identity y^{k+1} = prox_{c g*}(y^k + c A x^{k+1}) and
-    z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c, so c (A x^k - z^k) =
-    y^k - y^{k-1} from k = 1 on, and at k = 0 for the start z^0 = A x^0,
-    y^{-1} = y^0: the iterates are those of `cp_step`.
-    """
-    _require_cp(p, d)
-    return admm_step(p, d, k, s)
 
 
 @dataclass
@@ -191,9 +140,10 @@ def run(p: ProblemSpec, d: DiscreteParams, s0: SystemState | None = None,
     after a certified piece map the start carries that piece's key, and
     the next evaluation computes none.
     Algorithm "admm" starts from s0; "cp" (`_require_cp`) starts from
-    x0 | A x0 | y0, which makes the iterates those of `cp_step` with its
-    splitting variable z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c, while row
-    0 keeps s0.  Raises ValueError if s0 has the wrong dimensions.
+    x0 | A x0 | y0, which makes the iterates those of the dual-extrapolated
+    step with its splitting variable
+    z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c, while row 0 keeps s0.
+    Raises ValueError if s0 has the wrong dimensions.
 
     The divergence test runs on every iterate, the residuals on a chunk
     of iterates at a time, in one `kkt_residuals` call.  The first chunk

@@ -14,10 +14,10 @@ the relaxed point and c A x_new; for the small problems of the catalog each
 is one dense matrix.  With a constant step tau0, a constant z metric s I
 (none is s = 0), a dense H and h zero or quadratic, the update is one
 kernel: one affine map, r = M U + m0, then at most two proxes and one
-product (`stepmaps._constant_step_update`).  `discrete.admm_step`
-and `discrete.run` use the same update, with y_new = y + w, so a unit-step
-Euler step is one ADMM iteration by construction, and the Chambolle-Pock
-iteration is that ADMM at gamma = 1 from z0 = A x0.  The modes:
+product (`stepmaps._constant_step_update`).  `discrete.run` uses the
+same update, with y_new = y + w, so a unit-step Euler step is one ADMM
+iteration by construction, and the Chambolle-Pock iteration is that ADMM
+at gamma = 1 from z0 = A x0.  The modes:
 
 * closed-form      -- x-update metric I / tau(t) (the tau family, coupled
                       at the run's c and A), both subproblems collapse to

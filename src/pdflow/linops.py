@@ -33,7 +33,6 @@ __all__ = [
     "operator_norm",
     "psd_floor",
     "load_dense",
-    "save_dense",
 ]
 
 # Widest operator stored as one dense matrix (`_block_map`,
@@ -448,10 +447,3 @@ def load_dense(path) -> LinearMap:
     mat = np.array([float(t) for t in data]).reshape(rows, cols)
     return LinearMap.from_dense(mat)
 
-
-def save_dense(path, op: LinearMap) -> None:
-    mat = op.to_dense()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")

@@ -31,7 +31,6 @@ from .proxlib import ProxFunction, SmoothFunction
 __all__ = [
     "ProblemSpec",
     "SaddleResidual",
-    "lagrangian",
     "kkt_residual",
     "kkt_residuals",
     "catalog",
@@ -70,12 +69,6 @@ class ProblemSpec:
     def objective(self, x) -> float:
         return self.f(x) + self.h(x) + self.g(self.A.apply(x))
 
-    def optimal_value(self) -> float:
-        if self.known_primal is None:
-            raise MissingSolutionError(
-                f"problem {self.name!r} has no known primal solution")
-        return self.objective(self.known_primal)
-
     def require_saddle(self) -> tuple[np.ndarray, np.ndarray]:
         if self.known_primal is None or self.known_dual is None:
             raise MissingSolutionError(
@@ -91,17 +84,6 @@ class ProblemSpec:
             x0 = np.ones(self.n)
             y0 = np.zeros(self.m)
         return x0, self.A.apply(x0), y0
-
-
-def lagrangian(p: ProblemSpec, x, z, y) -> float:
-    """f(x) + h(x) + g(z) + <y, A x - z>; +inf outside dom g or dom f."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    val = p.f(x) + p.h(x) + p.g(z)
-    if math.isinf(val):
-        return val
-    return val + float(y @ (p.A.apply(x) - z))
 
 
 @dataclass

@@ -65,8 +65,6 @@ __all__ = [
     "separable",
     "zero_smooth",
     "quadratic_smooth",
-    "prox",
-    "conjugate_prox",
     "metric_prox",
 ]
 
@@ -348,24 +346,6 @@ def quadratic_smooth(P, q=None) -> SmoothFunction:
         float(max(evals[-1], 0.0)), rows=True)
     h.P, h.q = P, q
     return h
-
-
-def prox(f: ProxFunction, tau, u) -> np.ndarray:
-    """The proximal map of f at u with step tau."""
-    return f.prox(tau, u)
-
-
-def conjugate_prox(g: ProxFunction, c, y) -> np.ndarray:
-    """prox of the convex conjugate, prox_{c g*}(y), via the Moreau identity.
-
-    prox_{c g*}(y) = y - c prox_{g, 1/c}(y / c), exact up to roundoff for
-    every g, so no conjugate needs to be materialized.
-    """
-    c = float(c)
-    if not c > 0:
-        raise ValueError("conjugate prox scale c must be positive")
-    y = np.asarray(y, dtype=float)
-    return y - c * g.prox(1.0 / c, y / c)
 
 
 def _newton_inverse(mat, step, jac):

@@ -17,14 +17,15 @@ import pytest
 
 from pdflow.diagnostics import (DEFAULT_GRID, certify_rates, first_hit_time,
                                 initial_weighted_distance, trace_flow)
-from pdflow.discrete import DiscreteParams, cp_step, cp_step_explicit, run
+from pdflow.discrete import DiscreteParams, run
 from pdflow.flow import Euler, FlowParams, RK4, SystemState, integrate
 from pdflow.linops import SelfAdjointPSD, psd_floor
 from pdflow.metric import (MetricSchedule, TauSchedule, certify,
                            x_update_metric)
 from pdflow.problems import catalog
-from pdflow.proxlib import (box, conjugate_prox, l1_norm, metric_prox, prox,
-                            sq_distance, sq_norm, zero)
+from pdflow.proxlib import (box, l1_norm, metric_prox, sq_distance, sq_norm,
+                            zero)
+from oracles import cp_step
 
 TAUCS = (0.49, 0.25, 0.1)
 GAMMAS = (0.99, 0.5, 0.01)
@@ -220,20 +221,23 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_two_forms_and_convergence(self):
-        """The two primal-dual forms agree to 1e-14 over 100 iterations,
-        and at tau = 0.25, c = 1 the iteration reaches KKT residual 1e-6
-        within 500 iterations, converging to the origin."""
+        """The two primal-dual forms agree to 1e-14 over 100 iterations:
+        the dual-extrapolated step (`oracles.cp_step`) and the explicit
+        three-variable form that `run(..., "cp")` iterates.  At tau = 0.25,
+        c = 1 the iteration reaches KKT residual 1e-6 within 500
+        iterations, converging to the origin."""
         p = catalog("example1")
-        d = DiscreteParams(c=1.0, gamma=1.0, tau=0.25)
-        x0, z0, y0 = p.default_start()
+        d = DiscreteParams(c=1.0, gamma=1.0, tau=0.25, max_iters=100,
+                           stop_tol=0.0)
+        x0, _, y0 = p.default_start()
         x, y, y_prev = x0.copy(), y0.copy(), y0.copy()
-        s = SystemState(x0.copy(), z0.copy(), y0.copy(), 0.0)
+        explicit = run(p, d, algorithm="cp").U
+        assert len(explicit) == 101
         worst = 0.0
         for k in range(100):
             x, y, y_prev = (*cp_step(p, d, k, x, y, y_prev), y)
-            s = cp_step_explicit(p, d, k, s)
-            worst = max(worst, float(np.abs(s.x - x).max()),
-                        float(np.abs(s.y - y).max()))
+            worst = max(worst, float(np.abs(explicit[k + 1, X] - x).max()),
+                        float(np.abs(explicit[k + 1, Y] - y).max()))
         forms_ok = worst <= 1e-14
 
         d2 = DiscreteParams(c=1.0, gamma=1.0, tau=0.25, max_iters=500,
@@ -268,10 +272,10 @@ class TestCriterion6:
         for _ in range(1000):
             u = rng.uniform(-6.0, 6.0, 4)
             tau = float(rng.uniform(0.05, 8.0))
-            lhs1 = prox(f1, tau, u) + tau * np.clip(u / tau, -w, w)
+            lhs1 = f1.prox(tau, u) + tau * np.clip(u / tau, -w, w)
             worst = max(worst, float(np.abs(lhs1 - u).max()))
             conj2 = (u / tau) / (1.0 + 1.0 / (tau * 1.7))
-            lhs2 = prox(f2, tau, u) + tau * conj2
+            lhs2 = f2.prox(tau, u) + tau * conj2
             worst = max(worst, float(np.abs(lhs2 - u).max()))
         _report(6, "Moreau identity", worst <= 1e-12,
                 f"worst residual {worst:.2e}")
@@ -286,7 +290,7 @@ class TestCriterion6:
                 u = rng.uniform(-5.0, 5.0, 3)
                 v = rng.uniform(-5.0, 5.0, 3)
                 tau = float(rng.uniform(0.05, 5.0))
-                du = prox(f, tau, u) - prox(f, tau, v)
+                du = f.prox(tau, u) - f.prox(tau, v)
                 worst = max(worst, float(du @ du) - float(du @ (u - v)))
         _report(6, "firm nonexpansiveness", worst <= 1e-10,
                 f"worst violation {worst:.2e}")
@@ -304,7 +308,7 @@ class TestCriterion6:
                 tau = float(rng.uniform(0.2, 2.0))
                 q = SelfAdjointPSD.identity(4, scale=1.0 / tau)
                 got = metric_prox(f, q, lin, np.zeros(4), tol=tol)
-                want = prox(f, tau, -tau * lin)
+                want = f.prox(tau, -tau * lin)
                 worst = max(worst, float(np.abs(got - want).max()))
         _report(6, "inner solver vs closed form", worst <= tol + 1e-10,
                 f"worst gap {worst:.2e}")

@@ -13,13 +13,13 @@ import pytest
 
 from pdflow import discrete, proxlib
 from pdflow.diagnostics import trace_discrete
-from pdflow.discrete import (DIVERGENCE_LIMIT, DiscreteParams, admm_step,
-                             cp_step, cp_step_explicit, run)
+from pdflow.discrete import DIVERGENCE_LIMIT, DiscreteParams, run
 from pdflow.errors import ConfigError, ToleranceNotMet
 from pdflow.flow import Euler, FlowParams, SystemState, _start_row, integrate
 from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import MetricSchedule, TauSchedule
 from pdflow.problems import ProblemSpec, catalog, kkt_residual, kkt_residuals
+from oracles import cp_step
 
 
 def _start():
@@ -46,32 +46,30 @@ class TestAdmmStep:
         is (-9, 7) so soft thresholding A(.) + y at 1 gives z = (-25, 7);
         the dual ascent adds A x - z = (13, -11) to y."""
         d = DiscreteParams(c=1.0, gamma=0.5, tau=0.25)
-        s1 = admm_step(example1, d, 0, _start())
-        np.testing.assert_allclose(s1.x, [-8.0, 4.0], atol=1e-12)
-        np.testing.assert_allclose(s1.z, [-25.0, 7.0], atol=1e-12)
-        np.testing.assert_allclose(s1.y, [3.0, -1.0], atol=1e-12)
-        assert s1.t == 1.0
+        u1 = next(_steps(example1, d, _start_row(example1, _start()), "admm"))
+        np.testing.assert_allclose(u1[0:2], [-8.0, 4.0], atol=1e-12)
+        np.testing.assert_allclose(u1[2:4], [-25.0, 7.0], atol=1e-12)
+        np.testing.assert_allclose(u1[4:6], [3.0, -1.0], atol=1e-12)
 
     def test_fixed_point_at_saddle(self, example1):
         d = DiscreteParams(c=1.0, gamma=1.0, tau=0.25)
-        s0 = SystemState(np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
-        s1 = admm_step(example1, d, 0, s0)
-        assert max(np.abs(s1.x).max(), np.abs(s1.z).max(),
-                   np.abs(s1.y).max()) <= 1e-12
+        u1 = next(_steps(example1, d, np.zeros(6), "admm"))
+        assert np.abs(u1).max() <= 1e-12
 
     @pytest.mark.parametrize("metric", ["tau", "tau-family-m1"])
-    def test_nonpositive_step_rejected(self, example1, metric):
-        """A saturating step is negative before k = 0: tau(-1) =
-        0.2 - 0.15 e < 0, which the update's raw prox must never see."""
+    def test_saturating_step_from_zero(self, example1, metric):
+        """A saturating step is negative before k = 0, tau(-1) =
+        0.2 - 0.15 e < 0, but every iterate steps from k = 0 on, where it
+        is positive."""
         tau = TauSchedule.saturating(0.05, 0.2)
         if metric == "tau":
             d = DiscreteParams(c=1.0, gamma=0.5, tau=tau)
         else:
             d = DiscreteParams(c=1.0, gamma=0.5, m1=MetricSchedule.tau_family(
                 tau, 1.0, example1.A))
-        with pytest.raises(ValueError, match="tau must be positive"):
-            admm_step(example1, d, -1, _start())
-        assert np.isfinite(admm_step(example1, d, 0, _start()).x).all()
+        assert not tau.value(-1) > 0
+        u1 = next(_steps(example1, d, _start_row(example1, _start()), "admm"))
+        assert np.isfinite(u1[:2]).all()
 
 
 class TestEulerEquivalence:
@@ -103,28 +101,28 @@ class TestEulerEquivalence:
 
 class TestPrimalDualForms:
     def test_two_forms_identical(self, example1):
-        """The compact two-variable form and the explicit three-variable
-        form are rearrangements; iterate both for 100 steps and compare."""
+        """The compact two-variable form (`oracles.cp_step`) and the
+        explicit three-variable form, the gamma = 1 ADMM step from
+        z0 = A x0, are rearrangements; iterate both for 100 steps and
+        compare."""
         d = DiscreteParams(c=1.0, gamma=1.0, tau=0.25)
         x0, z0, y0 = example1.default_start()
         x, y, y_prev = x0.copy(), y0.copy(), y0.copy()
-        s = SystemState(x0.copy(), z0.copy(), y0.copy(), 0.0)
+        explicit = _steps(example1, d, np.concatenate((x0, z0, y0)), "cp")
         worst = 0.0
-        for k in range(100):
+        for k, u in zip(range(100), explicit):
             x_new, y_new = cp_step(example1, d, k, x, y, y_prev)
             y_prev, x, y = y, x_new, y_new
-            s = cp_step_explicit(example1, d, k, s)
             worst = max(worst,
-                        float(np.abs(s.x - x).max()),
-                        float(np.abs(s.y - y).max()))
+                        float(np.abs(u[:2] - x).max()),
+                        float(np.abs(u[4:] - y).max()))
         assert worst <= 1e-14
 
     def test_requires_zero_smooth_part(self):
         p = catalog("box-qp")
         d = DiscreteParams(c=1.0, gamma=1.0, tau=0.1)
-        s0 = SystemState(np.zeros(6), np.zeros(6), np.zeros(6), 0.0)
         with pytest.raises(ConfigError):
-            cp_step_explicit(p, d, 0, s0)
+            cp_step(p, d, 0, np.zeros(6), np.zeros(6), np.zeros(6))
         with pytest.raises(ConfigError):
             run(p, d, algorithm="cp")
 
@@ -143,8 +141,6 @@ class TestPrimalDualForms:
             run(example1, d, algorithm="cp")
         with pytest.raises(ConfigError, match="m1 or m2"):
             cp_step(example1, d, 0, np.zeros(2), np.zeros(2), np.zeros(2))
-        with pytest.raises(ConfigError, match="m1 or m2"):
-            cp_step_explicit(example1, d, 0, _start())
         assert run(example1, d, _start()).iterations > 0  # ADMM takes them
 
     def test_converges_on_example1(self, example1):
@@ -211,9 +207,9 @@ class TestRun:
 
     @pytest.mark.parametrize("algorithm", ["admm", "cp"])
     def test_rows_match_state_views(self, algorithm):
-        """Row k is x^k | z^k | y^k of the state-by-state step form: row 0
-        the start, then `admm_step`, or `cp_step_explicit` from
-        x0 | A x0 | y0."""
+        """Row k is x^k | z^k | y^k of the step-by-step form: row 0 the
+        start, then one update evaluation per iterate, passing no start,
+        from x0 | z0 | y0 (ADMM) or x0 | A x0 | y0 (CP)."""
         p = catalog("lasso-small")
         d = DiscreteParams(c=1.0, gamma=1.0, tau=0.2, max_iters=12,
                            stop_tol=0.0)
@@ -223,16 +219,10 @@ class TestRun:
         assert len(out.U) == len(out.residuals) == 13
         x0, z0, y0 = p.default_start()
         np.testing.assert_array_equal(np.concatenate((x0, z0, y0)), out.U[0])
-        if algorithm == "admm":
-            s, step = SystemState(x0, z0, y0, 0.0), admm_step
-        else:
-            s, step = SystemState(x0, p.A.apply(x0), y0, 0.0), cp_step_explicit
-        for k in range(1, 13):
-            s = step(p, d, k - 1, s)
-            assert s.t == float(k)
-            np.testing.assert_array_equal(np.concatenate((s.x, s.z, s.y)),
-                                          out.U[k])
-        np.testing.assert_array_equal(s.y, out.U[-1, p.n + p.m:])
+        steps = _steps(p, d, out.U[0], algorithm)
+        for k, u in zip(range(1, 13), steps):
+            np.testing.assert_array_equal(u, out.U[k])
+        np.testing.assert_array_equal(u[p.n + p.m:], out.U[-1, p.n + p.m:])
 
     def test_residual_history_aligned(self, example1):
         d = DiscreteParams(tau=0.25, max_iters=50, stop_tol=0.0)
@@ -643,9 +633,9 @@ class TestIterateBuffer:
 
 def _cp_dual_extrapolated(p, d, u0, iterations):
     """The rows of the dual-extrapolated loop `run(..., "cp")` iterated
-    before it ran the ADMM kernel: `cp_step`, with the splitting variable
-    z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c, from y^{-1} = y^0; row 0
-    is u0."""
+    before it ran the ADMM kernel: `oracles.cp_step`, with the splitting
+    variable z^{k+1} = A x^{k+1} - (y^{k+1} - y^k) / c, from y^{-1} = y^0;
+    row 0 is u0."""
     n, iy = p.n, p.n + p.m
     x, y = u0[:n], u0[iy:]
     y_prev = y

@@ -16,7 +16,7 @@ import pytest
 
 from pdflow import discrete, flow, linops, proxlib, stepmaps
 from pdflow.config import load_problem, resolve_tau
-from pdflow.discrete import DiscreteParams, admm_step, run as discrete_run
+from pdflow.discrete import DiscreteParams, run as discrete_run
 from pdflow.errors import (CertificationError, IntegrationError,
                            ToleranceNotMet)
 from pdflow.flow import (Adaptive, Euler, FlowParams, RK4, SystemState,
@@ -697,7 +697,7 @@ class TestTauFamilyXStep:
                 want = metric_prox(p.f, q, lin, x, tol=1e-14)
                 assert _rel_gap(update(t, s)[0], want) <= 1e-12
 
-    @pytest.mark.parametrize("entry", ["integrate", "rhs", "run", "admm_step"])
+    @pytest.mark.parametrize("entry", ["integrate", "rhs", "run"])
     @pytest.mark.parametrize("coupling", ["c", "A"])
     def test_foreign_coupling_is_refused(self, example1, coupling, entry):
         """Coupled at c = 2 for a run at c = 1, or at an equal copy of A,
@@ -714,7 +714,6 @@ class TestTauFamilyXStep:
             "integrate": lambda: integrate(example1, flow_params, _start()),
             "rhs": lambda: rhs(example1, flow_params, 0.0, _start()),
             "run": lambda: discrete_run(example1, steps, _start()),
-            "admm_step": lambda: admm_step(example1, steps, 0, _start()),
         }
         with pytest.raises(ValueError, match="coupled at the run's c and A"):
             calls[entry]()

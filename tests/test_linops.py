@@ -11,7 +11,8 @@ import pytest
 from pdflow import linops
 from pdflow.errors import CertificationError
 from pdflow.linops import (LinearMap, SelfAdjointPSD, block_diag, load_dense,
-                           operator_norm, psd_floor, save_dense)
+                           operator_norm, psd_floor)
+from oracles import save_dense
 
 
 def _random_dense(rng, rows, cols):

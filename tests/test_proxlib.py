@@ -19,9 +19,10 @@ from pdflow.errors import CertificationError, ToleranceNotMet
 from pdflow.linops import LinearMap, SelfAdjointPSD
 from pdflow.metric import MetricSchedule, x_update_metric, z_update_metric
 from pdflow.problems import catalog
-from pdflow.proxlib import (NEWTON_STEPS, box, conjugate_prox, l1_norm,
-                            metric_prox, prox, quadratic_smooth, separable,
-                            sq_distance, sq_norm, zero, zero_smooth)
+from pdflow.proxlib import (NEWTON_STEPS, box, l1_norm, metric_prox,
+                            quadratic_smooth, separable, sq_distance, sq_norm,
+                            zero, zero_smooth)
+from oracles import conjugate_prox
 
 _PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -83,7 +84,7 @@ class TestProxAgainstNumericOracle:
         for _ in range(8):
             u = rng.uniform(-4.0, 4.0, 3)
             tau = float(rng.uniform(0.05, 3.0))
-            got = prox(f, tau, u)
+            got = f.prox(tau, u)
             want = _numeric_prox(f, tau, u)
             np.testing.assert_allclose(got, want, atol=2e-7)
 
@@ -91,13 +92,13 @@ class TestProxAgainstNumericOracle:
         f = box(4, lo=-1.0, hi=2.0)
         u = np.array([-3.0, 0.5, 2.0, 7.0])
         for tau in (0.1, 1.0, 25.0):
-            np.testing.assert_array_equal(prox(f, tau, u),
+            np.testing.assert_array_equal(f.prox(tau, u),
                                           np.array([-1.0, 0.5, 2.0, 2.0]))
 
     def test_l1_prox_closed_form(self):
         f = l1_norm(3, weight=2.0)
         u = np.array([5.0, -1.0, 0.3])
-        got = prox(f, 0.5, u)
+        got = f.prox(0.5, u)
         np.testing.assert_allclose(got, np.array([4.0, 0.0, 0.0]), atol=1e-15)
 
 
@@ -145,7 +146,7 @@ class TestMoreauAndConjugate:
             u = rng.uniform(-6.0, 6.0, 5)
             tau = float(rng.uniform(0.05, 10.0))
             clip = np.clip(u / tau, -w, w)
-            np.testing.assert_allclose(prox(f, tau, u) + tau * clip, u,
+            np.testing.assert_allclose(f.prox(tau, u) + tau * clip, u,
                                        rtol=0, atol=1e-12)
 
     def test_conjugate_prox_l1_is_clip(self):
@@ -187,7 +188,7 @@ class TestFirmNonexpansiveness:
             u = rng.uniform(-5.0, 5.0, 3)
             v = rng.uniform(-5.0, 5.0, 3)
             tau = float(rng.uniform(0.05, 5.0))
-            du = prox(f, tau, u) - prox(f, tau, v)
+            du = f.prox(tau, u) - f.prox(tau, v)
             inner = float(du @ (u - v))
             assert float(du @ du) <= inner + 1e-10
             assert np.linalg.norm(du) <= np.linalg.norm(u - v) + 1e-10
@@ -204,7 +205,7 @@ class TestMetricProx:
                 tau = float(rng.uniform(0.2, 2.0))
                 q = SelfAdjointPSD.identity(4, scale=1.0 / tau)
                 got = metric_prox(f, q, lin, np.zeros(4), tol=1e-12)
-                want = prox(f, tau, -tau * lin)
+                want = f.prox(tau, -tau * lin)
                 np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_quadratic_with_dense_metric(self):
@@ -229,7 +230,7 @@ class TestMetricProx:
         got = metric_prox(f, q, np.array([3.0, -0.2, -5.0]), np.ones(3),
                           tol=1e-12)
         assert len(calls) == 1
-        np.testing.assert_allclose(got, prox(inner, 0.25, -0.25 * np.array(
+        np.testing.assert_allclose(got, inner.prox(0.25, -0.25 * np.array(
             [3.0, -0.2, -5.0])), atol=1e-15)
 
     def test_zero_f_dense_metric_solves_linear_system(self):

@@ -1,20 +1,26 @@
-"""Tests for the output tools that every claim about CLI outputs rests on.
+"""Tests for the tools that every claim about CLI outputs and per-layer
+cost rests on, and for the names they and the benchmark read.
 
-`tools/output_diff.py` and `tools/output_digest.py` are scripts, not
-modules of the package, so they are imported from their paths.
+`tools/*.py` and `perfbench/run.py` are scripts, not modules of the
+package, so they are imported from their paths.
 """
 
+import importlib
 import importlib.util
 import os
+import pkgutil
 import sys
 import warnings
 
 import pytest
 
+import pdflow
 
-def _load_tool(name):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                        name + ".py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _load_tool(name, folder="tools"):
+    path = os.path.join(ROOT, folder, name + ".py")
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -86,3 +92,50 @@ class TestDigestWarnings:
         other = self._digest(monkeypatch, _warns_otherwise)
         assert here[:2] == other[:2]
         assert here[2] != other[2]
+
+
+class TestPublicNames:
+    """A name that a module exports, or that the benchmark traces, must
+    exist, so that removing one fails here and not in a later run."""
+
+    @pytest.mark.parametrize("name", sorted(
+        info.name for info in pkgutil.iter_modules(pdflow.__path__)))
+    def test_every_exported_name_resolves(self, name):
+        module = importlib.import_module(f"pdflow.{name}")
+        missing = [n for n in getattr(module, "__all__", ())
+                   if not hasattr(module, n)]
+        assert not missing
+
+    def test_every_traced_target_exists(self):
+        targets = _load_tool("run", "perfbench")._trace_targets()
+        assert targets
+        for owner, attr, _, _, method in targets:
+            assert callable(getattr(owner, attr, None)), (owner, attr)
+            if method is not None:
+                cls, name, _ = method
+                assert callable(getattr(cls, name, None)), (cls, name)
+
+
+class TestPerLayerTools:
+    """`tools/step_bench.py` and `tools/metric_prox_probe.py` reach into
+    private names of `stepmaps`, `proxlib` and `flow`; each runs once on
+    this tree."""
+
+    def test_step_bench_cases_run(self):
+        step_bench = _load_tool("step_bench")
+        name = "pdflow_step_bench_smoke"
+        try:
+            cases = step_bench.cases(step_bench.load_tree(ROOT, name))
+            assert cases
+            for label, unit, per, thunk in cases:
+                assert unit in ("us", "s") and per > 0, label
+                thunk()
+        finally:
+            for module in [m for m in sys.modules if m == name
+                           or m.startswith(name + ".")]:
+                del sys.modules[module]
+
+    def test_metric_prox_probe_runs(self, capsys):
+        assert _load_tool("metric_prox_probe").main() == 0
+        out = capsys.readouterr().out
+        assert "fresh Q == kept inverses, bit for bit: True" in out

@@ -44,10 +44,6 @@ certified: a returned key other than that of the start's piece), the
 `metric_prox` solves left (fallbacks), the piece maps built, the builds
 whose piece certified no evaluation of the run, and the inverse Newton
 matrices computed (`proxlib._newton_inverse` calls).
-
-A tree whose `metric_prox` has no `piece_start`, whose piece keys live in
-`flow`, whose Q keeps its own inverses (`SelfAdjointPSD._newton`) or
-whose update guesses no piece runs too.
 """
 
 from __future__ import annotations
@@ -91,9 +87,7 @@ def subproblems():
     newton_step = proxlib._newton_step
     piece_start = proxlib._piece_start
     make_update = flow._make_update
-    # the module that builds the update's pieces
-    pieces = stepmaps if hasattr(stepmaps, "_piece_key") else flow
-    piece_key = pieces._piece_key
+    piece_key = stepmaps._piece_key
 
     def counted_key(fn, step):
         key = piece_key(fn, step)
@@ -124,7 +118,7 @@ def subproblems():
         if f is p.f:
             calls.append((f, Q, np.copy(linear), np.copy(x0), tol,
                           piece_start))
-        return _solve(f, Q, linear, x0, tol, piece_start)
+        return metric_prox(f, Q, linear, x0, tol, piece_start=piece_start)
 
     def count(f, Q, *args):
         steps[0] += f is p.f
@@ -138,7 +132,7 @@ def subproblems():
     with mock.patch.object(flow, "metric_prox", record), \
             mock.patch.object(proxlib, "_newton_step", count), \
             mock.patch.object(proxlib, "_piece_start", count_start), \
-            mock.patch.object(pieces, "_piece_key", counted_key), \
+            mock.patch.object(stepmaps, "_piece_key", counted_key), \
             mock.patch.object(flow, "_make_update", counted_update), \
             mock.patch.object(discrete, "_make_update", counted_update):
         for _ in range(FLOW_STARTS):
@@ -172,21 +166,14 @@ def _setup():
 
 def _kept_patterns(q):
     """The prox-Jacobian patterns whose inverse Newton matrices in q are
-    kept: in the one store by content (`proxlib._INVERSES`), or in q's own
-    store on a tree that has one."""
-    if hasattr(q, "_newton"):
-        return list(q._newton or ())
+    kept in the one store by content (`proxlib._INVERSES`)."""
     return [jac for mat, _, jac in proxlib._INVERSES if mat == q._mat_bytes]
 
 
 @contextlib.contextmanager
 def _nothing_kept():
     """A context in which no inverse Newton matrix is found kept or kept:
-    an empty store under a budget of 0 (a tree whose Q keeps its own
-    inverses needs a fresh Q instead, `_fresh`)."""
-    if not hasattr(proxlib, "_INVERSES"):
-        yield
-        return
+    an empty store under a budget of 0."""
     with mock.patch.object(proxlib, "KEPT_FLOATS", 0), \
             mock.patch.object(proxlib, "_INVERSES", proxlib._Kept(1)):
         yield
@@ -256,8 +243,7 @@ def run_counts():
             x0, y0 = _start(rng, p.n), _start(rng, p.m)
             starts[name].append(flow.SystemState(x0, p.A.apply(x0), y0))
     got = {"flow": [], "admm": []}
-    if hasattr(proxlib, "_INVERSES"):
-        proxlib._INVERSES.clear()
+    proxlib._INVERSES.clear()
     with mock.patch.object(p.f, "_prox", prox), \
             mock.patch.object(flow, "metric_prox", solve), \
             mock.patch.object(proxlib._Kept, "keep", keep), \
@@ -280,14 +266,6 @@ def run_counts():
                     runs.append([run[c] for c in COUNTS])
                 got[name].append(runs)
     return got
-
-
-def _solve(f, q, lin, x0, tol, piece_start):
-    """`metric_prox`, given `piece_start` only when it is False, so that a
-    tree whose solve always tries the piece start runs too."""
-    if piece_start:
-        return metric_prox(f, q, lin, x0, tol=tol)
-    return metric_prox(f, q, lin, x0, tol=tol, piece_start=False)
 
 
 def _pieces(path):
@@ -313,9 +291,8 @@ def _wrapped(f, path, count=None):
 
 
 def _fresh(q):
-    """A copy of q (its norm is copied, so the copy costs no eigensolve):
-    one that keeps no Newton inverses on a tree whose Q keeps its own, and
-    one that finds none kept inside `_nothing_kept`."""
+    """A copy of q (its norm is copied, so the copy costs no eigensolve)
+    that finds no Newton inverse kept inside `_nothing_kept`."""
     return SelfAdjointPSD(q.base, q.alpha_floor, q.norm())
 
 
@@ -335,15 +312,15 @@ def measure(calls, path):
         t0 = time.perf_counter()
         with kept():
             for f, q, lin, x0, tol, start in batch:
-                _solve(f, q, lin, x0, tol, start)
+                metric_prox(f, q, lin, x0, tol, piece_start=start)
         best = min(best, time.perf_counter() - t0)
     sols, evals, fallbacks = [], [], 0
     for f, q, lin, x0, tol, start in calls:
         count = {"prox": 0}
         g = _wrapped(f, path, count)
         with kept():
-            sols.append(_solve(g, _fresh(q) if fresh else q, lin, x0, tol,
-                               start))
+            sols.append(metric_prox(g, _fresh(q) if fresh else q, lin, x0,
+                                    tol, piece_start=start))
         evals.append(count["prox"])
         # the Newton phase makes at most NEWTON_STEPS evaluations, one more
         # accepts its last point, and a piece start that fails makes one

@@ -43,8 +43,7 @@ their ratio B / A:
   of these lines also gives the microseconds per rhs evaluation, the
   run's time over its `rhs_evals` (a step map's product counts as the
   evaluations of the stagewise step it stands for), and the share of its
-  steps that a step map took (`FlowTrajectory.map_steps`, 0 for a tree
-  without step maps)
+  steps that a step map took (`FlowTrajectory.map_steps`)
 * admm: microseconds per iteration of a 500-iteration `discrete.run` on
   every catalog problem with `auto` tau and gamma 1, and in
   general-metric mode with M1 = M2 = 0.5 I on lasso-small, where each
@@ -56,17 +55,13 @@ their ratio B / A:
   stop row included
 * cp: the same with algorithm "cp", on every catalog problem with h = 0
 
-A tree whose update writes into a row it is given (update(t, s, out))
-and one whose update returns its blocks (update(t, s)) can be compared:
-the update lines call each tree's own form.  The header gives Python,
-numpy and the CPU.
+The header gives Python, numpy and the CPU.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import inspect
 import os
 import platform
 import sys
@@ -221,13 +216,11 @@ def _metric_lasso_admm(pkg, p, m1, m2):
 
 
 def _repeat(update, s):
-    args = (0.0, s)
-    if "out" in inspect.signature(update).parameters:
-        args += (np.empty_like(s),)
+    out = np.empty_like(s)
 
     def thunk():
         for _ in range(UPDATE_CALLS):
-            update(*args)
+            update(0.0, s, out)
     return thunk
 
 
@@ -255,23 +248,19 @@ def _repeat_build(flow, p, tau):
 
 
 def _repeat_first(flow, p, m1, m2):
-    def make():
-        return flow._make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)
     s = flow._start_row(p, None)
-    args = (0.0, s)
-    if "out" in inspect.signature(make()).parameters:
-        args += (np.empty_like(s),)
+    out = np.empty_like(s)
 
     def thunk():
         for _ in range(BUILD_CALLS):
-            make()(*args)
+            flow._make_update(p, 1.0, 0.5, None, m1, m2, 1e-10)(0.0, s, out)
     return thunk
 
 
 def _map_share(traj):
-    """The share of a run's steps that a step map took; 0 for a tree
-    without step maps.  Every case records every step."""
-    return getattr(traj, "map_steps", 0) / (len(traj.t) - 1)
+    """The share of a run's steps that a step map took.  Every case
+    records every step."""
+    return traj.map_steps / (len(traj.t) - 1)
 
 
 def main(argv=None):
