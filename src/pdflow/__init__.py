@@ -7,6 +7,6 @@ from .errors import (
     MissingSolutionError,
     ToleranceNotMet,
 )
-from .linops import LinearMap, SelfAdjointPSD, block_diag, load_dense, operator_norm, psd_floor
+from .linops import LinearMap, SelfAdjointPSD, load_dense, operator_norm, psd_floor
 
 __version__ = "0.1.0"

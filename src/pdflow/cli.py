@@ -370,13 +370,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         cfg = _load_config(args)
         return _DISPATCH[args.command](args, cfg)
-    except ConfigError as exc:
-        print(f"pdflow: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"pdflow: {exc}", file=sys.stderr)
-        return 1
-    except CertificationError as exc:
+    except (ValueError, CertificationError) as exc:
         print(f"pdflow: {exc}", file=sys.stderr)
         return 1
     except (IntegrationError, ToleranceNotMet) as exc:

@@ -32,7 +32,6 @@ __all__ = [
     "Trace",
     "RateCertificate",
     "DEFAULT_GRID",
-    "lyapunov",
     "lyapunov_excess",
     "initial_weighted_distance",
     "trace_flow",
@@ -80,32 +79,27 @@ class Trace:
         return len(self.t)
 
 
-def _stack(s: SystemState, x_ref, z_ref, y_ref) -> np.ndarray:
-    return np.concatenate([s.x - x_ref, s.z - z_ref, s.y - y_ref])
-
-
-def lyapunov(p: ProblemSpec, m1: MetricSchedule, m2: MetricSchedule,
-             c, gamma, t, s: SystemState) -> float:
-    """Weighted squared distance to the known saddle at time t.
-
-    Blocks: ||x - x*||^2 in M1(t) + c(1-gamma) A*A, ||z - A x*||^2 in
-    M2(t) + c I, and ||y - y*||^2 / c.  Needs both known solutions.
-    """
-    x_star, y_star = p.require_saddle()
-    w = weight_W(m1, m2, c, gamma, p.A, t)
-    return w.seminorm_sq(_stack(s, x_star, p.A.apply(x_star), y_star))
+def _cuts(n, m):
+    """The x, z and y slices of a state row x | z | y."""
+    return slice(0, n), slice(n, n + m), slice(n + m, n + 2 * m)
 
 
 def initial_weighted_distance(p: ProblemSpec, m1: MetricSchedule,
                               m2: MetricSchedule, c, gamma,
                               s0: SystemState) -> float:
-    """||U0 - (x*, A x*, 0)||^2 in W(0); the numerator of the gap bound."""
+    """||U0 - (x*, A x*, 0)||^2 in W(0); the numerator of the gap bound.
+    Tiny negatives from roundoff are clamped to zero."""
     if p.known_primal is None:
         raise MissingSolutionError(
             f"problem {p.name!r} has no known primal solution")
     x_star = p.known_primal
-    w = weight_W(m1, m2, c, gamma, p.A, 0.0)
-    return w.seminorm_sq(_stack(s0, x_star, p.A.apply(x_star), np.zeros(p.m)))
+    d = np.concatenate([s0.x - x_star, s0.z - p.A.apply(x_star), s0.y])
+    blocks = weight_W(m1, m2, c, gamma, p.A, 0.0)
+    v = float(d @ np.concatenate([block._raw_apply(d[cut]) for block, cut
+                                  in zip(blocks, _cuts(p.n, p.m))]))
+    if v < 0.0 and v >= -1e-12 * float(d @ d):
+        return 0.0
+    return v
 
 
 def _moving_tau(sched: MetricSchedule, t):
@@ -134,7 +128,10 @@ def _build_trace(p, m1, m2, c, gamma, t, U, erg=None) -> Trace:
         cols["dist_dual"] = _row_norms(Y - y_star)
     if x_star is not None and y_star is not None:
         D = U - np.concatenate((x_star, p.A.apply(x_star), y_star))
-        W = weight_W(m1, m2, c, gamma, p.A, t[0]).base.to_dense()
+        W = np.zeros((n + 2 * m, n + 2 * m))
+        for block, cut in zip(weight_W(m1, m2, c, gamma, p.A, t[0]),
+                              _cuts(n, m)):
+            W[cut, cut] = block.to_dense()
         v = _row_dots(D, _apply_rows(W, D))
         moving = ((_moving_tau(m1, t), D[:, :n]),
                   (_moving_tau(m2, t), D[:, n:n + m]))
@@ -142,7 +139,7 @@ def _build_trace(p, m1, m2, c, gamma, t, U, erg=None) -> Trace:
             if tau_i is not None:
                 inv = 1.0 / np.asarray(tau_i, dtype=float)
                 v += (inv - inv[0]) * _row_dots(block, block)
-        # tiny negatives from roundoff are clamped, as in seminorm_sq
+        # tiny negatives from roundoff are clamped, as in W0
         v[(v < 0.0) & (v >= -1e-12 * _row_dots(D, D))] = 0.0
         cols["lyapunov"] = v
     if erg is not None:

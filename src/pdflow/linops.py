@@ -29,7 +29,6 @@ from .errors import CertificationError
 __all__ = [
     "LinearMap",
     "SelfAdjointPSD",
-    "block_diag",
     "operator_norm",
     "psd_floor",
     "load_dense",
@@ -47,13 +46,6 @@ _DENSE_LIMIT = 128
 # for `psd_floor`.  2**22 floats is 32 MiB; `eigvalsh` at 2048 x 2048 takes
 # 0.71 s on a 2-vCPU VM.  Past it a certificate is refused, not estimated.
 _EIGENSOLVE_FLOATS = 2 ** 22
-
-
-def _as_vec(x, dim, name="x"):
-    v = np.asarray(x, dtype=float)
-    if v.shape != (dim,):
-        raise ValueError(f"{name} must have shape ({dim},), got {v.shape}")
-    return v
 
 
 def _as_point_or_rows(x, dim, name="x"):
@@ -283,62 +275,10 @@ class SelfAdjointPSD:
     def apply(self, x) -> np.ndarray:
         return self.base.apply(x)
 
-    def seminorm_sq(self, x) -> float:
-        """<x, U x>; tiny negatives from roundoff are clamped to zero."""
-        x = _as_vec(x, self.dim)
-        v = float(x @ self.base._raw_apply(x))
-        if v < 0.0 and v >= -1e-12 * float(x @ x):
-            return 0.0
-        return v
-
     def norm(self) -> float:
         if self._norm_hint is None:
             self._norm_hint = operator_norm(self.base)
         return self._norm_hint
-
-    def __add__(self, other) -> "SelfAdjointPSD":
-        if not isinstance(other, SelfAdjointPSD):
-            return NotImplemented
-        # the norm of a sum is not the sum of norms; recompute lazily
-        return SelfAdjointPSD(self.base + other.base,
-                              self.alpha_floor + other.alpha_floor)
-
-    def __mul__(self, alpha) -> "SelfAdjointPSD":
-        a = float(alpha)
-        if a < 0:
-            raise ValueError("scaling a PSD operator by a negative factor")
-        hint = None if self._norm_hint is None else a * self._norm_hint
-        return SelfAdjointPSD(a * self.base, a * self.alpha_floor, hint)
-
-    __rmul__ = __mul__
-
-
-def block_diag(blocks) -> SelfAdjointPSD:
-    """Stack self-adjoint blocks along the diagonal of one operator; rows
-    apply each block's rows to their column slice."""
-    blocks = list(blocks)
-    dims = [b.dim for b in blocks]
-    offsets = np.cumsum([0] + dims)
-    spans = list(zip(blocks, offsets[:-1], offsets[1:]))
-    total = int(offsets[-1])
-
-    def apply(x):
-        out = np.empty(total)
-        for b, lo, hi in spans:
-            out[lo:hi] = b.base._raw_apply(x[lo:hi])
-        return out
-
-    def rows(x):
-        out = np.empty((len(x), total))
-        for b, lo, hi in spans:
-            out[:, lo:hi] = b.base._rows_apply(x[:, lo:hi])
-        return out
-
-    base = LinearMap(total, total, apply, apply, rows, rows)
-    floor = min(b.alpha_floor for b in blocks)
-    hints = [b._norm_hint for b in blocks]
-    hint = max(hints) if all(h is not None for h in hints) else None
-    return SelfAdjointPSD(base, floor, hint)
 
 
 def _refuse_past_cap(what, rows, cols):

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import (LinearMap, SelfAdjointPSD, _metric_spectrum, block_diag,
-                     psd_floor)
+from .linops import LinearMap, SelfAdjointPSD, _metric_spectrum, psd_floor
 
 __all__ = [
     "TauSchedule",
@@ -140,11 +139,13 @@ def z_update_metric(m2: MetricSchedule, c, t) -> SelfAdjointPSD:
 
 
 def default_sample_times(horizon, count=50):
-    """Log-spaced certificate sample times in (0, horizon], plus t = 0."""
+    """Log-spaced certificate sample times in (0, horizon], plus t = 0; the
+    first is max(1e-4 horizon, 1e-6), clipped to the horizon."""
     horizon = float(horizon)
     if horizon <= 0:
         return [0.0]
-    pts = np.geomspace(max(horizon * 1e-4, 1e-6), horizon, num=count)
+    start = min(max(horizon * 1e-4, 1e-6), horizon)
+    pts = np.geomspace(start, horizon, num=count)
     return [0.0] + [float(p) for p in pts]
 
 
@@ -237,26 +238,11 @@ def certify(m1: MetricSchedule, m2: MetricSchedule, c, gamma, A: LinearMap,
 
 
 def weight_W(m1: MetricSchedule, m2: MetricSchedule, c, gamma,
-             A: LinearMap, t) -> SelfAdjointPSD:
-    """Block-diagonal weight of the Lyapunov distance at time t.
-
-    Blocks: x -> M1(t) + c(1-gamma) A*A,  z -> M2(t) + c I,  y -> I / c.
-    """
+             A: LinearMap, t) -> tuple:
+    """The diagonal blocks (x, z, y) of the Lyapunov weight W(t):
+    M1(t) + c(1-gamma) A*A, M2(t) + c I and I / c."""
     c = float(c)
-    gamma = float(gamma)
-    n, m = A.in_dim, A.out_dim
-    m1_t = m1.at(t)
-    gram = A.gram()
-    if m1.tau is not None:
-        # I/tau - c gamma A*A, floor analytic
-        tau_t = m1.tau.value(t)
-        xf = max(1.0 / tau_t - c * gamma * m1.A.norm() ** 2, 0.0)
-        x_block = SelfAdjointPSD(m1_t.base + (c * (1.0 - gamma)) * gram, xf)
-    else:
-        x_block = SelfAdjointPSD(m1_t.base + (c * (1.0 - gamma)) * gram,
-                                 m1_t.alpha_floor)
-    m2_t = m2.at(t)
-    z_block = SelfAdjointPSD(m2_t.base + LinearMap.identity(m, c),
-                             m2_t.alpha_floor + c)
-    y_block = SelfAdjointPSD.identity(m, 1.0 / c)
-    return block_diag([x_block, z_block, y_block])
+    m = A.out_dim
+    x_block = m1.at(t).base + (c * (1.0 - float(gamma))) * A.gram()
+    z_block = m2.at(t).base + LinearMap.identity(m, c)
+    return x_block, z_block, LinearMap.identity(m, 1.0 / c)

@@ -3,8 +3,9 @@
 Each is written out from its textbook form, independent of the update that
 `flow._make_update` builds: the dual-extrapolated primal-dual step of
 Chambolle and Pock, the prox of a convex conjugate by the Moreau identity,
-the Lagrangian, the optimal value at a known solution, and the writer that
-`linops.load_dense` reads.
+the Lagrangian, the Lyapunov distance as a dense quadratic form, the
+optimal value at a known solution, and the writer that `linops.load_dense`
+reads.
 """
 
 import math
@@ -50,6 +51,18 @@ def lagrangian(p, x, z, y):
     if math.isinf(val):
         return val
     return val + float(y @ (p.A.apply(x) - z))
+
+
+def lyapunov(p, m1, m2, c, gamma, t, s):
+    """Weighted squared distance of s to the known saddle at time t:
+    ||x - x*||^2 in M1(t) + c(1-gamma) A*A, plus ||z - A x*||^2 in
+    M2(t) + c I, plus ||y - y*||^2 / c, each block a dense matrix."""
+    x_star, y_star = p.require_saddle()
+    A = p.A.to_dense()
+    dx, dz, dy = s.x - x_star, s.z - A @ x_star, s.y - y_star
+    w_x = m1.at(t).base.to_dense() + c * (1.0 - gamma) * A.T @ A
+    w_z = m2.at(t).base.to_dense() + c * np.eye(p.m)
+    return float(dx @ w_x @ dx + dz @ w_z @ dz + dy @ dy / c)
 
 
 def optimal_value(p):

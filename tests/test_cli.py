@@ -271,16 +271,19 @@ class TestCheckCommand:
         assert "FAIL" not in report
         assert capsys.readouterr().out.strip() != ""
 
+    @pytest.mark.parametrize("tau,horizon", [
+        ("saturating:0.2,0.6", "0.5"), ("saturating:0.4999998,1.5", "1e-7")])
     @pytest.mark.parametrize("command", ["flow", "check"])
     def test_check_accepts_what_flow_accepts(self, tmp_path, capsys,
-                                             command):
-        """c tau(t) ||A||^2 <= 1 holds up to t = 0.5 for this schedule.
+                                             command, tau, horizon):
+        """c tau(t) ||A||^2 <= 1 holds up to the horizon for each schedule.
         `check` once compared 25 unit steps whatever the horizon, so its
         step test read tau(25) and refused a run that `flow` accepts; a
-        horizon under one step now skips that comparison."""
-        code = main([command, "--problem", "example1", "--tau",
-                     "saturating:0.2,0.6", "--horizon", "0.5",
-                     "--out", str(tmp_path)])
+        horizon under one step now skips that comparison.  Its certificate
+        once sampled t = 1e-6 whatever the horizon, past a horizon of 1e-7,
+        where c tau(t) ||A||^2 > 1."""
+        code = main([command, "--problem", "example1", "--tau", tau,
+                     "--horizon", horizon, "--out", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         if command == "check":

@@ -1,6 +1,7 @@
 """Tests for the trace, Lyapunov, and rate-certificate layer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ import pytest
 from pdflow import proxlib
 from pdflow.diagnostics import (CSV_FIELDS, DEFAULT_GRID, RateCertificate,
                                 Trace, certify_rates, first_hit_time,
-                                initial_weighted_distance, lyapunov,
-                                sweep_summary, trace_discrete, trace_flow)
+                                initial_weighted_distance, sweep_summary,
+                                trace_discrete, trace_flow)
 from pdflow.discrete import DiscreteParams, run
 from pdflow.errors import MissingSolutionError
 from pdflow.flow import FlowParams, RK4, SystemState, integrate
 from pdflow.linops import LinearMap, SelfAdjointPSD
 from pdflow.metric import MetricSchedule, TauSchedule
-from pdflow.problems import ProblemSpec
+from pdflow.problems import ProblemSpec, catalog
+
+from oracles import lyapunov
 
 _ZERO2 = MetricSchedule.zero(2)
 
@@ -31,9 +34,9 @@ def _start():
 
 
 def _assert_lyapunov_matches(p, trace, t, U, m1_at, gamma, m2=_ZERO2):
-    """The Lyapunov column equals lyapunov() under the metric of each
-    record's own time (or iteration) t, at its row x | z | y of U, to
-    1e-12 relative."""
+    """The Lyapunov column equals the dense textbook form (`oracles.lyapunov`)
+    under the metric of each record's own time (or iteration) t, at its row
+    x | z | y of U, to 1e-12 relative."""
     n, m = p.n, p.m
     ref = [lyapunov(p, m1_at(ti), m2, 1.0, gamma, ti,
                     SystemState(u[:n], u[n:n + m], u[n + m:], ti))
@@ -47,33 +50,65 @@ def _step_metric(p, d):
         TauSchedule.constant(d.tau.value(k)), d.c, p.A)
 
 
+def _dense_psd(dim, seed, shift):
+    """B B^T / dim + shift I for a standard normal B."""
+    b = np.random.default_rng(seed).standard_normal((dim, dim))
+    return SelfAdjointPSD.from_dense(b @ b.T / dim + shift * np.eye(dim))
+
+
+def _general_metrics(name):
+    """(M1, M2) constants on lasso-small (n = 8, m = 12): 0.5 I for both,
+    as the benchmark runs it, a dense M1, and a dense M2."""
+    half = (MetricSchedule.constant(SelfAdjointPSD.identity(8, 0.5)),
+            MetricSchedule.constant(SelfAdjointPSD.identity(12, 0.5)))
+    if name == "half":
+        return half
+    if name == "dense-m1":
+        return MetricSchedule.constant(_dense_psd(8, 41, 0.2)), half[1]
+    return half[0], MetricSchedule.constant(_dense_psd(12, 43, 0.1))
+
+
+def _lasso_start():
+    rng = np.random.default_rng(47)
+    return SystemState(3.0 * rng.standard_normal(8),
+                       3.0 * rng.standard_normal(12),
+                       3.0 * rng.standard_normal(12), 0.0)
+
+
 class TestLyapunov:
+    """The gap-bound numerator W0 = ||U0 - (x*, A x*, 0)||^2 in W(0), on
+    example1, whose known dual is 0, so W0 is the Lyapunov value at t = 0."""
+
     def test_unweighted_block_values(self, example1, start_state):
         """M1 = M2 = 0, gamma = 1, c = 1: the x block vanishes, leaving
         c ||z||^2 + ||y||^2 / c = 400 + 200 = 600 at the documented start."""
         s = SystemState(*start_state, 0.0)
-        v = lyapunov(example1, _ZERO2, _ZERO2, 1.0, 1.0, 0.0, s)
-        assert v == pytest.approx(600.0)
+        assert lyapunov(example1, _ZERO2, _ZERO2, 1.0, 1.0, 0.0, s) == 600.0
 
     def test_step_family_block_values(self, example1, start_state):
         s = SystemState(*start_state, 0.0)
         m1 = MetricSchedule.tau_family(TauSchedule.constant(0.49), 1.0,
                                        example1.A)
-        v1 = lyapunov(example1, m1, _ZERO2, 1.0, 1.0, 0.0, s)
+        v1 = initial_weighted_distance(example1, m1, _ZERO2, 1.0, 1.0, s)
         assert v1 == pytest.approx((1.0 / 0.49 - 2.0) * 200.0 + 600.0)
-        v2 = lyapunov(example1, m1, _ZERO2, 1.0, 0.5, 0.0, s)
+        v2 = initial_weighted_distance(example1, m1, _ZERO2, 1.0, 0.5, s)
         assert v2 == pytest.approx((1.0 / 0.49 - 1.0) * 200.0 + 600.0)
+        for gamma, v in ((1.0, v1), (0.5, v2)):
+            assert lyapunov(example1, m1, _ZERO2, 1.0, gamma, 0.0, s) \
+                == pytest.approx(v, rel=1e-14)
 
     def test_quadratic_scaling(self, example1, start_state):
         x, z, y = start_state
-        v1 = lyapunov(example1, _ZERO2, _ZERO2, 1.0, 1.0, 0.0,
-                      SystemState(x, z, y, 0.0))
-        v2 = lyapunov(example1, _ZERO2, _ZERO2, 1.0, 1.0, 0.0,
-                      SystemState(2 * x, 2 * z, 2 * y, 0.0))
+        v1 = initial_weighted_distance(example1, _ZERO2, _ZERO2, 1.0, 1.0,
+                                       SystemState(x, z, y, 0.0))
+        v2 = initial_weighted_distance(example1, _ZERO2, _ZERO2, 1.0, 1.0,
+                                       SystemState(2 * x, 2 * z, 2 * y, 0.0))
         assert v2 == pytest.approx(4.0 * v1)
 
     def test_zero_at_saddle(self, example1):
         s = SystemState(np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
+        assert initial_weighted_distance(example1, _ZERO2, _ZERO2, 1.0, 1.0,
+                                         s) == 0.0
         assert lyapunov(example1, _ZERO2, _ZERO2, 1.0, 1.0, 0.0, s) == 0.0
 
     def test_requires_known_saddle(self):
@@ -89,10 +124,46 @@ class TestLyapunov:
     def test_initial_distance_references_zero_dual(self, example1,
                                                    start_state):
         """The gap-bound numerator measures the start against (x*, Ax*, 0);
-        for this problem the known dual is 0 so it agrees with lyapunov."""
+        for this problem the known dual is 0 so it agrees with the
+        Lyapunov value."""
         s = SystemState(*start_state, 0.0)
         w0 = initial_weighted_distance(example1, _ZERO2, _ZERO2, 1.0, 1.0, s)
         assert w0 == pytest.approx(600.0)
+        assert w0 == pytest.approx(
+            lyapunov(example1, _ZERO2, _ZERO2, 1.0, 1.0, 0.0, s), rel=1e-14)
+
+    def test_null_space_difference_reads_zero(self, example1):
+        """A start that differs from the saddle only along W's null space
+        reads exactly 0.0: M1 = [[1, 1], [1, 1]] at gamma = 1 sends
+        x - x* = (3, -3) to 0, and z = A x*, y = 0."""
+        m1 = MetricSchedule.constant(
+            SelfAdjointPSD.from_dense([[1.0, 1.0], [1.0, 1.0]]))
+        s = SystemState(np.array([3.0, -3.0]), np.zeros(2), np.zeros(2), 0.0)
+        assert initial_weighted_distance(example1, m1, _ZERO2, 1.0, 1.0,
+                                         s) == 0.0
+
+    def test_clearly_negative_passes_through(self, example1):
+        """An indefinite weight is not silently repaired: the caller sees
+        the negative value and decides what to do."""
+        m1 = MetricSchedule.constant(
+            SelfAdjointPSD(LinearMap.from_dense(-np.eye(2))))
+        s = SystemState(np.array([2.0, 0.0]), np.zeros(2), np.zeros(2), 0.0)
+        assert initial_weighted_distance(example1, m1, _ZERO2, 1.0, 1.0,
+                                         s) == pytest.approx(-4.0)
+
+    @pytest.mark.parametrize("metrics", ["half", "dense-m1", "dense-m2"])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_general_metrics_match_oracle(self, metrics, gamma):
+        """W0 under constant general metrics on lasso-small equals the dense
+        textbook form at t = 0, measured against the saddle with its dual
+        set to 0."""
+        p = catalog("lasso-small")
+        m1, m2 = _general_metrics(metrics)
+        s = _lasso_start()
+        w0 = initial_weighted_distance(p, m1, m2, 1.0, gamma, s)
+        ref = lyapunov(replace(p, known_dual=np.zeros(p.m)), m1, m2, 1.0,
+                       gamma, 0.0, s)
+        assert w0 == pytest.approx(ref, rel=1e-12)
 
 
 class TestTraceFlow:
@@ -138,6 +209,18 @@ class TestTraceFlow:
         traj = integrate(example1, params, _start())
         _assert_lyapunov_matches(example1, trace_flow(example1, params, traj),
                                  traj.t, traj.U, lambda t: m1, 0.5, m2)
+
+    @pytest.mark.parametrize("metrics", ["half", "dense-m1", "dense-m2"])
+    def test_lyapunov_column_general_metrics(self, metrics):
+        """Constant general metrics on lasso-small: 0.5 I for both, a dense
+        M1 and a dense M2."""
+        p = catalog("lasso-small")
+        m1, m2 = _general_metrics(metrics)
+        params = FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2, horizon=1.0,
+                            integrator=RK4(h=0.05))
+        traj = integrate(p, params, _lasso_start())
+        _assert_lyapunov_matches(p, trace_flow(p, params, traj), traj.t,
+                                 traj.U, lambda t: m1, 0.5, m2)
 
     def test_ergodic_feasibility_identity(self, example1):
         """||A x_avg - z_avg|| must equal ||y(t) - y0|| / (c t): the dual
@@ -191,6 +274,17 @@ class TestTraceDiscrete:
         _assert_lyapunov_matches(example1, trace_discrete(example1, d, out),
                                  np.arange(len(out.U), dtype=float), out.U,
                                  _step_metric(example1, d), 0.5)
+
+    @pytest.mark.parametrize("metrics", ["half", "dense-m1", "dense-m2"])
+    def test_lyapunov_column_general_metrics(self, metrics):
+        p = catalog("lasso-small")
+        m1, m2 = _general_metrics(metrics)
+        d = DiscreteParams(c=1.0, gamma=1.0, m1=m1, m2=m2, max_iters=20,
+                           stop_tol=0.0)
+        out = run(p, d, _lasso_start())
+        _assert_lyapunov_matches(p, trace_discrete(p, d, out),
+                                 np.arange(len(out.U), dtype=float), out.U,
+                                 lambda k: m1, 1.0, m2)
 
     def test_lyapunov_descends_for_admm(self, example1):
         d = DiscreteParams(tau=0.25, gamma=1.0, max_iters=60, stop_tol=0.0)

@@ -50,7 +50,7 @@ class TestMetricSchedule:
     def test_zero_and_constant(self):
         z = MetricSchedule.zero(3)
         assert z.is_time_invariant()
-        assert z.at(7.0).seminorm_sq(np.ones(3)) == 0.0
+        assert np.ones(3) @ z.at(7.0).apply(np.ones(3)) == 0.0
         assert z.at(7.0).base.scale == 0.0
         op = SelfAdjointPSD.identity(2, 1.5)
         const = MetricSchedule.constant(op)
@@ -249,6 +249,12 @@ class TestCertify:
         assert len(calls) == floor_calls + 3 * 51
 
 
+def _weighted_sq(blocks, d):
+    """<d, W d> for W the block diagonal of `blocks`."""
+    parts = np.split(d, np.cumsum([b.in_dim for b in blocks])[:-1])
+    return sum(float(x @ b.apply(x)) for b, x in zip(blocks, parts))
+
+
 class TestWeightW:
     _START = np.concatenate([[-10.0, 10.0], [-20.0, 0.0], [-10.0, 10.0]])
 
@@ -258,25 +264,39 @@ class TestWeightW:
         saddle is c ||z||^2 + ||y||^2 / c = 400 + 200 = 600."""
         w = weight_W(MetricSchedule.zero(2), MetricSchedule.zero(2),
                      1.0, 1.0, _A2, 0.0)
-        assert w.seminorm_sq(self._START) == pytest.approx(600.0)
+        assert _weighted_sq(w, self._START) == pytest.approx(600.0)
 
     def test_tau_family_adds_x_block(self):
         m1 = MetricSchedule.tau_family(TauSchedule.constant(0.49), 1.0, _A2)
         w = weight_W(m1, MetricSchedule.zero(2), 1.0, 1.0, _A2, 0.0)
         expected = (1.0 / 0.49 - 2.0) * 200.0 + 400.0 + 200.0
-        assert w.seminorm_sq(self._START) == pytest.approx(expected)
+        assert _weighted_sq(w, self._START) == pytest.approx(expected)
 
     def test_gamma_blends_gram_into_x_block(self):
         m1 = MetricSchedule.tau_family(TauSchedule.constant(0.49), 1.0, _A2)
         w = weight_W(m1, MetricSchedule.zero(2), 1.0, 0.5, _A2, 0.0)
         expected = (1.0 / 0.49 - 2.0 + 1.0) * 200.0 + 400.0 + 200.0
-        assert w.seminorm_sq(self._START) == pytest.approx(expected)
+        assert _weighted_sq(w, self._START) == pytest.approx(expected)
 
     def test_homogeneity(self):
         w = weight_W(MetricSchedule.zero(2), MetricSchedule.zero(2),
                      1.0, 1.0, _A2, 0.0)
-        base = w.seminorm_sq(self._START)
-        assert w.seminorm_sq(2.0 * self._START) == pytest.approx(4.0 * base)
+        base = _weighted_sq(w, self._START)
+        assert _weighted_sq(w, 2.0 * self._START) == pytest.approx(4.0 * base)
+
+    def test_blocks_are_the_three_diagonal_blocks(self):
+        """x: M1(t) + c(1-gamma) A*A, z: M2(t) + c I, y: I / c, at c = 1.5
+        and a saturating tau family read at t = 0.7."""
+        m1 = MetricSchedule.tau_family(TauSchedule.saturating(0.1, 0.3), 1.5,
+                                       _A2)
+        m2 = MetricSchedule.constant(SelfAdjointPSD.identity(2, 0.5))
+        x, z, y = weight_W(m1, m2, 1.5, 0.5, _A2, 0.7)
+        inv_tau = 1.0 / m1.tau.value(0.7)
+        np.testing.assert_allclose(
+            x.to_dense(), (inv_tau - 1.5 * 2.0 + 1.5 * 0.5 * 2.0) * np.eye(2),
+            rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(z.to_dense(), 2.0 * np.eye(2))
+        assert y.scale == 1.0 / 1.5
 
 
 class TestSampleTimes:
@@ -289,3 +309,14 @@ class TestSampleTimes:
 
     def test_degenerate_horizon(self):
         assert default_sample_times(0.0) == [0.0]
+
+    @pytest.mark.parametrize("horizon", [1e-9, 1e-7, 1e-6, 3e-6, 1e-3, 1.0,
+                                         100.0])
+    def test_no_sample_past_the_horizon(self, horizon):
+        """The first log-spaced sample is clipped to the horizon, so a
+        horizon below 1e-6 is not certified at times the run never
+        reaches."""
+        ts = default_sample_times(horizon)
+        assert len(ts) == 51
+        assert ts[-1] == horizon
+        assert all(0.0 <= t <= horizon for t in ts)

@@ -94,6 +94,19 @@ class TestDigestWarnings:
         assert here[2] != other[2]
 
 
+class TestDigestCommands:
+    """A renamed flag makes a digest run exit 1 on both trees alike, which
+    the byte-identity comparison cannot tell from a run that works."""
+
+    def test_every_run_parses_and_finds_its_problem(self, tmp_path):
+        parser = output_digest.cli._parser()
+        for argv in output_digest.commands():
+            args = parser.parse_args(argv + ["--out", str(tmp_path)])
+            problem = getattr(args, "problem", None)
+            if problem not in (None, *output_digest.CATALOG_NAMES):
+                assert os.path.isfile(os.path.join(ROOT, problem)), argv
+
+
 class TestPublicNames:
     """A name that a module exports, or that the benchmark traces, must
     exist, so that removing one fails here and not in a later run."""
