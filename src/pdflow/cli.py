@@ -117,8 +117,6 @@ def _footer_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
     return str(value)
 
 

@@ -487,8 +487,8 @@ def _resolve_point(setting, dim, fallback, what):
     if setting == "auto":
         return np.asarray(fallback, dtype=float)
     if setting == "example1-default":
-        defaults = {"x0": (-10.0, 10.0), "z0": (-20.0, 0.0), "y0": (-10.0, 10.0)}
-        vec = np.array(defaults[what])
+        vec = dict(zip(("x0", "z0", "y0"),
+                       catalog("example1").default_start()))[what]
     else:
         vec = np.asarray(setting, dtype=float)
     if vec.shape != (dim,):

@@ -209,20 +209,23 @@ def certify(m1: MetricSchedule, m2: MetricSchedule, c, gamma, A: LinearMap,
             - LinearMap.identity(n, L / 2.0), 0.0)
         return tuple(psd_floor(u, strict=False) for u in (q, t4, t7))
 
-    # a time-invariant M1 gives the same three operators at every sample
+    # the floors of each distinct time, evaluated once; a time-invariant M1
+    # gives the same three operators at every sample
     invariant = m1.is_time_invariant()
-    floors = []
+    floors = {}
     scalar_ok = True
     step_ok = True
     for t in sample_times:
-        floors.append(floors[0] if invariant and floors else floors_at(t))
+        key = None if invariant else t
+        if key not in floors:
+            floors[key] = floors_at(t)
         if m1.tau is not None:
             tau_t = m1.tau.value(t)
             scalar_ok &= tau_t * (L / 4.0 + c * (3.0 + gamma) / 4.0 * a_norm ** 2) \
                 <= 1.0 + 1e-12
             step_ok &= c * tau_t * a_norm ** 2 <= 1.0 + 1e-12
 
-    floors_x, floors_t4, floors_t7 = zip(*floors)
+    floors_x, floors_t4, floors_t7 = zip(*floors.values())
     alpha = min(floors_x)
     cstrong = CStrong(holds=alpha > _PSD_SLACK, alpha=alpha)
     cweak = all(fl > _PSD_SLACK for fl in floors_x)

@@ -2,8 +2,8 @@
 
 The solver touches nonsmooth terms only through proximal maps and smooth
 terms only through gradients, so each function object carries exactly those
-evaluations; a catalog function also carries the diagonal of a
-generalized Jacobian of its prox.  `metric_prox` solves the metric-weighted
+evaluations; a catalog function also names the affine piece of its prox
+that a prox output lies on.  `metric_prox` solves the metric-weighted
 prox subproblem
 
     argmin_v  f(v) + <v, linear> + 1/2 <v, Q v>
@@ -14,18 +14,17 @@ prox_{f/s}(-linear/s).  Otherwise `metric_prox` works on the fixed-point
 map F(v) = v - prox_{s f}(v - s (Q v + linear)) with s = 1/||Q||.  When Q
 is stored as a dense matrix (the small metrics that
 `metric.x_update_metric` and `z_update_metric` build, or
-`SelfAdjointPSD.from_dense`) and f has a prox Jacobian, it first takes up
-to `NEWTON_STEPS` semismooth Newton steps on F (Qi-Sun 1993; Li-Sun-Toh
-2018, SSNAL), halving a step that does not decrease ||F|| enough.  A
-piecewise affine prox (l1, box and the quadratics) also names the affine
-piece that a prox output lies on, and the solve first tries the exact
+`SelfAdjointPSD.from_dense`) and f names the affine pieces of its prox
+(`piece_fn`: l1, box and the quadratics), it first tries the exact
 minimizer on its start point's piece, so a start on the solution's piece
-(the previous solution, along a run) costs one prox evaluation, and any
-other start one more than Newton from the start point.  The
-inverse Newton matrix of each prox-Jacobian pattern (the active set of l1
-or box, which rarely changes along a run) is kept by content, for every Q
-of the same matrix (`_kept_inverse`), so a step is one matrix-vector
-product; a result never depends on what was solved before.  Otherwise, or
+(the previous solution, along a run) costs one prox evaluation, and then
+takes up to `NEWTON_STEPS` semismooth Newton steps on F (Qi-Sun 1993;
+Li-Sun-Toh 2018, SSNAL), D the diagonal of each prox output's piece,
+halving a step that does not decrease ||F|| enough.  The inverse Newton
+matrix of each pattern D (the active set of l1 or box, which rarely
+changes along a run) is kept by content, for every Q of the same matrix
+(`_kept_inverse`), so a step is one matrix-vector product; a result never
+depends on what was solved before.  Otherwise, or
 when Newton has not converged, it runs accelerated proximal gradient
 (FISTA, Beck-Teboulle 2009) with gradient-based adaptive restart
 (O'Donoghue-Candes 2015) from the last Newton iterate.  Both phases stop
@@ -38,10 +37,10 @@ float or a (dim,) point; rows give a (B,) array or (B, dim) rows, and row
 i is bit-equal to the call on row i alone.  The shape is checked once per
 call.  Every catalog constructor, and so every problem-file kind, is row
 native: its closures take either shape (the proxes are elementwise, and
-the values reduce along the last axis).  A `separable` function, or any
-other function built from closures that take one point, gets a per-row
-fallback.  `metric_prox` takes rows too: a scaled-identity Q solves them
-in one prox, any other Q one row at a time.
+the values reduce along the last axis).  A `ProxFunction` built from
+closures that take one point (`rows` False) gets a per-row fallback.
+`metric_prox` takes rows too: a scaled-identity Q solves them in one
+prox, any other Q one row at a time.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ __all__ = [
     "l1_norm",
     "box",
     "sq_distance",
-    "separable",
     "zero_smooth",
     "quadratic_smooth",
     "metric_prox",
@@ -106,23 +104,22 @@ class ProxFunction:
 
     `eval_fn(x)` and `prox_fn(t, u)` take one (dim,) point; with `rows`
     they also take (B, dim) rows, otherwise rows are passed to them one at
-    a time.  `jac_fn(t, u)`, when given, returns the diagonal of an element
-    of the generalized Jacobian of u -> prox_{t f}(u) at one point, as a
-    (dim,) array or a scalar; `metric_prox` uses it for its Newton steps.
+    a time.  `ProxFunction(dim, eval_fn, prox_fn)` wraps custom closures.
 
     `piece_fn(t, x)`, for a piecewise affine prox, returns the affine
     piece prox_{t f}(u) = D u + e that a prox output x lies on, as (D, e):
-    D is the diagonal that `jac_fn` gives on that piece, a (dim,) array or
-    a scalar, and e a (dim,) array or a scalar.  `region_fn(t, x)`, given
+    D, the diagonal of an element of the generalized Jacobian of
+    u -> prox_{t f}(u) on that piece, a (dim,) array or a scalar, and e a
+    (dim,) array or a scalar.  `region_fn(t, x)`, given
     with `piece_fn`, returns the input region of that piece as bounds
     (lo, hi), (dim,) arrays or scalars: prox_{t f}(u) = D u + e wherever
     lo < u < hi entrywise, and a bound may be infinite.  A point that lies
     on no piece of l1 or box (a NaN, or a point outside the box) gets
     bounds with lo < hi false.  `l1_norm` and `box` set both; with
     `affine` given, the single piece is affine's (a, b) and its region the
-    whole line.  `metric_prox` first tries a solve on its start point's
-    piece, and the flow's update (`flow._make_update`) certifies that
-    piece's affine map on its region.
+    whole line.  `metric_prox` reads its start and its Newton steps from
+    the pieces (FISTA alone without them), and the flow's update
+    (`flow._make_update`) certifies a piece's affine map on its region.
 
     `affine`, set by the builders of quadratic functions (`zero`,
     `sq_norm`, `sq_distance`) and None otherwise, maps a step t to the
@@ -131,12 +128,11 @@ class ProxFunction:
     an affine prox into its matrix (`flow._make_update`).
     """
 
-    def __init__(self, dim, eval_fn, prox_fn, params=None, jac_fn=None,
-                 rows=False, affine=None, piece_fn=None, region_fn=None):
+    def __init__(self, dim, eval_fn, prox_fn, rows=False, affine=None,
+                 piece_fn=None, region_fn=None):
         self.dim = int(dim)
         self._eval = eval_fn
         self._prox = prox_fn
-        self._jac = jac_fn
         if piece_fn is None and affine is not None:
             def piece_fn(t, x):
                 a, b = affine(t)
@@ -148,7 +144,6 @@ class ProxFunction:
         self._region = region_fn
         self._rows = bool(rows)
         self.affine = affine
-        self.params = dict(params or {})
 
     def __call__(self, x):
         """f(x) as a float, or f at each of (B, dim) rows as a (B,) array."""
@@ -171,8 +166,8 @@ class ProxFunction:
 
 def zero(dim) -> ProxFunction:
     return ProxFunction(dim, lambda x: np.zeros(x.shape[:-1]),
-                        lambda t, u: u.copy(), jac_fn=lambda t, u: 1.0,
-                        rows=True, affine=lambda t: (1.0, None))
+                        lambda t, u: u.copy(), rows=True,
+                        affine=lambda t: (1.0, None))
 
 
 def sq_norm(dim, coef=1.0) -> ProxFunction:
@@ -181,8 +176,7 @@ def sq_norm(dim, coef=1.0) -> ProxFunction:
     if c < 0:
         raise ValueError("sq_norm coefficient must be nonnegative")
     return ProxFunction(dim, lambda x: 0.5 * c * _sum_sq(x),
-                        lambda t, u: u / (1.0 + t * c), {"coef": c},
-                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True,
+                        lambda t, u: u / (1.0 + t * c), rows=True,
                         affine=lambda t: (1.0 / (1.0 + t * c), None))
 
 
@@ -223,9 +217,7 @@ def l1_norm(dim, weight=1.0) -> ProxFunction:
         return lo, hi
 
     return ProxFunction(dim, lambda x: w * np.abs(x).sum(axis=-1), prox_fn,
-                        {"weight": w},
-                        jac_fn=lambda t, u: np.abs(u) > t * w, rows=True,
-                        piece_fn=piece_fn, region_fn=region_fn)
+                        rows=True, piece_fn=piece_fn, region_fn=region_fn)
 
 
 def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
@@ -257,9 +249,7 @@ def box(dim, lo=-1.0, hi=1.0) -> ProxFunction:
 
     return ProxFunction(dim, eval_fn,
                         lambda t, u: np.minimum(np.maximum(u, lo), hi),
-                        {"lo": lo, "hi": hi},
-                        jac_fn=lambda t, u: (lo < u) & (u < hi), rows=True,
-                        piece_fn=piece_fn, region_fn=region_fn)
+                        rows=True, piece_fn=piece_fn, region_fn=region_fn)
 
 
 def sq_distance(dim, center, coef=1.0) -> ProxFunction:
@@ -270,19 +260,8 @@ def sq_distance(dim, center, coef=1.0) -> ProxFunction:
         raise ValueError("sq_distance coefficient must be nonnegative")
     return ProxFunction(dim, lambda x: 0.5 * c * _sum_sq(x - b),
                         lambda t, u: (u + t * c * b) / (1.0 + t * c),
-                        {"center": b, "coef": c},
-                        jac_fn=lambda t, u: 1.0 / (1.0 + t * c), rows=True,
-                        affine=lambda t: (1.0 / (1.0 + t * c),
+                        rows=True, affine=lambda t: (1.0 / (1.0 + t * c),
                                           (t * c / (1.0 + t * c)) * b))
-
-
-def separable(dim, eval_fn, prox_fn, params=None, jac_fn=None) -> ProxFunction:
-    """Wrap custom vectorized eval/prox closures as a prox function.
-
-    The closures see one (dim,) point at a time; rows are passed to them
-    one by one.  Without `jac_fn`, `metric_prox` solves with FISTA alone.
-    """
-    return ProxFunction(dim, eval_fn, prox_fn, params, jac_fn)
 
 
 class SmoothFunction:
@@ -422,34 +401,36 @@ def _kept_inverse(Q: SelfAdjointPSD, step, jac):
     return kept.keep(key, _newton_inverse(Q.base.mat, step, jac))
 
 
-def _newton_step(f: ProxFunction, Q: SelfAdjointPSD, step, u, d):
-    """The semismooth Newton move at w for F(w) = w - prox_{step f}(u) = -d,
-    with u = w - step (Q w + linear): dv = (I - D + step D Q)^{-1} d, where
-    D is f's prox Jacobian diagonal at u.  None if the matrix is singular
-    or ||dv||^2 is not finite."""
-    inv = _kept_inverse(Q, step, np.asarray(f._jac(step, u), dtype=float))
-    if inv is None:
-        return None
-    dv = inv.dot(d)
-    return dv if math.isfinite(dv.dot(dv)) else None
-
-
-def _piece_start(f: ProxFunction, Q: SelfAdjointPSD, step, lin, x0):
-    """The minimizer on the affine piece prox_{step f}(u) = D u + e that x0
-    lies on (f's `piece_fn`): the v with v = D (v - step (Q v + lin)) + e,
-    that is (I - D + step D Q)^{-1} (e - step D lin).  None if x0 or lin
-    is not finite (checked first, so the piece warns of nothing), if that
-    matrix is singular, or if v is not finite."""
-    # ndarray.dot gives the bits of @ here at half its call overhead
-    if not math.isfinite(x0.dot(x0) + lin.dot(lin)):
-        return None
-    jac, e = f._piece(step, x0)
+def _on_piece(f: ProxFunction, Q: SelfAdjointPSD, step, x, rhs):
+    """M^{-1} rhs(D, e) for the affine piece prox_{step f}(u) = D u + e
+    that x lies on (f's `piece_fn`) and M = I - D + step D Q, from the kept
+    M^{-1} (`_kept_inverse`).  None if M is singular or the result's
+    squared norm is not finite."""
+    jac, e = f._piece(step, x)
     jac = np.asarray(jac, dtype=float)
     inv = _kept_inverse(Q, step, jac)
     if inv is None:
         return None
-    v = inv.dot(e - jac * (step * lin))
+    # ndarray.dot gives the bits of @ here at half its call overhead
+    v = inv.dot(rhs(jac, e))
     return v if math.isfinite(v.dot(v)) else None
+
+
+def _newton_step(f: ProxFunction, Q: SelfAdjointPSD, step, x, d):
+    """The semismooth Newton move at w for F(w) = w - x = -d, with
+    x = prox_{step f}(w - step (Q w + linear)): dv = M^{-1} d, with D the
+    diagonal of the piece that x lies on (`_on_piece`)."""
+    return _on_piece(f, Q, step, x, lambda jac, e: d)
+
+
+def _piece_start(f: ProxFunction, Q: SelfAdjointPSD, step, lin, x0):
+    """The minimizer on the affine piece prox_{step f}(u) = D u + e that x0
+    lies on: the v with v = D (v - step (Q v + lin)) + e, that is
+    M^{-1} (e - step D lin) (`_on_piece`).  None also if x0 or lin is not
+    finite (checked first, so the piece warns of nothing)."""
+    if not math.isfinite(x0.dot(x0) + lin.dot(lin)):
+        return None
+    return _on_piece(f, Q, step, x0, lambda jac, e: e - jac * (step * lin))
 
 
 def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
@@ -468,22 +449,21 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
     or below tol * max(1, ||v_{k+1}||), returning v_{k+1}.
 
     Newton phase: when Q is stored as a dense matrix (`Q.base.mat`) and f
-    has a prox Jacobian, the first `NEWTON_STEPS` iterations move w by a
-    semismooth Newton step on F(w) = w - v_{k+1}, dv = M^{-1} (v_{k+1} - w)
-    with M = I - D + step D Q and D f's prox-Jacobian diagonal (M is
-    nonsingular for positive definite Q).  M^{-1} is kept for each pattern
-    D, by Q's matrix, step and D (`_kept_inverse`), so a step on a known
-    pattern is one matrix-vector product, and a result never depends on
-    what was solved before.
+    names its pieces (`piece_fn`), the first `NEWTON_STEPS` iterations
+    move w by a semismooth Newton step on F(w) = w - v_{k+1},
+    dv = M^{-1} (v_{k+1} - w) with M = I - D + step D Q and D the diagonal
+    of v_{k+1}'s piece (M is nonsingular for positive definite Q).
+    M^{-1} is kept for each pattern D, by Q's matrix, step and D
+    (`_kept_inverse`), so a step on a known pattern is one matrix-vector
+    product, and a result never depends on what was solved before.
     The move w + alpha dv, alpha = 1, 1/2, 1/4, ..., is taken at the first
     alpha that cuts ||F|| below (1 - ARMIJO alpha) times its value at w,
     each trial one iteration: full steps can cycle between two active sets
     of l1 or box.  A singular matrix, or a step whose squared norm is not
     finite, ends the phase early.
 
-    Piece start: when the Newton phase runs and f also names its affine
-    pieces (a piecewise affine prox, see `ProxFunction`), the first
-    iteration evaluates not at x0 but at the exact minimizer on the piece
+    Piece start: when the Newton phase runs, the first iteration
+    evaluates not at x0 but at the exact minimizer on the piece
     prox_{step f}(u) = D u + e that x0 lies on, M^{-1} (e - step D
     linear), from the same kept M^{-1} (`_piece_start`), which costs no
     prox evaluation.  When x0's piece is the solution's, as it mostly is
@@ -545,18 +525,16 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
         return v
     step = 1.0 / Q.norm()
     qapply = Q.base._raw_apply
-    mat = Q.base.mat
-    newton_left = NEWTON_STEPS if mat is not None and f._jac is not None else 0
+    newton_left = NEWTON_STEPS if Q.base.mat is not None and f._piece else 0
     start = None
-    if newton_left and piece_start and f._piece is not None:
+    if newton_left and piece_start:
         start = _piece_start(f, Q, step, lin, v)
     w = v if start is None else start
     theta = 1.0
     # the last point a Newton step left from, its residual and the step
     w_base, res_base, dv, alpha = None, 0.0, None, 1.0
     for k in range(max_iters):
-        u = w - step * (qapply(w) + lin)
-        v_next = f.prox(step, u)
+        v_next = f.prox(step, w - step * (qapply(w) + lin))
         d = v_next - w
         res = math.sqrt(d.dot(d)) / step
         if not math.isfinite(res):
@@ -575,7 +553,7 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
                 alpha *= 0.5
                 w = w_base + alpha * dv
                 continue
-            dv = _newton_step(f, Q, step, u, d)
+            dv = _newton_step(f, Q, step, v_next, d)
             if dv is not None:
                 w_base, res_base, alpha = w, res, 1.0
                 w, v = w + dv, v_next

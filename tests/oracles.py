@@ -3,9 +3,9 @@
 Each is written out from its textbook form, independent of the update that
 `flow._make_update` builds: the dual-extrapolated primal-dual step of
 Chambolle and Pock, the prox of a convex conjugate by the Moreau identity,
-the Lagrangian, the Lyapunov distance as a dense quadratic form, the
-optimal value at a known solution, and the writer that `linops.load_dense`
-reads.
+the generalized Jacobian of each catalog prox, the Lagrangian, the
+Lyapunov distance as a dense quadratic form, the optimal value at a known
+solution, and the writer that `linops.load_dense` reads.
 """
 
 import math
@@ -27,6 +27,23 @@ def conjugate_prox(g, c, y):
         raise ValueError("conjugate prox scale c must be positive")
     y = np.asarray(y, dtype=float)
     return y - c * g.prox(1.0 / c, y / c)
+
+
+def prox_jacobian(kind, coef=1.0, weight=1.0, lo=-1.0, hi=1.0):
+    """jac(t, u): the diagonal of an element of the generalized Jacobian
+    of u -> prox_{t f}(u), read from the input u, for the `proxlib` kind
+    `kind` at its parameters.  It is 1 for zero and 1 / (1 + t coef) for
+    the quadratics; for l1 it is 1 where |u| > t weight, for box 1 where
+    lo < u < hi, and 0 elsewhere, on the breakpoints too."""
+    if kind == "zero":
+        return lambda t, u: 1.0
+    if kind in ("sq_norm", "sq_distance"):
+        return lambda t, u: 1.0 / (1.0 + t * coef)
+    if kind == "l1":
+        return lambda t, u: np.abs(u) > t * weight
+    if kind == "box":
+        return lambda t, u: (lo < u) & (u < hi)
+    raise ValueError(f"no prox Jacobian for kind {kind!r}")
 
 
 def cp_step(p, d, k, x, y, y_prev):

@@ -4,6 +4,7 @@ import dataclasses
 import glob
 import importlib.util
 import os
+import re
 import sys
 
 import numpy as np
@@ -13,7 +14,7 @@ from pdflow import cli, config
 from pdflow.config import (RunConfig, build_discrete_params,
                            build_flow_params, initial_state, load_problem,
                            parse, parse_file, resolve_tau, serialize)
-from pdflow.errors import ConfigError
+from pdflow.errors import CertificationError, ConfigError
 from pdflow.flow import Adaptive, Euler, RK4
 from pdflow.metric import TauSchedule
 from pdflow.problems import CATALOG_NAMES, catalog
@@ -456,3 +457,82 @@ known_dual = 0, 0
         path.write_text("[problem]\nname = x\nf = zero\nA = identity\nA.dim = 2\n")
         with pytest.raises(ConfigError):
             load_problem(str(path))
+
+
+# a problem whose f, g and A load, and data files for h.P: a non-symmetric
+# matrix, an indefinite one and the 3 x 3 identity
+_LOADS = "[problem]\nf = zero\ng = zero\nA = identity\nA.dim = 2\n"
+_ASYMMETRIC = "2 2\n1.0 2.0\n0.0 1.0\n"
+_INDEFINITE = "2 2\n1.0 0.0\n0.0 -1.0\n"
+_EYE3 = "3 3\n1.0 0.0 0.0\n0.0 1.0 0.0\n0.0 0.0 1.0\n"
+
+# (id, what the first file is, {file name: text, or None for a directory
+# in its place}, the error, its message)
+_REJECTED = [
+    ("malformed-section-header", "config", {"run.cfg": "c = 1\n[run\n"},
+     ConfigError, r"run\.cfg: line 2: malformed section header '\[run'"),
+    ("empty-key", "config", {"run.cfg": "c = 1\n = 2\n"},
+     ConfigError, r"run\.cfg: line 2: empty key in ' = 2'"),
+    ("unreadable-config", "config", {"run.cfg": None},
+     ConfigError, r"cannot read config .*run\.cfg"),
+    ("unloadable-path", "problem",
+     {"p.txt": _LOADS + "f.center = @missing.txt\n"},
+     ConfigError, r"line 6: f\.center: cannot load .*missing\.txt"),
+    ("unreadable-problem-file", "problem", {"p.txt": None},
+     ConfigError, r"cannot read problem file .*p\.txt"),
+    ("unknown-section", "problem", {"p.txt": _LOADS + "[solver]\nx = 1\n"},
+     ConfigError, r"p\.txt: line 7: unknown section \[solver\]"),
+    ("unknown-dotted-owner", "problem", {"p.txt": _LOADS + "q.weight = 1\n"},
+     ConfigError, r"p\.txt: line 6: unknown key 'q\.weight'"),
+    ("unknown-key", "problem", {"p.txt": _LOADS + "solver = fista\n"},
+     ConfigError, r"p\.txt: line 6: unknown key 'solver'"),
+    ("identity-without-dim", "problem",
+     {"p.txt": "[problem]\nf = zero\ng = zero\nA = identity\n"},
+     ConfigError, r"p\.txt: line 4: A = identity needs A\.dim"),
+    ("A-neither-path-nor-identity", "problem",
+     {"p.txt": "[problem]\nf = zero\ng = zero\nA = random\n"},
+     ConfigError, r"p\.txt: line 4: A must be @path or identity, "
+                  r"got 'random'"),
+    ("quadratic-without-P", "problem", {"p.txt": _LOADS + "h = quadratic\n"},
+     ConfigError, r"p\.txt: line 6: h = quadratic needs h\.P"),
+    ("non-symmetric-P", "problem",
+     {"p.txt": _LOADS + "h = quadratic\nh.P = @P.txt\n",
+      "P.txt": _ASYMMETRIC},
+     ConfigError, r"p\.txt: quadratic smooth term needs a symmetric matrix"),
+    ("unknown-h-kind", "problem", {"p.txt": _LOADS + "h = cubic\n"},
+     ConfigError, r"p\.txt: line 6: h must be zero or quadratic, "
+                  r"got 'cubic'"),
+    ("P-not-A-columns", "problem",
+     {"p.txt": _LOADS + "h = quadratic\nh.P = @P.txt\n", "P.txt": _EYE3},
+     ConfigError, r"p\.txt: f and h must live on the domain of A"),
+    ("non-convex-P", "cli",
+     {"p.txt": _LOADS + "h = quadratic\nh.P = @P.txt\n",
+      "P.txt": _INDEFINITE},
+     CertificationError, r"quadratic smooth term is not convex"),
+]
+
+
+class TestRejectedFiles:
+    """A config or problem file that cannot be read or is malformed raises
+    `ConfigError` with its message; a non-convex h.P raises
+    `CertificationError`, which `cli.main` turns into exit 1 and a
+    `pdflow:` line on stderr."""
+
+    @pytest.mark.parametrize("what,files,error,message",
+                             [case[1:] for case in _REJECTED],
+                             ids=[case[0] for case in _REJECTED])
+    def test_rejected_with_its_message(self, what, files, error, message,
+                                       tmp_path, capsys):
+        for name, text in files.items():
+            if text is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text(text)
+        path = str(tmp_path / next(iter(files)))
+        with pytest.raises(error, match=message):
+            (parse_file if what == "config" else load_problem)(path)
+        if what == "cli":
+            assert cli.main(["flow", "--problem", path, "--out",
+                             str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("pdflow: ") and re.search(message, err)

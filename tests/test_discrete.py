@@ -487,7 +487,7 @@ class TestChunkedStop:
 
         base = catalog("example1")
         p = ProblemSpec("nan-g", base.f, base.h,
-                        proxlib.separable(2, l1, prox_fn), base.A)
+                        proxlib.ProxFunction(2, l1, prox_fn), base.A)
         d = DiscreteParams(tau=0.49, max_iters=50)
         out = _assert_matches_reference(p, d, _start())
         assert np.isfinite(out.U[1, :2]).all()

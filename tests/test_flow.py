@@ -25,8 +25,8 @@ from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import (MetricSchedule, TauSchedule, x_update_metric,
                            z_update_metric)
 from pdflow.problems import CATALOG_NAMES, ProblemSpec, catalog
-from pdflow.proxlib import (SmoothFunction, box, l1_norm, metric_prox,
-                            quadratic_smooth, separable, sq_distance,
+from pdflow.proxlib import (ProxFunction, SmoothFunction, box, l1_norm,
+                            metric_prox, quadratic_smooth, sq_distance,
                             sq_norm, zero, zero_smooth)
 
 _PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
@@ -755,14 +755,22 @@ class TestTauFamilyXStep:
 
 def _named_problem(name):
     """A catalog problem, a problem file (such as "ridge-identity" or
-    "l1-box"), or a closure-built A with a softplus h: "closure" past the
-    dense limit, "softplus-h" below it."""
+    "l1-box"), a closure-built A with a softplus h: "closure" past the
+    dense limit, "softplus-h" below it, or "sq-distance-f": f a
+    sq_distance with a nonzero center, whose affine prox has an offset,
+    and g an l1 norm, on a dense A."""
     if name in CATALOG_NAMES:
         return catalog(name)
     if name == "closure":
         return _closure_problem(130, 5)
     if name == "softplus-h":
         return _closure_problem(3, 4)
+    if name == "sq-distance-f":
+        rng = np.random.default_rng(19)
+        return ProblemSpec(
+            name, sq_distance(4, rng.standard_normal(4), 1.3),
+            zero_smooth(4), l1_norm(5, 0.2),
+            linops.LinearMap.from_dense(rng.standard_normal((5, 4)) / 2.0))
     return load_problem(os.path.join(_PROBLEMS, name + ".txt"))
 
 
@@ -862,18 +870,19 @@ class TestAffineFold:
         assert l1_norm(3).affine is None
         assert box(3).affine is None
         f = sq_norm(3)
-        assert separable(3, f._eval, f._prox).affine is None
+        assert ProxFunction(3, f._eval, f._prox).affine is None
 
     @pytest.mark.parametrize("m2", ["none", "0I", "0.5I"])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("name", list(CATALOG_NAMES)
-                             + ["ridge-identity", "l1-box"])
+                             + ["ridge-identity", "l1-box", "sq-distance-f"])
     @pytest.mark.parametrize("c", [1.0, 1.5])
     def test_matches_reference(self, name, gamma, m2, c, monkeypatch):
         """Folded on every problem with an affine f or g (both on
-        ridge-identity, neither on l1-box): the update calls no affine
-        prox and each other prox once, and matches the per-block formulas
-        to 1e-13 relative."""
+        ridge-identity, neither on l1-box, an f with an offset on
+        sq-distance-f): the update calls no affine prox and each other
+        prox once, and matches the per-block formulas to 1e-13
+        relative."""
         p = _named_problem(name)
         tau = resolve_tau("auto", p, c, gamma)
         m2 = None if m2 == "none" else MetricSchedule.constant(

@@ -1,5 +1,6 @@
 """Tests for step schedules, metric schedules, and the condition certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -247,6 +248,28 @@ class TestCertify:
                             lambda self: False)
         assert certify(*args, lipschitz_h=0.5) == rep
         assert len(calls) == floor_calls + 3 * 51
+
+    @pytest.mark.parametrize("horizon", [1e-7, 1e-6])
+    def test_repeated_times_solve_floors_once(self, horizon, monkeypatch):
+        """Below a horizon of 1e-4 the 50 log-spaced samples are all the
+        horizon, so a moving schedule has 2 distinct times among 51: its
+        three eigenproblems are solved at each distinct time once, and the
+        report keeps all 51 sample times, with the flags of the two."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return psd_floor(*args, **kwargs)
+
+        monkeypatch.setattr(metric, "psd_floor", counting)
+        m1 = MetricSchedule.tau_family(
+            TauSchedule.saturating(0.4999998, 1.5), 1.0, _A2)
+        args = (m1, MetricSchedule.zero(2), 1.0, 1.0, _A2)
+        rep = certify(*args, horizon=horizon)
+        assert len(calls) == 6
+        assert rep.sample_times == (0.0,) + (horizon,) * 50
+        two = certify(*args, sample_times=(0.0, horizon))
+        assert rep == dataclasses.replace(two, sample_times=rep.sample_times)
 
 
 def _weighted_sq(blocks, d):

@@ -11,8 +11,8 @@ import pytest
 from pdflow import proxlib
 from pdflow.errors import MissingSolutionError
 from pdflow.linops import LinearMap
-from pdflow.problems import (CATALOG_NAMES, ProblemSpec, catalog,
-                             kkt_residual, kkt_residuals)
+from pdflow.problems import (CATALOG_NAMES, ProblemSpec, _lasso_data,
+                             catalog, kkt_residual, kkt_residuals)
 from oracles import lagrangian, optimal_value
 
 
@@ -138,9 +138,8 @@ class TestLassoSolution:
 
     def test_stationarity_from_scratch(self):
         p = catalog("lasso-small")
-        lam = 0.05
+        _, b, lam = _lasso_data()
         a = p.A.to_dense()
-        b = np.asarray(p.g.params["center"])
         x = np.asarray(p.known_primal)
         r = a.T @ (a @ x - b)
         support = np.abs(x) > 0
@@ -152,7 +151,7 @@ class TestLassoSolution:
     def test_dual_is_residual(self):
         p = catalog("lasso-small")
         a = p.A.to_dense()
-        b = np.asarray(p.g.params["center"])
+        _, b, _ = _lasso_data()
         x = np.asarray(p.known_primal)
         np.testing.assert_allclose(np.asarray(p.known_dual), a @ x - b,
                                    rtol=0, atol=1e-12)

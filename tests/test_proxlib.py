@@ -19,10 +19,10 @@ from pdflow.errors import CertificationError, ToleranceNotMet
 from pdflow.linops import LinearMap, SelfAdjointPSD
 from pdflow.metric import MetricSchedule, x_update_metric, z_update_metric
 from pdflow.problems import catalog
-from pdflow.proxlib import (NEWTON_STEPS, box, l1_norm, metric_prox,
-                            quadratic_smooth, separable, sq_distance, sq_norm,
-                            zero, zero_smooth)
-from oracles import conjugate_prox
+from pdflow.proxlib import (NEWTON_STEPS, ProxFunction, box, l1_norm,
+                            metric_prox, quadratic_smooth, sq_distance,
+                            sq_norm, zero, zero_smooth)
+from oracles import conjugate_prox, prox_jacobian
 
 _PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -225,7 +225,7 @@ class TestMetricProx:
             calls.append(t)
             return inner.prox(t, u)
 
-        f = separable(3, inner, counted)
+        f = ProxFunction(3, inner, counted)
         q = SelfAdjointPSD.identity(3, scale=4.0)
         got = metric_prox(f, q, np.array([3.0, -0.2, -5.0]), np.ones(3),
                           tol=1e-12)
@@ -338,40 +338,41 @@ class TestMetricProx:
         np.testing.assert_array_equal(info.value.best, np.zeros(p.n))
 
     def test_budget_exhaustion_carries_best_iterate(self):
-        """FISTA path: f = 0 wrapped without a prox Jacobian, since the
-        Newton path would solve this dense Q exactly in one step."""
+        """FISTA path: f = 0 wrapped without its piece, since the Newton
+        path would solve this dense Q exactly in one step."""
         q = SelfAdjointPSD.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]),
                                       alpha_floor=1.0)
         f = zero(2)
         with pytest.raises(ToleranceNotMet) as info:
-            metric_prox(separable(2, f, f.prox), q, np.array([5.0, 0.0]),
+            metric_prox(ProxFunction(2, f, f.prox), q, np.array([5.0, 0.0]),
                         np.zeros(2), tol=1e-14, max_iters=2)
         err = info.value
         assert err.best.shape == (2,)
         assert err.residual > 0.0
 
     def test_budget_counts_newton_evaluations(self):
-        """Newton path from x0 (f = 0 without its piece): the first
+        """Newton path from x0 (f = 0 without the piece start): the first
         evaluation fails the test and the Newton step then lands on
         Q^{-1}(-lin), which the second evaluation accepts.  A budget of one
-        raises with a finite best iterate.  With its piece, f = 0 starts at
-        that solution of its single piece, which costs no evaluation, so a
-        budget of one suffices."""
+        raises with a finite best iterate.  With the piece start, f = 0
+        starts at that solution of its single piece, which costs no
+        evaluation, so a budget of one suffices."""
         mat = np.array([[2.0, 1.0], [1.0, 2.0]])
         q = SelfAdjointPSD.from_dense(mat, alpha_floor=1.0)
         lin = np.array([5.0, 0.0])
-        f, _ = _counted(zero(2), piece=False)
+        f = zero(2)
         with pytest.raises(ToleranceNotMet) as info:
-            metric_prox(f, q, lin, np.zeros(2), tol=1e-14, max_iters=1)
+            metric_prox(f, q, lin, np.zeros(2), tol=1e-14, max_iters=1,
+                        piece_start=False)
         err = info.value
         assert err.best.shape == (2,)
         assert np.isfinite(err.best).all()
         assert err.residual > 0.0
         want = np.linalg.solve(mat, -lin)
-        got = metric_prox(f, q, lin, np.zeros(2), tol=1e-14, max_iters=2)
+        got = metric_prox(f, q, lin, np.zeros(2), tol=1e-14, max_iters=2,
+                          piece_start=False)
         np.testing.assert_allclose(got, want, atol=1e-14)
-        got = metric_prox(zero(2), q, lin, np.zeros(2), tol=1e-14,
-                          max_iters=1)
+        got = metric_prox(f, q, lin, np.zeros(2), tol=1e-14, max_iters=1)
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     @pytest.mark.parametrize("q", [
@@ -385,11 +386,10 @@ class TestMetricProx:
                             max_iters=max_iters)
 
 
-def _counted(f, with_jac=True, piece=True):
+def _counted(f, pieces=True):
     """A copy of f and a list that gets one entry per evaluation of the
-    copy's prox.  The copy drops f's prox Jacobian unless `with_jac`, so
-    that `metric_prox` runs FISTA alone, and f's affine pieces unless
-    `piece`, so that Newton starts at x0."""
+    copy's prox.  The copy drops f's affine pieces unless `pieces`, so
+    that `metric_prox` runs FISTA alone."""
     calls = []
     real = f._prox
 
@@ -399,8 +399,7 @@ def _counted(f, with_jac=True, piece=True):
 
     g = copy.copy(f)
     g._prox = prox_fn
-    g._jac = f._jac if with_jac else None
-    g._piece = f._piece if piece else None
+    g._piece = f._piece if pieces else None
     return g, calls
 
 
@@ -412,7 +411,7 @@ def _random_pd(rng, dim):
 
 class TestMetricProxNewton:
     """The semismooth Newton phase for dense Q, checked against FISTA alone
-    (the same f wrapped without its prox Jacobian)."""
+    (the same f wrapped without its pieces)."""
 
     def test_lasso_subproblems_agree_with_fista(self):
         """500 lasso-small x-subproblems at the default tolerance, with the
@@ -423,7 +422,7 @@ class TestMetricProxNewton:
         q = x_update_metric(m1, 1.0, p.A, 0.0)
         assert q.base.mat is not None
         newton, newton_calls = _counted(p.f)
-        fista, fista_calls = _counted(p.f, with_jac=False)
+        fista, fista_calls = _counted(p.f, pieces=False)
         rng = np.random.default_rng(607)
         worst = 0.0
         for _ in range(500):
@@ -445,7 +444,7 @@ class TestMetricProxNewton:
         f = make()
         q = _random_pd(rng, f.dim)
         newton, newton_calls = _counted(f)
-        fista, fista_calls = _counted(f, with_jac=False)
+        fista, fista_calls = _counted(f, pieces=False)
         for _ in range(50):
             lin = 3.0 * rng.standard_normal(f.dim)
             x0 = rng.standard_normal(f.dim)
@@ -495,24 +494,25 @@ class TestMetricProxNewton:
         Halving a step that does not decrease ||F|| enough breaks the
         cycle inside the Newton phase, with no FISTA fallback.  The real
         l1 first tries x0's piece, which is not the solution's in the
-        second case, and then runs Newton from x0; without its pieces,
+        second case, and then runs Newton from x0; without the piece start,
         Newton starts at x0 at once."""
         mat = np.array(mat)
         q = SelfAdjointPSD.from_dense(mat, float(np.linalg.eigvalsh(mat)[0]))
-        f, calls = _counted(l1_norm(2, weight=weight), piece=piece)
-        got = metric_prox(f, q, np.array(lin), np.array(x0))
+        f, calls = _counted(l1_norm(2, weight=weight))
+        got = metric_prox(f, q, np.array(lin), np.array(x0),
+                          piece_start=piece)
         np.testing.assert_allclose(got, v_star, rtol=0, atol=1e-12)
         assert len(calls) <= NEWTON_STEPS + 1
 
-    def test_jacless_separable_keeps_fista_count(self):
-        """A custom `separable` without a prox Jacobian takes FISTA's path
+    def test_pieceless_function_keeps_fista_count(self):
+        """A custom `ProxFunction` without pieces takes FISTA's path
         unchanged: this lasso-small subproblem costs the same 42 prox calls
         as before the Newton phase existed, against a few with it."""
         p = catalog("lasso-small")
         m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, 0.5))
         q = x_update_metric(m1, 1.0, p.A, 0.0)
         lin = np.linspace(-1.0, 1.0, p.n)
-        fista, fista_calls = _counted(separable(p.n, p.f, p.f.prox))
+        fista, fista_calls = _counted(ProxFunction(p.n, p.f, p.f.prox))
         newton, newton_calls = _counted(p.f)
         want = metric_prox(fista, q, lin, np.zeros(p.n))
         got = metric_prox(newton, q, lin, np.zeros(p.n))
@@ -543,15 +543,10 @@ def _random_subproblem(rng, dim):
 
 
 def _pattern_recorder(f):
-    """A copy of f that records each prox-Jacobian pattern it gives, from
-    its Jacobian or its pieces, as the bytes `metric_prox` keys its
-    inverses on; `metric_prox` takes the same path with it as with f."""
+    """A copy of f that records each prox-Jacobian pattern its pieces give,
+    as the bytes `metric_prox` keys its inverses on; `metric_prox` takes
+    the same path with it as with f."""
     seen = set()
-
-    def jac_fn(t, u):
-        jac = f._jac(t, u)
-        seen.add(np.asarray(jac, dtype=float).tobytes())
-        return jac
 
     def piece_fn(t, x):
         jac, e = f._piece(t, x)
@@ -559,7 +554,7 @@ def _pattern_recorder(f):
         return jac, e
 
     g = copy.copy(f)
-    g._jac, g._piece = jac_fn, piece_fn
+    g._piece = piece_fn
     return g, seen
 
 
@@ -744,17 +739,17 @@ class TestNewtonInverses:
         assert len(computed) == len(proxlib._INVERSES) == 1
 
     def test_singular_pattern_takes_the_fista_path(self):
-        """Q = diag(1, 2) with step 1/2 and a Jacobian of 2 make the Newton
+        """Q = diag(1, 2) with step 1/2 and a piece of D = 2 make the Newton
         matrix I - D + step D Q = diag(0, 1) singular.  The store keeps
         the pattern as no step, and every solve, the first and the ones
         that find it kept, is FISTA's from x0: the same result and the
-        same prox count as f without a Jacobian."""
+        same prox count as f without pieces."""
         q = SelfAdjointPSD(LinearMap.from_dense(np.diag([1.0, 2.0])),
                            alpha_floor=1.0, norm_hint=2.0)
         inner = zero(2)
-        singular, singular_calls = _counted(
-            separable(2, inner, inner.prox, jac_fn=lambda t, u: 2.0))
-        fista, fista_calls = _counted(inner, with_jac=False)
+        singular, singular_calls = _counted(ProxFunction(
+            2, inner, inner.prox, piece_fn=lambda t, x: (2.0, 0.0)))
+        fista, fista_calls = _counted(inner, pieces=False)
         lin = np.array([3.0, -1.0])
         for x0 in (np.zeros(2), np.array([1.0, 5.0])):
             singular_calls.clear()
@@ -767,6 +762,22 @@ class TestNewtonInverses:
                 (q.base.mat.tobytes(), 0.5, np.full(1, 2.0).tobytes()): None}
 
 
+# each kind of `_KINDS`, l1 at weight 0 and a box with vector bounds (one
+# of them a point), with the oracle Jacobian at the same parameters
+_JACOBIAN_CASES = [
+    ("zero", zero(3), prox_jacobian("zero")),
+    ("sq_norm", sq_norm(3, coef=1.7), prox_jacobian("sq_norm", coef=1.7)),
+    ("l1", l1_norm(3, weight=0.6), prox_jacobian("l1", weight=0.6)),
+    ("l1-weight-0", l1_norm(3, weight=0.0), prox_jacobian("l1", weight=0.0)),
+    ("box", box(3, lo=-0.5, hi=1.5), prox_jacobian("box", lo=-0.5, hi=1.5)),
+    ("box-vector", box(3, lo=[-0.5, 0.0, -2.0], hi=[1.5, 0.0, 2.0]),
+     prox_jacobian("box", lo=np.array([-0.5, 0.0, -2.0]),
+                   hi=np.array([1.5, 0.0, 2.0]))),
+    ("sq_distance", sq_distance(3, center=np.array([1.0, -2.0, 0.5]),
+                                coef=2.2),
+     prox_jacobian("sq_distance", coef=2.2)),
+]
+
 # the x-block of lasso-small and the dense-M2 z-blocks (g a box) of box-qp
 # and l1-box, as (name, index into `_subproblems`)
 _PIECE_CASES = [("lasso-small", 0), ("box-qp", 1), ("l1-box.txt", 1)]
@@ -776,27 +787,28 @@ class TestPieceStart:
     """`metric_prox` starts at the exact minimizer on the affine piece of
     the prox that its start point lies on, at no prox evaluation."""
 
-    @pytest.mark.parametrize("name,make", _KINDS, ids=[k for k, _ in _KINDS])
-    def test_piece_agrees_with_prox_and_jacobian(self, name, make):
-        """Away from the breakpoints, the piece (D, e) of x = prox_{t f}(u)
-        has u's Jacobian D, and prox_{t f} = D v + e at u and around it."""
-        f = make()
+    @pytest.mark.parametrize("name,f,jac", _JACOBIAN_CASES,
+                             ids=[k for k, _, _ in _JACOBIAN_CASES])
+    def test_piece_agrees_with_prox_and_jacobian(self, name, f, jac):
+        """The piece (D, e) of x = prox_{t f}(u) has, bit for bit, the
+        Jacobian diagonal that the oracle reads from u, and prox_{t f}(u)
+        = D u + e, at every finite u: on the breakpoints (|u| = t w for
+        l1, the bounds for box), at signed zeros, subnormals and 1e300 as
+        well as at random points."""
         rng = np.random.default_rng(739)
-        checked = 0
         for t in (0.3, 1.0, 2.5):
-            for _ in range(40):
-                u = 3.0 * rng.standard_normal(f.dim)
-                jac = np.asarray(f._jac(t, u), dtype=float)
-                if not (np.array_equal(f._jac(t, u - 1e-3), jac)
-                        and np.array_equal(f._jac(t, u + 1e-3), jac)):
-                    continue  # within 1e-3 of a breakpoint
-                checked += 1
-                d, e = f._piece(t, f.prox(t, u))
-                assert np.array_equal(np.asarray(d, dtype=float), jac)
-                for v in (u, u + 1e-4 * rng.uniform(-1.0, 1.0, f.dim)):
-                    np.testing.assert_allclose(f.prox(t, v), d * v + e,
-                                               rtol=1e-13, atol=1e-13)
-        assert checked >= 110
+            specials = np.array([0.0, -0.0, t * 0.6, -t * 0.6, -0.5, 1.5,
+                                 -2.0, 2.0, 5e-324, -5e-324, 1e300, -1e300])
+            U = 3.0 * rng.standard_normal((200, f.dim))
+            U.flat[rng.choice(U.size, 4 * specials.size, replace=False)] = \
+                np.tile(specials, 4)
+            for u in U:
+                x = f.prox(t, u)
+                d, e = f._piece(t, x)
+                want = np.asarray(jac(t, u), dtype=float)
+                assert np.asarray(d, dtype=float).tobytes() == want.tobytes()
+                np.testing.assert_allclose(x, d * u + e, rtol=1e-13,
+                                           atol=1e-13)
 
     @pytest.mark.parametrize("name,make", _KINDS, ids=[k for k, _ in _KINDS])
     def test_region_holds_its_piece(self, name, make):
@@ -882,7 +894,7 @@ class TestPieceStart:
         rng = np.random.default_rng(751)
         others = [metric_prox(f, q, *_random_subproblem(rng, f.dim))
                   for _ in range(30)]
-        fista, _ = _counted(f, with_jac=False)
+        fista, _ = _counted(f, pieces=False)
         f, calls = _counted(f)
         wrong = 0
         for start in others:
@@ -989,9 +1001,9 @@ class TestRows:
         _same_bits(h.grad(np.ones(3)), np.zeros(3))
         _same_bits(h.grad(np.ones((5, 3))), np.zeros((5, 3)))
 
-    def test_separable_falls_back_per_row(self):
+    def test_one_point_closures_fall_back_per_row(self):
         inner = l1_norm(3, weight=0.4)
-        f = separable(3, _one_point(inner), _one_point(inner.prox))
+        f = ProxFunction(3, _one_point(inner), _one_point(inner.prox))
         U = np.random.default_rng(41).standard_normal((9, 3))
         _same_bits(f.prox(0.7, U), inner.prox(0.7, U))
         _same_bits(f(U), inner(U))
@@ -1080,8 +1092,8 @@ class TestUfuncForms:
     def test_box_matches_clip(self, lo, hi):
         U = _special_rows(np.random.default_rng(43))
         f = box(6, lo, hi)
-        lo_v, hi_v = f.params["lo"], f.params["hi"]
-        want = np.clip(U, lo_v, hi_v)
+        want = np.clip(U, np.full(6, lo, dtype=float),
+                       np.full(6, hi, dtype=float))
         _same_bits(f.prox(1.0, U), want)
         _same_bits(np.array([f.prox(0.5, u) for u in U]), want)
         assert np.isnan(f.prox(1.0, U)[np.isnan(U)]).all()

@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import sys
 import warnings
 
@@ -105,6 +106,25 @@ class TestDigestCommands:
             problem = getattr(args, "problem", None)
             if problem not in (None, *output_digest.CATALOG_NAMES):
                 assert os.path.isfile(os.path.join(ROOT, problem)), argv
+
+
+class TestApiRuns:
+    """The general-metric API grid that the digest prints after the CLI
+    runs: its size, and one run of each metric kind."""
+
+    def test_grid_has_every_case(self):
+        cases = list(output_digest.api_runs())
+        assert len(cases) == len(set(cases)) == 384
+
+    @pytest.mark.parametrize("metric", output_digest.API_METRICS)
+    def test_one_run_per_metric(self, metric):
+        """An RK4 run of h 0.05 to T = 5 takes 100 steps of 4 stages."""
+        case = ("lasso-small", metric, 0.5, 0, "rk4")
+        line = output_digest.run_api(case)
+        assert re.fullmatch(
+            rf"lasso-small {metric} 0\.5 0 rk4: horizon rhs_evals 400 "
+            r"map_steps \d+ prox_evals [1-9]\d* [0-9a-f]{64}", line)
+        assert output_digest.run_api(case) == line
 
 
 class TestPublicNames:

@@ -21,10 +21,9 @@ it and with or without the piece start as the run took it, on four
 paths: in the run's own Q, whose inverse Newton matrices of the
 prox-Jacobian patterns the run met are already kept
 (`proxlib._kept_inverse`; kept inverses); in a copy of Q per call, with
-nothing kept (fresh Q); with f
-copied without its affine pieces, so that Newton starts at x0 and never
-tries x0's piece (newton from x0); and with f copied without its prox
-Jacobian (FISTA alone).
+nothing kept (fresh Q); without the piece start, so that Newton starts at
+x0 and never tries x0's piece (newton from x0); and with f copied without
+its affine pieces, which Newton reads its Jacobian from (FISTA alone).
 The script prints the Newton steps of each flow run and the Jacobian
 patterns with a kept inverse in its Q, for the piece maps and for Newton;
 then, for each setup and path, microseconds per call (min of 5 passes),
@@ -269,13 +268,14 @@ def run_counts():
 
 
 def _pieces(path):
+    """Whether the path tries the piece start where the run took it."""
     return path in ("kept inverses", "fresh Q")
 
 
 def _wrapped(f, path, count=None):
-    """A copy of f as the path sees it: with its prox Jacobian and pieces,
-    without its pieces, or without either; with `count`, each prox
-    evaluation adds one to count["prox"]."""
+    """A copy of f as the path sees it: with its pieces, or without them
+    on the "fista only" path; with `count`, each prox evaluation adds one
+    to count["prox"]."""
     def prox_fn(t, u):
         if count is not None:
             count["prox"] += 1
@@ -284,8 +284,6 @@ def _wrapped(f, path, count=None):
     g = copy.copy(f)
     g._prox = prox_fn
     if path == "fista only":
-        g._jac = None
-    if not _pieces(path):
         g._piece = None
     return g
 
@@ -312,7 +310,8 @@ def measure(calls, path):
         t0 = time.perf_counter()
         with kept():
             for f, q, lin, x0, tol, start in batch:
-                metric_prox(f, q, lin, x0, tol, piece_start=start)
+                metric_prox(f, q, lin, x0, tol,
+                            piece_start=start and _pieces(path))
         best = min(best, time.perf_counter() - t0)
     sols, evals, fallbacks = [], [], 0
     for f, q, lin, x0, tol, start in calls:
@@ -320,7 +319,7 @@ def measure(calls, path):
         g = _wrapped(f, path, count)
         with kept():
             sols.append(metric_prox(g, _fresh(q) if fresh else q, lin, x0,
-                                    tol, piece_start=start))
+                                    tol, piece_start=start and _pieces(path)))
         evals.append(count["prox"])
         # the Newton phase makes at most NEWTON_STEPS evaluations, one more
         # accepts its last point, and a piece start that fails makes one

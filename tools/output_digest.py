@@ -43,6 +43,19 @@ and `discrete --c 1.5` on lasso-small and `problems/l1-box.txt`, then
 `--tau auto --dump-state`.  Last of all, `check --tau auto` on
 `problems/wide-lasso.txt`, whose report pins the floors `certify` reads and
 the norm of the largest shipped A, 40 x 64.
+
+After the CLI runs come the general-metric API runs (`api_runs`), which
+no CLI run reaches: every `metric_prox` Newton step and piece start is
+taken here.  The grid is {example1, lasso-small, box-qp,
+`problems/l1-box.txt`} x {M1 = M2 = s I (s = 5 on box-qp, else 0.5), a
+seeded dense M1, a seeded dense M2, a tau-family M2 coupled on A*} x
+gamma in {0.5, 1} x 3 seeded starts x {RK4 h 0.05 and Euler h 0.05 to
+T = 5, Adaptive to T = 20, ADMM to 1e-10 within 3 000 iterations}, all at
+c = 1: 384 runs.  Each prints one line: the case, the stop reason,
+`rhs_evals` and `map_steps` of a flow or the iterations of ADMM, the
+prox evaluations of f and g (calls of their prox closures, rows or
+points), and the sha256 of (t, U, erg) of a flow or (U, residuals) of
+ADMM.
 """
 
 from __future__ import annotations
@@ -55,7 +68,12 @@ import sys
 import tempfile
 import warnings
 
-from pdflow import cli
+import numpy as np
+
+from pdflow import cli, discrete, flow
+from pdflow.config import load_problem
+from pdflow.linops import SelfAdjointPSD
+from pdflow.metric import MetricSchedule, TauSchedule
 from pdflow.problems import CATALOG_NAMES
 
 SATURATING = "saturating:0.05,0.2"
@@ -130,9 +148,85 @@ def run(argv) -> list:
     return lines
 
 
+API_PROBLEMS = ("example1", "lasso-small", "box-qp", L1_BOX)
+API_METRICS = ("sI", "dense-m1", "dense-m2", "tau-m2")
+API_SOLVERS = ("rk4", "euler", "adaptive", "admm")
+
+
+def api_runs():
+    """The general-metric API cases: (problem, metric, gamma, start,
+    solver)."""
+    for problem in API_PROBLEMS:
+        for metric in API_METRICS:
+            for gamma in (0.5, 1.0):
+                for start in range(3):
+                    for solver in API_SOLVERS:
+                        yield problem, metric, gamma, start, solver
+
+
+def _dense(rng, dim, s):
+    base = rng.standard_normal((dim, dim))
+    mat = base @ base.T / dim + s * np.eye(dim)
+    return SelfAdjointPSD.from_dense(mat, float(np.linalg.eigvalsh(mat)[0]))
+
+
+def _metrics(problem, p, metric):
+    """(M1, M2) of a metric case on p, at c = 1."""
+    s = 5.0 if problem == "box-qp" else 0.5
+    rng = np.random.default_rng(API_METRICS.index(metric))
+    m1 = MetricSchedule.constant(SelfAdjointPSD.identity(p.n, s))
+    m2 = MetricSchedule.constant(SelfAdjointPSD.identity(p.m, s))
+    if metric == "dense-m1":
+        m1 = MetricSchedule.constant(_dense(rng, p.n, s))
+    elif metric == "dense-m2":
+        m2 = MetricSchedule.constant(_dense(rng, p.m, s))
+    elif metric == "tau-m2":
+        tau_max = 0.9 / p.A.norm() ** 2
+        m2 = MetricSchedule.tau_family(
+            TauSchedule.saturating(0.5 * tau_max, tau_max), 1.0, p.A.T)
+    return m1, m2
+
+
+def run_api(case) -> str:
+    """The digest line of one general-metric API run."""
+    problem, metric, gamma, start, solver = case
+    p = load_problem(problem)
+    evals = [0]
+    for fn in (p.f, p.g):
+        def counted(t, u, real=fn._prox):
+            evals[0] += 1
+            return real(t, u)
+        fn._prox = counted
+    m1, m2 = _metrics(problem, p, metric)
+    rng = np.random.default_rng(start)
+    x0, y0 = rng.standard_normal(p.n), rng.standard_normal(p.m)
+    s0 = flow.SystemState(x0, p.A.apply(x0), y0)
+    if solver == "admm":
+        d = discrete.DiscreteParams(c=1.0, gamma=gamma, m1=m1, m2=m2,
+                                    max_iters=3000, stop_tol=1e-10)
+        out = discrete.run(p, d, s0)
+        counts = f"iterations {out.iterations}"
+        arrays = (out.U, out.residuals)
+    else:
+        integrator = {"rk4": flow.RK4(h=0.05), "euler": flow.Euler(h=0.05),
+                      "adaptive": flow.Adaptive()}[solver]
+        params = flow.FlowParams(
+            c=1.0, gamma=gamma, m1=m1, m2=m2, integrator=integrator,
+            horizon=20.0 if solver == "adaptive" else 5.0)
+        out = flow.integrate(p, params, s0)
+        counts = f"rhs_evals {out.rhs_evals} map_steps {out.map_steps}"
+        arrays = (out.t, out.U, out.erg)
+    digest = _sha(b"".join(np.ascontiguousarray(a).tobytes()
+                           for a in arrays))
+    return (f"{' '.join(map(str, case))}: {out.stop_reason} {counts} "
+            f"prox_evals {evals[0]} {digest}")
+
+
 def main() -> int:
     for argv in commands():
         print("\n".join(run(argv)), flush=True)
+    for case in api_runs():
+        print(run_api(case), flush=True)
     return 0
 
 
