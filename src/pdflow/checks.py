@@ -157,8 +157,7 @@ def _check_euler_equivalence(p: ProblemSpec, params: FlowParams,
                            "horizon holds no unit step")
     traj = integrate(p, replace(params, horizon=float(steps),
                                 integrator=Euler(h=1.0)), s0)
-    d = DiscreteParams(c=params.c, gamma=params.gamma,
-                       tau=params.tau if params.tau is not None else 0.25,
+    d = DiscreteParams(c=params.c, gamma=params.gamma, tau=params.tau,
                        m1=params.m1, m2=params.m2,
                        inner_tol=params.inner_tol, max_iters=steps,
                        stop_tol=-np.inf)  # all steps, even from a saddle

@@ -13,6 +13,9 @@ Subcommands:
                       from its standard start
 
 Every run writes its outputs under --out (default: the working directory).
+--jobs is accepted and ignored: sweeps run sequentially.  The config's
+`mode` key is validated and otherwise ignored: the subcommand decides what
+runs.
 Exit codes: 0 success, 1 configuration error, 2 certification failure (a
 rate-certificate flag is false, the invariant suite fails, or the run
 aborts before a certificate can be produced).
@@ -27,9 +30,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
-
-import numpy as np
+from dataclasses import fields, replace
 
 from .checks import render_report, run_checks
 from .config import (RunConfig, _as_tau, _fmt, build_discrete_params,
@@ -39,7 +40,7 @@ from .diagnostics import (CSV_FIELDS, certify_rates, initial_weighted_distance,
                           sweep_summary, trace_discrete, trace_flow)
 from .discrete import run as discrete_run
 from .errors import (CertificationError, ConfigError, IntegrationError,
-                     MissingSolutionError, ToleranceNotMet)
+                     ToleranceNotMet)
 from .flow import integrate, schedules
 
 __all__ = ["main", "build_parser"]
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="run config file")
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="accepted for compatibility; sweeps run "
+                        help="accepted and ignored; sweeps run "
                              "sequentially")
     common.add_argument("--seed", type=int, default=0, metavar="S",
                         help="seed for randomized checks (default 0)")
@@ -112,12 +113,11 @@ def _load_config(args) -> RunConfig:
 # -- output writers -----------------------------------------------------------
 
 
-def _footer_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _write_text(path, text):
+    """Write `text` and a final newline, UTF-8 with \\n line ends: every file
+    a run writes goes through here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
 
 
 def _cells(col) -> list:
@@ -142,16 +142,14 @@ def write_trace_csv(path, trace, U=None, n=None, footer=()):
         columns += [list(map(repr, col)) for col in U.T.tolist()]
     lines = [",".join(header)]
     lines += map(",".join, zip(*columns))
-    for key, value in footer:
-        lines.append(f"# {key} = {_footer_value(value)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += [f"# {key} = {_fmt(value)}" for key, value in footer]
+    _write_text(path, "\n".join(lines))
 
 
 def write_plot_script(path, csv_name, title):
     """Standalone gnuplot script over the named CSV (comments are skipped
     by gnuplot, so the footer block is harmless)."""
-    text = "\n".join([
+    _write_text(path, "\n".join([
         f"# plot script for {csv_name}",
         'set datafile separator ","',
         'set datafile missing ""',
@@ -163,50 +161,58 @@ def write_plot_script(path, csv_name, title):
         f'     "{csv_name}" using 1:4 with lines title "feasibility", \\',
         f'     "{csv_name}" using 1:5 with lines title "lyapunov", \\',
         f'     "{csv_name}" using 1:6 with lines title "ergodic feasibility"',
-        "",
-    ])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    ]))
 
 
-def _certificate_footer(cert, w0):
-    rows = [("w0_norm_sq", "none" if w0 is None else w0)]
-    if cert is not None:
-        rows += [("feas_constant", cert.feas_constant),
-                 ("gap_bound_ok", cert.gap_bound_ok),
-                 ("gap_bound_margin", cert.gap_bound_margin),
-                 ("lyapunov_monotone", cert.lyapunov_monotone),
-                 ("first_hit_time", cert.first_hit_time)]
-    return rows
-
-
-def _report_text(name, footer) -> str:
-    lines = [f"run: {name}"]
-    for key, value in footer:
-        lines.append(f"  {key} = {_footer_value(value)}")
-    return "\n".join(lines)
-
-
-def _w0_or_none(p, m1, m2, c, gamma, s0):
-    try:
-        return initial_weighted_distance(p, m1, m2, c, gamma, s0)
-    except MissingSolutionError:
-        return None
+def _emit_run(out, stem, title, n, run) -> str:
+    """Write a finished run's CSV, plot script and report; the report's
+    `  key = value` lines are the CSV's footer lines."""
+    trace, U, footer, _ = run
+    write_trace_csv(os.path.join(out, f"{stem}.csv"), trace, U=U, n=n,
+                    footer=footer)
+    write_plot_script(os.path.join(out, f"{stem}.gp"), f"{stem}.csv", title)
+    report = "\n".join([f"run: {title}"] + [f"  {key} = {_fmt(value)}"
+                                            for key, value in footer])
+    _write_text(os.path.join(out, f"{stem}-report.txt"), report)
+    return report
 
 
 # -- subcommand runners -------------------------------------------------------
 
 
-def _flow_single(p, cfg, s0, gamma=None, tau=None):
-    """Integrate one flow configuration and certify its trace."""
-    params = build_flow_params(cfg, p, gamma=gamma, tau=tau)
-    traj = integrate(p, params, s0, record_every=cfg.record_every)
-    trace = trace_flow(p, params, traj)
-    m1, m2 = schedules(p, params.c, params.tau, params.m1, params.m2)
-    w0 = _w0_or_none(p, m1, m2, params.c, params.gamma, s0)
+def _finished(p, cfg, params, s0, trace, U, footer):
+    """Certify a flow or discrete run (`params` is its FlowParams or
+    DiscreteParams) and return it as (trace, U, footer, certificate).
+
+    W0, the squared distance of the start to the known saddle in W(0) of
+    the run's schedules, is None without a known primal.  The footer gains
+    the rows hit_threshold and w0_norm_sq, then the certificate's fields
+    in order.  U is kept only for --dump-state.
+    """
+    w0 = None
+    if p.known_primal is not None:
+        m1, m2 = schedules(p, params.c, params.tau, params.m1, params.m2)
+        w0 = initial_weighted_distance(p, m1, m2, params.c, params.gamma, s0)
     cert = certify_rates(trace, p, w0, grid=cfg.grid,
                          hit_threshold=cfg.hit_threshold)
-    return params, traj, trace, w0, cert
+    footer = [*footer, ("hit_threshold", cfg.hit_threshold),
+              ("w0_norm_sq", "none" if w0 is None else w0),
+              *((f.name, getattr(cert, f.name)) for f in fields(cert))]
+    return trace, U if cfg.dump_state else None, footer, cert
+
+
+def _flow_run(p, cfg, s0, seed, mode, params, tau_rows):
+    """Integrate one flow configuration and certify it; the footer's
+    `mode` and tau rows are the caller's."""
+    traj = integrate(p, params, s0, record_every=cfg.record_every)
+    footer = [("problem", p.name), ("mode", mode),
+              ("integrator", cfg.integrator), ("step", cfg.step),
+              ("c", params.c), ("gamma", params.gamma), *tau_rows,
+              ("horizon", params.horizon), ("seed", seed),
+              ("stop_reason", traj.stop_reason),
+              ("rhs_evals", traj.rhs_evals), ("map_steps", traj.map_steps)]
+    return _finished(p, cfg, params, s0, trace_flow(p, params, traj),
+                     traj.U, footer)
 
 
 def _out_dir(args, cfg) -> str:
@@ -215,36 +221,15 @@ def _out_dir(args, cfg) -> str:
     return out
 
 
-def _emit_run(out, stem, title, trace, U, n, footer):
-    csv_name = f"{stem}.csv"
-    write_trace_csv(os.path.join(out, csv_name), trace, U=U, n=n,
-                    footer=footer)
-    write_plot_script(os.path.join(out, f"{stem}.gp"), csv_name, title)
-    report = _report_text(title, footer)
-    with open(os.path.join(out, f"{stem}-report.txt"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(report + "\n")
-    return report
-
-
 def cmd_flow(args, cfg) -> int:
     p = load_problem(cfg.problem)
     s0 = initial_state(cfg, p)
-    params, traj, trace, w0, cert = _flow_single(p, cfg, s0)
-    out = _out_dir(args, cfg)
-    footer = [("problem", p.name), ("mode", "flow"),
-              ("integrator", cfg.integrator), ("step", cfg.step),
-              ("c", params.c), ("gamma", params.gamma),
-              ("tau", _fmt(cfg.tau)), ("tau0", params.tau.value(0.0)),
-              ("horizon", params.horizon), ("seed", args.seed),
-              ("stop_reason", traj.stop_reason),
-              ("rhs_evals", traj.rhs_evals), ("map_steps", traj.map_steps),
-              ("hit_threshold", cfg.hit_threshold)]
-    footer += _certificate_footer(cert, w0)
-    report = _emit_run(out, f"{p.name}-flow", f"{p.name} flow", trace,
-                       traj.U if cfg.dump_state else None, p.n, footer)
-    print(report)
-    return 0 if cert.all_ok() else 2
+    params = build_flow_params(cfg, p)
+    run = _flow_run(p, cfg, s0, args.seed, "flow", params,
+                    [("tau", cfg.tau), ("tau0", params.tau.value(0.0))])
+    print(_emit_run(_out_dir(args, cfg), f"{p.name}-flow", f"{p.name} flow",
+                    p.n, run))
+    return 0 if run[-1].all_ok() else 2
 
 
 def cmd_discrete(args, cfg) -> int:
@@ -252,65 +237,42 @@ def cmd_discrete(args, cfg) -> int:
     s0 = initial_state(cfg, p)
     d = build_discrete_params(cfg, p)
     result = discrete_run(p, d, s0, algorithm=args.algorithm)
-    trace = trace_discrete(p, d, result)
-    m1, m2 = schedules(p, d.c, d.tau, d.m1, d.m2)
-    w0 = _w0_or_none(p, m1, m2, d.c, d.gamma, s0)
-    cert = certify_rates(trace, p, w0, grid=cfg.grid,
-                         hit_threshold=cfg.hit_threshold)
-    out = _out_dir(args, cfg)
     footer = [("problem", p.name), ("mode", "discrete"),
               ("algorithm", args.algorithm), ("c", d.c), ("gamma", d.gamma),
-              ("tau", _fmt(cfg.tau)), ("tau0", d.tau.value(0.0)),
+              ("tau", cfg.tau), ("tau0", d.tau.value(0.0)),
               ("max_iters", d.max_iters), ("stop_tol", d.stop_tol),
               ("seed", args.seed), ("stop_reason", result.stop_reason),
               ("iterations", result.iterations),
-              ("final_kkt", result.residuals[-1].max()),
-              ("hit_threshold", cfg.hit_threshold)]
-    footer += _certificate_footer(cert, w0)
-    report = _emit_run(out, f"{p.name}-{args.algorithm}",
-                       f"{p.name} {args.algorithm}", trace,
-                       result.U if cfg.dump_state else None, p.n, footer)
-    print(report)
+              ("final_kkt", result.residuals[-1].max())]
+    run = _finished(p, cfg, d, s0, trace_discrete(p, d, result), result.U,
+                    footer)
+    print(_emit_run(_out_dir(args, cfg), f"{p.name}-{args.algorithm}",
+                    f"{p.name} {args.algorithm}", p.n, run))
     if result.stop_reason == "divergence":
         print("pdflow: iteration diverged", file=sys.stderr)
         return 2
-    return 0 if cert.all_ok() else 2
+    return 0 if run[-1].all_ok() else 2
 
 
 def _run_sweep(args, cfg) -> int:
     p = load_problem(cfg.problem)
     s0 = initial_state(cfg, p)
     out = _out_dir(args, cfg)
-    # every run finishes before any file is written; a run keeps only what
-    # gets written, so one trajectory is alive at a time
-    traces, certs, outputs = {}, {}, {}
+    # every run finishes before any file is written; a finished run keeps
+    # only what gets written, so one trajectory is alive at a time
+    runs = {}
     for tauc in cfg.sweep_taucs:
         for gamma in cfg.sweep_gammas:
-            _, traj, trace, w0, cert = _flow_single(p, cfg, s0, gamma=gamma,
-                                                    tau=tauc / cfg.c)
-            footer = [("problem", p.name), ("mode", "sweep"),
-                      ("integrator", cfg.integrator), ("step", cfg.step),
-                      ("c", cfg.c), ("gamma", gamma), ("tau", tauc / cfg.c),
-                      ("horizon", cfg.horizon), ("seed", args.seed),
-                      ("stop_reason", traj.stop_reason),
-                      ("rhs_evals", traj.rhs_evals),
-                      ("map_steps", traj.map_steps),
-                      ("hit_threshold", cfg.hit_threshold)]
-            traces[gamma, tauc] = trace
-            certs[gamma, tauc] = cert
-            outputs[gamma, tauc] = (traj.U if cfg.dump_state else None,
-                                    footer + _certificate_footer(cert, w0))
-            del traj
-
-    for (gamma, tauc), (U, footer) in outputs.items():
+            params = build_flow_params(cfg, p, gamma=gamma, tau=tauc / cfg.c)
+            runs[gamma, tauc] = _flow_run(p, cfg, s0, args.seed, "sweep",
+                                          params, [("tau", tauc / cfg.c)])
+    for (gamma, tauc), run in runs.items():
         _emit_run(out, f"{p.name}-flow-g{gamma:g}-tc{tauc:g}",
-                  f"{p.name} gamma={gamma:g} tau*c={tauc:g}",
-                  traces[gamma, tauc], U, p.n, footer)
-    summary = sweep_summary(certs, hit_threshold=cfg.hit_threshold)
+                  f"{p.name} gamma={gamma:g} tau*c={tauc:g}", p.n, run)
+    summary = sweep_summary({key: run[-1] for key, run in runs.items()},
+                            hit_threshold=cfg.hit_threshold)
     text = summary.render()
-    with open(os.path.join(out, f"{p.name}-sweep-report.txt"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write_text(os.path.join(out, f"{p.name}-sweep-report.txt"), text)
     print(text)
     return 0 if summary.all_ok() else 2
 
@@ -318,7 +280,7 @@ def _run_sweep(args, cfg) -> int:
 def cmd_reproduce_example1(args, cfg) -> int:
     """The documented 3x3 sweep: tau*c in {0.49, 0.25, 0.1} against
     gamma in {0.99, 0.5, 0.01}, started from the standard point."""
-    overrides = dict(problem="example1", mode="sweep", c=1.0,
+    overrides = dict(problem="example1", c=1.0,
                      x0="example1-default", z0="example1-default",
                      y0="example1-default",
                      sweep_taucs=(0.49, 0.25, 0.1),
@@ -340,9 +302,7 @@ def cmd_check(args, cfg) -> int:
     results = run_checks(p, params, s0, seed=args.seed)
     text = render_report(results)
     out = _out_dir(args, cfg)
-    with open(os.path.join(out, f"{p.name}-check-report.txt"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write_text(os.path.join(out, f"{p.name}-check-report.txt"), text)
     print(text)
     return 0 if all(r.ok for r in results) else 2
 

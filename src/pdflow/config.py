@@ -12,6 +12,9 @@ Sections and keys:
            hit_threshold, record_every, dump_state, out
   [sweep]  taucs, gammas
 
+`mode` must be one of flow, discrete, sweep and check, and is otherwise
+ignored: the subcommand decides what runs.
+
 `tau` is a decimal, `auto`, or `saturating:tau0,tau_max`.  `auto` picks
 the largest step the flow's conditions allow, shrunk by 1 percent:
 0.99 min(1/(c n^2), 4/(L + c(3+gamma) n^2), 2/(L + 2 c n^2)) with n the
@@ -46,7 +49,10 @@ section with kind keys `f`, `h`, `g`, `A` plus dotted parameter keys, e.g.
   A = @a.txt
 
 `@path` values load dense arrays (paths relative to the problem file).
-`A = identity` takes `A.dim` and optional `A.scale`.
+`A = identity` takes `A.dim` and optional `A.scale`.  A dotted key that
+its term's kind does not read is an error: `sq_norm` reads `coef`, `l1`
+`weight`, `box` `lo` and `hi`, `sq_distance` `center` and `coef`, `h =
+quadratic` `P` and `q`, and `zero` and `A = @path` read none.
 """
 
 from __future__ import annotations
@@ -283,14 +289,16 @@ def parse_file(path) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    """The text of a config or footer value; a numpy bool or float prints
+    as the Python value it stands for."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, tuple):
         if value and value[0] == "saturating":
             return "saturating:" + ",".join(repr(float(v)) for v in value[1:])
         return ",".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -330,19 +338,22 @@ def _load_value(value, base_dir, where, key):
 
 
 def _build_prox(kind, params, dim, where, key):
-    params = {k: (np.ravel(v) if isinstance(v, np.ndarray) else v)
-              for k, v in params.items()}
+    """The prox term of `kind` on R^dim; pops the parameters it reads."""
+    def take(name, default):
+        value = params.pop(name, default)
+        return np.ravel(value) if isinstance(value, np.ndarray) else value
+
     if kind == "zero":
         return proxlib.zero(dim)
     if kind == "sq_norm":
-        return proxlib.sq_norm(dim, coef=params.pop("coef", 1.0))
+        return proxlib.sq_norm(dim, coef=take("coef", 1.0))
     if kind == "l1":
-        return proxlib.l1_norm(dim, weight=params.pop("weight", 1.0))
+        return proxlib.l1_norm(dim, weight=take("weight", 1.0))
     if kind == "box":
-        return proxlib.box(dim, lo=params.pop("lo", -1.0), hi=params.pop("hi", 1.0))
+        return proxlib.box(dim, lo=take("lo", -1.0), hi=take("hi", 1.0))
     if kind == "sq_distance":
-        center = params.pop("center", 0.0)
-        return proxlib.sq_distance(dim, center=center, coef=params.pop("coef", 1.0))
+        center = take("center", 0.0)
+        return proxlib.sq_distance(dim, center=center, coef=take("coef", 1.0))
     raise ConfigError(
         f"{where}: {key} must be one of {', '.join(_PROX_KINDS)}, got {kind!r}")
 
@@ -358,7 +369,7 @@ def _problem_from_file(path) -> ProblemSpec:
     kinds = {}
     params = {"f": {}, "h": {}, "g": {}, "A": {}}
     name = os.path.splitext(os.path.basename(path))[0]
-    known = {}
+    known, dotted = {}, {}
     for where, section, key, value in _scan(text):
         if section not in ("run", "problem"):
             raise ConfigError(f"{path}: {where}: unknown section [{section}]")
@@ -371,6 +382,7 @@ def _problem_from_file(path) -> ProblemSpec:
             if owner not in params:
                 raise ConfigError(f"{path}: {where}: unknown key {key!r}")
             params[owner][pname] = _load_value(value, base_dir, where, key)
+            dotted[key] = where
         elif key in ("known_primal", "known_dual"):
             known[key] = np.atleast_1d(np.asarray(
                 _load_value(value, base_dir, where, key), dtype=float))
@@ -386,10 +398,10 @@ def _problem_from_file(path) -> ProblemSpec:
         mat = _load_value(a_kind, base_dir, a_where, "A")
         a_map = LinearMap.from_dense(np.atleast_2d(mat))
     elif a_kind == "identity":
-        dim = params["A"].get("dim")
+        dim = params["A"].pop("dim", None)
         if dim is None:
             raise ConfigError(f"{path}: {a_where}: A = identity needs A.dim")
-        a_map = LinearMap.identity(int(dim), float(params["A"].get("scale", 1.0)))
+        a_map = LinearMap.identity(int(dim), float(params["A"].pop("scale", 1.0)))
     else:
         raise ConfigError(
             f"{path}: {a_where}: A must be @path or identity, got {a_kind!r}")
@@ -406,10 +418,10 @@ def _problem_from_file(path) -> ProblemSpec:
     if h_kind == "zero":
         h = proxlib.zero_smooth(a_map.in_dim)
     elif h_kind == "quadratic":
-        p_mat = params["h"].get("P")
+        p_mat = params["h"].pop("P", None)
         if p_mat is None:
             raise ConfigError(f"{path}: {h_where}: h = quadratic needs h.P")
-        q_vec = params["h"].get("q")
+        q_vec = params["h"].pop("q", None)
         if q_vec is not None:
             q_vec = np.ravel(q_vec)
         try:
@@ -419,6 +431,14 @@ def _problem_from_file(path) -> ProblemSpec:
     else:
         raise ConfigError(
             f"{path}: {h_where}: h must be zero or quadratic, got {h_kind!r}")
+
+    # each term popped the parameters its kind reads
+    for key, where in dotted.items():
+        owner, _, pname = key.partition(".")
+        if pname in params[owner]:
+            kind = kinds.get(owner, ("zero",))[0]
+            raise ConfigError(
+                f"{path}: {where}: {owner} = {kind} does not read {key!r}")
 
     try:
         return ProblemSpec(name=name, f=f, h=h, g=g, A=a_map,

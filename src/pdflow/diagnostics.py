@@ -37,7 +37,6 @@ __all__ = [
     "trace_flow",
     "trace_discrete",
     "certify_rates",
-    "SweepRow",
     "SweepSummary",
     "sweep_summary",
     "first_hit_time",
@@ -250,26 +249,17 @@ def certify_rates(trace, p: ProblemSpec, w0_norm_sq, grid=DEFAULT_GRID,
 
 
 @dataclass
-class SweepRow:
-    gamma: float
-    tauc: float
-    first_hit_time: float
-    feas_constant: float
-    gap_bound_ok: bool
-    lyapunov_monotone: bool
-
-
-@dataclass
 class SweepSummary:
-    """Ordered sweep report: hit-time table plus the qualitative flags."""
+    """Ordered sweep report: the (gamma, tau*c) -> RateCertificate map,
+    its hit-time table and the qualitative flags."""
 
-    rows: list
+    certificates: dict
     hit_monotone_in_gamma: dict
     spread_shrinks_with_tauc: bool
     hit_threshold: float
 
     def all_ok(self) -> bool:
-        return all(r.gap_bound_ok and r.lyapunov_monotone for r in self.rows)
+        return all(cert.all_ok() for cert in self.certificates.values())
 
     def render(self) -> str:
         def fmt(v, width):
@@ -280,11 +270,14 @@ class SweepSummary:
         lines = [f"sweep summary (hit threshold {self.hit_threshold:g})",
                  f"{'tau*c':>8} {'gamma':>7} {'first_hit':>12} "
                  f"{'t*erg_feas':>12} {'gap_ok':>7} {'lyap_ok':>8}"]
-        for r in sorted(self.rows, key=lambda r: (-r.tauc, r.gamma)):
+        # largest tau*c first, gamma ascending within a block
+        for gamma, tauc in sorted(self.certificates,
+                                  key=lambda key: (-key[1], key[0])):
+            cert = self.certificates[gamma, tauc]
             lines.append(
-                f"{r.tauc:>8.3g} {r.gamma:>7.3g} {fmt(r.first_hit_time, 12)} "
-                f"{fmt(r.feas_constant, 12)} {fmt(r.gap_bound_ok, 7)} "
-                f"{fmt(r.lyapunov_monotone, 8)}")
+                f"{tauc:>8.3g} {gamma:>7.3g} {fmt(cert.first_hit_time, 12)} "
+                f"{fmt(cert.feas_constant, 12)} {fmt(cert.gap_bound_ok, 7)} "
+                f"{fmt(cert.lyapunov_monotone, 8)}")
         for tauc in sorted(self.hit_monotone_in_gamma, reverse=True):
             lines.append(f"first-hit nonincreasing in gamma at tau*c = "
                          f"{tauc:g}: {self.hit_monotone_in_gamma[tauc]}")
@@ -302,22 +295,14 @@ def sweep_summary(certificates, hit_threshold=1e-2) -> SweepSummary:
     is nonincreasing in gamma at each tau*c and whether the hit-time spread
     across gamma shrinks as tau*c does.
     """
-    rows = [SweepRow(gamma=gamma, tauc=tauc,
-                     first_hit_time=cert.first_hit_time,
-                     feas_constant=cert.feas_constant,
-                     gap_bound_ok=cert.gap_bound_ok,
-                     lyapunov_monotone=cert.lyapunov_monotone)
-            for (gamma, tauc), cert in certificates.items()]
-
     by_tauc = {}
-    for r in rows:
-        by_tauc.setdefault(r.tauc, []).append(r)
+    for (gamma, tauc), cert in certificates.items():
+        by_tauc.setdefault(tauc, []).append((gamma, cert.first_hit_time))
 
     hit_monotone = {}
     spreads = {}
     for tauc, group in by_tauc.items():
-        group = sorted(group, key=lambda r: r.gamma)
-        hits = [r.first_hit_time for r in group]
+        hits = [hit for _, hit in sorted(group)]
         hit_monotone[tauc] = all(hits[i] >= hits[i + 1] - 1e-12
                                  for i in range(len(hits) - 1))
         finite = [h for h in hits if math.isfinite(h)]
@@ -326,6 +311,7 @@ def sweep_summary(certificates, hit_threshold=1e-2) -> SweepSummary:
     taucs = sorted(spreads, reverse=True)
     shrinks = all(spreads[taucs[i]] >= spreads[taucs[i + 1]] - 1e-12
                   for i in range(len(taucs) - 1))
-    return SweepSummary(rows=rows, hit_monotone_in_gamma=hit_monotone,
+    return SweepSummary(certificates=certificates,
+                        hit_monotone_in_gamma=hit_monotone,
                         spread_shrinks_with_tauc=shrinks,
                         hit_threshold=hit_threshold)

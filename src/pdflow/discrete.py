@@ -51,17 +51,18 @@ STOP_CHUNK = 64
 class DiscreteParams:
     """Iteration parameters.
 
-    tau is a TauSchedule evaluated at t = k; a positive number is the
-    constant schedule.  Omitting m1 selects the step-derived metric
-    M1^k = I / tau(k) - c A* A (single-prox x-update); a tau-family m1 must
-    be coupled at this c and the problem's A (`flow.schedules`), else the
-    update is a ValueError.  Omitting m2 (a zero M2), or a constant
-    m2 = s I, keeps a single-prox z-update.
+    Give tau or m1, not both; with neither, tau is 0.25.  tau, a
+    TauSchedule evaluated at t = k (a positive number is the constant
+    schedule), selects the step-derived metric M1^k = I / tau(k) - c A* A
+    (single-prox x-update); a tau-family m1 must be coupled at this c and
+    the problem's A (`flow.schedules`), else the update is a ValueError.
+    Omitting m2 (a zero M2), or a constant m2 = s I, keeps a single-prox
+    z-update.
     """
 
     c: float = 1.0
     gamma: float = 1.0
-    tau: TauSchedule | float = 0.25
+    tau: TauSchedule | float | None = None
     m1: MetricSchedule | None = None
     m2: MetricSchedule | None = None
     inner_tol: float = 1e-10
@@ -77,9 +78,13 @@ class DiscreteParams:
             raise ValueError("max_iters must be nonnegative")
         if math.isnan(self.stop_tol):
             raise ValueError("stop_tol must not be NaN")
+        if self.tau is not None and self.m1 is not None:
+            raise ValueError("give tau or m1, not both")
+        if self.tau is None and self.m1 is None:
+            self.tau = 0.25
         if isinstance(self.tau, numbers.Real):
             self.tau = TauSchedule.constant(self.tau)
-        elif not isinstance(self.tau, TauSchedule):
+        elif not (self.tau is None or isinstance(self.tau, TauSchedule)):
             raise ValueError("tau must be a positive number or a TauSchedule")
 
 

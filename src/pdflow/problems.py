@@ -42,7 +42,8 @@ CATALOG_NAMES = ("example1", "lasso-small", "box-qp")
 
 @dataclass
 class ProblemSpec:
-    """A structured convex program and optional known saddle point."""
+    """A structured convex program and optional known saddle point, of
+    shapes (n,) and (m,)."""
 
     name: str
     f: ProxFunction
@@ -57,6 +58,11 @@ class ProblemSpec:
             raise ValueError("f and h must live on the domain of A")
         if self.g.dim != self.A.out_dim:
             raise ValueError("g must live on the codomain of A")
+        for name, dim in (("known_primal", self.n), ("known_dual", self.m)):
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != (dim,):
+                raise ValueError(f"{name} has shape {np.shape(value)}, "
+                                 f"expected ({dim},)")
 
     @property
     def n(self) -> int:

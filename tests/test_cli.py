@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from pdflow import cli
-from pdflow.cli import _footer_value, main, write_plot_script, write_trace_csv
+from pdflow.cli import main, write_plot_script, write_trace_csv
+from pdflow.config import _fmt
 from pdflow.diagnostics import CSV_FIELDS, Trace, trace_flow
 from pdflow.flow import FlowParams, RK4, integrate
 from pdflow.metric import TauSchedule
@@ -343,6 +344,37 @@ class TestSweepCommands:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def _footer_pairs(lines, lead):
+    return [line[len(lead):] for line in lines if line.startswith(lead)]
+
+
+class TestReportMatchesFooter:
+    """A run's report lists the CSV's footer rows, one for one and in
+    order: `  key = value` against `# key = value`."""
+
+    @pytest.mark.parametrize("argv,stem", [
+        (["flow", "--horizon", "2", "--tau", "saturating:0.1,0.3"],
+         "example1-flow"),
+        (["sweep", "--horizon", "2", "--step", "0.05"],
+         "example1-flow-g0.5-tc0.25"),
+        (["discrete", "--algorithm", "admm", "--problem", "lasso-small"],
+         "lasso-small-admm"),
+        (["discrete", "--algorithm", "cp", "--tau", "0.25"], "example1-cp"),
+    ], ids=["flow", "sweep-point", "admm", "cp"])
+    def test_report_lines_are_footer_lines(self, tmp_path, argv, stem):
+        main(argv + ["--out", str(tmp_path)])
+        csv = (tmp_path / f"{stem}.csv").read_text().splitlines()
+        report = (tmp_path / f"{stem}-report.txt").read_text().splitlines()
+        footer = _footer_pairs(csv, "# ")
+        assert report[0].startswith("run: ")
+        assert _footer_pairs(report[1:], "  ") == footer
+        assert len(report) == 1 + len(footer)
+        keys = [pair.split(" = ")[0] for pair in footer]
+        assert keys[-7:] == ["hit_threshold", "w0_norm_sq", "feas_constant",
+                             "gap_bound_ok", "gap_bound_margin",
+                             "lyapunov_monotone", "first_hit_time"]
+
+
 class TestWriters:
     def _trace(self):
         return Trace(t=[0.0, 1.0], dist_primal=[1.5, 0.5],
@@ -363,11 +395,11 @@ class TestWriters:
 
     def test_footer_values_from_numpy_scalars(self):
         """numpy scalars print like the Python values they stand for."""
-        assert _footer_value(np.float64(0.5)) == "0.5"
-        assert _footer_value(np.float64(1.0) / 3.0) == repr(1.0 / 3.0)
-        assert _footer_value(np.bool_(True)) == "true"
-        assert _footer_value(np.bool_(False)) == "false"
-        assert _footer_value(np.int64(7)) == "7"
+        assert _fmt(np.float64(0.5)) == "0.5"
+        assert _fmt(np.float64(1.0) / 3.0) == repr(1.0 / 3.0)
+        assert _fmt(np.bool_(True)) == "true"
+        assert _fmt(np.bool_(False)) == "false"
+        assert _fmt(np.int64(7)) == "7"
 
     def test_csv_state_columns(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -505,6 +505,26 @@ _REJECTED = [
     ("P-not-A-columns", "problem",
      {"p.txt": _LOADS + "h = quadratic\nh.P = @P.txt\n", "P.txt": _EYE3},
      ConfigError, r"p\.txt: f and h must live on the domain of A"),
+    ("unread-f-weight", "cli",
+     {"p.txt": "[problem]\nf = l1\nf.wieght = 0.05\ng = zero\n"
+               "A = identity\nA.dim = 2\n"},
+     ConfigError, r"p\.txt: line 3: f = l1 does not read 'f\.wieght'"),
+    ("unread-g-coeff", "problem",
+     {"p.txt": "[problem]\nf = zero\ng = sq_norm\ng.coeff = 3\n"
+               "A = identity\nA.dim = 2\n"},
+     ConfigError, r"p\.txt: line 4: g = sq_norm does not read 'g\.coeff'"),
+    ("unread-A-scale", "problem", {"p.txt": _LOADS + "A.sclae = 2\n"},
+     ConfigError, r"p\.txt: line 6: A = identity does not read 'A\.sclae'"),
+    ("P-under-zero-h", "problem",
+     {"p.txt": _LOADS + "h = zero\nh.P = @P.txt\n", "P.txt": _EYE3},
+     ConfigError, r"p\.txt: line 7: h = zero does not read 'h\.P'"),
+    ("dim-under-A-path", "problem",
+     {"p.txt": "[problem]\nf = zero\ng = zero\nA = @A.txt\nA.dim = 3\n",
+      "A.txt": _EYE3},
+     ConfigError, r"p\.txt: line 5: A = @A\.txt does not read 'A\.dim'"),
+    ("known-primal-length", "cli",
+     {"p.txt": _LOADS + "known_primal = 1, 2, 3\n"},
+     ConfigError, r"p\.txt: known_primal has shape \(3,\), expected \(2,\)"),
     ("non-convex-P", "cli",
      {"p.txt": _LOADS + "h = quadratic\nh.P = @P.txt\n",
       "P.txt": _INDEFINITE},
@@ -515,8 +535,8 @@ _REJECTED = [
 class TestRejectedFiles:
     """A config or problem file that cannot be read or is malformed raises
     `ConfigError` with its message; a non-convex h.P raises
-    `CertificationError`, which `cli.main` turns into exit 1 and a
-    `pdflow:` line on stderr."""
+    `CertificationError`.  For the "cli" cases, `cli.main` turns the error
+    into exit 1 and a `pdflow:` line on stderr."""
 
     @pytest.mark.parametrize("what,files,error,message",
                              [case[1:] for case in _REJECTED],

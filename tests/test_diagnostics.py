@@ -439,7 +439,7 @@ class TestSweepSummary:
         hits = {(0.01, 0.49): 12.0, (0.5, 0.49): 9.0, (0.99, 0.49): 8.0,
                 (0.01, 0.10): 31.0, (0.5, 0.10): 29.0, (0.99, 0.10): 28.0}
         summary = sweep_summary(_certs_hitting_at(hits), hit_threshold=1e-2)
-        assert len(summary.rows) == 6
+        assert len(summary.certificates) == 6
         assert summary.hit_monotone_in_gamma == {0.49: True, 0.10: True}
         # spreads: 4.0 at tau*c = 0.49, 3.0 at 0.10
         assert summary.spread_shrinks_with_tauc
@@ -454,11 +454,11 @@ class TestSweepSummary:
                                gap_bound_margin=0.4, lyapunov_monotone=True,
                                first_hit_time=10.0)
         summary = sweep_summary({(0.5, 0.25): cert})
-        row = summary.rows[0]
-        assert row.first_hit_time == 10.0
-        assert row.feas_constant == 3.5
-        assert row.gap_bound_ok and row.lyapunov_monotone
+        assert summary.certificates == {(0.5, 0.25): cert}
+        assert summary.certificates[0.5, 0.25] is cert
         assert summary.all_ok()
+        cert.gap_bound_ok = False
+        assert not summary.all_ok()
 
     def test_render_is_ordered_table(self):
         hits = {(0.01, 0.49): 12.0, (0.99, 0.49): 8.0,

@@ -136,7 +136,8 @@ class TestPrimalDualForms:
         """CP steps with tau; a set m1 would turn its x-step into a
         `metric_prox` solve, and m2 would change its z-step."""
         op = MetricSchedule.constant(SelfAdjointPSD.identity(2, 0.5))
-        d = DiscreteParams(c=1.0, gamma=1.0, tau=0.25, **{metric: op})
+        step = {} if metric == "m1" else {"tau": 0.25}
+        d = DiscreteParams(c=1.0, gamma=1.0, **step, **{metric: op})
         with pytest.raises(ConfigError, match="m1 or m2"):
             run(example1, d, algorithm="cp")
         with pytest.raises(ConfigError, match="m1 or m2"):
@@ -718,6 +719,15 @@ class TestDiscreteParams:
             DiscreteParams(gamma=-0.1)
         with pytest.raises(ValueError):
             DiscreteParams(max_iters=-1)
+
+    def test_tau_and_m1_refused_together(self):
+        """m1 decides the x-update, so a tau given beside it would be
+        dropped; with neither, tau is 0.25."""
+        m1 = MetricSchedule.constant(SelfAdjointPSD.identity(2, 0.5))
+        with pytest.raises(ValueError, match="tau or m1"):
+            DiscreteParams(tau=0.1, m1=m1)
+        assert DiscreteParams(m1=m1).tau is None
+        assert DiscreteParams().tau.tau0 == 0.25
 
     def test_nan_stop_tol_rejected(self):
         """A NaN stop_tol never compares true, so the run would spend its

@@ -251,3 +251,23 @@ class TestMissingSolutions:
             optimal_value(p)
         with pytest.raises(MissingSolutionError):
             p.require_saddle()
+
+
+class TestKnownSolutionShapes:
+    """A known primal must have A's column count and a known dual its row
+    count, or the diagnostics would fail later on a broadcast."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("known_primal", np.zeros(2)), ("known_primal", np.zeros((3, 1))),
+        ("known_dual", np.zeros(3)), ("known_dual", 0.0)])
+    def test_wrong_shape_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} has shape "):
+            ProblemSpec(name="x", f=proxlib.zero(3), h=proxlib.zero_smooth(3),
+                        g=proxlib.zero(2), A=LinearMap.from_dense(np.ones((2, 3))),
+                        **{field: value})
+
+    def test_right_shapes_are_kept(self):
+        p = ProblemSpec(name="x", f=proxlib.zero(3), h=proxlib.zero_smooth(3),
+                        g=proxlib.zero(2), A=LinearMap.from_dense(np.ones((2, 3))),
+                        known_primal=np.zeros(3), known_dual=np.zeros(2))
+        assert p.known_primal.shape == (3,) and p.known_dual.shape == (2,)

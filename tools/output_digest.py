@@ -20,9 +20,11 @@ enough for its trials at h_max to take step maps, `discrete --tau auto
 `discrete` run, each on every catalog problem, and `check --seed 7`,
 which draws the sampled checks from another stream; then the divergent
 `discrete` run on box-qp, a lasso-small `discrete` run whose budget of
-37 iterations ends inside a chunk of the stop test, and the example1
-sweep `reproduce-example1 --horizon 5` (nine flow runs and the sweep
-report).  Last come the same three runs, an RK4
+37 iterations ends inside a chunk of the stop test, the example1 sweep
+`reproduce-example1 --horizon 5` (nine flow runs and the sweep report),
+and `sweep --horizon 2 --step 0.05 --record-every 5 --dump-state`, the
+config's default grid from the default start, the one run of the `sweep`
+subcommand and of `--record-every`.  Last come the same three runs, an RK4
 `flow`, an ADMM `discrete` run and `check`, on two problem files:
 `problems/ridge-identity.txt`, whose update is one affine map, and
 `problems/l1-box.txt`, whose update makes both proxes and adds a nonzero
@@ -103,6 +105,8 @@ def commands():
     yield ["discrete", "--problem", "lasso-small", "--tau", "auto",
            "--max-iters", "37", "--dump-state"]
     yield ["reproduce-example1", "--horizon", "5"]
+    yield ["sweep", "--horizon", "2", "--step", "0.05", "--record-every", "5",
+           "--dump-state"]
     for path in (RIDGE, L1_BOX):
         base = ["--problem", path, "--tau", "auto"]
         yield ["flow", *base, "--horizon", "20", "--integrator", "rk4",
