@@ -20,10 +20,10 @@ import numpy as np
 from .diagnostics import lyapunov_excess, trace_flow
 from .discrete import DiscreteParams, run as discrete_run
 from .errors import MissingSolutionError
-from .flow import (Euler, FlowParams, SystemState, _blocks, _check_rhs_time,
-                   _make_update, integrate, schedules)
+from .flow import (Euler, FlowParams, SystemState, _blocks,
+                   _check_certificates, _make_update, integrate, schedules)
 from .linops import _apply_rows, _row_dots, _row_norms, psd_floor
-from .metric import certify, x_update_metric
+from .metric import ConditionReport, x_update_metric
 from .problems import ProblemSpec, kkt_residual
 from .proxlib import metric_prox
 
@@ -88,10 +88,7 @@ def _check_resolvent_identity(p: ProblemSpec, rng) -> CheckResult:
                    f"max defect {worst:.2e} over 400 pairs")
 
 
-def _check_conditions(p: ProblemSpec, params: FlowParams) -> CheckResult:
-    m1, m2 = schedules(p, params.c, params.tau, params.m1, params.m2)
-    report = certify(m1, m2, params.c, params.gamma, p.A,
-                     lipschitz_h=p.h.lipschitz_grad, horizon=params.horizon)
+def _check_conditions(report: ConditionReport) -> CheckResult:
     passed = report.cweak and report.rate_condition
     return _result(
         "certified-conditions", passed,
@@ -206,16 +203,16 @@ def _check_frozen_solution(p: ProblemSpec) -> CheckResult:
 
 def run_checks(p: ProblemSpec, params: FlowParams, s0: SystemState,
                seed: int = 0) -> list:
-    """Run the invariant suite; returns CheckResult rows in a fixed order."""
+    """Run the invariant suite; returns CheckResult rows in a fixed order.
+    A run that `integrate` refuses raises its CertificationError here too."""
     rng = np.random.default_rng(seed)
     results = [
         _check_adjoint(p, rng),
         _check_firm_nonexpansive(p, rng),
         _check_resolvent_identity(p, rng),
-        _check_conditions(p, params),
+        # the run's gate, as `integrate` takes it over the full horizon
+        _check_conditions(_check_certificates(p, params)),
     ]
-    # the update at t = 0, certified as `flow.rhs` certifies it, built once
-    _check_rhs_time(p, params, 0.0)
     update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
                           params.m2, params.inner_tol)
     results += [

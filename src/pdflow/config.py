@@ -49,10 +49,12 @@ section with kind keys `f`, `h`, `g`, `A` plus dotted parameter keys, e.g.
   A = @a.txt
 
 `@path` values load dense arrays (paths relative to the problem file).
-`A = identity` takes `A.dim` and optional `A.scale`.  A dotted key that
-its term's kind does not read is an error: `sq_norm` reads `coef`, `l1`
-`weight`, `box` `lo` and `hi`, `sq_distance` `center` and `coef`, `h =
-quadratic` `P` and `q`, and `zero` and `A = @path` read none.
+`A = identity` takes `A.dim`, a positive integer, and optional `A.scale`;
+an `A = @path` needs at least one column.  A key given twice is an error,
+as in a run config, and so is a dotted key that its term's kind does not
+read: `sq_norm` reads `coef`, `l1` `weight`, `box` `lo` and `hi`,
+`sq_distance` `center` and `coef`, `h = quadratic` `P` and `q`, and
+`zero` and `A = @path` read none.
 """
 
 from __future__ import annotations
@@ -369,10 +371,13 @@ def _problem_from_file(path) -> ProblemSpec:
     kinds = {}
     params = {"f": {}, "h": {}, "g": {}, "A": {}}
     name = os.path.splitext(os.path.basename(path))[0]
-    known, dotted = {}, {}
+    known, dotted, seen = {}, {}, set()
     for where, section, key, value in _scan(text):
         if section not in ("run", "problem"):
             raise ConfigError(f"{path}: {where}: unknown section [{section}]")
+        if key in seen:
+            raise ConfigError(f"{path}: {where}: duplicate key {key!r}")
+        seen.add(key)
         if key == "name":
             name = value
         elif key in ("f", "h", "g", "A"):
@@ -397,10 +402,15 @@ def _problem_from_file(path) -> ProblemSpec:
     if a_kind.startswith("@"):
         mat = _load_value(a_kind, base_dir, a_where, "A")
         a_map = LinearMap.from_dense(np.atleast_2d(mat))
+        if a_map.in_dim == 0:
+            raise ConfigError(f"{path}: {a_where}: A has no columns")
     elif a_kind == "identity":
         dim = params["A"].pop("dim", None)
         if dim is None:
             raise ConfigError(f"{path}: {a_where}: A = identity needs A.dim")
+        if not (isinstance(dim, float) and dim.is_integer() and dim >= 1):
+            raise ConfigError(
+                f"{path}: {dotted['A.dim']}: A.dim must be a positive integer")
         a_map = LinearMap.identity(int(dim), float(params["A"].pop("scale", 1.0)))
     else:
         raise ConfigError(

@@ -28,6 +28,9 @@ at gamma = 1 from z0 = A x0.  The modes:
                       constant M2 = s I (s = 0, no M2, included) are single
                       prox calls; requires a uniformly positive x-metric
 
+`integrate` decides both requirements before it steps, from one
+`metric.certify` report at the horizon (`_check_certificates`).
+
 With a constant M1 and a single-prox z block, the update is piecewise
 affine in U as well: on the joint piece of the two proxes that the solves'
 start lies on it is one affine map, which one product applies together
@@ -81,7 +84,8 @@ import numpy as np
 
 from .errors import CertificationError, IntegrationError
 from .linops import LinearMap, _block_map
-from .metric import MetricSchedule, TauSchedule, x_update_metric, z_update_metric
+from .metric import (MetricSchedule, TauSchedule, certify, x_update_metric,
+                     z_update_metric)
 from .problems import ProblemSpec
 from .proxlib import metric_prox
 from .stepmaps import (MAP_STEP_ERR, _constant_step_update, _piece_rows,
@@ -95,7 +99,6 @@ __all__ = [
     "Adaptive",
     "FlowTrajectory",
     "schedules",
-    "rhs",
     "integrate",
     "ergodic",
 ]
@@ -267,9 +270,9 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     w = c (A x_new - z_new); t is the flow time or the iteration index k.
     Callers evaluate into the rows they keep (a slope row of `integrate`,
     the next iterate of `discrete.run`), or take the three blocks of a
-    fresh row from `_blocks`.  The x-step of a tau family is positive for
-    t >= 0 and the update passes it to the raw prox of f, so a caller at
-    t < 0 certifies it first (`_check_step`).  A `metric_prox` solve of the
+    fresh row from `_blocks`.  The x-step of a tau family, which the
+    update passes to the raw prox of f, is positive for t >= 0, the only
+    times the callers evaluate at.  A `metric_prox` solve of the
     x (z) block starts at start[0] (start[1]) when a start (x, z) or
     (x, z, key) is given, and at s's own x (z) otherwise; single proxes
     ignore it.  The update returns the start for the next solve: its own
@@ -469,58 +472,25 @@ def _blocks(p: ProblemSpec, update, t, s):
     return out[:p.n], out[p.n:p.n + p.m], out[p.n + p.m:]
 
 
-def _check_step(tau: TauSchedule | None, m1: MetricSchedule | None, t):
-    """A tau-family x-step tau(t) must be positive, as the raw prox of f in
-    the update needs; every one is for t >= 0."""
-    x_tau = tau if m1 is None else m1.tau
-    if x_tau is not None and not x_tau.value(t) > 0:
-        raise ValueError("prox step tau must be positive")
-
-
-def _check_rhs_time(p: ProblemSpec, params: FlowParams, t):
-    """The certificates `rhs` checks before evaluating at time t: the
-    x-step (`_check_step`), and for a tau-family x-step, given as tau or as
-    m1, c tau(t) ||A||^2 <= 1."""
-    _check_step(params.tau, params.m1, t)
-    x_tau = schedules(p, params.c, params.tau, params.m1, params.m2)[0].tau
-    if x_tau is not None and \
-            params.c * x_tau.value(t) * p.A.norm() ** 2 > 1.0 + 1e-12:
-        raise CertificationError("closed-form mode needs c tau(t) ||A||^2 <= 1")
-
-
-def rhs(p: ProblemSpec, params: FlowParams, t, s: SystemState):
-    """One right-hand-side evaluation (u, v, w) at time t and state s.
-
-    A tau-family x-step has its step-size certificate checked at t; a
-    general metric fails inside the subproblem solve if it is not positive.
-    """
-    _check_rhs_time(p, params, t)
-    u0 = _start_row(p, s)
-    update = _make_update(p, params.c, params.gamma, params.tau, params.m1,
-                          params.m2, params.inner_tol)
-    x_new, z_new, w = _blocks(p, update, t, u0)
-    return x_new - u0[:p.n], z_new - u0[p.n:p.n + p.m], w
-
-
 def _check_certificates(p: ProblemSpec, params: FlowParams):
-    """The certificates `integrate` checks before stepping; tau(t) is
-    nondecreasing, so c tau(t) ||A||^2 peaks at the horizon."""
+    """Certify a run over its horizon (`metric.certify`) and return the
+    report.  CertificationError when a tau-family x-step, given as tau or
+    as m1, fails c tau(t) ||A||^2 <= 1, which peaks at the horizon since
+    tau(t) is nondecreasing, or when a general-metric x-update metric is
+    not uniformly positive."""
     m1, m2 = schedules(p, params.c, params.tau, params.m1, params.m2)
-    if m1.tau is not None:
+    rep = certify(m1, m2, params.c, params.gamma, p.A,
+                  lipschitz_h=p.h.lipschitz_grad, horizon=params.horizon)
+    if not rep.step_size_ok:
         worst = params.c * m1.tau.value(params.horizon) * p.A.norm() ** 2
-        if worst > 1.0 + 1e-12:
-            raise CertificationError(
-                f"closed-form mode needs c tau(t) ||A||^2 <= 1 over the "
-                f"horizon (worst sampled value {worst:.6g})")
-    if params.mode == "general-metric":
-        from .metric import certify
-
-        rep = certify(m1, m2, params.c, params.gamma, p.A,
-                      lipschitz_h=p.h.lipschitz_grad, horizon=params.horizon)
-        if not rep.cstrong.holds:
-            raise CertificationError(
-                f"general-metric mode needs a uniformly positive x-update "
-                f"metric (sampled floor {rep.cstrong.alpha:.6g})")
+        raise CertificationError(
+            f"closed-form mode needs c tau(t) ||A||^2 <= 1 over the "
+            f"horizon (worst sampled value {worst:.6g})")
+    if params.mode == "general-metric" and not rep.cstrong.holds:
+        raise CertificationError(
+            f"general-metric mode needs a uniformly positive x-update "
+            f"metric (sampled floor {rep.cstrong.alpha:.6g})")
+    return rep
 
 
 def _tableau(c, a_rows, b, e=None):
@@ -589,7 +559,7 @@ def integrate(p: ProblemSpec, params: FlowParams, s0: SystemState | None = None,
     Each rhs evaluation starts its `metric_prox` solves at the previous
     evaluation's (x_new, z_new), whichever stage, step or rejected adaptive
     trial made it; the run's first evaluation starts at its own stage
-    point, so it is `rhs` bit for bit.
+    point, as an update called with no start does.
 
     An RK4 or adaptive run of an update with pieces (`update.pieces`),
     long enough and with maps small enough to repay their builds

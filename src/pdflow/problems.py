@@ -54,6 +54,8 @@ class ProblemSpec:
     known_dual: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.A.in_dim == 0:
+            raise ValueError("A has no columns, so x has no entries")
         if self.f.dim != self.A.in_dim or self.h.dim != self.A.in_dim:
             raise ValueError("f and h must live on the domain of A")
         if self.g.dim != self.A.out_dim:

@@ -149,9 +149,10 @@ class TestRunChecks:
     def test_closed_form_operator_norms_do_not_grow_with_rhs_calls(
             self, monkeypatch, operator_norm_calls):
         """||A|| is computed once per map, so a closed-form check computes
-        as many norms when its certificate test, which reads ||A||, and
-        each call of its update are repeated."""
-        real_make, real_check = checks._make_update, checks._check_rhs_time
+        as many norms when its gate, which reads ||A||, and each call of its
+        update are repeated."""
+        real_make = checks._make_update
+        real_check = checks._check_certificates
         counts = []
         for repeats in (1, 3):
             rhs_calls = []
@@ -168,10 +169,11 @@ class TestRunChecks:
 
             def check_repeated(*args, repeats=repeats):
                 for _ in range(repeats):
-                    real_check(*args)
+                    report = real_check(*args)
+                return report
 
             monkeypatch.setattr(checks, "_make_update", make_repeated)
-            monkeypatch.setattr(checks, "_check_rhs_time", check_repeated)
+            monkeypatch.setattr(checks, "_check_certificates", check_repeated)
             operator_norm_calls.clear()
             p = catalog("example1")
             results = run_checks(p, _params(), _start(p))

@@ -301,6 +301,24 @@ class TestCheckCommand:
         assert code == 1
         assert "c tau(t) ||A||^2 <= 1" in capsys.readouterr().err
 
+    def test_check_refuses_with_flows_message(self, tmp_path, capsys):
+        """c tau(t) ||A||^2 first exceeds 1 at t = 7.25, after the last
+        unit step `check` compares and past the 5 of its short flow, so
+        only a gate over the whole horizon refuses the run as `flow`
+        does: exit 1 with the same stderr, and no report."""
+        errors = []
+        for command in ("flow", "check"):
+            out = tmp_path / command
+            assert main([command, "--problem", "example1", "--tau",
+                         "saturating:0.2,0.500213", "--horizon", "7.5",
+                         "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not out.exists() or not any(out.iterdir())
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(
+            "pdflow: closed-form mode needs c tau(t) ||A||^2 <= 1 over the "
+            "horizon (worst sampled value 1.000")
+
 
 class TestSweepCommands:
     def test_sweep_from_config(self, tmp_path, capsys):

@@ -445,6 +445,19 @@ known_dual = 0, 0
         p = load_problem(str(path))
         np.testing.assert_array_equal(p.known_primal, np.zeros(2))
 
+    def test_problem_file_without_rows_runs(self, tmp_path):
+        """An A with columns and no rows is a problem in x alone, which
+        every subcommand runs; only an A without columns is refused."""
+        (tmp_path / "A.txt").write_text("0 2\n")
+        path = tmp_path / "p.txt"
+        path.write_text("[problem]\nf = sq_norm\ng = zero\nA = @A.txt\n")
+        p = load_problem(str(path))
+        assert (p.n, p.m) == (2, 0)
+        for command in ("flow", "discrete", "check"):
+            assert cli.main([command, "--problem", str(path), "--tau", "0.5",
+                             "--horizon", "2", "--out",
+                             str(tmp_path / "out")]) == 0
+
     def test_problem_file_errors_are_anchored(self, tmp_path):
         path = tmp_path / "bad.problem"
         path.write_text("[problem]\nname = x\nf = warp\nh = zero\ng = zero\n"
@@ -525,6 +538,33 @@ _REJECTED = [
     ("known-primal-length", "cli",
      {"p.txt": _LOADS + "known_primal = 1, 2, 3\n"},
      ConfigError, r"p\.txt: known_primal has shape \(3,\), expected \(2,\)"),
+    ("repeated-f-weight", "cli",
+     {"p.txt": "[problem]\nf = l1\nf.weight = 0.5\nf.weight = 2\n"
+               "g = zero\nA = identity\nA.dim = 2\n"},
+     ConfigError, r"p\.txt: line 4: duplicate key 'f\.weight'"),
+    ("repeated-g-kind", "cli",
+     {"p.txt": "[problem]\nf = zero\ng = zero\ng = sq_norm\n"
+               "A = identity\nA.dim = 2\n"},
+     ConfigError, r"p\.txt: line 4: duplicate key 'g'"),
+    ("repeated-name", "problem", {"p.txt": _LOADS + "name = a\nname = b\n"},
+     ConfigError, r"p\.txt: line 7: duplicate key 'name'"),
+    ("repeated-A-dim", "problem", {"p.txt": _LOADS + "A.dim = 3\n"},
+     ConfigError, r"p\.txt: line 6: duplicate key 'A\.dim'"),
+    ("repeated-across-sections", "problem",
+     {"p.txt": _LOADS + "[run]\nf = l1\n"},
+     ConfigError, r"p\.txt: line 7: duplicate key 'f'"),
+    ("identity-dim-zero", "cli",
+     {"p.txt": "[problem]\nf = zero\ng = zero\nA = identity\nA.dim = 0\n"},
+     ConfigError, r"p\.txt: line 5: A\.dim must be a positive integer"),
+    ("identity-dim-fraction", "cli",
+     {"p.txt": "[problem]\nf = zero\ng = zero\nA = identity\nA.dim = 2.5\n"},
+     ConfigError, r"p\.txt: line 5: A\.dim must be a positive integer"),
+    ("identity-dim-vector", "problem",
+     {"p.txt": "[problem]\nf = zero\ng = zero\nA = identity\nA.dim = 1, 2\n"},
+     ConfigError, r"p\.txt: line 5: A\.dim must be a positive integer"),
+    ("A-path-without-columns", "cli",
+     {"p.txt": "[problem]\nf = zero\ng = zero\nA = @A.txt\n", "A.txt": "2 0\n"},
+     ConfigError, r"p\.txt: line 4: A has no columns"),
     ("non-convex-P", "cli",
      {"p.txt": _LOADS + "h = quadratic\nh.P = @P.txt\n",
       "P.txt": _INDEFINITE},

@@ -20,7 +20,7 @@ from pdflow.discrete import DiscreteParams, run as discrete_run
 from pdflow.errors import (CertificationError, IntegrationError,
                            ToleranceNotMet)
 from pdflow.flow import (Adaptive, Euler, FlowParams, RK4, SystemState,
-                         _make_update, ergodic, integrate, rhs)
+                         _make_update, ergodic, integrate)
 from pdflow.linops import SelfAdjointPSD
 from pdflow.metric import (MetricSchedule, TauSchedule, x_update_metric,
                            z_update_metric)
@@ -44,6 +44,14 @@ def _start():
                        np.array([-10.0, 10.0]), 0.0)
 
 
+def _velocity(p, params, s):
+    """(u, v, w) = (x_new - x, z_new - z, w) of one update at t = 0."""
+    x_new, z_new, w = _three_blocks(
+        p, params.c, params.gamma, params.tau, params.m1, params.m2,
+        params.inner_tol)(0.0, np.concatenate((s.x, s.z, s.y)))
+    return x_new - s.x, z_new - s.z, w
+
+
 class TestRhs:
     def test_hand_derived_value(self, example1):
         """tau = 0.25, gamma = 0.5, c = 1 at the documented start.
@@ -53,7 +61,7 @@ class TestRhs:
         u = (-8, 4) - x = (2, -6).  Then x + gamma u = (-9, 7),
         A(.) + y/c = (-26, 8), soft threshold at 1 gives (-25, 7), so
         v = (-5, 7) and w = c A(u + x) - c(v + z) = (13, -11)."""
-        u, v, w = rhs(example1, _closed_params(), 0.0, _start())
+        u, v, w = _velocity(example1, _closed_params(), _start())
         np.testing.assert_allclose(u, [2.0, -6.0], atol=1e-12)
         np.testing.assert_allclose(v, [-5.0, 7.0], atol=1e-12)
         np.testing.assert_allclose(w, [13.0, -11.0], atol=1e-12)
@@ -64,7 +72,7 @@ class TestRhs:
         params = _closed_params(tau=0.3, gamma=1.0)
         s = SystemState(np.array([1.5, -2.0]), np.array([0.5, 1.0]),
                         np.array([-1.0, 2.0]), 0.0)
-        u, v, w = rhs(example1, params, 0.0, s)
+        u, v, w = _velocity(example1, params, s)
         a = example1.A
         resid = s.y + params.c * (a.apply(s.x) - s.z)
         arg = s.x - 0.3 * a.adjoint_apply(resid)
@@ -73,7 +81,7 @@ class TestRhs:
 
     def test_zero_at_saddle(self, example1):
         s = SystemState(np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
-        u, v, w = rhs(example1, _closed_params(), 0.0, s)
+        u, v, w = _velocity(example1, _closed_params(), s)
         assert max(np.abs(u).max(), np.abs(v).max(), np.abs(w).max()) <= 1e-10
 
     def test_third_line_consistency(self, example1):
@@ -83,7 +91,7 @@ class TestRhs:
         for _ in range(20):
             s = SystemState(rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2),
                             rng.uniform(-5, 5, 2), 0.0)
-            u, v, w = rhs(example1, params, 0.0, s)
+            u, v, w = _velocity(example1, params, s)
             rebuilt = params.c * (example1.A.apply(u + s.x) - (v + s.z))
             np.testing.assert_allclose(w, rebuilt, rtol=0, atol=1e-14)
 
@@ -99,29 +107,11 @@ class TestRhs:
         for _ in range(10):
             s = SystemState(rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2),
                             rng.uniform(-3, 3, 2), 0.0)
-            uc, vc, wc = rhs(example1, closed, 0.0, s)
-            ug, vg, wg = rhs(example1, general, 0.0, s)
+            uc, vc, wc = _velocity(example1, closed, s)
+            ug, vg, wg = _velocity(example1, general, s)
             np.testing.assert_allclose(ug, uc, atol=1e-9)
             np.testing.assert_allclose(vg, vc, atol=1e-9)
             np.testing.assert_allclose(wg, wc, atol=1e-9)
-
-    def test_oversized_step_rejected(self, example1):
-        params = _closed_params(tau=0.6)
-        with pytest.raises(CertificationError):
-            rhs(example1, params, 0.0, _start())
-
-    @pytest.mark.parametrize("mode", ["closed-form", "general-metric"])
-    def test_nonpositive_step_rejected(self, example1, mode):
-        """Before t = 0 a saturating step falls below zero: tau(-5) =
-        0.2 - 0.15 e^5 < 0, which the update's raw prox must never see."""
-        tau = TauSchedule.saturating(0.05, 0.2)
-        if mode == "closed-form":
-            params = FlowParams(c=1.0, gamma=0.5, tau=tau)
-        else:
-            params = FlowParams(c=1.0, gamma=0.5, m1=MetricSchedule.tau_family(
-                tau, 1.0, example1.A))
-        with pytest.raises(ValueError, match="tau must be positive"):
-            rhs(example1, params, -5.0, _start())
 
 
 class TestFlowParams:
@@ -697,7 +687,7 @@ class TestTauFamilyXStep:
                 want = metric_prox(p.f, q, lin, x, tol=1e-14)
                 assert _rel_gap(update(t, s)[0], want) <= 1e-12
 
-    @pytest.mark.parametrize("entry", ["integrate", "rhs", "run"])
+    @pytest.mark.parametrize("entry", ["integrate", "update", "run"])
     @pytest.mark.parametrize("coupling", ["c", "A"])
     def test_foreign_coupling_is_refused(self, example1, coupling, entry):
         """Coupled at c = 2 for a run at c = 1, or at an equal copy of A,
@@ -712,7 +702,8 @@ class TestTauFamilyXStep:
         steps = DiscreteParams(c=1.0, gamma=0.5, m1=m1, max_iters=3)
         calls = {
             "integrate": lambda: integrate(example1, flow_params, _start()),
-            "rhs": lambda: rhs(example1, flow_params, 0.0, _start()),
+            "update": lambda: _make_update(example1, 1.0, 0.5, None, m1,
+                                           None, 1e-10),
             "run": lambda: discrete_run(example1, steps, _start()),
         }
         with pytest.raises(ValueError, match="coupled at the run's c and A"):
@@ -725,18 +716,20 @@ class TestTauFamilyXStep:
         forms = [FlowParams(c=1.0, tau=tau),
                  FlowParams(c=1.0, m1=MetricSchedule.tau_family(
                      tau, 1.0, example1.A))]
-        for call in (lambda params: integrate(example1, params, _start()),
-                     lambda params: rhs(example1, params, 0.0, _start())):
-            messages = []
-            for params in forms:
-                with pytest.raises(CertificationError) as info:
-                    call(params)
-                messages.append(str(info.value))
-            assert messages[0] == messages[1]
-        assert messages[0] == "closed-form mode needs c tau(t) ||A||^2 <= 1"
-        with pytest.raises(CertificationError,
-                           match=r"\(worst sampled value 3\)$"):
-            integrate(example1, forms[1], _start())
+        messages = []
+        for params in forms:
+            with pytest.raises(CertificationError) as info:
+                integrate(example1, params, _start())
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == (
+            "closed-form mode needs c tau(t) ||A||^2 <= 1 over the horizon "
+            "(worst sampled value 3)")
+
+    def test_oversized_step_rejected(self, example1):
+        """c tau ||A||^2 = 1.2 at a constant tau = 0.6 fails the gate before
+        the first step."""
+        with pytest.raises(CertificationError, match=r"value 1\.2\)$"):
+            integrate(example1, _closed_params(tau=0.6), _start())
 
     def test_step_test_peaks_at_the_horizon(self):
         """tau(t) is nondecreasing in floating point too: the largest of
@@ -937,8 +930,8 @@ class TestAffineFold:
 
 
 class TestUpdateContract:
-    """update(t, s, out, start=None) writes every entry of `out`, which
-    less (x, z, 0) is the `rhs` velocity bit for bit, and returns the start
+    """update(t, s, out, start=None) writes every entry of `out`, the
+    blocks of a freshly built update bit for bit, and returns the start
     of the next solve: the general path's own (x_new, z_new), not views of
     `out`, and None from the constant-step kernel."""
 
@@ -980,11 +973,11 @@ class TestUpdateContract:
                 returned = update(t, s, out, given)
                 assert not np.isnan(out).any()
                 if given is None:
-                    u, v, w = rhs(p, params, t, SystemState(
-                        s[:n], s[n:iy], s[iy:], t))
-                    assert (out[:n] - s[:n]).tobytes() == u.tobytes()
-                    assert (out[n:iy] - s[n:iy]).tobytes() == v.tobytes()
-                    assert out[iy:].tobytes() == w.tobytes()
+                    fresh = _three_blocks(p, params.c, params.gamma,
+                                          params.tau, params.m1, params.m2,
+                                          params.inner_tol)
+                    for got, want in zip(np.split(out, [n, iy]), fresh(t, s)):
+                        assert got.tobytes() == want.tobytes()
                 if kernel:
                     assert returned is None
                     continue
@@ -1308,7 +1301,7 @@ class TestWarmStart:
     def test_each_evaluation_starts_at_the_last_solution(self, monkeypatch):
         """Adaptive trials with rejections and a dense M2, so both blocks
         are `metric_prox` solves: the first evaluation gets no start and is
-        `rhs` bit for bit; every later one gets the (x_new, z_new) the one
+        a fresh update's bit for bit; every later one gets the (x_new, z_new) the one
         before it returned, across stages, steps and rejected trials."""
         p = catalog("lasso-small")
         m1, m2 = _half_metrics(p, MetricSchedule.constant(_dense_pd(p.m, 6)))
@@ -1334,11 +1327,11 @@ class TestWarmStart:
         assert traj.rhs_evals > 1 + 6 * (len(traj.t) - 1), "no rejection"
         t0, u0, start, row, _ = calls[0]
         assert t0 == 0.0 and start is None
-        u, v, want_w = rhs(p, params, 0.0, s0)
-        n, m = p.n, p.m
-        assert (row[:n] - u0[:n]).tobytes() == u.tobytes()
-        assert (row[n:n + m] - u0[n:n + m]).tobytes() == v.tobytes()
-        assert row[n + m:].tobytes() == want_w.tobytes()
+        fresh = _three_blocks(p, params.c, params.gamma, params.tau,
+                              params.m1, params.m2, params.inner_tol)
+        for got, want in zip(np.split(row, [p.n, p.n + p.m]),
+                             fresh(0.0, u0)):
+            assert got.tobytes() == want.tobytes()
         for before, after in zip(calls, calls[1:]):
             assert after[2][0] is before[4][0]
             assert after[2][1] is before[4][1]
@@ -1956,7 +1949,7 @@ class TestPieceMaps:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
-    @pytest.mark.parametrize("caller", ["rhs", "admm"])
+    @pytest.mark.parametrize("caller", ["update", "admm"])
     def test_indefinite_m1_raises(self, caller):
         """M1 = -0.1 I leaves Q1 = A* A + M1 with no positive floor on
         lasso-small.  From x0 = 0, on l1's zero piece, whose map would
@@ -1967,8 +1960,9 @@ class TestPieceMaps:
         m2 = MetricSchedule.constant(SelfAdjointPSD.identity(p.m, 0.5))
         s = SystemState(np.zeros(p.n), np.zeros(p.m), np.zeros(p.m))
         with pytest.raises(CertificationError, match="positive definite Q"):
-            if caller == "rhs":
-                rhs(p, FlowParams(c=1.0, gamma=0.5, m1=m1, m2=m2), 0.0, s)
+            if caller == "update":
+                _three_blocks(p, 1.0, 0.5, None, m1, m2, 1e-10)(
+                    0.0, np.concatenate((s.x, s.z, s.y)))
             else:
                 discrete_run(p, DiscreteParams(c=1.0, m1=m1, m2=m2), s)
 

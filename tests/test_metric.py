@@ -1,6 +1,5 @@
 """Tests for step schedules, metric schedules, and the condition certificates."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +7,8 @@ import pytest
 
 from pdflow import metric
 from pdflow.linops import LinearMap, SelfAdjointPSD, psd_floor
-from pdflow.metric import (MetricSchedule, TauSchedule, certify,
-                           default_sample_times, weight_W, x_update_metric,
-                           z_update_metric)
+from pdflow.metric import (MetricSchedule, TauSchedule, certify, weight_W,
+                           x_update_metric, z_update_metric)
 
 _A2 = LinearMap.from_dense(np.array([[1.0, -1.0], [1.0, 1.0]]))
 # A* A = 2 I for this map, so every operator condition collapses to a scalar.
@@ -216,24 +214,17 @@ class TestCertify:
         assert rep.step_size_ok
         assert rep.rate_condition == rep.thm4_psd
 
-    def test_explicit_sample_times(self):
-        m1 = MetricSchedule.tau_family(TauSchedule.constant(0.4), 1.0, _A2)
-        rep = certify(m1, MetricSchedule.zero(2), 1.0, 1.0, _A2,
-                      sample_times=[0.0, 1.0, 10.0])
-        assert rep.sample_times == (0.0, 1.0, 10.0)
-
     @pytest.mark.parametrize("m1,floor_calls", [
-        (MetricSchedule.tau_family(TauSchedule.constant(0.4), 1.0, _A2), 3),
+        (MetricSchedule.tau_family(TauSchedule.constant(0.4), 1.0, _A2), 0),
         (MetricSchedule.constant(
             SelfAdjointPSD.from_dense([[3.0, 1.0], [1.0, 2.0]])), 3),
         (MetricSchedule.tau_family(TauSchedule.saturating(0.2, 0.4), 1.0, _A2),
-         3 * 51),
+         0),
     ], ids=["constant-tau", "constant-dense", "saturating-tau"])
-    def test_time_invariant_schedule_solves_floors_once(self, m1, floor_calls,
-                                                        monkeypatch):
-        """A time-invariant M1 is the same operator at all 51 default sample
-        times, so its three eigenproblems are solved once, and the report is
-        field-for-field the one computed sample by sample."""
+    def test_only_a_constant_m1_solves_floors(self, m1, floor_calls,
+                                              monkeypatch):
+        """A constant M1 solves its three eigenproblems once; a tau family
+        reads its floors in closed form and solves none."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -241,35 +232,38 @@ class TestCertify:
             return psd_floor(*args, **kwargs)
 
         monkeypatch.setattr(metric, "psd_floor", counting)
-        args = (m1, MetricSchedule.zero(2), 1.0, 0.5, _A2)
-        rep = certify(*args, lipschitz_h=0.5)
+        certify(m1, MetricSchedule.zero(2), 1.0, 0.5, _A2, lipschitz_h=0.5)
         assert len(calls) == floor_calls
-        monkeypatch.setattr(MetricSchedule, "is_time_invariant",
-                            lambda self: False)
-        assert certify(*args, lipschitz_h=0.5) == rep
-        assert len(calls) == floor_calls + 3 * 51
 
-    @pytest.mark.parametrize("horizon", [1e-7, 1e-6])
-    def test_repeated_times_solve_floors_once(self, horizon, monkeypatch):
-        """Below a horizon of 1e-4 the 50 log-spaced samples are all the
-        horizon, so a moving schedule has 2 distinct times among 51: its
-        three eigenproblems are solved at each distinct time once, and the
-        report keeps all 51 sample times, with the flags of the two."""
-        calls = []
+    @pytest.mark.parametrize("horizon", [1e-7, 0.5, 1.0, 3.0, 50.0])
+    def test_saturating_family_is_its_step_at_the_horizon(self, horizon):
+        """Every condition is worst at the horizon: a saturating family's
+        report is that of the constant step tau(horizon), and alpha is the
+        floor of c A*A + M1(horizon) given as one operator, to 1e-15
+        relative, with the same flags.  tau(t) = 0.6 - 0.4 exp(-t) crosses
+        the step test c tau ||A||^2 <= 1 at t = ln 4, so the horizons split
+        the flags."""
+        sched = TauSchedule.saturating(0.2, 0.6)
+        c, gamma, lip = 1.0, 0.5, 0.3
+        m1 = MetricSchedule.tau_family(sched, c, _A2)
+        args = (MetricSchedule.zero(2), c, gamma, _A2)
+        rep = certify(m1, *args, lipschitz_h=lip, horizon=horizon)
+        tau_h = MetricSchedule.tau_family(
+            TauSchedule.constant(sched.value(horizon)), c, _A2)
+        assert rep == certify(tau_h, *args, lipschitz_h=lip, horizon=horizon)
+        frozen = certify(MetricSchedule.constant(m1.at(horizon)), *args,
+                         lipschitz_h=lip, horizon=horizon)
+        assert rep.cstrong.alpha == pytest.approx(frozen.cstrong.alpha,
+                                                  rel=1e-15, abs=0.0)
+        assert (rep.cweak, rep.cstrong.holds, rep.thm4_psd, rep.thm7_psd) == \
+            (frozen.cweak, frozen.cstrong.holds, frozen.thm4_psd,
+             frozen.thm7_psd)
+        assert rep.step_size_ok == (horizon < math.log(4.0))
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return psd_floor(*args, **kwargs)
-
-        monkeypatch.setattr(metric, "psd_floor", counting)
-        m1 = MetricSchedule.tau_family(
-            TauSchedule.saturating(0.4999998, 1.5), 1.0, _A2)
-        args = (m1, MetricSchedule.zero(2), 1.0, 1.0, _A2)
-        rep = certify(*args, horizon=horizon)
-        assert len(calls) == 6
-        assert rep.sample_times == (0.0,) + (horizon,) * 50
-        two = certify(*args, sample_times=(0.0, horizon))
-        assert rep == dataclasses.replace(two, sample_times=rep.sample_times)
+    def test_uncoupled_tau_family_is_refused(self):
+        m1 = MetricSchedule.tau_family(TauSchedule.constant(0.3), 2.0, _A2)
+        with pytest.raises(ValueError, match="coupled at certify's c and A"):
+            certify(m1, MetricSchedule.zero(2), 1.0, 1.0, _A2)
 
 
 def _weighted_sq(blocks, d):
@@ -320,26 +314,3 @@ class TestWeightW:
             rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(z.to_dense(), 2.0 * np.eye(2))
         assert y.scale == 1.0 / 1.5
-
-
-class TestSampleTimes:
-    def test_shape_and_range(self):
-        ts = default_sample_times(100.0)
-        assert len(ts) == 51
-        assert ts[0] == 0.0
-        assert ts[-1] == pytest.approx(100.0)
-        assert all(b > a for a, b in zip(ts, ts[1:]))
-
-    def test_degenerate_horizon(self):
-        assert default_sample_times(0.0) == [0.0]
-
-    @pytest.mark.parametrize("horizon", [1e-9, 1e-7, 1e-6, 3e-6, 1e-3, 1.0,
-                                         100.0])
-    def test_no_sample_past_the_horizon(self, horizon):
-        """The first log-spaced sample is clipped to the horizon, so a
-        horizon below 1e-6 is not certified at times the run never
-        reaches."""
-        ts = default_sample_times(horizon)
-        assert len(ts) == 51
-        assert ts[-1] == horizon
-        assert all(0.0 <= t <= horizon for t in ts)

@@ -266,6 +266,11 @@ class TestKnownSolutionShapes:
                         g=proxlib.zero(2), A=LinearMap.from_dense(np.ones((2, 3))),
                         **{field: value})
 
+    def test_no_columns_is_refused(self):
+        with pytest.raises(ValueError, match="A has no columns"):
+            ProblemSpec(name="x", f=proxlib.zero(0), h=proxlib.zero_smooth(0),
+                        g=proxlib.zero(2), A=LinearMap.from_dense(np.ones((2, 0))))
+
     def test_right_shapes_are_kept(self):
         p = ProblemSpec(name="x", f=proxlib.zero(3), h=proxlib.zero_smooth(3),
                         g=proxlib.zero(2), A=LinearMap.from_dense(np.ones((2, 3))),

@@ -33,7 +33,12 @@ saturating:0.2,0.6`: `flow --horizon 5`, refused with exit 1 because
 c tau(5) ||A||^2 = 1.19461 > 1, and `flow --horizon 0.5`, which passes it,
 then `check --horizon 0.5`, which must accept what that `flow` run
 accepts: its unit-step comparison takes no step past the horizon, so here
-it is skipped instead of certifying tau(25).
+it is skipped instead of certifying tau(25).  `check --tau
+saturating:0.2,0.500213 --horizon 7.5` must refuse what `flow` refuses,
+with exit 1 and flow's message: the step test first fails at t = 7.25,
+after the last unit step it compares.  `check --problem box-qp --tau
+saturating:0.05,0.25` certifies a moving schedule that passes the step
+test and fails the rate and descent tests, exit 2.
 Then a step of 6e-309, whose Lyapunov weight overflows: `discrete
 --max-iters 3` and `flow --horizon 1`, whose rate certificates fail.
 Every run above is at c = 1 on a problem inside the dense limit, so none
@@ -43,8 +48,8 @@ and `discrete --c 1.5` on lasso-small and `problems/l1-box.txt`, then
 `flow --horizon 5` on `problems/wide-lasso.txt` and `discrete` on
 `problems/wide-identity.txt`, whose H and B apply A lazily; all of them at
 `--tau auto --dump-state`.  Last of all, `check --tau auto` on
-`problems/wide-lasso.txt`, whose report pins the floors `certify` reads and
-the norm of the largest shipped A, 40 x 64.
+`problems/wide-lasso.txt`, whose report pins the flags that `certify`
+decides from the norm of the largest shipped A, 40 x 64.
 
 After the CLI runs come the general-metric API runs (`api_runs`), which
 no CLI run reaches: every `metric_prox` Newton step and piece start is
@@ -118,6 +123,9 @@ def commands():
                "--horizon", horizon]
     yield ["check", "--problem", "example1", "--tau", "saturating:0.2,0.6",
            "--horizon", "0.5"]
+    yield ["check", "--problem", "example1", "--tau",
+           "saturating:0.2,0.500213", "--horizon", "7.5"]
+    yield ["check", "--problem", "box-qp", "--tau", "saturating:0.05,0.25"]
     yield ["discrete", "--tau", "6e-309", "--max-iters", "3"]
     yield ["flow", "--tau", "6e-309", "--horizon", "1"]
     for problem in ("lasso-small", L1_BOX):
