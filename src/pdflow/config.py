@@ -22,8 +22,9 @@ exact ||A||_2 (an eigensolve, so no estimate eats the margin) and L the
 gradient Lipschitz constant of h.  The first term is the closed-form step
 test c tau n^2 <= 1, the second the rate condition
 tau (L/4 + c (3+gamma)/4 n^2) <= 1 of `metric.certify`, the last the same
-with L/2 at gamma = 1.  They bound the flow, not the
-unit-step discrete schemes.  At the CLI's other defaults, `discrete --tau
+with L/2 at gamma = 1.  With n = 0 and L = 0 every step passes them, so
+`auto` has no largest step and is a ConfigError.  They bound the flow,
+not the unit-step discrete schemes.  At the CLI's other defaults, `discrete --tau
 auto` diverges on example1 at gamma = 0.5 and 0.01 (after 221 and 41
 iterations) and, at gamma = 0.01, on lasso-small (63) and on the problem
 files `ridge-identity.txt` (92), `wide-lasso.txt` (61) and
@@ -481,6 +482,11 @@ def resolve_tau(cfg_tau, p: ProblemSpec, c, gamma) -> TauSchedule:
     if cfg_tau == "auto":
         n_sq = p.A.norm() ** 2
         lip = p.h.lipschitz_grad
+        if lip == 0.0 and n_sq == 0.0:
+            raise ConfigError(
+                "tau = auto has no largest step: with ||A|| = 0 and a "
+                "gradient of h with Lipschitz constant 0, every tau passes "
+                "the flow's conditions; give an explicit --tau")
         bounds = [4.0 / (lip + c * (3.0 + gamma) * n_sq),
                   2.0 / (lip + 2.0 * c * n_sq)]
         if n_sq > 0:

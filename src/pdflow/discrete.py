@@ -23,14 +23,12 @@ given.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .flow import SystemState, _make_update, _start_row
-from .metric import MetricSchedule, TauSchedule
+from .flow import Dynamics, SystemState, _make_update, _start_row
 from .problems import ProblemSpec, kkt_residuals
 
 __all__ = [
@@ -48,44 +46,22 @@ STOP_CHUNK = 64
 
 
 @dataclass
-class DiscreteParams:
-    """Iteration parameters.
+class DiscreteParams(Dynamics):
+    """Iteration parameters: the flow's `Dynamics`, with tau evaluated at
+    t = k and 0.25 when neither tau nor m1 is given, and the iteration
+    budget and stop tolerance."""
 
-    Give tau or m1, not both; with neither, tau is 0.25.  tau, a
-    TauSchedule evaluated at t = k (a positive number is the constant
-    schedule), selects the step-derived metric M1^k = I / tau(k) - c A* A
-    (single-prox x-update); a tau-family m1 must be coupled at this c and
-    the problem's A (`flow.schedules`), else the update is a ValueError.
-    Omitting m2 (a zero M2), or a constant m2 = s I, keeps a single-prox
-    z-update.
-    """
-
-    c: float = 1.0
-    gamma: float = 1.0
-    tau: TauSchedule | float | None = None
-    m1: MetricSchedule | None = None
-    m2: MetricSchedule | None = None
-    inner_tol: float = 1e-10
     max_iters: int = 1000
     stop_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("penalty c must be positive")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0,1]")
+        if self.tau is None and self.m1 is None:
+            self.tau = 0.25
+        super().__post_init__()
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if math.isnan(self.stop_tol):
             raise ValueError("stop_tol must not be NaN")
-        if self.tau is not None and self.m1 is not None:
-            raise ValueError("give tau or m1, not both")
-        if self.tau is None and self.m1 is None:
-            self.tau = 0.25
-        if isinstance(self.tau, numbers.Real):
-            self.tau = TauSchedule.constant(self.tau)
-        elif not (self.tau is None or isinstance(self.tau, TauSchedule)):
-            raise ValueError("tau must be a positive number or a TauSchedule")
 
 
 def _require_cp(p: ProblemSpec, d: DiscreteParams):

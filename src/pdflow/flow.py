@@ -77,6 +77,7 @@ finding the piece of each stagewise step costs.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -170,35 +171,49 @@ class Adaptive:
 
 
 @dataclass
-class FlowParams:
-    """Dynamics parameters; give `tau` for closed-form mode or `m1` (+`m2`)
-    for general-metric mode, not both.  A tau-family `m1` must be coupled at
-    this c and the problem's A, and takes the step test of `tau`."""
+class Dynamics:
+    """The parameters a flow and its unit-step schemes share.  Give tau or
+    m1, not both: tau, a TauSchedule or a positive number (the constant
+    schedule), selects the closed-form x-metric I / tau(t) - c A* A; a
+    tau-family m1 must be coupled at this c and the problem's A
+    (`schedules`) and takes the step test of tau.  No m2 is a zero M2."""
 
     c: float = 1.0
     gamma: float = 1.0
-    tau: TauSchedule | None = None
+    tau: TauSchedule | float | None = None
     m1: MetricSchedule | None = None
     m2: MetricSchedule | None = None
     inner_tol: float = 1e-10
-    horizon: float = 100.0
-    integrator: object = field(default_factory=RK4)
 
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError("penalty c must be positive")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0,1]")
-        if (self.tau is None) == (self.m1 is None):
-            raise ValueError("give exactly one of tau (closed form) or m1 (general metric)")
+        if self.tau is not None and self.m1 is not None:
+            raise ValueError("give tau or m1, not both")
+        if isinstance(self.tau, numbers.Real):
+            self.tau = TauSchedule.constant(self.tau)
+        elif not (self.tau is None or isinstance(self.tau, TauSchedule)):
+            raise ValueError("tau must be a positive number or a TauSchedule")
+
+
+@dataclass
+class FlowParams(Dynamics):
+    """A flow's `Dynamics`, which need tau (closed-form mode) or m1
+    (general-metric mode), with its horizon and integrator."""
+
+    horizon: float = 100.0
+    integrator: object = field(default_factory=RK4)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.tau is None and self.m1 is None:
+            raise ValueError("give tau (closed form) or m1 (general metric)")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if not math.isfinite(self.horizon):
             raise ValueError("horizon must be finite")
-
-    @property
-    def mode(self) -> str:
-        return "closed-form" if self.tau is not None else "general-metric"
 
 
 @dataclass
@@ -485,11 +500,11 @@ def _check_certificates(p: ProblemSpec, params: FlowParams):
         worst = params.c * m1.tau.value(params.horizon) * p.A.norm() ** 2
         raise CertificationError(
             f"closed-form mode needs c tau(t) ||A||^2 <= 1 over the "
-            f"horizon (worst sampled value {worst:.6g})")
-    if params.mode == "general-metric" and not rep.cstrong.holds:
+            f"horizon (value at the horizon {worst:.6g})")
+    if params.tau is None and not rep.cstrong:
         raise CertificationError(
             f"general-metric mode needs a uniformly positive x-update "
-            f"metric (sampled floor {rep.cstrong.alpha:.6g})")
+            f"metric (floor at the horizon {rep.alpha:.6g})")
     return rep
 
 

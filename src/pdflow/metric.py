@@ -30,7 +30,6 @@ from .linops import LinearMap, SelfAdjointPSD, _metric_spectrum, psd_floor
 __all__ = [
     "TauSchedule",
     "MetricSchedule",
-    "CStrong",
     "ConditionReport",
     "certify",
     "weight_W",
@@ -138,30 +137,20 @@ def z_update_metric(m2: MetricSchedule, c, t) -> SelfAdjointPSD:
 
 
 @dataclass
-class CStrong:
-    holds: bool
-    alpha: float
-
-
-@dataclass
 class ConditionReport:
     """Outcome of the convergence-condition certificates over [0, horizon].
 
-    cstrong      -- c A* A + M1(t) uniformly positive definite (alpha = floor)
-    cweak        -- pointwise positive definite; every condition is worst at
-                    the horizon, so this is cstrong.holds, kept as its own
-                    flag for the check report
+    alpha        -- floor of the x-update metric c A* A + M1(t)
+    cstrong      -- that metric is uniformly positive definite (alpha > 0)
     thm4_psd     -- M1(t) + c(1-gamma)/4 A*A - L_h/4 I is PSD
-    thm7_psd     -- same with L_h/2 in place of L_h/4
     rate_condition -- scalar step test tau(t)(L_h/4 + c(3+gamma)/4 ||A||^2) <= 1
                       for tau-family schedules; falls back to thm4_psd otherwise
     step_size_ok -- c tau(t) ||A||^2 <= 1 (tau-family; else True)
     """
 
-    cstrong: CStrong
-    cweak: bool
+    alpha: float
+    cstrong: bool
     thm4_psd: bool
-    thm7_psd: bool
     rate_condition: bool
     step_size_ok: bool
 
@@ -176,10 +165,10 @@ def certify(m1: MetricSchedule, m2: MetricSchedule, c, gamma, A: LinearMap,
 
     M1 is one operator for every t or a tau family with tau(t)
     nondecreasing, so every condition is worst at the horizon.  A constant
-    M1 gets its three floors from one eigensolve each.  A tau family, which
+    M1 gets its two floors from one eigensolve each.  A tau family, which
     must be coupled at this c and A (`flow.schedules`; a ValueError
     otherwise), is I / tau - c A*A, so with tau = tau(horizon) its floors
-    are 1 / tau and 1 / tau - c(3+gamma)/4 ||A||^2 - L_h/4 (L_h/2).
+    are 1 / tau and 1 / tau - c(3+gamma)/4 ||A||^2 - L_h/4.
     A condition that fails comes back as a false flag.
     """
     c = float(c)
@@ -188,11 +177,10 @@ def certify(m1: MetricSchedule, m2: MetricSchedule, c, gamma, A: LinearMap,
     if m1.tau is None:
         gram, n = A.gram(), A.in_dim
         base = m1.at(0.0).base
-        blend = base + (c * (1.0 - gamma) / 4.0) * gram
-        ops = (c * gram + base, blend - LinearMap.identity(n, L / 4.0),
-               blend - LinearMap.identity(n, L / 2.0))
-        alpha, fl4, fl7 = (psd_floor(SelfAdjointPSD(u, 0.0), strict=False)
-                           for u in ops)
+        ops = (c * gram + base, base + (c * (1.0 - gamma) / 4.0) * gram
+               - LinearMap.identity(n, L / 4.0))
+        alpha, fl4 = (psd_floor(SelfAdjointPSD(u, 0.0), strict=False)
+                      for u in ops)
         step_ok = True
         rate = fl4 >= -_PSD_SLACK
     else:
@@ -202,15 +190,12 @@ def certify(m1: MetricSchedule, m2: MetricSchedule, c, gamma, A: LinearMap,
         tau = m1.tau.value(max(float(horizon), 0.0))
         a_sq = A.norm() ** 2
         alpha = 1.0 / tau
-        shift = alpha - c * (3.0 + gamma) / 4.0 * a_sq
-        fl4, fl7 = shift - L / 4.0, shift - L / 2.0
+        fl4 = alpha - c * (3.0 + gamma) / 4.0 * a_sq - L / 4.0
         step_ok = c * tau * a_sq <= 1.0 + 1e-12
         rate = step_ok and \
             tau * (L / 4.0 + c * (3.0 + gamma) / 4.0 * a_sq) <= 1.0 + 1e-12
-    holds = alpha > _PSD_SLACK
-    return ConditionReport(cstrong=CStrong(holds=holds, alpha=alpha),
-                           cweak=holds, thm4_psd=fl4 >= -_PSD_SLACK,
-                           thm7_psd=fl7 >= -_PSD_SLACK, rate_condition=rate,
+    return ConditionReport(alpha=alpha, cstrong=alpha > _PSD_SLACK,
+                           thm4_psd=fl4 >= -_PSD_SLACK, rate_condition=rate,
                            step_size_ok=step_ok)
 
 

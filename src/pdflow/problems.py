@@ -43,7 +43,8 @@ CATALOG_NAMES = ("example1", "lasso-small", "box-qp")
 @dataclass
 class ProblemSpec:
     """A structured convex program and optional known saddle point, of
-    shapes (n,) and (m,)."""
+    shapes (n,) and (m,); `start`, which only the catalog sets, is the
+    (x0, y0) of its canonical start."""
 
     name: str
     f: ProxFunction
@@ -52,6 +53,7 @@ class ProblemSpec:
     A: LinearMap
     known_primal: np.ndarray | None = None
     known_dual: np.ndarray | None = None
+    start: tuple | None = None
 
     def __post_init__(self):
         if self.A.in_dim == 0:
@@ -84,13 +86,12 @@ class ProblemSpec:
         return self.known_primal, self.known_dual
 
     def default_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonical initial point (x0, z0 = A x0, y0)."""
-        if self.name == "example1":
-            x0 = np.array([-10.0, 10.0])
-            y0 = np.array([-10.0, 10.0])
+        """Canonical initial point (x0, z0 = A x0, y0): the `start` of a
+        catalog entry, else x0 ones and y0 zeros."""
+        if self.start is None:
+            x0, y0 = np.ones(self.n), np.zeros(self.m)
         else:
-            x0 = np.ones(self.n)
-            y0 = np.zeros(self.m)
+            x0, y0 = (np.array(v, dtype=float) for v in self.start)
         return x0, self.A.apply(x0), y0
 
 
@@ -148,6 +149,7 @@ def _example1() -> ProblemSpec:
         A=A,
         known_primal=np.zeros(2),
         known_dual=np.zeros(2),
+        start=((-10.0, 10.0), (-10.0, 10.0)),
     )
 
 

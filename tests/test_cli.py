@@ -261,6 +261,44 @@ class TestErrorPaths:
         assert code == 1
         assert "tau" in capsys.readouterr().err
 
+    def test_auto_tau_without_a_bound_is_refused(self, tmp_path, capsys):
+        """With ||A|| = 0 (A has no rows) and no smooth h every step passes
+        the flow's conditions, so `auto` has no largest one: exit 1 with
+        a message that asks for a step, while an explicit step runs."""
+        (tmp_path / "A0.txt").write_text("0 2\n")
+        problem = tmp_path / "p.txt"
+        problem.write_text("[problem]\nA = @A0.txt\nf = sq_norm\n"
+                           "g = zero\n")
+        args = ["flow", "--problem", str(problem), "--out",
+                str(tmp_path / "out")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pdflow: tau = auto has no largest step")
+        assert "give an explicit --tau" in err
+        assert main(args + ["--tau", "0.5"]) == 0
+
+
+class TestProblemFileStart:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_file_named_example1_starts_at_ones_and_zeros(self, tmp_path,
+                                                            dim):
+        """The start (-10, 10) belongs to the catalog entry, not to its
+        name: a problem file named example1 starts where a file of any
+        other name does, at x0 ones and y0 zeros."""
+        runs = {}
+        for name in ("example1", "other"):
+            problem = tmp_path / f"{name}.txt"
+            problem.write_text(f"[problem]\nname = {name}\nA = identity\n"
+                               f"A.dim = {dim}\nf = sq_norm\ng = l1\n")
+            out = tmp_path / f"out-{name}"
+            assert main(["flow", "--problem", str(problem), "--horizon", "1",
+                         "--dump-state", "--out", str(out)]) == 0
+            lines = (out / f"{name}-flow.csv").read_text().splitlines()
+            runs[name] = [ln for ln in lines if not ln.startswith("#")]
+        assert runs["example1"] == runs["other"]
+        first = runs["example1"][1].split(",")
+        assert first[-3 * dim:] == ["1.0"] * 2 * dim + ["0.0"] * dim
+
 
 class TestCheckCommand:
     def test_clean_problem_passes(self, tmp_path, capsys):
@@ -317,7 +355,7 @@ class TestCheckCommand:
         assert errors[0] == errors[1]
         assert errors[0].startswith(
             "pdflow: closed-form mode needs c tau(t) ||A||^2 <= 1 over the "
-            "horizon (worst sampled value 1.000")
+            "horizon (value at the horizon 1.000")
 
 
 class TestSweepCommands:

@@ -720,13 +720,15 @@ class TestDiscreteParams:
         with pytest.raises(ValueError):
             DiscreteParams(max_iters=-1)
 
-    def test_tau_and_m1_refused_together(self):
+    @pytest.mark.parametrize("cls", [DiscreteParams, FlowParams])
+    def test_tau_and_m1_refused_together(self, cls):
         """m1 decides the x-update, so a tau given beside it would be
-        dropped; with neither, tau is 0.25."""
+        dropped, by the flow's params as by the iteration's; with neither,
+        tau is 0.25."""
         m1 = MetricSchedule.constant(SelfAdjointPSD.identity(2, 0.5))
-        with pytest.raises(ValueError, match="tau or m1"):
-            DiscreteParams(tau=0.1, m1=m1)
-        assert DiscreteParams(m1=m1).tau is None
+        with pytest.raises(ValueError, match="tau or m1, not both"):
+            cls(tau=0.1, m1=m1)
+        assert cls(m1=m1).tau is None
         assert DiscreteParams().tau.tau0 == 0.25
 
     def test_nan_stop_tol_rejected(self):
@@ -739,9 +741,11 @@ class TestDiscreteParams:
 
     @pytest.mark.parametrize("tau", [[], (), 0.0, -0.25, [0.2, 0.0],
                                      np.array([0.2, -0.1]), [0.3]])
-    def test_tau_rejected_at_construction(self, tau):
+    @pytest.mark.parametrize("cls", [DiscreteParams, FlowParams])
+    def test_tau_rejected_at_construction(self, cls, tau):
+        """Both params classes validate tau in their one shared base."""
         with pytest.raises(ValueError, match="tau"):
-            DiscreteParams(tau=tau)
+            cls(tau=tau)
 
     def test_float_tau_is_a_constant_schedule(self):
         """A float tau and its constant TauSchedule give the same iterates

@@ -126,6 +126,18 @@ class TestFlowParams:
             FlowParams(tau=TauSchedule.constant(0.2),
                        m1=MetricSchedule.zero(2))
 
+    def test_float_tau_is_a_constant_schedule(self, example1):
+        """A float tau and its constant TauSchedule integrate to the same
+        trajectory, bit for bit, as they iterate in `discrete.run`."""
+        params = FlowParams(tau=0.3, gamma=0.5, horizon=2.0,
+                            integrator=RK4(h=0.05))
+        assert isinstance(params.tau, TauSchedule)
+        assert params.tau.tau0 == params.tau.tau_max == 0.3
+        sched = replace(params, tau=TauSchedule.constant(0.3))
+        a, b = integrate(example1, params), integrate(example1, sched)
+        for got, want in ((a.t, b.t), (a.U, b.U), (a.erg, b.erg)):
+            np.testing.assert_array_equal(got, want)
+
     def test_positive_c_and_horizon(self):
         with pytest.raises(ValueError):
             FlowParams(c=0.0, tau=TauSchedule.constant(0.2))
@@ -133,11 +145,6 @@ class TestFlowParams:
             FlowParams(tau=TauSchedule.constant(0.2), horizon=0.0)
         with pytest.raises(ValueError, match="horizon must be finite"):
             FlowParams(tau=TauSchedule.constant(0.2), horizon=np.inf)
-
-    def test_mode_names(self):
-        assert _closed_params().mode == "closed-form"
-        m = FlowParams(m1=MetricSchedule.zero(2))
-        assert m.mode == "general-metric"
 
 
 class TestAdaptiveParams:
@@ -723,12 +730,12 @@ class TestTauFamilyXStep:
             messages.append(str(info.value))
         assert messages[0] == messages[1] == (
             "closed-form mode needs c tau(t) ||A||^2 <= 1 over the horizon "
-            "(worst sampled value 3)")
+            "(value at the horizon 3)")
 
     def test_oversized_step_rejected(self, example1):
         """c tau ||A||^2 = 1.2 at a constant tau = 0.6 fails the gate before
         the first step."""
-        with pytest.raises(CertificationError, match=r"value 1\.2\)$"):
+        with pytest.raises(CertificationError, match=r"at the horizon 1\.2\)$"):
             integrate(example1, _closed_params(tau=0.6), _start())
 
     def test_step_test_peaks_at_the_horizon(self):

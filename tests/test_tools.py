@@ -109,12 +109,26 @@ class TestDigestCommands:
 
 
 class TestApiRuns:
-    """The general-metric API grid that the digest prints after the CLI
-    runs: its size, and one run of each metric kind."""
+    """The general-metric and closed-form API grids that the digest prints
+    after the CLI runs: their sizes, one run of each metric kind and one
+    closed-form run."""
 
     def test_grid_has_every_case(self):
         cases = list(output_digest.api_runs())
         assert len(cases) == len(set(cases)) == 384
+
+    def test_closed_form_grid_has_every_case(self):
+        cases = list(output_digest.closed_form_runs())
+        assert len(cases) == len(set(cases)) == 192
+
+    def test_one_closed_form_run(self):
+        """A saturating step from tau / 2 on lasso-small, RK4 to T = 5."""
+        case = ("lasso-small", "tau-saturating", 0.5, 0, "rk4")
+        line = output_digest.run_api(case)
+        assert re.fullmatch(
+            r"lasso-small tau-saturating 0\.5 0 rk4: horizon rhs_evals 400 "
+            r"map_steps 0 prox_evals [1-9]\d* [0-9a-f]{64}", line)
+        assert output_digest.run_api(case) == line
 
     @pytest.mark.parametrize("metric", output_digest.API_METRICS)
     def test_one_run_per_metric(self, metric):
