@@ -10,14 +10,13 @@ at the relaxed point x + gamma u, and the dual velocity is the explicit
 `_make_update` builds that update, and with it the evaluation mode, once
 per run.  Every affine term of it is one of two products with maps built
 then: H U gives the inputs of both subproblems, and B x_new the new part of
-the relaxed point and c A x_new; for the small problems of the catalog each
-is one dense matrix.  With a constant step tau0, a constant z metric s I
-(none is s = 0), a dense H and h zero or quadratic, the update is one
-kernel: one affine map, r = M U + m0, then at most two proxes and one
-product (`stepmaps._constant_step_update`).  `discrete.run` uses the
-same update, with y_new = y + w, so a unit-step Euler step is one ADMM
-iteration by construction, and the Chambolle-Pock iteration is that ADMM
-at gamma = 1 from z0 = A x0.  The modes:
+the relaxed point and c A x_new, each one dense matrix.  With a constant
+step tau0, a constant z metric s I (none is s = 0) and h zero or
+quadratic, the update is one kernel: one affine map, r = M U + m0, then
+at most two proxes and one product (`stepmaps._constant_step_update`).
+`discrete.run` uses the same update, with y_new = y + w, so a unit-step
+Euler step is one ADMM iteration by construction, and the Chambolle-Pock
+iteration is that ADMM at gamma = 1 from z0 = A x0.  The modes:
 
 * closed-form      -- x-update metric I / tau(t) (the tau family, coupled
                       at the run's c and A), both subproblems collapse to
@@ -173,10 +172,11 @@ class Adaptive:
 @dataclass
 class Dynamics:
     """The parameters a flow and its unit-step schemes share.  Give tau or
-    m1, not both: tau, a TauSchedule or a positive number (the constant
-    schedule), selects the closed-form x-metric I / tau(t) - c A* A; a
-    tau-family m1 must be coupled at this c and the problem's A
-    (`schedules`) and takes the step test of tau.  No m2 is a zero M2."""
+    m1, not both: tau, a TauSchedule or a positive number other than a
+    bool (the constant schedule), selects the closed-form x-metric
+    I / tau(t) - c A* A; a tau-family m1 must be coupled at this c and the
+    problem's A (`schedules`) and takes the step test of tau.  No m2 is a
+    zero M2."""
 
     c: float = 1.0
     gamma: float = 1.0
@@ -192,7 +192,8 @@ class Dynamics:
             raise ValueError("gamma must lie in [0,1]")
         if self.tau is not None and self.m1 is not None:
             raise ValueError("give tau or m1, not both")
-        if isinstance(self.tau, numbers.Real):
+        if isinstance(self.tau, numbers.Real) \
+                and not isinstance(self.tau, bool):
             self.tau = TauSchedule.constant(self.tau)
         elif not (self.tau is None or isinstance(self.tau, TauSchedule)):
             raise ValueError("tau must be a positive number or a TauSchedule")
@@ -318,13 +319,13 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
       `metric_prox` solves the block in M2(t) + c I with
       lin = -c (r_z + gamma A x_new) - s2(t) z
 
-    * a constant step tau0, a constant scaled-identity M2, a dense H and
-      h zero or quadratic: one kernel, which folds tau0 and every affine
-      prox into one map (`stepmaps._constant_step_update`); a moving step,
-      any other metric, another h and a lazy H keep the forms above
-    * a constant M1 with a dense Q1 that has a positive floor (as
-      `metric_prox` needs), a constant scaled-identity M2, a dense H, h
-      zero or quadratic, f and g that name their pieces and regions
+    * a constant step tau0, a constant scaled-identity M2 and h zero or
+      quadratic: one kernel, which folds tau0 and every affine prox into
+      one map (`stepmaps._constant_step_update`); a moving step, any other
+      metric and another h keep the forms above
+    * a constant M1 whose Q1 has a positive floor (as `metric_prox`
+      needs), a constant scaled-identity M2, h zero or quadratic, f and g
+      that name their pieces and regions
       (`ProxFunction`), and room for `stepmaps.PIECE_MAPS` maps: the update
       first tries the certified affine map of the joint piece that the
       solves' start lies on (`stepmaps._piece_rows`).  When its
@@ -343,11 +344,8 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
 
     B is [k gamma A; c A], with k = 1 for any other M2.  A quadratic h
     (`quadratic_smooth`) folds its P and q in as above; any other h adds
-    its gradient at x to r_x.  With n + 2m at most `linops._DENSE_LIMIT`
-    each map is one dense matrix.  A wider problem applies them lazily:
-    H s takes one A x for both block rows and one A* of y + c (A x - z) (of
-    y - c z for a constant M1), and B x_new one A x_new, where the per-block
-    formulas apply A or A* four times.
+    its gradient at x to r_x.  Each map is one dense matrix, refused with
+    CertificationError past `linops._EIGENSOLVE_FLOATS` (`_block_map`).
     """
     m1, m2 = schedules(p, c, tau, m1, m2)
     n, m = p.n, p.m
@@ -362,16 +360,13 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
     elif not p.h.is_zero:
         h_grad = p.h._grad
 
-    # kxx: the x rows' x-term; kx: the part of it the lazy rows apply as
-    # a map, without the c A* A of a tau family
+    # kx: the x rows' x-term
     x_tau = m1.tau
     if x_tau is None:
         q1 = x_update_metric(m1, c, A, 0.0)
         kx = -1.0 * m1.at(0.0).base if P is None else P - m1.at(0.0).base
-        kxx = kx
     else:
-        kx = P
-        kxx = c * A.gram() if P is None else c * A.gram() + P
+        kx = c * A.gram() if P is None else c * A.gram() + P
 
     # a constant M2 = s I scales the z rows by k = c / (c + s) and the y
     # block to I / (c + s): at s = 0, k is 1.0 and c + s is c
@@ -391,43 +386,20 @@ def _make_update(p: ProblemSpec, c, gamma, tau: TauSchedule | None,
         kz = (1.0 / c) * m2.at(0.0).base
     z_step = 1.0 / cs
 
-    # the wide (lazy) forms apply A once and A* once for H, A once for B
-    a_apply, a_adjoint = A._raw_apply, A._raw_adjoint
-    kx_apply = None if kx is None else kx._raw_apply
-    kz_apply = None if kz is None else kz._raw_apply
-    relax = k * (1.0 - gamma)  # 0 at gamma = 1: the z rows' A x block is 0
-
-    def h_lazy(s):
-        x, z, y = s[:n], s[n:n + m], s[n + m:]
-        ax = a_apply(x)
-        rx = a_adjoint(y - c * z if x_tau is None else y + c * (ax - z))
-        if kx_apply is not None:
-            rx = rx + kx_apply(x)
-        rz = y / cs if relax == 0.0 else relax * ax + y / cs
-        if kz_apply is not None:
-            rz += kz_apply(z)
-        return np.concatenate((rx, rz))
-
-    b_scales = np.array([[k * gamma], [c]])
-
-    def b_lazy(x):
-        return (b_scales * a_apply(x)).ravel()
-
-    H = _block_map([[kxx, -c * AT, AT],
-                    [relax * A, kz, LinearMap.identity(m, z_step)]],
-                   [n, m, m], h_lazy)
-    B = _block_map([[(k * gamma) * A], [c * A]], [n], b_lazy)
-    h_apply, b_apply = H._raw_apply, B._raw_apply
+    H = _block_map([[kx, -c * AT, AT],
+                    [(k * (1.0 - gamma)) * A, kz,
+                     LinearMap.identity(m, z_step)]], [n, m, m])
+    B = _block_map([[(k * gamma) * A], [c * A]], [n])
+    h_apply, b_apply = H.dot, B.dot
     if x_tau is not None and m1.is_time_invariant() and z_prox \
-            and h_grad is None and H.mat is not None:
-        return _constant_step_update(H.mat, B.mat, q, n, m, c, x_tau.tau0,
-                                     z_step, f, g)
+            and h_grad is None:
+        return _constant_step_update(H, B, q, n, m, c, x_tau.tau0, z_step,
+                                     f, g)
     piece_rows = pieces = None
-    if x_tau is None and z_prox and h_grad is None and H.mat is not None \
-            and q1.base.mat is not None and q1.alpha_floor > 0.0 \
+    if x_tau is None and z_prox and h_grad is None and q1.alpha_floor > 0.0 \
             and f._region is not None and g._region is not None:
-        piece_rows, pieces = _piece_rows(H.mat, B.mat, q, q1, f, g, c,
-                                         z_step) or (None, None)
+        piece_rows, pieces = _piece_rows(H, B, q, q1, f, g, c, z_step) \
+            or (None, None)
     # the fallback's row, written through views made here, then copied
     width = iy + m
     row = np.empty(width)

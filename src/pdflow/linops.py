@@ -34,17 +34,11 @@ __all__ = [
     "load_dense",
 ]
 
-# Widest operator stored as one dense matrix (`_block_map`,
-# `_metric_spectrum`).  Measured on a 2-vCPU VM: against the lazy form, the
-# flow's dense H (n + 2m columns) takes 0.64-0.70 of the time per evaluation
-# up to 128 columns and repays its longer build within 33 evaluations; at
-# 256 columns it takes 0.90 and needs about 500.
-_DENSE_LIMIT = 128
-
-# Largest dense form, in floats, that a norm or a spectral floor
-# materializes: A itself (out x in) for `operator_norm`, a metric (dim x dim)
-# for `psd_floor`.  2**22 floats is 32 MiB; `eigvalsh` at 2048 x 2048 takes
-# 0.71 s on a 2-vCPU VM.  Past it a certificate is refused, not estimated.
+# Largest dense form, in floats, that a norm, a spectral floor or an
+# update's map materializes: A itself (out x in) for `operator_norm`, a
+# metric (dim x dim) for `psd_floor`, H ((n + m) x (n + 2m)) for
+# `_block_map`.  2**22 floats is 32 MiB; `eigvalsh` at 2048 x 2048 takes
+# 0.71 s on a 2-vCPU VM.  Past it a form is refused, not estimated.
 _EIGENSOLVE_FLOATS = 2 ** 22
 
 
@@ -286,8 +280,8 @@ def _refuse_past_cap(what, rows, cols):
     if rows * cols > _EIGENSOLVE_FLOATS:
         raise CertificationError(
             f"{what}: the {rows} x {cols} dense form holds {rows * cols} "
-            f"floats, past the {_EIGENSOLVE_FLOATS} an exact eigensolve may "
-            f"materialize, and an estimate would not certify it")
+            f"floats, past the {_EIGENSOLVE_FLOATS} a dense form may hold; "
+            f"it is refused, not estimated")
 
 
 def _symmetric_spectrum(base: LinearMap, what):
@@ -300,41 +294,32 @@ def _symmetric_spectrum(base: LinearMap, what):
 
 
 def _metric_spectrum(base: LinearMap):
-    """Self-adjoint `base`, its smallest eigenvalue and its norm
-    max(|lambda_min|, |lambda_max|), both from one eigensolve.  The map
-    returned is the symmetrized matrix when `base` is at most `_DENSE_LIMIT`
-    wide, so each application is a single product instead of a chain of
-    lazy closures; a wider `base` as it is."""
+    """Self-adjoint `base` as the symmetrized dense matrix it was
+    eigensolved as, so each application is a single product, with its
+    smallest eigenvalue and its norm max(|lambda_min|, |lambda_max|), both
+    from that one eigensolve."""
     mat, eigs = _symmetric_spectrum(base, "metric")
-    if base.in_dim <= _DENSE_LIMIT:
-        base = LinearMap.from_dense(mat)
-    return base, float(eigs[0]), float(max(-eigs[0], eigs[-1]))
+    return (LinearMap.from_dense(mat), float(eigs[0]),
+            float(max(-eigs[0], eigs[-1])))
 
 
-def _forward_only(y):
-    raise NotImplementedError("this block map applies forward only")
-
-
-def _block_map(blocks, in_dims, lazy) -> LinearMap:
-    """The block operator whose block row i is `blocks[i]`, one LinearMap
-    or None (a zero block) per block column, the columns `in_dims` wide;
-    every block row holds at least one map.  A domain at most
-    `_DENSE_LIMIT` wide gives one dense matrix, so an application is
-    a single product.  A wider one is the forward-only map whose application
-    is `lazy`, which the caller writes to share products between blocks
-    (one A x for every block that applies A, say)."""
+def _block_map(blocks, in_dims) -> np.ndarray:
+    """The dense matrix of the block operator whose block row i is
+    `blocks[i]`, one LinearMap or None (a zero block) per block column, the
+    columns `in_dims` wide; every block row holds at least one map.  A
+    matrix past `_EIGENSOLVE_FLOATS` is refused with CertificationError
+    before anything is materialized."""
     out_dims = [next(op.out_dim for op in row if op is not None)
                 for row in blocks]
     rows = list(itertools.accumulate(out_dims, initial=0))
     cols = list(itertools.accumulate(in_dims, initial=0))
-    if cols[-1] > _DENSE_LIMIT:
-        return LinearMap(cols[-1], rows[-1], lazy, _forward_only)
+    _refuse_past_cap("block map", rows[-1], cols[-1])
     mat = np.zeros((rows[-1], cols[-1]))
     for i, row in enumerate(blocks):
         for j, op in enumerate(row):
             if op is not None:
                 mat[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = op.to_dense()
-    return LinearMap.from_dense(mat)
+    return mat
 
 
 def operator_norm(op: LinearMap) -> float:

@@ -124,8 +124,8 @@ def z_update_metric(m2: MetricSchedule, c, t) -> SelfAdjointPSD:
     """The z-subproblem metric Q = M2(t) + c I, with floor alpha(M2) + c,
     built on each call; a constant scaled identity s I gives the scaled
     identity (s + c) I with analytic floor and norm.  Any other M2, a tau
-    family included, gives Q with the norm of one eigensolve, stored as a
-    dense matrix up to the dense limit.
+    family included, gives Q with the norm of one eigensolve, stored as the
+    dense matrix that eigensolve read.
     """
     c = float(c)
     m2_t = m2.at(t)

@@ -12,7 +12,7 @@ A scaled identity Q = s I (the tau-family x-update, or a scaled-identity
 M2 in the z-update) is solved exactly by one prox evaluation,
 prox_{f/s}(-linear/s).  Otherwise `metric_prox` works on the fixed-point
 map F(v) = v - prox_{s f}(v - s (Q v + linear)) with s = 1/||Q||.  When Q
-is stored as a dense matrix (the small metrics that
+is stored as a dense matrix (every metric but a scaled identity that
 `metric.x_update_metric` and `z_update_metric` build, or
 `SelfAdjointPSD.from_dense`) and f names the affine pieces of its prox
 (`piece_fn`: l1, box and the quadratics), it first tries the exact
@@ -482,7 +482,7 @@ def metric_prox(f: ProxFunction, Q: SelfAdjointPSD, linear, x0,
 
     Momentum restarts (theta back to 1, so w_{k+1} = v_{k+1}) whenever the
     gradient mapping at w_k points uphill along the last move, i.e.
-    <w_k - v_{k+1}, v_{k+1} - v_k> > 0.  A lazy Q runs this phase alone.
+    <w_k - v_{k+1}, v_{k+1} - v_k> > 0.  Any other Q runs this phase alone.
 
     Every prox evaluation, the piece start's and either phase's, counts
     against max_iters.  A result depends only on (f, Q, linear, x0, tol,

@@ -740,10 +740,12 @@ class TestDiscreteParams:
         assert DiscreteParams(stop_tol=-np.inf).stop_tol == -np.inf
 
     @pytest.mark.parametrize("tau", [[], (), 0.0, -0.25, [0.2, 0.0],
-                                     np.array([0.2, -0.1]), [0.3]])
+                                     np.array([0.2, -0.1]), [0.3], True,
+                                     False])
     @pytest.mark.parametrize("cls", [DiscreteParams, FlowParams])
     def test_tau_rejected_at_construction(self, cls, tau):
-        """Both params classes validate tau in their one shared base."""
+        """Both params classes validate tau in their one shared base; a
+        bool is a `numbers.Real`, but not a step."""
         with pytest.raises(ValueError, match="tau"):
             cls(tau=tau)
 

@@ -8,6 +8,7 @@ trajectory.
 
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -642,9 +643,9 @@ class TestAffineUpdate:
     @pytest.mark.parametrize("name", ["wide-lasso", "wide-identity",
                                       "wide-quadratic"])
     def test_wide_problems(self, name, gamma, case):
-        """Problems past the dense limit, whose H and B apply A lazily: the
-        two problem files (a dense and a scaled-identity A) and a quadratic
-        h, whose P the lazy x rows apply and whose q the update adds."""
+        """Problems whose H has 140 or 144 columns: the two problem files
+        (a dense and a scaled-identity A) and a quadratic h, whose P the x
+        rows of H take and whose q the update adds."""
         if name == "wide-quadratic":
             rng = np.random.default_rng(23)
             n, m = 40, 50
@@ -656,7 +657,6 @@ class TestAffineUpdate:
                                 rng.standard_normal((m, n)) / np.sqrt(m)))
         else:
             p = load_problem(os.path.join(_PROBLEMS, name + ".txt"))
-        assert p.n + 2 * p.m > linops._DENSE_LIMIT
         tau, m1, m2 = _update_cases(p, gamma)[case]
         self._assert_matches(p, 1.0, gamma, tau, m1, m2, seed=6)
 
@@ -755,8 +755,8 @@ class TestTauFamilyXStep:
 
 def _named_problem(name):
     """A catalog problem, a problem file (such as "ridge-identity" or
-    "l1-box"), a closure-built A with a softplus h: "closure" past the
-    dense limit, "softplus-h" below it, or "sq-distance-f": f a
+    "l1-box"), a closure-built A with a softplus h: "closure" at n = 130
+    and m = 5, "softplus-h" at n = 3 and m = 4, or "sq-distance-f": f a
     sq_distance with a nonzero center, whose affine prox has an offset,
     and g an l1 norm, on a dense A."""
     if name in CATALOG_NAMES:
@@ -782,10 +782,10 @@ class TestFoldedStep:
     """A constant step tau0 makes each update one prox of f, with step
     tau0 exactly at every t, at the point
     x - tau0 (A*(y + c (A x - z)) + grad h(x)).  The kernel folds tau0 into
-    H's x rows on a dense H (l1-box: with a nonzero q); a lazy H and a
-    non-quadratic h step at tau(t) = tau0 outside it.  An affine prox of f
-    (example1's sq_norm, box-qp's zero) is folded in too, so the update
-    makes no call and x_new is the prox at that point."""
+    H's x rows (l1-box: with a nonzero q); a non-quadratic h steps at
+    tau(t) = tau0 outside it.  An affine prox of f (example1's sq_norm,
+    box-qp's zero) is folded in too, so the update makes no call and x_new
+    is the prox at that point."""
 
     @pytest.mark.parametrize("name", list(CATALOG_NAMES)
                              + ["l1-box", "wide-lasso", "wide-identity",
@@ -823,11 +823,10 @@ class TestFoldedStep:
             assert np.array_equal(x_new, real(tau0, arg))
         assert (p.f.affine is None) == (name not in ("example1", "box-qp"))
 
-    @pytest.mark.parametrize("name", ["wide-lasso", "wide-identity", "closure",
-                                      "softplus-h", "dense-m2"])
+    @pytest.mark.parametrize("name", ["closure", "softplus-h", "dense-m2"])
     def test_outside_the_kernel_a_constant_step_is_a_moving_step(self, name):
         """At t = 800, exp(-t) underflows to 0, so the saturating schedule
-        from tau / 2 to tau gives tau exactly: off the kernel (a lazy H, a
+        from tau / 2 to tau gives tau exactly: off the kernel (a
         non-quadratic h, a dense M2) both schedules give the same update,
         bit for bit."""
         p = _named_problem("lasso-small" if name == "dense-m2" else name)
@@ -914,14 +913,13 @@ class TestAffineFold:
                     assert _rel_gap(g, w) <= 1e-13
 
     @pytest.mark.parametrize("name,case", [
-        ("wide-lasso", "auto"), ("wide-identity", "auto"),
         ("softplus-h", "auto"), ("ridge-identity", "saturating"),
         ("example1", "saturating"), ("lasso-small", "const-0.5I"),
         ("ridge-identity", "dense-m1"), ("box-qp", "dense-m2")])
     def test_unfolded_cases_keep_their_bits(self, name, case, monkeypatch):
-        """A lazy H, a non-quadratic h, a moving step and a general metric
-        are not folded: the update is bit for bit the one built with the
-        affine forms hidden."""
+        """A non-quadratic h, a moving step and a general metric are not
+        folded: the update is bit for bit the one built with the affine
+        forms hidden."""
         p = _named_problem(name)
         assert p.f.affine is not None or p.g.affine is not None
         tau, m1, m2 = _update_cases(p, 0.5)[case]
@@ -968,7 +966,7 @@ class TestUpdateContract:
                             **self._params(p, mode))
         update = _make_update(p, params.c, params.gamma, params.tau,
                               params.m1, params.m2, params.inner_tol)
-        kernel = mode in ("folded", "unfolded") and name in CATALOG_NAMES
+        kernel = mode in ("folded", "unfolded")
         assert ("_constant_step_update" in update.__qualname__) == kernel
         n, iy = p.n, p.n + p.m
         rng = np.random.default_rng(21)
@@ -998,6 +996,26 @@ class TestUpdateContract:
                 if key:
                     assert key == [update.pieces[0](x_new, z_new)]
                 start = returned
+
+    def test_map_past_the_cap_is_refused_before_allocation(self, tmp_path):
+        """A = identity on R^900 makes H 1800 x 2700, past
+        `linops._EIGENSOLVE_FLOATS`: the run is refused with
+        CertificationError, and no dense form was made, not even the
+        900 x 900 one of A."""
+        path = tmp_path / "identity-900.txt"
+        path.write_text("[problem]\nname = identity-900\nf = l1\nh = zero\n"
+                        "g = sq_distance\ng.center = 1.0\nA = identity\n"
+                        "A.dim = 900\n")
+        p = load_problem(str(path))
+        params = FlowParams(tau=0.5, horizon=1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CertificationError, match="1800 x 2700"):
+                flow.integrate(p, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 900 * 900 * 8
 
 
 def _reference_integrate(p, params, s0=None, record_every=1, warm=True,

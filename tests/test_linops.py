@@ -190,32 +190,23 @@ class TestRows:
 
 
 class TestBlockMap:
-    """`_block_map` is one dense matrix, equal to the assembled blocks, up
-    to _DENSE_LIMIT columns, and the caller's forward-only map above."""
+    """`_block_map` is one dense matrix, equal to the assembled blocks."""
 
-    def test_dense_matches_assembled_matrix(self):
+    @pytest.mark.parametrize("n,m", [(3, 4), (48, 48)])
+    def test_dense_matches_assembled_matrix(self, n, m):
+        """At (48, 48) the domain is 144 wide, as H's of the two wide
+        problem files."""
         rng = np.random.default_rng(31)
-        n, m = 3, 4
         mats = [[rng.standard_normal((n, n)), None, rng.standard_normal((n, m))],
                 [rng.standard_normal((m, n)), np.eye(m), None]]
         blocks = [[None if a is None else _one_point_map(a) for a in row]
                   for row in mats]
         blocks[1][1] = LinearMap.identity(m)
-        op = linops._block_map(blocks, [n, m, m], lazy=None)
+        got = linops._block_map(blocks, [n, m, m])
         full = np.block([[np.zeros((r, c)) if a is None else a
                           for a, c in zip(row, (n, m, m))]
                          for row, r in zip(mats, (n, m))])
-        np.testing.assert_array_equal(op.mat, full)
-
-    def test_wide_domain_is_the_lazy_map(self):
-        n = linops._DENSE_LIMIT
-        lazy = lambda x: 2.0 * x[:n]
-        op = linops._block_map([[LinearMap.identity(n, 2.0),
-                                 LinearMap.zero(1, n)]], [n, 1], lazy)
-        assert op.mat is None and op._raw_apply is lazy
-        assert (op.in_dim, op.out_dim) == (n + 1, n)
-        with pytest.raises(NotImplementedError):
-            op._raw_adjoint(np.ones(n))
+        np.testing.assert_array_equal(got, full)
 
 
 class TestOperatorNorm:
@@ -327,12 +318,10 @@ class TestPsdFloor:
         assert got == pytest.approx(float(np.linalg.eigvalsh(mat)[0]),
                                     rel=1e-12, abs=0.0)
 
-    def test_clustered_floor_past_the_dense_limit(self):
-        """At 160 dimensions, past `_DENSE_LIMIT`, shifted power iteration
-        read 0.500810 against a floor of 0.500023; the floor is still the
-        exact eigensolve."""
+    def test_clustered_floor_at_160_dimensions(self):
+        """At 160 dimensions shifted power iteration read 0.500810 against
+        a floor of 0.500023; the floor is the exact eigensolve."""
         mat = _shifted_gram(160)
-        assert len(mat) > linops._DENSE_LIMIT
         got = psd_floor(SelfAdjointPSD.from_dense(mat))
         assert got == pytest.approx(float(np.linalg.eigvalsh(mat)[0]),
                                     rel=1e-12, abs=0.0)
@@ -352,11 +341,10 @@ class TestPsdFloor:
             assert got == pytest.approx(norm, rel=1e-12)
 
     def test_large_dimension_is_an_eigensolve(self):
-        """Above the dense storage limit the floor is the same exact
-        eigensolve; it must agree with the spectrum the matrix was built
-        from."""
+        """At 160 dimensions the floor is the same exact eigensolve; it
+        must agree with the spectrum the matrix was built from."""
         rng = np.random.default_rng(43)
-        dim = linops._DENSE_LIMIT + 32
+        dim = 160
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         eigs = np.concatenate([[0.3], rng.uniform(1.0, 3.0, dim - 1)])
         mat = (q * eigs) @ q.T

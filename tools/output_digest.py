@@ -41,15 +41,17 @@ saturating:0.05,0.25` certifies a moving schedule that passes the step
 test and fails the rate and descent tests, exit 2.
 Then a step of 6e-309, whose Lyapunov weight overflows: `discrete
 --max-iters 3` and `flow --horizon 1`, whose rate certificates fail.
-Every run above is at c = 1 on a problem inside the dense limit, so none
-would show a change to the c-scaled blocks of the constant-step kernel or
-to the lazy maps of a wide problem.  Last come `flow --c 1.5 --horizon 20`
-and `discrete --c 1.5` on lasso-small and `problems/l1-box.txt`, then
+Every run above is at c = 1 on a problem whose H has at most 32 columns,
+so none would show a change to the c-scaled blocks of the constant-step
+kernel or to a map 144 columns wide.  Last come `flow --c 1.5 --horizon
+20` and `discrete --c 1.5` on lasso-small and `problems/l1-box.txt`, then
 `flow --horizon 5` on `problems/wide-lasso.txt` and `discrete` on
-`problems/wide-identity.txt`, whose H and B apply A lazily; all of them at
-`--tau auto --dump-state`.  Last of all, `check --tau auto` on
-`problems/wide-lasso.txt`, whose report pins the flags that `certify`
-decides from the norm of the largest shipped A, 40 x 64.
+`problems/wide-identity.txt`, whose kernels apply H and B of 144 columns;
+all of them at `--tau auto --dump-state`.  Last of all, `check --tau auto`
+on `problems/wide-lasso.txt`, whose report pins the flags that `certify`
+decides from the norm of the largest shipped A, 40 x 64, and on
+`problems/wide-identity.txt`, whose invariant suite pins the kernel on a
+scaled-identity A, the 1e-12 unit-Euler/ADMM equality included.
 
 After the CLI runs come the general-metric API runs (`api_runs`), which
 no CLI run reaches: every `metric_prox` Newton step and piece start is
@@ -144,7 +146,8 @@ def commands():
     auto = ["--tau", "auto", "--dump-state"]
     yield ["flow", "--problem", WIDE_LASSO, *auto, "--horizon", "5"]
     yield ["discrete", "--problem", WIDE_IDENTITY, *auto]
-    yield ["check", "--problem", WIDE_LASSO, "--tau", "auto"]
+    for path in (WIDE_LASSO, WIDE_IDENTITY):
+        yield ["check", "--problem", path, "--tau", "auto"]
 
 
 def _sha(data: bytes) -> str:

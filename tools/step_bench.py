@@ -13,9 +13,10 @@ line reports the minimum over the repeats (at least 5) for both trees and
 their ratio B / A:
 
 * update: microseconds per call of the proximal ADMM update on a fixed
-  state, in closed-form mode (`auto` tau) on every catalog problem, again
-  with the affine forms of f and g hidden (`unfolded`: both proxes are
-  called), and in general-metric mode with M1 = M2 = 0.5 I on
+  state, in closed-form mode (`auto` tau) on every catalog problem and on
+  the two wide problem files `WIDE` (H 144 columns wide), again on the
+  catalog with the affine forms of f and g hidden (`unfolded`: both
+  proxes are called), and in general-metric mode with M1 = M2 = 0.5 I on
   lasso-small; gamma 0.5
 * piece change: microseconds per general-metric update call on
   lasso-small (M1 = M2 = 0.5 I, gamma 0.5) at a state whose start's
@@ -26,12 +27,12 @@ their ratio B / A:
   piece that the failed map's product names; one that does not solves
   with `metric_prox`
 * build: microseconds per `flow._make_update` call that builds the
-  closed-form update (`auto` tau, gamma 0.5) on every catalog problem,
-  and (`build+eval`) per general-metric build on lasso-small with
-  M1 = M2 = 0.5 I together with its first evaluation at the canonical
-  start, where the update's piece map certifies: that evaluation builds
-  the map and its certificate (`stepmaps._piece_rows`), as an ADMM
-  transient does on each new piece
+  closed-form update (`auto` tau, gamma 0.5) on every catalog problem and
+  wide file, and (`build+eval`) per general-metric build on lasso-small
+  with M1 = M2 = 0.5 I together with its first evaluation at the
+  canonical start, where the update's piece map certifies: that
+  evaluation builds the map and its certificate (`stepmaps._piece_rows`),
+  as an ADMM transient does on each new piece
 * integrate: seconds per `integrate` run from the canonical start, for the
   catalog x {Euler, RK4, Adaptive} with `auto` tau, gamma 0.5, step 0.01
   (Adaptive: its defaults) and horizon `HORIZON`, for Adaptive again at
@@ -44,11 +45,13 @@ their ratio B / A:
   run's time over its `rhs_evals` (a step map's product counts as the
   evaluations of the stagewise step it stands for), and the share of its
   steps that a step map took (`FlowTrajectory.map_steps`)
-* admm: microseconds per iteration of a 500-iteration `discrete.run` on
-  every catalog problem with `auto` tau and gamma 1, and in
+* admm: microseconds per iteration kept of a `discrete.run` of at most
+  500 iterations (stop_tol 0, so only a residual of exactly 0 stops it
+  early, as it does on wide-identity) on every catalog problem and wide
+  file with `auto` tau and gamma 1, and of a 500-iteration run in
   general-metric mode with M1 = M2 = 0.5 I on lasso-small, where each
   iteration solves its x-update with `metric_prox` or takes its piece
-  map, mostly past convergence (stop_tol 0); and (`to 1e-10`) per
+  map, mostly past convergence; and (`to 1e-10`) per
   iteration kept of the `metric-lasso` ADMM runs, the 12 seeded starts
   of seed `METRIC_LASSO_SEED` (c 1, gamma 0.5, stop_tol 1e-10), each run
   to its stop: transients, stop tests and the iterates computed past the
@@ -79,6 +82,11 @@ SWEEP_STEP, SWEEP_HORIZON = 0.01, 200.0
 # the seed of the `metric-lasso` inputs whose ADMM starts the `to 1e-10`
 # line runs, and how many flow and ADMM starts the workload draws
 METRIC_LASSO_SEED, METRIC_LASSO_STARTS = 7, (4, 12)
+# the problem files whose update maps are 144 columns wide, read from the
+# `problems/` of the tree that holds this script
+WIDE = ("wide-lasso", "wide-identity")
+PROBLEMS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "problems")
 
 
 def load_tree(tree, name):
@@ -109,6 +117,13 @@ def cpu_name():
     return platform.processor() or platform.machine()
 
 
+def _problem(pkg, name):
+    """A fresh catalog problem, or a fresh load of a file of `WIDE`."""
+    if name in WIDE:
+        return pkg.config.load_problem(os.path.join(PROBLEMS, name + ".txt"))
+    return pkg.problems.catalog(name)
+
+
 def cases(pkg):
     """(label, unit, per, thunk) per measured case for one loaded tree:
     thunk() runs the case once and the time is divided by `per`."""
@@ -116,8 +131,8 @@ def cases(pkg):
     resolve_tau, metric = pkg.config.resolve_tau, pkg.metric
     out = []
     for suffix in ("", " unfolded"):
-        for name in problems.CATALOG_NAMES:
-            p = problems.catalog(name)
+        for name in problems.CATALOG_NAMES + (() if suffix else WIDE):
+            p = _problem(pkg, name)
             if suffix:
                 p.f.affine = p.g.affine = None
             tau = resolve_tau("auto", p, 1.0, 0.5)
@@ -136,8 +151,8 @@ def cases(pkg):
                 UPDATE_CALLS / 1e6, _repeat_piece_change(update, flow, p)))
     out.append(("build+eval general-metric lasso-small", "us",
                 BUILD_CALLS / 1e6, _repeat_first(flow, p, m1, m2)))
-    for name in problems.CATALOG_NAMES:
-        p = problems.catalog(name)
+    for name in problems.CATALOG_NAMES + WIDE:
+        p = _problem(pkg, name)
         tau = resolve_tau("auto", p, 1.0, 0.5)
         out.append((f"build {name}", "us", BUILD_CALLS / 1e6,
                     _repeat_build(flow, p, tau)))
@@ -169,14 +184,16 @@ def cases(pkg):
     out.append(("integrate rk4 closed-form example1", "s", 1.0,
                 lambda p=p, params=params: flow.integrate(p, params)))
     for algorithm in ("admm", "cp"):
-        for name in problems.CATALOG_NAMES:
-            p = problems.catalog(name)
+        for name in problems.CATALOG_NAMES + (WIDE if algorithm == "admm"
+                                              else ()):
+            p = _problem(pkg, name)
             if algorithm == "cp" and not p.h.is_zero:
                 continue  # the primal-dual step needs h = 0
             d = discrete.DiscreteParams(c=1.0, gamma=1.0,
                                         tau=resolve_tau("auto", p, 1.0, 1.0),
                                         max_iters=ADMM_ITERS, stop_tol=0.0)
-            out.append((f"{algorithm} {name}", "us", ADMM_ITERS / 1e6,
+            kept = discrete.run(p, d, algorithm=algorithm).iterations
+            out.append((f"{algorithm} {name}", "us", kept / 1e6,
                         lambda p=p, d=d, a=algorithm: discrete.run(
                             p, d, algorithm=a)))
         if algorithm == "admm":
